@@ -7,12 +7,14 @@
 //! passes through the fault layer (which may lose, delay, or wedge it),
 //! and commanded P-states are recorded for read-back verification: a
 //! command that never took is re-issued with bounded doubling backoff
-//! and abandoned after the configured retry budget.
+//! and abandoned after the configured retry budget. Verification runs
+//! inside the shared slot function, on any [`Plant`]; enacting is the
+//! engine's own.
 //!
 //! Every command that lands pushes its `(settle time, node)` into a
 //! caller-owned buffer; the engine drains it into its event queues.
 
-use super::{BatteryFlows, FaultLayer};
+use super::{BatteryFlows, FaultLayer, Plant};
 use crate::health::{ActuatorVerify, VerifyOutcome};
 use crate::node::ComputeNode;
 use crate::scheme::Action;
@@ -48,85 +50,44 @@ pub struct ActStage {
 impl ActStage {
     /// Read-back verification: re-command actuations whose target never
     /// took (a lost command or a stuck governor), with bounded doubling
-    /// backoff. `check` rearms the intent in place, so a retry must NOT
-    /// re-record it — that would reset the budget.
-    pub(crate) fn sweep(
-        &mut self,
-        now: SimTime,
-        nodes: &mut [ComputeNode],
-        node_dead: &[bool],
-        fault: &mut FaultLayer,
-        settles: &mut Vec<(SimTime, usize)>,
-    ) {
+    /// backoff, through the plant's retry hook. `check` rearms the
+    /// intent in place, so a retry must NOT re-record it — that would
+    /// reset the budget. The slot's retries are left in
+    /// `retry_scratch`.
+    pub(crate) fn sweep(&mut self, now: SimTime, plant: &mut impl Plant) {
         let Some(verify) = self.verify.as_mut() else {
             return;
         };
         self.retry_scratch.clear();
-        self.retry_scratch.extend(
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !node_dead[*i])
-                .filter_map(|(i, n)| match verify.check(i, n.target_pstate(), now) {
-                    VerifyOutcome::Retry(target) => Some((i, target)),
-                    _ => None,
-                }),
-        );
+        for (i, &dead) in plant.node_dead().iter().enumerate() {
+            let Some(commanded) = plant.readback(i).filter(|_| !dead) else {
+                continue;
+            };
+            if let VerifyOutcome::Retry(target) = verify.check(i, commanded, now) {
+                self.retry_scratch.push((i, target));
+            }
+        }
         for &(node, target) in &self.retry_scratch {
-            issue_pstate(now, node, target, nodes, Some(&mut *fault), settles);
+            plant.retry(now, node, target);
         }
     }
 
-    /// Enact one slot's action plan, draining `actions` (a recycled
-    /// per-slot buffer owned by the pipeline) in the process.
-    pub(crate) fn enact(
-        &mut self,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-        mut ctx: ActCtx<'_>,
-        settles: &mut Vec<(SimTime, usize)>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                Action::SetPState { node, target } => {
-                    if ctx.fault.is_some() && ctx.node_dead[node] {
-                        continue; // don't actuate a crashed node
-                    }
-                    if let Some(verify) = self.verify.as_mut() {
-                        verify.record(node, target, now);
-                    }
-                    issue_pstate(now, node, target, ctx.nodes, ctx.fault.as_deref_mut(), settles);
-                }
+    /// Record the plan's per-node commands as the intents next slot's
+    /// read-back checks, skipping dead nodes (they are not actuated).
+    pub(crate) fn record_intents(&mut self, now: SimTime, actions: &[Action], plant: &impl Plant) {
+        let Some(verify) = self.verify.as_mut() else {
+            return;
+        };
+        for a in actions {
+            let (node, intent) = match *a {
+                Action::SetPState { node, target } => (node, Some(target)),
                 Action::SetPowerLimit { node, limit_w } => {
-                    if ctx.fault.is_some() && ctx.node_dead[node] {
-                        continue;
-                    }
-                    if let Some(verify) = self.verify.as_mut() {
-                        let intent = ctx.nodes[node].resolve_power_limit(limit_w);
-                        verify.record(node, intent, now);
-                    }
-                    issue_power_limit(now, node, limit_w, ctx.nodes, ctx.fault.as_deref_mut(), settles);
+                    (node, plant.limit_intent(node, limit_w))
                 }
-                Action::BatteryDischarge { watts } => {
-                    let grant = ctx.battery.start_discharge(now, watts);
-                    ctx.flows.discharge_w = grant;
-                    ctx.flows.charge_w = 0.0;
-                }
-                Action::BatteryCharge { watts } => {
-                    // A failed charger blocks real charge commands; a
-                    // zero-watt command is a stop and needs no charger.
-                    if watts > 0.0 {
-                        if let Some(f) = ctx.fault.as_deref_mut() {
-                            if f.charger_failed(now) {
-                                f.charger_blocked_slots += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    let drawn = ctx.battery.start_charge(now, watts);
-                    ctx.flows.charge_w = drawn;
-                    ctx.flows.discharge_w = 0.0;
-                }
+                _ => continue,
+            };
+            if let (false, Some(intent)) = (plant.node_dead()[node], intent) {
+                verify.record(node, intent, now);
             }
         }
     }
@@ -135,6 +96,53 @@ impl ActStage {
     pub fn clear_node(&mut self, node: usize) {
         if let Some(verify) = self.verify.as_mut() {
             verify.clear(node);
+        }
+    }
+}
+
+/// Enact one slot's action plan on the engine's nodes and battery,
+/// draining `actions` (a recycled per-slot buffer owned by the
+/// pipeline) in the process.
+pub(crate) fn enact(
+    now: SimTime,
+    actions: &mut Vec<Action>,
+    mut ctx: ActCtx<'_>,
+    settles: &mut Vec<(SimTime, usize)>,
+) {
+    for action in actions.drain(..) {
+        match action {
+            Action::SetPState { node, target } => {
+                if ctx.fault.is_some() && ctx.node_dead[node] {
+                    continue; // don't actuate a crashed node
+                }
+                issue_pstate(now, node, target, ctx.nodes, ctx.fault.as_deref_mut(), settles);
+            }
+            Action::SetPowerLimit { node, limit_w } => {
+                if ctx.fault.is_some() && ctx.node_dead[node] {
+                    continue;
+                }
+                issue_power_limit(now, node, limit_w, ctx.nodes, ctx.fault.as_deref_mut(), settles);
+            }
+            Action::BatteryDischarge { watts } => {
+                let grant = ctx.battery.start_discharge(now, watts);
+                ctx.flows.discharge_w = grant;
+                ctx.flows.charge_w = 0.0;
+            }
+            Action::BatteryCharge { watts } => {
+                // A failed charger blocks real charge commands; a
+                // zero-watt command is a stop and needs no charger.
+                if watts > 0.0 {
+                    if let Some(f) = ctx.fault.as_deref_mut() {
+                        if f.charger_failed(now) {
+                            f.charger_blocked_slots += 1;
+                            continue;
+                        }
+                    }
+                }
+                let drawn = ctx.battery.start_charge(now, watts);
+                ctx.flows.charge_w = drawn;
+                ctx.flows.discharge_w = 0.0;
+            }
         }
     }
 }
@@ -188,6 +196,8 @@ pub(crate) fn issue_power_limit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::plane::BatteryObs;
+    use crate::control::NodePlant;
     use simcore::faults::{FaultConfig, ShardFaultPlan};
     use simcore::rng::RngFactory;
     use simcore::SimDuration;
@@ -210,6 +220,60 @@ mod tests {
         ComputeNode::new(SimTime::ZERO, 4, 64, SimDuration::from_secs(1))
     }
 
+    const BATTERY: BatteryObs =
+        BatteryObs { soc: 1.0, stored_j: 0.0, discharge_w: 0.0, charge_w: 0.0 };
+
+    /// The engine's slot order for one node: record the plan's intents,
+    /// then enact it.
+    fn command(
+        stage: &mut ActStage,
+        plan: Vec<Action>,
+        nodes: &mut [ComputeNode],
+        fault: Option<&mut FaultLayer>,
+        settles: &mut Vec<(SimTime, usize)>,
+    ) {
+        let node_dead = [false];
+        let plant = NodePlant {
+            nodes: &mut *nodes,
+            node_dead: &node_dead,
+            true_power_w: 0.0,
+            readings: None,
+            battery: BATTERY,
+            fault: None,
+            settles: &mut Vec::new(),
+        };
+        stage.record_intents(SimTime::ZERO, &plan, &plant);
+        let mut battery = Battery::sized_for(SimTime::ZERO, 400.0, SimDuration::from_secs(60));
+        let ctx = ActCtx {
+            nodes,
+            node_dead: &node_dead,
+            battery: &mut battery,
+            flows: &mut BatteryFlows::default(),
+            fault,
+        };
+        enact(SimTime::ZERO, &mut { plan }, ctx, settles);
+    }
+
+    /// A read-back sweep at `t` over one live node.
+    fn sweep(
+        stage: &mut ActStage,
+        t: u64,
+        nodes: &mut [ComputeNode],
+        fault: &mut FaultLayer,
+        settles: &mut Vec<(SimTime, usize)>,
+    ) {
+        let mut plant = NodePlant {
+            nodes,
+            node_dead: &[false],
+            true_power_w: 0.0,
+            readings: None,
+            battery: BATTERY,
+            fault: Some(fault),
+            settles,
+        };
+        stage.sweep(SimTime::from_secs(t), &mut plant);
+    }
+
     #[test]
     fn abandons_actuation_after_max_retries() {
         let max_retries = 3u8;
@@ -218,29 +282,13 @@ mod tests {
             retry_scratch: Vec::new(),
         };
         let mut nodes = vec![node()];
-        let node_dead = vec![false];
         let mut fault = lossy_fault_layer();
         let top = nodes[0].table().max_state();
-        let mut battery = Battery::sized_for(SimTime::ZERO, 400.0, SimDuration::from_secs(60));
-        let mut flows = BatteryFlows::default();
 
         // Command a throttle; the fault layer loses it.
         let mut settles = Vec::new();
-        stage.enact(
-            SimTime::ZERO,
-            &mut vec![Action::SetPState {
-                node: 0,
-                target: PState(4),
-            }],
-            ActCtx {
-                nodes: &mut nodes,
-                node_dead: &node_dead,
-                battery: &mut battery,
-                flows: &mut flows,
-                fault: Some(&mut fault),
-            },
-            &mut settles,
-        );
+        let plan = vec![Action::SetPState { node: 0, target: PState(4) }];
+        command(&mut stage, plan, &mut nodes, Some(&mut fault), &mut settles);
         assert_eq!(nodes[0].target_pstate(), top, "lost command must not land");
         assert!(settles.is_empty(), "a lost command settles nothing");
 
@@ -249,13 +297,7 @@ mod tests {
         // doubles from 1 s, so retries fall due at t = 1, 3, 7 and the
         // give-up at t = 15.
         for t in [1u64, 3, 7, 15, 31] {
-            stage.sweep(
-                SimTime::from_secs(t),
-                &mut nodes,
-                &node_dead,
-                &mut fault,
-                &mut settles,
-            );
+            sweep(&mut stage, t, &mut nodes, &mut fault, &mut settles);
         }
         let verify = stage.verify.as_ref().unwrap();
         assert_eq!(verify.retries(), max_retries as u64);
@@ -271,30 +313,14 @@ mod tests {
             retry_scratch: Vec::new(),
         };
         let mut nodes = vec![node()];
-        let node_dead = vec![false];
-        let mut battery = Battery::sized_for(SimTime::ZERO, 400.0, SimDuration::from_secs(60));
-        let mut flows = BatteryFlows::default();
         let mut settles = Vec::new();
         // No fault layer: the command lands cleanly.
-        stage.enact(
-            SimTime::ZERO,
-            &mut vec![Action::SetPState {
-                node: 0,
-                target: PState(4),
-            }],
-            ActCtx {
-                nodes: &mut nodes,
-                node_dead: &node_dead,
-                battery: &mut battery,
-                flows: &mut flows,
-                fault: None,
-            },
-            &mut settles,
-        );
+        let plan = vec![Action::SetPState { node: 0, target: PState(4) }];
+        command(&mut stage, plan, &mut nodes, None, &mut settles);
         assert_eq!(nodes[0].target_pstate(), PState(4));
         assert_eq!(settles.len(), 1, "the landed command queues its settle");
         let mut clean = fault_layer(FaultConfig::default());
-        stage.sweep(SimTime::from_secs(1), &mut nodes, &node_dead, &mut clean, &mut settles);
+        sweep(&mut stage, 1, &mut nodes, &mut clean, &mut settles);
         let verify = stage.verify.as_ref().unwrap();
         assert_eq!(verify.confirmed(), 1);
         assert_eq!((verify.retries(), verify.giveups()), (0, 0));

@@ -7,12 +7,10 @@
 //! replaces it with the uniform worst-case-safe cap and parks the
 //! battery until telemetry recovers.
 
-use super::{BatteryFlows, ClusterView};
+use super::{ClusterView, Plant};
 use crate::config::ClusterConfig;
-use crate::node::ComputeNode;
 use crate::scheme::{Action, ControlInput, NodeSnapshot, PowerScheme};
 use netsim::request::Request;
-use powercap::battery::Battery;
 use powercap::pstate::PState;
 use simcore::SimTime;
 
@@ -36,80 +34,35 @@ impl DecideStage {
         self.scheme.admit(now, req)
     }
 
-    /// Produce this slot's action plan from the trusted view.
-    #[allow(clippy::too_many_arguments)] // one call site: the slot driver
+    /// Produce this slot's action plan from the trusted view and the
+    /// plant's per-node snapshots. The suspect pool is the contiguous
+    /// tail of the node range ([`crate::pdf::suspect_range`]), so the
+    /// snapshot fill tests membership by range instead of scanning.
     pub(crate) fn run(
         &mut self,
         now: SimTime,
         view: &ClusterView,
         supply_w: f64,
         cfg: &ClusterConfig,
-        nodes: &[ComputeNode],
-        node_dead: &[bool],
-        battery: &Battery,
-        flows: &BatteryFlows,
+        plant: &impl Plant,
         actions: &mut Vec<Action>,
     ) {
-        let (_, suspect_pool) = crate::pdf::partition_pools(cfg.servers, cfg.suspect_pool_size);
+        let suspect = crate::pdf::suspect_range(cfg.servers, cfg.suspect_pool_size);
         let mut snaps = std::mem::take(&mut self.snapshot_scratch);
         snaps.clear();
-        snaps.extend(nodes.iter().enumerate().map(|(i, n)| {
-            let (u, ints, g) = n.load_character();
-            NodeSnapshot {
-                utilization: u,
-                intensity: ints,
-                gamma: g,
-                beta: n.mean_beta(),
-                target: n.target_pstate(),
-                suspect: suspect_pool.contains(&i),
-                inflight: n.inflight(),
-            }
-        }));
-        self.snapshot_scratch = snaps;
-        self.run_snapshots(
-            now,
-            view,
-            supply_w,
-            cfg,
-            node_dead,
-            battery.soc(),
-            battery.stored_j(),
-            flows,
-            actions,
-        );
-    }
-
-    /// Decision half of [`Self::run`]: consumes the already-filled
-    /// snapshot scratch, so backends that observe nodes through a
-    /// transport (trace replay, sysfs) instead of simulator structs run
-    /// the *identical* decision code — [`NodeSnapshot::target`] is the
-    /// node's commanded P-state, so the watchdog fallback reads it from
-    /// the snapshots rather than the nodes.
-    #[allow(clippy::too_many_arguments)] // two call sites: the slot drivers
-    pub(crate) fn run_snapshots(
-        &mut self,
-        now: SimTime,
-        view: &ClusterView,
-        supply_w: f64,
-        cfg: &ClusterConfig,
-        node_dead: &[bool],
-        battery_soc: f64,
-        battery_stored_j: f64,
-        flows: &BatteryFlows,
-        actions: &mut Vec<Action>,
-    ) {
-        let snaps = std::mem::take(&mut self.snapshot_scratch);
+        snaps.extend((0..cfg.servers).map(|i| plant.snapshot(i, suspect.contains(&i))));
+        let battery = plant.battery();
         let input = ControlInput {
             now,
             supply_w,
             demand_w: view.observed_w,
             condition: view.condition,
             nodes: snaps,
-            battery_soc,
-            battery_stored_j,
+            battery_soc: battery.soc,
+            battery_stored_j: battery.stored_j,
             battery_max_discharge_w: cfg.aggregate_nameplate_w(),
             battery_max_charge_w: cfg.aggregate_nameplate_w() * 0.25,
-            battery_discharging_w: flows.discharge_w,
+            battery_discharging_w: battery.discharge_w,
             telemetry_coverage: view.coverage,
         };
         if view.watchdog_engaged {
@@ -118,15 +71,16 @@ impl DecideStage {
             let safe = self
                 .safe_pstate
                 .expect("watchdog implies a fault plan and thus a safe state");
+            let node_dead = plant.node_dead();
             for (i, s) in input.nodes.iter().enumerate() {
                 if !node_dead[i] && s.target != safe {
                     actions.push(Action::SetPState { node: i, target: safe });
                 }
             }
-            if flows.discharge_w > 0.0 {
+            if battery.discharge_w > 0.0 {
                 actions.push(Action::BatteryDischarge { watts: 0.0 });
             }
-            if flows.charge_w > 0.0 {
+            if battery.charge_w > 0.0 {
                 actions.push(Action::BatteryCharge { watts: 0.0 });
             }
         } else {
@@ -140,6 +94,8 @@ impl DecideStage {
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
+    use crate::control::{plane::BatteryObs, NodePlant};
+    use crate::node::ComputeNode;
     use powercap::budget::BudgetLevel;
     use powercap::monitor::PowerCondition;
     use simcore::SimDuration;
@@ -156,13 +112,20 @@ mod tests {
             safe_pstate: None,
             snapshot_scratch: Vec::new(),
         };
-        let nodes: Vec<ComputeNode> = (0..cfg.servers)
+        let mut nodes: Vec<ComputeNode> = (0..cfg.servers)
             .map(|_| ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_secs(1)))
             .collect();
         let node_dead = vec![false; cfg.servers];
-        let battery =
-            Battery::sized_for(SimTime::ZERO, cfg.aggregate_nameplate_w(), cfg.battery_sustain);
-        let flows = BatteryFlows::default();
+        let mut settles = Vec::new();
+        let plant = NodePlant {
+            nodes: &mut nodes,
+            node_dead: &node_dead,
+            true_power_w: 500.0,
+            readings: None,
+            battery: BatteryObs { soc: 1.0, stored_j: 1e5, discharge_w: 0.0, charge_w: 0.0 },
+            fault: None,
+            settles: &mut settles,
+        };
         let view = ClusterView {
             condition: PowerCondition::Emergency,
             observed_w: 500.0,
@@ -170,32 +133,12 @@ mod tests {
             watchdog_engaged: false,
         };
         let mut actions = Vec::new();
-        stage.run(
-            SimTime::from_secs(1),
-            &view,
-            cfg.supply_w(),
-            &cfg,
-            &nodes,
-            &node_dead,
-            &battery,
-            &flows,
-            &mut actions,
-        );
+        stage.run(SimTime::from_secs(1), &view, cfg.supply_w(), &cfg, &plant, &mut actions);
         assert_eq!(stage.snapshot_scratch.len(), cfg.servers);
         let ptr = stage.snapshot_scratch.as_ptr();
         for s in 2..8u64 {
             actions.clear();
-            stage.run(
-                SimTime::from_secs(s),
-                &view,
-                cfg.supply_w(),
-                &cfg,
-                &nodes,
-                &node_dead,
-                &battery,
-                &flows,
-                &mut actions,
-            );
+            stage.run(SimTime::from_secs(s), &view, cfg.supply_w(), &cfg, &plant, &mut actions);
             assert_eq!(
                 stage.snapshot_scratch.as_ptr(),
                 ptr,

@@ -1,14 +1,14 @@
 //! **Filter** — telemetry trust (the paper's power monitor + health
 //! checker, Fig. 12).
 //!
-//! Turns a raw [`TelemetryFrame`] into the trusted [`ClusterView`] the
+//! Turns a slot's raw telemetry into the trusted [`ClusterView`] the
 //! decision stage acts on: [`TelemetryHealth`] bridges sensor dropouts
 //! with last-good values (nameplate for nodes blind past the staleness
 //! deadline), the [`Watchdog`] engages when fresh-sensor coverage falls
 //! below the configured floor, and the [`PowerMonitor`] renders the
 //! slot's budget verdict on the filtered estimate.
 
-use super::{ClusterView, TelemetryFrame};
+use super::ClusterView;
 use crate::health::{TelemetryHealth, Watchdog};
 use powercap::monitor::PowerMonitor;
 use simcore::SimTime;
@@ -32,16 +32,18 @@ pub struct FilterStage {
 }
 
 impl FilterStage {
-    /// Fold one frame into a trusted view. The order is load-bearing:
+    /// Fold one slot's telemetry — the true aggregate, plus per-node
+    /// readings under fault injection — into a trusted view. The order is load-bearing:
     /// estimate → watchdog → monitor, so the watchdog judges the same
     /// coverage the monitor's estimate was built from.
     pub fn run(
         &mut self,
         now: SimTime,
-        frame: &TelemetryFrame,
+        true_power_w: f64,
+        readings: Option<&[Option<f64>]>,
         per_node_nameplate_w: f64,
     ) -> ClusterView {
-        match (&mut self.hardening, &frame.readings) {
+        match (&mut self.hardening, readings) {
             (Some(h), Some(readings)) => {
                 let est = h.telemetry.estimate(now, readings, per_node_nameplate_w);
                 let engaged = h.watchdog.observe(now, est.coverage);
@@ -53,8 +55,8 @@ impl FilterStage {
                 }
             }
             _ => ClusterView {
-                condition: self.monitor.observe(now, frame.true_power_w),
-                observed_w: frame.true_power_w,
+                condition: self.monitor.observe(now, true_power_w),
+                observed_w: true_power_w,
                 coverage: 1.0,
                 watchdog_engaged: false,
             },
@@ -87,23 +89,22 @@ mod tests {
         }
     }
 
-    fn frame(readings: Vec<Option<f64>>) -> TelemetryFrame {
-        TelemetryFrame {
-            true_power_w: 0.0, // hardened path must ignore this
-            readings: Some(readings),
-        }
+    /// Per-node readings; the tests pass 0 W as the true aggregate,
+    /// which the hardened path must ignore.
+    fn frame(readings: &[Option<f64>]) -> Option<&[Option<f64>]> {
+        Some(readings)
     }
 
     #[test]
     fn holds_last_good_through_a_dropout() {
         let mut f = stage(2);
-        let v = f.run(SimTime::from_secs(1), &frame(vec![Some(70.0), Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
         assert_eq!(v.observed_w, 120.0);
         assert_eq!(v.coverage, 1.0);
         assert!(!v.watchdog_engaged);
         // Node 0's sensor drops out: its 70 W reading is held, not
         // replaced by the 100 W nameplate.
-        let v = f.run(SimTime::from_secs(2), &frame(vec![None, Some(55.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(55.0)]), 100.0);
         assert_eq!(v.observed_w, 125.0);
         assert_eq!(v.coverage, 0.5);
         assert!(!v.watchdog_engaged, "coverage at the floor is still trusted");
@@ -112,29 +113,29 @@ mod tests {
     #[test]
     fn engages_watchdog_below_coverage_floor() {
         let mut f = stage(2);
-        f.run(SimTime::from_secs(1), &frame(vec![Some(70.0), Some(50.0)]), 100.0);
+        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
         // Total blackout: both values held, but zero fresh coverage
         // trips the 0.5 floor.
-        let v = f.run(SimTime::from_secs(2), &frame(vec![None, None]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, None]), 100.0);
         assert_eq!(v.observed_w, 120.0, "held values still feed the estimate");
         assert_eq!(v.coverage, 0.0);
         assert!(v.watchdog_engaged);
         // Recovery needs 3 consecutive healthy slots (hysteresis).
         for t in 3..5 {
-            let v = f.run(SimTime::from_secs(t), &frame(vec![Some(70.0), Some(50.0)]), 100.0);
+            let v = f.run(SimTime::from_secs(t), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
             assert!(v.watchdog_engaged, "slot {t} still in probation");
         }
-        let v = f.run(SimTime::from_secs(5), &frame(vec![Some(70.0), Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(5), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
         assert!(!v.watchdog_engaged);
     }
 
     #[test]
     fn forget_node_drops_the_held_value() {
         let mut f = stage(2);
-        f.run(SimTime::from_secs(1), &frame(vec![Some(70.0), Some(50.0)]), 100.0);
+        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
         f.forget_node(0);
         // With the held value gone, the dropout is charged nameplate.
-        let v = f.run(SimTime::from_secs(2), &frame(vec![None, Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(50.0)]), 100.0);
         assert_eq!(v.observed_w, 150.0);
     }
 
@@ -145,14 +146,7 @@ mod tests {
             monitor: PowerMonitor::new(budget, 10, 1).unwrap(),
             hardening: None,
         };
-        let v = f.run(
-            SimTime::from_secs(1),
-            &TelemetryFrame {
-                true_power_w: 160.0,
-                readings: None,
-            },
-            100.0,
-        );
+        let v = f.run(SimTime::from_secs(1), 160.0, None, 100.0);
         assert_eq!(v.observed_w, 160.0);
         assert_eq!(v.coverage, 1.0);
         assert!(!v.watchdog_engaged);

@@ -2,16 +2,14 @@
 //! the paper's PDF, Section 5.1, made online).
 //!
 //! Feeds each live node's (power, utilization, in-flight URL mix)
-//! observation to the EW-RLS attribution engine once per control slot,
-//! and republishes the suspect classes into the NLB's adaptive
-//! forwarding policy whenever the engine's list changes. The forwarding
+//! observation to the EW-RLS attribution engine once per control slot;
+//! the cluster engine republishes the suspect classes into the NLB's
+//! adaptive forwarding policy whenever the list changes. The forwarding
 //! hot path never pays for learning — it is amortized here, into the
 //! control slot.
 
-use super::plane::NodeObs;
-use super::TelemetryFrame;
+use super::Plant;
 use crate::node::ComputeNode;
-use netsim::nlb::Nlb;
 use netsim::request::UrlId;
 use profiler::{MixTracker, PowerProfiler, ProfilerReport};
 
@@ -22,9 +20,9 @@ use profiler::{MixTracker, PowerProfiler, ProfilerReport};
 /// attribution matters most. Only the per-URL intensities stay unknown;
 /// the server power curve is the operator's.
 ///
-/// Shared by the in-sim learning pass and the trace recorder (the
-/// recorded `learn_power_w` must be bit-identical to what the sim's own
-/// pass computed).
+/// Shared by the engine's [`Plant`] and the trace recorder (the
+/// recorded `learn_power_w` must be bit-identical to what the engine's
+/// own pass computed).
 pub(crate) fn normalized_power(node: &ComputeNode, power_w: Option<f64>) -> Option<f64> {
     let (_, _, gamma) = node.load_character();
     let state = node.effective_pstate();
@@ -49,49 +47,19 @@ pub struct LearnStage {
 }
 
 impl LearnStage {
-    /// One learning pass over the live nodes, using the same (possibly
-    /// degraded) readings the control plane saw — sensing twice would
-    /// consume fault-layer randomness and break replay identity.
-    pub(crate) fn run(
-        &mut self,
-        nodes: &[ComputeNode],
-        node_dead: &[bool],
-        frame: &TelemetryFrame,
-        nlb: &mut Nlb,
-    ) {
-        for (i, node) in nodes.iter().enumerate() {
-            if node_dead[i] {
+    /// One learning pass over the plant's live nodes, using the same
+    /// (possibly degraded) readings the control plane saw — sensing
+    /// twice would consume fault-layer randomness and break replay
+    /// identity. Returns true when the suspect classes changed; the
+    /// engine then republishes them into its NLB.
+    pub(crate) fn run(&mut self, plant: &impl Plant) -> bool {
+        let mut mix = Vec::new();
+        for (i, &dead) in plant.node_dead().iter().enumerate() {
+            if dead {
                 continue;
             }
-            let power_w = match &frame.readings {
-                Some(readings) => readings[i],
-                None => Some(node.power_w()),
-            };
-            let power_w = normalized_power(node, power_w);
-            let (utilization, _, _) = node.load_character();
-            let mix = self.mix.mix_of(i);
+            let (power_w, utilization) = plant.learn_obs(i, &self.mix, &mut mix);
             self.engine.observe_node(power_w, utilization, true, &mix);
-        }
-        if self.engine.end_tick() {
-            nlb.publish_classes(self.engine.list().classes());
-        }
-    }
-
-    /// The same learning pass driven from recorded [`NodeObs`]
-    /// observations instead of live simulator nodes: the sensor side
-    /// already normalized the reading and snapshotted the mix, so the
-    /// engine sees bit-identical inputs to the in-sim pass. There is no
-    /// NLB on the live side; callers that want the updated suspect list
-    /// read it off `engine.list()` when this returns true.
-    pub fn run_observed(&mut self, obs: &[NodeObs], node_dead: &[bool]) -> bool {
-        let mut mix_scratch: Vec<(UrlId, u32)> = Vec::new();
-        for (i, o) in obs.iter().enumerate() {
-            if node_dead[i] {
-                continue;
-            }
-            mix_scratch.clear();
-            mix_scratch.extend(o.mix.iter().map(|&(u, c)| (UrlId(u), c)));
-            self.engine.observe_node(o.learn_power_w, o.utilization, true, &mix_scratch);
         }
         self.engine.end_tick()
     }

@@ -3,30 +3,35 @@
 //! The paper's RPM is explicitly a pipeline — power monitor → health
 //! checker → battery transition → DPM throttling (Fig. 12 /
 //! Algorithm 1). This module makes that decomposition structural: each
-//! box is a stage struct with typed dataflow between them, and the
-//! cluster engine ([`ShardedClusterSim`](crate::shard::ShardedClusterSim))
-//! drives them once per control slot at the slot boundary:
+//! box is a stage struct with typed dataflow between them, and one
+//! function, [`ControlPipeline::run_slot`], drives the decision half of
+//! them once per control slot for every backend:
 //!
 //! ```text
-//! Sense ──TelemetryFrame──► Filter ──ClusterView──► Decide ──Vec<Action>──► Act
-//!                              │                       ▲
-//!                              └──────► Learn ─────────┘ (suspect classes → NLB)
-//! Account: exact energy / thermal / breaker integration, bracketing
-//!          the slot (it closes the previous slot's interval first).
+//! engine:  physics ─► Sense ─┐                        ┌─► Act ─► Account
+//!                            ▼                        │
+//! run_slot: forgets ─► Filter ─► Learn ─► shard watchdog ─► read-back sweep
+//!           ─► Decide ─► shard guard + rack guard ─► record intents
+//!                            ▲                        │
+//! daemon:  transport ─► hold ┘                        └─► transport
 //! ```
+//!
+//! `run_slot` reads the plant through the [`Plant`] trait: the engine's
+//! `NodePlant` or a sample's [`plane::SamplePlant`].
 //!
 //! * [`sense::SenseStage`] — read per-node power, through the fault
 //!   layer when one is configured (the paper's power monitor inputs).
 //! * [`filter::FilterStage`] — staleness-aware telemetry estimation +
 //!   coverage watchdog + the [`PowerMonitor`] itself (the paper's power
 //!   monitor + health checker).
-//! * [`learn::LearnStage`] — the online power-attribution profiler and
-//!   its hot-swap of suspect classes into the NLB (the offline-profiling
-//!   half of PDF, made online).
+//! * [`learn::LearnStage`] — the online power-attribution profiler; the
+//!   engine hot-swaps its suspect classes into the NLB (the
+//!   offline-profiling half of PDF, made online).
 //! * [`decide::DecideStage`] — the [`PowerScheme`] control call (RPM
 //!   Algorithm 1 / the baselines of Table 2).
-//! * [`act::ActStage`] — DVFS / RAPL / battery actuation with read-back
-//!   verification (the paper's DPM throttling + battery transition).
+//! * [`act::ActStage`] — read-back verification, and on the engine
+//!   DVFS / RAPL / battery actuation (the paper's DPM throttling +
+//!   battery transition).
 //! * [`account::AccountStage`] — exact energy metering, thermal RC
 //!   integration, and the breaker model (the oversubscription physics of
 //!   Figs. 1 and 19).
@@ -44,32 +49,20 @@ pub mod sense;
 
 use crate::config::ClusterConfig;
 use crate::health::{ActuatorVerify, TelemetryHealth, Watchdog};
-use crate::scheme::{Action, PowerScheme};
+use crate::node::ComputeNode;
+use crate::scheme::{Action, NodeSnapshot, PowerScheme};
+use netsim::request::UrlId;
 use powercap::budget::PowerBudget;
 use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::monitor::PowerCondition;
 use powercap::monitor::PowerMonitor;
 use powercap::pdu::PowerHierarchy;
+use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
 use powercap::thermal::ThermalNode;
 use profiler::{MixTracker, PowerProfiler};
 use simcore::faults::{ActuationFault, FaultConfig, FaultCounts, ShardFaultPlan};
 use simcore::SimTime;
-
-/// What [`sense::SenseStage`] produces each slot: the ground-truth
-/// aggregate plus, when a fault layer is active, the per-node readings
-/// as the sensors actually reported them (`None` = sensor produced
-/// nothing this slot).
-#[derive(Debug, Clone)]
-pub struct TelemetryFrame {
-    /// True aggregate load power this instant, watts. This is what the
-    /// monitor sees directly when no fault layer distorts sensing.
-    pub true_power_w: f64,
-    /// Per-node sensed readings, present only under fault injection.
-    /// `None` as a whole keeps the fault-free path allocation-free and
-    /// byte-identical to a build without the fault layer.
-    pub readings: Option<Vec<Option<f64>>>,
-}
 
 /// What [`filter::FilterStage`] produces: the trusted view of the
 /// cluster that [`decide::DecideStage`] is allowed to act on.
@@ -181,9 +174,123 @@ impl FaultLayer {
     }
 }
 
-/// The assembled control plane: one struct per stage, driven in order
-/// at every slot boundary of the cluster engine (and by the live
-/// backends through [`plane`]).
+/// A node's in-flight URL mix, `(url, count)` sorted by URL.
+pub type UrlMix = Vec<(UrlId, u32)>;
+
+/// What one control slot reads of the plant it controls, plus the one
+/// command it issues before deciding: the read-back retry.
+pub trait Plant {
+    /// Forget events that became visible since the previous slot. The
+    /// engine applies its own as they happen and reports none.
+    fn forgets(&self) -> &[plane::Forget] {
+        &[]
+    }
+    /// Ground-truth aggregate load power, watts.
+    fn true_power_w(&self) -> f64;
+    /// Per-node sensed readings (`None` = no reading), present only
+    /// when sensors are read individually (hardened mode).
+    fn readings(&self) -> Option<&[Option<f64>]>;
+    /// Dead-node mask (crashed, tripped, or rack-dark).
+    fn node_dead(&self) -> &[bool];
+    /// Node `i`'s attribution input: nominal-equivalent power and
+    /// utilization, with its in-flight URL mix (from `tracker`, for
+    /// plants that keep none of their own) written to `mix`.
+    fn learn_obs(&self, i: usize, tracker: &MixTracker, mix: &mut UrlMix) -> (Option<f64>, f64);
+    /// Node `i`'s commanded P-state as read back before this slot's
+    /// retry sweep; `None` when the plant delivers no read-back.
+    fn readback(&self, i: usize) -> Option<PState>;
+    /// Re-issue a command the read-back sweep found missing. Runs
+    /// before the snapshot fill, so Decide sees post-sweep targets.
+    fn retry(&mut self, now: SimTime, node: usize, target: PState);
+    /// Node `i`'s view for the scheme.
+    fn snapshot(&self, i: usize, suspect: bool) -> NodeSnapshot;
+    /// Node `i`'s currently commanded P-state (post-sweep).
+    fn target(&self, i: usize) -> PState;
+    /// The battery as observed this slot.
+    fn battery(&self) -> plane::BatteryObs;
+    /// The P-state a watt limit resolves to on `node`, when the plant
+    /// holds the hardware model that resolves it (a live deployment's
+    /// sensor side does, not the control plane).
+    fn limit_intent(&self, _node: usize, _limit_w: Option<f64>) -> Option<PState> {
+        None
+    }
+}
+
+/// The engine's [`Plant`]: reads the simulator's nodes in place, with
+/// no per-slot allocation, and issues read-back retries through the
+/// fault layer.
+pub(crate) struct NodePlant<'a> {
+    pub nodes: &'a mut [ComputeNode],
+    pub node_dead: &'a [bool],
+    pub true_power_w: f64,
+    /// Per-node sensor readings from Sense, under fault injection.
+    pub readings: Option<&'a [Option<f64>]>,
+    pub battery: plane::BatteryObs,
+    pub fault: Option<&'a mut FaultLayer>,
+    pub settles: &'a mut Vec<(SimTime, usize)>,
+}
+
+impl Plant for NodePlant<'_> {
+    fn true_power_w(&self) -> f64 {
+        self.true_power_w
+    }
+
+    fn readings(&self) -> Option<&[Option<f64>]> {
+        self.readings
+    }
+
+    fn node_dead(&self) -> &[bool] {
+        self.node_dead
+    }
+
+    fn learn_obs(&self, i: usize, tracker: &MixTracker, mix: &mut UrlMix) -> (Option<f64>, f64) {
+        let n = &self.nodes[i];
+        let reading = match self.readings {
+            Some(r) => r[i],
+            None => Some(n.power_w()),
+        };
+        tracker.mix_into(i, mix);
+        (learn::normalized_power(n, reading), n.load_character().0)
+    }
+
+    fn readback(&self, i: usize) -> Option<PState> {
+        Some(self.nodes[i].target_pstate())
+    }
+
+    fn retry(&mut self, now: SimTime, node: usize, target: PState) {
+        act::issue_pstate(now, node, target, self.nodes, self.fault.as_deref_mut(), self.settles);
+    }
+
+    fn snapshot(&self, i: usize, suspect: bool) -> NodeSnapshot {
+        let n = &self.nodes[i];
+        let (utilization, intensity, gamma) = n.load_character();
+        NodeSnapshot {
+            utilization,
+            intensity,
+            gamma,
+            beta: n.mean_beta(),
+            target: n.target_pstate(),
+            suspect,
+            inflight: n.inflight(),
+        }
+    }
+
+    fn target(&self, i: usize) -> PState {
+        self.nodes[i].target_pstate()
+    }
+
+    fn battery(&self) -> plane::BatteryObs {
+        self.battery
+    }
+
+    fn limit_intent(&self, node: usize, limit_w: Option<f64>) -> Option<PState> {
+        Some(self.nodes[node].resolve_power_limit(limit_w))
+    }
+}
+
+/// The assembled control plane: one struct per stage, driven by
+/// [`Self::run_slot`] at every slot boundary of the cluster engine and
+/// at every tick of the live daemon.
 pub struct ControlPipeline {
     /// Telemetry acquisition.
     pub sense: sense::SenseStage,
@@ -204,6 +311,9 @@ pub struct ControlPipeline {
     /// The hierarchical power topology, when configured: per-level
     /// budgets/breakers, the top-down allocator, and the rack guard.
     pub topology: Option<crate::topology::TopologyState>,
+    /// Per-shard blackout guard, present only when a fault plan is
+    /// configured.
+    pub shard_guard: Option<plane::ShardGuard>,
 }
 
 impl ControlPipeline {
@@ -215,11 +325,11 @@ impl ControlPipeline {
     pub(crate) fn new(
         cfg: &ClusterConfig,
         scheme: Box<dyn PowerScheme>,
-        budget: PowerBudget,
         start: SimTime,
         hardened: bool,
         idle_power_w: f64,
     ) -> Self {
+        let budget = PowerBudget::for_cluster(cfg.aggregate_nameplate_w(), cfg.budget);
         let monitor =
             PowerMonitor::new(budget, 10, 1).expect("hard-coded monitor parameters are valid");
         let hardening = hardened.then(|| filter::Hardening {
@@ -281,6 +391,63 @@ impl ControlPipeline {
             actions: Vec::new(),
             tripped: Vec::new(),
             topology,
+            shard_guard: hardened.then(|| plane::ShardGuard::new(cfg)),
         }
+    }
+
+    /// One control slot, the same for the engine and the live daemon:
+    /// apply forgets → Filter → Learn → shard-coverage watchdog →
+    /// read-back sweep → Decide → shard guard → rack guard → record
+    /// intents. The final plan is left in `self.actions` for the
+    /// caller to enact or transmit. Returns the trusted view and
+    /// whether Learn changed the suspect classes.
+    ///
+    /// A configured topology must already have observed this slot's
+    /// rack feeds (`TopologyState::observe_racks`): the engine does so
+    /// at its physical boundary, the daemon from its sample.
+    pub fn run_slot(
+        &mut self,
+        now: SimTime,
+        cfg: &ClusterConfig,
+        plant: &mut impl Plant,
+    ) -> (ClusterView, bool) {
+        for &f in plant.forgets() {
+            self.forget_node(f);
+        }
+        let per_node_nameplate = cfg.aggregate_nameplate_w() / cfg.servers as f64;
+        let view = self.filter.run(now, plant.true_power_w(), plant.readings(), per_node_nameplate);
+        let classes_changed = self.learn.as_mut().is_some_and(|l| l.run(&*plant));
+        // Shard-coverage watchdog: a whole shard going silent is a
+        // rack-scale telemetry blackout the per-reading staleness
+        // filter cannot see as such; track it per shard. Dead nodes are
+        // excluded from both counts — they report a synthetic zero, and
+        // counting that as coverage would make engagement depend on
+        // where a crash landed instead of on sensor health (and thus on
+        // the shard layout).
+        if let (Some(g), Some(readings)) = (self.shard_guard.as_mut(), plant.readings()) {
+            g.observe(now, plant.node_dead(), readings);
+        }
+        self.act.sweep(now, plant);
+        let supply_w = self.filter.monitor.budget().supply_w;
+        self.decide.run(now, &view, supply_w, cfg, &*plant, &mut self.actions);
+        // Conservative per-shard fallback: while a shard is blacked
+        // out, the controller cannot see its draw, so it pins that
+        // shard's alive nodes at the safe P-state and leaves the
+        // scheme's plan for every other shard untouched. The global
+        // watchdog already caps everything when engaged, so the rewrite
+        // only runs under a partial blackout.
+        if let (Some(g), Some(safe)) = (&self.shard_guard, self.decide.safe_pstate) {
+            if g.watchdog.any_engaged() && !view.watchdog_engaged {
+                g.apply(&mut self.actions, plant.node_dead(), |n| plant.target(n), safe);
+            }
+        }
+        // Rack guard: racks over their hierarchical allocation get the
+        // scheme's plan overridden with a safe pin — localized defense
+        // where the global watchdog would cap everything.
+        if let Some(topo) = self.topology.as_mut() {
+            topo.apply_rack_guard(&mut self.actions, plant.node_dead(), |g| plant.target(g));
+        }
+        self.act.record_intents(now, &self.actions, &*plant);
+        (view, classes_changed)
     }
 }

@@ -1,7 +1,7 @@
 //! The control plane lifted out of the simulator.
 //!
-//! Everything in [`ControlPipeline`] consumes typed values —
-//! [`TelemetryFrame`] in, [`Action`]s out — and nothing in the stages is
+//! Everything in [`ControlPipeline`] consumes typed values — a
+//! [`Plant`] in, [`Action`]s out — and nothing in the stages is
 //! intrinsically tied to simulated time. This module makes that
 //! portability structural:
 //!
@@ -17,9 +17,9 @@
 //!   sim took on them, so any scenario can be replayed through the live
 //!   pipeline and compared byte-for-byte;
 //! * [`TraceRecorder`] — the tap the DES engine drives when recording;
-//! * [`ControlPipeline::run_live_slot`] — one slot of the *identical*
-//!   pipeline (Filter → Learn → read-back sweep → Decide → shard guard)
-//!   driven from a [`PlaneSample`] instead of from engine internals.
+//! * [`SamplePlant`] — the [`Plant`] that feeds a [`PlaneSample`] to
+//!   [`ControlPipeline::run_slot`], the one slot function the engine
+//!   runs too, and collects its read-back retries.
 //!
 //! The `liveplane` crate builds the clocks, the trace-replay backend,
 //! the mock-sysfs backend, and the daemon loop on top of these types;
@@ -27,17 +27,16 @@
 //! replay of its recorded telemetry emit byte-identical decision
 //! sequences and accounting totals.
 
-use super::learn::LearnStage;
-use super::{BatteryFlows, ClusterView, ControlPipeline, TelemetryFrame};
+use super::{ClusterView, ControlPipeline, Plant, UrlMix};
 use crate::config::{ClusterConfig, ConfigError, ExperimentConfig};
 use crate::health::ShardWatchdog;
 use crate::node::ComputeNode;
 use crate::scheme::{Action, NodeSnapshot};
-use powercap::battery::Battery;
-use powercap::budget::PowerBudget;
 use crate::jsonl::Json;
+use netsim::request::UrlId;
 use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
+use profiler::MixTracker;
 use simcore::{SimDuration, SimTime};
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -226,6 +225,33 @@ pub struct PlaneSample {
     pub rack_power_w: Vec<f64>,
 }
 
+impl PlaneSample {
+    /// Check the sample against the cluster it claims to describe:
+    /// every per-node vector has one entry per node, every forget names
+    /// a node that exists, and `rack_power_w` has one entry per rack of
+    /// the configured topology (none without one).
+    pub fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
+        let servers = cluster.servers;
+        let racks = cluster.topology.as_ref().map_or(0, |t| t.racks);
+        let lens = [
+            ("nodes", Some(self.nodes.len()), servers),
+            ("node_dead", Some(self.node_dead.len()), servers),
+            ("readings", self.readings.as_ref().map(Vec::len), servers),
+            ("readback", self.readback.as_ref().map(Vec::len), servers),
+            ("rack_power_w", Some(self.rack_power_w.len()), racks),
+        ];
+        for (what, len, want) in lens {
+            if let Some(len) = len.filter(|&l| l != want) {
+                return Err(format!("{what} has {len} entries, want {want}"));
+            }
+        }
+        match self.forgets.iter().find(|f| f.node >= servers) {
+            Some(f) => Err(format!("forget names node {} of {servers} servers", f.node)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The trusted view the Filter stage produced for one slot, in
 /// serializable form (the parity harness byte-compares these).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -363,36 +389,20 @@ pub struct SlotRecord {
 }
 
 impl SlotRecord {
-    /// Check the record against a cluster of `servers` nodes: every
-    /// per-node vector has one entry per node, and every forget, retry
-    /// and per-node action names a node that exists.
-    fn check_nodes(&self, servers: usize) -> Result<(), String> {
-        let p = &self.sample;
-        let lens = [
-            ("nodes", Some(p.nodes.len())),
-            ("node_dead", Some(p.node_dead.len())),
-            ("readings", p.readings.as_ref().map(Vec::len)),
-            ("readback", p.readback.as_ref().map(Vec::len)),
-        ];
-        for (what, len) in lens {
-            if let Some(len) = len.filter(|&l| l != servers) {
-                return Err(format!(
-                    "slot {}: {what} has {len} entries for {servers} servers",
-                    self.slot
-                ));
-            }
-        }
-        let named = p
-            .forgets
-            .iter()
-            .map(|f| f.node)
-            .chain(self.decisions.retries.iter().map(|r| r.0))
-            .chain(self.decisions.actions.iter().filter_map(|a| match *a {
+    /// Check the record against the header's cluster: the sample's
+    /// shape ([`PlaneSample::check_shape`]), and every retry and
+    /// per-node action names a node that exists.
+    fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
+        let servers = cluster.servers;
+        self.sample.check_shape(cluster).map_err(|e| format!("slot {}: {e}", self.slot))?;
+        let named = self.decisions.retries.iter().map(|r| r.0).chain(
+            self.decisions.actions.iter().filter_map(|a| match *a {
                 ActionRecord::SetPState { node, .. } | ActionRecord::SetPowerLimit { node, .. } => {
                     Some(node)
                 }
                 ActionRecord::BatteryDischarge { .. } | ActionRecord::BatteryCharge { .. } => None,
-            }));
+            }),
+        );
         for node in named {
             if node >= servers {
                 return Err(format!(
@@ -552,8 +562,7 @@ impl ControlTrace {
         let cluster = &self.header.experiment.cluster;
         cluster.validate()?;
         for slot in &self.slots {
-            slot.check_nodes(cluster.servers)
-                .map_err(|what| ConfigError::TraceFormat { what })?;
+            slot.check_shape(cluster).map_err(|what| ConfigError::TraceFormat { what })?;
         }
         Ok(())
     }
@@ -589,51 +598,36 @@ impl TraceRecorder {
         self.pending_forgets.push(Forget { node, kind });
     }
 
-    /// Capture one slot. Called by the engine between Decide and Act,
-    /// so node observations are exactly what the decision consumed and
-    /// `actions` is the final (post-shard-guard) plan.
-    #[allow(clippy::too_many_arguments)] // one call site: the slot boundary
+    /// Capture one slot. Called by the engine between the slot function
+    /// and Act: the observations the decision consumed, and the final
+    /// (post-guard) plan.
     pub(crate) fn capture_slot(
         &mut self,
         now: SimTime,
-        frame: &TelemetryFrame,
-        nodes: &[ComputeNode],
-        node_dead: &[bool],
+        plant: &impl Plant,
         readback: Option<Vec<u8>>,
-        battery: &Battery,
-        flows: &BatteryFlows,
         view: &ClusterView,
-        retries: &[(usize, PState)],
-        actions: &[Action],
-        energy_j: f64,
-        learn: Option<&LearnStage>,
-        rack_power_w: Vec<f64>,
+        pipeline: &ControlPipeline,
     ) {
-        let obs = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let (utilization, intensity, gamma) = n.load_character();
+        let (learn, topology) = (pipeline.learn.as_ref(), pipeline.topology.as_ref());
+        let mut mix = Vec::new();
+        let nodes = (0..plant.node_dead().len())
+            .map(|i| {
+                let s = plant.snapshot(i, false);
                 let (learn_power_w, mix) = match learn {
                     None => (None, Vec::new()),
                     Some(l) => {
-                        let reading = match &frame.readings {
-                            Some(r) => r[i],
-                            None => Some(n.power_w()),
-                        };
-                        (
-                            super::learn::normalized_power(n, reading),
-                            l.mix.mix_of(i).into_iter().map(|(u, c)| (u.0, c)).collect(),
-                        )
+                        let (power_w, _) = plant.learn_obs(i, &l.mix, &mut mix);
+                        (power_w, mix.iter().map(|&(u, c)| (u.0, c)).collect())
                     }
                 };
                 NodeObs {
-                    utilization,
-                    intensity,
-                    gamma,
-                    beta: n.mean_beta(),
-                    target: n.target_pstate().0,
-                    inflight: n.inflight() as u32,
+                    utilization: s.utilization,
+                    intensity: s.intensity,
+                    gamma: s.gamma,
+                    beta: s.beta,
+                    target: s.target.0,
+                    inflight: s.inflight as u32,
                     learn_power_w,
                     mix,
                 }
@@ -643,25 +637,20 @@ impl TraceRecorder {
             slot: self.slots.len() as u64,
             now,
             sample: PlaneSample {
-                true_power_w: frame.true_power_w,
-                readings: frame.readings.clone(),
-                nodes: obs,
+                true_power_w: plant.true_power_w(),
+                readings: plant.readings().map(<[_]>::to_vec),
+                nodes,
                 readback,
-                node_dead: node_dead.to_vec(),
-                battery: BatteryObs {
-                    soc: battery.soc(),
-                    stored_j: battery.stored_j(),
-                    discharge_w: flows.discharge_w,
-                    charge_w: flows.charge_w,
-                },
-                energy_j,
+                node_dead: plant.node_dead().to_vec(),
+                battery: plant.battery(),
+                energy_j: pipeline.account.load_joules(now),
                 forgets: std::mem::take(&mut self.pending_forgets),
-                rack_power_w,
+                rack_power_w: topology.map_or(Vec::new(), |t| t.rack_power_w.clone()),
             },
             view: view.into(),
             decisions: DecisionRecord {
-                retries: retries.iter().map(|&(n, p)| (n, p.0)).collect(),
-                actions: actions.iter().map(ActionRecord::from).collect(),
+                retries: pipeline.act.retry_scratch.iter().map(|&(n, p)| (n, p.0)).collect(),
+                actions: pipeline.actions.iter().map(ActionRecord::from).collect(),
             },
         });
     }
@@ -687,7 +676,7 @@ impl TraceRecorder {
 }
 
 // ---------------------------------------------------------------------
-// Shard-coverage guard, shared by the sharded engine and live replay
+// Shard-coverage guard
 // ---------------------------------------------------------------------
 
 /// Near-even contiguous shard partition: the first `servers % shards`
@@ -710,86 +699,76 @@ pub fn shard_layout(servers: usize, shards: usize) -> (Vec<(usize, usize)>, Vec<
     (ranges, owner_shard)
 }
 
-/// Feed one slot's per-shard fresh/alive counts into the shard
-/// watchdog, excluding dead nodes from both counts, and close the slot.
-/// One pass over the readings; identical to counting each shard's
-/// contiguous range in shard order.
-pub fn observe_shard_coverage(
-    watchdog: &mut ShardWatchdog,
-    now: SimTime,
-    owner_shard: &[usize],
-    node_dead: &[bool],
-    readings: &[Option<f64>],
-) {
-    let n_shards = watchdog.shards();
-    let mut fresh = vec![0usize; n_shards];
-    let mut alive = vec![0usize; n_shards];
-    for (g, r) in readings.iter().enumerate() {
-        if node_dead[g] {
-            continue;
-        }
-        alive[owner_shard[g]] += 1;
-        if r.is_some() {
-            fresh[owner_shard[g]] += 1;
-        }
-    }
-    for s in 0..n_shards {
-        watchdog.observe(now, s, fresh[s], alive[s]);
-    }
-    watchdog.close_slot();
-}
-
-/// Conservative per-shard fallback while a shard is blacked out: strip
-/// the scheme's per-node commands for capped shards and pin their alive
-/// nodes at the safe P-state, leaving every other shard's plan
-/// untouched. `target_of(g)` is node `g`'s currently-commanded P-state.
-pub fn apply_shard_guard(
-    actions: &mut Vec<Action>,
-    watchdog: &ShardWatchdog,
-    owner_shard: &[usize],
-    node_dead: &[bool],
-    target_of: impl Fn(usize) -> PState,
-    safe: PState,
-) {
-    actions.retain(|a| match a {
-        Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => {
-            !watchdog.engaged(owner_shard[*node])
-        }
-        _ => true,
-    });
-    for g in 0..owner_shard.len() {
-        if !node_dead[g] && watchdog.engaged(owner_shard[g]) && target_of(g) != safe {
-            actions.push(Action::SetPState { node: g, target: safe });
-        }
-    }
-}
-
-/// The sharded engine's blackout guard, bundled for backends that drive
-/// the pipeline from samples (replay, live): the watchdog plus the
-/// node→shard map it judges by.
+/// The per-shard blackout guard the pipeline carries under fault
+/// injection: the watchdog plus the node→shard map it judges by.
 pub struct ShardGuard {
     /// Per-shard blackout watchdog.
-    pub watchdog: ShardWatchdog,
+    pub(crate) watchdog: ShardWatchdog,
     /// Global node index → owning shard.
-    pub owner_shard: Vec<usize>,
+    owner_shard: Vec<usize>,
 }
 
 impl ShardGuard {
-    /// The guard a DES run of `exp` carries: present only when the
-    /// experiment injects faults, with the engage threshold at the
-    /// telemetry staleness window.
-    pub fn for_experiment(exp: &ExperimentConfig) -> Option<Self> {
-        let cfg = &exp.cluster;
-        cfg.faults.as_ref()?;
+    /// The guard over `cfg`'s shard layout, engaging only after a shard
+    /// has been blind past the telemetry staleness window (shorter gaps
+    /// are bridged by the last-known-good estimator).
+    pub(crate) fn new(cfg: &ClusterConfig) -> Self {
         let (_, owner_shard) = shard_layout(cfg.servers, cfg.shards);
-        Some(ShardGuard {
+        ShardGuard {
             watchdog: ShardWatchdog::new(
                 cfg.shards,
                 cfg.control.telemetry_staleness_slots.min(u32::MAX as u64) as u32,
                 cfg.control.watchdog_recovery_slots,
             ),
             owner_shard,
-        })
+        }
+    }
+
+    /// Feed one slot's per-shard fresh/alive counts into the watchdog,
+    /// excluding dead nodes from both counts, and close the slot. One
+    /// pass over the readings; identical to counting each shard's
+    /// contiguous range in shard order.
+    pub(crate) fn observe(&mut self, now: SimTime, node_dead: &[bool], readings: &[Option<f64>]) {
+        let n_shards = self.watchdog.shards();
+        let mut fresh = vec![0usize; n_shards];
+        let mut alive = vec![0usize; n_shards];
+        for (g, r) in readings.iter().enumerate() {
+            if node_dead[g] {
+                continue;
+            }
+            alive[self.owner_shard[g]] += 1;
+            if r.is_some() {
+                fresh[self.owner_shard[g]] += 1;
+            }
+        }
+        for s in 0..n_shards {
+            self.watchdog.observe(now, s, fresh[s], alive[s]);
+        }
+        self.watchdog.close_slot();
+    }
+
+    /// Conservative per-shard fallback while a shard is blacked out:
+    /// strip the scheme's per-node commands for capped shards and pin
+    /// their alive nodes at the safe P-state, leaving every other
+    /// shard's plan untouched. `target_of(g)` is node `g`'s
+    /// currently-commanded P-state.
+    pub(crate) fn apply(
+        &self,
+        actions: &mut Vec<Action>,
+        node_dead: &[bool],
+        target_of: impl Fn(usize) -> PState,
+        safe: PState,
+    ) {
+        let engaged = |g: usize| self.watchdog.engaged(self.owner_shard[g]);
+        actions.retain(|a| match *a {
+            Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => !engaged(node),
+            _ => true,
+        });
+        for (g, &dead) in node_dead.iter().enumerate() {
+            if !dead && engaged(g) && target_of(g) != safe {
+                actions.push(Action::SetPState { node: g, target: safe });
+            }
+        }
     }
 }
 
@@ -807,13 +786,12 @@ impl ControlPipeline {
         cfg.validate().expect("invalid cluster config");
         let start = SimTime::ZERO;
         let scheme = crate::scheme::build_scheme(exp.scheme, cfg);
-        let budget = PowerBudget::for_cluster(cfg.aggregate_nameplate_w(), cfg.budget);
         // Seed the accountant at the same t=0 idle draw the engine
         // computes from freshly-built nodes.
         let idle_total = ComputeNode::new(start, cfg.cores_per_server, cfg.max_inflight, cfg.dvfs_latency)
             .power_w()
             * cfg.servers as f64;
-        ControlPipeline::new(cfg, scheme, budget, start, cfg.faults.is_some(), idle_total)
+        ControlPipeline::new(cfg, scheme, start, cfg.faults.is_some(), idle_total)
     }
 
     /// Apply a forget event to every stage that holds per-node state.
@@ -833,120 +811,84 @@ impl ControlPipeline {
             }
         }
     }
+}
 
-    /// One control slot driven from a [`PlaneSample`]: Filter → Learn →
-    /// shard-coverage watchdog → read-back sweep → Decide → shard
-    /// guard, the exact stage sequence the DES slot boundary runs, with
-    /// actuation returned as a [`DecisionRecord`] for the caller's
-    /// [`ActuationTransport`] instead of enacted on simulator nodes.
-    pub fn run_live_slot(
-        &mut self,
-        now: SimTime,
-        sample: &PlaneSample,
-        cfg: &ClusterConfig,
-        mut guard: Option<&mut ShardGuard>,
-    ) -> (ViewRecord, DecisionRecord) {
-        for &f in &sample.forgets {
-            self.forget_node(f);
+/// The [`Plant`] over one [`PlaneSample`]: a recorded or live slot fed
+/// to [`ControlPipeline::run_slot`]. Read-back retries are collected
+/// for the caller's [`ActuationTransport`] instead of issued.
+pub struct SamplePlant<'a> {
+    sample: &'a PlaneSample,
+    retries: Vec<(usize, u8)>,
+}
+
+impl<'a> SamplePlant<'a> {
+    /// The plant over `sample`.
+    pub fn new(sample: &'a PlaneSample) -> Self {
+        SamplePlant { sample, retries: Vec::new() }
+    }
+
+    /// The slot's decisions: the collected retries plus the plan
+    /// `run_slot` left in `actions`, which this drains.
+    pub fn decisions(self, actions: &mut Vec<Action>) -> DecisionRecord {
+        DecisionRecord {
+            retries: self.retries,
+            actions: actions.drain(..).map(|a| ActionRecord::from(&a)).collect(),
         }
-        let frame = TelemetryFrame {
-            true_power_w: sample.true_power_w,
-            readings: sample.readings.clone(),
-        };
-        let per_node_nameplate = cfg.aggregate_nameplate_w() / cfg.servers as f64;
-        let view = self.filter.run(now, &frame, per_node_nameplate);
-        if let Some(learn) = self.learn.as_mut() {
-            learn.run_observed(&sample.nodes, &sample.node_dead);
-        }
-        if let (Some(g), Some(readings)) = (guard.as_deref_mut(), sample.readings.as_ref()) {
-            observe_shard_coverage(
-                &mut g.watchdog,
-                now,
-                &g.owner_shard,
-                &sample.node_dead,
-                readings,
-            );
-        }
-        // Read-back sweep against the pre-sweep commanded states. The
-        // verifier's state machine advances exactly as in the sim; the
-        // re-issue itself is the caller's transport's job.
-        let mut retries: Vec<(usize, u8)> = Vec::new();
-        if let (Some(verify), Some(readback)) = (self.act.verify.as_mut(), &sample.readback) {
-            for (i, &raw) in readback.iter().enumerate() {
-                if sample.node_dead[i] {
-                    continue;
-                }
-                if let crate::health::VerifyOutcome::Retry(target) =
-                    verify.check(i, PState(raw), now)
-                {
-                    retries.push((i, target.0));
-                }
-            }
-        }
-        let supply_w = self.filter.monitor.budget().supply_w;
-        let (_, suspect_pool) = crate::pdf::partition_pools(cfg.servers, cfg.suspect_pool_size);
-        let mut snaps = std::mem::take(&mut self.decide.snapshot_scratch);
-        snaps.clear();
-        snaps.extend(sample.nodes.iter().enumerate().map(|(i, o)| NodeSnapshot {
+    }
+}
+
+impl Plant for SamplePlant<'_> {
+    fn forgets(&self) -> &[Forget] {
+        &self.sample.forgets
+    }
+
+    fn true_power_w(&self) -> f64 {
+        self.sample.true_power_w
+    }
+
+    fn readings(&self) -> Option<&[Option<f64>]> {
+        self.sample.readings.as_deref()
+    }
+
+    fn node_dead(&self) -> &[bool] {
+        &self.sample.node_dead
+    }
+
+    /// The sensor side already normalized the reading and took the mix.
+    fn learn_obs(&self, i: usize, _: &MixTracker, mix: &mut UrlMix) -> (Option<f64>, f64) {
+        let o = &self.sample.nodes[i];
+        mix.clear();
+        mix.extend(o.mix.iter().map(|&(u, c)| (UrlId(u), c)));
+        (o.learn_power_w, o.utilization)
+    }
+
+    fn readback(&self, i: usize) -> Option<PState> {
+        self.sample.readback.as_ref().map(|r| PState(r[i]))
+    }
+
+    fn retry(&mut self, _: SimTime, node: usize, target: PState) {
+        self.retries.push((node, target.0));
+    }
+
+    fn snapshot(&self, i: usize, suspect: bool) -> NodeSnapshot {
+        let o = &self.sample.nodes[i];
+        NodeSnapshot {
             utilization: o.utilization,
             intensity: o.intensity,
             gamma: o.gamma,
             beta: o.beta,
             target: PState(o.target),
-            suspect: suspect_pool.contains(&i),
+            suspect,
             inflight: o.inflight as usize,
-        }));
-        self.decide.snapshot_scratch = snaps;
-        let flows = BatteryFlows {
-            discharge_w: sample.battery.discharge_w,
-            charge_w: sample.battery.charge_w,
-        };
-        let mut actions = std::mem::take(&mut self.actions);
-        self.decide.run_snapshots(
-            now,
-            &view,
-            supply_w,
-            cfg,
-            &sample.node_dead,
-            sample.battery.soc,
-            sample.battery.stored_j,
-            &flows,
-            &mut actions,
-        );
-        if let Some(g) = guard {
-            if g.watchdog.any_engaged() && !view.watchdog_engaged {
-                if let Some(safe) = self.decide.safe_pstate {
-                    apply_shard_guard(
-                        &mut actions,
-                        &g.watchdog,
-                        &g.owner_shard,
-                        &sample.node_dead,
-                        |n| PState(sample.nodes[n].target),
-                        safe,
-                    );
-                }
-            }
         }
-        // Record intents for next slot's read-back, mirroring the
-        // enact path: alive nodes only, P-state commands only (watt
-        // limits need the hardware model's limit→state resolution,
-        // which lives on the sensor side in a live deployment).
-        if let Some(verify) = self.act.verify.as_mut() {
-            for a in &actions {
-                if let Action::SetPState { node, target } = a {
-                    if !sample.node_dead[*node] {
-                        verify.record(*node, *target, now);
-                    }
-                }
-            }
-        }
-        let decisions = DecisionRecord {
-            retries,
-            actions: actions.iter().map(ActionRecord::from).collect(),
-        };
-        actions.clear();
-        self.actions = actions;
-        ((&view).into(), decisions)
+    }
+
+    fn target(&self, i: usize) -> PState {
+        PState(self.sample.nodes[i].target)
+    }
+
+    fn battery(&self) -> BatteryObs {
+        self.sample.battery
     }
 }
 
@@ -1776,6 +1718,32 @@ mod tests {
             let err = ControlTrace::from_jsonl_str(&bad.to_jsonl()).expect_err("must reject");
             assert!(
                 matches!(&err, ConfigError::TraceFormat { what } if what.contains("slot")),
+                "mutation {i}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rack_feeds_out_of_shape_with_the_header_are_a_typed_error() {
+        let mut exp = tiny_exp();
+        exp.cluster.topology = Some(crate::topology::TopologyConfig::with_racks(2, 1));
+        let horizon = SimTime::ZERO + exp.duration;
+        let (_, trace) = crate::runner::record_experiment(&exp, &|e: &ExperimentConfig| {
+            vec![crate::testutil::normal_source(e.seed, horizon, 100.0)]
+        });
+        assert!(trace.slots.iter().all(|s| s.sample.rack_power_w.len() == 2));
+        ControlTrace::from_jsonl_str(&trace.to_jsonl()).expect("the recorded trace is valid");
+        let hostile: [fn(&mut ControlTrace); 3] = [
+            |t| t.slots[3].sample.rack_power_w.truncate(1),
+            |t| t.slots[3].sample.rack_power_w.push(80.0),
+            |t| t.header.experiment.cluster.topology = None,
+        ];
+        for (i, mutate) in hostile.iter().enumerate() {
+            let mut bad = trace.clone();
+            mutate(&mut bad);
+            let err = ControlTrace::from_jsonl_str(&bad.to_jsonl()).expect_err("must reject");
+            assert!(
+                matches!(&err, ConfigError::TraceFormat { what } if what.contains("rack_power_w")),
                 "mutation {i}: {err:?}"
             );
         }

@@ -1,18 +1,18 @@
 //! **Sense** — telemetry acquisition (the inputs to the paper's power
 //! monitor, Fig. 12).
 //!
-//! Reads per-node power each control slot and packages it as a
-//! [`TelemetryFrame`]. Without a fault layer the stage passes the true
-//! aggregate through untouched; with one, every live node's sensor is
-//! read through the fault layer's per-shard plans, which may drop,
-//! freeze, lag, or perturb the reading.
+//! Reads per-node power each control slot. Without a fault layer there
+//! are no per-node readings: the monitor judges the true aggregate;
+//! with one, every live node's sensor is read through the fault layer's
+//! per-shard plans, which may drop, freeze, lag, or perturb the
+//! reading.
 //!
 //! The per-node readings vector is recycled between slots: the driver
-//! hands the frame back through `SenseStage::recycle` once the
-//! downstream stages are done with it, so steady-state slots perform no
-//! heap allocation.
+//! hands it back through `SenseStage::recycle` once the downstream
+//! stages are done with it, so steady-state slots perform no heap
+//! allocation.
 
-use super::{FaultLayer, TelemetryFrame};
+use super::FaultLayer;
 use crate::node::ComputeNode;
 use simcore::SimTime;
 
@@ -24,18 +24,17 @@ pub struct SenseStage {
 }
 
 impl SenseStage {
-    /// Produce this slot's frame. `true_power_w` is the exact aggregate
-    /// the accountant integrates; per-node readings are collected only
-    /// when `fault` is present.
+    /// This slot's per-node sensed readings (`None` = the sensor
+    /// produced nothing), collected only when `fault` is present;
+    /// `None` as a whole keeps the fault-free path allocation-free.
     pub(crate) fn run(
         &mut self,
         now: SimTime,
         nodes: &[ComputeNode],
         node_dead: &[bool],
         fault: Option<&mut FaultLayer>,
-        true_power_w: f64,
-    ) -> TelemetryFrame {
-        let readings = fault.map(|plan| {
+    ) -> Option<Vec<Option<f64>>> {
+        fault.map(|plan| {
             let mut buf = std::mem::take(&mut self.scratch);
             buf.clear();
             // Dead nodes report a true zero without consuming
@@ -55,17 +54,13 @@ impl SenseStage {
                     }),
             );
             buf
-        });
-        TelemetryFrame {
-            true_power_w,
-            readings,
-        }
+        })
     }
 
-    /// Take the readings buffer back for reuse next slot. Dropping the
-    /// frame instead is harmless — the next `run` simply reallocates.
-    pub(crate) fn recycle(&mut self, frame: TelemetryFrame) {
-        if let Some(buf) = frame.readings {
+    /// Take the readings buffer back for reuse next slot. Dropping it
+    /// instead is harmless — the next `run` simply reallocates.
+    pub(crate) fn recycle(&mut self, readings: Option<Vec<Option<f64>>>) {
+        if let Some(buf) = readings {
             self.scratch = buf;
         }
     }
@@ -79,12 +74,11 @@ mod tests {
     use simcore::SimDuration;
 
     #[test]
-    fn fault_free_frame_carries_no_readings_vector() {
+    fn fault_free_sense_carries_no_readings_vector() {
         let nodes = vec![ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_secs(1))];
         let mut stage = SenseStage::default();
-        let frame = stage.run(SimTime::from_secs(1), &nodes, &[false], None, 55.0);
-        assert!(frame.readings.is_none(), "no fault layer, no allocation");
-        assert_eq!(frame.true_power_w, 55.0);
+        let readings = stage.run(SimTime::from_secs(1), &nodes, &[false], None);
+        assert!(readings.is_none(), "no fault layer, no allocation");
     }
 
     #[test]
@@ -103,31 +97,15 @@ mod tests {
         )
         .unwrap()]);
         let mut stage = SenseStage::default();
-        let frame = stage.run(
-            SimTime::from_secs(1),
-            &nodes,
-            &node_dead,
-            Some(&mut plan),
-            0.0,
-        );
-        let ptr = frame.readings.as_ref().expect("fault layer present").as_ptr();
-        stage.recycle(frame);
+        let readings = stage.run(SimTime::from_secs(1), &nodes, &node_dead, Some(&mut plan));
+        let ptr = readings.as_ref().expect("fault layer present").as_ptr();
+        stage.recycle(readings);
         for s in 2..10u64 {
-            let frame = stage.run(
-                SimTime::from_secs(s),
-                &nodes,
-                &node_dead,
-                Some(&mut plan),
-                0.0,
-            );
-            let readings = frame.readings.as_ref().expect("fault layer present");
-            assert_eq!(readings.len(), n);
-            assert_eq!(
-                readings.as_ptr(),
-                ptr,
-                "slot {s} reallocated the recycled readings buffer"
-            );
-            stage.recycle(frame);
+            let readings = stage.run(SimTime::from_secs(s), &nodes, &node_dead, Some(&mut plan));
+            let buf = readings.as_ref().expect("fault layer present");
+            assert_eq!(buf.len(), n);
+            assert_eq!(buf.as_ptr(), ptr, "slot {s} reallocated the recycled readings buffer");
+            stage.recycle(readings);
         }
     }
 }

@@ -60,11 +60,11 @@ pub use config::{
 };
 pub use control::plane::{
     ActionRecord, ActuationTransport, BatteryObs, ConditionRecord, ControlClock, ControlTrace,
-    DecisionRecord, Forget, ForgetKind, NodeObs, PlaneSample, ShardGuard, SlotRecord, SlotTick,
+    DecisionRecord, Forget, ForgetKind, NodeObs, PlaneSample, SamplePlant, SlotRecord, SlotTick,
     TelemetryTransport, TraceFooter, TraceRecorder, TransportError, ViewRecord,
     TRACE_SCHEMA_VERSION,
 };
-pub use control::{ClusterView, ControlPipeline, TelemetryFrame};
+pub use control::{ClusterView, ControlPipeline, Plant};
 pub use health::{ActuatorVerify, ShardWatchdog, TelemetryHealth, Watchdog};
 pub use node::ComputeNode;
 pub use results::{FaultReport, RetryReport, SimReport};

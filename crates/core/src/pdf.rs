@@ -62,9 +62,15 @@ pub fn build_suspect_list_with(
 /// `suspect_pool_size` indices isolated.
 pub fn partition_pools(servers: usize, suspect_pool_size: usize) -> (Vec<usize>, Vec<usize>) {
     assert!(suspect_pool_size >= 1 && suspect_pool_size < servers);
-    let innocent: Vec<usize> = (0..servers - suspect_pool_size).collect();
-    let suspect: Vec<usize> = (servers - suspect_pool_size..servers).collect();
-    (innocent, suspect)
+    let suspect = suspect_range(servers, suspect_pool_size);
+    ((0..suspect.start).collect(), suspect.collect())
+}
+
+/// The suspect pool as a node-index range: the contiguous tail of
+/// [`partition_pools`], for per-slot membership tests that must not
+/// allocate or scan.
+pub fn suspect_range(servers: usize, suspect_pool_size: usize) -> std::ops::Range<usize> {
+    servers - suspect_pool_size..servers
 }
 
 /// The complete PDF forwarding policy for a cluster.
@@ -142,6 +148,17 @@ mod tests {
         let (innocent, suspect) = partition_pools(16, 2);
         assert_eq!(innocent.len(), 14);
         assert_eq!(suspect, vec![14, 15]);
+    }
+
+    #[test]
+    fn suspect_range_matches_the_partitioned_pool() {
+        for (servers, pool) in [(2, 1), (4, 1), (16, 2), (10, 9), (1000, 50)] {
+            let (_, suspect) = partition_pools(servers, pool);
+            let range = suspect_range(servers, pool);
+            for i in 0..servers {
+                assert_eq!(range.contains(&i), suspect.contains(&i), "{servers}/{pool} node {i}");
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //! phase A (seq): merged sources ─► admission ─► scheme admit ─► NLB route
 //!                          └──► per-shard arrival inboxes
 //! phase B (par): shard event loops (arrive/complete/settle) + SoA
-//! phase C (seq): outbox drain ─► Sense ─► Filter ─► Learn ─► Decide
-//!                ─► Act ─► Account
+//! phase C (seq): outbox drain ─► physics ─► Sense ─► run_slot ─► Act
+//!                ─► Account
 //! ```
+//!
+//! `run_slot` is [`ControlPipeline::run_slot`], the function the live
+//! daemon runs on its samples (Filter → Learn → watchdogs → read-back
+//! sweep → Decide → shard and rack guards).
 //!
 //! # Bounded slot buffers
 //!
@@ -79,13 +83,10 @@
 //!   shard counts.
 
 use crate::config::{ClusterConfig, ExperimentConfig};
-use crate::control::act::ActCtx;
-use crate::control::plane::{
-    self, ControlTrace, ForgetKind, TraceRecorder,
-};
+use crate::control::act::{self, ActCtx};
 use crate::control::learn::LearnStage;
-use crate::control::{BatteryFlows, ControlPipeline, FaultLayer};
-use crate::health::ShardWatchdog;
+use crate::control::plane::{self, BatteryObs, ControlTrace, Forget, ForgetKind, TraceRecorder};
+use crate::control::{BatteryFlows, ControlPipeline, FaultLayer, NodePlant};
 use crate::node::ComputeNode;
 use crate::results::{
     BatteryReport, EnergyReport, FaultReport, LatencySummary, PowerReport, RetryReport, SimReport,
@@ -100,7 +101,6 @@ use netsim::queueing::PushOutcome;
 use netsim::request::{Request, RequestId, UrlId};
 use netsim::resilience::{PoolBreakers, RetryConfig};
 use powercap::battery::{Battery, BatteryMode};
-use powercap::budget::PowerBudget;
 use simcore::faults::ShardFaultPlan;
 use simcore::fxhash::FxHashMap;
 use simcore::rng::{streams, RngFactory, SimRng};
@@ -705,8 +705,6 @@ pub struct ShardedClusterSim {
     events: u64,
     /// Fault layer (sharded per-node plans), when configured.
     fault: Option<FaultLayer>,
-    /// Shard-coverage watchdog, present iff `fault` is.
-    shard_watchdog: Option<ShardWatchdog>,
     /// Crashed nodes waiting to reboot (`(due, global node)`), settled
     /// at slot boundaries in node-index order.
     pending_reboots: Vec<(SimTime, usize)>,
@@ -716,6 +714,8 @@ pub struct ShardedClusterSim {
     /// Recycled global per-node power vector for the topology's rack
     /// fold (concatenated shard power columns, global node order).
     node_power_scratch: Vec<f64>,
+    /// Recycled per-rack power vector the rack fold produces.
+    rack_power_scratch: Vec<f64>,
     /// Control-plane trace recorder, when attached. Recording is
     /// read-only — it draws no randomness and touches no model state —
     /// so a recorded run stays byte-identical to an unrecorded one.
@@ -749,7 +749,6 @@ impl ShardedClusterSim {
         let admission = cfg.build_admission(start);
         let mut battery =
             Battery::sized_for(start, cfg.aggregate_nameplate_w(), cfg.battery_sustain);
-        let budget = PowerBudget::for_cluster(cfg.aggregate_nameplate_w(), cfg.budget);
 
         // Near-even contiguous partition: the first `servers % shards`
         // shards own one extra node. Computed before the pipeline so
@@ -779,20 +778,9 @@ impl ShardedClusterSim {
             }
             FaultLayer::new(plans)
         });
-        // Engage only after a shard has been blind past the staleness
-        // window (shorter gaps are bridged by the last-known-good
-        // estimator, and a one-slot all-sensors-dropped coincidence on
-        // a small shard is noise, not a rack blackout).
-        let shard_watchdog = fault.as_ref().map(|_| {
-            ShardWatchdog::new(
-                k,
-                cfg.control.telemetry_staleness_slots.min(u32::MAX as u64) as u32,
-                cfg.control.watchdog_recovery_slots,
-            )
-        });
         let idle_total: f64 = nodes.iter().map(|n| n.power_w()).sum();
         let pipeline =
-            ControlPipeline::new(&cfg, scheme, budget, start, fault.is_some(), idle_total);
+            ControlPipeline::new(&cfg, scheme, start, fault.is_some(), idle_total);
 
         // Circuit-breaker pools are rack-keyed when a power topology is
         // configured — a trip then isolates the physical rack and the
@@ -860,10 +848,10 @@ impl ShardedClusterSim {
             attack_sla: SlaTracker::new(),
             events: 0,
             fault,
-            shard_watchdog,
             pending_reboots: Vec::new(),
             settles: Vec::new(),
             node_power_scratch: Vec::new(),
+            rack_power_scratch: Vec::new(),
             recorder: None,
             resilience,
             config: cfg,
@@ -1238,12 +1226,7 @@ impl ShardedClusterSim {
             } else {
                 self.shards[s].kill_node(local, &mut self.nodes[i], now);
             }
-            if let Some(learn) = &mut self.pipeline.learn {
-                learn.forget_node(i);
-            }
-            if let Some(rec) = &mut self.recorder {
-                rec.note_forget(i, ForgetKind::Learn);
-            }
+            self.forget(i, ForgetKind::Learn);
         }
         tripped.clear();
         self.pipeline.tripped = tripped;
@@ -1283,12 +1266,7 @@ impl ShardedClusterSim {
                 );
                 f.record_reboot(node);
             }
-            if let Some(learn) = &mut self.pipeline.learn {
-                learn.forget_node(node);
-            }
-            if let Some(rec) = &mut self.recorder {
-                rec.note_forget(node, ForgetKind::Learn);
-            }
+            self.forget(node, ForgetKind::Learn);
             self.node_dead[node] = false;
             let s = self.owner_shard[node];
             let local = node - self.shards[s].start();
@@ -1328,17 +1306,10 @@ impl ShardedClusterSim {
             } else {
                 self.shards[s].kill_node(local, &mut self.nodes[g], now)
             };
-            if let Some(learn) = &mut self.pipeline.learn {
-                learn.forget_node(g);
-            }
             let f = self.fault.as_mut().expect("crash implies a fault plan");
             f.lost_to_crash += lost;
             let reboot_after = f.config().reboot_after;
-            self.pipeline.filter.forget_node(g);
-            self.pipeline.act.clear_node(g);
-            if let Some(rec) = &mut self.recorder {
-                rec.note_forget(g, ForgetKind::Full);
-            }
+            self.forget(g, ForgetKind::Full);
             if self.resilience.is_none() {
                 self.nlb.set_health(g, false);
                 self.nlb.report_load(g, 0);
@@ -1360,18 +1331,17 @@ impl ShardedClusterSim {
     /// rack-local outage instead of the facility-wide one.
     fn topology_boundary(&mut self, now: SimTime) {
         let fresh = {
-            let mut node_power = std::mem::take(&mut self.node_power_scratch);
-            node_power.clear();
-            for sh in &self.shards {
-                node_power.extend_from_slice(sh.power_col());
+            let Self { shards, node_power_scratch, rack_power_scratch, pipeline, .. } = self;
+            node_power_scratch.clear();
+            for sh in shards.iter() {
+                node_power_scratch.extend_from_slice(sh.power_col());
             }
-            let topo = self
-                .pipeline
+            let topo = pipeline
                 .topology
                 .as_mut()
                 .expect("topology_boundary requires a configured topology");
-            topo.observe_slot(now, &node_power);
-            self.node_power_scratch = node_power;
+            topo.topo.rack_powers(node_power_scratch, rack_power_scratch);
+            topo.observe_racks(now, rack_power_scratch);
             topo.verdict.newly_tripped_racks.clone()
         };
         for r in fresh {
@@ -1406,14 +1376,7 @@ impl ShardedClusterSim {
             } else {
                 self.shards[s].kill_node(local, &mut self.nodes[g], now);
             }
-            if let Some(learn) = &mut self.pipeline.learn {
-                learn.forget_node(g);
-            }
-            self.pipeline.filter.forget_node(g);
-            self.pipeline.act.clear_node(g);
-            if let Some(rec) = &mut self.recorder {
-                rec.note_forget(g, ForgetKind::Full);
-            }
+            self.forget(g, ForgetKind::Full);
             if self.resilience.is_none() {
                 self.nlb.set_health(g, false);
                 self.nlb.report_load(g, 0);
@@ -1421,6 +1384,15 @@ impl ShardedClusterSim {
         }
         for (src, req, node) in lost_reqs {
             self.attempt_failed(now, src, req, node);
+        }
+    }
+
+    /// Reset `node`'s control-plane state and carry the event to the
+    /// trace recorder, whose next slot replays it on the live side.
+    fn forget(&mut self, node: usize, kind: ForgetKind) {
+        self.pipeline.forget_node(Forget { node, kind });
+        if let Some(rec) = &mut self.recorder {
+            rec.note_forget(node, kind);
         }
     }
 
@@ -1447,14 +1419,9 @@ impl ShardedClusterSim {
                 sh.blackout(&mut nodes[range], now);
             }
         }
-        if let Some(learn) = &mut self.pipeline.learn {
+        if self.pipeline.learn.is_some() {
             for i in 0..self.config.servers {
-                learn.forget_node(i);
-            }
-            if let Some(rec) = &mut self.recorder {
-                for i in 0..self.config.servers {
-                    rec.note_forget(i, ForgetKind::Learn);
-                }
+                self.forget(i, ForgetKind::Learn);
             }
         }
         self.battery.stop(now);
@@ -1534,9 +1501,9 @@ impl ShardedClusterSim {
             return;
         }
 
-        // Sense → Filter → Learn → Decide → Act. Queued settles move
-        // into shard heaps; power and V/F cannot change before the
-        // commands settle, so the pre-enact aggregate stands.
+        // Sense → run_slot → Act. Queued settles move into shard heaps;
+        // power and V/F cannot change before the commands settle, so
+        // the pre-enact aggregate stands.
         {
             let Self {
                 pipeline,
@@ -1547,32 +1514,11 @@ impl ShardedClusterSim {
                 flows,
                 config,
                 fault,
-                shard_watchdog,
-                owner_shard,
                 recorder,
                 settles,
                 ..
             } = self;
-            let true_power_w = pipeline.account.cluster_power_w();
-            let frame = pipeline
-                .sense
-                .run(now, nodes, node_dead, fault.as_mut(), true_power_w);
-            let per_node_nameplate = config.aggregate_nameplate_w() / config.servers as f64;
-            let view = pipeline.filter.run(now, &frame, per_node_nameplate);
-            if let Some(learn) = pipeline.learn.as_mut() {
-                learn.run(nodes, node_dead, &frame, nlb);
-            }
-            // Shard-coverage watchdog: a whole shard going silent is a
-            // rack-scale telemetry blackout the per-reading staleness
-            // filter cannot see as such; track it per shard. Dead
-            // nodes are excluded from both counts — they report a
-            // synthetic zero, and counting that as coverage would make
-            // engagement depend on where a crash landed instead of on
-            // sensor health (and thus on the shard layout).
-            if let (Some(sw), Some(readings)) = (shard_watchdog.as_mut(), frame.readings.as_ref())
-            {
-                plane::observe_shard_coverage(sw, now, owner_shard, node_dead, readings);
-            }
+            let readings = pipeline.sense.run(now, nodes, node_dead, fault.as_mut());
             // Pre-sweep commanded states: what the read-back verifier is
             // about to check against, captured for trace replay.
             let readback = match (&recorder, &pipeline.act.verify) {
@@ -1581,66 +1527,37 @@ impl ShardedClusterSim {
                 }
                 _ => None,
             };
-            if let Some(f) = fault.as_mut() {
-                pipeline.act.sweep(now, nodes, node_dead, f, settles);
-            }
-            let supply_w = pipeline.filter.monitor.budget().supply_w;
-            let mut actions = std::mem::take(&mut pipeline.actions);
-            pipeline.decide.run(
-                now, &view, supply_w, config, nodes, node_dead, battery, flows, &mut actions,
-            );
-            // Conservative per-shard fallback: while a shard is blacked
-            // out, the controller cannot see its draw, so it pins that
-            // shard's alive nodes at the safe P-state (a per-shard
-            // nameplate-derived cap) and leaves the scheme's plan for
-            // every other shard untouched. The global watchdog already
-            // caps everything when engaged, so the rewrite only runs
-            // under a partial blackout.
-            if let Some(sw) = shard_watchdog.as_ref() {
-                if sw.any_engaged() && !view.watchdog_engaged {
-                    if let Some(safe) = pipeline.decide.safe_pstate {
-                        plane::apply_shard_guard(
-                            &mut actions,
-                            sw,
-                            owner_shard,
-                            node_dead,
-                            |g| nodes[g].target_pstate(),
-                            safe,
-                        );
-                    }
-                }
-            }
-            // Rack guard: racks over their hierarchical allocation get
-            // the scheme's plan overridden with a safe pin — localized
-            // defense where the global watchdog would cap everything.
-            if let Some(topo) = pipeline.topology.as_mut() {
-                topo.apply_rack_guard(&mut actions, node_dead, |g| nodes[g].target_pstate());
+            let mut plant = NodePlant {
+                nodes,
+                node_dead,
+                true_power_w: pipeline.account.cluster_power_w(),
+                readings: readings.as_deref(),
+                battery: BatteryObs {
+                    soc: battery.soc(),
+                    stored_j: battery.stored_j(),
+                    discharge_w: flows.discharge_w,
+                    charge_w: flows.charge_w,
+                },
+                fault: fault.as_mut(),
+                settles,
+            };
+            let (view, classes_changed) = pipeline.run_slot(now, config, &mut plant);
+            if classes_changed {
+                let learn = pipeline.learn.as_ref().expect("only Learn changes classes");
+                nlb.publish_classes(learn.engine.list().classes());
             }
             if let Some(rec) = recorder.as_mut() {
-                rec.capture_slot(
-                    now,
-                    &frame,
-                    nodes,
-                    node_dead,
-                    readback,
-                    battery,
-                    flows,
-                    &view,
-                    &pipeline.act.retry_scratch,
-                    &actions,
-                    pipeline.account.load_joules(now),
-                    pipeline.learn.as_ref(),
-                    pipeline.topology.as_ref().map(|t| t.rack_power_w.clone()).unwrap_or_default(),
-                );
+                rec.capture_slot(now, &plant, readback, &view, pipeline);
             }
-            pipeline.act.enact(
+            let mut actions = std::mem::take(&mut pipeline.actions);
+            act::enact(
                 now,
                 &mut actions,
                 ActCtx { nodes, node_dead, battery, flows, fault: fault.as_mut() },
                 settles,
             );
             pipeline.actions = actions;
-            pipeline.sense.recycle(frame);
+            pipeline.sense.recycle(readings);
         }
         self.queue_settles();
 
@@ -1837,10 +1754,12 @@ impl ShardedClusterSim {
                     .verify
                     .as_ref()
                     .expect("fault layer implies read-back verification");
-                let sw = self
-                    .shard_watchdog
+                let sw = &self
+                    .pipeline
+                    .shard_guard
                     .as_ref()
-                    .expect("fault layer implies the shard-coverage watchdog");
+                    .expect("fault layer implies the shard guard")
+                    .watchdog;
                 FaultReport {
                     sensor_dropouts: counts.sensor_dropouts,
                     sensor_stuck: counts.sensor_stuck,

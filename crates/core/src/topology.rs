@@ -676,15 +676,16 @@ impl TopologyState {
         }
     }
 
-    /// Run one slot's hierarchical pass from per-node power in global
-    /// node order: aggregate racks, cascade allocations, evaluate every
-    /// level's breaker, and fold the accounting. The caller reads
-    /// `self.verdict` (breaches, fresh rack trips) and
-    /// `self.alloc.rack_alloc_w()` afterwards.
-    pub fn observe_slot(&mut self, now: SimTime, node_power_w: &[f64]) {
+    /// Run one slot's hierarchical pass from per-rack power in global
+    /// rack order (the engine's rack fold, or the live plane's sample):
+    /// cascade allocations, evaluate every level's breaker, and fold the
+    /// accounting. The caller reads `self.verdict` (breaches, fresh rack
+    /// trips) and `self.alloc.rack_alloc_w()` afterwards.
+    pub fn observe_racks(&mut self, now: SimTime, rack_power_w: &[f64]) {
         self.slot += 1;
+        self.rack_power_w.clear();
+        self.rack_power_w.extend_from_slice(rack_power_w);
         let TopologyState { topo, alloc, verdict, accounts, rack_power_w, .. } = self;
-        topo.rack_powers(node_power_w, rack_power_w);
         alloc.allocate(topo, rack_power_w);
         topo.observe(now, rack_power_w, verdict);
         accounts.record_slot(now, rack_power_w, verdict);
@@ -695,9 +696,9 @@ impl TopologyState {
     /// inside a pin hold) have the scheme's per-node commands stripped
     /// and their alive nodes pinned to the safe P-state; a rack whose
     /// hold expired gets its still-pinned nodes handed back to the
-    /// scheme at full speed. Mirrors
-    /// [`crate::control::plane::apply_shard_guard`]'s strip-then-pin
-    /// shape. Returns true when any rack was pinned this slot.
+    /// scheme at full speed. Mirrors the shard guard's strip-then-pin
+    /// shape ([`crate::control::plane::ShardGuard`]). Returns true when
+    /// any rack was pinned this slot.
     pub fn apply_rack_guard(
         &mut self,
         actions: &mut Vec<Action>,

@@ -1,11 +1,12 @@
-//! The live control-plane host: a tick loop that drives the identical
-//! staged [`ControlPipeline`] from a [`ControlClock`] and a pair of
-//! transports, with last-good staleness bridging and graceful shutdown.
+//! The live control-plane host: a tick loop that runs the engine's own
+//! slot function, [`ControlPipeline::run_slot`], from a
+//! [`ControlClock`] and a pair of transports, with last-good staleness
+//! bridging and graceful shutdown.
 
 use antidope::health::staleness::LastGood;
 use antidope::{
     ActuationTransport, ClusterConfig, ConditionRecord, ControlClock, ControlPipeline,
-    DecisionRecord, ExperimentConfig, PlaneSample, ShardGuard, SlotTick, TelemetryTransport,
+    DecisionRecord, ExperimentConfig, PlaneSample, SamplePlant, SlotTick, TelemetryTransport,
     TraceFooter, TransportError, ViewRecord,
 };
 use profiler::ProfilerReport;
@@ -88,9 +89,11 @@ impl LiveSummary {
     }
 }
 
-/// The live daemon: clock + telemetry + actuation around the identical
-/// [`ControlPipeline`] (and, for sharded experiments, the identical
-/// [`ShardGuard`]) the DES engines drive.
+/// The live daemon: clock + telemetry + actuation around the
+/// [`ControlPipeline`] the engine builds for the same experiment, run
+/// through the engine's own slot function. A fresh sample that does
+/// not fit the experiment ([`PlaneSample::check_shape`]) is a
+/// [`TransportError::Malformed`], not a panic.
 ///
 /// Staleness handling: every fresh sample is also held in a
 /// [`LastGood`] hold whose window is the experiment's
@@ -105,7 +108,6 @@ pub struct LiveDaemon<C, T, A> {
     telemetry: T,
     actuation: A,
     pipeline: ControlPipeline,
-    guard: Option<ShardGuard>,
     hold: LastGood<PlaneSample>,
     shutdown: Arc<AtomicBool>,
     journal: Vec<SlotOutcome>,
@@ -127,11 +129,10 @@ where
     T: TelemetryTransport,
     A: ActuationTransport,
 {
-    /// A daemon for `exp`, assembling the pipeline and shard guard
-    /// exactly as the DES engines would.
+    /// A daemon for `exp`, assembling the pipeline exactly as the
+    /// engine would.
     pub fn new(exp: &ExperimentConfig, clock: C, telemetry: T, actuation: A) -> Self {
         let pipeline = ControlPipeline::for_experiment(exp);
-        let guard = ShardGuard::for_experiment(exp);
         let cfg = exp.cluster.clone();
         let window = cfg.control_slot * cfg.control.telemetry_staleness_slots;
         LiveDaemon {
@@ -139,7 +140,6 @@ where
             telemetry,
             actuation,
             pipeline,
-            guard,
             hold: LastGood::new(1, window),
             cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -188,17 +188,19 @@ where
         if tick.missed_deadline {
             self.missed_deadlines += 1;
         }
-        let (sample, disposition) = match self.telemetry.sample(&tick) {
+        let fresh = match self.telemetry.sample(&tick) {
             Ok(s) => {
-                let mut held = s.clone();
-                // A bridged re-run must not re-apply this slot's forget
-                // events: they were consumed by the fresh pass.
-                held.forgets.clear();
-                self.hold.update(0, tick.now, held);
-                (s, SlotDisposition::Fresh)
+                s.check_shape(&self.cfg).map_err(TransportError::Malformed)?;
+                Some(s)
             }
-            Err(TransportError::Stale { .. }) => match self.hold.get(0, tick.now) {
-                Some(held) => (held.clone(), SlotDisposition::Bridged),
+            Err(TransportError::Stale { .. }) => None,
+            Err(TransportError::Exhausted) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let (sample, disposition) = match &fresh {
+            Some(s) => (s, SlotDisposition::Fresh),
+            None => match self.hold.get(0, tick.now) {
+                Some(held) => (held, SlotDisposition::Bridged),
                 None => {
                     self.blind_slots += 1;
                     let out = SlotOutcome {
@@ -211,12 +213,21 @@ where
                     return Ok(Some(out));
                 }
             },
-            Err(TransportError::Exhausted) => return Ok(None),
-            Err(e) => return Err(e),
         };
-        let (view, decisions) =
-            self.pipeline
-                .run_live_slot(tick.now, &sample, &self.cfg, self.guard.as_mut());
+        if let Some(topo) = self.pipeline.topology.as_mut() {
+            topo.observe_racks(tick.now, &sample.rack_power_w);
+        }
+        let mut plant = SamplePlant::new(sample);
+        let (view, _) = self.pipeline.run_slot(tick.now, &self.cfg, &mut plant);
+        let view = ViewRecord::from(&view);
+        let decisions = plant.decisions(&mut self.pipeline.actions);
+        let (energy_j, true_power_w) = (sample.energy_j, sample.true_power_w);
+        if let Some(mut held) = fresh {
+            // A bridged re-run must not re-apply this slot's forget
+            // events: they were consumed by the fresh pass.
+            held.forgets.clear();
+            self.hold.update(0, tick.now, held);
+        }
         self.actuation.apply(tick.now, &decisions)?;
         self.slots += 1;
         if disposition == SlotDisposition::Bridged {
@@ -230,8 +241,8 @@ where
         if view.watchdog_engaged {
             self.watchdog_slots += 1;
         }
-        self.energy_j = sample.energy_j;
-        self.peak_true_w = self.peak_true_w.max(sample.true_power_w);
+        self.energy_j = energy_j;
+        self.peak_true_w = self.peak_true_w.max(true_power_w);
         let out = SlotOutcome {
             tick,
             disposition,

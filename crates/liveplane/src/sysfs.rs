@@ -8,7 +8,8 @@
 //! every `f64` survives a write→read cycle bit-exactly — the property
 //! the sim/live parity harness depends on.
 //!
-//! Layout under the root directory (`<i>` = node index):
+//! Layout under the root directory (`<i>` = node index, `<r>` = rack
+//! index):
 //!
 //! ```text
 //! control/slot                      published slot counter (write barrier)
@@ -16,8 +17,10 @@
 //! control/forgets                   lines "<node> full|learn"
 //! control/readings_present          0|1 — per-node sensors delivered?
 //! control/readback_present          0|1 — P-state read-back delivered?
+//! control/racks                     rack feeds published (0 = flat cluster)
 //! rapl/package/power_w              aggregate true power, W
 //! rapl/package/energy_j             cumulative load energy, J
+//! rack<r>/power_w                   per-rack sensed power, W (rack guard input)
 //! node<i>/online                    0|1 (0 = node dead)
 //! node<i>/rapl/power_w              per-node sensor, W; empty = dropout
 //! node<i>/cpufreq/scaling_cur_pstate  read-back commanded state
@@ -134,6 +137,12 @@ impl MockSysfsWriter {
         write_val(&r.join("control/readback_present"), u8::from(sample.readback.is_some()))?;
         write_f64(&r.join("rapl/package/power_w"), sample.true_power_w)?;
         write_f64(&r.join("rapl/package/energy_j"), sample.energy_j)?;
+        write_val(&r.join("control/racks"), sample.rack_power_w.len())?;
+        for (k, &w) in sample.rack_power_w.iter().enumerate() {
+            let rd = r.join(format!("rack{k}"));
+            std::fs::create_dir_all(&rd)?;
+            write_f64(&rd.join("power_w"), w)?;
+        }
 
         for (i, obs) in sample.nodes.iter().enumerate() {
             let nd = node_dir(r, i);
@@ -195,6 +204,8 @@ fn write_opt_f64(p: &Path, v: Option<f64>) -> std::io::Result<()> {
 /// what this reader already served (or nothing was ever published) —
 /// the latest published sample is otherwise served as current
 /// telemetry, even if its slot number trails the control plane's tick.
+/// The rack count comes from the tree (`control/racks`); the daemon
+/// checks it against the experiment's topology.
 #[derive(Debug, Clone)]
 pub struct SysfsTelemetry {
     root: PathBuf,
@@ -312,9 +323,9 @@ impl TelemetryTransport for SysfsTelemetry {
             },
             energy_j: parse_file(&r.join("rapl/package/energy_j"))?,
             forgets,
-            // The sysfs transport exposes no per-rack feeds; the live
-            // plane runs the flat (single-feed) control pipeline.
-            rack_power_w: Vec::new(),
+            rack_power_w: (0..parse_file::<usize>(&r.join("control/racks"))?)
+                .map(|k| parse_file(&r.join(format!("rack{k}/power_w"))))
+                .collect::<Result<_, _>>()?,
         })
     }
 }

@@ -4,19 +4,24 @@
 //! byte-identical (Debug-render equality, which for `f64` is
 //! shortest-roundtrip — bit equality) to what the simulator produced.
 //!
-//! Three cells cover the engine's configurations: one shard without
-//! faults, one shard hardened with chaos faults and the EW-RLS
-//! profiler, and two shards with a telemetry blackout.
+//! Three flat cells cover the engine's configurations: one shard
+//! without faults, one shard hardened with chaos faults and the EW-RLS
+//! profiler, and two shards with a telemetry blackout. Four topology
+//! cells run a rack-concentrated flood with the rack guard on, at 1 and
+//! 2 shards, each with and without chaos faults: the guard must pin in
+//! the simulation, and the replay must pin the same racks.
 //!
 //! The Token scheme is deliberately absent: its bucket state advances
 //! on every *admitted request* in the dataplane, not once per control
 //! slot, so a slot-rate trace cannot reconstruct it. Every other scheme
 //! decides purely from slot telemetry and replays exactly.
 
+use antidope::runner::SourceFactory;
 use antidope::testutil::{attack_source, normal_source, quick_exp};
 use antidope::{
-    record_experiment, ConfigError, ControlTrace, ExperimentConfig, SchemeKind, SimReport,
-    SlotTick, TelemetryTransport, TRACE_SCHEMA_VERSION,
+    record_experiment, ActionRecord, ClusterConfig, ConfigError, ControlTrace, ExperimentConfig,
+    Forget, ForgetKind, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
+    TransportError, TRACE_SCHEMA_VERSION,
 };
 use liveplane::{
     render_decision, LiveDaemon, ManualClock, MockSysfsWriter, NullActuation, RecordingActuation,
@@ -26,7 +31,9 @@ use powercap::BudgetLevel;
 use profiler::ProfilerConfig;
 use simcore::faults::{CrashEvent, FaultConfig};
 use simcore::{SimDuration, SimTime};
+use std::path::PathBuf;
 use workloads::source::TrafficSource;
+use workloads::{AttackTool, AttackVector, ServiceKind};
 
 fn sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
     let horizon = SimTime::ZERO + exp.duration;
@@ -34,6 +41,45 @@ fn sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
         normal_source(exp.seed, horizon, 60.0),
         attack_source(exp.seed, 300.0, SimTime::from_secs(5), horizon),
     ]
+}
+
+/// Racks of the topology cells.
+const RACKS: usize = 4;
+
+/// A 16-node, 4-rack cluster whose budgets have no oversubscription
+/// headroom, with the rack guard on and no scheme: a flood concentrated
+/// on one rack overloads it while the facility idles, so every pin in
+/// the plan is the guard's.
+fn rack_flood_exp(shards: usize) -> ExperimentConfig {
+    let mut cluster = ClusterConfig::scaled(BudgetLevel::Low);
+    cluster.shards = shards;
+    cluster.topology = Some(TopologyConfig {
+        rack_oversub: 1.0,
+        pdu_oversub: 1.0,
+        row_oversub: 1.0,
+        defend: true,
+        ..TopologyConfig::with_racks(RACKS, 2)
+    });
+    let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::None, 42);
+    exp.duration = SimDuration::from_secs(40);
+    exp
+}
+
+/// Normal users plus an http-load flood that lands on one rack.
+fn rack_flood_sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
+    let horizon = SimTime::ZERO + exp.duration;
+    let flood = AttackVector::against_service(
+        AttackTool::HttpLoad { rate: 420.0 },
+        ServiceKind::CollaFilt,
+        50_000,
+        40,
+        1 << 40,
+        SimTime::from_secs(5),
+        horizon,
+        exp.seed,
+    )
+    .with_concentration(RACKS, 900, exp.duration, exp.seed);
+    vec![normal_source(exp.seed, horizon, 80.0), Box::new(flood)]
 }
 
 fn chaos(exp: &mut ExperimentConfig) {
@@ -49,8 +95,8 @@ fn chaos(exp: &mut ExperimentConfig) {
 /// Record `exp`, replay through the daemon, and require byte parity of
 /// every per-slot view/decision record, the footer, and the profiler
 /// accounting against the sim side.
-fn assert_parity(exp: &ExperimentConfig) -> (SimReport, ControlTrace) {
-    let (report, trace) = record_experiment(exp, &sources);
+fn assert_parity(exp: &ExperimentConfig, sources: &dyn SourceFactory) -> (SimReport, ControlTrace) {
+    let (report, trace) = record_experiment(exp, sources);
     assert!(!trace.slots.is_empty(), "trace must record slots");
 
     // The JSONL encoding round-trips bit-exactly first.
@@ -97,7 +143,7 @@ fn assert_parity(exp: &ExperimentConfig) -> (SimReport, ControlTrace) {
 #[test]
 fn parity_one_shard_no_faults() {
     let exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 60, 2019);
-    let (report, trace) = assert_parity(&exp);
+    let (report, trace) = assert_parity(&exp, &sources);
     assert_eq!(trace.slots.len(), 60);
     assert!(report.power.peak_w > 0.0);
 }
@@ -107,7 +153,7 @@ fn parity_one_shard_chaos_with_profiler() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 60, 2019);
     chaos(&mut exp);
     exp.cluster.profiler = Some(ProfilerConfig::default());
-    let (report, trace) = assert_parity(&exp);
+    let (report, trace) = assert_parity(&exp, &sources);
     assert!(report.profiler.is_some(), "profiler cell must report attribution");
     assert!(trace.footer.retries > 0, "actuator loss must surface read-back retries");
 }
@@ -122,8 +168,40 @@ fn parity_two_shards_chaos_blackout() {
         blackouts: vec![(SimTime::from_secs(10), SimTime::from_secs(20))],
         ..FaultConfig::default()
     });
-    let (_, trace) = assert_parity(&exp);
+    let (_, trace) = assert_parity(&exp, &sources);
     assert_eq!(trace.slots.len(), 60);
+}
+
+/// A topology cell: byte parity, and the guard really pinned.
+fn assert_rack_guard_parity(shards: usize, faults: bool) {
+    let mut exp = rack_flood_exp(shards);
+    if faults {
+        chaos(&mut exp);
+    }
+    let (report, trace) = assert_parity(&exp, &rack_flood_sources);
+    let topo = report.topology.expect("topology configured");
+    assert!(topo.guard_slots > 0, "the rack guard must pin: {topo:?}");
+    assert!(trace.slots.iter().all(|s| s.sample.rack_power_w.len() == RACKS));
+}
+
+#[test]
+fn parity_rack_guard_one_shard() {
+    assert_rack_guard_parity(1, false);
+}
+
+#[test]
+fn parity_rack_guard_one_shard_chaos() {
+    assert_rack_guard_parity(1, true);
+}
+
+#[test]
+fn parity_rack_guard_two_shards() {
+    assert_rack_guard_parity(2, false);
+}
+
+#[test]
+fn parity_rack_guard_two_shards_chaos() {
+    assert_rack_guard_parity(2, true);
 }
 
 #[test]
@@ -142,13 +220,19 @@ fn schema_mismatch_is_a_typed_error() {
     }
 }
 
-#[test]
-fn sysfs_backend_round_trips_and_matches_the_trace() {
-    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 30, 2019);
-    chaos(&mut exp);
-    let (_, trace) = record_experiment(&exp, &sources);
-    let dir = std::env::temp_dir().join(format!("liveplane-sysfs-{}", std::process::id()));
+/// A fresh mock-sysfs tree for one test.
+fn sysfs_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("liveplane-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Publish every slot of a recording of `exp` into a mock-sysfs tree,
+/// step the daemon over it, and require decision, command-log and
+/// footer parity plus a bit-exact sample round trip.
+fn assert_sysfs_parity(exp: &ExperimentConfig, sources: &dyn SourceFactory, tag: &str) {
+    let (_, trace) = record_experiment(exp, sources);
+    let dir = sysfs_dir(tag);
 
     let writer = MockSysfsWriter::new(&dir);
     let ticks: Vec<SlotTick> = trace
@@ -157,7 +241,7 @@ fn sysfs_backend_round_trips_and_matches_the_trace() {
         .map(|s| SlotTick { slot: s.slot, now: s.now, missed_deadline: false })
         .collect();
     let mut daemon = LiveDaemon::new(
-        &exp,
+        exp,
         ManualClock::new(ticks.clone()),
         SysfsTelemetry::new(&dir, exp.cluster.servers),
         SysfsActuation::new(&dir),
@@ -191,17 +275,104 @@ fn sysfs_backend_round_trips_and_matches_the_trace() {
 }
 
 #[test]
-fn daemon_bridges_stale_slots_then_goes_blind() {
-    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 20, 2019);
+fn sysfs_backend_round_trips_and_matches_the_trace() {
+    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 30, 2019);
     chaos(&mut exp);
-    let (_, trace) = record_experiment(&exp, &sources);
-    let dir = std::env::temp_dir().join(format!("liveplane-stale-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    assert_sysfs_parity(&exp, &sources, "sysfs");
+}
 
-    // Publish only slot 0; every later tick finds the counter lagging.
+#[test]
+fn sysfs_backend_round_trips_rack_feeds() {
+    let mut exp = rack_flood_exp(2);
+    exp.duration = SimDuration::from_secs(15);
+    assert_sysfs_parity(&exp, &rack_flood_sources, "sysfs-racks");
+}
+
+/// Publish the first recorded slot of `exp`, let `tamper` edit the
+/// tree, and return what the daemon's first step makes of it.
+fn step_tampered_tree(
+    exp: &ExperimentConfig,
+    sources: &dyn SourceFactory,
+    tag: &str,
+    tamper: impl FnOnce(&std::path::Path),
+) -> Result<(), TransportError> {
+    let (_, trace) = record_experiment(exp, sources);
+    let dir = sysfs_dir(tag);
     let first = &trace.slots[0];
+    let tick = SlotTick { slot: first.slot, now: first.now, missed_deadline: false };
+    MockSysfsWriter::new(&dir).publish(&tick, &first.sample).expect("publish slot 0");
+    tamper(&dir);
+    let mut daemon = LiveDaemon::new(
+        exp,
+        ManualClock::new(vec![tick]),
+        SysfsTelemetry::new(&dir, exp.cluster.servers),
+        NullActuation,
+    );
+    let out = daemon.step().map(|_| ());
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn hostile_sysfs_forget_is_a_typed_error() {
+    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 10, 2019);
+    chaos(&mut exp);
+    let err = step_tampered_tree(&exp, &sources, "forget", |dir| {
+        std::fs::write(dir.join("control/forgets"), "99999 full\n").expect("tamper");
+    })
+    .expect_err("an out-of-range forget must be rejected");
+    assert!(matches!(&err, TransportError::Malformed(m) if m.contains("99999")), "{err:?}");
+}
+
+#[test]
+fn sysfs_rack_feeds_out_of_shape_are_a_typed_error() {
+    let mut exp = rack_flood_exp(1);
+    exp.duration = SimDuration::from_secs(10);
+    let err = step_tampered_tree(&exp, &rack_flood_sources, "racks", |dir| {
+        std::fs::write(dir.join("control/racks"), "3\n").expect("tamper");
+    })
+    .expect_err("a short rack feed must be rejected");
+    assert!(matches!(&err, TransportError::Malformed(m) if m.contains("rack_power_w")), "{err:?}");
+}
+
+#[test]
+fn replayed_rack_feeds_out_of_shape_are_a_typed_error() {
+    let mut exp = rack_flood_exp(1);
+    exp.duration = SimDuration::from_secs(10);
+    let (_, mut trace) = record_experiment(&exp, &rack_flood_sources);
+    trace.slots[0].sample.rack_power_w.truncate(1);
+    let mut daemon = LiveDaemon::new(
+        &exp,
+        ReplayClock::from_trace(&trace),
+        ReplayTelemetry::from_trace(&trace),
+        NullActuation,
+    );
+    let err = daemon.step().expect_err("a short rack feed must be rejected");
+    assert!(matches!(&err, TransportError::Malformed(m) if m.contains("rack_power_w")), "{err:?}");
+}
+
+#[test]
+fn daemon_bridges_stale_slots_then_goes_blind() {
+    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 60, 2019);
+    chaos(&mut exp);
+    exp.cluster.profiler = Some(ProfilerConfig::default());
+    let (_, trace) = record_experiment(&exp, &sources);
+    let dir = sysfs_dir("stale");
+
+    // Publish one slot that throttles a node (so its actuator intent is
+    // live, and a re-applied forget would visibly drop it), carrying a
+    // crash forget of every node; every later tick finds the counter
+    // lagging.
+    let first = trace
+        .slots
+        .iter()
+        .find(|s| s.decisions.actions.iter().any(|a| matches!(a, ActionRecord::SetPState { .. })))
+        .expect("the flood draws a throttle");
+    let mut sample = first.sample.clone();
+    sample.forgets =
+        (0..exp.cluster.servers).map(|node| Forget { node, kind: ForgetKind::Full }).collect();
     let t0 = SlotTick { slot: first.slot, now: first.now, missed_deadline: false };
-    MockSysfsWriter::new(&dir).publish(&t0, &first.sample).expect("publish slot 0");
+    MockSysfsWriter::new(&dir).publish(&t0, &sample).expect("publish the slot");
 
     let window = exp.cluster.control.telemetry_staleness_slots;
     let slot_d = exp.cluster.control_slot;
@@ -210,7 +381,7 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
         .collect();
     let mut daemon = LiveDaemon::new(
         &exp,
-        ManualClock::new(ticks),
+        ManualClock::new(ticks.clone()),
         SysfsTelemetry::new(&dir, exp.cluster.servers),
         NullActuation,
     );
@@ -229,6 +400,39 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
     assert_eq!(summary.missed_deadlines, window + 1);
     assert_eq!(summary.slots, window + 1, "fresh + bridged passes");
     std::fs::remove_dir_all(&dir).ok();
+
+    // The bridged passes equal fresh passes over the held sample with
+    // its forgets stripped: slot 0's forgets are applied once, never
+    // again.
+    let mut fed = trace.clone();
+    fed.slots = (0..=window)
+        .map(|k| {
+            let mut rec = first.clone();
+            rec.slot = k;
+            rec.now = ticks[k as usize].now;
+            rec.sample = sample.clone();
+            if k > 0 {
+                rec.sample.forgets.clear();
+            }
+            rec
+        })
+        .collect();
+    let fresh = LiveDaemon::new(
+        &exp,
+        ReplayClock::from_trace(&fed),
+        ReplayTelemetry::from_trace(&fed),
+        NullActuation,
+    )
+    .run()
+    .expect("replay transports cannot fail");
+    assert_eq!(fresh.slots, window + 1);
+    for (k, (bridged, fresh)) in summary.journal.iter().zip(&fresh.journal).enumerate() {
+        assert_eq!(
+            format!("{:?}", (&bridged.view, &bridged.decisions)),
+            format!("{:?}", (&fresh.view, &fresh.decisions)),
+            "slot {k}"
+        );
+    }
 }
 
 #[test]

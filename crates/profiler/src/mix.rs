@@ -50,18 +50,27 @@ impl MixTracker {
         self.nodes[node].values().sum()
     }
 
-    /// Snapshot of `node`'s mix as `(url, count)`, sorted by URL id for
-    /// deterministic downstream iteration.
-    pub fn mix_of(&self, node: usize) -> Vec<(UrlId, u32)> {
-        let mut v: Vec<(UrlId, u32)> = self.nodes[node].iter().map(|(&u, &c)| (u, c)).collect();
-        v.sort_unstable_by_key(|&(u, _)| u);
-        v
+    /// Snapshot of `node`'s mix as `(url, count)` into `out` (replacing
+    /// its contents), sorted by URL id for deterministic downstream
+    /// iteration.
+    pub fn mix_into(&self, node: usize, out: &mut Vec<(UrlId, u32)>) {
+        out.clear();
+        out.extend(self.nodes[node].iter().map(|(&u, &c)| (u, c)));
+        out.sort_unstable_by_key(|&(u, _)| u);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MixTracker {
+        fn mix_of(&self, node: usize) -> Vec<(UrlId, u32)> {
+            let mut v = Vec::new();
+            self.mix_into(node, &mut v);
+            v
+        }
+    }
 
     #[test]
     fn add_remove_roundtrip() {

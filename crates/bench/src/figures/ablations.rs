@@ -580,9 +580,9 @@ pub fn online_profiler(mode: RunMode) -> Vec<Table> {
 }
 
 /// `abl-resilience`: end-to-end request resilience when a rack breaker
-/// trip takes a quarter of the cluster down mid-flood. The scaled
-/// 16-node cluster runs 4 shards; at a quarter of the horizon all four
-/// nodes of shard 1 crash and stay down (`reboot_after: ZERO`). With a
+/// trip takes a quarter of the cluster down mid-flood. On the scaled
+/// 16-node cluster, at a quarter of the horizon nodes 4..8 crash and
+/// stay down (`reboot_after: ZERO`). With a
 /// retry policy configured the NLB is *not* oracle-notified of the
 /// deaths — failure is discovered end-to-end, through timeouts:
 ///
@@ -592,8 +592,8 @@ pub fn online_profiler(mode: RunMode) -> Vec<Table> {
 /// * **retry** — bounded retries with exponential backoff re-enter the
 ///   balancer and eventually land on a surviving node, but each rescue
 ///   first burns a timeout against the black-holed rack.
-/// * **retry+breaker** — per-pool circuit breakers trip after a streak
-///   of failures and re-route dispatches to surviving pools up front,
+/// * **retry+breaker** — per-node circuit breakers trip after a streak
+///   of failures and re-route dispatches to surviving nodes up front,
 ///   restoring ≥ 90% goodput.
 pub fn resilience(mode: RunMode) -> Vec<Table> {
     use netsim::RetryConfig;
@@ -634,7 +634,8 @@ pub fn resilience(mode: RunMode) -> Vec<Table> {
         );
         exp.duration = SimDuration::from_secs(secs);
         exp.cluster.shards = 4;
-        // Rack trip: shard 1 (nodes 4..8 of 16) goes dark for good.
+        // Rack loss: nodes 4..8 of 16 crash for good. The report is
+        // the same at any shard count.
         exp.cluster.faults = Some(FaultConfig {
             crashes: (4..8)
                 .map(|node| simcore::faults::CrashEvent {
@@ -652,7 +653,7 @@ pub fn resilience(mode: RunMode) -> Vec<Table> {
         )
     });
     let mut t = Table::new(
-        "Ablation: request resilience after a rack trip (16 nodes / 4 shards, shard 1 down for good, Medium-PB, 390 req/s Colla-Filt)",
+        "Ablation: request resilience after a rack loss (16 nodes, nodes 4..8 crash for good, Medium-PB, 390 req/s Colla-Filt)",
         &[
             "variant",
             "goodput",

@@ -202,9 +202,9 @@ impl std::fmt::Display for SchemeKind {
 /// so a default config is behavior-identical to the pre-config build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlPlaneConfig {
-    /// Telemetry coverage (fraction of fresh sensors) below which the
-    /// watchdog distrusts the scheme's plan and applies the uniform
-    /// safe cap. Must lie in `[0, 1]`.
+    /// Telemetry coverage (fraction of alive nodes with a fresh sensor
+    /// reading) below which the watchdog distrusts the scheme's plan
+    /// and applies the uniform safe cap. Must lie in `[0, 1]`.
     pub watchdog_coverage_floor: f64,
     /// Consecutive healthy slots before the watchdog disengages
     /// (recovery hysteresis). Must be at least 1.
@@ -455,6 +455,13 @@ impl ClusterConfig {
                 shards: self.shards,
                 servers: self.servers,
             });
+        }
+        if !(self.firewall_threshold_rps.is_finite() && self.firewall_threshold_rps > 0.0) {
+            return Err(ConfigError::Admission(netsim::ConfigError::Parameter {
+                component: "Firewall",
+                field: "threshold_rps",
+                value: self.firewall_threshold_rps,
+            }));
         }
         self.control.validate()?;
         if let Some(f) = &self.faults {
@@ -708,6 +715,27 @@ mod tests {
             c.validate().unwrap_err(),
             ConfigError::Shards { shards: 17, servers: 16 }
         ));
+    }
+
+    #[test]
+    fn validate_rejects_bad_firewall_threshold() {
+        let mut c = ClusterConfig::paper_rack(BudgetLevel::Medium);
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            c.firewall_threshold_rps = bad;
+            let err = c.validate().expect_err("threshold must be finite and positive");
+            assert!(
+                matches!(
+                    err,
+                    ConfigError::Admission(netsim::ConfigError::Parameter {
+                        field: "threshold_rps",
+                        ..
+                    })
+                ),
+                "{bad}: {err:?}"
+            );
+        }
+        c.firewall_threshold_rps = 0.5;
+        c.validate().unwrap();
     }
 
     #[test]

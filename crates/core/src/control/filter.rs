@@ -41,11 +41,12 @@ impl FilterStage {
         now: SimTime,
         true_power_w: f64,
         readings: Option<&[Option<f64>]>,
+        node_dead: &[bool],
         per_node_nameplate_w: f64,
     ) -> ClusterView {
         match (&mut self.hardening, readings) {
             (Some(h), Some(readings)) => {
-                let est = h.telemetry.estimate(now, readings, per_node_nameplate_w);
+                let est = h.telemetry.estimate(now, readings, node_dead, per_node_nameplate_w);
                 let engaged = h.watchdog.observe(now, est.coverage);
                 ClusterView {
                     condition: self.monitor.observe(now, est.power_w),
@@ -89,6 +90,9 @@ mod tests {
         }
     }
 
+    /// Both nodes alive.
+    const ALIVE: &[bool] = &[false, false];
+
     /// Per-node readings; the tests pass 0 W as the true aggregate,
     /// which the hardened path must ignore.
     fn frame(readings: &[Option<f64>]) -> Option<&[Option<f64>]> {
@@ -98,13 +102,13 @@ mod tests {
     #[test]
     fn holds_last_good_through_a_dropout() {
         let mut f = stage(2);
-        let v = f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), ALIVE, 100.0);
         assert_eq!(v.observed_w, 120.0);
         assert_eq!(v.coverage, 1.0);
         assert!(!v.watchdog_engaged);
         // Node 0's sensor drops out: its 70 W reading is held, not
         // replaced by the 100 W nameplate.
-        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(55.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(55.0)]), ALIVE, 100.0);
         assert_eq!(v.observed_w, 125.0);
         assert_eq!(v.coverage, 0.5);
         assert!(!v.watchdog_engaged, "coverage at the floor is still trusted");
@@ -113,29 +117,30 @@ mod tests {
     #[test]
     fn engages_watchdog_below_coverage_floor() {
         let mut f = stage(2);
-        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
+        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), ALIVE, 100.0);
         // Total blackout: both values held, but zero fresh coverage
         // trips the 0.5 floor.
-        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, None]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, None]), ALIVE, 100.0);
         assert_eq!(v.observed_w, 120.0, "held values still feed the estimate");
         assert_eq!(v.coverage, 0.0);
         assert!(v.watchdog_engaged);
         // Recovery needs 3 consecutive healthy slots (hysteresis).
         for t in 3..5 {
-            let v = f.run(SimTime::from_secs(t), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
+            let healthy = frame(&[Some(70.0), Some(50.0)]);
+            let v = f.run(SimTime::from_secs(t), 0.0, healthy, ALIVE, 100.0);
             assert!(v.watchdog_engaged, "slot {t} still in probation");
         }
-        let v = f.run(SimTime::from_secs(5), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(5), 0.0, frame(&[Some(70.0), Some(50.0)]), ALIVE, 100.0);
         assert!(!v.watchdog_engaged);
     }
 
     #[test]
     fn forget_node_drops_the_held_value() {
         let mut f = stage(2);
-        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), 100.0);
+        f.run(SimTime::from_secs(1), 0.0, frame(&[Some(70.0), Some(50.0)]), ALIVE, 100.0);
         f.forget_node(0);
         // With the held value gone, the dropout is charged nameplate.
-        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(50.0)]), 100.0);
+        let v = f.run(SimTime::from_secs(2), 0.0, frame(&[None, Some(50.0)]), ALIVE, 100.0);
         assert_eq!(v.observed_w, 150.0);
     }
 
@@ -146,7 +151,7 @@ mod tests {
             monitor: PowerMonitor::new(budget, 10, 1).unwrap(),
             hardening: None,
         };
-        let v = f.run(SimTime::from_secs(1), 160.0, None, 100.0);
+        let v = f.run(SimTime::from_secs(1), 160.0, None, ALIVE, 100.0);
         assert_eq!(v.observed_w, 160.0);
         assert_eq!(v.coverage, 1.0);
         assert!(!v.watchdog_engaged);

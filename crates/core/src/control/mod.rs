@@ -10,8 +10,8 @@
 //! ```text
 //! engine:  physics ─► Sense ─┐                        ┌─► Act ─► Account
 //!                            ▼                        │
-//! run_slot: forgets ─► Filter ─► Learn ─► shard watchdog ─► read-back sweep
-//!           ─► Decide ─► shard guard + rack guard ─► record intents
+//! run_slot: forgets ─► Filter ─► Learn ─► rack blackout ─► read-back sweep
+//!           ─► Decide ─► rack guard ─► record intents
 //!                            ▲                        │
 //! daemon:  transport ─► hold ┘                        └─► transport
 //! ```
@@ -72,7 +72,7 @@ pub struct ClusterView {
     pub condition: PowerCondition,
     /// The power estimate the monitor judged, watts.
     pub observed_w: f64,
-    /// Fraction of nodes with a fresh sensor reading this slot.
+    /// Fraction of alive nodes with a fresh sensor reading this slot.
     pub coverage: f64,
     /// True when coverage fell below the watchdog floor: the scheme's
     /// differentiated plan must be replaced by the uniform safe cap.
@@ -309,11 +309,9 @@ pub struct ControlPipeline {
     /// Recycled thermal-trip list for the accountant's slot pass.
     pub tripped: Vec<usize>,
     /// The hierarchical power topology, when configured: per-level
-    /// budgets/breakers, the top-down allocator, and the rack guard.
+    /// budgets/breakers, the top-down allocator, and the rack guard
+    /// (with its blackout watchdog when hardened).
     pub topology: Option<crate::topology::TopologyState>,
-    /// Per-shard blackout guard, present only when a fault plan is
-    /// configured.
-    pub shard_guard: Option<plane::ShardGuard>,
 }
 
 impl ControlPipeline {
@@ -372,7 +370,13 @@ impl ControlPipeline {
             .thermal
             .then(|| (0..cfg.servers).map(|_| ThermalNode::paper_default(start)).collect());
         let topology = cfg.topology.as_ref().map(|t| {
-            crate::topology::TopologyState::new(cfg.servers, budget.supply_w, t, cfg.control_slot)
+            crate::topology::TopologyState::new(
+                cfg.servers,
+                budget.supply_w,
+                t,
+                cfg.control_slot,
+                hardened.then_some(&cfg.control),
+            )
         });
         ControlPipeline {
             sense: sense::SenseStage::default(),
@@ -391,16 +395,15 @@ impl ControlPipeline {
             actions: Vec::new(),
             tripped: Vec::new(),
             topology,
-            shard_guard: hardened.then(|| plane::ShardGuard::new(cfg)),
         }
     }
 
     /// One control slot, the same for the engine and the live daemon:
-    /// apply forgets → Filter → Learn → shard-coverage watchdog →
-    /// read-back sweep → Decide → shard guard → rack guard → record
-    /// intents. The final plan is left in `self.actions` for the
-    /// caller to enact or transmit. Returns the trusted view and
-    /// whether Learn changed the suspect classes.
+    /// apply forgets → Filter → Learn → rack blackout watchdog →
+    /// read-back sweep → Decide → rack guard → record intents. The
+    /// final plan is left in `self.actions` for the caller to enact or
+    /// transmit. Returns the trusted view and whether Learn changed the
+    /// suspect classes.
     ///
     /// A configured topology must already have observed this slot's
     /// rack feeds (`TopologyState::observe_racks`): the engine does so
@@ -415,37 +418,34 @@ impl ControlPipeline {
             self.forget_node(f);
         }
         let per_node_nameplate = cfg.aggregate_nameplate_w() / cfg.servers as f64;
-        let view = self.filter.run(now, plant.true_power_w(), plant.readings(), per_node_nameplate);
+        let view = self.filter.run(
+            now,
+            plant.true_power_w(),
+            plant.readings(),
+            plant.node_dead(),
+            per_node_nameplate,
+        );
         let classes_changed = self.learn.as_mut().is_some_and(|l| l.run(&*plant));
-        // Shard-coverage watchdog: a whole shard going silent is a
-        // rack-scale telemetry blackout the per-reading staleness
-        // filter cannot see as such; track it per shard. Dead nodes are
-        // excluded from both counts — they report a synthetic zero, and
-        // counting that as coverage would make engagement depend on
-        // where a crash landed instead of on sensor health (and thus on
-        // the shard layout).
-        if let (Some(g), Some(readings)) = (self.shard_guard.as_mut(), plant.readings()) {
-            g.observe(now, plant.node_dead(), readings);
+        // Rack blackout watchdog: a whole rack going silent is a
+        // telemetry outage the per-reading staleness filter cannot see
+        // as such, and one dark rack barely moves cluster coverage.
+        if let (Some(topo), Some(readings)) = (self.topology.as_mut(), plant.readings()) {
+            topo.observe_blackout(plant.node_dead(), readings);
         }
         self.act.sweep(now, plant);
         let supply_w = self.filter.monitor.budget().supply_w;
         self.decide.run(now, &view, supply_w, cfg, &*plant, &mut self.actions);
-        // Conservative per-shard fallback: while a shard is blacked
-        // out, the controller cannot see its draw, so it pins that
-        // shard's alive nodes at the safe P-state and leaves the
-        // scheme's plan for every other shard untouched. The global
-        // watchdog already caps everything when engaged, so the rewrite
-        // only runs under a partial blackout.
-        if let (Some(g), Some(safe)) = (&self.shard_guard, self.decide.safe_pstate) {
-            if g.watchdog.any_engaged() && !view.watchdog_engaged {
-                g.apply(&mut self.actions, plant.node_dead(), |n| plant.target(n), safe);
-            }
-        }
-        // Rack guard: racks over their hierarchical allocation get the
-        // scheme's plan overridden with a safe pin — localized defense
-        // where the global watchdog would cap everything.
+        // Rack guard: racks over their hierarchical allocation, and
+        // blacked-out racks, get the scheme's plan overridden with a
+        // safe pin — localized defense where the global watchdog would
+        // cap everything.
         if let Some(topo) = self.topology.as_mut() {
-            topo.apply_rack_guard(&mut self.actions, plant.node_dead(), |g| plant.target(g));
+            topo.apply_rack_guard(
+                &mut self.actions,
+                plant.node_dead(),
+                |g| plant.target(g),
+                view.watchdog_engaged,
+            );
         }
         self.act.record_intents(now, &self.actions, &*plant);
         (view, classes_changed)

@@ -29,7 +29,6 @@
 
 use super::{ClusterView, ControlPipeline, Plant, UrlMix};
 use crate::config::{ClusterConfig, ConfigError, ExperimentConfig};
-use crate::health::ShardWatchdog;
 use crate::node::ComputeNode;
 use crate::scheme::{Action, NodeSnapshot};
 use crate::jsonl::Json;
@@ -363,7 +362,7 @@ impl ActionRecord {
 
 /// Everything the control plane commanded in one slot: the read-back
 /// retry re-issues (before Decide) plus the decided action plan (after
-/// the shard guard, exactly as enacted).
+/// the rack guard, exactly as enacted).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DecisionRecord {
     /// Re-issued `(node, pstate)` commands from the verification sweep.
@@ -672,103 +671,6 @@ impl TraceRecorder {
             footer.peak_true_w = footer.peak_true_w.max(s.sample.true_power_w);
         }
         ControlTrace { header: self.header, slots: self.slots, footer }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shard-coverage guard
-// ---------------------------------------------------------------------
-
-/// Near-even contiguous shard partition: the first `servers % shards`
-/// shards own one extra node. Returns `(ranges, owner_shard)` where
-/// each range is `(start, len)`.
-pub fn shard_layout(servers: usize, shards: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
-    let base = servers / shards;
-    let extra = servers % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut owner_shard = vec![0usize; servers];
-    let mut at = 0usize;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        for o in owner_shard.iter_mut().skip(at).take(len) {
-            *o = i;
-        }
-        ranges.push((at, len));
-        at += len;
-    }
-    (ranges, owner_shard)
-}
-
-/// The per-shard blackout guard the pipeline carries under fault
-/// injection: the watchdog plus the node→shard map it judges by.
-pub struct ShardGuard {
-    /// Per-shard blackout watchdog.
-    pub(crate) watchdog: ShardWatchdog,
-    /// Global node index → owning shard.
-    owner_shard: Vec<usize>,
-}
-
-impl ShardGuard {
-    /// The guard over `cfg`'s shard layout, engaging only after a shard
-    /// has been blind past the telemetry staleness window (shorter gaps
-    /// are bridged by the last-known-good estimator).
-    pub(crate) fn new(cfg: &ClusterConfig) -> Self {
-        let (_, owner_shard) = shard_layout(cfg.servers, cfg.shards);
-        ShardGuard {
-            watchdog: ShardWatchdog::new(
-                cfg.shards,
-                cfg.control.telemetry_staleness_slots.min(u32::MAX as u64) as u32,
-                cfg.control.watchdog_recovery_slots,
-            ),
-            owner_shard,
-        }
-    }
-
-    /// Feed one slot's per-shard fresh/alive counts into the watchdog,
-    /// excluding dead nodes from both counts, and close the slot. One
-    /// pass over the readings; identical to counting each shard's
-    /// contiguous range in shard order.
-    pub(crate) fn observe(&mut self, now: SimTime, node_dead: &[bool], readings: &[Option<f64>]) {
-        let n_shards = self.watchdog.shards();
-        let mut fresh = vec![0usize; n_shards];
-        let mut alive = vec![0usize; n_shards];
-        for (g, r) in readings.iter().enumerate() {
-            if node_dead[g] {
-                continue;
-            }
-            alive[self.owner_shard[g]] += 1;
-            if r.is_some() {
-                fresh[self.owner_shard[g]] += 1;
-            }
-        }
-        for s in 0..n_shards {
-            self.watchdog.observe(now, s, fresh[s], alive[s]);
-        }
-        self.watchdog.close_slot();
-    }
-
-    /// Conservative per-shard fallback while a shard is blacked out:
-    /// strip the scheme's per-node commands for capped shards and pin
-    /// their alive nodes at the safe P-state, leaving every other
-    /// shard's plan untouched. `target_of(g)` is node `g`'s
-    /// currently-commanded P-state.
-    pub(crate) fn apply(
-        &self,
-        actions: &mut Vec<Action>,
-        node_dead: &[bool],
-        target_of: impl Fn(usize) -> PState,
-        safe: PState,
-    ) {
-        let engaged = |g: usize| self.watchdog.engaged(self.owner_shard[g]);
-        actions.retain(|a| match *a {
-            Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => !engaged(node),
-            _ => true,
-        });
-        for (g, &dead) in node_dead.iter().enumerate() {
-            if !dead && engaged(g) && target_of(g) != safe {
-                actions.push(Action::SetPState { node: g, target: safe });
-            }
-        }
     }
 }
 
@@ -1747,13 +1649,6 @@ mod tests {
                 "mutation {i}: {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn shard_layout_matches_near_even_partition() {
-        let (ranges, owner) = shard_layout(10, 4);
-        assert_eq!(ranges, vec![(0, 3), (3, 3), (6, 2), (8, 2)]);
-        assert_eq!(owner, vec![0, 0, 0, 1, 1, 1, 2, 2, 3, 3]);
     }
 
     #[test]

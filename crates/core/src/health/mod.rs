@@ -29,7 +29,8 @@ use staleness::LastGood;
 pub struct TelemetryEstimate {
     /// Estimated cluster power, watts.
     pub power_w: f64,
-    /// Fraction of nodes with a *fresh* reading this slot.
+    /// Fraction of alive nodes with a *fresh* reading this slot (1 when
+    /// every node is dead: there is nothing left to see).
     pub coverage: f64,
     /// Nodes with neither a fresh reading nor a recent-enough held one.
     pub blind_nodes: usize,
@@ -58,22 +59,30 @@ impl TelemetryHealth {
     /// missing ones fall back to the held value if it is younger than the
     /// staleness deadline, else to `nameplate_w` (conservative: a blind
     /// node is assumed to draw its maximum).
+    ///
+    /// Coverage counts alive nodes only: a dead node reports a
+    /// synthetic zero, and counting that as a fresh sensor would let
+    /// crashes mask a telemetry blackout of the survivors.
     pub fn estimate(
         &mut self,
         now: SimTime,
         readings: &[Option<f64>],
+        node_dead: &[bool],
         nameplate_w: f64,
     ) -> TelemetryEstimate {
         debug_assert_eq!(readings.len(), self.last_good.len());
+        debug_assert_eq!(node_dead.len(), readings.len());
         let mut power_w = 0.0;
         let mut fresh = 0usize;
         let mut blind = 0usize;
-        for (i, reading) in readings.iter().enumerate() {
+        let mut alive = 0usize;
+        for (i, (reading, &dead)) in readings.iter().zip(node_dead).enumerate() {
+            alive += usize::from(!dead);
             match reading {
                 Some(w) => {
                     self.last_good.update(i, now, *w);
                     power_w += w;
-                    fresh += 1;
+                    fresh += usize::from(!dead);
                 }
                 None => match self.last_good.get(i, now) {
                     Some(w) => power_w += w,
@@ -84,10 +93,9 @@ impl TelemetryHealth {
                 },
             }
         }
-        let n = readings.len().max(1);
         TelemetryEstimate {
             power_w,
-            coverage: fresh as f64 / n as f64,
+            coverage: if alive == 0 { 1.0 } else { fresh as f64 / alive as f64 },
             blind_nodes: blind,
         }
     }
@@ -188,138 +196,6 @@ impl Watchdog {
         } else {
             Some(self.degraded_time.as_secs_f64() / self.completed_episodes as f64)
         }
-    }
-}
-
-/// Per-shard state of the [`ShardWatchdog`].
-#[derive(Debug, Clone, Copy)]
-struct ShardHealth {
-    engaged_since: Option<SimTime>,
-    blind_streak: u32,
-    ok_streak: u32,
-}
-
-/// Shard-coverage watchdog: detects a *full-shard* telemetry blackout
-/// (every sensor in one shard dark while the rest of the cluster still
-/// reports) and caps just that shard at the conservative safe P-state
-/// until it has reported cleanly for a few consecutive slots.
-///
-/// The global [`Watchdog`] cannot see this failure shape: one dark
-/// shard out of eight only drops cluster coverage to 87.5%, far above
-/// any sane floor, yet the controller knows *nothing* about an eighth
-/// of its load. Scope the fallback to the blind shard and the rest of
-/// the cluster keeps running the scheme's differentiated plan.
-#[derive(Debug, Clone)]
-pub struct ShardWatchdog {
-    engage_slots: u32,
-    recovery_slots: u32,
-    states: Vec<ShardHealth>,
-    degraded_slots: u64,
-    episodes: u64,
-    was_any: bool,
-}
-
-impl ShardWatchdog {
-    /// Watchdog over `n_shards`, engaging a shard only after
-    /// `engage_slots` consecutive fully-blind slots and releasing it
-    /// after `recovery_slots` consecutive slots with at least one
-    /// fresh reading.
-    ///
-    /// The engagement threshold is deliberately not 1: a gap shorter
-    /// than the telemetry staleness window is already bridged by the
-    /// last-known-good estimator, and on small shards a single slot
-    /// with every sensor dropped is an ordinary random event, not a
-    /// rack blackout. Only an outage that outlasts the staleness
-    /// window leaves the controller truly blind — and only then is the
-    /// conservative cap worth its throughput cost.
-    pub fn new(n_shards: usize, engage_slots: u32, recovery_slots: u32) -> Self {
-        ShardWatchdog {
-            engage_slots: engage_slots.max(1),
-            recovery_slots: recovery_slots.max(1),
-            states: vec![
-                ShardHealth {
-                    engaged_since: None,
-                    blind_streak: 0,
-                    ok_streak: 0,
-                };
-                n_shards
-            ],
-            degraded_slots: 0,
-            episodes: 0,
-            was_any: false,
-        }
-    }
-
-    /// Feed one slot's fresh-reading count for `shard` (out of `total`
-    /// *alive* nodes it owns); returns whether the shard is capped this
-    /// slot. Engagement requires a *total* blackout — a shard with even
-    /// one live sensor is left to the staleness estimator and the
-    /// global watchdog. Callers must exclude dead nodes from both
-    /// counts: crashed nodes report a synthetic zero, and letting that
-    /// count as coverage would make engagement depend on where the
-    /// crash landed rather than on sensor health.
-    pub fn observe(&mut self, now: SimTime, shard: usize, fresh: usize, total: usize) -> bool {
-        let st = &mut self.states[shard];
-        if fresh == 0 && total > 0 {
-            st.blind_streak += 1;
-            st.ok_streak = 0;
-            if st.engaged_since.is_none() && st.blind_streak >= self.engage_slots {
-                st.engaged_since = Some(now);
-            }
-        } else {
-            st.blind_streak = 0;
-            if st.engaged_since.is_some() {
-                st.ok_streak += 1;
-                if st.ok_streak >= self.recovery_slots {
-                    st.engaged_since = None;
-                    st.ok_streak = 0;
-                }
-            }
-        }
-        st.engaged_since.is_some()
-    }
-
-    /// Finish the slot after every shard has been `observe`d, updating
-    /// the cluster-level degradation counters. Counting *slots with at
-    /// least one capped shard* (rather than capped shard-slots) keeps
-    /// the report identical across shard layouts when a blackout
-    /// covers the whole cluster: every layout sees the same degraded
-    /// wall-clock, not a tally scaled by the shard count.
-    pub fn close_slot(&mut self) {
-        let any = self.any_engaged();
-        if any {
-            self.degraded_slots += 1;
-            if !self.was_any {
-                self.episodes += 1;
-            }
-        }
-        self.was_any = any;
-    }
-
-    /// Shards watched.
-    pub fn shards(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether `shard` is currently capped.
-    pub fn engaged(&self, shard: usize) -> bool {
-        self.states[shard].engaged_since.is_some()
-    }
-
-    /// Whether any shard is currently capped.
-    pub fn any_engaged(&self) -> bool {
-        self.states.iter().any(|s| s.engaged_since.is_some())
-    }
-
-    /// Control slots during which at least one shard was capped.
-    pub fn degraded_slots(&self) -> u64 {
-        self.degraded_slots
-    }
-
-    /// Distinct degradation episodes: rising edges of "any shard
-    /// capped" across closed slots.
-    pub fn episodes(&self) -> u64 {
-        self.episodes
     }
 }
 
@@ -443,7 +319,7 @@ mod tests {
     #[test]
     fn fresh_readings_pass_through() {
         let mut t = TelemetryHealth::new(2, SimDuration::from_secs(5));
-        let e = t.estimate(s(0), &[Some(70.0), Some(50.0)], 100.0);
+        let e = t.estimate(s(0), &[Some(70.0), Some(50.0)], &[false, false], 100.0);
         assert_eq!(e.power_w, 120.0);
         assert_eq!(e.coverage, 1.0);
         assert_eq!(e.blind_nodes, 0);
@@ -452,8 +328,8 @@ mod tests {
     #[test]
     fn held_value_bridges_short_dropouts() {
         let mut t = TelemetryHealth::new(2, SimDuration::from_secs(5));
-        t.estimate(s(0), &[Some(70.0), Some(50.0)], 100.0);
-        let e = t.estimate(s(3), &[None, Some(55.0)], 100.0);
+        t.estimate(s(0), &[Some(70.0), Some(50.0)], &[false, false], 100.0);
+        let e = t.estimate(s(3), &[None, Some(55.0)], &[false, false], 100.0);
         assert_eq!(e.power_w, 125.0); // 70 held + 55 fresh
         assert_eq!(e.coverage, 0.5);
         assert_eq!(e.blind_nodes, 0);
@@ -462,21 +338,36 @@ mod tests {
     #[test]
     fn stale_node_charged_nameplate() {
         let mut t = TelemetryHealth::new(2, SimDuration::from_secs(5));
-        t.estimate(s(0), &[Some(70.0), Some(50.0)], 100.0);
-        let e = t.estimate(s(10), &[None, Some(55.0)], 100.0);
+        t.estimate(s(0), &[Some(70.0), Some(50.0)], &[false, false], 100.0);
+        let e = t.estimate(s(10), &[None, Some(55.0)], &[false, false], 100.0);
         assert_eq!(e.power_w, 155.0); // nameplate 100 + 55 fresh
         assert_eq!(e.blind_nodes, 1);
         // forget() drops the held value immediately.
-        t.estimate(s(10), &[Some(70.0), Some(55.0)], 100.0);
+        t.estimate(s(10), &[Some(70.0), Some(55.0)], &[false, false], 100.0);
         t.forget(0);
-        let e = t.estimate(s(11), &[None, Some(55.0)], 100.0);
+        let e = t.estimate(s(11), &[None, Some(55.0)], &[false, false], 100.0);
         assert_eq!(e.blind_nodes, 1);
+    }
+
+    #[test]
+    fn coverage_counts_alive_nodes_only() {
+        let mut t = TelemetryHealth::new(4, SimDuration::from_secs(5));
+        // Two dead nodes report a synthetic zero; the two survivors are
+        // dark. Nothing alive is fresh, so coverage is 0, not 0.5.
+        let dead = [true, true, false, false];
+        let e = t.estimate(s(0), &[Some(0.0), Some(0.0), None, None], &dead, 100.0);
+        assert_eq!(e.coverage, 0.0);
+        let e = t.estimate(s(1), &[Some(0.0), Some(0.0), Some(60.0), None], &dead, 100.0);
+        assert_eq!(e.coverage, 0.5);
+        // Nothing alive: nothing to see.
+        let e = t.estimate(s(2), &[Some(0.0); 4], &[true; 4], 100.0);
+        assert_eq!(e.coverage, 1.0);
     }
 
     #[test]
     fn never_seen_node_is_blind() {
         let mut t = TelemetryHealth::new(1, SimDuration::from_secs(5));
-        let e = t.estimate(s(0), &[None], 100.0);
+        let e = t.estimate(s(0), &[None], &[false], 100.0);
         assert_eq!(e.power_w, 100.0);
         assert_eq!(e.coverage, 0.0);
         assert_eq!(e.blind_nodes, 1);
@@ -519,123 +410,6 @@ mod tests {
         assert!(w.engaged());
         assert_eq!(w.time_degraded(s(7)), SimDuration::from_secs(5));
         assert_eq!(w.mttr_s(), None);
-    }
-
-    #[test]
-    fn shard_watchdog_requires_total_blackout() {
-        let mut w = ShardWatchdog::new(2, 1, 3);
-        // One live sensor out of four: not a shard blackout.
-        assert!(!w.observe(s(0), 0, 1, 4));
-        assert!(!w.observe(s(0), 1, 4, 4));
-        w.close_slot();
-        assert_eq!(w.degraded_slots(), 0);
-        // Zero fresh readings: engage shard 0 only.
-        assert!(w.observe(s(1), 0, 0, 4));
-        assert!(w.engaged(0));
-        assert!(!w.observe(s(1), 1, 4, 4));
-        assert!(!w.engaged(1));
-        w.close_slot();
-        assert!(w.any_engaged());
-        assert_eq!(w.degraded_slots(), 1);
-        assert_eq!(w.episodes(), 1);
-    }
-
-    #[test]
-    fn shard_watchdog_recovers_with_hysteresis() {
-        let mut w = ShardWatchdog::new(1, 1, 3);
-        let slot = |w: &mut ShardWatchdog, t: u64, fresh: usize| {
-            let capped = w.observe(s(t), 0, fresh, 4);
-            w.close_slot();
-            capped
-        };
-        assert!(slot(&mut w, 0, 0));
-        // Two healthy slots are probation, the third releases.
-        assert!(slot(&mut w, 1, 4));
-        assert!(slot(&mut w, 2, 4));
-        assert!(!slot(&mut w, 3, 4));
-        assert!(!w.any_engaged());
-        assert_eq!(w.degraded_slots(), 3);
-        // A relapse during probation restarts the streak.
-        assert!(slot(&mut w, 4, 0));
-        assert!(slot(&mut w, 5, 4));
-        assert!(slot(&mut w, 6, 0));
-        assert!(slot(&mut w, 7, 4));
-        assert!(slot(&mut w, 8, 4));
-        assert!(!slot(&mut w, 9, 4));
-        assert_eq!(w.episodes(), 2);
-    }
-
-    #[test]
-    fn shard_watchdog_ignores_gaps_shorter_than_the_engage_threshold() {
-        let mut w = ShardWatchdog::new(1, 3, 2);
-        // Two blind slots: below the threshold, never engages.
-        for t in 0..2 {
-            assert!(!w.observe(s(t), 0, 0, 2));
-            w.close_slot();
-        }
-        // One fresh slot resets the blind streak entirely.
-        assert!(!w.observe(s(2), 0, 1, 2));
-        w.close_slot();
-        assert!(!w.observe(s(3), 0, 0, 2));
-        assert!(!w.observe(s(4), 0, 0, 2));
-        // The third *consecutive* blind slot engages.
-        assert!(w.observe(s(5), 0, 0, 2));
-        w.close_slot();
-        assert!(w.any_engaged());
-        assert_eq!(w.degraded_slots(), 1);
-        assert_eq!(w.episodes(), 1);
-    }
-
-    /// Engagement boundary: the engines set `engage_slots` to the
-    /// telemetry staleness window, so a blackout that ends *exactly* at
-    /// the window must engage on its final blind slot — and a blackout
-    /// one slot shorter must never engage (the last-good estimator is
-    /// still bridging it).
-    #[test]
-    fn shard_blackout_ending_exactly_at_the_staleness_window_engages() {
-        // Window = 3 slots, one slot shorter: never engages.
-        let mut short = ShardWatchdog::new(1, 3, 2);
-        for t in 1..=2 {
-            assert!(!short.observe(s(t), 0, 0, 4));
-            short.close_slot();
-        }
-        assert!(!short.observe(s(3), 0, 4, 4), "telemetry back before the window");
-        short.close_slot();
-        assert_eq!((short.degraded_slots(), short.episodes()), (0, 0));
-
-        // Exactly the window: the third consecutive blind slot engages.
-        let mut exact = ShardWatchdog::new(1, 3, 2);
-        assert!(!exact.observe(s(1), 0, 0, 4));
-        exact.close_slot();
-        assert!(!exact.observe(s(2), 0, 0, 4));
-        exact.close_slot();
-        assert!(exact.observe(s(3), 0, 0, 4), "blind slot {} = window engages", 3);
-        exact.close_slot();
-        assert_eq!((exact.degraded_slots(), exact.episodes()), (1, 1));
-    }
-
-    /// Recovery boundary: with `recovery_slots = r`, the shard stays
-    /// capped through healthy slots `1..r-1` and releases *on* the
-    /// r-th — not one early, not one late.
-    #[test]
-    fn shard_recovery_releases_exactly_at_the_threshold_slot() {
-        let r = 3;
-        let mut w = ShardWatchdog::new(1, 1, r);
-        assert!(w.observe(s(0), 0, 0, 2), "single blind slot engages at threshold 1");
-        w.close_slot();
-        for t in 1..u64::from(r) {
-            assert!(w.observe(s(t), 0, 2, 2), "healthy slot {t} is still probation");
-            w.close_slot();
-        }
-        assert!(
-            !w.observe(s(u64::from(r)), 0, 2, 2),
-            "healthy slot {r} must release, not extend probation"
-        );
-        w.close_slot();
-        assert!(!w.any_engaged());
-        // Engaged on the blind slot plus r-1 probation slots.
-        assert_eq!(w.degraded_slots(), u64::from(r));
-        assert_eq!(w.episodes(), 1);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use control::plane::{
     TRACE_SCHEMA_VERSION,
 };
 pub use control::{ClusterView, ControlPipeline, Plant};
-pub use health::{ActuatorVerify, ShardWatchdog, TelemetryHealth, Watchdog};
+pub use health::{ActuatorVerify, TelemetryHealth, Watchdog};
 pub use node::ComputeNode;
 pub use results::{FaultReport, RetryReport, SimReport};
 pub use results::TopologyReport;

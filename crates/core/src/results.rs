@@ -178,10 +178,6 @@ pub struct FaultReport {
     /// Mean time to recovery over completed episodes, seconds (0 when
     /// no episode completed).
     pub mttr_s: f64,
-    /// Shard-slots spent with a shard-coverage watchdog cap applied.
-    pub shard_degraded_slots: u64,
-    /// Shard-watchdog engagement episodes.
-    pub shard_degraded_episodes: u64,
 }
 
 /// End-to-end resilience accounting. Present only when the experiment
@@ -232,6 +228,11 @@ pub struct TopologyReport {
     /// Slots the rack guard pinned at least one over-allocation rack to
     /// the safe P-state.
     pub guard_slots: u64,
+    /// Slots with at least one rack's telemetry blacked out past the
+    /// staleness window (0 unless a fault plan is configured).
+    pub blackout_slots: u64,
+    /// Rack-blackout episodes: rising edges of "some rack blacked out".
+    pub blackout_episodes: u64,
 }
 
 /// The complete result of one simulated experiment.

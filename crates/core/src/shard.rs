@@ -27,7 +27,7 @@
 //!
 //! `run_slot` is [`ControlPipeline::run_slot`], the function the live
 //! daemon runs on its samples (Filter → Learn → watchdogs → read-back
-//! sweep → Decide → shard and rack guards).
+//! sweep → Decide → rack guard).
 //!
 //! # Bounded slot buffers
 //!
@@ -74,18 +74,16 @@
 //! * With a [`RetryConfig`] the coordinator owns a resilience
 //!   dataplane: failed dispatches re-enter the NLB after timeout +
 //!   jittered exponential backoff, and per-pool circuit breakers
-//!   steer retries away from dark racks. Without a power topology the
-//!   breaker pools follow the shard partition, so such retry runs are
-//!   deterministic per layout but *not* layout-invariant. With a
-//!   topology configured the pools are keyed by physical rack instead
-//!   (success signals fold per-node completion flags in global node
-//!   order), so hierarchical retry runs are byte-identical across
-//!   shard counts.
+//!   steer retries away from dark racks. A pool is a physical domain —
+//!   one per rack with a power topology, one per node without — and
+//!   the success signal folds per-node completion flags in global node
+//!   order, so retry runs are byte-identical across shard counts too.
+//!   No state outside the dataplane dispatch is keyed by shard.
 
 use crate::config::{ClusterConfig, ExperimentConfig};
 use crate::control::act::{self, ActCtx};
 use crate::control::learn::LearnStage;
-use crate::control::plane::{self, BatteryObs, ControlTrace, Forget, ForgetKind, TraceRecorder};
+use crate::control::plane::{BatteryObs, ControlTrace, Forget, ForgetKind, TraceRecorder};
 use crate::control::{BatteryFlows, ControlPipeline, FaultLayer, NodePlant};
 use crate::node::ComputeNode;
 use crate::results::{
@@ -93,6 +91,7 @@ use crate::results::{
     ThermalReport, TrafficReport, VfReport,
 };
 use crate::scheme::{self, PowerScheme};
+use crate::topology::near_even;
 use dcmetrics::availability::RequestOutcome;
 use dcmetrics::{LatencyHistogram, OnlineSummary, SlaTracker, TimeSeries};
 use netsim::admission::{AdmissionDecision, AdmissionPipeline, StageKind};
@@ -226,16 +225,13 @@ pub struct Shard {
     events: u64,
     /// Completions whose request had already been retried at least once.
     recovered: u64,
-    /// Completions inside the current slot — the circuit breakers'
-    /// per-pool success signal, reset at every boundary.
-    slot_completions: u64,
     /// Per-node completion flags for the current slot, set only when
-    /// `track_completions` is on (rack-keyed breaker pools). Folded in
-    /// global node order at the boundary so the success signal is
-    /// shard-layout-invariant, then cleared.
+    /// `track_completions` is on: the circuit breakers' success signal,
+    /// folded in global node order at the boundary (so it is
+    /// shard-layout-invariant), then cleared.
     completed: Vec<bool>,
-    /// Whether completions are tracked per node (topology-configured
-    /// runs with circuit breakers enabled).
+    /// Whether completions are tracked per node (runs with circuit
+    /// breakers enabled).
     track_completions: bool,
 }
 
@@ -273,7 +269,6 @@ impl Shard {
             rng: master.shard(index as u64),
             events: 0,
             recovered: 0,
-            slot_completions: 0,
             completed: vec![false; nodes.len()],
             track_completions,
         }
@@ -522,7 +517,6 @@ impl Shard {
                     self.normal_hist.record(secs);
                     self.normal_sum[j].record(secs);
                 }
-                self.slot_completions += 1;
                 if self.track_completions {
                     self.completed[j] = true;
                 }
@@ -655,8 +649,8 @@ impl Ord for RetryEntry {
 }
 
 /// The coordinator's resilience dataplane: bounded retry with jittered
-/// exponential backoff plus one circuit breaker per shard (a shard is
-/// the engine's stand-in for a rack / breaker domain).
+/// exponential backoff plus one circuit breaker per pool (a rack under
+/// a power topology, a node otherwise).
 struct Resilience {
     policy: RetryConfig,
     breakers: PoolBreakers,
@@ -689,10 +683,9 @@ pub struct ShardedClusterSim {
     shards: Vec<Shard>,
     /// Global node index → owning shard index.
     owner_shard: Vec<usize>,
-    /// Global node index → circuit-breaker pool. Rack-keyed when a
-    /// power topology is configured (so breaker behaviour is
-    /// shard-layout-invariant and trips isolate the physical rack);
-    /// identical to `owner_shard` otherwise.
+    /// Global node index → circuit-breaker pool: the owning rack when a
+    /// power topology is configured (a trip isolates the physical
+    /// rack), the node itself otherwise.
     breaker_pool: Vec<usize>,
     offered: u64,
     scheme_denied_drops: u64,
@@ -751,13 +744,13 @@ impl ShardedClusterSim {
             Battery::sized_for(start, cfg.aggregate_nameplate_w(), cfg.battery_sustain);
 
         // Near-even contiguous partition: the first `servers % shards`
-        // shards own one extra node. Computed before the pipeline so
-        // fault plans and breaker pools can follow the shard map; the
-        // layout function is shared with the live replay backends so a
-        // trace-driven shard guard judges by the identical map.
+        // shards own one extra node.
         let master = RngFactory::new(exp.seed);
-        let k = cfg.shards;
-        let (ranges, owner_shard) = plane::shard_layout(cfg.servers, k);
+        let ranges = near_even(cfg.servers, cfg.shards);
+        let mut owner_shard = vec![0usize; cfg.servers];
+        for (i, &(at, len)) in ranges.iter().enumerate() {
+            owner_shard[at..at + len].fill(i);
+        }
 
         // One deterministic fault plan per shard, all drawing from the
         // same per-node stream space — no draw crosses a shard boundary,
@@ -782,14 +775,11 @@ impl ShardedClusterSim {
         let pipeline =
             ControlPipeline::new(&cfg, scheme, start, fault.is_some(), idle_total);
 
-        // Circuit-breaker pools are rack-keyed when a power topology is
-        // configured — a trip then isolates the physical rack and the
-        // breaker dataplane becomes shard-layout-invariant — and follow
-        // the shard partition otherwise (the pre-topology behaviour,
-        // byte-identical for flat configs).
+        // Circuit-breaker pools are physical: a rack under a power
+        // topology (a trip isolates the rack), a node otherwise.
         let (pool_count, breaker_pool) = match pipeline.topology.as_ref() {
             Some(t) => (t.topo.racks(), t.topo.owner_rack().to_vec()),
-            None => (k, owner_shard.clone()),
+            None => (cfg.servers, (0..cfg.servers).collect()),
         };
         // The NLB learns the same placement: routing prefers a URL's
         // home rack, so a rack trip only displaces the flows homed
@@ -815,8 +805,7 @@ impl ShardedClusterSim {
             rerouted: 0,
             policy: policy.clone(),
         });
-        let track_completions = pipeline.topology.is_some()
-            && cfg.retry.as_ref().is_some_and(RetryConfig::breaker_enabled);
+        let track_completions = cfg.retry.as_ref().is_some_and(RetryConfig::breaker_enabled);
 
         let learn_enabled = pipeline.learn.is_some();
         let shards: Vec<Shard> = ranges
@@ -1436,34 +1425,19 @@ impl ShardedClusterSim {
         self.events += 1;
         self.drain_shard_outboxes(now);
         // Per-pool breaker success signal: any completion from a pool
-        // this slot proves it is serving again. With a power topology
-        // the pools are racks, so per-node completion flags are folded
-        // in global node order (`on_success` is idempotent within a
-        // slot) — the signal is shard-layout-invariant. Without one the
-        // pools follow the shard partition, as before.
-        {
-            let Self { shards, resilience, breaker_pool, pipeline, .. } = self;
-            let rack_pools = pipeline.topology.is_some();
-            for (s, sh) in shards.iter_mut().enumerate() {
-                if rack_pools {
-                    let at = sh.start;
-                    for (j, done) in sh.completed.iter_mut().enumerate() {
-                        if std::mem::take(done) {
-                            if let Some(r) = resilience.as_mut() {
-                                if r.policy.breaker_enabled() {
-                                    r.breakers.on_success(breaker_pool[at + j]);
-                                }
-                            }
-                        }
-                    }
-                } else if sh.slot_completions > 0 {
-                    if let Some(r) = resilience.as_mut() {
-                        if r.policy.breaker_enabled() {
-                            r.breakers.on_success(s);
-                        }
+        // this slot proves it is serving again. Per-node completion
+        // flags are folded in global node order (`on_success` is
+        // idempotent within a slot), so the signal is
+        // shard-layout-invariant. Flags are set only with the breaker
+        // armed.
+        if let Some(r) = self.resilience.as_mut() {
+            for sh in &mut self.shards {
+                let at = sh.start;
+                for (j, done) in sh.completed.iter_mut().enumerate() {
+                    if std::mem::take(done) {
+                        r.breakers.on_success(self.breaker_pool[at + j]);
                     }
                 }
-                sh.slot_completions = 0;
             }
         }
         self.integrate_battery(now);
@@ -1754,12 +1728,6 @@ impl ShardedClusterSim {
                     .verify
                     .as_ref()
                     .expect("fault layer implies read-back verification");
-                let sw = &self
-                    .pipeline
-                    .shard_guard
-                    .as_ref()
-                    .expect("fault layer implies the shard guard")
-                    .watchdog;
                 FaultReport {
                     sensor_dropouts: counts.sensor_dropouts,
                     sensor_stuck: counts.sensor_stuck,
@@ -1778,8 +1746,6 @@ impl ShardedClusterSim {
                     degraded_episodes: watchdog.episodes(),
                     time_degraded_s: watchdog.time_degraded(horizon).as_secs_f64(),
                     mttr_s: watchdog.mttr_s().unwrap_or(0.0),
-                    shard_degraded_slots: sw.degraded_slots(),
-                    shard_degraded_episodes: sw.episodes(),
                 }
             }),
             retry: self.resilience.as_ref().map(|r| RetryReport {

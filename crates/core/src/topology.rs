@@ -13,10 +13,11 @@
 //!   per-level oversubscription factors that inflate child budgets past
 //!   their parent's.
 //! * [`PowerTopology`] — the static tree. Every level partitions its
-//!   parent **contiguously and near-evenly** (the same arithmetic as
-//!   [`crate::control::plane::shard_layout`]), so per-rack aggregates
-//!   computed in global node order are independent of the dataplane
-//!   shard layout — the property the byte-identity contract rests on.
+//!   parent **contiguously and near-evenly** (the `near_even`
+//!   partition the engine also cuts its shards with), so per-rack
+//!   aggregates computed in global node order are independent of the
+//!   dataplane shard layout — the property the byte-identity contract
+//!   rests on.
 //!   Each level carries its own oversubscribed budget and a
 //!   sustained-overload breaker ([`powercap::BreakerState`] semantics,
 //!   identical to the cluster feed's).
@@ -31,7 +32,7 @@
 //! The degenerate single-rack topology (`racks = 1`, the default) is
 //! arithmetically identical to the flat cluster sum.
 
-use crate::config::ConfigError;
+use crate::config::{ConfigError, ControlPlaneConfig};
 use crate::scheme::Action;
 use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::pstate::PState;
@@ -140,10 +141,9 @@ impl TopologyConfig {
 }
 
 /// Near-even contiguous partition of `n` items into `k` groups (the
-/// first `n % k` groups own one extra item) — the same arithmetic as
-/// [`crate::control::plane::shard_layout`], returning `(start, len)`
-/// per group.
-fn near_even(n: usize, k: usize) -> Vec<(usize, usize)> {
+/// first `n % k` groups own one extra item), returning `(start, len)`
+/// per group: every topology level, and the engine's shards.
+pub(crate) fn near_even(n: usize, k: usize) -> Vec<(usize, usize)> {
     let base = n / k;
     let extra = n % k;
     let mut ranges = Vec::with_capacity(k);
@@ -607,6 +607,111 @@ impl TopologyAccounts {
     }
 }
 
+/// Per-rack state of the [`RackBlackout`] watchdog.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlackoutState {
+    engaged: bool,
+    blind_streak: u32,
+    ok_streak: u32,
+}
+
+/// Rack blackout watchdog: detects a *whole-rack* telemetry blackout
+/// (every alive sensor of one rack dark while the rest of the cluster
+/// still reports) so the rack guard can pin just that rack at the safe
+/// P-state until it has reported cleanly for a few consecutive slots.
+///
+/// The global coverage watchdog cannot see this failure shape: one dark
+/// rack out of eight only drops cluster coverage to 87.5%, far above
+/// any sane floor, yet the controller knows *nothing* about an eighth
+/// of its load. The rack is the physical domain such an outage takes
+/// down (its feed, its switch), so the fallback is scoped to it and the
+/// rest of the cluster keeps running the scheme's differentiated plan.
+#[derive(Debug, Clone)]
+struct RackBlackout {
+    engage_slots: u32,
+    recovery_slots: u32,
+    states: Vec<BlackoutState>,
+    degraded_slots: u64,
+    episodes: u64,
+    was_any: bool,
+}
+
+impl RackBlackout {
+    /// Watchdog over `racks`, engaging a rack only after `engage_slots`
+    /// consecutive fully-blind slots and releasing it after
+    /// `recovery_slots` consecutive slots with at least one fresh
+    /// reading.
+    ///
+    /// The engagement threshold is deliberately not 1: a gap shorter
+    /// than the telemetry staleness window is already bridged by the
+    /// last-known-good estimator, and on small racks a single slot with
+    /// every sensor dropped is an ordinary random event, not a rack
+    /// blackout. Only an outage that outlasts the staleness window
+    /// leaves the controller truly blind — and only then is the
+    /// conservative cap worth its throughput cost.
+    fn new(racks: usize, engage_slots: u32, recovery_slots: u32) -> Self {
+        RackBlackout {
+            engage_slots: engage_slots.max(1),
+            recovery_slots: recovery_slots.max(1),
+            states: vec![BlackoutState::default(); racks],
+            degraded_slots: 0,
+            episodes: 0,
+            was_any: false,
+        }
+    }
+
+    /// Feed one slot's fresh-reading count for `rack` (out of `alive`
+    /// *alive* nodes it feeds); returns whether the rack is capped this
+    /// slot. Engagement requires a *total* blackout — a rack with even
+    /// one live sensor is left to the staleness estimator and the
+    /// global watchdog. Callers must exclude dead nodes from both
+    /// counts: crashed nodes report a synthetic zero, and letting that
+    /// count as coverage would make engagement depend on where the
+    /// crash landed rather than on sensor health.
+    fn observe(&mut self, rack: usize, fresh: usize, alive: usize) -> bool {
+        let st = &mut self.states[rack];
+        if fresh == 0 && alive > 0 {
+            st.blind_streak += 1;
+            st.ok_streak = 0;
+            st.engaged |= st.blind_streak >= self.engage_slots;
+        } else {
+            st.blind_streak = 0;
+            if st.engaged {
+                st.ok_streak += 1;
+                if st.ok_streak >= self.recovery_slots {
+                    st.engaged = false;
+                    st.ok_streak = 0;
+                }
+            }
+        }
+        st.engaged
+    }
+
+    /// Finish the slot after every rack has been `observe`d, updating
+    /// the cluster-level counters: slots with at least one capped rack
+    /// (not capped rack-slots), and rising edges of "any rack capped".
+    fn close_slot(&mut self) {
+        let any = self.any_engaged();
+        if any {
+            self.degraded_slots += 1;
+            if !self.was_any {
+                self.episodes += 1;
+            }
+        }
+        self.was_any = any;
+    }
+
+    /// Whether `rack` is currently capped.
+    fn engaged(&self, rack: usize) -> bool {
+        self.states[rack].engaged
+    }
+
+    /// Whether any rack is currently capped.
+    fn any_engaged(&self) -> bool {
+        self.states.iter().any(|s| s.engaged)
+    }
+}
+
 /// Everything the engines carry for a configured topology: the static
 /// tree, the per-slot allocator, verdict/power scratch, accounting, and
 /// the rack guard's state.
@@ -635,16 +740,26 @@ pub struct TopologyState {
     guard_hold_slots: u64,
     /// Slots observed so far.
     slot: u64,
+    /// Per-rack blackout watchdog, present only when the pipeline is
+    /// hardened (a fault plan is configured).
+    blackout: Option<RackBlackout>,
+    /// Recycled per-rack "pin this slot" mask of the guard pass.
+    mask: Vec<bool>,
 }
 
 impl TopologyState {
     /// Build the carried state for a validated config. `control_slot`
     /// sizes the guard's hold time from the breaker trip delay.
+    /// `hardening` is the control-plane config of a hardened pipeline:
+    /// it arms the rack blackout watchdog, which engages after the
+    /// telemetry staleness window and recovers with the watchdog's
+    /// hysteresis.
     pub fn new(
         servers: usize,
         facility_budget_w: f64,
         cfg: &TopologyConfig,
         control_slot: SimDuration,
+        hardening: Option<&ControlPlaneConfig>,
     ) -> Self {
         let topo = PowerTopology::build(servers, facility_budget_w, cfg);
         let safe_pstate = UniformCapper::new(ServerPowerModel::paper_default()).state_for_budget(
@@ -673,6 +788,14 @@ impl TopologyState {
             pinned_until: vec![0; racks],
             guard_hold_slots,
             slot: 0,
+            blackout: hardening.map(|c| {
+                RackBlackout::new(
+                    racks,
+                    c.telemetry_staleness_slots.min(u64::from(u32::MAX)) as u32,
+                    c.watchdog_recovery_slots,
+                )
+            }),
+            mask: vec![false; racks],
         }
     }
 
@@ -691,59 +814,101 @@ impl TopologyState {
         accounts.record_slot(now, rack_power_w, verdict);
     }
 
-    /// Apply the rack guard to this slot's action plan: racks whose
-    /// sensed power exceeds their slot allocation (and racks still
-    /// inside a pin hold) have the scheme's per-node commands stripped
-    /// and their alive nodes pinned to the safe P-state; a rack whose
-    /// hold expired gets its still-pinned nodes handed back to the
-    /// scheme at full speed. Mirrors the shard guard's strip-then-pin
-    /// shape ([`crate::control::plane::ShardGuard`]). Returns true when
-    /// any rack was pinned this slot.
+    /// Feed the blackout watchdog one slot of per-node readings
+    /// (`None` = no fresh reading), counting fresh and alive sensors
+    /// over each rack's contiguous node range; dead nodes count in
+    /// neither. A no-op unless the pipeline is hardened.
+    pub fn observe_blackout(&mut self, node_dead: &[bool], readings: &[Option<f64>]) {
+        let Some(b) = self.blackout.as_mut() else {
+            return;
+        };
+        for (r, &(start, len)) in self.topo.rack_ranges.iter().enumerate() {
+            let (mut fresh, mut alive) = (0, 0);
+            let range = start..start + len;
+            for (&dead, reading) in node_dead[range.clone()].iter().zip(&readings[range]) {
+                if !dead {
+                    alive += 1;
+                    fresh += usize::from(reading.is_some());
+                }
+            }
+            b.observe(r, fresh, alive);
+        }
+        b.close_slot();
+    }
+
+    /// Apply the rack guard to this slot's action plan in one
+    /// strip-then-pin pass over two kinds of pinned rack:
+    ///
+    /// * **over-allocation** (with [`TopologyConfig::defend`]): a rack
+    ///   whose sensed power exceeds its slot allocation is pinned for a
+    ///   hold; when a hold expires while another rack is still pinned,
+    ///   the rack's nodes at the safe P-state are handed back to the
+    ///   scheme at full speed;
+    /// * **blackout** (hardened pipelines, whatever `defend` says): a
+    ///   rack the blackout watchdog has engaged is pinned until it
+    ///   recovers, and never released to full speed on the way out.
+    ///   These pins are skipped while `watchdog_engaged` — the global
+    ///   watchdog already caps everything.
+    ///
+    /// Pinned racks have the scheme's per-node commands stripped and
+    /// their alive nodes pinned to the safe P-state; every other rack's
+    /// plan is left untouched. `target_of(g)` is node `g`'s
+    /// currently-commanded P-state.
     pub fn apply_rack_guard(
         &mut self,
         actions: &mut Vec<Action>,
         node_dead: &[bool],
         target_of: impl Fn(usize) -> PState,
-    ) -> bool {
-        if !self.defend || self.rack_power_w.len() != self.topo.racks() {
-            return false;
-        }
-        let alloc = self.alloc.rack_alloc_w();
-        for (r, (&power, &a)) in self.rack_power_w.iter().zip(alloc).enumerate() {
-            if power > a && !self.topo.rack_tripped(r) {
-                self.pinned_until[r] = self.slot + self.guard_hold_slots;
+        watchdog_engaged: bool,
+    ) {
+        let defend = self.defend && self.rack_power_w.len() == self.topo.racks();
+        if defend {
+            let alloc = self.alloc.rack_alloc_w();
+            for (r, (&power, &a)) in self.rack_power_w.iter().zip(alloc).enumerate() {
+                if power > a && !self.topo.rack_tripped(r) {
+                    self.pinned_until[r] = self.slot + self.guard_hold_slots;
+                }
             }
         }
-        let pinned: Vec<bool> = self.pinned_until.iter().map(|&u| u > self.slot).collect();
-        if !pinned.iter().any(|&p| p) {
-            return false;
+        let blind = self.blackout.as_ref().filter(|_| !watchdog_engaged);
+        let mut any_held = false;
+        for (r, m) in self.mask.iter_mut().enumerate() {
+            let held = defend && self.pinned_until[r] > self.slot;
+            any_held |= held;
+            *m = held || blind.is_some_and(|b| b.engaged(r));
         }
-        let owner = &self.topo.owner_rack;
+        if !self.mask.contains(&true) {
+            return;
+        }
+        let TopologyState { topo, mask, pinned_until, slot, safe_pstate, .. } = self;
+        let owner = &topo.owner_rack;
         // Scheme actions targeting nodes of pinned racks would fight
         // the guard; released nodes go back to the scheme untouched.
         actions.retain(|a| match a {
             Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => {
-                !pinned[owner[*node]]
+                !mask[owner[*node]]
             }
             _ => true,
         });
-        let safe = self.safe_pstate;
+        let safe = *safe_pstate;
         for g in 0..owner.len() {
             if node_dead[g] {
                 continue;
             }
-            if pinned[owner[g]] {
+            let r = owner[g];
+            if mask[r] {
                 if target_of(g) != safe {
                     actions.push(Action::SetPState { node: g, target: safe });
                 }
-            } else if self.pinned_until[owner[g]] == self.slot && target_of(g) == safe {
+            } else if any_held && pinned_until[r] == *slot && target_of(g) == safe {
                 // Hold just expired: release to full speed; the scheme
                 // re-caps next slot if it wants to.
                 actions.push(Action::SetPState { node: g, target: PState(0) });
             }
         }
-        self.accounts.guard_slots += 1;
-        true
+        if any_held {
+            self.accounts.guard_slots += 1;
+        }
     }
 
     /// Finalize into the report, taking per-rack delivered energy from
@@ -763,6 +928,8 @@ impl TopologyState {
             facility_breach_slots: self.accounts.facility_breach_slots,
             rack_trip_at_s: self.accounts.rack_trip_at_s,
             guard_slots: self.accounts.guard_slots,
+            blackout_slots: self.blackout.as_ref().map_or(0, |b| b.degraded_slots),
+            blackout_episodes: self.blackout.as_ref().map_or(0, |b| b.episodes),
         }
     }
 }
@@ -900,6 +1067,120 @@ mod tests {
         assert_eq!(acc.rack_breach_slots[0], 0);
         assert!(acc.rack_trip_at_s[2].is_some());
         assert_eq!(acc.slots, 40);
+    }
+
+    #[test]
+    fn rack_blackout_requires_total_blackout() {
+        let mut w = RackBlackout::new(2, 1, 3);
+        // One live sensor out of four: not a rack blackout.
+        assert!(!w.observe(0, 1, 4));
+        assert!(!w.observe(1, 4, 4));
+        w.close_slot();
+        assert_eq!(w.degraded_slots, 0);
+        // Zero fresh readings: engage rack 0 only.
+        assert!(w.observe(0, 0, 4));
+        assert!(w.engaged(0));
+        assert!(!w.observe(1, 4, 4));
+        assert!(!w.engaged(1));
+        w.close_slot();
+        assert!(w.any_engaged());
+        assert_eq!(w.degraded_slots, 1);
+        assert_eq!(w.episodes, 1);
+    }
+
+    #[test]
+    fn rack_blackout_recovers_with_hysteresis() {
+        let mut w = RackBlackout::new(1, 1, 3);
+        let slot = |w: &mut RackBlackout, fresh: usize| {
+            let capped = w.observe(0, fresh, 4);
+            w.close_slot();
+            capped
+        };
+        assert!(slot(&mut w, 0));
+        // Two healthy slots are probation, the third releases.
+        assert!(slot(&mut w, 4));
+        assert!(slot(&mut w, 4));
+        assert!(!slot(&mut w, 4));
+        assert!(!w.any_engaged());
+        assert_eq!(w.degraded_slots, 3);
+        // A relapse during probation restarts the streak.
+        assert!(slot(&mut w, 0));
+        assert!(slot(&mut w, 4));
+        assert!(slot(&mut w, 0));
+        assert!(slot(&mut w, 4));
+        assert!(slot(&mut w, 4));
+        assert!(!slot(&mut w, 4));
+        assert_eq!(w.episodes, 2);
+    }
+
+    #[test]
+    fn rack_blackout_ignores_gaps_shorter_than_the_engage_threshold() {
+        let mut w = RackBlackout::new(1, 3, 2);
+        // Two blind slots: below the threshold, never engages.
+        for _ in 0..2 {
+            assert!(!w.observe(0, 0, 2));
+            w.close_slot();
+        }
+        // One fresh slot resets the blind streak entirely.
+        assert!(!w.observe(0, 1, 2));
+        w.close_slot();
+        assert!(!w.observe(0, 0, 2));
+        assert!(!w.observe(0, 0, 2));
+        // The third *consecutive* blind slot engages.
+        assert!(w.observe(0, 0, 2));
+        w.close_slot();
+        assert!(w.any_engaged());
+        assert_eq!(w.degraded_slots, 1);
+        assert_eq!(w.episodes, 1);
+    }
+
+    /// Engagement boundary: the engines set `engage_slots` to the
+    /// telemetry staleness window, so a blackout that ends *exactly* at
+    /// the window must engage on its final blind slot — and a blackout
+    /// one slot shorter must never engage (the last-good estimator is
+    /// still bridging it).
+    #[test]
+    fn rack_blackout_ending_exactly_at_the_staleness_window_engages() {
+        // Window = 3 slots, one slot shorter: never engages.
+        let mut short = RackBlackout::new(1, 3, 2);
+        for _ in 0..2 {
+            assert!(!short.observe(0, 0, 4));
+            short.close_slot();
+        }
+        assert!(!short.observe(0, 4, 4), "telemetry back before the window");
+        short.close_slot();
+        assert_eq!((short.degraded_slots, short.episodes), (0, 0));
+
+        // Exactly the window: the third consecutive blind slot engages.
+        let mut exact = RackBlackout::new(1, 3, 2);
+        assert!(!exact.observe(0, 0, 4));
+        exact.close_slot();
+        assert!(!exact.observe(0, 0, 4));
+        exact.close_slot();
+        assert!(exact.observe(0, 0, 4), "blind slot {} = window engages", 3);
+        exact.close_slot();
+        assert_eq!((exact.degraded_slots, exact.episodes), (1, 1));
+    }
+
+    /// Recovery boundary: with `recovery_slots = r`, the rack stays
+    /// capped through healthy slots `1..r-1` and releases *on* the
+    /// r-th — not one early, not one late.
+    #[test]
+    fn rack_blackout_recovery_releases_exactly_at_the_threshold_slot() {
+        let r = 3;
+        let mut w = RackBlackout::new(1, 1, r);
+        assert!(w.observe(0, 0, 2), "single blind slot engages at threshold 1");
+        w.close_slot();
+        for t in 1..u64::from(r) {
+            assert!(w.observe(0, 2, 2), "healthy slot {t} is still probation");
+            w.close_slot();
+        }
+        assert!(!w.observe(0, 2, 2), "healthy slot {r} must release, not extend probation");
+        w.close_slot();
+        assert!(!w.any_engaged());
+        // Engaged on the blind slot plus r-1 probation slots.
+        assert_eq!(w.degraded_slots, u64::from(r));
+        assert_eq!(w.episodes, 1);
     }
 
     #[test]

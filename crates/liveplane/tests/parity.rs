@@ -9,7 +9,9 @@
 //! profiler, and two shards with a telemetry blackout. Four topology
 //! cells run a rack-concentrated flood with the rack guard on, at 1 and
 //! 2 shards, each with and without chaos faults: the guard must pin in
-//! the simulation, and the replay must pin the same racks.
+//! the simulation, and the replay must pin the same racks. The chaos
+//! cells use 2-node racks under heavy sensor dropout and a 1-slot
+//! staleness window, so the rack blackout guard pins too.
 //!
 //! The Token scheme is deliberately absent: its bucket state advances
 //! on every *admitted request* in the dataplane, not once per control
@@ -65,9 +67,11 @@ fn rack_flood_exp(shards: usize) -> ExperimentConfig {
     exp
 }
 
-/// Normal users plus an http-load flood that lands on one rack.
+/// Normal users plus an http-load flood that lands on one of the
+/// cell's racks.
 fn rack_flood_sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
     let horizon = SimTime::ZERO + exp.duration;
+    let racks = exp.cluster.topology.expect("topology cell").racks;
     let flood = AttackVector::against_service(
         AttackTool::HttpLoad { rate: 420.0 },
         ServiceKind::CollaFilt,
@@ -78,7 +82,7 @@ fn rack_flood_sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
         horizon,
         exp.seed,
     )
-    .with_concentration(RACKS, 900, exp.duration, exp.seed);
+    .with_concentration(racks, 900, exp.duration, exp.seed);
     vec![normal_source(exp.seed, horizon, 80.0), Box::new(flood)]
 }
 
@@ -172,16 +176,26 @@ fn parity_two_shards_chaos_blackout() {
     assert_eq!(trace.slots.len(), 60);
 }
 
-/// A topology cell: byte parity, and the guard really pinned.
+/// A topology cell: byte parity, and the guard really pinned. Under
+/// chaos the cell has 8 two-node racks, 30 % sensor dropout and a
+/// 1-slot staleness window, so whole racks go dark and the blackout
+/// guard pins them too.
 fn assert_rack_guard_parity(shards: usize, faults: bool) {
     let mut exp = rack_flood_exp(shards);
     if faults {
         chaos(&mut exp);
+        let topo = exp.cluster.topology.as_mut().expect("topology cell");
+        topo.racks = 8;
+        let f = exp.cluster.faults.as_mut().expect("chaos plan");
+        f.sensor_dropout_p = 0.3;
+        exp.cluster.control.telemetry_staleness_slots = 1;
     }
+    let racks = exp.cluster.topology.expect("topology cell").racks;
     let (report, trace) = assert_parity(&exp, &rack_flood_sources);
     let topo = report.topology.expect("topology configured");
     assert!(topo.guard_slots > 0, "the rack guard must pin: {topo:?}");
-    assert!(trace.slots.iter().all(|s| s.sample.rack_power_w.len() == RACKS));
+    assert!(!faults || topo.blackout_slots > 0, "dark racks must be pinned: {topo:?}");
+    assert!(trace.slots.iter().all(|s| s.sample.rack_power_w.len() == racks));
 }
 
 #[test]

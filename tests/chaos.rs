@@ -11,10 +11,10 @@
 //! 3. **Conservation** — no request is double-counted or silently lost,
 //!    whatever the fault layer kills mid-flight — including when the
 //!    retry dataplane re-queues what a crash or thermal kill drained.
-//! 4. **Layout invariance** — with faults *and* retries enabled, the
-//!    sharded engine reproduces the report byte-for-byte at 1, 2, 4,
-//!    and 8 shards (breaker pools excepted: they are shard-scoped by
-//!    design and only promise per-layout determinism).
+//! 4. **Layout invariance** — with faults, retries *and* the circuit
+//!    breaker enabled, the sharded engine reproduces the report
+//!    byte-for-byte at 1, 2, 4, and 8 shards: breaker pools are
+//!    physical (one per node on a flat cluster), never shards.
 
 mod common;
 
@@ -91,6 +91,29 @@ fn blackout_never_breaches_the_breaker() {
         .copied()
         .collect();
     assert!(breaches.is_empty(), "power over rating during blackout: {breaches:?}");
+}
+
+/// The watchdog judges coverage over alive nodes: two of the four
+/// nodes crash for good, then the survivors go dark. The dead nodes'
+/// synthetic zero readings must not count as fresh coverage (that
+/// would hold coverage at 0.5, on the floor, and never engage).
+#[test]
+fn blackout_of_the_survivors_engages_the_watchdog() {
+    let faults = FaultConfig {
+        crashes: (0..2)
+            .map(|node| CrashEvent {
+                node,
+                at: SimTime::from_secs(10),
+            })
+            .collect(),
+        reboot_after: SimDuration::ZERO, // down for good
+        blackouts: vec![(SimTime::from_secs(20), SimTime::from_secs(30))],
+        ..FaultConfig::default()
+    };
+    let r = run_chaos_cell(SchemeKind::AntiDope, BudgetLevel::Medium, 400.0, 40, 2019, faults);
+    let f = r.faults.as_ref().expect("fault report");
+    assert_eq!(f.crashes, 2, "{f:?}");
+    assert!(f.degraded_slots >= 10, "the blind survivors must engage the watchdog: {f:?}");
 }
 
 /// Same seed + same fault plan ⇒ bit-identical report, with every fault
@@ -210,11 +233,8 @@ fn noop_plan_is_invisible() {
 }
 
 /// Build the scaled 16-node cluster with a multi-class fault plan and a
-/// retry policy, sharded `shards` ways. The breaker is disabled
-/// (`breaker_cooldown: ZERO`) where byte identity across layouts is
-/// asserted: circuit-breaker pools *are* shards, so their state is
-/// layout-scoped by design.
-fn sharded_chaos_exp(shards: usize, retry: RetryConfig) -> ExperimentConfig {
+/// retry policy with the circuit breaker armed, sharded `shards` ways.
+fn sharded_chaos_exp(shards: usize) -> ExperimentConfig {
     let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
     cluster.shards = shards;
     cluster.faults = Some(FaultConfig {
@@ -222,7 +242,7 @@ fn sharded_chaos_exp(shards: usize, retry: RetryConfig) -> ExperimentConfig {
         sensor_noise_w: 2.0,
         sensor_stuck_p: 0.01,
         sensor_stale_p: 0.05,
-        // Long enough to outlast the staleness window, so the shard
+        // Long enough to outlast the staleness window, so the
         // watchdog actually engages (identically on every layout).
         blackouts: vec![(SimTime::from_secs(12), SimTime::from_secs(20))],
         actuator_loss_p: 0.05,
@@ -235,34 +255,27 @@ fn sharded_chaos_exp(shards: usize, retry: RetryConfig) -> ExperimentConfig {
         battery_fade: 0.1,
         ..FaultConfig::default()
     });
-    cluster.retry = Some(retry);
+    cluster.retry = Some(RetryConfig::default());
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
     exp.duration = SimDuration::from_secs(40);
     exp
 }
 
-/// Same seed + same fault plan + retries ⇒ byte-identical reports at
-/// **any shard count**. A retry policy routes even `shards: 1` onto the
-/// sharded engine, so all four layouts exercise the same dataplane:
-/// per-node fault streams, per-node energy/latency folds, and the
-/// boundary crash/reboot path must leave no layout residue.
+/// Same seed + same fault plan + retries + breaker ⇒ byte-identical
+/// reports at **any shard count**: per-node fault streams, per-node
+/// energy/latency folds, per-node breaker pools, and the boundary
+/// crash/reboot path must leave no layout residue.
 #[test]
 fn sharded_chaos_is_byte_identical_across_shard_counts() {
-    let no_breaker = RetryConfig {
-        breaker_cooldown: SimDuration::ZERO,
-        ..RetryConfig::default()
-    };
-    let run = |shards: usize| {
-        run_experiment(&sharded_chaos_exp(shards, no_breaker.clone()), &scenario(500.0))
-    };
+    let run = |shards: usize| run_experiment(&sharded_chaos_exp(shards), &scenario(500.0));
     let base = run(1);
     let f = base.faults.as_ref().expect("fault report");
     assert!(f.crashes >= 1, "{f:?}");
     assert!(f.reboots >= 1, "{f:?}");
     assert!(f.sensor_dropouts > 0, "{f:?}");
     assert!(
-        f.shard_degraded_slots > 0,
-        "the blackout outlasts the staleness window, so the shard \
+        f.degraded_slots > 0,
+        "the cluster-wide blackout drops coverage to 0, so the \
          watchdog must engage: {f:?}"
     );
     let r = base.retry.as_ref().expect("retry report");
@@ -279,16 +292,17 @@ fn sharded_chaos_is_byte_identical_across_shard_counts() {
 }
 
 /// The acceptance gate for the resilience dataplane (the
-/// `abl-resilience` ablation, pinned): a rack trip takes shard 1's four
-/// nodes down for good mid-run. Without retries the NLB — no longer
-/// oracle-notified of deaths — black-holes a quarter of the traffic for
-/// the rest of the run; retry + circuit breaker must restore ≥ 90% of
-/// legitimate goodput, clearing the no-retry arm by a real margin.
+/// `abl-resilience` ablation, pinned): nodes 4..8 crash for good
+/// mid-run. Without retries the NLB — no longer oracle-notified of
+/// deaths — black-holes a quarter of the traffic for the rest of the
+/// run; retry + circuit breaker must restore ≥ 90% of legitimate
+/// goodput, clearing the no-retry arm by a real margin, with the same
+/// report at every shard count.
 #[test]
 fn retry_plus_breaker_restores_goodput_after_rack_loss() {
-    let run = |retry: RetryConfig| {
+    let run = |retry: RetryConfig, shards: usize| {
         let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
-        cluster.shards = 4;
+        cluster.shards = shards;
         cluster.faults = Some(FaultConfig {
             crashes: (4..8)
                 .map(|node| CrashEvent {
@@ -304,15 +318,19 @@ fn retry_plus_breaker_restores_goodput_after_rack_loss() {
         exp.duration = SimDuration::from_secs(120);
         run_experiment(&exp, &scenario(390.0))
     };
-    let bare = run(RetryConfig {
-        max_attempts: 1,
-        breaker_cooldown: SimDuration::ZERO,
-        ..RetryConfig::default()
-    });
-    let hardened = run(RetryConfig {
+    let bare = run(
+        RetryConfig {
+            max_attempts: 1,
+            breaker_cooldown: SimDuration::ZERO,
+            ..RetryConfig::default()
+        },
+        4,
+    );
+    let armed = RetryConfig {
         max_attempts: 4,
         ..RetryConfig::default()
-    });
+    };
+    let hardened = run(armed.clone(), 1);
 
     let bare_goodput = bare.normal_sla.completion_rate();
     let hardened_goodput = hardened.normal_sla.completion_rate();
@@ -328,23 +346,12 @@ fn retry_plus_breaker_restores_goodput_after_rack_loss() {
     let retry = hardened.retry.as_ref().expect("retry report");
     assert!(retry.breaker_trips > 0, "the dead pool must trip its breaker: {retry:?}");
     assert!(retry.rerouted > 0, "open breakers must steer dispatches: {retry:?}");
-}
-
-/// With the circuit breaker armed, pool state is intentionally
-/// layout-scoped — cross-layout identity no longer holds — but each
-/// layout must still be perfectly reproducible seed-for-seed.
-#[test]
-fn breaker_runs_are_deterministic_per_layout() {
-    for shards in [2usize, 4] {
-        let run = || {
-            run_experiment(&sharded_chaos_exp(shards, RetryConfig::default()), &scenario(500.0))
-        };
-        let a = run();
-        let b = run();
+    let base = format!("{hardened:?}");
+    for shards in [2usize, 4, 8] {
         assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "breaker run not reproducible at {shards} shards"
+            base,
+            format!("{:?}", run(armed.clone(), shards)),
+            "rack-loss report drifted at {shards} shards"
         );
     }
 }

@@ -10,6 +10,11 @@
 //! * The bounded arrival inbox (a lone shard advanced mid-slot once its
 //!   inbox fills) moves no event: a run dense enough to trigger it on
 //!   every slot at one shard is byte-identical at 1/2/4/8 shards.
+//! * Under fault injection, retries and circuit breakers, with or
+//!   without a power topology, the report is still byte-identical to
+//!   the 1-shard run (a property over valid configs): every fault
+//!   domain — blackout guard, breaker pool — is physical, never a
+//!   shard.
 
 mod common;
 
@@ -30,6 +35,52 @@ fn run_sharded(
     let mut exp = ExperimentConfig::paper_window(cluster, scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
     run_experiment(&exp, &common::scenario(attack_rate))
+}
+
+/// A Low-PB chaos config on `servers` nodes: sensor faults at the
+/// given probabilities, a `staleness`-slot telemetry window, optionally
+/// a topology of `racks` racks (rack guard on) and a retry policy with
+/// the circuit breaker armed, sharded `shards` ways.
+fn chaos_exp(
+    servers: usize,
+    (dropout, stale, stuck): (f64, f64, f64),
+    staleness: u64,
+    racks: Option<usize>,
+    retry: bool,
+    duration_s: u64,
+    shards: usize,
+) -> ExperimentConfig {
+    let mut cluster = ClusterConfig::scaled(BudgetLevel::Low);
+    cluster.servers = servers;
+    cluster.suspect_pool_size = (servers / 8).max(1);
+    cluster.shards = shards;
+    cluster.faults = Some(FaultConfig {
+        sensor_dropout_p: dropout,
+        sensor_stale_p: stale,
+        sensor_stuck_p: stuck,
+        ..FaultConfig::default()
+    });
+    cluster.control.telemetry_staleness_slots = staleness;
+    cluster.topology = racks.map(|r| TopologyConfig::with_racks(r, 1));
+    cluster.retry = retry.then(RetryConfig::default);
+    let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
+    exp.duration = SimDuration::from_secs(duration_s);
+    exp
+}
+
+/// The cell where a shard-keyed blackout guard used to diverge: at
+/// Low-PB with 30 % sensor dropout and a 1-slot staleness window, small
+/// shards go fully dark by chance far more often than the whole
+/// cluster does. The report at 8 shards must equal the 1-shard run.
+#[test]
+fn heavy_dropout_is_byte_identical_at_eight_shards() {
+    let run = |shards: usize| {
+        let exp = chaos_exp(16, (0.3, 0.0, 0.0), 1, None, false, 60, shards);
+        run_experiment(&exp, &common::scenario(400.0))
+    };
+    let base = run(1);
+    assert!(base.faults.as_ref().is_some_and(|f| f.sensor_dropouts > 0));
+    assert_eq!(format!("{base:?}"), format!("{:?}", run(8)), "report drifted at 8 shards");
 }
 
 /// Relative difference, guarded against a zero denominator.
@@ -191,5 +242,34 @@ proptest! {
             prop_assert_eq!(base.power.outage_at_s, other.power.outage_at_s);
             prop_assert!(rel_diff(base.energy.load_j, other.energy.load_j) < 1e-9);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        ..ProptestConfig::default()
+    })]
+
+    /// Same seed ⇒ the same report at any shard count, over valid
+    /// chaos configs: sensor fault probabilities anywhere in [0, 1],
+    /// any staleness window, flat or rack topologies, with or without
+    /// armed circuit breakers.
+    #[test]
+    fn prop_chaos_report_is_shard_count_invariant(
+        probs in (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0),
+        staleness in 1u64..6,
+        servers in 2usize..65,
+        topo in (0u8..2, 0.0f64..1.0),
+        retry in 0u8..2,
+        shard_pick in 0.0f64..1.0,
+    ) {
+        let racks = (topo.0 == 1).then(|| 1 + (topo.1 * (servers / 2) as f64) as usize);
+        let shards = 1 + (shard_pick * servers as f64) as usize;
+        let run = |shards: usize| {
+            let exp = chaos_exp(servers, probs, staleness, racks, retry == 1, 20, shards);
+            run_experiment(&exp, &common::scenario(400.0))
+        };
+        prop_assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(shards)));
     }
 }

@@ -8,8 +8,8 @@
 //!   *bit-exactly* to the cluster's load energy: the finalize fold
 //!   defines one as the fold of the other.
 //! * **Layout invariance** — a hierarchical run (topology + retry +
-//!   rack-keyed circuit breakers) is byte-identical across shard
-//!   counts 1/2/4/8.
+//!   rack-keyed circuit breakers), and a chaos run whose racks black
+//!   out, are byte-identical across shard counts 1/2/4/8.
 //! * **Degenerate topology** — a single-rack topology in observe-only
 //!   mode leaves the engine's physics byte-identical to a flat
 //!   (topology-less) run.
@@ -104,6 +104,34 @@ fn hierarchical_run_is_byte_identical_across_shard_counts() {
             format!("{other:?}"),
             "hierarchical report drifted at {shards} shards"
         );
+    }
+}
+
+#[test]
+fn rack_blackout_guard_is_byte_identical_across_shard_counts() {
+    // Heavy sensor dropout on 2-node racks with a 1-slot staleness
+    // window: whole racks go dark by chance, and the blackout guard
+    // pins them. Racks, not shards, are the domain it judges by.
+    let run = |shards: usize| {
+        let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
+        cluster.shards = shards;
+        cluster.topology = Some(TopologyConfig::with_racks(8, 2));
+        cluster.faults = Some(FaultConfig {
+            sensor_dropout_p: 0.3,
+            ..FaultConfig::default()
+        });
+        cluster.control.telemetry_staleness_slots = 1;
+        let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
+        exp.duration = SimDuration::from_secs(60);
+        run_experiment(&exp, &common::scenario(400.0))
+    };
+    let base = run(1);
+    let t = base.topology.as_ref().expect("topology must be reported");
+    assert!(t.blackout_slots > 0, "dark racks must engage the guard: {t:?}");
+    assert!(t.blackout_episodes > 0, "{t:?}");
+    let base = format!("{base:?}");
+    for shards in [2usize, 4, 8] {
+        assert_eq!(base, format!("{:?}", run(shards)), "report drifted at {shards} shards");
     }
 }
 

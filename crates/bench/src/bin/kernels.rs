@@ -1,16 +1,26 @@
 //! Control-plane kernel timings: the DPM throttling search (Algorithm 1)
 //! at 4, 16, 64 and 256 nodes and the Eq (1) request-control solve over
 //! eight classes, the per-slot decision costs no benchmark probe
-//! isolates. Each kernel is warmed up while a batch is sized to about one
-//! target interval, then timed over several batches; each line is the
-//! median time per call. `--quick` is a smoke run, not a measurement.
+//! isolates, and `Json::parse` of one recorded-slot line of 64 KiB and
+//! 1 MiB, the per-slot cost of decoding a control trace (those lines
+//! also give MB/s). Each kernel is warmed up while a batch is sized to
+//! about one target interval, then timed over several batches; each line
+//! is the median time per call. `--quick` is a smoke run, not a
+//! measurement.
 //!
 //! `cargo run --release -p dope-bench --bin kernels [-- --quick]`
 
 use antidope::dpm::{self, NodeState};
+use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
+use antidope::{
+    ActionRecord, BatteryObs, ClusterConfig, ConditionRecord, DecisionRecord, ExperimentConfig,
+    NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder, ViewRecord,
+};
+use powercap::budget::BudgetLevel;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
+use simcore::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -67,6 +77,66 @@ fn request_classes() -> Vec<RequestClass> {
         .collect()
 }
 
+/// One `Slot` line of a recorded control trace, as
+/// `ControlTrace::to_jsonl` writes it, with enough nodes (hardened
+/// sensing, learning on) to be about `bytes` long.
+fn slot_line(bytes: usize) -> String {
+    let exp = ExperimentConfig::paper_window(
+        ClusterConfig::paper_rack(BudgetLevel::Medium),
+        SchemeKind::AntiDope,
+        1,
+    );
+    let line = |n: usize| {
+        let x = |i: usize, k: f64| (i as f64 * k + 0.1).sin().abs();
+        let sample = PlaneSample {
+            true_power_w: 91.7 * n as f64,
+            readings: Some(
+                (0..n).map(|i| (i % 50 != 0).then(|| 60.0 + 40.0 * x(i, 0.7))).collect(),
+            ),
+            nodes: (0..n)
+                .map(|i| NodeObs {
+                    utilization: x(i, 0.3),
+                    intensity: 0.5 + 0.5 * x(i, 1.1),
+                    gamma: x(i, 0.9),
+                    beta: x(i, 1.3),
+                    target: (i % 13) as u8,
+                    inflight: (i % 29) as u32,
+                    learn_power_w: Some(55.0 + 50.0 * x(i, 0.5)),
+                    mix: vec![(1, 3), ((i % 40) as u16, (i % 7) as u32)],
+                })
+                .collect(),
+            readback: Some((0..n).map(|i| (i % 13) as u8).collect()),
+            node_dead: (0..n).map(|i| i % 97 == 0).collect(),
+            battery: BatteryObs { soc: 0.8, stored_j: 3.6e5, discharge_w: 0.0, charge_w: 12.5 },
+            energy_j: 1.234_567_89e7,
+            forgets: Vec::new(),
+            rack_power_w: Vec::new(),
+        };
+        let mut trace = TraceRecorder::new(&exp).finish();
+        trace.slots.push(SlotRecord {
+            slot: 42,
+            now: SimTime::ZERO + SimDuration::from_secs(42),
+            sample,
+            view: ViewRecord {
+                condition: ConditionRecord::NearBudget,
+                observed_w: 91.2 * n as f64,
+                coverage: 0.98,
+                watchdog_engaged: false,
+            },
+            decisions: DecisionRecord {
+                retries: vec![(0, 12)],
+                actions: (0..n / 8)
+                    .map(|i| ActionRecord::SetPState { node: 8 * i, target: (i % 13) as u8 })
+                    .collect(),
+            },
+        });
+        let jsonl = trace.to_jsonl();
+        jsonl.lines().nth(1).expect("header, slot, footer").to_string()
+    };
+    let (one, two) = (line(1).len(), line(2).len());
+    line(1 + bytes.saturating_sub(one).div_ceil(two - one))
+}
+
 fn main() -> ExitCode {
     let (target, samples) = match std::env::args().nth(1).as_deref() {
         None => (Duration::from_millis(20), 21),
@@ -76,9 +146,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = |name: &str, f: &mut dyn FnMut()| {
+    let timed = |name: &str, f: &mut dyn FnMut()| {
         let (ns, batch) = median_ns(target, samples, f);
-        println!("{name:<24} {ns:>12.1} ns/call  (median of {samples} batches of {batch})");
+        print!("{name:<24} {ns:>12.1} ns/call  (median of {samples} batches of {batch})");
+        ns
+    };
+    let report = |name: &str, f: &mut dyn FnMut()| {
+        timed(name, f);
+        println!();
     };
 
     let model = ServerPowerModel::paper_default();
@@ -94,5 +169,12 @@ fn main() -> ExitCode {
     report("request_control_solve/8", &mut || {
         black_box(solve(black_box(180.0), &classes));
     });
+    for (name, bytes) in [("jsonl_parse/64k", 64 << 10), ("jsonl_parse/1m", 1 << 20)] {
+        let line = slot_line(bytes);
+        let ns = timed(name, &mut || {
+            black_box(Json::parse(black_box(&line)).is_ok());
+        });
+        println!("  {:.1} MB/s over {} bytes", line.len() as f64 / ns * 1e3, line.len());
+    }
     ExitCode::SUCCESS
 }

@@ -34,7 +34,7 @@ use crate::scheme::{Action, NodeSnapshot};
 use crate::jsonl::Json;
 use netsim::request::UrlId;
 use powercap::monitor::PowerCondition;
-use powercap::pstate::PState;
+use powercap::pstate::{PState, PStateTable};
 use profiler::MixTracker;
 use simcore::{SimDuration, SimTime};
 use std::fmt;
@@ -227,8 +227,9 @@ pub struct PlaneSample {
 impl PlaneSample {
     /// Check the sample against the cluster it claims to describe:
     /// every per-node vector has one entry per node, every forget names
-    /// a node that exists, and `rack_power_w` has one entry per rack of
-    /// the configured topology (none without one).
+    /// a node that exists, `rack_power_w` has one entry per rack of the
+    /// configured topology (none without one), and every commanded or
+    /// read-back P-state is on the paper's ladder.
     pub fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
         let servers = cluster.servers;
         let racks = cluster.topology.as_ref().map_or(0, |t| t.racks);
@@ -244,10 +245,27 @@ impl PlaneSample {
                 return Err(format!("{what} has {len} entries, want {want}"));
             }
         }
-        match self.forgets.iter().find(|f| f.node >= servers) {
-            Some(f) => Err(format!("forget names node {} of {servers} servers", f.node)),
-            None => Ok(()),
+        if let Some(f) = self.forgets.iter().find(|f| f.node >= servers) {
+            return Err(format!("forget names node {} of {servers} servers", f.node));
         }
+        for (i, n) in self.nodes.iter().enumerate() {
+            check_pstate(format_args!("node {i} target"), n.target)?;
+        }
+        for (i, &p) in self.readback.iter().flatten().enumerate() {
+            check_pstate(format_args!("node {i} readback"), p)?;
+        }
+        Ok(())
+    }
+}
+
+/// `p` must be a state of the paper's P-state ladder, which every node
+/// runs; `what` names the field in the error.
+fn check_pstate(what: fmt::Arguments<'_>, p: u8) -> Result<(), String> {
+    let states = PStateTable::PAPER_STATES;
+    if usize::from(p) < states {
+        Ok(())
+    } else {
+        Err(format!("{what} P-state {p} is past the {states}-state ladder"))
     }
 }
 
@@ -390,24 +408,27 @@ pub struct SlotRecord {
 impl SlotRecord {
     /// Check the record against the header's cluster: the sample's
     /// shape ([`PlaneSample::check_shape`]), and every retry and
-    /// per-node action names a node that exists.
+    /// per-node action names a node that exists and, where it commands
+    /// a P-state, one on the ladder.
     fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
         let servers = cluster.servers;
         self.sample.check_shape(cluster).map_err(|e| format!("slot {}: {e}", self.slot))?;
-        let named = self.decisions.retries.iter().map(|r| r.0).chain(
+        let commands = self.decisions.retries.iter().map(|&(node, p)| (node, Some(p))).chain(
             self.decisions.actions.iter().filter_map(|a| match *a {
-                ActionRecord::SetPState { node, .. } | ActionRecord::SetPowerLimit { node, .. } => {
-                    Some(node)
-                }
+                ActionRecord::SetPState { node, target } => Some((node, Some(target))),
+                ActionRecord::SetPowerLimit { node, .. } => Some((node, None)),
                 ActionRecord::BatteryDischarge { .. } | ActionRecord::BatteryCharge { .. } => None,
             }),
         );
-        for node in named {
+        for (node, pstate) in commands {
             if node >= servers {
                 return Err(format!(
                     "slot {}: node {node} does not exist in {servers} servers",
                     self.slot
                 ));
+            }
+            if let Some(p) = pstate {
+                check_pstate(format_args!("slot {}: node {node} command", self.slot), p)?;
             }
         }
         Ok(())
@@ -482,7 +503,7 @@ impl ControlTrace {
     /// Parse a JSONL trace, rejecting unknown schema versions and
     /// malformed streams with typed errors instead of panicking.
     pub fn from_jsonl_str(s: &str) -> Result<Self, ConfigError> {
-        Self::from_lines(s.lines().map(|l| Ok(l.to_string())))
+        Self::from_lines(s.lines().map(Ok))
     }
 
     /// Read and parse a JSONL trace file.
@@ -492,8 +513,8 @@ impl ControlTrace {
         Self::from_lines(std::io::BufReader::new(f).lines())
     }
 
-    fn from_lines(
-        lines: impl Iterator<Item = std::io::Result<String>>,
+    fn from_lines<L: AsRef<str>>(
+        lines: impl Iterator<Item = std::io::Result<L>>,
     ) -> Result<Self, ConfigError> {
         let mut header: Option<TraceHeader> = None;
         let mut slots = Vec::new();
@@ -501,11 +522,12 @@ impl ControlTrace {
         for (i, line) in lines.enumerate() {
             let line = line
                 .map_err(|e| ConfigError::TraceFormat { what: format!("read line {}: {e}", i + 1) })?;
+            let line = line.as_ref();
             if line.trim().is_empty() {
                 continue;
             }
             let bad = |e: String| ConfigError::TraceFormat { what: format!("line {}: {e}", i + 1) };
-            let value = Json::parse(&line).map_err(bad)?;
+            let value = Json::parse(line).map_err(bad)?;
             let [(tag, body)] = value.as_obj().map_err(bad)? else {
                 return Err(bad("expected a single-key tagged object".to_string()));
             };
@@ -1620,6 +1642,46 @@ mod tests {
             let err = ControlTrace::from_jsonl_str(&bad.to_jsonl()).expect_err("must reject");
             assert!(
                 matches!(&err, ConfigError::TraceFormat { what } if what.contains("slot")),
+                "mutation {i}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pstates_off_the_ladder_are_a_typed_error() {
+        let mut exp = tiny_exp();
+        exp.cluster.faults = Some(simcore::FaultConfig::default());
+        let horizon = SimTime::ZERO + exp.duration;
+        let (_, trace) = crate::runner::record_experiment(&exp, &|e: &ExperimentConfig| {
+            vec![crate::testutil::normal_source(e.seed, horizon, 100.0)]
+        });
+        let at = trace.slots.iter().position(|s| s.sample.readback.is_some());
+        let at = at.expect("a fault plan records read-back");
+        let top = (PStateTable::PAPER_STATES - 1) as u8;
+        let mut edge = trace.clone();
+        edge.slots[at].sample.nodes[0].target = top;
+        edge.slots[at].decisions.actions.push(ActionRecord::SetPState { node: 0, target: top });
+        ControlTrace::from_jsonl_str(&edge.to_jsonl()).expect("the top state is on the ladder");
+        let hostile: [fn(&mut ControlTrace, usize); 4] = [
+            |t, _| {
+                for n in t.slots.iter_mut().flat_map(|s| &mut s.sample.nodes) {
+                    n.target = 250;
+                }
+            },
+            |t, at| t.slots[at].sample.readback.as_mut().unwrap()[1] = 13,
+            |t, at| {
+                let command = ActionRecord::SetPState { node: 0, target: 13 };
+                t.slots[at].decisions.actions.push(command);
+            },
+            |t, at| t.slots[at].decisions.retries.push((0, u8::MAX)),
+        ];
+        for (i, mutate) in hostile.iter().enumerate() {
+            let mut bad = trace.clone();
+            mutate(&mut bad, at);
+            let err = ControlTrace::from_jsonl_str(&bad.to_jsonl()).expect_err("must reject");
+            let off_ladder = "past the 13-state ladder";
+            assert!(
+                matches!(&err, ConfigError::TraceFormat { what } if what.contains(off_ladder)),
                 "mutation {i}: {err:?}"
             );
         }

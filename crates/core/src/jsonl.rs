@@ -12,9 +12,15 @@
 //! * [`Json::Num`] stores the raw token, so a number is only committed
 //!   to a width/signedness when the schema asks for one.
 //!
-//! It is deliberately small — objects are ordered `Vec`s, there is no
-//! zero-copy path — because trace records are written once per control
-//! slot, far off any hot path.
+//! It is deliberately small: objects are ordered `Vec`s and there is no
+//! zero-copy path. Decode is on a measured path all the same: a replay
+//! parses one line of O(nodes) bytes per recorded slot, so
+//! [`Json::parse`] is linear in the line length. The invariant that
+//! makes it so: the input is a `&str`, already valid UTF-8, and the
+//! parser walks its bytes. A string's plain characters run up to the
+//! next `"` or `\`, both ASCII bytes, which never occur inside a
+//! multi-byte sequence; so every run starts and ends on a char boundary
+//! and is copied in one step, without re-validating anything.
 
 use std::fmt::Write as _;
 
@@ -195,18 +201,7 @@ impl Json {
     /// Parse one JSON document from `src` (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            src: src.as_bytes(),
-            at: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.src.len() {
-            return Err(format!("trailing data at byte {}", p.at));
-        }
-        Ok(v)
+        Parser::new(src).document()
     }
 }
 
@@ -229,13 +224,41 @@ fn render_str(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The input, which plain string runs are copied from.
+    text: &'a str,
+    /// `text`'s bytes, which every scan walks.
     src: &'a [u8],
     at: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Decode strings with [`Parser::reference_string`] instead.
+    #[cfg(test)]
+    reference: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            src: text.as_bytes(),
+            at: 0,
+            depth: 0,
+            #[cfg(test)]
+            reference: false,
+        }
+    }
+
+    /// One value, surrounded by optional whitespace, and nothing else.
+    fn document(mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.at != self.src.len() {
+            return Err(format!("trailing data at byte {}", self.at));
+        }
+        Ok(v)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.src.get(self.at) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -301,65 +324,75 @@ impl Parser<'_> {
         Ok(Json::Num(raw.to_string()))
     }
 
+    /// A string, copying each run of plain characters in one step, so
+    /// the scan is linear in the string's length.
     fn string(&mut self) -> Result<String, String> {
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_string();
+        }
         self.at += 1; // opening quote
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".to_string());
-            };
-            match b {
-                b'"' => {
+            match self.peek() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
                     self.at += 1;
                     return Ok(out);
                 }
-                b'\\' => {
-                    self.at += 1;
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                if !self.eat("\\u") {
-                                    return Err("lone high surrogate".to_string());
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("bad low surrogate".to_string());
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.src[self.at..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.at += c.len_utf8();
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => {
+                    // Plain characters up to the next quote or backslash,
+                    // or to the end of input, which the next turn reports
+                    // as unterminated. Both bytes are ASCII, which never
+                    // occurs inside a multi-byte sequence, so the run
+                    // starts and ends on char boundaries.
+                    let run = self.src[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.src.len(), |n| self.at + n);
+                    out.push_str(&self.text[self.at..run]);
+                    self.at = run;
                 }
             }
         }
+    }
+
+    /// One backslash escape, appended to `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.at += 1; // backslash
+        let Some(esc) = self.peek() else {
+            return Err("unterminated escape".to_string());
+        };
+        self.at += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    if !self.eat("\\u") {
+                        return Err("lone high surrogate".to_string());
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err("bad low surrogate".to_string());
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code:#x}"))?);
+            }
+            other => return Err(format!("bad escape \\{}", other as char)),
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -450,6 +483,187 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    impl Parser<'_> {
+        /// The char-at-a-time decoder the linear scan replaced, kept as
+        /// the property's reference: it re-validates the rest of the
+        /// input for every plain character, so it is quadratic.
+        pub(super) fn reference_string(&mut self) -> Result<String, String> {
+            self.at += 1; // opening quote
+            let mut out = String::new();
+            loop {
+                let Some(b) = self.peek() else {
+                    return Err("unterminated string".to_string());
+                };
+                match b {
+                    b'"' => {
+                        self.at += 1;
+                        return Ok(out);
+                    }
+                    b'\\' => self.escape(&mut out)?,
+                    _ => {
+                        // Consume one UTF-8 character.
+                        let rest = std::str::from_utf8(&self.src[self.at..])
+                            .map_err(|_| "non-utf8 string".to_string())?;
+                        let c = rest.chars().next().ok_or("unterminated string")?;
+                        out.push(c);
+                        self.at += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Json::parse`] with the reference string decoder.
+    fn reference_parse(src: &str) -> Result<Json, String> {
+        Parser { reference: true, ..Parser::new(src) }.document()
+    }
+
+    /// String contents: plain ASCII, multi-byte UTF-8, every escape the
+    /// parser knows (surrogate pairs included), then broken escapes.
+    const PIECES: [&str; 23] = [
+        "a", "key", " ", "\u{e9}", "\u{20ac}", "\u{1f600}", "\u{7ff}", "\\\"", "\\\\", "\\/",
+        "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\ud83d\\ude00",
+        // Broken: drawn one time in eight.
+        "\\ud83d", "\\udc00x", "\\u12", "\\q", "\\",
+    ];
+    const GOOD_PIECES: usize = 18;
+
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn push_string(rng: &mut TestRng, out: &mut String) {
+        out.push('"');
+        for _ in 0..below(rng, 8) {
+            let piece = if rng.next_u64().is_multiple_of(8) {
+                GOOD_PIECES + below(rng, PIECES.len() - GOOD_PIECES)
+            } else {
+                below(rng, GOOD_PIECES)
+            };
+            out.push_str(PIECES[piece]);
+        }
+        out.push('"');
+    }
+
+    fn push_value(rng: &mut TestRng, depth: usize, out: &mut String) {
+        const SCALARS: [&str; 10] = [
+            "null", "true", "false", "NaN", "-inf",
+            "0", "-1", "2.5e-3", "18446744073709551615", "1e",
+        ];
+        match below(rng, if depth >= 3 { 3 } else { 5 }) {
+            0 => out.push_str(SCALARS[below(rng, SCALARS.len())]),
+            1 => push_string(rng, out),
+            2 => {
+                // A number token glued to whitespace, as the emitter never does.
+                out.push_str(SCALARS[5 + below(rng, 4)]);
+                out.push_str([" ", "\t", "\r\n", ""][below(rng, 4)]);
+            }
+            3 => {
+                out.push('[');
+                for i in 0..below(rng, 4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_value(rng, depth + 1, out);
+                }
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for i in 0..below(rng, 4) {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_string(rng, out);
+                    out.push(':');
+                    push_value(rng, depth + 1, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Byte offsets of `s`'s char boundaries, its end included.
+    fn cuts(s: &str) -> Vec<usize> {
+        s.char_indices().map(|(i, _)| i).chain([s.len()]).collect()
+    }
+
+    /// A random document, as written or truncated, or with a slice of a
+    /// second document spliced in (all cuts on char boundaries).
+    struct Docs;
+
+    impl Strategy for Docs {
+        type Value = String;
+        fn sample(&self, rng: &mut TestRng) -> String {
+            let mut doc = String::new();
+            push_value(rng, 0, &mut doc);
+            let cut = cuts(&doc);
+            match below(rng, 3) {
+                0 => doc,
+                1 => doc[..cut[below(rng, cut.len())]].to_string(),
+                _ => {
+                    let mut other = String::new();
+                    push_value(rng, 0, &mut other);
+                    let from = cuts(&other);
+                    let (a, b) = (from[below(rng, from.len())], from[below(rng, from.len())]);
+                    let at = cut[below(rng, cut.len())];
+                    format!("{}{}{}", &doc[..at], &other[a.min(b)..a.max(b)], &doc[at..])
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048 })]
+
+        /// The linear string scan decodes exactly what the char-at-a-time
+        /// reference does: the same value, or the same error text.
+        #[test]
+        fn prop_linear_parse_matches_reference(doc in Docs) {
+            prop_assert_eq!(Json::parse(&doc), reference_parse(&doc));
+        }
+    }
+
+    #[test]
+    fn megabyte_line_round_trips_byte_identically() {
+        // Every character the emitter escapes, `/`, and multi-byte UTF-8.
+        let unit = "plain é😀 \" \\ \n \r \t \u{8} \u{c} \u{1} \u{1f} / ";
+        let numbers = (0..40_000u32)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Json::u64(u64::from(i) * 7919)
+                } else {
+                    Json::f64(f64::from(i) / 3.0)
+                }
+            })
+            .collect();
+        let doc = Json::Obj(vec![
+            ("text".to_string(), Json::Str(unit.repeat(20_000))),
+            ("numbers".to_string(), Json::Arr(numbers)),
+        ]);
+        let line = doc.render();
+        assert!(line.len() >= 1 << 20, "only {} bytes", line.len());
+        assert!(!line.contains('\n'), "one line");
+        let back = Json::parse(&line).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(back.render(), line);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_re_render() {
+        let v = Json::parse("\"\\ud83d\\ude00|\\ud800\\udc00|\\udbff\\udfff\"").unwrap();
+        assert_eq!(v, Json::str("😀|\u{10000}|\u{10ffff}"));
+        let text = v.render();
+        assert_eq!(text, "\"😀|\u{10000}|\u{10ffff}\"");
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        // The escapes the emitter never writes decode too.
+        let v = Json::parse("\"\\/\\b\\f\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "/\u{8}\u{c}");
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
 
     #[test]
     fn floats_round_trip_exactly() {

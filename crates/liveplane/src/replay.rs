@@ -8,30 +8,25 @@ use antidope::{
 use simcore::SimTime;
 
 /// Feeds the recorded per-slot [`PlaneSample`]s of a trace back to the
-/// pipeline, one per tick, in recorded order.
+/// pipeline, one per tick, in recorded order. Each sample is moved out
+/// to the pipeline, not cloned.
 #[derive(Debug, Clone)]
 pub struct ReplayTelemetry {
-    slots: Vec<(u64, PlaneSample)>,
-    at: usize,
+    slots: std::vec::IntoIter<(u64, PlaneSample)>,
 }
 
 impl ReplayTelemetry {
     /// Telemetry over the samples of `trace`.
     pub fn from_trace(trace: &ControlTrace) -> Self {
-        ReplayTelemetry {
-            slots: trace
-                .slots
-                .iter()
-                .map(|s| (s.slot, s.sample.clone()))
-                .collect(),
-            at: 0,
-        }
+        let mut slots = Vec::with_capacity(trace.slots.len());
+        slots.extend(trace.slots.iter().map(|s| (s.slot, s.sample.clone())));
+        ReplayTelemetry { slots: slots.into_iter() }
     }
 }
 
 impl TelemetryTransport for ReplayTelemetry {
     fn sample(&mut self, tick: &SlotTick) -> Result<PlaneSample, TransportError> {
-        let (slot, sample) = self.slots.get(self.at).ok_or(TransportError::Exhausted)?;
+        let (slot, _) = self.slots.as_slice().first().ok_or(TransportError::Exhausted)?;
         if *slot != tick.slot {
             // The trace has no record for this tick — the clock and the
             // telemetry were built from different traces.
@@ -40,8 +35,8 @@ impl TelemetryTransport for ReplayTelemetry {
                 tick.slot
             )));
         }
-        self.at += 1;
-        Ok(sample.clone())
+        let (_, sample) = self.slots.next().ok_or(TransportError::Exhausted)?;
+        Ok(sample)
     }
 }
 

@@ -65,10 +65,13 @@ impl PStateTable {
         }
     }
 
+    /// States in [`PStateTable::paper_default`].
+    pub const PAPER_STATES: usize = 13;
+
     /// The paper's ladder: 1.2–2.4 GHz in 0.1 GHz steps (13 states),
     /// 0.8–1.2 V.
     pub fn paper_default() -> Self {
-        PStateTable::new(1.2, 2.4, 13, 0.8, 1.2)
+        PStateTable::new(1.2, 2.4, Self::PAPER_STATES, 0.8, 1.2)
     }
 
     /// Number of states.

@@ -1,12 +1,15 @@
 //! Control-plane kernel timings: the DPM throttling search (Algorithm 1)
 //! at 4, 16, 64 and 256 nodes and the Eq (1) request-control solve over
 //! eight classes, the per-slot decision costs no benchmark probe
-//! isolates, and `Json::parse` of one recorded-slot line of 64 KiB and
-//! 1 MiB, the per-slot cost of decoding a control trace (those lines
-//! also give MB/s). Each kernel is warmed up while a batch is sized to
-//! about one target interval, then timed over several batches; each line
-//! is the median time per call. `--quick` is a smoke run, not a
-//! measurement.
+//! isolates; one EW-RLS observation of a 1–3-URL mix with 4 and with 32
+//! live coordinates (a tracker using a few of its 32 coordinates, and a
+//! full one), and one Learn pass (`observe_node` per live node, then
+//! `end_tick`) over a recorded 1,000-node slot; and `Json::parse` of one
+//! recorded-slot line of 64 KiB and 1 MiB, the per-slot cost of decoding
+//! a control trace (those lines also give MB/s). Each kernel is warmed
+//! up while a batch is sized to about one target interval, then timed
+//! over several batches; each line is the median time per call.
+//! `--quick` is a smoke run, not a measurement.
 //!
 //! `cargo run --release -p dope-bench --bin kernels [-- --quick]`
 
@@ -14,16 +17,22 @@ use antidope::dpm::{self, NodeState};
 use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
 use antidope::{
-    ActionRecord, BatteryObs, ClusterConfig, ConditionRecord, DecisionRecord, ExperimentConfig,
-    NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder, ViewRecord,
+    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ConditionRecord, DecisionRecord,
+    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder, ViewRecord,
 };
+use netsim::request::UrlId;
 use powercap::budget::BudgetLevel;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
+use profiler::rls::EwRls;
+use profiler::{PowerProfiler, ProfilerConfig};
 use simcore::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+use workloads::scenario::ScenarioBuilder;
+use workloads::service::ServiceKind;
+use workloads::vector::{AttackVectorSpec, SourcePlan};
 
 /// Median nanoseconds per call of `f` over `samples` batches, each
 /// sized to last about `target`; also returns the batch size.
@@ -75,6 +84,48 @@ fn request_classes() -> Vec<RequestClass> {
             )
         })
         .collect()
+}
+
+/// 64 feature vectors of 1–3 URLs over coordinates `0..live`, with
+/// shares summing to 1, and a target for each: a fixed stream for the
+/// EW-RLS kernel.
+fn rls_stream(live: usize) -> Vec<(Vec<(usize, f64)>, f64)> {
+    (0..64usize)
+        .map(|k| {
+            let urls = 1 + k % 3;
+            let x: Vec<(usize, f64)> = (0..urls)
+                .map(|j| ((k * 7 + j * 5) % live, 1.0 / urls as f64))
+                .collect();
+            (x, 0.3 + 0.6 * ((k as f64) * 0.61).sin().abs())
+        })
+        .collect()
+}
+
+/// A 1,000-node slot recorded from the trace-replay workload's cluster:
+/// the profiler on, 8,000 req/s of users and a 4,000 req/s botnet flood
+/// from 2 s; the busiest of its first 4 simulated seconds.
+fn recorded_learn_slot() -> PlaneSample {
+    let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
+    cluster.servers = 1_000;
+    cluster.suspect_pool_size = 50;
+    cluster.profiler = Some(ProfilerConfig::default());
+    let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 1);
+    exp.duration = SimDuration::from_secs(4);
+    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, 4_000.0)
+        .sources(SourcePlan::Botnet { bots: 400 });
+    let builder = ScenarioBuilder::new()
+        .with_normal_users(8_000.0, 200_000)
+        .with_vector(flood, 2);
+    let (_, trace) = record_experiment(&exp, &|e: &ExperimentConfig| {
+        builder.build(e.seed, SimTime::ZERO + e.duration)
+    });
+    let busy = |s: &SlotRecord| s.sample.nodes.iter().filter(|o| !o.mix.is_empty()).count();
+    trace
+        .slots
+        .into_iter()
+        .max_by_key(busy)
+        .expect("a recorded trace has slots")
+        .sample
 }
 
 /// One `Slot` line of a recorded control trace, as
@@ -165,6 +216,32 @@ fn main() -> ExitCode {
             black_box(dpm::solve(&model, black_box(budget), &nodes));
         });
     }
+    for live in [4usize, 32] {
+        let mut rls = EwRls::new(32, 0.98, 0.5, 25.0);
+        rls.set_variance_cap(50.0);
+        (live..32).for_each(|i| rls.release(i));
+        let stream = rls_stream(live);
+        let mut k = 0;
+        report(&format!("rls_observe/{live}"), &mut || {
+            let (x, y) = &stream[k % stream.len()];
+            k += 1;
+            black_box(rls.observe(black_box(x), *y));
+        });
+    }
+    let slot = recorded_learn_slot();
+    let mut engine = PowerProfiler::new(ProfilerConfig::default());
+    let mut mix = Vec::new();
+    report(&format!("learn_pass/{}", slot.nodes.len()), &mut || {
+        for (o, &dead) in slot.nodes.iter().zip(&slot.node_dead) {
+            if dead {
+                continue;
+            }
+            mix.clear();
+            mix.extend(o.mix.iter().map(|&(u, c)| (UrlId(u), c)));
+            engine.observe_node(o.learn_power_w, o.utilization, true, &mix);
+        }
+        black_box(engine.end_tick());
+    });
     let classes = request_classes();
     report("request_control_solve/8", &mut || {
         black_box(solve(black_box(180.0), &classes));

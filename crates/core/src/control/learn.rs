@@ -8,10 +8,10 @@
 //! hot path never pays for learning — it is amortized here, into the
 //! control slot.
 
-use super::Plant;
+use super::{Plant, UrlMix};
 use crate::node::ComputeNode;
 use netsim::request::UrlId;
-use profiler::{MixTracker, PowerProfiler, ProfilerReport};
+use profiler::{MixTracker, PowerProfiler, ProfilerConfig, ProfilerReport};
 
 /// Normalize a throttled node's reading to its nominal-equivalent by
 /// inverting the hardware-calibrated power model: P = idle(p) +
@@ -44,22 +44,33 @@ pub struct LearnStage {
     pub engine: PowerProfiler,
     /// Per-node in-flight URL mix, maintained by the dataplane.
     pub mix: MixTracker,
+    /// Scratch: the mix of the node being learned from.
+    node_mix: UrlMix,
 }
 
 impl LearnStage {
+    /// A fresh profiler over `servers` nodes with empty mixes.
+    pub(crate) fn new(cfg: &ProfilerConfig, servers: usize) -> Self {
+        LearnStage {
+            engine: PowerProfiler::new(cfg.clone()),
+            mix: MixTracker::new(servers),
+            node_mix: UrlMix::new(),
+        }
+    }
+
     /// One learning pass over the plant's live nodes, using the same
     /// (possibly degraded) readings the control plane saw — sensing
     /// twice would consume fault-layer randomness and break replay
     /// identity. Returns true when the suspect classes changed; the
     /// engine then republishes them into its NLB.
     pub(crate) fn run(&mut self, plant: &impl Plant) -> bool {
-        let mut mix = Vec::new();
         for (i, &dead) in plant.node_dead().iter().enumerate() {
             if dead {
                 continue;
             }
-            let (power_w, utilization) = plant.learn_obs(i, &self.mix, &mut mix);
-            self.engine.observe_node(power_w, utilization, true, &mix);
+            let (power_w, utilization) = plant.learn_obs(i, &self.mix, &mut self.node_mix);
+            self.engine
+                .observe_node(power_w, utilization, true, &self.node_mix);
         }
         self.engine.end_tick()
     }

@@ -60,7 +60,7 @@ use powercap::pdu::PowerHierarchy;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
 use powercap::thermal::ThermalNode;
-use profiler::{MixTracker, PowerProfiler};
+use profiler::MixTracker;
 use simcore::faults::{ActuationFault, FaultConfig, FaultCounts, ShardFaultPlan};
 use simcore::SimTime;
 
@@ -358,10 +358,10 @@ impl ControlPipeline {
         let verify = hardened.then(|| {
             ActuatorVerify::new(cfg.servers, cfg.control.actuator_max_retries, cfg.control_slot)
         });
-        let learn = cfg.profiler.as_ref().map(|pc| learn::LearnStage {
-            engine: PowerProfiler::new(pc.clone()),
-            mix: MixTracker::new(cfg.servers),
-        });
+        let learn = cfg
+            .profiler
+            .as_ref()
+            .map(|pc| learn::LearnStage::new(pc, cfg.servers));
         let hierarchy = cfg.breaker.then(|| {
             let rating = budget.supply_w * cfg.breaker_rating_factor;
             PowerHierarchy::new(cfg.servers, 1, rating, rating, cfg.breaker_trip_delay)

@@ -202,6 +202,8 @@ pub struct PowerProfiler {
     /// Monitor ticks completed.
     tick: u64,
     stats: ProfilerReport,
+    /// Scratch: the feature vector of the node being learned from.
+    x: Vec<(usize, f64)>,
 }
 
 impl PowerProfiler {
@@ -219,6 +221,10 @@ impl PowerProfiler {
             cfg.prior_variance,
         );
         rls.set_variance_cap(cfg.variance_cap);
+        // A coordinate is live only while a URL holds it.
+        for i in 0..cfg.max_urls {
+            rls.release(i);
+        }
         let list = AdaptiveSuspectList::new(&cfg, FlowClass::Innocent);
         let slots = vec![None; cfg.max_urls];
         PowerProfiler {
@@ -230,6 +236,7 @@ impl PowerProfiler {
             residuals: OnlineSummary::new(),
             tick: 0,
             stats: ProfilerReport::default(),
+            x: Vec::new(),
         }
     }
 
@@ -266,11 +273,21 @@ impl PowerProfiler {
         r
     }
 
-    /// Assign a coordinate to `url`, evicting the stalest tracked URL if
-    /// at capacity. Returns `None` only when every coordinate is pinned
-    /// by the current observation (`busy`).
+    /// Mark a tracked `url` seen this tick; returns its coordinate.
+    fn touch(&mut self, url: UrlId) -> Option<usize> {
+        let &i = self.index.get(&url)?;
+        if let Some(s) = self.slots[i].as_mut() {
+            s.last_seen = self.tick;
+        }
+        Some(i)
+    }
+
+    /// Mark `url` seen this tick, assigning it a coordinate if untracked
+    /// and evicting the stalest tracked URL if at capacity. Returns
+    /// `None` only when every coordinate is pinned by the current
+    /// observation (`busy`).
     fn ensure_tracked(&mut self, url: UrlId, busy: &[(UrlId, u32)]) -> Option<usize> {
-        if let Some(&i) = self.index.get(&url) {
+        if let Some(i) = self.touch(url) {
             return Some(i);
         }
         let free = self.slots.iter().position(Option::is_none);
@@ -325,27 +342,24 @@ impl PowerProfiler {
         if total == 0 {
             return; // idle node: nothing to attribute or refresh
         }
-        // Any appearance refreshes staleness, learned from or not.
-        for &(url, _) in mix {
-            if let Some(&i) = self.index.get(&url) {
-                if let Some(s) = self.slots[i].as_mut() {
-                    s.last_seen = self.tick;
-                }
-            }
-        }
         let usable = at_nominal && utilization > 0.0;
-        let Some(p) = power_w.filter(|p| p.is_finite() && usable) else {
+        let y = power_w.filter(|p| p.is_finite() && usable).map(|p| {
+            (p - self.cfg.idle_w)
+                / (self.cfg.dynamic_scale_w * utilization.powf(self.cfg.util_exponent))
+        });
+        // Any appearance refreshes staleness, learned from or not. Mix
+        // URLs are never eviction victims, so refreshing them as they are
+        // tracked picks the same victims as refreshing them all first.
+        let Some(y) = y.filter(|y| y.is_finite()) else {
+            for &(url, _) in mix {
+                self.touch(url);
+            }
             self.stats.skipped += 1;
             return;
         };
-        let y = (p - self.cfg.idle_w)
-            / (self.cfg.dynamic_scale_w * utilization.powf(self.cfg.util_exponent));
-        if !y.is_finite() {
-            self.stats.skipped += 1;
-            return;
-        }
         // Feature vector: in-flight shares of each tracked URL.
-        let mut x: Vec<(usize, f64)> = Vec::with_capacity(mix.len());
+        let mut x = std::mem::take(&mut self.x);
+        x.clear();
         for &(url, count) in mix {
             let Some(coord) = self.ensure_tracked(url, mix) else {
                 continue; // more distinct URLs in one mix than capacity
@@ -354,6 +368,7 @@ impl PowerProfiler {
         }
         if x.is_empty() {
             self.stats.skipped += 1;
+            self.x = x;
             return;
         }
         let residual = self.rls.observe(&x, y);
@@ -393,6 +408,7 @@ impl PowerProfiler {
                 self.stats.drift_events += 1;
             }
         }
+        self.x = x;
     }
 
     /// Close the current monitor tick: demote stale entries, refresh the
@@ -413,6 +429,7 @@ impl PowerProfiler {
                 self.index.remove(&url);
                 self.rls
                     .reset_coord(coord, self.cfg.prior_intensity, self.cfg.prior_variance);
+                self.rls.release(coord);
                 self.stats.stale_demotions += 1;
                 if self.list.revoke(url) {
                     self.stats.reclassifications += 1;
@@ -631,5 +648,188 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+}
+
+/// The live-block profiler against a reference that runs the dense
+/// EW-RLS update, over random streams that evict, go stale, drift, drop
+/// readings and idle nodes.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// One drawn stream: its generator seed and the knobs it runs under.
+    #[derive(Debug, Clone, Copy)]
+    struct Stream {
+        seed: u64,
+        max_urls: usize,
+        /// URLs in play; more than `max_urls`, so trackers fill and evict.
+        universe: u16,
+        stale_after: u64,
+        /// Ticks one active URL subset lasts: 1, or 1 plus one or two
+        /// staleness windows, so URLs left out of a subset go stale.
+        phase: u64,
+        forgetting: f64,
+        /// Near the prior variance of 25, so capping is frequent.
+        variance_cap: f64,
+        ticks: u64,
+    }
+
+    fn unit(rng: &mut TestRng) -> f64 {
+        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    type Bits = (
+        Vec<Option<u64>>,
+        Vec<Option<(u64, u64, u64)>>,
+        (u64, u64, u64),
+        ProfilerReport,
+    );
+
+    /// Everything the estimator feeds, as bits: every URL's estimate and
+    /// confidence, the residual summary, and the report.
+    fn bits(p: &PowerProfiler, universe: u16) -> Bits {
+        let urls = (0..universe).map(UrlId);
+        (
+            urls.clone()
+                .map(|u| p.estimate(u).map(f64::to_bits))
+                .collect(),
+            urls.map(|u| {
+                p.confidence(u)
+                    .map(|(m, s, n)| (m.to_bits(), s.to_bits(), n))
+            })
+            .collect(),
+            (
+                p.residuals.mean().to_bits(),
+                p.residuals.std_dev().to_bits(),
+                p.residuals.count(),
+            ),
+            p.report(),
+        )
+    }
+
+    /// Drive a profiler and its dense reference over `s`, failing on the
+    /// first tick they disagree; returns the profiler's report.
+    fn drive(s: &Stream) -> Result<ProfilerReport, TestCaseError> {
+        let cfg = ProfilerConfig {
+            max_urls: s.max_urls,
+            stale_after_slots: s.stale_after,
+            forgetting: s.forgetting,
+            variance_cap: s.variance_cap,
+            min_samples: 1,
+            cusum_warmup: 2,
+            cusum_threshold: 3.0,
+            ..ProfilerConfig::default()
+        };
+        let mut live = PowerProfiler::new(cfg.clone());
+        let mut dense = PowerProfiler::new(cfg.clone());
+        dense.rls.dense = true;
+        let mut rng = TestRng::from_seed(s.seed);
+        let mut truth: Vec<f64> = (0..s.universe).map(|_| unit(&mut rng)).collect();
+        let mut active: Vec<u16> = Vec::new();
+        let mut mix = Vec::new();
+        for tick in 0..s.ticks {
+            if tick % s.phase == 0 {
+                active = (0..s.universe).filter(|_| unit(&mut rng) < 0.4).collect();
+            }
+            if unit(&mut rng) < 0.1 {
+                // An intensity jump, for CUSUM to trip on.
+                let i = &mut truth[below(&mut rng, u64::from(s.universe)) as usize];
+                *i = 1.0 - *i;
+            }
+            for _ in 0..below(&mut rng, 5) {
+                mix.clear();
+                for &u in &active {
+                    let count = below(&mut rng, 6) as u32;
+                    if count > 2 {
+                        mix.push((UrlId(u), count - 2));
+                    }
+                }
+                // An empty mix is an idle node.
+                let total: u32 = mix.iter().map(|&(_, c)| c).sum();
+                let mean_i = mix
+                    .iter()
+                    .map(|&(u, c)| truth[usize::from(u.0)] * f64::from(c) / f64::from(total.max(1)))
+                    .sum::<f64>();
+                let util = if below(&mut rng, 20) == 0 {
+                    0.0
+                } else {
+                    0.1 + 0.9 * unit(&mut rng)
+                };
+                let power = cfg.idle_w
+                    + util.powf(cfg.util_exponent) * mean_i * cfg.dynamic_scale_w
+                    + unit(&mut rng)
+                    - 0.5;
+                let power_w = match below(&mut rng, 10) {
+                    0 => None,
+                    1 => Some(f64::NAN),
+                    _ => Some(power),
+                };
+                let at_nominal = below(&mut rng, 8) != 0;
+                live.observe_node(power_w, util, at_nominal, &mix);
+                dense.observe_node(power_w, util, at_nominal, &mix);
+            }
+            prop_assert_eq!(live.end_tick(), dense.end_tick(), "tick {}", tick);
+            prop_assert_eq!(
+                bits(&live, s.universe),
+                bits(&dense, s.universe),
+                "tick {}",
+                tick
+            );
+            let held: Vec<usize> = (0..s.max_urls)
+                .filter(|&i| live.slots[i].is_some())
+                .collect();
+            prop_assert_eq!(live.rls.live(), &held[..], "live set at tick {}", tick);
+        }
+        Ok(live.report())
+    }
+
+    fn stream(seed: u64, max_urls: usize, extra: u16, stale_after: u64, phase: u64) -> Stream {
+        Stream {
+            seed,
+            max_urls,
+            universe: max_urls as u16 + extra,
+            stale_after,
+            phase: 1 + phase * stale_after,
+            forgetting: 0.85 + 0.14 * (seed % 8) as f64 / 8.0,
+            variance_cap: 25.5 + (seed >> 3) as f64 % 5.0,
+            ticks: 150,
+        }
+    }
+
+    #[test]
+    fn streams_evict_go_stale_drift_and_skip() {
+        let mut total = ProfilerReport::default();
+        for seed in 0..8 {
+            let r = drive(&stream(seed, 4, 6, 3, 2)).expect("profilers agree");
+            total.evictions += r.evictions;
+            total.stale_demotions += r.stale_demotions;
+            total.drift_events += r.drift_events;
+            total.skipped += r.skipped;
+        }
+        assert!(total.evictions > 0, "{total:?}");
+        assert!(total.stale_demotions > 0, "{total:?}");
+        assert!(total.drift_events > 0, "{total:?}");
+        assert!(total.skipped > 0, "{total:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+        #[test]
+        fn prop_live_block_profiler_matches_the_dense_reference(
+            seed in 0u64..u64::MAX,
+            max_urls in 1usize..9,
+            extra in 1u16..12,
+            stale_after in 1u64..8,
+            phase in 0u64..3,
+        ) {
+            drive(&stream(seed, max_urls, extra, stale_after, phase))?;
+        }
     }
 }

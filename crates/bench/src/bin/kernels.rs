@@ -6,10 +6,15 @@
 //! full one), and one Learn pass (`observe_node` per live node, then
 //! `end_tick`) over a recorded 1,000-node slot; and `Json::parse` of one
 //! recorded-slot line of 64 KiB and 1 MiB, the per-slot cost of decoding
-//! a control trace (those lines also give MB/s). Each kernel is warmed
-//! up while a batch is sized to about one target interval, then timed
-//! over several batches; each line is the median time per call.
-//! `--quick` is a smoke run, not a measurement.
+//! a control trace (those lines also give MB/s); and one firewall
+//! `inspect` from flood-flat's population (200k uniform clients at
+//! 8,000 req/s plus 400 bots at 4,000 req/s), the perimeter's
+//! per-request cost. Each kernel is warmed up while a batch is sized to
+//! about one target interval, then timed over several batches; each line
+//! is the median time per call with the batches' first and third
+//! quartiles, the spread within one process (a difference between two
+//! builds also has to clear the spread between processes). `--quick` is
+//! a smoke run, not a measurement.
 //!
 //! `cargo run --release -p dope-bench --bin kernels [-- --quick]`
 
@@ -20,12 +25,14 @@ use antidope::{
     record_experiment, ActionRecord, BatteryObs, ClusterConfig, ConditionRecord, DecisionRecord,
     ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder, ViewRecord,
 };
-use netsim::request::UrlId;
+use netsim::request::{SourceId, UrlId};
+use netsim::{Firewall, FirewallConfig};
 use powercap::budget::BudgetLevel;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
 use profiler::rls::EwRls;
 use profiler::{PowerProfiler, ProfilerConfig};
+use simcore::rng::SimRng;
 use simcore::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -34,9 +41,10 @@ use workloads::scenario::ScenarioBuilder;
 use workloads::service::ServiceKind;
 use workloads::vector::{AttackVectorSpec, SourcePlan};
 
-/// Median nanoseconds per call of `f` over `samples` batches, each
-/// sized to last about `target`; also returns the batch size.
-fn median_ns(target: Duration, samples: usize, mut f: impl FnMut()) -> (f64, u32) {
+/// Nanoseconds per call of `f` over `samples` batches, each sized to
+/// last about `target`: the batches' first quartile, median and third
+/// quartile, and the batch size.
+fn quartiles_ns(target: Duration, samples: usize, mut f: impl FnMut()) -> ([f64; 3], u32) {
     let mut timed = |batch: u32| {
         let t = Instant::now();
         (0..batch).for_each(|_| f());
@@ -50,7 +58,9 @@ fn median_ns(target: Duration, samples: usize, mut f: impl FnMut()) -> (f64, u32
         .map(|_| timed(batch).as_nanos() as f64 / f64::from(batch))
         .collect();
     per_call.sort_by(f64::total_cmp);
-    (per_call[samples / 2], batch)
+    let q1 = per_call[(samples - 1) / 4];
+    let q3 = per_call[(3 * (samples - 1)).div_ceil(4)];
+    ([q1, per_call[samples / 2], q3], batch)
 }
 
 /// `n` nodes spanning 30–90 % utilization, alternating CPU- and
@@ -188,6 +198,30 @@ fn slot_line(bytes: usize) -> String {
     line(1 + bytes.saturating_sub(one).div_ceil(two - one))
 }
 
+/// Seconds of traffic in [`firewall_stream`].
+const FIREWALL_STREAM_S: u64 = 20;
+
+/// `FIREWALL_STREAM_S` seconds of flood-flat's perimeter traffic as
+/// (offset µs, source): a Poisson stream of 12,000 req/s, a third from
+/// 400 bots (10 req/s each, under the 150 req/s rule) and the rest from
+/// 200k uniform clients.
+fn firewall_stream() -> Vec<(u64, SourceId)> {
+    const USERS: u64 = 200_000;
+    let mut rng = SimRng::new(2019);
+    let mut t = 0.0;
+    std::iter::from_fn(|| {
+        t += rng.exp(12_000.0);
+        let source = if rng.chance(1.0 / 3.0) {
+            USERS + rng.below(400)
+        } else {
+            rng.below(USERS)
+        };
+        Some(((t * 1e6) as u64, SourceId(source as u32)))
+    })
+    .take_while(|&(us, _)| us < FIREWALL_STREAM_S * 1_000_000)
+    .collect()
+}
+
 fn main() -> ExitCode {
     let (target, samples) = match std::env::args().nth(1).as_deref() {
         None => (Duration::from_millis(20), 21),
@@ -198,8 +232,11 @@ fn main() -> ExitCode {
         }
     };
     let timed = |name: &str, f: &mut dyn FnMut()| {
-        let (ns, batch) = median_ns(target, samples, f);
-        print!("{name:<24} {ns:>12.1} ns/call  (median of {samples} batches of {batch})");
+        let ([q1, ns, q3], batch) = quartiles_ns(target, samples, f);
+        print!(
+            "{name:<24} {ns:>12.1} ns/call  [q1 {q1:.1}, q3 {q3:.1}]  \
+             (median of {samples} batches of {batch})"
+        );
         ns
     };
     let report = |name: &str, f: &mut dyn FnMut()| {
@@ -253,5 +290,16 @@ fn main() -> ExitCode {
         });
         println!("  {:.1} MB/s over {} bytes", line.len() as f64 / ns * 1e3, line.len());
     }
+    let stream = firewall_stream();
+    let mut firewall = Firewall::new(SimTime::ZERO, FirewallConfig::default());
+    let mut k = 0;
+    report("firewall_inspect/200k", &mut || {
+        // Replay the stream end to end, shifted by its length each lap
+        // so time keeps moving forward.
+        let (us, source) = stream[k % stream.len()];
+        let lap = (k / stream.len()) as u64 * FIREWALL_STREAM_S * 1_000_000;
+        k += 1;
+        black_box(firewall.inspect(SimTime::from_micros(lap + us), black_box(source)));
+    });
     ExitCode::SUCCESS
 }

@@ -92,18 +92,19 @@ pub struct BatteryFlows {
     pub charge_w: f64,
 }
 
-/// Fault-injection environment shared by the stages: one seeded plan per
-/// shard (consumed by Sense for readings, Act for actuations, and the
-/// crash / charger paths) plus the cumulative counters the final report
-/// needs. Present only when the experiment configures a fault plan.
+/// Fault-injection environment shared by the stages: one seeded plan
+/// over every node (consumed by Sense for readings, Act for actuations,
+/// and the crash / charger paths) plus the cumulative counters the final
+/// report needs. Present only when the experiment configures a fault
+/// plan.
 ///
-/// Each shard's randomness is an independent per-node stream, so draw
-/// order between shards is irrelevant and reports stay byte-identical at
-/// any shard count. All methods take **global** node indices and route
-/// to the owning shard's plan by range.
+/// Each node draws from its own stream, keyed by its global index, so
+/// draw order between nodes is irrelevant and reports stay
+/// byte-identical at any shard count. All methods take **global** node
+/// indices.
 pub(crate) struct FaultLayer {
-    /// Per-shard plans over contiguous node ranges, in shard order.
-    plans: Vec<ShardFaultPlan>,
+    /// The plan over nodes `0..servers`.
+    plan: ShardFaultPlan,
     /// In-flight requests lost to node crashes.
     pub(crate) lost_to_crash: u64,
     /// Charge actions refused by a failed charger.
@@ -116,10 +117,10 @@ pub(crate) struct FaultLayer {
 }
 
 impl FaultLayer {
-    /// The layer over one plan per shard, in shard order.
-    pub(crate) fn new(plans: Vec<ShardFaultPlan>) -> Self {
+    /// The layer over one plan covering every node.
+    pub(crate) fn new(plan: ShardFaultPlan) -> Self {
         FaultLayer {
-            plans,
+            plan,
             lost_to_crash: 0,
             charger_blocked_slots: 0,
             retired_rejected: 0,
@@ -127,50 +128,39 @@ impl FaultLayer {
         }
     }
 
-    fn plan_for(&mut self, node: usize) -> &mut ShardFaultPlan {
-        self.plans
-            .iter_mut()
-            .find(|p| p.covers(node))
-            .expect("every node belongs to exactly one shard plan")
-    }
-
     /// Sensor reading for `node` whose true draw is `true_w`.
     pub(crate) fn sense(&mut self, now: SimTime, node: usize, true_w: f64) -> Option<f64> {
-        self.plan_for(node).sense(now, node, true_w)
+        self.plan.sense(now, node, true_w)
     }
 
     /// Actuation outcome for a command issued to `node`.
     pub(crate) fn actuate(&mut self, now: SimTime, node: usize) -> ActuationFault {
-        self.plan_for(node).actuate(now, node)
+        self.plan.actuate(now, node)
     }
 
     /// Whether a crash is due on `node` right now.
     pub(crate) fn crash_due(&mut self, now: SimTime, node: usize) -> bool {
-        self.plan_for(node).crash_due(now, node)
+        self.plan.crash_due(now, node)
     }
 
     /// Record a completed reboot of `node`.
-    pub(crate) fn record_reboot(&mut self, node: usize) {
-        self.plan_for(node).record_reboot();
+    pub(crate) fn record_reboot(&mut self) {
+        self.plan.record_reboot();
     }
 
     /// Whether the battery charger is failed at `now`.
     pub(crate) fn charger_failed(&self, now: SimTime) -> bool {
-        self.plans.first().is_some_and(|p| p.charger_failed(now))
+        self.plan.charger_failed(now)
     }
 
     /// The shared fault configuration.
     pub(crate) fn config(&self) -> &FaultConfig {
-        self.plans.first().expect("at least one shard plan").config()
+        self.plan.config()
     }
 
-    /// Cumulative injection counters, merged across shard plans.
+    /// Cumulative injection counters.
     pub(crate) fn counts(&self) -> FaultCounts {
-        let mut total = FaultCounts::default();
-        for p in &self.plans {
-            total.merge(&p.counts());
-        }
-        total
+        self.plan.counts()
     }
 }
 

@@ -88,14 +88,9 @@ mod tests {
             .map(|_| ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_secs(1)))
             .collect();
         let node_dead = vec![false; n];
-        let mut plan = FaultLayer::new(vec![ShardFaultPlan::new(
-            FaultConfig::default(),
-            n,
-            0,
-            n,
-            &RngFactory::new(3),
-        )
-        .unwrap()]);
+        let mut plan = FaultLayer::new(
+            ShardFaultPlan::new(FaultConfig::default(), n, 0, n, &RngFactory::new(3)).unwrap(),
+        );
         let mut stage = SenseStage::default();
         let readings = stage.run(SimTime::from_secs(1), &nodes, &node_dead, Some(&mut plan));
         let ptr = readings.as_ref().expect("fault layer present").as_ptr();

@@ -13,14 +13,13 @@ use super::{Action, ControlInput, PowerScheme};
 use crate::config::ClusterConfig;
 use netsim::request::{Request, UrlId};
 use netsim::token_bucket::PowerTokenBucket;
-use simcore::SimTime;
-use std::collections::HashMap;
+use simcore::{FxHashMap, SimTime};
 use workloads::floods::{FloodKind, CONN_TABLE_URL, DNS_URL, KERNEL_PATH_URL};
 use workloads::service::ServiceKind;
 
 /// Offline-profiled per-request energy estimates, joules by URL.
-pub fn energy_table(core_ghz: f64, headroom_w: f64) -> HashMap<UrlId, f64> {
-    let mut t = HashMap::new();
+pub fn energy_table(core_ghz: f64, headroom_w: f64) -> FxHashMap<UrlId, f64> {
+    let mut t = FxHashMap::default();
     for kind in ServiceKind::ALL {
         t.insert(
             kind.url(),
@@ -42,7 +41,7 @@ pub fn energy_table(core_ghz: f64, headroom_w: f64) -> HashMap<UrlId, f64> {
 /// The power token bucket scheme.
 pub struct TokenScheme {
     bucket: PowerTokenBucket,
-    energy: HashMap<UrlId, f64>,
+    energy: FxHashMap<UrlId, f64>,
     /// Fallback cost for unprofiled URLs (median service energy).
     default_cost_j: f64,
     /// Feedback gate: the bucket only charges admissions while measured

@@ -752,24 +752,17 @@ impl ShardedClusterSim {
             owner_shard[at..at + len].fill(i);
         }
 
-        // One deterministic fault plan per shard, all drawing from the
-        // same per-node stream space — no draw crosses a shard boundary,
-        // so the fault schedule is independent of the partition.
+        // One deterministic fault plan over every node. Each node draws
+        // from its own stream, so the fault schedule is independent of
+        // the partition.
         let fault = cfg.faults.as_ref().map(|fc| {
-            let plans: Vec<ShardFaultPlan> = ranges
-                .iter()
-                .map(|&(at, len)| {
-                    ShardFaultPlan::new(fc.clone(), cfg.servers, at, len, &master)
-                        .expect("fault plan checked by ClusterConfig::validate")
-                })
-                .collect();
-            let keep = plans
-                .first()
-                .map_or(1.0, |p| p.battery_capacity_factor());
+            let plan = ShardFaultPlan::new(fc.clone(), cfg.servers, 0, cfg.servers, &master)
+                .expect("fault plan checked by ClusterConfig::validate");
+            let keep = plan.battery_capacity_factor();
             if keep < 1.0 {
                 battery.derate(keep);
             }
-            FaultLayer::new(plans)
+            FaultLayer::new(plan)
         });
         let idle_total: f64 = nodes.iter().map(|n| n.power_w()).sum();
         let pipeline =
@@ -1253,7 +1246,7 @@ impl ShardedClusterSim {
                     config.max_inflight,
                     config.dvfs_latency,
                 );
-                f.record_reboot(node);
+                f.record_reboot();
             }
             self.forget(node, ForgetKind::Learn);
             self.node_dead[node] = false;

@@ -14,11 +14,33 @@
 //!
 //! Sources below the threshold are **never** blocked — that blindness is
 //! the DOPE operating region of Fig 11.
+//!
+//! # State bound
+//!
+//! A ban decision needs only three kinds of source: those seen since the
+//! last poll, those with a pending ban, and those already banned. The
+//! table keeps exactly these. [`Firewall::inspect`] notes a source in a
+//! `touched` list when its count rises from zero; a poll drains that
+//! list instead of scanning the table, and forgets a source whose state
+//! is back to the default (no count, no pending ban, no ban). So the
+//! table holds at most one poll interval's active sources plus the
+//! pending and banned ones, however many sources a run has seen.
+//!
+//! Forgetting changes no verdict:
+//! - an absent source and a default-state one behave alike, because
+//!   `inspect` starts an absent source from the default state;
+//! - a source not touched since the last poll has a zero count, so a
+//!   poll that scanned it would change nothing;
+//! - when one call runs several due polls, the second and later find
+//!   `touched` empty, just as a scan would find every count at zero.
+//!
+//! The test-only `reference` module keeps the scanning firewall, and a
+//! differential property holds the two to the same verdicts.
 
 use crate::error::ConfigError;
 use crate::request::SourceId;
-use simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{FxHashMap, SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 
 /// Firewall decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +75,7 @@ impl Default for FirewallConfig {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SourceState {
     /// Requests seen since the last poll.
     count_since_poll: u64,
@@ -67,7 +89,10 @@ struct SourceState {
 #[derive(Debug, Clone)]
 pub struct Firewall {
     config: FirewallConfig,
-    sources: HashMap<SourceId, SourceState>,
+    /// Sources seen since the last poll, pending a ban, or banned.
+    sources: FxHashMap<SourceId, SourceState>,
+    /// Sources whose count rose from zero since the last poll.
+    touched: Vec<SourceId>,
     last_poll: SimTime,
     blocked_requests: u64,
     passed_requests: u64,
@@ -101,7 +126,8 @@ impl Firewall {
         }
         Ok(Firewall {
             config,
-            sources: HashMap::new(),
+            sources: FxHashMap::default(),
+            touched: Vec::new(),
             last_poll: start,
             blocked_requests: 0,
             passed_requests: 0,
@@ -124,7 +150,11 @@ impl Firewall {
             self.last_poll += self.config.poll_interval;
             let poll_t = self.last_poll;
             let window_s = self.config.poll_interval.as_secs_f64();
-            for state in self.sources.values_mut() {
+            for source in self.touched.drain(..) {
+                let Entry::Occupied(mut entry) = self.sources.entry(source) else {
+                    unreachable!("a touched source is tracked until its poll");
+                };
+                let state = entry.get_mut();
                 let rate = state.count_since_poll as f64 / window_s;
                 state.count_since_poll = 0;
                 if rate > self.config.threshold_rps
@@ -132,6 +162,9 @@ impl Firewall {
                     && state.ban_pending_at.is_none()
                 {
                     state.ban_pending_at = Some(poll_t + self.config.detection_lag);
+                }
+                if *state == SourceState::default() {
+                    entry.remove();
                 }
             }
         }
@@ -165,6 +198,9 @@ impl Firewall {
             self.blocked_requests += 1;
             FirewallVerdict::Blocked
         } else {
+            if state.count_since_poll == 0 {
+                self.touched.push(source);
+            }
             state.count_since_poll += 1;
             self.passed_requests += 1;
             FirewallVerdict::Pass
@@ -192,6 +228,107 @@ impl Firewall {
     /// Total bans issued.
     pub fn bans_issued(&self) -> u64 {
         self.bans_issued
+    }
+
+    /// Sources the table holds.
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.sources.len()
+    }
+}
+
+/// The scanning firewall this module replaced, verbatim but for its
+/// name: it keeps every source it has seen and every poll walks them
+/// all. The differential property below holds [`Firewall`] to it.
+#[cfg(test)]
+mod reference {
+    use super::{FirewallConfig, FirewallVerdict, SourceState};
+    use crate::request::SourceId;
+    use simcore::SimTime;
+    use std::collections::HashMap;
+
+    #[derive(Debug, Clone)]
+    pub struct ReferenceFirewall {
+        config: FirewallConfig,
+        sources: HashMap<SourceId, SourceState>,
+        last_poll: SimTime,
+        blocked_requests: u64,
+        passed_requests: u64,
+        bans_issued: u64,
+    }
+
+    impl ReferenceFirewall {
+        pub fn new(start: SimTime, config: FirewallConfig) -> Self {
+            ReferenceFirewall {
+                config,
+                sources: HashMap::new(),
+                last_poll: start,
+                blocked_requests: 0,
+                passed_requests: 0,
+                bans_issued: 0,
+            }
+        }
+
+        fn poll(&mut self, now: SimTime) {
+            while now
+                .checked_since(self.last_poll)
+                .is_some_and(|d| d >= self.config.poll_interval)
+            {
+                self.last_poll += self.config.poll_interval;
+                let poll_t = self.last_poll;
+                let window_s = self.config.poll_interval.as_secs_f64();
+                for state in self.sources.values_mut() {
+                    let rate = state.count_since_poll as f64 / window_s;
+                    state.count_since_poll = 0;
+                    if rate > self.config.threshold_rps
+                        && state.banned_until.is_none()
+                        && state.ban_pending_at.is_none()
+                    {
+                        state.ban_pending_at = Some(poll_t + self.config.detection_lag);
+                    }
+                }
+            }
+        }
+
+        pub fn inspect(&mut self, now: SimTime, source: SourceId) -> FirewallVerdict {
+            self.poll(now);
+            let config_ban = self.config.ban_duration;
+            let state = self.sources.entry(source).or_default();
+            if let Some(at) = state.ban_pending_at {
+                if now >= at {
+                    state.ban_pending_at = None;
+                    state.banned_until = Some(match config_ban {
+                        Some(d) => at + d,
+                        None => SimTime::MAX,
+                    });
+                    self.bans_issued += 1;
+                }
+            }
+            if let Some(until) = state.banned_until {
+                if now >= until {
+                    state.banned_until = None;
+                }
+            }
+            if state.banned_until.is_some() {
+                self.blocked_requests += 1;
+                FirewallVerdict::Blocked
+            } else {
+                state.count_since_poll += 1;
+                self.passed_requests += 1;
+                FirewallVerdict::Pass
+            }
+        }
+
+        pub fn is_banned(&self, source: SourceId) -> bool {
+            self.sources
+                .get(&source)
+                .map(|s| s.banned_until.is_some())
+                .unwrap_or(false)
+        }
+
+        pub fn counters(&self) -> (u64, u64, u64) {
+            (self.blocked_requests, self.passed_requests, self.bans_issued)
+        }
     }
 }
 
@@ -379,5 +516,108 @@ mod tests {
         // Poll at t=1 s sees 200 > 150 → ban.
         f.inspect(s(2), SourceId(1));
         assert!(f.is_banned(SourceId(1)));
+    }
+
+    #[test]
+    fn table_holds_only_pending_and_banned_sources() {
+        // 200k sources that each send one request, 100k in each of the
+        // first two poll windows, plus three sources at 200 req/s and
+        // one at 100 req/s.
+        let mut f = fw(150.0, 5);
+        let heavy = [SourceId(300_000), SourceId(300_001), SourceId(300_002)];
+        let light = SourceId(400_000);
+        for i in 0..200_000u64 {
+            let t = SimTime::from_micros(i * 10);
+            f.inspect(t, SourceId(i as u32));
+            if i % 500 == 0 {
+                for &h in &heavy {
+                    f.inspect(t, h);
+                }
+            }
+            if i % 1_000 == 0 {
+                f.inspect(t, light);
+            }
+        }
+        // The poll at t = 1 s already forgot the first window's sources.
+        assert_eq!(f.tracked(), 100_000 + heavy.len() + 1);
+        f.poll(s(2));
+        assert_eq!(f.tracked(), heavy.len(), "only the pending bans remain");
+        // The pending bans land 5 s after the poll that saw them.
+        for &h in &heavy {
+            assert_eq!(f.inspect(s(6), h), FirewallVerdict::Blocked);
+            assert!(f.is_banned(h));
+        }
+        assert_eq!(f.tracked(), heavy.len());
+        assert_eq!(f.inspect(s(6), light), FirewallVerdict::Pass);
+        assert_eq!(f.bans_issued(), 3);
+    }
+
+    /// One request: a gap since the previous one, and a source drawn
+    /// from a hot set of three (so rates cross the threshold) or from
+    /// the whole universe.
+    #[derive(Debug, Clone, Copy)]
+    struct Arrival {
+        gap_us: u64,
+        hot: bool,
+        pick: u32,
+    }
+
+    fn arrival() -> impl proptest::Strategy<Value = Arrival> {
+        use proptest::prelude::*;
+        (0u8..100, 0u64..1_000_000, 0u8..4, 0u32..u32::MAX).prop_map(|(g, us, h, pick)| {
+            Arrival {
+                // Mostly a few ms apart; now and then several poll
+                // intervals of silence.
+                gap_us: match g {
+                    0..=1 => 1_000_000 + us * 4,
+                    2..=9 => us,
+                    _ => us % 8_000,
+                },
+                hot: h > 0,
+                pick,
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The forgetting firewall gives the scanning reference's
+        /// verdict, ban state and counters after every request.
+        #[test]
+        fn prop_forgetting_firewall_matches_reference(
+            universe in proptest::sample::select(vec![5u32, 50_000]),
+            threshold in proptest::sample::select(vec![20.0f64, 50.0, 100.0]),
+            poll_ms in proptest::sample::select(vec![100u64, 250, 1_000]),
+            lag_ms in 0u64..3_000,
+            ban_ms in proptest::sample::select(vec![0u64, 300, 2_000]),
+            stream in proptest::collection::vec(arrival(), 1..3_000),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let config = FirewallConfig {
+                threshold_rps: threshold,
+                poll_interval: SimDuration::from_millis(poll_ms),
+                detection_lag: SimDuration::from_millis(lag_ms),
+                ban_duration: (ban_ms > 0).then(|| SimDuration::from_millis(ban_ms)),
+            };
+            let mut f = Firewall::new(SimTime::ZERO, config.clone());
+            let mut r = reference::ReferenceFirewall::new(SimTime::ZERO, config);
+            let mut now = SimTime::ZERO;
+            for (i, a) in stream.iter().enumerate() {
+                now += SimDuration::from_micros(a.gap_us);
+                let source = SourceId(if a.hot { a.pick % 3 } else { a.pick % universe });
+                prop_assert_eq!(f.inspect(now, source), r.inspect(now, source), "request {}", i);
+                prop_assert_eq!(f.is_banned(source), r.is_banned(source), "request {}", i);
+                prop_assert_eq!(
+                    (f.blocked_requests(), f.passed_requests(), f.bans_issued()),
+                    r.counters(),
+                    "request {}",
+                    i
+                );
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::error::ConfigError;
 use crate::request::UrlId;
-use std::collections::HashMap;
+use simcore::FxHashMap;
 
 /// URL classification produced by PDF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub enum FlowClass {
 /// Offline-profiled URL → power-intensity map with a suspicion threshold.
 #[derive(Debug, Clone)]
 pub struct SuspectList {
-    intensities: HashMap<UrlId, f64>,
+    intensities: FxHashMap<UrlId, f64>,
     threshold: f64,
     /// Classification for URLs never profiled.
     default_class: FlowClass,
@@ -37,7 +37,7 @@ impl SuspectList {
             return Err(ConfigError::Threshold { value: threshold });
         }
         Ok(SuspectList {
-            intensities: HashMap::new(),
+            intensities: FxHashMap::default(),
             threshold,
             default_class,
         })

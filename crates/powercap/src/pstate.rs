@@ -21,9 +21,10 @@ impl PState {
         PState(self.0.saturating_sub(1))
     }
 
-    /// Step one state up (faster), clamped by the caller to the table max.
+    /// Step one state up (faster), saturating at `u8::MAX`; the caller
+    /// clamps to the table max.
     pub fn raise(self) -> PState {
-        PState(self.0 + 1)
+        PState(self.0.saturating_add(1))
     }
 }
 
@@ -197,6 +198,8 @@ mod tests {
         let t = PStateTable::paper_default();
         assert_eq!(PState(0).lower(), PState(0));
         assert_eq!(PState(3).lower(), PState(2));
+        assert_eq!(PState(3).raise(), PState(4));
+        assert_eq!(PState(255).raise(), PState(255));
         assert_eq!(t.clamp(PState(200)), t.max_state());
         assert_eq!(t.clamp(PState(5)), PState(5));
     }

@@ -438,11 +438,6 @@ impl ShardFaultPlan {
         self.nodes.is_empty()
     }
 
-    /// Whether this plan covers global node index `node`.
-    pub fn covers(&self, node: usize) -> bool {
-        node >= self.start && node < self.start + self.nodes.len()
-    }
-
     /// Read global node `node`'s power sensor through the fault process.
     pub fn sense(&mut self, now: SimTime, node: usize, true_w: f64) -> Option<f64> {
         if blackout_covers(&self.cfg, now) {

@@ -22,10 +22,12 @@ use antidope::config::{ClusterConfig, ExperimentConfig, SchemeKind};
 use antidope::results::SimReport;
 use antidope::run_experiment;
 use powercap::BudgetLevel;
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use std::process::ExitCode;
 use std::time::Instant;
-use workloads::source::TrafficSource;
+use workloads::attacker::AttackTool;
+use workloads::scenario::{ScenarioBuilder, SeedPin};
+use workloads::service::ServiceKind;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// (racks, pdus) layouts to sweep: flat, then a 25-rack / 5-PDU tree.
@@ -44,33 +46,14 @@ fn big_cluster(shards: usize, racks: usize, pdus: usize) -> ClusterConfig {
 }
 
 /// 100k-user population plus the standard flood.
-fn sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    let horizon = SimTime::ZERO + exp.duration;
-    let trace = workloads::alibaba::UtilizationTrace::synthesize(
-        &workloads::alibaba::AlibabaTraceConfig::small(exp.seed),
-    );
-    vec![
-        Box::new(workloads::normal::NormalUsers::new(
-            trace,
-            workloads::service::ServiceMix::alios_normal(),
-            2_000.0, // cluster-wide peak req/s
-            1_000,   // client address base
-            100_000, // distinct clients
-            0,
-            horizon,
-            exp.seed,
-        )),
-        Box::new(workloads::AttackVector::against_service(
-            workloads::attacker::AttackTool::HttpLoad { rate: 1_000.0 },
-            workloads::service::ServiceKind::CollaFilt,
-            500_000, // botnet address base
-            200,     // bots (stealthy per-source rates)
-            1 << 40,
-            SimTime::from_secs(2),
-            horizon,
-            exp.seed ^ 0x5EED,
-        )),
-    ]
+fn sources() -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        // 2,000 req/s cluster-wide peak over 100k distinct clients.
+        .with_normal_users(2_000.0, 100_000)
+        .pinned(1_000, 0, SeedPin::Raw)
+        // 200 bots: stealthy per-source rates.
+        .with_attack(AttackTool::HttpLoad { rate: 1_000.0 }, ServiceKind::CollaFilt, 200, 2)
+        .pinned(500_000, 1 << 40, SeedPin::Xor(0x5EED))
 }
 
 struct Row {
@@ -92,7 +75,7 @@ fn run_once(shards: usize, racks: usize, pdus: usize, secs: u64, seed: u64) -> (
     exp.duration = SimDuration::from_secs(secs);
     exp.label = format!("cluster-scaling-{racks}rack-{shards}shard");
     let t0 = Instant::now();
-    let report = run_experiment(&exp, &sources);
+    let report = run_experiment(&exp, &sources());
     (t0.elapsed().as_secs_f64(), report)
 }
 

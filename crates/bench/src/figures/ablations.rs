@@ -2,8 +2,9 @@
 //! DESIGN.md §8 calls out. Each isolates one knob of Anti-DOPE or its
 //! operating environment.
 
-use crate::scenarios::{self, normal_users, service_attack};
+use crate::scenarios::{self, BOTS, NORMAL_PEAK_RATE};
 use crate::RunMode;
+use antidope::testutil::{population, users};
 use antidope::scheme::{AntiDopeScheme, PowerScheme};
 use profiler::ProfilerConfig;
 use antidope::{
@@ -14,18 +15,10 @@ use powercap::BudgetLevel;
 use simcore::faults::FaultConfig;
 use simcore::{par, SimDuration, SimTime};
 use workloads::attacker::AttackTool;
-use workloads::dope::{DopeAttacker, DopeConfig};
+use workloads::dope::DopeConfig;
+use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::service::ServiceKind;
-use workloads::source::TrafficSource;
-use workloads::vector::AttackVector;
-
-fn standard_sources(exp: &ExperimentConfig, attack_rate: f64) -> Vec<Box<dyn TrafficSource>> {
-    let horizon = SimTime::ZERO + exp.duration;
-    vec![
-        normal_users(exp.seed, horizon),
-        service_attack(ServiceKind::CollaFilt, attack_rate, exp.seed, horizon),
-    ]
-}
+use workloads::vector::{AttackVectorSpec, SourcePlan, TargetPlan};
 
 fn report_row(t: &mut Table, label: &str, r: &SimReport) {
     t.push_row(vec![
@@ -65,7 +58,7 @@ pub fn framework(mode: RunMode) -> Vec<Table> {
     ];
     let reports: Vec<(SchemeKind, SimReport)> = par::map(kinds.iter().collect(), |&k| {
         let exp = scenarios::experiment(k, BudgetLevel::Medium, secs, mode.seed, true);
-        (k, run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 390.0)))
+        (k, run_experiment(&exp, &population(ServiceKind::CollaFilt, 390.0)))
     });
     let mut t = result_header(
         "Ablation: PDF-only vs RPM-only vs full Anti-DOPE (Medium-PB, 390 req/s Colla-Filt)",
@@ -90,7 +83,9 @@ pub fn threshold(mode: RunMode) -> Vec<Table> {
             true,
         );
         let scheme = Box::new(AntiDopeScheme::with_threshold(&exp.cluster, th));
-        let r = ShardedClusterSim::run_with_scheme(&exp, scheme, standard_sources(&exp, 390.0));
+        let sources = population(ServiceKind::CollaFilt, 390.0)
+            .build(exp.seed, SimTime::ZERO + exp.duration);
+        let r = ShardedClusterSim::run_with_scheme(&exp, scheme, sources);
         let to_pool = r.traffic.to_suspect_pool;
         (th, r, to_pool)
     });
@@ -132,7 +127,7 @@ pub fn pool(mode: RunMode) -> Vec<Table> {
         // Attack scaled to the 16-node cluster (4× the rack attack).
         (
             size,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 1560.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 1560.0)),
         )
     });
     let mut t = result_header(
@@ -159,7 +154,7 @@ pub fn slot(mode: RunMode) -> Vec<Table> {
         (
             scheme,
             ms,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 390.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 390.0)),
         )
     });
     let mut t = Table::new(
@@ -203,7 +198,7 @@ pub fn firewall(mode: RunMode) -> Vec<Table> {
         (
             th,
             rate,
-            run_experiment(&exp, &move |e: &ExperimentConfig| standard_sources(e, rate)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, rate)),
         )
     });
     let mut t = Table::new(
@@ -243,6 +238,12 @@ pub fn firewall(mode: RunMode) -> Vec<Table> {
 /// `abl-scale`: the headline comparison on a 16-node cluster.
 pub fn scale(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
+    // 4× the rack's normal population and attack.
+    let scaled = ScenarioBuilder::new()
+        .with_normal_users(320.0, 240)
+        .pinned(1_000, 0, SeedPin::Raw)
+        .with_attack(AttackTool::HttpLoad { rate: 1560.0 }, ServiceKind::CollaFilt, BOTS, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED));
     let reports = par::map(SchemeKind::EVALUATED.iter().collect(), |&k| {
         let mut exp = ExperimentConfig::paper_window(
             ClusterConfig::scaled(BudgetLevel::Medium),
@@ -250,28 +251,7 @@ pub fn scale(mode: RunMode) -> Vec<Table> {
             mode.seed,
         );
         exp.duration = SimDuration::from_secs(secs);
-        (
-            k,
-            run_experiment(&exp, &|e: &ExperimentConfig| {
-                let horizon = SimTime::ZERO + e.duration;
-                vec![
-                    // 4× the rack's normal population and attack.
-                    Box::new(workloads::normal::NormalUsers::new(
-                        workloads::alibaba::UtilizationTrace::synthesize(
-                            &workloads::alibaba::AlibabaTraceConfig::small(e.seed),
-                        ),
-                        workloads::service::ServiceMix::alios_normal(),
-                        320.0,
-                        1_000,
-                        240,
-                        0,
-                        horizon,
-                        e.seed,
-                    )) as Box<dyn TrafficSource>,
-                    service_attack(ServiceKind::CollaFilt, 1560.0, e.seed, horizon),
-                ]
-            }),
-        )
+        (k, run_experiment(&exp, &scaled))
     });
     let mut t = result_header(
         "Ablation: 16-node cluster, Medium-PB, 1560 req/s Colla-Filt DOPE",
@@ -286,52 +266,31 @@ pub fn scale(mode: RunMode) -> Vec<Table> {
 /// closed-loop ApacheBench vs the adaptive DOPE attacker.
 pub fn tools(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
-    let mk_sources = |tool: &'static str,
-                      exp: &ExperimentConfig|
-     -> Vec<Box<dyn TrafficSource>> {
-        let horizon = SimTime::ZERO + exp.duration;
-        let mut v = vec![normal_users(exp.seed, horizon)];
-        let attack: Box<dyn TrafficSource> = match tool {
-            "http-load" => Box::new(AttackVector::against_service(
-                AttackTool::HttpLoad { rate: 390.0 },
-                ServiceKind::CollaFilt,
-                50_000,
-                scenarios::BOTS,
-                1 << 40,
-                SimTime::from_secs(5),
-                horizon,
-                exp.seed ^ 0x5EED,
-            )),
-            "apache-bench" => Box::new(AttackVector::against_service(
-                // Closed loop: ~14 outstanding ≈ 390 req/s at 35 ms each
-                // when the victim is healthy; self-throttles when not.
+    let mk_sources = |tool: &str| match tool {
+        "http-load" => population(ServiceKind::CollaFilt, 390.0),
+        // Closed loop: ~14 outstanding ≈ 390 req/s at 35 ms each when
+        // the victim is healthy; self-throttles when not.
+        "apache-bench" => users(NORMAL_PEAK_RATE)
+            .with_attack(
                 AttackTool::ApacheBench { concurrency: 14 },
                 ServiceKind::CollaFilt,
-                50_000,
-                scenarios::BOTS,
-                1 << 40,
-                SimTime::from_secs(5),
-                horizon,
-                exp.seed ^ 0x5EED,
-            )),
-            "dope-adaptive" => Box::new(DopeAttacker::new(
+                BOTS,
+                5,
+            )
+            .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED)),
+        "dope-adaptive" => users(NORMAL_PEAK_RATE)
+            .with_dope(
                 DopeConfig {
                     victim: ServiceKind::CollaFilt,
                     initial_rate: 50.0,
-                    bots: scenarios::BOTS,
+                    bots: BOTS,
                     max_rate: 800.0,
                     ..DopeConfig::default()
                 },
-                50_000,
-                1 << 40,
-                SimTime::from_secs(5),
-                horizon,
-                exp.seed ^ 0xD09E,
-            )),
-            _ => unreachable!(),
-        };
-        v.push(attack);
-        v
+                5,
+            )
+            .pinned(50_000, 1 << 40, SeedPin::Xor(0xD09E)),
+        _ => unreachable!(),
     };
     let tools = ["http-load", "apache-bench", "dope-adaptive"];
     let reports: Vec<(&str, SimReport)> = par::map(tools.iter().collect(), |&tool| {
@@ -344,7 +303,7 @@ pub fn tools(mode: RunMode) -> Vec<Table> {
         );
         (
             tool,
-            run_experiment(&exp, &move |e: &ExperimentConfig| mk_sources(tool, e)),
+            run_experiment(&exp, &mk_sources(tool)),
         )
     });
     let mut t = Table::new(
@@ -384,7 +343,7 @@ pub fn thermal(mode: RunMode) -> Vec<Table> {
         exp.cluster.thermal = true;
         (
             k,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 600.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 600.0)),
         )
     });
     let mut t = Table::new(
@@ -415,7 +374,7 @@ pub fn seeds(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let seeds = [2019u64, 7, 42, 1337, 90210];
     let rows: Vec<(u64, f64, f64, bool)> = par::map(seeds.iter().collect(), |&seed| {
-        let reports = crate::scenarios::eval_matrix(secs, seed);
+        let reports = super::fig16_17_19::eval_matrix(secs, seed);
         // scheme-major: Capping=0, Shaving=1, Token=2, Anti-DOPE=3;
         // budgets Normal..Low = 0..3.
         let get = |s: usize, b: usize| &reports[s * 4 + b];
@@ -476,7 +435,7 @@ pub fn faults(mode: RunMode) -> Vec<Table> {
         (
             scheme,
             p,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 390.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 390.0)),
         )
     });
     let mut t = Table::new(
@@ -530,8 +489,11 @@ pub fn online_profiler(mode: RunMode) -> Vec<Table> {
             exp.cluster.profiler = Some(ProfilerConfig::default());
         }
         let horizon = SimTime::ZERO + exp.duration;
-        let attack = scenarios::rotating_attack(390.0, exp.seed, horizon);
+        let scenario = scenarios::rotating(390.0);
         let scheme: Box<dyn PowerScheme> = if arm == "oracle" {
+            let attack = scenario
+                .vector_twin(1, exp.seed, horizon)
+                .expect("the attack starts before the horizon");
             Box::new(AntiDopeScheme::with_oracle_profiles(
                 &exp.cluster,
                 attack.oracle_profiles(),
@@ -539,8 +501,7 @@ pub fn online_profiler(mode: RunMode) -> Vec<Table> {
         } else {
             Box::new(AntiDopeScheme::new(&exp.cluster))
         };
-        let sources: Vec<Box<dyn TrafficSource>> =
-            vec![normal_users(exp.seed, horizon), Box::new(attack)];
+        let sources = scenario.build(exp.seed, horizon);
         (arm, ShardedClusterSim::run_with_scheme(&exp, scheme, sources))
     });
     let mut t = Table::new(
@@ -649,7 +610,7 @@ pub fn resilience(mode: RunMode) -> Vec<Table> {
         exp.cluster.retry = Some(retry.clone());
         (
             *arm,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 390.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 390.0)),
         )
     });
     let mut t = Table::new(
@@ -696,7 +657,7 @@ pub fn breaker(mode: RunMode) -> Vec<Table> {
         exp.cluster.breaker_trip_delay = SimDuration::from_secs(30);
         (
             k,
-            run_experiment(&exp, &|e: &ExperimentConfig| standard_sources(e, 600.0)),
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 600.0)),
         )
     });
     let mut t = Table::new(
@@ -747,30 +708,21 @@ pub fn hierarchy(mode: RunMode) -> Vec<Table> {
         cluster.topology = *topo;
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::None, mode.seed);
         exp.duration = SimDuration::from_secs(secs);
-        let rate = *rate;
-        let factory = move |e: &ExperimentConfig| {
-            let horizon = SimTime::ZERO + e.duration;
-            let mut v = vec![normal_users(e.seed, horizon)];
-            if rate > 0.0 {
-                let seed = e.seed ^ 0x5EED;
-                v.push(Box::new(
-                    AttackVector::against_service(
-                        AttackTool::HttpLoad { rate },
-                        ServiceKind::CollaFilt,
-                        50_000,
-                        40,
-                        1 << 40,
-                        SimTime::from_secs(5),
-                        horizon,
-                        seed,
-                    )
-                    // Never re-aims inside the window.
-                    .with_concentration(RACKS, 900, e.duration, seed),
-                ) as Box<dyn TrafficSource>);
-            }
-            v
-        };
-        (*arm, run_experiment(&exp, &factory))
+        let mut scenario = users(NORMAL_PEAK_RATE);
+        if *rate > 0.0 {
+            let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, *rate)
+                .sources(SourcePlan::Botnet { bots: BOTS })
+                // Never re-aims inside the window.
+                .target(TargetPlan::Concentrating {
+                    racks: RACKS,
+                    url_base: 900,
+                    period: exp.duration,
+                });
+            scenario = scenario
+                .with_vector(flood, 5)
+                .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED));
+        }
+        (*arm, run_experiment(&exp, &scenario))
     });
     let mut t = Table::new(
         "Ablation: hierarchical power topology vs a rack-concentrated flood \

@@ -5,16 +5,17 @@
 //! early power spikes through, and the lag itself differs by traffic
 //! type (heavier requests take longer to attribute).
 
-use crate::scenarios::normal_users;
+use crate::scenarios::NORMAL_PEAK_RATE;
 use crate::RunMode;
-use antidope::{run_experiment, ExperimentConfig, SchemeKind, SimReport};
+use antidope::testutil::users;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use dcmetrics::Ecdf;
 use powercap::BudgetLevel;
-use simcore::{par, SimTime};
+use simcore::par;
 use workloads::attacker::AttackTool;
+use workloads::scenario::SeedPin;
 use workloads::service::ServiceKind;
-use workloads::vector::AttackVector;
 
 fn run_one(kind: ServiceKind, firewall: bool, mode: RunMode) -> SimReport {
     let exp = crate::scenarios::experiment(
@@ -24,24 +25,12 @@ fn run_one(kind: ServiceKind, firewall: bool, mode: RunMode) -> SimReport {
         mode.seed,
         firewall,
     );
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + e.duration;
-        vec![
-            normal_users(e.seed, horizon),
-            // 1000 req/s over 4 bots = 250 req/s per source: over the
-            // threshold, so the firewall catches it after its lag.
-            Box::new(AttackVector::against_service(
-                AttackTool::HttpLoad { rate: 1000.0 },
-                kind,
-                50_000,
-                4,
-                1 << 40,
-                SimTime::from_secs(5),
-                horizon,
-                e.seed ^ 0x5EED,
-            )),
-        ]
-    })
+    // 1000 req/s over 4 bots = 250 req/s per source: over the
+    // threshold, so the firewall catches it after its lag.
+    let loud = users(NORMAL_PEAK_RATE)
+        .with_attack(AttackTool::HttpLoad { rate: 1000.0 }, kind, 4, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED));
+    run_experiment(&exp, &loud)
 }
 
 /// Generate the Fig 10 data.

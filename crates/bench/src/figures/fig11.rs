@@ -7,9 +7,10 @@
 //! yes` — requests "close to the normal while far smaller than the
 //! DoS-detecting network capacity" that still break the power budget.
 
-use crate::scenarios::{run_standard, BOTS};
+use crate::scenarios::{experiment, BOTS};
 use crate::RunMode;
-use antidope::SchemeKind;
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use simcore::par;
@@ -31,14 +32,16 @@ pub fn run(mode: RunMode) -> Vec<Table> {
         (
             k,
             r,
-            run_standard(
-                SchemeKind::None,
-                BudgetLevel::Medium,
-                k,
-                r,
-                mode.cell_secs(),
-                mode.seed,
-                true, // firewall armed: detection is part of the map
+            run_experiment(
+                // Firewall armed: detection is part of the map.
+                &experiment(
+                    SchemeKind::None,
+                    BudgetLevel::Medium,
+                    mode.cell_secs(),
+                    mode.seed,
+                    true,
+                ),
+                &population(k, r),
             ),
         )
     });

@@ -1,7 +1,7 @@
 //! Figure 12 — the DOPE attack algorithm in action.
 //!
 //! The algorithm's feedback loop involves only the attacker and the
-//! perimeter defense, so we drive the [`DopeAttacker`] directly against
+//! perimeter defense, so we drive the [`DopeAttacker`](workloads::DopeAttacker) directly against
 //! a deflate-style [`Firewall`]: pull its requests, inspect each, feed
 //! blocks back, and record the rate staircase — probing overshoot,
 //! detection, agent rotation, convergence below the threshold.
@@ -10,7 +10,8 @@ use crate::RunMode;
 use dcmetrics::export::Table;
 use netsim::firewall::{Firewall, FirewallConfig, FirewallVerdict};
 use simcore::{SimDuration, SimTime};
-use workloads::dope::{DopeAttacker, DopeConfig, DopePhase};
+use workloads::dope::{DopeConfig, DopePhase};
+use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::source::{SourceEvent, TrafficSource};
 use workloads::service::ServiceKind;
 
@@ -19,20 +20,21 @@ pub fn run(mode: RunMode) -> Vec<Table> {
     let secs = if mode.quick { 120 } else { 300 };
     let horizon = SimTime::from_secs(secs);
     let bots = 4u32; // loud: probing must overshoot 150 req/s per agent
-    let mut attacker = DopeAttacker::new(
-        DopeConfig {
-            victim: ServiceKind::CollaFilt,
-            initial_rate: 100.0,
-            bots,
-            max_rate: 4000.0,
-            ..DopeConfig::default()
-        },
-        50_000,
-        1 << 40,
-        SimTime::ZERO,
-        horizon,
-        mode.seed ^ 0xD09E,
-    );
+    let scenario = ScenarioBuilder::new()
+        .with_dope(
+            DopeConfig {
+                victim: ServiceKind::CollaFilt,
+                initial_rate: 100.0,
+                bots,
+                max_rate: 4000.0,
+                ..DopeConfig::default()
+            },
+            0,
+        )
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0xD09E));
+    let mut attacker = scenario
+        .dope_twin(0, mode.seed, horizon)
+        .expect("the attack starts before the horizon");
     let mut firewall = Firewall::new(SimTime::ZERO, FirewallConfig::default());
 
     let mut now = SimTime::ZERO;

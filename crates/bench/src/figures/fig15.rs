@@ -7,9 +7,10 @@
 //! (b) normal-user response-time percentiles: good-user Normal-PB
 //! baseline vs Anti-DOPE under attack at Medium-PB.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::SchemeKind;
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use simcore::par;
@@ -27,14 +28,9 @@ pub fn run(mode: RunMode) -> Vec<Table> {
     let reports = par::map(cells.iter().collect(), |&(label, scheme, budget, rate)| {
         (
             label,
-            run_standard(
-                scheme,
-                budget,
-                ServiceKind::CollaFilt,
-                rate,
-                secs,
-                mode.seed,
-                true,
+            run_experiment(
+                &experiment(scheme, budget, secs, mode.seed, true),
+                &population(ServiceKind::CollaFilt, rate),
             ),
         )
     });

@@ -4,9 +4,28 @@
 //! AliOS + Colla-Filt DOPE scenario. The three figures share one run
 //! matrix, so the harness produces them together.
 
-use crate::scenarios::eval_matrix;
 use crate::RunMode;
+use antidope::testutil::population;
+use antidope::{run_matrix, ClusterConfig, SchemeKind, SimReport};
 use dcmetrics::export::Table;
+use powercap::BudgetLevel;
+use simcore::SimDuration;
+use workloads::service::ServiceKind;
+
+/// The evaluation matrix: every evaluated scheme at every budget level
+/// on the paper rack, under AliOS plus a sustained 390 req/s Colla-Filt
+/// DOPE flood. Reports are scheme-major over [`SchemeKind::EVALUATED`]
+/// × [`BudgetLevel::ALL`].
+pub(crate) fn eval_matrix(secs: u64, seed: u64) -> Vec<SimReport> {
+    run_matrix(
+        &SchemeKind::EVALUATED,
+        &BudgetLevel::ALL,
+        &ClusterConfig::paper_rack(BudgetLevel::Normal),
+        SimDuration::from_secs(secs),
+        seed,
+        &population(ServiceKind::CollaFilt, 390.0),
+    )
+}
 
 /// Generate Figs 16, 17, 19 plus the headline improvement numbers.
 pub fn run(mode: RunMode) -> Vec<Table> {

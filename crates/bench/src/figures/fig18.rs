@@ -13,53 +13,43 @@
 //! Anti-DOPE's battery stays essentially full — a strictly stronger
 //! version of "batteries as the transition medium".
 
-use crate::scenarios::{normal_users, service_attack};
+use crate::scenarios::{BOTS, NORMAL_PEAK_RATE};
 use crate::RunMode;
-use antidope::{run_experiment, ExperimentConfig, SchemeKind, SimReport};
+use antidope::testutil::{population, users};
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
-use simcore::{par, SimTime};
+use simcore::par;
 use workloads::attacker::AttackTool;
+use workloads::scenario::SeedPin;
 use workloads::service::ServiceKind;
-use workloads::source::TrafficSource;
-use workloads::vector::AttackVector;
 
 fn sustained(scheme: SchemeKind, secs: u64, mode: RunMode) -> SimReport {
     let exp = crate::scenarios::experiment(scheme, BudgetLevel::Low, secs, mode.seed, true);
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + e.duration;
-        vec![
-            normal_users(e.seed, horizon),
-            service_attack(ServiceKind::CollaFilt, 700.0, e.seed, horizon),
-        ]
-    })
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, 700.0))
 }
 
 fn switching(scheme: SchemeKind, secs: u64, mode: RunMode) -> SimReport {
     let exp = crate::scenarios::experiment(scheme, BudgetLevel::Low, secs, mode.seed, true);
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + e.duration;
-        let mut v: Vec<Box<dyn TrafficSource>> = vec![normal_users(e.seed, horizon)];
-        let kinds = [
-            ServiceKind::CollaFilt,
-            ServiceKind::KMeans,
-            ServiceKind::WordCount,
-        ];
-        let phase = (e.duration.as_secs() / kinds.len() as u64).max(1);
-        for (i, kind) in kinds.iter().enumerate() {
-            v.push(Box::new(AttackVector::against_service(
+    let kinds = [
+        ServiceKind::CollaFilt,
+        ServiceKind::KMeans,
+        ServiceKind::WordCount,
+    ];
+    let phase = (secs / kinds.len() as u64).max(1);
+    let mut scenario = users(NORMAL_PEAK_RATE);
+    for (i, kind) in (0u64..).zip(kinds) {
+        scenario = scenario
+            .with_attack_window(
                 AttackTool::HttpLoad { rate: 700.0 },
-                *kind,
-                50_000 + 1_000 * i as u32,
-                crate::scenarios::BOTS,
-                (1 + i as u64) << 40,
-                SimTime::from_secs(5 + phase * i as u64),
-                SimTime::from_secs(5 + phase * (i as u64 + 1)).min(horizon),
-                e.seed ^ (i as u64 + 1),
-            )));
-        }
-        v
-    })
+                kind,
+                BOTS,
+                5 + phase * i,
+                5 + phase * (i + 1),
+            )
+            .pinned(50_000 + 1_000 * i as u32, (1 + i) << 40, SeedPin::Xor(i + 1));
+    }
+    run_experiment(&exp, &scenario)
 }
 
 /// Generate the Fig 18 data.

@@ -6,13 +6,15 @@
 //! (HTTP/DNS) ride high near nameplate; network-layer volume floods
 //! (SYN/UDP/ICMP) barely move the needle.
 
-use crate::scenarios::{self, layer_flood, normal_users};
+use crate::scenarios::{self, NORMAL_PEAK_RATE};
 use crate::RunMode;
-use antidope::{run_experiment, ExperimentConfig, SchemeKind, SimReport};
+use antidope::testutil::users;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
-use simcore::{par, SimTime};
+use simcore::par;
 use workloads::floods::FloodKind;
+use workloads::scenario::SeedPin;
 
 fn run_flood(kind: FloodKind, mode: RunMode) -> SimReport {
     let secs = mode.window_secs();
@@ -21,13 +23,10 @@ fn run_flood(kind: FloodKind, mode: RunMode) -> SimReport {
     // power contribution has already flattened far below the cap.
     let rate = kind.typical_max_rate().min(5_000.0);
     let exp = scenarios::experiment(SchemeKind::None, BudgetLevel::Normal, secs, mode.seed, false);
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + e.duration;
-        vec![
-            normal_users(e.seed, horizon),
-            layer_flood(kind, rate, 200, e.seed, horizon),
-        ]
-    })
+    let flood = users(NORMAL_PEAK_RATE)
+        .with_flood(kind, rate, 200, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0xF100D));
+    run_experiment(&exp, &flood)
 }
 
 /// Generate the Fig 3 data.

@@ -3,9 +3,10 @@
 //! (a) mean power vs attack rate per victim service;
 //! (b) the CDF of per-second power samples at several rates.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::{SchemeKind, SimReport};
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use dcmetrics::Ecdf;
 use powercap::BudgetLevel;
@@ -21,14 +22,9 @@ fn rates(mode: RunMode) -> Vec<f64> {
 }
 
 fn cell(kind: ServiceKind, rate: f64, mode: RunMode) -> SimReport {
-    run_standard(
-        SchemeKind::None,
-        BudgetLevel::Normal,
-        kind,
-        rate,
-        mode.cell_secs(),
-        mode.seed,
-        false,
+    run_experiment(
+        &experiment(SchemeKind::None, BudgetLevel::Normal, mode.cell_secs(), mode.seed, false),
+        &population(kind, rate),
     )
 }
 

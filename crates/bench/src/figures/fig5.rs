@@ -6,9 +6,10 @@
 //! (b) average power and energy per request type — K-means tops the
 //! per-request energy ranking.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::{SchemeKind, SimReport};
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use dcmetrics::{Ecdf, OnlineSummary};
 use powercap::BudgetLevel;
@@ -21,14 +22,15 @@ pub fn run(mode: RunMode) -> Vec<Table> {
     let reports: Vec<(ServiceKind, SimReport)> = par::map(ServiceKind::ALL.iter().collect(), |&k| {
         (
             k,
-            run_standard(
-                SchemeKind::None,
-                BudgetLevel::Normal,
-                k,
-                rate,
-                mode.cell_secs().max(60),
-                mode.seed,
-                false,
+            run_experiment(
+                &experiment(
+                    SchemeKind::None,
+                    BudgetLevel::Normal,
+                    mode.cell_secs().max(60),
+                    mode.seed,
+                    false,
+                ),
+                &population(k, rate),
             ),
         )
     });

@@ -5,23 +5,19 @@
 //! (b) V/F reduction per request type at 1000 req/s — K-means forces the
 //! deepest cut because its power barely responds to frequency.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::{SchemeKind, SimReport};
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use simcore::par;
 use workloads::service::ServiceKind;
 
 fn cell(kind: ServiceKind, rate: f64, mode: RunMode) -> SimReport {
-    run_standard(
-        SchemeKind::Capping,
-        BudgetLevel::Medium,
-        kind,
-        rate,
-        mode.cell_secs(),
-        mode.seed,
-        false,
+    run_experiment(
+        &experiment(SchemeKind::Capping, BudgetLevel::Medium, mode.cell_secs(), mode.seed, false),
+        &population(kind, rate),
     )
 }
 

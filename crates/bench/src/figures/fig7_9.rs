@@ -7,9 +7,10 @@
 //! Fig 9: availability (on-time fraction of legitimate requests)
 //! collapses over the same sweep.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::{SchemeKind, SimReport};
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind, SimReport};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use simcore::par;
@@ -24,14 +25,15 @@ fn sweep(mode: RunMode) -> Vec<(f64, SimReport)> {
     par::map(rates.iter().collect(), |&r| {
         (
             r,
-            run_standard(
-                SchemeKind::Capping,
-                BudgetLevel::Low,
-                ServiceKind::CollaFilt,
-                r,
-                mode.cell_secs(),
-                mode.seed,
-                false,
+            run_experiment(
+                &experiment(
+                    SchemeKind::Capping,
+                    BudgetLevel::Low,
+                    mode.cell_secs(),
+                    mode.seed,
+                    false,
+                ),
+                &population(ServiceKind::CollaFilt, r),
             ),
         )
     })

@@ -1,9 +1,10 @@
 //! Figure 8 — service time per traffic type under capping: Colla-Filt
 //! and K-means arouse the most serious degradation.
 
-use crate::scenarios::run_standard;
+use crate::scenarios::experiment;
 use crate::RunMode;
-use antidope::SchemeKind;
+use antidope::testutil::population;
+use antidope::{run_experiment, SchemeKind};
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use simcore::par;
@@ -21,14 +22,9 @@ pub fn run(mode: RunMode) -> Vec<Table> {
         (
             k,
             b,
-            run_standard(
-                SchemeKind::Capping,
-                b,
-                k,
-                rate,
-                mode.cell_secs(),
-                mode.seed,
-                false,
+            run_experiment(
+                &experiment(SchemeKind::Capping, b, mode.cell_secs(), mode.seed, false),
+                &population(k, rate),
             ),
         )
     });

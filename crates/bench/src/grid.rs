@@ -13,6 +13,7 @@
 //! any shard count (the engines already guarantee shard-invariance; the
 //! grid guarantees the inputs).
 
+use antidope::testutil::users;
 use antidope::{
     run_experiment, AdmissionConfig, ClusterConfig, ExperimentConfig, SchemeKind, SimReport,
 };
@@ -20,7 +21,7 @@ use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use profiler::ProfilerConfig;
 use simcore::{SimDuration, SimTime};
-use workloads::scenario::{ScenarioBuilder, SeedPin};
+use workloads::scenario::ScenarioBuilder;
 use workloads::service::ServiceKind;
 use workloads::vector::{AttackVectorSpec, Envelope, ResourceProfile, SourcePlan, TargetPlan};
 
@@ -237,10 +238,7 @@ pub fn stream_seed(master: u64, name: &str) -> u64 {
 /// The scenario for one cell: the pinned standard normal population
 /// plus the row's vector at index 1.
 fn cell_builder(spec: &AttackVectorSpec) -> ScenarioBuilder {
-    ScenarioBuilder::new()
-        .with_normal_users(NORMAL_PEAK_RATE, 60)
-        .pinned(1_000, 0, SeedPin::Raw)
-        .with_vector(spec.clone(), ATTACK_START_S)
+    users(NORMAL_PEAK_RATE).with_vector(spec.clone(), ATTACK_START_S)
 }
 
 /// Run one `(row, column)` cell on the standard paper rack.
@@ -268,11 +266,8 @@ pub fn run_cell_on(
     exp.duration = SimDuration::from_secs(cfg.duration_s);
     exp.label = format!("{vector} vs {}", col.name());
     let builder = cell_builder(&spec);
-    let horizon_builder = builder.clone();
-    let report = run_experiment(&exp, &move |e: &ExperimentConfig| {
-        horizon_builder.build(e.seed, SimTime::ZERO + e.duration)
-    });
-    let regret_slots = regret(&builder, &spec, seed, &exp, &report);
+    let report = run_experiment(&exp, &builder);
+    let regret_slots = regret(&builder, &exp, &report);
     GridCell {
         vector,
         defense: col.name(),
@@ -281,28 +276,14 @@ pub fn run_cell_on(
     }
 }
 
-/// Mean slots-to-reconvergence per attacker move: replay the vector's
-/// move plan (byte-identical rebuild via the builder's placement)
-/// against the profiler's recorded suspect timeline. A move never
-/// re-detected scores the remaining window — evasion is expensive, not
-/// free.
-fn regret(
-    builder: &ScenarioBuilder,
-    spec: &AttackVectorSpec,
-    seed: u64,
-    exp: &ExperimentConfig,
-    report: &SimReport,
-) -> Option<f64> {
+/// Mean slots-to-reconvergence per attacker move: replay the move plan
+/// of the cell's vector (a byte-identical twin of ingredient 1) against
+/// the profiler's recorded suspect timeline. A move never re-detected
+/// scores the remaining window — evasion is expensive, not free.
+fn regret(builder: &ScenarioBuilder, exp: &ExperimentConfig, report: &SimReport) -> Option<f64> {
     let timeline = &report.profiler.as_ref()?.suspect_timeline;
     let horizon = SimTime::ZERO + exp.duration;
-    let (addr_base, id_base, sub_seed) = builder.placement(1, seed);
-    let vector = spec.build(
-        addr_base,
-        id_base,
-        SimTime::from_secs(ATTACK_START_S),
-        horizon,
-        sub_seed,
-    );
+    let vector = builder.vector_twin(1, exp.seed, horizon)?;
     let plan = vector.planned_moves(horizon);
     if plan.len() < 2 {
         return None; // a fixed target has no moves to regret

@@ -6,7 +6,9 @@
 //! figure id, writes one CSV per plotted series under `--out`, and prints
 //! the aligned table the paper reports.
 //!
-//! Shared scenario construction is in [`scenarios`]; [`grid`] is the
+//! Every population is a `workloads::ScenarioBuilder`: the shared one
+//! is `antidope::testutil::population`, and [`scenarios`] holds the
+//! rotating-attack scenario and the experiment config; [`grid`] is the
 //! attacker × defense scenario grid. The other binaries are
 //! `scenario_grid`, `cluster_scaling` (end-to-end throughput by shard
 //! count) and `kernels` (control-plane kernel timings).

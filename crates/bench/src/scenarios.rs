@@ -1,54 +1,17 @@
-//! Shared scenario construction for figures and benches.
+//! Shared scenario pieces for figures and benches.
+//!
+//! Every population is a [`ScenarioBuilder`]: the standard AliOS +
+//! http-load scenario is [`antidope::testutil::population`], and the
+//! figures that vary it write their builder inline.
 
-use antidope::{run_experiment, ClusterConfig, ExperimentConfig, SchemeKind, SimReport};
+use antidope::{ClusterConfig, ExperimentConfig, SchemeKind};
 use powercap::BudgetLevel;
-use simcore::{SimDuration, SimTime};
-use workloads::attacker::AttackTool;
-use workloads::floods::FloodKind;
+use simcore::SimDuration;
 use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::service::ServiceKind;
-use workloads::source::TrafficSource;
-use workloads::vector::AttackVector;
+use workloads::vector::{AttackVectorSpec, SourcePlan, TargetPlan};
 
-/// Peak arrival rate of the normal population in every scenario,
-/// requests/s at trace utilization 1.0.
-pub const NORMAL_PEAK_RATE: f64 = 80.0;
-
-/// Standard botnet size: per-bot rates stay under the firewall threshold
-/// for every aggregate rate the figures sweep.
-pub const BOTS: u32 = 40;
-
-/// Build the normal-user source (Alibaba-trace-shaped AliOS population).
-///
-/// The canonical builder lives in [`antidope::testutil`] (itself a
-/// pinned [`workloads::ScenarioBuilder`] assembly); the bench peak rate
-/// is fixed here.
-pub fn normal_users(seed: u64, horizon: SimTime) -> Box<dyn TrafficSource> {
-    antidope::testutil::normal_source(seed, horizon, NORMAL_PEAK_RATE)
-}
-
-/// An http-load attack on a service kernel at `rate` requests/s,
-/// starting at t = 5 s. Pinned to the historical placement (address
-/// 50 000, id-space `1 << 40`, `seed ^ 0x5EED`).
-pub fn service_attack(
-    victim: ServiceKind,
-    rate: f64,
-    seed: u64,
-    horizon: SimTime,
-) -> Box<dyn TrafficSource> {
-    ScenarioBuilder::new()
-        .with_attack_spanning(
-            AttackTool::HttpLoad { rate },
-            victim,
-            BOTS,
-            SimTime::from_secs(5),
-            None,
-        )
-        .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED))
-        .build(seed, horizon)
-        .pop()
-        .expect("builder holds exactly one ingredient")
-}
+pub use antidope::testutil::{BOTS, NORMAL_PEAK_RATE};
 
 /// First URL of the rotating attacker's range — deliberately outside
 /// every [`ServiceKind`] URL, so the offline profile has never seen it.
@@ -58,44 +21,24 @@ pub const ROTATION_URL_SPACE: u16 = 6;
 /// Seconds between URL rotations.
 pub const ROTATION_PERIOD_S: u64 = 20;
 
-/// A URL-rotating adaptive attack: heavy Colla-Filt work behind URLs the
-/// offline profile has never seen, hopping every [`ROTATION_PERIOD_S`].
-/// Returned concretely so callers can extract
-/// [`AttackVector::oracle_profiles`] for the oracle arm.
-pub fn rotating_attack(rate: f64, seed: u64, horizon: SimTime) -> AttackVector {
-    let seed = seed ^ 0x707A7E;
-    AttackVector::against_service(
-        AttackTool::HttpLoad { rate },
-        ServiceKind::CollaFilt,
-        50_000,
-        BOTS,
-        1 << 40,
-        SimTime::from_secs(5),
-        horizon,
-        seed,
-    )
-    .with_rotation(
-        ROTATION_URL_BASE,
-        ROTATION_URL_SPACE,
-        SimDuration::from_secs(ROTATION_PERIOD_S),
-        seed,
-    )
-}
-
-/// A layered flood (Fig 3 taxonomy) at `rate`, over `bots` agents.
-pub fn layer_flood(
-    kind: FloodKind,
-    rate: f64,
-    bots: u32,
-    seed: u64,
-    horizon: SimTime,
-) -> Box<dyn TrafficSource> {
-    ScenarioBuilder::new()
-        .with_flood(kind, rate, bots, 5)
-        .pinned(50_000, 1 << 40, SeedPin::Xor(0xF100D))
-        .build(seed, horizon)
-        .pop()
-        .expect("builder holds exactly one ingredient")
+/// The standard users plus a URL-rotating adaptive attack at ingredient
+/// 1: heavy Colla-Filt work at `rate` requests/s over [`BOTS`] bots from
+/// t = 5 s, behind URLs the offline profile has never seen, hopping
+/// every [`ROTATION_PERIOD_S`]. Pinned to address 50 000, id space
+/// `1 << 40` and `seed ^ 0x707A7E`. The oracle arm reads the attack's
+/// [`oracle_profiles`](workloads::AttackVector::oracle_profiles) from
+/// [`ScenarioBuilder::vector_twin`]`(1, ..)`.
+pub fn rotating(rate: f64) -> ScenarioBuilder {
+    let attack = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, rate)
+        .sources(SourcePlan::Botnet { bots: BOTS })
+        .target(TargetPlan::Rotating {
+            url_base: ROTATION_URL_BASE,
+            url_space: ROTATION_URL_SPACE,
+            period: SimDuration::from_secs(ROTATION_PERIOD_S),
+        });
+    antidope::testutil::users(NORMAL_PEAK_RATE)
+        .with_vector(attack, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0x707A7E))
 }
 
 /// An experiment config with an optional firewall override.
@@ -111,44 +54,4 @@ pub fn experiment(
     let mut exp = ExperimentConfig::paper_window(cluster, scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
     exp
-}
-
-/// Run the standard "AliOS + kernel attack" scenario.
-pub fn run_standard(
-    scheme: SchemeKind,
-    budget: BudgetLevel,
-    victim: ServiceKind,
-    attack_rate: f64,
-    duration_s: u64,
-    seed: u64,
-    firewall: bool,
-) -> SimReport {
-    let exp = experiment(scheme, budget, duration_s, seed, firewall);
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + e.duration;
-        let mut v = vec![normal_users(e.seed, horizon)];
-        if attack_rate > 0.0 {
-            v.push(service_attack(victim, attack_rate, e.seed, horizon));
-        }
-        v
-    })
-}
-
-/// The evaluation matrix scenario of Figs 16/17/19: AliOS plus a
-/// sustained Colla-Filt DOPE flood.
-pub fn eval_matrix(duration_s: u64, seed: u64) -> Vec<SimReport> {
-    antidope::run_matrix(
-        &SchemeKind::EVALUATED,
-        &BudgetLevel::ALL,
-        &ClusterConfig::paper_rack(BudgetLevel::Normal),
-        SimDuration::from_secs(duration_s),
-        seed,
-        &|e: &ExperimentConfig| {
-            let horizon = SimTime::ZERO + e.duration;
-            vec![
-                normal_users(e.seed, horizon),
-                service_attack(ServiceKind::CollaFilt, 390.0, e.seed, horizon),
-            ]
-        },
-    )
 }

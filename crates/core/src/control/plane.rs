@@ -1621,10 +1621,7 @@ mod tests {
     fn slot_out_of_shape_with_the_header_is_a_typed_error() {
         let mut exp = tiny_exp();
         exp.cluster.faults = Some(simcore::FaultConfig::default());
-        let horizon = SimTime::ZERO + exp.duration;
-        let (_, trace) = crate::runner::record_experiment(&exp, &|e: &ExperimentConfig| {
-            vec![crate::testutil::normal_source(e.seed, horizon, 100.0)]
-        });
+        let (_, trace) = crate::runner::record_experiment(&exp, &crate::testutil::users(100.0));
         let at = trace.slots.iter().position(|s| s.sample.readback.is_some());
         let at = at.expect("a fault plan records read-back");
         ControlTrace::from_jsonl_str(&trace.to_jsonl()).expect("the recorded trace is valid");
@@ -1651,10 +1648,7 @@ mod tests {
     fn pstates_off_the_ladder_are_a_typed_error() {
         let mut exp = tiny_exp();
         exp.cluster.faults = Some(simcore::FaultConfig::default());
-        let horizon = SimTime::ZERO + exp.duration;
-        let (_, trace) = crate::runner::record_experiment(&exp, &|e: &ExperimentConfig| {
-            vec![crate::testutil::normal_source(e.seed, horizon, 100.0)]
-        });
+        let (_, trace) = crate::runner::record_experiment(&exp, &crate::testutil::users(100.0));
         let at = trace.slots.iter().position(|s| s.sample.readback.is_some());
         let at = at.expect("a fault plan records read-back");
         let top = (PStateTable::PAPER_STATES - 1) as u8;
@@ -1691,10 +1685,7 @@ mod tests {
     fn rack_feeds_out_of_shape_with_the_header_are_a_typed_error() {
         let mut exp = tiny_exp();
         exp.cluster.topology = Some(crate::topology::TopologyConfig::with_racks(2, 1));
-        let horizon = SimTime::ZERO + exp.duration;
-        let (_, trace) = crate::runner::record_experiment(&exp, &|e: &ExperimentConfig| {
-            vec![crate::testutil::normal_source(e.seed, horizon, 100.0)]
-        });
+        let (_, trace) = crate::runner::record_experiment(&exp, &crate::testutil::users(100.0));
         assert!(trace.slots.iter().all(|s| s.sample.rack_power_w.len() == 2));
         ControlTrace::from_jsonl_str(&trace.to_jsonl()).expect("the recorded trace is valid");
         let hostile: [fn(&mut ControlTrace); 3] = [

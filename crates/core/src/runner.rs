@@ -13,7 +13,8 @@ use crate::control::plane::ControlTrace;
 use crate::results::SimReport;
 use crate::shard::ShardedClusterSim;
 use powercap::BudgetLevel;
-use simcore::par;
+use simcore::{par, SimTime};
+use workloads::scenario::ScenarioBuilder;
 use workloads::source::TrafficSource;
 
 /// A factory producing fresh traffic sources for one experiment run.
@@ -33,6 +34,14 @@ where
 {
     fn build(&self, exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
         self(exp)
+    }
+}
+
+/// A scenario is its own factory: every run builds the population
+/// afresh from the experiment's seed over its horizon.
+impl SourceFactory for ScenarioBuilder {
+    fn build(&self, exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
+        ScenarioBuilder::build(self, exp.seed, SimTime::ZERO + exp.duration)
     }
 }
 
@@ -78,38 +87,17 @@ pub fn run_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{SimDuration, SimTime};
-    use workloads::alibaba::{AlibabaTraceConfig, UtilizationTrace};
+    use simcore::SimDuration;
     use workloads::attacker::AttackTool;
-    use workloads::normal::NormalUsers;
-    use workloads::service::{ServiceKind, ServiceMix};
-    use workloads::vector::AttackVector;
+    use workloads::scenario::SeedPin;
+    use workloads::service::ServiceKind;
 
-    fn factory(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-        let horizon = SimTime::ZERO + exp.duration;
-        let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-        vec![
-            Box::new(NormalUsers::new(
-                trace,
-                ServiceMix::alios_normal(),
-                60.0,
-                1000,
-                50,
-                0,
-                horizon,
-                exp.seed,
-            )),
-            Box::new(AttackVector::against_service(
-                AttackTool::HttpLoad { rate: 300.0 },
-                ServiceKind::CollaFilt,
-                50_000,
-                30,
-                1 << 40,
-                SimTime::from_secs(2),
-                horizon,
-                exp.seed ^ 0xABCD,
-            )),
-        ]
+    fn factory() -> ScenarioBuilder {
+        ScenarioBuilder::new()
+            .with_normal_users(60.0, 50)
+            .pinned(1_000, 0, SeedPin::Raw)
+            .with_attack(AttackTool::HttpLoad { rate: 300.0 }, ServiceKind::CollaFilt, 30, 2)
+            .pinned(50_000, 1 << 40, SeedPin::Xor(0xABCD))
     }
 
     #[test]
@@ -120,7 +108,7 @@ mod tests {
             &ClusterConfig::paper_rack(BudgetLevel::Normal),
             SimDuration::from_secs(20),
             5,
-            &factory,
+            &factory(),
         );
         assert_eq!(reports.len(), 4);
         assert_eq!(reports[0].scheme, "Capping");
@@ -141,12 +129,12 @@ mod tests {
             &cluster,
             SimDuration::from_secs(20),
             9,
-            &factory,
+            &factory(),
         );
         let mut exp =
             ExperimentConfig::paper_window(cluster, SchemeKind::Shaving, 9);
         exp.duration = SimDuration::from_secs(20);
-        let solo = run_experiment(&exp, &factory);
+        let solo = run_experiment(&exp, &factory());
         assert_eq!(format!("{:?}", reports[0]), format!("{solo:?}"));
     }
 }

@@ -1766,6 +1766,9 @@ mod tests {
     use crate::testutil;
     use powercap::budget::BudgetLevel;
     use simcore::SimDuration;
+    use workloads::attacker::AttackTool;
+    use workloads::scenario::{ScenarioBuilder, SeedPin};
+    use workloads::service::ServiceKind;
 
     fn exp(shards: usize, scheme: SchemeKind, secs: u64) -> ExperimentConfig {
         let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
@@ -1780,11 +1783,10 @@ mod tests {
     }
 
     fn sources(e: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-        let horizon = SimTime::ZERO + e.duration;
-        vec![
-            testutil::normal_source(e.seed, horizon, 120.0),
-            testutil::attack_source(e.seed ^ 0xABCD, 400.0, SimTime::from_secs(5), horizon),
-        ]
+        testutil::users(120.0)
+            .with_attack(AttackTool::HttpLoad { rate: 400.0 }, ServiceKind::CollaFilt, 40, 5)
+            .pinned(50_000, 1 << 40, SeedPin::Xor(0xABCD))
+            .build(e.seed, SimTime::ZERO + e.duration)
     }
 
     fn run(shards: usize, scheme: SchemeKind, secs: u64) -> SimReport {
@@ -1812,8 +1814,10 @@ mod tests {
         // only the mid-slot advance keeps the inbox small.
         let e = exp(1, SchemeKind::AntiDope, 10);
         let horizon = SimTime::ZERO + e.duration;
-        let flood = testutil::attack_source(e.seed, 10_000.0, SimTime::ZERO, horizon);
-        let mut sim = ShardedClusterSim::new(&e, vec![flood]);
+        let flood = ScenarioBuilder::new()
+            .with_attack(AttackTool::HttpLoad { rate: 10_000.0 }, ServiceKind::CollaFilt, 40, 0)
+            .pinned(50_000, 1 << 40, SeedPin::Raw);
+        let mut sim = ShardedClusterSim::new(&e, flood.build(e.seed, horizon));
         sim.drive_to(horizon);
         let sh = &sim.shards()[0];
         assert!(

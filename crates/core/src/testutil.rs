@@ -1,55 +1,53 @@
-//! Shared experiment builders for tests and benches.
+//! Shared scenarios for tests, figures and benches.
 //!
-//! One canonical copy of the scenario pieces that the unit tests, the
-//! workspace integration tests, and the benches all need: the standard
-//! normal-user population, the Colla-Filt http-load flood, and a
-//! short-window experiment config. Kept in the library (not a
-//! `tests/common` module) so both in-crate `#[cfg(test)]` code and
-//! external test binaries share byte-identical builders — the golden
-//! report harness depends on every caller constructing *exactly* the
-//! same sources.
+//! One canonical copy of the population the unit tests, the workspace
+//! integration tests, the figures and the ablations all run: the
+//! standard AliOS users plus an http-load flood, each a pinned
+//! [`ScenarioBuilder`] ingredient, and a short-window experiment
+//! config. Kept in the library (not a `tests/common` module) so both
+//! in-crate `#[cfg(test)]` code and external test binaries share one
+//! scenario — the golden report harness depends on every caller
+//! building *exactly* the same sources.
 
 use crate::config::{ClusterConfig, ExperimentConfig, SchemeKind};
 use powercap::budget::BudgetLevel;
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use workloads::attacker::AttackTool;
 use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::service::ServiceKind;
-use workloads::source::TrafficSource;
 
-/// The standard normal-user population: AliOS service mix over a small
-/// synthesized Alibaba utilization trace, 1000 users across 60 front
-/// ends, peaking at `peak_rate` requests/s.
-///
-/// Assembled through [`ScenarioBuilder`] with the historical placement
-/// pinned (address 1000, id-space 0, raw seed), so reports stay
-/// byte-identical to the hand-rolled original.
-pub fn normal_source(seed: u64, horizon: SimTime, peak_rate: f64) -> Box<dyn TrafficSource> {
+/// Peak arrival rate of the standard normal population, requests/s at
+/// trace utilization 1.0.
+pub const NORMAL_PEAK_RATE: f64 = 80.0;
+
+/// Standard botnet size: per-bot rates stay under the firewall
+/// threshold for every aggregate rate the figures sweep.
+pub const BOTS: u32 = 40;
+
+/// The standard normal-user population: the AliOS service mix over a
+/// small synthesized Alibaba utilization trace, 60 client addresses,
+/// peaking at `peak_rate` requests/s. Pinned to address 1 000, id
+/// space 0 and the raw run seed.
+pub fn users(peak_rate: f64) -> ScenarioBuilder {
     ScenarioBuilder::new()
         .with_normal_users(peak_rate, 60)
         .pinned(1_000, 0, SeedPin::Raw)
-        .build(seed, horizon)
-        .pop()
-        .expect("builder holds exactly one ingredient")
 }
 
-/// The standard flood: http-load against the Colla-Filt service at
-/// `rate` requests/s total, spread over 40 bots (stealthy per-source
-/// rates), active on `[start, stop)`. Pinned to the historical
-/// placement (address 50 000, id-space `1 << 40`, raw seed).
-pub fn attack_source(seed: u64, rate: f64, start: SimTime, stop: SimTime) -> Box<dyn TrafficSource> {
-    ScenarioBuilder::new()
-        .with_attack_spanning(
-            AttackTool::HttpLoad { rate },
-            ServiceKind::CollaFilt,
-            40,
-            start,
-            Some(stop),
-        )
-        .pinned(50_000, 1 << 40, SeedPin::Raw)
-        .build(seed, stop)
-        .pop()
-        .expect("builder holds exactly one ingredient")
+/// The standard scenario: [`users`] at [`NORMAL_PEAK_RATE`] plus, when
+/// `attack_rate` is positive, an http-load flood on `victim` at
+/// `attack_rate` requests/s total over [`BOTS`] bots (stealthy
+/// per-source rates) from t = 5 s to the horizon, pinned to address 50 000, id
+/// space `1 << 40` and `seed ^ 0x5EED`.
+pub fn population(victim: ServiceKind, attack_rate: f64) -> ScenarioBuilder {
+    let users = users(NORMAL_PEAK_RATE);
+    if attack_rate > 0.0 {
+        users
+            .with_attack(AttackTool::HttpLoad { rate: attack_rate }, victim, BOTS, 5)
+            .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED))
+    } else {
+        users
+    }
 }
 
 /// A paper-rack experiment shortened to `secs` — the standard cell for

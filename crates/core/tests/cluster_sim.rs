@@ -1,44 +1,30 @@
 //! End-to-end tests of the cluster engine (dataplane + staged control
 //! plane), driven through the runner the way experiments are.
 
-use antidope::config::{ExperimentConfig, SchemeKind};
-use antidope::results::{FaultReport, SimReport};
-use antidope::{record_experiment, run_experiment, testutil, ShardedClusterSim};
+use antidope::config::SchemeKind;
+use antidope::results::FaultReport;
+use antidope::testutil::{quick_exp, users};
+use antidope::{record_experiment, run_experiment, ShardedClusterSim};
 use powercap::budget::BudgetLevel;
 use simcore::faults::{CrashEvent, FaultConfig};
 use simcore::{SimDuration, SimTime};
 use workloads::attacker::AttackTool;
+use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::service::ServiceKind;
-use workloads::source::TrafficSource;
-use workloads::vector::AttackVector;
 
-use antidope::testutil::quick_exp;
-
-/// Run `exp` through [`run_experiment`] over the sources `sources` builds.
-fn run(
-    exp: &ExperimentConfig,
-    sources: impl Fn() -> Vec<Box<dyn TrafficSource>> + Sync,
-) -> SimReport {
-    run_experiment(exp, &move |_: &ExperimentConfig| sources())
-}
-
-fn normal_source(seed: u64, horizon_s: u64, peak_rate: f64) -> Box<dyn TrafficSource> {
-    testutil::normal_source(seed, SimTime::from_secs(horizon_s), peak_rate)
-}
-
-fn attack_source(seed: u64, rate: f64, start_s: u64, stop_s: u64) -> Box<dyn TrafficSource> {
-    testutil::attack_source(
-        seed,
-        rate,
-        SimTime::from_secs(start_s),
-        SimTime::from_secs(stop_s),
-    )
+/// `base` plus a 40-bot http-load flood on Colla-Filt at `rate`
+/// requests/s over `[start_s, stop_s)`, pinned to address 50 000, id
+/// space `1 << 40` and the raw run seed.
+fn flooded(base: ScenarioBuilder, rate: f64, start_s: u64, stop_s: u64) -> ScenarioBuilder {
+    let tool = AttackTool::HttpLoad { rate };
+    base.with_attack_window(tool, ServiceKind::CollaFilt, 40, start_s, stop_s)
+        .pinned(50_000, 1 << 40, SeedPin::Raw)
 }
 
 #[test]
 fn idle_cluster_draws_idle_power() {
     let exp = quick_exp(SchemeKind::None, BudgetLevel::Normal, 10, 1);
-    let report = run(&exp, Vec::new);
+    let report = run_experiment(&exp, &ScenarioBuilder::new());
     assert_eq!(report.traffic.offered, 0);
     // 4 nodes × 40 W idle.
     assert!((report.power.peak_w - 160.0).abs() < 1e-6);
@@ -49,7 +35,7 @@ fn idle_cluster_draws_idle_power() {
 #[test]
 fn normal_traffic_served_fast_at_normal_pb() {
     let exp = quick_exp(SchemeKind::Capping, BudgetLevel::Normal, 60, 2);
-    let report = run(&exp, || vec![normal_source(2, 60, 100.0)]);
+    let report = run_experiment(&exp, &users(100.0));
     assert!(report.traffic.offered > 1000);
     assert!(report.availability() > 0.95, "{}", report.oneline());
     // Paper: below 40 ms at Normal-PB.
@@ -60,9 +46,7 @@ fn normal_traffic_served_fast_at_normal_pb() {
 #[test]
 fn unmanaged_attack_violates_budget() {
     let exp = quick_exp(SchemeKind::None, BudgetLevel::Medium, 60, 3);
-    let report = run(&exp, || {
-        vec![normal_source(3, 60, 80.0), attack_source(3, 600.0, 5, 60)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 60));
     assert!(report.power.violations > 0, "{}", report.oneline());
     assert!(report.power.peak_w > 340.0);
 }
@@ -70,13 +54,9 @@ fn unmanaged_attack_violates_budget() {
 #[test]
 fn capping_holds_power_but_hurts_latency() {
     let exp = quick_exp(SchemeKind::Capping, BudgetLevel::Medium, 90, 4);
-    let capped = run(&exp, || {
-        vec![normal_source(4, 90, 80.0), attack_source(4, 600.0, 5, 90)]
-    });
+    let capped = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 90));
     let exp_none = quick_exp(SchemeKind::None, BudgetLevel::Medium, 90, 4);
-    let unmanaged = run(&exp_none, || {
-        vec![normal_source(4, 90, 80.0), attack_source(4, 600.0, 5, 90)]
-    });
+    let unmanaged = run_experiment(&exp_none, &flooded(users(80.0), 600.0, 5, 90));
     // Far fewer violating slots than unmanaged…
     assert!(
         capped.power.violation_fraction < unmanaged.power.violation_fraction * 0.6,
@@ -92,21 +72,15 @@ fn capping_holds_power_but_hurts_latency() {
 #[test]
 fn deterministic_runs() {
     let exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 30, 7);
-    let a = run(&exp, || {
-        vec![normal_source(7, 30, 60.0), attack_source(7, 300.0, 5, 30)]
-    });
-    let b = run(&exp, || {
-        vec![normal_source(7, 30, 60.0), attack_source(7, 300.0, 5, 30)]
-    });
+    let a = run_experiment(&exp, &flooded(users(60.0), 300.0, 5, 30));
+    let b = run_experiment(&exp, &flooded(users(60.0), 300.0, 5, 30));
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 #[test]
 fn antidope_routes_suspects_to_pool() {
     let exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 30, 8);
-    let report = run(&exp, || {
-        vec![normal_source(8, 30, 60.0), attack_source(8, 300.0, 2, 30)]
-    });
+    let report = run_experiment(&exp, &flooded(users(60.0), 300.0, 2, 30));
     assert!(
         report.traffic.to_suspect_pool > 1000,
         "{:?}",
@@ -117,9 +91,7 @@ fn antidope_routes_suspects_to_pool() {
 #[test]
 fn token_sheds_load_under_attack() {
     let exp = quick_exp(SchemeKind::Token, BudgetLevel::Low, 60, 9);
-    let report = run(&exp, || {
-        vec![normal_source(9, 60, 80.0), attack_source(9, 800.0, 2, 60)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 800.0, 2, 60));
     assert!(report.traffic.scheme_denied > 0, "token must deny requests");
     assert!(report.traffic.drop_rate > 0.3, "{}", report.oneline());
 }
@@ -127,9 +99,7 @@ fn token_sheds_load_under_attack() {
 #[test]
 fn shaving_uses_battery_before_dvfs() {
     let exp = quick_exp(SchemeKind::Shaving, BudgetLevel::Medium, 45, 10);
-    let report = run(&exp, || {
-        vec![normal_source(10, 45, 80.0), attack_source(10, 600.0, 2, 45)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 2, 45));
     assert!(report.battery.episodes > 0);
     assert!(report.battery.discharged_j > 0.0);
     assert!(report.battery.min_soc < 1.0);
@@ -138,9 +108,7 @@ fn shaving_uses_battery_before_dvfs() {
 #[test]
 fn energy_accounting_consistent() {
     let exp = quick_exp(SchemeKind::Shaving, BudgetLevel::Low, 45, 11);
-    let report = run(&exp, || {
-        vec![normal_source(11, 45, 80.0), attack_source(11, 500.0, 2, 45)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 500.0, 2, 45));
     // Load energy = utility − charge + battery. All positive, and
     // load ≥ idle floor over the window.
     assert!(report.energy.load_j > 160.0 * 40.0);
@@ -154,12 +122,7 @@ fn sustained_overload_trips_breaker_and_outage_follows() {
     exp.cluster.breaker = true;
     exp.cluster.breaker_rating_factor = 1.05; // trips at 357 W
     exp.cluster.breaker_trip_delay = SimDuration::from_secs(30);
-    let report = run(&exp, || {
-        vec![
-            normal_source(21, 120, 80.0),
-            attack_source(21, 600.0, 5, 120),
-        ]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 120));
     let outage = report.power.outage_at_s.expect("breaker should trip");
     // The attack starts at 5 s and the trip delay is 30 s.
     assert!((30.0..90.0).contains(&outage), "outage at {outage}");
@@ -186,21 +149,14 @@ fn antidope_prevents_the_outage() {
     exp.cluster.breaker = true;
     exp.cluster.breaker_rating_factor = 1.05;
     exp.cluster.breaker_trip_delay = SimDuration::from_secs(30);
-    let report = run(&exp, || {
-        vec![
-            normal_source(21, 120, 80.0),
-            attack_source(21, 600.0, 5, 120),
-        ]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 120));
     assert_eq!(report.power.outage_at_s, None, "{}", report.oneline());
 }
 
 #[test]
 fn breaker_disabled_by_default() {
     let exp = quick_exp(SchemeKind::None, BudgetLevel::Medium, 60, 22);
-    let report = run(&exp, || {
-        vec![normal_source(22, 60, 80.0), attack_source(22, 600.0, 5, 60)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 60));
     assert_eq!(report.power.outage_at_s, None);
     assert!(report.power.violations > 0);
 }
@@ -238,7 +194,7 @@ fn rapl_limit_actions_enforce_per_node_caps() {
     let report = ShardedClusterSim::run_with_scheme(
         &exp,
         scheme,
-        vec![normal_source(31, 60, 80.0), attack_source(31, 600.0, 5, 60)],
+        flooded(users(80.0), 600.0, 5, 60).build(exp.seed, SimTime::ZERO + exp.duration),
     );
     // 4 nodes capped at 80 W each: the cluster stays at/below 320 W
     // (within one slot of enforcement slack at the attack onset).
@@ -256,12 +212,7 @@ fn rapl_limit_actions_enforce_per_node_caps() {
 fn thermal_prochot_clamps_hot_nodes() {
     let mut exp = quick_exp(SchemeKind::None, BudgetLevel::Normal, 240, 25);
     exp.cluster.thermal = true;
-    let report = run(&exp, || {
-        vec![
-            normal_source(25, 240, 80.0),
-            attack_source(25, 600.0, 5, 240),
-        ]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 240));
     // Sustained near-nameplate power heats past the 75 °C PROCHOT
     // threshold within a few thermal time constants.
     assert!(report.thermal.peak_temp_c > 75.0, "{:?}", report.thermal);
@@ -274,7 +225,7 @@ fn thermal_prochot_clamps_hot_nodes() {
 #[test]
 fn thermal_disabled_reports_zeros() {
     let exp = quick_exp(SchemeKind::None, BudgetLevel::Normal, 30, 26);
-    let report = run(&exp, || vec![attack_source(26, 600.0, 0, 30)]);
+    let report = run_experiment(&exp, &flooded(ScenarioBuilder::new(), 600.0, 0, 30));
     assert_eq!(report.thermal.peak_temp_c, 0.0);
     assert_eq!(report.thermal.prochot_events, 0);
 }
@@ -283,23 +234,13 @@ fn thermal_disabled_reports_zeros() {
 fn antidope_keeps_innocent_nodes_cool() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Normal, 240, 27);
     exp.cluster.thermal = true;
-    let report = run(&exp, || {
-        vec![
-            normal_source(27, 240, 80.0),
-            attack_source(27, 600.0, 5, 240),
-        ]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 240));
     let none_exp = {
         let mut e = quick_exp(SchemeKind::None, BudgetLevel::Normal, 240, 27);
         e.cluster.thermal = true;
         e
     };
-    let unmanaged = run(&none_exp, || {
-        vec![
-            normal_source(27, 240, 80.0),
-            attack_source(27, 600.0, 5, 240),
-        ]
-    });
+    let unmanaged = run_experiment(&none_exp, &flooded(users(80.0), 600.0, 5, 240));
     // Isolation confines the heat to the suspect node: far fewer
     // PROCHOT assertions than with the attack spread everywhere.
     assert!(
@@ -315,19 +256,10 @@ fn firewall_blocks_loud_attackers() {
     // One source at 5000 rps over only 5 bots = 1000 rps/bot: way
     // over the 150 rps threshold.
     let exp = quick_exp(SchemeKind::Capping, BudgetLevel::Normal, 30, 12);
-    let loud = || -> Vec<Box<dyn TrafficSource>> {
-        vec![Box::new(AttackVector::against_service(
-            AttackTool::HttpLoad { rate: 5000.0 },
-            ServiceKind::TextCont,
-            90_000,
-            5,
-            1 << 42,
-            SimTime::ZERO,
-            SimTime::from_secs(30),
-            12,
-        ))]
-    };
-    let report = run(&exp, loud);
+    let loud = ScenarioBuilder::new()
+        .with_attack(AttackTool::HttpLoad { rate: 5000.0 }, ServiceKind::TextCont, 5, 0)
+        .pinned(90_000, 1 << 42, SeedPin::Raw);
+    let report = run_experiment(&exp, &loud);
     assert!(
         report.traffic.firewall_blocked > 10_000,
         "{:?}",
@@ -340,13 +272,9 @@ fn firewall_blocks_loud_attackers() {
 #[test]
 fn noop_fault_plan_changes_only_the_report() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 30, 41);
-    let base = run(&exp, || {
-        vec![normal_source(41, 30, 60.0), attack_source(41, 300.0, 5, 30)]
-    });
+    let base = run_experiment(&exp, &flooded(users(60.0), 300.0, 5, 30));
     exp.cluster.faults = Some(FaultConfig::default());
-    let mut chaotic = run(&exp, || {
-        vec![normal_source(41, 30, 60.0), attack_source(41, 300.0, 5, 30)]
-    });
+    let mut chaotic = run_experiment(&exp, &flooded(users(60.0), 300.0, 5, 30));
     let fr = chaotic.faults.take().expect("fault report present");
     assert_eq!(fr, FaultReport::default(), "no-op plan must inject nothing");
     // With the report's faults field removed, a no-op plan is
@@ -365,7 +293,7 @@ fn crashed_node_reboots_and_returns() {
         reboot_after: SimDuration::from_secs(15),
         ..FaultConfig::default()
     });
-    let report = run(&exp, || vec![normal_source(42, 60, 200.0)]);
+    let report = run_experiment(&exp, &users(200.0));
     let faults = report.faults.as_ref().expect("fault report");
     assert_eq!(faults.crashes, 1);
     assert_eq!(faults.reboots, 1);
@@ -385,7 +313,7 @@ fn crash_without_reboot_stays_down() {
         // reboot_after stays ZERO: the node never comes back.
         ..FaultConfig::default()
     });
-    let report = run(&exp, || vec![normal_source(46, 30, 150.0)]);
+    let report = run_experiment(&exp, &users(150.0));
     let faults = report.faults.as_ref().expect("fault report");
     assert_eq!(faults.crashes, 1);
     assert_eq!(faults.reboots, 0);
@@ -399,9 +327,7 @@ fn telemetry_blackout_engages_watchdog_and_recovers() {
         blackouts: vec![(SimTime::from_secs(15), SimTime::from_secs(30))],
         ..FaultConfig::default()
     });
-    let report = run(&exp, || {
-        vec![normal_source(43, 60, 80.0), attack_source(43, 600.0, 5, 60)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 5, 60));
     let faults = report.faults.as_ref().expect("fault report");
     assert!(faults.blackout_samples > 0);
     assert!(faults.degraded_slots > 0, "{faults:?}");
@@ -423,9 +349,7 @@ fn failed_charger_blocks_recharge() {
         charger_fails_at: Some(SimTime::ZERO),
         ..FaultConfig::default()
     });
-    let report = run(&exp, || {
-        vec![normal_source(44, 45, 80.0), attack_source(44, 600.0, 2, 20)]
-    });
+    let report = run_experiment(&exp, &flooded(users(80.0), 600.0, 2, 20));
     let faults = report.faults.as_ref().expect("fault report");
     assert!(faults.charger_blocked_slots > 0, "{faults:?}");
     assert_eq!(report.battery.charge_drawn_j, 0.0);
@@ -434,12 +358,12 @@ fn failed_charger_blocks_recharge() {
 #[test]
 fn battery_fade_derates_capacity() {
     let mut exp = quick_exp(SchemeKind::Shaving, BudgetLevel::Medium, 10, 45);
-    let base_cap = run(&exp, Vec::new).battery.capacity_j;
+    let base_cap = run_experiment(&exp, &ScenarioBuilder::new()).battery.capacity_j;
     exp.cluster.faults = Some(FaultConfig {
         battery_fade: 0.5,
         ..FaultConfig::default()
     });
-    let faded_cap = run(&exp, Vec::new).battery.capacity_j;
+    let faded_cap = run_experiment(&exp, &ScenarioBuilder::new()).battery.capacity_j;
     assert!(
         (faded_cap - base_cap * 0.5).abs() < 1e-6,
         "{faded_cap} vs half of {base_cap}"
@@ -466,9 +390,7 @@ fn recording_leaves_the_run_byte_identical() {
             reboot_after: SimDuration::from_secs(8),
             ..FaultConfig::default()
         });
-        let sources = |_: &ExperimentConfig| {
-            vec![normal_source(51, 30, 60.0), attack_source(51, 300.0, 5, 30)]
-        };
+        let sources = flooded(users(60.0), 300.0, 5, 30);
         let plain = run_experiment(&exp, &sources);
         let (recorded, trace) = record_experiment(&exp, &sources);
         assert_eq!(

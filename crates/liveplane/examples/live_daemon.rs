@@ -30,7 +30,7 @@ use simcore::{SimDuration, SimTime};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use workloads::source::TrafficSource;
+use workloads::{AttackTool, ScenarioBuilder, SeedPin, ServiceKind};
 
 /// The demo experiment: Anti-DOPE under a low budget with chaos faults,
 /// 60 control slots, fixed seed.
@@ -46,18 +46,18 @@ fn demo_exp() -> ExperimentConfig {
     exp
 }
 
-fn demo_sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    let horizon = SimTime::ZERO + exp.duration;
-    vec![
-        antidope::testutil::normal_source(exp.seed, horizon, 60.0),
-        antidope::testutil::attack_source(exp.seed, 300.0, SimTime::from_secs(5), horizon),
-    ]
+/// The demo population: AliOS users plus a Colla-Filt http-load flood
+/// from t = 5 s.
+fn demo_sources() -> ScenarioBuilder {
+    antidope::testutil::users(60.0)
+        .with_attack(AttackTool::HttpLoad { rate: 300.0 }, ServiceKind::CollaFilt, 40, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Raw)
 }
 
 fn record(path: &Path) {
     let exp = demo_exp();
     println!("recording {} control slots (seed {})...", 60, exp.seed);
-    let (report, trace) = record_experiment(&exp, &demo_sources);
+    let (report, trace) = record_experiment(&exp, &demo_sources());
     trace.write_jsonl(path).expect("write trace");
     println!(
         "wrote {} slots to {} — peak {:.0} W, energy {:.0} J, {} retries",

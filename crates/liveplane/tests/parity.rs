@@ -19,7 +19,7 @@
 //! decides purely from slot telemetry and replays exactly.
 
 use antidope::runner::SourceFactory;
-use antidope::testutil::{attack_source, normal_source, quick_exp};
+use antidope::testutil::{quick_exp, users};
 use antidope::{
     record_experiment, ActionRecord, ClusterConfig, ConfigError, ControlTrace, ExperimentConfig,
     Forget, ForgetKind, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
@@ -34,15 +34,15 @@ use profiler::ProfilerConfig;
 use simcore::faults::{CrashEvent, FaultConfig};
 use simcore::{SimDuration, SimTime};
 use std::path::PathBuf;
-use workloads::source::TrafficSource;
-use workloads::{AttackTool, AttackVector, ServiceKind};
+use workloads::{
+    AttackTool, AttackVectorSpec, ScenarioBuilder, SeedPin, ServiceKind, SourcePlan, TargetPlan,
+};
 
-fn sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    let horizon = SimTime::ZERO + exp.duration;
-    vec![
-        normal_source(exp.seed, horizon, 60.0),
-        attack_source(exp.seed, 300.0, SimTime::from_secs(5), horizon),
-    ]
+/// Users plus a Colla-Filt http-load flood from t = 5 s.
+fn sources() -> ScenarioBuilder {
+    users(60.0)
+        .with_attack(AttackTool::HttpLoad { rate: 300.0 }, ServiceKind::CollaFilt, 40, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Raw)
 }
 
 /// Racks of the topology cells.
@@ -69,21 +69,18 @@ fn rack_flood_exp(shards: usize) -> ExperimentConfig {
 
 /// Normal users plus an http-load flood that lands on one of the
 /// cell's racks.
-fn rack_flood_sources(exp: &ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    let horizon = SimTime::ZERO + exp.duration;
+fn rack_flood(exp: &ExperimentConfig) -> ScenarioBuilder {
     let racks = exp.cluster.topology.expect("topology cell").racks;
-    let flood = AttackVector::against_service(
-        AttackTool::HttpLoad { rate: 420.0 },
-        ServiceKind::CollaFilt,
-        50_000,
-        40,
-        1 << 40,
-        SimTime::from_secs(5),
-        horizon,
-        exp.seed,
-    )
-    .with_concentration(racks, 900, exp.duration, exp.seed);
-    vec![normal_source(exp.seed, horizon, 80.0), Box::new(flood)]
+    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, 420.0)
+        .sources(SourcePlan::Botnet { bots: 40 })
+        .target(TargetPlan::Concentrating {
+            racks,
+            url_base: 900,
+            period: exp.duration,
+        });
+    users(80.0)
+        .with_vector(flood, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Raw)
 }
 
 fn chaos(exp: &mut ExperimentConfig) {
@@ -147,7 +144,7 @@ fn assert_parity(exp: &ExperimentConfig, sources: &dyn SourceFactory) -> (SimRep
 #[test]
 fn parity_one_shard_no_faults() {
     let exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 60, 2019);
-    let (report, trace) = assert_parity(&exp, &sources);
+    let (report, trace) = assert_parity(&exp, &sources());
     assert_eq!(trace.slots.len(), 60);
     assert!(report.power.peak_w > 0.0);
 }
@@ -157,7 +154,7 @@ fn parity_one_shard_chaos_with_profiler() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 60, 2019);
     chaos(&mut exp);
     exp.cluster.profiler = Some(ProfilerConfig::default());
-    let (report, trace) = assert_parity(&exp, &sources);
+    let (report, trace) = assert_parity(&exp, &sources());
     assert!(report.profiler.is_some(), "profiler cell must report attribution");
     assert!(trace.footer.retries > 0, "actuator loss must surface read-back retries");
 }
@@ -172,7 +169,7 @@ fn parity_two_shards_chaos_blackout() {
         blackouts: vec![(SimTime::from_secs(10), SimTime::from_secs(20))],
         ..FaultConfig::default()
     });
-    let (_, trace) = assert_parity(&exp, &sources);
+    let (_, trace) = assert_parity(&exp, &sources());
     assert_eq!(trace.slots.len(), 60);
 }
 
@@ -191,7 +188,7 @@ fn assert_rack_guard_parity(shards: usize, faults: bool) {
         exp.cluster.control.telemetry_staleness_slots = 1;
     }
     let racks = exp.cluster.topology.expect("topology cell").racks;
-    let (report, trace) = assert_parity(&exp, &rack_flood_sources);
+    let (report, trace) = assert_parity(&exp, &rack_flood(&exp));
     let topo = report.topology.expect("topology configured");
     assert!(topo.guard_slots > 0, "the rack guard must pin: {topo:?}");
     assert!(!faults || topo.blackout_slots > 0, "dark racks must be pinned: {topo:?}");
@@ -221,7 +218,7 @@ fn parity_rack_guard_two_shards_chaos() {
 #[test]
 fn schema_mismatch_is_a_typed_error() {
     let exp = quick_exp(SchemeKind::Capping, BudgetLevel::Medium, 10, 2019);
-    let (_, trace) = record_experiment(&exp, &sources);
+    let (_, trace) = record_experiment(&exp, &sources());
     let jsonl = trace.to_jsonl();
     let bumped = jsonl.replacen("\"schema\":1", "\"schema\":99", 1);
     assert_ne!(bumped, jsonl, "header must carry the schema field");
@@ -292,14 +289,14 @@ fn assert_sysfs_parity(exp: &ExperimentConfig, sources: &dyn SourceFactory, tag:
 fn sysfs_backend_round_trips_and_matches_the_trace() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 30, 2019);
     chaos(&mut exp);
-    assert_sysfs_parity(&exp, &sources, "sysfs");
+    assert_sysfs_parity(&exp, &sources(), "sysfs");
 }
 
 #[test]
 fn sysfs_backend_round_trips_rack_feeds() {
     let mut exp = rack_flood_exp(2);
     exp.duration = SimDuration::from_secs(15);
-    assert_sysfs_parity(&exp, &rack_flood_sources, "sysfs-racks");
+    assert_sysfs_parity(&exp, &rack_flood(&exp), "sysfs-racks");
 }
 
 /// Publish the first recorded slot of `exp`, let `tamper` edit the
@@ -331,7 +328,7 @@ fn step_tampered_tree(
 fn hostile_sysfs_forget_is_a_typed_error() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 10, 2019);
     chaos(&mut exp);
-    let err = step_tampered_tree(&exp, &sources, "forget", |dir| {
+    let err = step_tampered_tree(&exp, &sources(), "forget", |dir| {
         std::fs::write(dir.join("control/forgets"), "99999 full\n").expect("tamper");
     })
     .expect_err("an out-of-range forget must be rejected");
@@ -342,7 +339,7 @@ fn hostile_sysfs_forget_is_a_typed_error() {
 fn sysfs_rack_feeds_out_of_shape_are_a_typed_error() {
     let mut exp = rack_flood_exp(1);
     exp.duration = SimDuration::from_secs(10);
-    let err = step_tampered_tree(&exp, &rack_flood_sources, "racks", |dir| {
+    let err = step_tampered_tree(&exp, &rack_flood(&exp), "racks", |dir| {
         std::fs::write(dir.join("control/racks"), "3\n").expect("tamper");
     })
     .expect_err("a short rack feed must be rejected");
@@ -353,7 +350,7 @@ fn sysfs_rack_feeds_out_of_shape_are_a_typed_error() {
 fn replayed_rack_feeds_out_of_shape_are_a_typed_error() {
     let mut exp = rack_flood_exp(1);
     exp.duration = SimDuration::from_secs(10);
-    let (_, mut trace) = record_experiment(&exp, &rack_flood_sources);
+    let (_, mut trace) = record_experiment(&exp, &rack_flood(&exp));
     trace.slots[0].sample.rack_power_w.truncate(1);
     let mut daemon = LiveDaemon::new(
         &exp,
@@ -370,7 +367,7 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
     let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 60, 2019);
     chaos(&mut exp);
     exp.cluster.profiler = Some(ProfilerConfig::default());
-    let (_, trace) = record_experiment(&exp, &sources);
+    let (_, trace) = record_experiment(&exp, &sources());
     let dir = sysfs_dir("stale");
 
     // Publish one slot that throttles a node (so its actuator intent is
@@ -452,7 +449,7 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
 #[test]
 fn replay_telemetry_exhaustion_ends_the_run_cleanly() {
     let exp = quick_exp(SchemeKind::Shaving, BudgetLevel::Medium, 10, 2019);
-    let (_, trace) = record_experiment(&exp, &sources);
+    let (_, trace) = record_experiment(&exp, &sources());
     let mut ticks: Vec<SlotTick> = trace
         .slots
         .iter()

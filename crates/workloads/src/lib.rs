@@ -24,11 +24,15 @@
 //!   sources used by the sharded cluster engine to drain a control
 //!   slot's arrivals up front while preserving the pull/feedback
 //!   protocol.
-//! * [`scenario`] — a composable [`ScenarioBuilder`] assembling standard
-//!   populations with automatic id-space / address-pool bookkeeping.
+//! * [`scenario`] — the composable [`ScenarioBuilder`], the one way a
+//!   simulated population is built: standard populations with automatic
+//!   id-space / address-pool bookkeeping, explicit pins where a scenario
+//!   keeps a recorded placement, and concrete twins of one ingredient
+//!   for callers that read an attack's plan.
 //! * [`vector`] — the composable [`AttackVector`] algebra: base flood ⊗
-//!   envelope ⊗ source plan ⊗ resource profile ⊗ target plan; the flood
-//!   structs in [`attacker`] are thin facades over it.
+//!   envelope ⊗ source plan ⊗ resource profile ⊗ target plan; every
+//!   http-load / ApacheBench flood and every Fig 3 flood kind is an
+//!   [`AttackVector`] ([`attacker`] re-exports its [`AttackTool`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -42,8 +42,9 @@ pub mod prelude {
         attacker::AttackTool,
         dope::{DopeAttacker, DopeConfig},
         normal::NormalUsers,
+        scenario::{ScenarioBuilder, SeedPin},
         service::{ServiceKind, ServiceMix},
         source::TrafficSource,
-        vector::AttackVector,
+        vector::{AttackVector, AttackVectorSpec, SourcePlan, TargetPlan},
     };
 }

@@ -3,6 +3,7 @@
 
 mod common;
 
+use antidope_repro::antidope::testutil::{users, NORMAL_PEAK_RATE};
 use antidope_repro::prelude::*;
 use common::run_cell;
 
@@ -63,44 +64,29 @@ fn capping_leaves_battery_full() {
 /// in EXPERIMENTS.md).
 #[test]
 fn attack_switching_battery_contrast() {
-    let factory = |exp: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + exp.duration;
-        let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-        let mut sources: Vec<Box<dyn TrafficSource>> = vec![Box::new(NormalUsers::new(
-            trace,
-            ServiceMix::alios_normal(),
-            common::NORMAL_PEAK_RATE,
-            1_000,
-            60,
-            0,
-            horizon,
-            exp.seed,
-        ))];
-        // Rotate Colla-Filt → K-means → Word-Count every 120 s.
-        let kinds = [
-            ServiceKind::CollaFilt,
-            ServiceKind::KMeans,
-            ServiceKind::WordCount,
-        ];
-        for (i, kind) in kinds.iter().enumerate() {
-            sources.push(Box::new(AttackVector::against_service(
+    // Rotate Colla-Filt → K-means → Word-Count every 120 s.
+    let kinds = [
+        ServiceKind::CollaFilt,
+        ServiceKind::KMeans,
+        ServiceKind::WordCount,
+    ];
+    let mut switching = users(NORMAL_PEAK_RATE);
+    for (i, kind) in (0u64..).zip(kinds) {
+        switching = switching
+            .with_attack_window(
                 AttackTool::HttpLoad { rate: 700.0 },
-                *kind,
-                50_000 + i as u32 * 1_000,
+                kind,
                 40,
-                (1 + i as u64) << 40,
-                SimTime::from_secs(5 + 120 * i as u64),
-                SimTime::from_secs(5 + 120 * (i as u64 + 1)).min(horizon),
-                exp.seed ^ (i as u64 + 1),
-            )));
-        }
-        sources
-    };
+                5 + 120 * i,
+                5 + 120 * (i + 1),
+            )
+            .pinned(50_000 + i as u32 * 1_000, (1 + i) << 40, SeedPin::Xor(i + 1));
+    }
     let run = |scheme: SchemeKind| {
         let mut exp =
             ExperimentConfig::paper_window(ClusterConfig::paper_rack(BudgetLevel::Low), scheme, 13);
         exp.duration = SimDuration::from_secs(365);
-        run_experiment(&exp, &factory)
+        run_experiment(&exp, &switching)
     };
     let anti = run(SchemeKind::AntiDope);
     let shaving = run(SchemeKind::Shaving);

@@ -18,8 +18,9 @@
 
 mod common;
 
+use antidope_repro::antidope::testutil::population;
 use antidope_repro::prelude::*;
-use common::{run_cell, run_chaos_cell, run_profiled_chaos_cell, scenario};
+use common::{run_cell, run_chaos_cell, run_profiled_chaos_cell};
 use proptest::prelude::*;
 
 /// The acceptance gate: at Low-PB under a 390 req/s flood with 10% of
@@ -72,7 +73,7 @@ fn blackout_never_breaches_the_breaker() {
     let rating = 340.0 * 1.05; // Medium-PB supply × rating factor
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
     exp.duration = SimDuration::from_secs(120);
-    let report = run_experiment(&exp, &scenario(600.0));
+    let report = run_experiment(&exp, &population(ServiceKind::CollaFilt, 600.0));
 
     assert_eq!(
         report.power.outage_at_s, None,
@@ -267,7 +268,8 @@ fn sharded_chaos_exp(shards: usize) -> ExperimentConfig {
 /// crash/reboot path must leave no layout residue.
 #[test]
 fn sharded_chaos_is_byte_identical_across_shard_counts() {
-    let run = |shards: usize| run_experiment(&sharded_chaos_exp(shards), &scenario(500.0));
+    let scenario = population(ServiceKind::CollaFilt, 500.0);
+    let run = |shards: usize| run_experiment(&sharded_chaos_exp(shards), &scenario);
     let base = run(1);
     let f = base.faults.as_ref().expect("fault report");
     assert!(f.crashes >= 1, "{f:?}");
@@ -316,7 +318,7 @@ fn retry_plus_breaker_restores_goodput_after_rack_loss() {
         cluster.retry = Some(retry);
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
         exp.duration = SimDuration::from_secs(120);
-        run_experiment(&exp, &scenario(390.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 390.0))
     };
     let bare = run(
         RetryConfig {
@@ -436,7 +438,7 @@ proptest! {
         });
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, seed);
         exp.duration = SimDuration::from_secs(30);
-        let r = run_experiment(&exp, &scenario(400.0));
+        let r = run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0));
 
         let accounted = r.normal_sla.total() + r.attack_sla.total();
         prop_assert!(

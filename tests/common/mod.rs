@@ -1,32 +1,9 @@
-//! Shared scenario builders for the integration tests.
+//! Shared experiment cells for the integration tests, over the standard
+//! population (`antidope::testutil::population`).
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
+use antidope_repro::antidope::testutil::population;
 use antidope_repro::prelude::*;
-
-/// Standard peak arrival rate for the normal population (requests/s at
-/// trace utilization 1.0).
-pub const NORMAL_PEAK_RATE: f64 = 80.0;
-
-/// Build the standard test scenario: AliOS normal users plus a
-/// Colla-Filt http-load flood at `attack_rate` starting at t = 5 s,
-/// spread over 40 bots (stealthy per-source rates). The source builders
-/// themselves are the canonical ones in [`antidope::testutil`].
-pub fn scenario(attack_rate: f64) -> impl Fn(&ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    move |exp: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + exp.duration;
-        let mut sources: Vec<Box<dyn TrafficSource>> =
-            vec![antidope::testutil::normal_source(exp.seed, horizon, NORMAL_PEAK_RATE)];
-        if attack_rate > 0.0 {
-            sources.push(antidope::testutil::attack_source(
-                exp.seed ^ 0x5EED,
-                attack_rate,
-                SimTime::from_secs(5),
-                horizon,
-            ));
-        }
-        sources
-    }
-}
 
 /// Run one (scheme, budget) cell of the standard scenario.
 pub fn run_cell(
@@ -38,7 +15,7 @@ pub fn run_cell(
 ) -> SimReport {
     let mut exp = ExperimentConfig::paper_window(ClusterConfig::paper_rack(budget), scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
-    run_experiment(&exp, &scenario(attack_rate))
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, attack_rate))
 }
 
 /// Like [`run_chaos_cell`], but with the online power-attribution
@@ -56,7 +33,7 @@ pub fn run_profiled_chaos_cell(
     cluster.profiler = Some(ProfilerConfig::default());
     let mut exp = ExperimentConfig::paper_window(cluster, scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
-    run_experiment(&exp, &scenario(attack_rate))
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, attack_rate))
 }
 
 /// Run one (scheme, budget) cell of the standard scenario with a fault
@@ -73,5 +50,5 @@ pub fn run_chaos_cell(
     cluster.faults = Some(faults);
     let mut exp = ExperimentConfig::paper_window(cluster, scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
-    run_experiment(&exp, &scenario(attack_rate))
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, attack_rate))
 }

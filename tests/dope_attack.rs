@@ -1,45 +1,21 @@
 //! End-to-end DOPE attack behaviour: stealth, convergence, and the
 //! operating region of Fig 11.
 
-mod common;
-
+use antidope_repro::antidope::testutil::{users, NORMAL_PEAK_RATE};
 use antidope_repro::prelude::*;
 
-fn dope_factory(
-    bots: u32,
-    initial_rate: f64,
-    max_rate: f64,
-) -> impl Fn(&ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    move |exp: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + exp.duration;
-        let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-        vec![
-            Box::new(NormalUsers::new(
-                trace,
-                ServiceMix::alios_normal(),
-                common::NORMAL_PEAK_RATE,
-                1_000,
-                60,
-                0,
-                horizon,
-                exp.seed,
-            )),
-            Box::new(DopeAttacker::new(
-                DopeConfig {
-                    victim: ServiceKind::CollaFilt,
-                    initial_rate,
-                    bots,
-                    max_rate,
-                    ..DopeConfig::default()
-                },
-                50_000,
-                1 << 40,
-                SimTime::from_secs(2),
-                horizon,
-                exp.seed ^ 0xD09E,
-            )),
-        ]
-    }
+/// Users plus the adaptive DOPE attacker on Colla-Filt from t = 2 s.
+fn dope_factory(bots: u32, initial_rate: f64, max_rate: f64) -> ScenarioBuilder {
+    let dope = DopeConfig {
+        victim: ServiceKind::CollaFilt,
+        initial_rate,
+        bots,
+        max_rate,
+        ..DopeConfig::default()
+    };
+    users(NORMAL_PEAK_RATE)
+        .with_dope(dope, 2)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0xD09E))
 }
 
 /// A stealthy DOPE attack (many bots, per-bot rate well under the 150
@@ -123,27 +99,16 @@ fn offline_profiling_matches_online_power() {
     // Verify online: flood with the top-ranked vs bottom-ranked kernel at
     // the same rate; the top-ranked one burns more energy.
     let run_kernel = |kind: ServiceKind| {
-        let factory = move |exp: &ExperimentConfig| {
-            let horizon = SimTime::ZERO + exp.duration;
-            let v: Vec<Box<dyn TrafficSource>> = vec![Box::new(AttackVector::against_service(
-                AttackTool::HttpLoad { rate: 200.0 },
-                kind,
-                50_000,
-                40,
-                1 << 40,
-                SimTime::ZERO,
-                horizon,
-                exp.seed,
-            ))];
-            v
-        };
+        let flood = ScenarioBuilder::new()
+            .with_attack(AttackTool::HttpLoad { rate: 200.0 }, kind, 40, 0)
+            .pinned(50_000, 1 << 40, SeedPin::Raw);
         let mut exp = ExperimentConfig::paper_window(
             ClusterConfig::paper_rack(BudgetLevel::Normal),
             SchemeKind::None,
             9,
         );
         exp.duration = SimDuration::from_secs(60);
-        run_experiment(&exp, &factory)
+        run_experiment(&exp, &flood)
     };
     let heavy = run_kernel(ranked[0].0);
     let light = run_kernel(ranked[3].0);

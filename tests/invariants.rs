@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use workloads::attacker::AttackTool;
 
 fn run(scheme: SchemeKind, budget: BudgetLevel, rate: f64, seed: u64) -> SimReport {
-    let builder = workloads::ScenarioBuilder::new()
+    let builder = ScenarioBuilder::new()
         .with_normal_users(60.0, 40)
         .with_attack(
             AttackTool::HttpLoad { rate },
@@ -15,11 +15,9 @@ fn run(scheme: SchemeKind, budget: BudgetLevel, rate: f64, seed: u64) -> SimRepo
             40,
             2,
         );
-    let factory =
-        move |exp: &ExperimentConfig| builder.build(exp.seed, SimTime::ZERO + exp.duration);
     let mut exp = ExperimentConfig::paper_window(ClusterConfig::paper_rack(budget), scheme, seed);
     exp.duration = SimDuration::from_secs(20);
-    antidope::run_experiment(&exp, &factory)
+    antidope::run_experiment(&exp, &builder)
 }
 
 proptest! {

@@ -3,41 +3,17 @@
 //! quality of an impossible oracle suspect list, while a stale offline
 //! list degrades toward Capping-like behaviour.
 
-mod common;
-
 use antidope_repro::antidope::pdf::{build_suspect_list, DEFAULT_SUSPECT_THRESHOLD};
 use antidope_repro::antidope::scheme::{AntiDopeScheme, PowerScheme};
 use antidope_repro::netsim::request::UrlId;
 use antidope_repro::netsim::suspect::FlowClass;
 use antidope_repro::prelude::*;
 use antidope_repro::simcore::rng::SimRng;
+use dope_bench::scenarios::{rotating, ROTATION_URL_SPACE};
 
-const URL_BASE: u16 = 800;
-const URL_SPACE: u16 = 6;
-const ROTATION_S: u64 = 20;
 const ATTACK_RATE: f64 = 390.0;
 const SECS: u64 = 240;
 const SEED: u64 = 2019;
-
-fn rotating_attack(seed: u64, horizon: SimTime) -> AttackVector {
-    let seed = seed ^ 0x707A7E;
-    AttackVector::against_service(
-        AttackTool::HttpLoad { rate: ATTACK_RATE },
-        ServiceKind::CollaFilt,
-        50_000,
-        40,
-        1 << 40,
-        SimTime::from_secs(5),
-        horizon,
-        seed,
-    )
-    .with_rotation(
-        URL_BASE,
-        URL_SPACE,
-        SimDuration::from_secs(ROTATION_S),
-        seed,
-    )
-}
 
 /// One arm of the provenance comparison: `"oracle"` (impossible
 /// knowledge of every rotation URL), `"online"` (profiler learns at
@@ -51,8 +27,11 @@ fn run_arm(arm: &str) -> SimReport {
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, SEED);
     exp.duration = SimDuration::from_secs(SECS);
     let horizon = SimTime::ZERO + exp.duration;
-    let attack = rotating_attack(exp.seed, horizon);
+    let scenario = rotating(ATTACK_RATE);
     let scheme: Box<dyn PowerScheme> = if arm == "oracle" {
+        let attack = scenario
+            .vector_twin(1, exp.seed, horizon)
+            .expect("the attack starts before the horizon");
         Box::new(AntiDopeScheme::with_oracle_profiles(
             &exp.cluster,
             attack.oracle_profiles(),
@@ -60,20 +39,7 @@ fn run_arm(arm: &str) -> SimReport {
     } else {
         Box::new(AntiDopeScheme::new(&exp.cluster))
     };
-    let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-    let sources: Vec<Box<dyn TrafficSource>> = vec![
-        Box::new(NormalUsers::new(
-            trace,
-            ServiceMix::alios_normal(),
-            common::NORMAL_PEAK_RATE,
-            1_000,
-            60,
-            0,
-            horizon,
-            exp.seed,
-        )),
-        Box::new(attack),
-    ];
+    let sources = scenario.build(exp.seed, horizon);
     ShardedClusterSim::run_with_scheme(&exp, scheme, sources)
 }
 
@@ -103,7 +69,7 @@ fn online_profiler_restores_oracle_p99() {
     let prof = online.profiler.expect("online arm reports profiler stats");
     assert!(prof.observations > 0, "no learning observations");
     assert!(
-        prof.tracked_urls >= (URL_SPACE as u64) / 2,
+        prof.tracked_urls >= (ROTATION_URL_SPACE as u64) / 2,
         "tracked only {} URLs",
         prof.tracked_urls
     );

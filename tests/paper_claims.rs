@@ -3,6 +3,7 @@
 
 mod common;
 
+use antidope_repro::antidope::testutil::population;
 use antidope_repro::prelude::*;
 use common::run_cell;
 
@@ -200,40 +201,13 @@ fn energy_orderings() {
 #[test]
 fn heavy_kernels_hurt_more() {
     let run_kernel = |kind: ServiceKind| {
-        let factory = move |exp: &ExperimentConfig| {
-            let horizon = SimTime::ZERO + exp.duration;
-            let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-            let sources: Vec<Box<dyn TrafficSource>> = vec![
-                Box::new(NormalUsers::new(
-                    trace,
-                    ServiceMix::alios_normal(),
-                    common::NORMAL_PEAK_RATE,
-                    1_000,
-                    60,
-                    0,
-                    horizon,
-                    exp.seed,
-                )),
-                Box::new(AttackVector::against_service(
-                    AttackTool::HttpLoad { rate: 500.0 },
-                    kind,
-                    50_000,
-                    40,
-                    1 << 40,
-                    SimTime::from_secs(5),
-                    horizon,
-                    exp.seed ^ 0x5EED,
-                )),
-            ];
-            sources
-        };
         let mut exp = ExperimentConfig::paper_window(
             ClusterConfig::paper_rack(BudgetLevel::Low),
             SchemeKind::Capping,
             31,
         );
         exp.duration = SimDuration::from_secs(90);
-        run_experiment(&exp, &factory)
+        run_experiment(&exp, &population(kind, 500.0))
     };
     let colla = run_kernel(ServiceKind::CollaFilt);
     let text = run_kernel(ServiceKind::TextCont);

@@ -80,7 +80,7 @@ fn empty_population_is_fine() {
         2,
     );
     exp.duration = SimDuration::from_secs(30);
-    let r = antidope::run_experiment(&exp, &|_: &ExperimentConfig| Vec::new());
+    let r = antidope::run_experiment(&exp, &ScenarioBuilder::new());
     assert_eq!(r.traffic.offered, 0);
     assert_eq!(r.availability(), 1.0);
     // Idle rack: 4 × 40 W for 30 s.
@@ -89,21 +89,19 @@ fn empty_population_is_fine() {
 
 #[test]
 fn monster_flood_causes_rejections_not_panics() {
-    let builder = workloads::ScenarioBuilder::new().with_attack(
+    let builder = ScenarioBuilder::new().with_attack(
         workloads::attacker::AttackTool::HttpLoad { rate: 5000.0 },
         ServiceKind::KMeans,
         100,
         0,
     );
-    let factory =
-        move |exp: &ExperimentConfig| builder.build(exp.seed, SimTime::ZERO + exp.duration);
     let mut exp = ExperimentConfig::paper_window(
         ClusterConfig::paper_rack(BudgetLevel::Low),
         SchemeKind::Capping,
         3,
     );
     exp.duration = SimDuration::from_secs(30);
-    let r = antidope::run_experiment(&exp, &factory);
+    let r = antidope::run_experiment(&exp, &builder);
     assert!(r.traffic.queue_rejected > 10_000, "{:?}", r.traffic);
     assert!(r.power.peak_w <= 400.0 + 1e-6);
 }
@@ -122,7 +120,7 @@ fn degenerate_configurations() {
     c3.suspect_pool_size = 1;
 
     for (i, cluster) in [c1, c2, c3].into_iter().enumerate() {
-        let builder = workloads::ScenarioBuilder::new()
+        let builder = ScenarioBuilder::new()
             .with_normal_users(40.0, 20)
             .with_attack(
                 workloads::attacker::AttackTool::HttpLoad { rate: 200.0 },
@@ -130,12 +128,10 @@ fn degenerate_configurations() {
                 20,
                 2,
             );
-        let factory =
-            move |exp: &ExperimentConfig| builder.build(exp.seed, SimTime::ZERO + exp.duration);
         for scheme in [SchemeKind::Shaving, SchemeKind::AntiDope] {
             let mut exp = ExperimentConfig::paper_window(cluster.clone(), scheme, 5 + i as u64);
             exp.duration = SimDuration::from_secs(45);
-            let r = antidope::run_experiment(&exp, &factory);
+            let r = antidope::run_experiment(&exp, &builder);
             assert!(r.traffic.offered > 100, "{scheme} cfg{i}: {}", r.oneline());
             assert!(r.battery.min_soc >= 0.0 && r.battery.min_soc <= 1.0);
         }
@@ -149,7 +145,7 @@ fn control_slot_shorter_than_dvfs_latency() {
     let mut cluster = ClusterConfig::paper_rack(BudgetLevel::Low);
     cluster.control_slot = SimDuration::from_millis(5);
     cluster.dvfs_latency = SimDuration::from_millis(50);
-    let builder = workloads::ScenarioBuilder::new()
+    let builder = ScenarioBuilder::new()
         .with_normal_users(60.0, 20)
         .with_attack(
             workloads::attacker::AttackTool::HttpLoad { rate: 400.0 },
@@ -157,11 +153,9 @@ fn control_slot_shorter_than_dvfs_latency() {
             40,
             1,
         );
-    let factory =
-        move |exp: &ExperimentConfig| builder.build(exp.seed, SimTime::ZERO + exp.duration);
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::Capping, 9);
     exp.duration = SimDuration::from_secs(20);
-    let r = antidope::run_experiment(&exp, &factory);
+    let r = antidope::run_experiment(&exp, &builder);
     assert!(r.traffic.offered > 1000);
     assert!(r.vf.transitions < 100_000, "transition storm: {}", r.vf.transitions);
 }

@@ -6,7 +6,7 @@ use workloads::attacker::AttackTool;
 
 #[test]
 fn builder_scenario_runs_end_to_end() {
-    let builder = workloads::ScenarioBuilder::new()
+    let builder = ScenarioBuilder::new()
         .with_normal_users(80.0, 60)
         .with_attack(
             AttackTool::HttpLoad { rate: 390.0 },
@@ -14,17 +14,14 @@ fn builder_scenario_runs_end_to_end() {
             40,
             5,
         );
-    let factory = move |exp: &ExperimentConfig| {
-        builder.build(exp.seed, SimTime::ZERO + exp.duration)
-    };
     let mut exp = ExperimentConfig::paper_window(
         ClusterConfig::paper_rack(BudgetLevel::Medium),
         SchemeKind::AntiDope,
         17,
     );
     exp.duration = SimDuration::from_secs(60);
-    let a = antidope::run_experiment(&exp, &factory);
-    let b = antidope::run_experiment(&exp, &factory);
+    let a = antidope::run_experiment(&exp, &builder);
+    let b = antidope::run_experiment(&exp, &builder);
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -38,7 +35,7 @@ fn builder_scenario_runs_end_to_end() {
 #[test]
 fn builder_switching_scenario() {
     // Attack windows rotate victims; the builder owns the bookkeeping.
-    let builder = workloads::ScenarioBuilder::new()
+    let builder = ScenarioBuilder::new()
         .with_normal_users(80.0, 60)
         .with_attack_window(
             AttackTool::HttpLoad { rate: 400.0 },
@@ -54,16 +51,13 @@ fn builder_switching_scenario() {
             30,
             55,
         );
-    let factory = move |exp: &ExperimentConfig| {
-        builder.build(exp.seed, SimTime::ZERO + exp.duration)
-    };
     let mut exp = ExperimentConfig::paper_window(
         ClusterConfig::paper_rack(BudgetLevel::Low),
         SchemeKind::Capping,
         19,
     );
     exp.duration = SimDuration::from_secs(60);
-    let r = antidope::run_experiment(&exp, &factory);
+    let r = antidope::run_experiment(&exp, &builder);
     // Both attack phases produced load: attack outcomes from two kernels.
     assert!(r.attack_sla.total() > 1000);
     assert!(r.power.violations > 0);

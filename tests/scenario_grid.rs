@@ -29,9 +29,7 @@ fn firewalled(spec: AttackVectorSpec) -> SimReport {
     });
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::None, 2019);
     exp.duration = SimDuration::from_secs(90);
-    run_experiment(&exp, &move |e: &ExperimentConfig| {
-        builder.build(e.seed, SimTime::ZERO + e.duration)
-    })
+    run_experiment(&exp, &builder)
 }
 
 /// Acceptance (a): the firewall that catches the constant flood is

@@ -18,6 +18,7 @@
 
 mod common;
 
+use antidope_repro::antidope::testutil::population;
 use antidope_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -34,7 +35,7 @@ fn run_sharded(
     cluster.shards = shards;
     let mut exp = ExperimentConfig::paper_window(cluster, scheme, seed);
     exp.duration = SimDuration::from_secs(duration_s);
-    run_experiment(&exp, &common::scenario(attack_rate))
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, attack_rate))
 }
 
 /// A Low-PB chaos config on `servers` nodes: sensor faults at the
@@ -76,7 +77,7 @@ fn chaos_exp(
 fn heavy_dropout_is_byte_identical_at_eight_shards() {
     let run = |shards: usize| {
         let exp = chaos_exp(16, (0.3, 0.0, 0.0), 1, None, false, 60, shards);
-        run_experiment(&exp, &common::scenario(400.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0))
     };
     let base = run(1);
     assert!(base.faults.as_ref().is_some_and(|f| f.sensor_dropouts > 0));
@@ -174,7 +175,7 @@ fn breaker_outage_instant_is_layout_independent() {
         cluster.breaker_trip_delay = SimDuration::from_secs(10);
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::None, 23);
         exp.duration = SimDuration::from_secs(60);
-        run_experiment(&exp, &common::scenario(900.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 900.0))
     };
     let base = run(2);
     assert!(
@@ -268,7 +269,7 @@ proptest! {
         let shards = 1 + (shard_pick * servers as f64) as usize;
         let run = |shards: usize| {
             let exp = chaos_exp(servers, probs, staleness, racks, retry == 1, 20, shards);
-            run_experiment(&exp, &common::scenario(400.0))
+            run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0))
         };
         prop_assert_eq!(format!("{:?}", run(1)), format!("{:?}", run(shards)));
     }

@@ -21,6 +21,7 @@
 
 mod common;
 
+use antidope_repro::antidope::testutil::{population, users, NORMAL_PEAK_RATE};
 use antidope_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -49,7 +50,7 @@ fn run_hierarchical(
     cluster.topology = Some(topo);
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, seed);
     exp.duration = SimDuration::from_secs(duration_s);
-    run_experiment(&exp, &common::scenario(attack_rate))
+    run_experiment(&exp, &population(ServiceKind::CollaFilt, attack_rate))
 }
 
 #[test]
@@ -92,7 +93,7 @@ fn hierarchical_run_is_byte_identical_across_shard_counts() {
         cluster.retry = Some(RetryConfig::default());
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 77);
         exp.duration = SimDuration::from_secs(30);
-        run_experiment(&exp, &common::scenario(400.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0))
     };
     let base = run(1);
     assert!(base.topology.is_some());
@@ -123,7 +124,7 @@ fn rack_blackout_guard_is_byte_identical_across_shard_counts() {
         cluster.control.telemetry_staleness_slots = 1;
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 2019);
         exp.duration = SimDuration::from_secs(60);
-        run_experiment(&exp, &common::scenario(400.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0))
     };
     let base = run(1);
     let t = base.topology.as_ref().expect("topology must be reported");
@@ -145,7 +146,7 @@ fn degenerate_single_rack_topology_leaves_physics_untouched() {
         cluster.topology = topo;
         let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 42);
         exp.duration = SimDuration::from_secs(30);
-        run_experiment(&exp, &common::scenario(400.0))
+        run_experiment(&exp, &population(ServiceKind::CollaFilt, 400.0))
     };
     let flat = run(None);
     assert!(flat.topology.is_none());
@@ -166,52 +167,34 @@ fn degenerate_single_rack_topology_leaves_physics_untouched() {
 const HEADLINE_SEED: u64 = 42;
 const HEADLINE_RACKS: usize = 4;
 const HEADLINE_RATE: f64 = 420.0;
+const HEADLINE_SECS: u64 = 120;
 
 fn headline_experiment(defend: bool) -> ExperimentConfig {
     let mut cluster = ClusterConfig::scaled(BudgetLevel::Low);
     cluster.topology = Some(tight_topology(HEADLINE_RACKS, 2, defend));
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::None, HEADLINE_SEED);
-    exp.duration = SimDuration::from_secs(120);
+    exp.duration = SimDuration::from_secs(HEADLINE_SECS);
     exp
 }
 
-fn headline_sources(
-    attack_rate: f64,
-) -> impl Fn(&ExperimentConfig) -> Vec<Box<dyn TrafficSource>> {
-    move |exp: &ExperimentConfig| {
-        let horizon = SimTime::ZERO + exp.duration;
-        let trace = UtilizationTrace::synthesize(&AlibabaTraceConfig::small(exp.seed));
-        let mut out: Vec<Box<dyn TrafficSource>> = vec![Box::new(NormalUsers::new(
-            trace,
-            ServiceMix::alios_normal(),
-            80.0,
-            1_000,
-            60,
-            0,
-            horizon,
-            exp.seed,
-        ))];
-        if attack_rate > 0.0 {
-            out.push(Box::new(headline_attacker(attack_rate, exp)));
-        }
-        out
+/// Users plus, when `attack_rate` is positive, a Colla-Filt flood
+/// concentrated on one rack at ingredient 1.
+fn headline(attack_rate: f64) -> ScenarioBuilder {
+    let users = users(NORMAL_PEAK_RATE);
+    if attack_rate <= 0.0 {
+        return users;
     }
-}
-
-fn headline_attacker(rate: f64, exp: &ExperimentConfig) -> AttackVector {
-    let seed = exp.seed ^ 0x5EED;
-    AttackVector::against_service(
-        AttackTool::HttpLoad { rate },
-        ServiceKind::CollaFilt,
-        50_000,
-        40,
-        1 << 40,
-        SimTime::from_secs(5),
-        SimTime::ZERO + exp.duration,
-        seed,
-    )
-    // Never re-aims inside the window.
-    .with_concentration(HEADLINE_RACKS, 900, exp.duration, seed)
+    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, attack_rate)
+        .sources(SourcePlan::Botnet { bots: 40 })
+        // Never re-aims inside the window.
+        .target(TargetPlan::Concentrating {
+            racks: HEADLINE_RACKS,
+            url_base: 900,
+            period: SimDuration::from_secs(HEADLINE_SECS),
+        });
+    users
+        .with_vector(flood, 5)
+        .pinned(50_000, 1 << 40, SeedPin::Xor(0x5EED))
 }
 
 #[test]
@@ -219,10 +202,12 @@ fn concentrated_flood_trips_rack_while_facility_has_headroom() {
     let exp = headline_experiment(false);
     // The attacker's aim is deterministic per seed: an identically-built
     // probe tells the test which rack must take the hit.
-    let expected_target = headline_attacker(HEADLINE_RATE, &exp)
-        .target_rack()
+    let scenario = headline(HEADLINE_RATE);
+    let expected_target = scenario
+        .vector_twin(1, exp.seed, SimTime::ZERO + exp.duration)
+        .and_then(|attack| attack.target_rack())
         .expect("concentrating plan");
-    let report = run_experiment(&exp, &headline_sources(HEADLINE_RATE));
+    let report = run_experiment(&exp, &scenario);
     let t = report.topology.as_ref().expect("topology must be reported");
 
     // The facility meter never sees the attack…
@@ -247,8 +232,8 @@ fn concentrated_flood_trips_rack_while_facility_has_headroom() {
 
 #[test]
 fn rack_guard_defuses_the_flood_and_restores_goodput() {
-    let clean = run_experiment(&headline_experiment(false), &headline_sources(0.0));
-    let defended = run_experiment(&headline_experiment(true), &headline_sources(HEADLINE_RATE));
+    let clean = run_experiment(&headline_experiment(false), &headline(0.0));
+    let defended = run_experiment(&headline_experiment(true), &headline(HEADLINE_RATE));
     let t = defended.topology.as_ref().expect("topology must be reported");
 
     // The guard engages and no breaker ever trips.

@@ -7,14 +7,15 @@
 //!               with hard assertions on the expected physics
 //!   --out       output directory for the CSV [default: target/experiments]
 //!   --seed      master seed                  [default: 2019]
-//!   --duration  seconds per cell             [default: 120, smoke: 60]
+//!   --duration  seconds per cell, above the 5 s attack start
+//!                                            [default: 120, smoke: 60]
 //!   --shards    dataplane shards per cell    [default: 1]
 //! ```
 //!
 //! Prints the matrix figure (markdown) and writes `scenario_grid.csv`.
 
 use dope_bench::grid::{
-    cells_table, matrix_markdown, run_grid, AttackRow, DefenseStack, GridConfig,
+    cells_table, matrix_markdown, run_grid, AttackRow, DefenseStack, GridConfig, ATTACK_START_S,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -53,6 +54,15 @@ fn main() -> ExitCode {
                     eprintln!("--duration needs seconds");
                     return ExitCode::FAILURE;
                 };
+                if v <= ATTACK_START_S {
+                    // Every attack starts at ATTACK_START_S: a shorter
+                    // window would show no attack at all.
+                    eprintln!(
+                        "--duration must exceed the attack start ({ATTACK_START_S} s), got {v}\n\
+                         usage: scenario_grid [--smoke] [--out DIR] [--seed N] [--duration S] [--shards N]"
+                    );
+                    return ExitCode::from(2);
+                }
                 duration = Some(v);
             }
             "--shards" => {

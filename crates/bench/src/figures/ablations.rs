@@ -48,7 +48,7 @@ fn result_header(title: &str) -> Table {
 }
 
 /// `abl-framework`: which half of Anti-DOPE carries the benefit?
-pub fn framework(mode: RunMode) -> Vec<Table> {
+pub(crate) fn framework(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let kinds = [
         SchemeKind::Capping,
@@ -71,7 +71,7 @@ pub fn framework(mode: RunMode) -> Vec<Table> {
 
 /// `abl-threshold`: suspicion-threshold sweep — classification scope vs
 /// collateral damage.
-pub fn threshold(mode: RunMode) -> Vec<Table> {
+pub(crate) fn threshold(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let thresholds = [0.30, 0.50, 0.70, 0.80, 0.95];
     let reports: Vec<(f64, SimReport, u64)> = par::map(thresholds.iter().collect(), |&th| {
@@ -115,7 +115,7 @@ pub fn threshold(mode: RunMode) -> Vec<Table> {
 
 /// `abl-pool`: suspect-pool size on the 16-node scaled cluster —
 /// isolation capacity vs innocent capacity.
-pub fn pool(mode: RunMode) -> Vec<Table> {
+pub(crate) fn pool(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let sizes = [1usize, 2, 4, 6, 8];
     let reports: Vec<(usize, SimReport)> = par::map(sizes.iter().collect(), |&size| {
@@ -140,7 +140,7 @@ pub fn pool(mode: RunMode) -> Vec<Table> {
 }
 
 /// `abl-slot`: control-slot length — responsiveness vs overhead.
-pub fn slot(mode: RunMode) -> Vec<Table> {
+pub(crate) fn slot(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let slots_ms = [200u64, 500, 1000, 2000, 5000];
     let cells: Vec<(SchemeKind, u64)> = [SchemeKind::Capping, SchemeKind::AntiDope]
@@ -183,7 +183,7 @@ pub fn slot(mode: RunMode) -> Vec<Table> {
 
 /// `abl-firewall`: perimeter threshold vs the width of the DOPE region
 /// (maximum undetected aggregate rate for a 40-bot attacker).
-pub fn firewall(mode: RunMode) -> Vec<Table> {
+pub(crate) fn firewall(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs();
     let thresholds = [50.0, 100.0, 150.0, 300.0, 600.0];
     let rates = [200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0];
@@ -236,7 +236,7 @@ pub fn firewall(mode: RunMode) -> Vec<Table> {
 }
 
 /// `abl-scale`: the headline comparison on a 16-node cluster.
-pub fn scale(mode: RunMode) -> Vec<Table> {
+pub(crate) fn scale(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     // 4× the rack's normal population and attack.
     let scaled = ScenarioBuilder::new()
@@ -264,7 +264,7 @@ pub fn scale(mode: RunMode) -> Vec<Table> {
 
 /// `abl-tools`: attack-tool comparison — open-loop http-load vs
 /// closed-loop ApacheBench vs the adaptive DOPE attacker.
-pub fn tools(mode: RunMode) -> Vec<Table> {
+pub(crate) fn tools(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let mk_sources = |tool: &str| match tool {
         "http-load" => population(ServiceKind::CollaFilt, 390.0),
@@ -335,7 +335,7 @@ pub fn tools(mode: RunMode) -> Vec<Table> {
 /// thermal protection is the only backstop: the attack drives PROCHOT
 /// cycling on every node it reaches; Anti-DOPE confines the heat to the
 /// suspect pool.
-pub fn thermal(mode: RunMode) -> Vec<Table> {
+pub(crate) fn thermal(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(240); // a few thermal time constants
     let kinds = [SchemeKind::None, SchemeKind::Capping, SchemeKind::AntiDope];
     let reports: Vec<(SchemeKind, SimReport)> = par::map(kinds.iter().collect(), |&k| {
@@ -370,7 +370,7 @@ pub fn thermal(mode: RunMode) -> Vec<Table> {
 
 /// `abl-seeds`: seed-robustness of the headline conclusion — the Fig
 /// 16/17 orderings must hold for any seed, not one lucky draw.
-pub fn seeds(mode: RunMode) -> Vec<Table> {
+pub(crate) fn seeds(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let seeds = [2019u64, 7, 42, 1337, 90210];
     let rows: Vec<(u64, f64, f64, bool)> = par::map(seeds.iter().collect(), |&seed| {
@@ -416,7 +416,7 @@ pub fn seeds(mode: RunMode) -> Vec<Table> {
 /// per-sample sensor-dropout probability and check whether the hardened
 /// control plane preserves the paper's headline ordering (Anti-DOPE's
 /// p90 below Capping's) as the controller goes progressively blind.
-pub fn faults(mode: RunMode) -> Vec<Table> {
+pub(crate) fn faults(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let dropouts = [0.0, 0.05, 0.10, 0.20];
     let cells: Vec<(SchemeKind, f64)> = [SchemeKind::Capping, SchemeKind::AntiDope]
@@ -479,7 +479,7 @@ pub fn faults(mode: RunMode) -> Vec<Table> {
 /// * **stale-offline** — Anti-DOPE with only the offline service
 ///   profiles: every rotated URL defaults to Innocent, so PDF isolates
 ///   nothing and the defense degrades toward Capping-like behaviour.
-pub fn online_profiler(mode: RunMode) -> Vec<Table> {
+pub(crate) fn online_profiler(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(240);
     let arms = ["oracle", "online", "stale-offline"];
     let reports: Vec<(&str, SimReport)> = par::map(arms.iter().collect(), |&arm| {
@@ -556,7 +556,7 @@ pub fn online_profiler(mode: RunMode) -> Vec<Table> {
 /// * **retry+breaker** — per-node circuit breakers trip after a streak
 ///   of failures and re-route dispatches to surviving nodes up front,
 ///   restoring ≥ 90% goodput.
-pub fn resilience(mode: RunMode) -> Vec<Table> {
+pub(crate) fn resilience(mode: RunMode) -> Vec<Table> {
     use netsim::RetryConfig;
 
     let secs = mode.cell_secs().max(120);
@@ -646,7 +646,7 @@ pub fn resilience(mode: RunMode) -> Vec<Table> {
 
 /// `abl-breaker`: the Fig-1 motivation end-to-end — with a real breaker,
 /// unmanaged DOPE becomes an unplanned outage; Anti-DOPE prevents it.
-pub fn breaker(mode: RunMode) -> Vec<Table> {
+pub(crate) fn breaker(mode: RunMode) -> Vec<Table> {
     let secs = mode.cell_secs().max(120);
     let kinds = [SchemeKind::None, SchemeKind::Capping, SchemeKind::AntiDope];
     let reports: Vec<(SchemeKind, SimReport)> = par::map(kinds.iter().collect(), |&k| {
@@ -684,7 +684,7 @@ pub fn breaker(mode: RunMode) -> Vec<Table> {
 /// flat telemetry never sees it, the observe-only hierarchy localizes
 /// the breach but lets the rack breaker trip, and the per-rack guard
 /// defuses it in place.
-pub fn hierarchy(mode: RunMode) -> Vec<Table> {
+pub(crate) fn hierarchy(mode: RunMode) -> Vec<Table> {
     const RACKS: usize = 4;
     const PDUS: usize = 2;
     let secs = mode.cell_secs().max(120);

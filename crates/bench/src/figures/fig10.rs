@@ -34,7 +34,7 @@ fn run_one(kind: ServiceKind, firewall: bool, mode: RunMode) -> SimReport {
 }
 
 /// Generate the Fig 10 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let cells: Vec<(ServiceKind, bool)> = ServiceKind::ALL
         .iter()
         .flat_map(|&k| [(k, false), (k, true)])

@@ -17,7 +17,7 @@ use simcore::par;
 use workloads::service::ServiceKind;
 
 /// Generate the Fig 11 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let rates: Vec<f64> = if mode.quick {
         vec![50.0, 200.0, 800.0]
     } else {

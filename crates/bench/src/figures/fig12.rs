@@ -16,7 +16,7 @@ use workloads::source::{SourceEvent, TrafficSource};
 use workloads::service::ServiceKind;
 
 /// Generate the Fig 12 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let secs = if mode.quick { 120 } else { 300 };
     let horizon = SimTime::from_secs(secs);
     let bots = 4u32; // loud: probing must overshoot 150 req/s per agent

@@ -17,7 +17,7 @@ use simcore::par;
 use workloads::service::ServiceKind;
 
 /// Generate the Fig 15 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let secs = mode.window_secs();
     let cells: Vec<(&str, SchemeKind, BudgetLevel, f64)> = vec![
         ("original(no attack)", SchemeKind::None, BudgetLevel::Medium, 0.0),

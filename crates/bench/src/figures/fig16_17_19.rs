@@ -28,7 +28,7 @@ pub(crate) fn eval_matrix(secs: u64, seed: u64) -> Vec<SimReport> {
 }
 
 /// Generate Figs 16, 17, 19 plus the headline improvement numbers.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let reports = eval_matrix(mode.window_secs(), mode.seed);
     // reports are scheme-major over SchemeKind::EVALUATED × BudgetLevel::ALL.
     let schemes = ["Capping", "Shaving", "Token", "Anti-DOPE"];

@@ -53,7 +53,7 @@ fn switching(scheme: SchemeKind, secs: u64, mode: RunMode) -> SimReport {
 }
 
 /// Generate the Fig 18 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     // Long enough for the Low-PB deficit (≤80 W) to drain the 48 kJ
     // battery under Shaving.
     let secs = if mode.quick { 120 } else { 700 };

@@ -30,7 +30,7 @@ fn run_flood(kind: FloodKind, mode: RunMode) -> SimReport {
 }
 
 /// Generate the Fig 3 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let reports = par::map(FloodKind::ALL.iter().collect(), |&k| (k, run_flood(k, mode)));
 
     let mut summary = Table::new(

@@ -29,7 +29,7 @@ fn cell(kind: ServiceKind, rate: f64, mode: RunMode) -> SimReport {
 }
 
 /// Generate the Fig 4 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let rates = rates(mode);
     let cells: Vec<(ServiceKind, f64)> = ServiceKind::ALL
         .iter()

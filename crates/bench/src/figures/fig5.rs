@@ -17,7 +17,7 @@ use simcore::par;
 use workloads::service::ServiceKind;
 
 /// Generate the Fig 5 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let rate = 100.0;
     let reports: Vec<(ServiceKind, SimReport)> = par::map(ServiceKind::ALL.iter().collect(), |&k| {
         (

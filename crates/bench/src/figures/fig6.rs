@@ -22,7 +22,7 @@ fn cell(kind: ServiceKind, rate: f64, mode: RunMode) -> SimReport {
 }
 
 /// Generate the Fig 6 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let rates: Vec<f64> = if mode.quick {
         vec![50.0, 200.0, 1000.0]
     } else {

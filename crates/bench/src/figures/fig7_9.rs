@@ -40,7 +40,7 @@ fn sweep(mode: RunMode) -> Vec<(f64, SimReport)> {
 }
 
 /// Fig 7: latency vs attack rate.
-pub fn run_fig7(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run_fig7(mode: RunMode) -> Vec<Table> {
     let reports = sweep(mode);
     let baseline = &reports[0].1;
     let base_mean = baseline.normal_latency.mean_ms.max(1e-9);
@@ -68,7 +68,7 @@ pub fn run_fig7(mode: RunMode) -> Vec<Table> {
 }
 
 /// Fig 9: availability vs attack rate.
-pub fn run_fig9(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run_fig9(mode: RunMode) -> Vec<Table> {
     let reports = sweep(mode);
     let mut t = Table::new(
         "Fig 9: service availability vs attack rate (Low-PB, Capping)",

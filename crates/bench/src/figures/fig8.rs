@@ -11,7 +11,7 @@ use simcore::par;
 use workloads::service::ServiceKind;
 
 /// Generate the Fig 8 data.
-pub fn run(mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(mode: RunMode) -> Vec<Table> {
     let rate = 500.0;
     let budgets = [BudgetLevel::Medium, BudgetLevel::Low];
     let cells: Vec<(ServiceKind, BudgetLevel)> = ServiceKind::ALL

@@ -7,7 +7,7 @@ use workloads::floods::FloodKind;
 use workloads::service::ServiceKind;
 
 /// Render the workload catalog.
-pub fn run(_mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(_mode: RunMode) -> Vec<Table> {
     let mut victims = Table::new(
         "Table 1 (victims): EC service kernels and calibrated parameters",
         &[

@@ -5,7 +5,7 @@ use antidope::SchemeKind;
 use dcmetrics::export::Table;
 
 /// Render the scheme catalog.
-pub fn run(_mode: RunMode) -> Vec<Table> {
+pub(crate) fn run(_mode: RunMode) -> Vec<Table> {
     let mut t = Table::new(
         "Table 2: evaluated power management schemes",
         &["scheme", "feature", "description"],

@@ -45,7 +45,7 @@ impl RunMode {
     }
 
     /// The observation window for trace-style figures.
-    pub fn window_secs(&self) -> u64 {
+    pub(crate) fn window_secs(&self) -> u64 {
         if self.quick {
             60
         } else {
@@ -54,7 +54,7 @@ impl RunMode {
     }
 
     /// Window for sweep cells (many sims per figure).
-    pub fn cell_secs(&self) -> u64 {
+    pub(crate) fn cell_secs(&self) -> u64 {
         if self.quick {
             30
         } else {

@@ -15,16 +15,16 @@ pub use antidope::testutil::{BOTS, NORMAL_PEAK_RATE};
 
 /// First URL of the rotating attacker's range — deliberately outside
 /// every [`ServiceKind`] URL, so the offline profile has never seen it.
-pub const ROTATION_URL_BASE: u16 = 800;
+pub(crate) const ROTATION_URL_BASE: u16 = 800;
 /// Number of URLs the rotating attacker hops over.
 pub const ROTATION_URL_SPACE: u16 = 6;
 /// Seconds between URL rotations.
-pub const ROTATION_PERIOD_S: u64 = 20;
+pub(crate) const ROTATION_PERIOD_S: u64 = 20;
 
 /// The standard users plus a URL-rotating adaptive attack at ingredient
 /// 1: heavy Colla-Filt work at `rate` requests/s over [`BOTS`] bots from
 /// t = 5 s, behind URLs the offline profile has never seen, hopping
-/// every [`ROTATION_PERIOD_S`]. Pinned to address 50 000, id space
+/// every `ROTATION_PERIOD_S`. Pinned to address 50 000, id space
 /// `1 << 40` and `seed ^ 0x707A7E`. The oracle arm reads the attack's
 /// [`oracle_profiles`](workloads::AttackVector::oracle_profiles) from
 /// [`ScenarioBuilder::vector_twin`]`(1, ..)`.
@@ -42,7 +42,7 @@ pub fn rotating(rate: f64) -> ScenarioBuilder {
 }
 
 /// An experiment config with an optional firewall override.
-pub fn experiment(
+pub(crate) fn experiment(
     scheme: SchemeKind,
     budget: BudgetLevel,
     duration_s: u64,

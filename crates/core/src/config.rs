@@ -230,7 +230,7 @@ impl Default for ControlPlaneConfig {
 
 impl ControlPlaneConfig {
     /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if !(0.0..=1.0).contains(&self.watchdog_coverage_floor) {
             return Err(ConfigError::ControlPlane {
                 what: "watchdog_coverage_floor",
@@ -346,7 +346,7 @@ pub struct AdmissionConfig {
 impl AdmissionConfig {
     /// Validate stage parameters with the same typed errors their
     /// runtime constructors raise.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if let Some(c) = &self.cost_to_serve {
             netsim::CostToServe::try_new(simcore::SimTime::ZERO, *c)
                 .map_err(ConfigError::Admission)?;
@@ -407,7 +407,7 @@ impl ClusterConfig {
     }
 
     /// Aggregate nameplate of the cluster in watts (100 W nodes).
-    pub fn aggregate_nameplate_w(&self) -> f64 {
+    pub(crate) fn aggregate_nameplate_w(&self) -> f64 {
         self.servers as f64 * 100.0
     }
 
@@ -454,6 +454,20 @@ impl ClusterConfig {
             return Err(ConfigError::Shards {
                 shards: self.shards,
                 servers: self.servers,
+            });
+        }
+        // One breaker observation per slot equals any number of them
+        // only for a non-zero trip delay. A rating below the budget is a
+        // derated feed and stays valid.
+        if self.breaker_trip_delay.is_zero() {
+            return Err(ConfigError::ZeroDuration {
+                what: "breaker_trip_delay",
+            });
+        }
+        if !(self.breaker_rating_factor.is_finite() && self.breaker_rating_factor > 0.0) {
+            return Err(ConfigError::ControlPlane {
+                what: "breaker_rating_factor",
+                value: self.breaker_rating_factor,
             });
         }
         if !(self.firewall_threshold_rps.is_finite() && self.firewall_threshold_rps > 0.0) {
@@ -735,6 +749,35 @@ mod tests {
             );
         }
         c.firewall_threshold_rps = 0.5;
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_bad_breaker() {
+        let mut c = ClusterConfig::paper_rack(BudgetLevel::Normal);
+        c.breaker_trip_delay = SimDuration::ZERO;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            ConfigError::ZeroDuration {
+                what: "breaker_trip_delay"
+            }
+        );
+        c.breaker_trip_delay = SimDuration::from_secs(30);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            c.breaker_rating_factor = bad;
+            assert!(
+                matches!(
+                    c.validate().unwrap_err(),
+                    ConfigError::ControlPlane {
+                        what: "breaker_rating_factor",
+                        ..
+                    }
+                ),
+                "factor {bad}"
+            );
+        }
+        // A derated feed (rating below the budget) is a valid rig.
+        c.breaker_rating_factor = 0.8;
         c.validate().unwrap();
     }
 

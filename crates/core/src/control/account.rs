@@ -14,7 +14,7 @@ use super::BatteryFlows;
 use crate::node::ComputeNode;
 use dcmetrics::energy::EnergySource;
 use dcmetrics::{EnergyMeter, OnlineSummary, TimeSeries};
-use powercap::pdu::{BreakerState, PowerHierarchy};
+use powercap::Breaker;
 use powercap::pstate::PState;
 use powercap::thermal::{ThermalNode, ThermalState};
 use simcore::SimTime;
@@ -34,8 +34,8 @@ pub struct AccountStage {
     pub(crate) vf_summary: OnlineSummary,
     /// Deepest V/F reduction seen on any node.
     pub(crate) max_vf: u8,
-    /// Cluster breaker model, when configured.
-    pub(crate) hierarchy: Option<PowerHierarchy>,
+    /// Cluster feed breaker, when configured.
+    pub(crate) breaker: Option<Breaker>,
     /// Per-node thermal models, when configured.
     pub(crate) thermals: Option<Vec<ThermalNode>>,
     /// When the breaker opened, if it did.
@@ -48,7 +48,7 @@ impl AccountStage {
     pub(crate) fn new(
         start: SimTime,
         idle_power_w: f64,
-        hierarchy: Option<PowerHierarchy>,
+        breaker: Option<Breaker>,
         thermals: Option<Vec<ThermalNode>>,
     ) -> Self {
         let mut meter = EnergyMeter::new(start);
@@ -64,25 +64,25 @@ impl AccountStage {
             battery_series,
             vf_summary: OnlineSummary::new(),
             max_vf: 0,
-            hierarchy,
+            breaker,
             thermals,
             outage_at: None,
         }
     }
 
     /// When the breaker opened, if it did.
-    pub fn outage(&self) -> Option<SimTime> {
+    pub(crate) fn outage(&self) -> Option<SimTime> {
         self.outage_at
     }
 
     /// Current aggregate load power, watts.
-    pub fn cluster_power_w(&self) -> f64 {
+    pub(crate) fn cluster_power_w(&self) -> f64 {
         self.cluster_power_w
     }
 
     /// Cumulative load energy delivered up to `now`, joules — the
     /// RAPL-style counter the trace recorder stamps into each slot.
-    pub fn load_joules(&self, now: SimTime) -> f64 {
+    pub(crate) fn load_joules(&self, now: SimTime) -> f64 {
         self.meter.load_joules(now)
     }
 
@@ -158,24 +158,15 @@ impl AccountStage {
     /// if it tripped *this* call (the unplanned outage of Fig. 1 — the
     /// battery cannot save an open breaker). The outage latch is set
     /// here; the driver handles the consequences (draining every node).
-    pub(crate) fn breaker_tripped(
-        &mut self,
-        now: SimTime,
-        flows: &BatteryFlows,
-        n_nodes: usize,
-    ) -> bool {
+    pub(crate) fn breaker_tripped(&mut self, now: SimTime, flows: &BatteryFlows) -> bool {
         if self.outage_at.is_some() {
             return false;
         }
-        let Some(h) = &mut self.hierarchy else {
+        let Some(breaker) = &mut self.breaker else {
             return false;
         };
         let utility = (self.cluster_power_w - flows.discharge_w).max(0.0) + flows.charge_w;
-        h.set_server_power(now, 0, utility);
-        for i in 1..n_nodes {
-            h.set_server_power(now, i, 0.0);
-        }
-        if matches!(h.cluster_breaker(), BreakerState::Tripped { .. }) {
+        if breaker.observe(now, utility) {
             self.outage_at = Some(now);
             true
         } else {

@@ -93,7 +93,7 @@ impl ActStage {
     }
 
     /// Drop any outstanding intent (the node crashed or rebooted).
-    pub fn clear_node(&mut self, node: usize) {
+    pub(crate) fn clear_node(&mut self, node: usize) {
         if let Some(verify) = self.verify.as_mut() {
             verify.clear(node);
         }

@@ -30,7 +30,7 @@ pub struct DecideStage {
 
 impl DecideStage {
     /// Dataplane hook: scheme admission (Token's power bucket).
-    pub fn admit(&mut self, now: SimTime, req: &Request) -> bool {
+    pub(crate) fn admit(&mut self, now: SimTime, req: &Request) -> bool {
         self.scheme.admit(now, req)
     }
 

@@ -36,7 +36,7 @@ impl FilterStage {
     /// readings under fault injection — into a trusted view. The order is load-bearing:
     /// estimate → watchdog → monitor, so the watchdog judges the same
     /// coverage the monitor's estimate was built from.
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         now: SimTime,
         true_power_w: f64,
@@ -66,7 +66,7 @@ impl FilterStage {
 
     /// Drop a node's held sample (it crashed; its next reading comes
     /// from fresh hardware).
-    pub fn forget_node(&mut self, node: usize) {
+    pub(crate) fn forget_node(&mut self, node: usize) {
         if let Some(h) = &mut self.hardening {
             h.telemetry.forget(node);
         }

@@ -76,18 +76,18 @@ impl LearnStage {
     }
 
     /// Dataplane hook: a request was dispatched to `node`.
-    pub fn on_dispatch(&mut self, node: usize, url: UrlId) {
+    pub(crate) fn on_dispatch(&mut self, node: usize, url: UrlId) {
         self.mix.add(node, url);
     }
 
     /// Dataplane hook: a request finished on `node`.
-    pub fn on_complete(&mut self, node: usize, url: UrlId) {
+    pub(crate) fn on_complete(&mut self, node: usize, url: UrlId) {
         self.mix.remove(node, url);
     }
 
     /// A node lost its queue (crash, reboot, outage): its in-flight mix
     /// is gone.
-    pub fn forget_node(&mut self, node: usize) {
+    pub(crate) fn forget_node(&mut self, node: usize) {
         self.mix.clear_node(node);
     }
 

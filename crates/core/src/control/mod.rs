@@ -56,7 +56,7 @@ use powercap::budget::PowerBudget;
 use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::monitor::PowerCondition;
 use powercap::monitor::PowerMonitor;
-use powercap::pdu::PowerHierarchy;
+use powercap::Breaker;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
 use powercap::thermal::ThermalNode;
@@ -85,7 +85,7 @@ pub struct ClusterView {
 /// Account) and the ones that write them (Act, the battery integration)
 /// share one typed value instead of two loose floats.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BatteryFlows {
+pub(crate) struct BatteryFlows {
     /// Discharge into the load.
     pub discharge_w: f64,
     /// Charge drawn from the utility.
@@ -165,7 +165,7 @@ impl FaultLayer {
 }
 
 /// A node's in-flight URL mix, `(url, count)` sorted by URL.
-pub type UrlMix = Vec<(UrlId, u32)>;
+pub(crate) type UrlMix = Vec<(UrlId, u32)>;
 
 /// What one control slot reads of the plant it controls, plus the one
 /// command it issues before deciding: the read-back retry.
@@ -352,9 +352,8 @@ impl ControlPipeline {
             .profiler
             .as_ref()
             .map(|pc| learn::LearnStage::new(pc, cfg.servers));
-        let hierarchy = cfg.breaker.then(|| {
-            let rating = budget.supply_w * cfg.breaker_rating_factor;
-            PowerHierarchy::new(cfg.servers, 1, rating, rating, cfg.breaker_trip_delay)
+        let breaker = cfg.breaker.then(|| {
+            Breaker::new(budget.supply_w * cfg.breaker_rating_factor, cfg.breaker_trip_delay)
         });
         let thermals = cfg
             .thermal
@@ -381,7 +380,7 @@ impl ControlPipeline {
                 verify,
                 retry_scratch: Vec::new(),
             },
-            account: account::AccountStage::new(start, idle_power_w, hierarchy, thermals),
+            account: account::AccountStage::new(start, idle_power_w, breaker, thermals),
             actions: Vec::new(),
             tripped: Vec::new(),
             topology,

@@ -364,7 +364,8 @@ impl From<&Action> for ActionRecord {
 
 impl ActionRecord {
     /// Back to the in-memory action type.
-    pub fn to_action(self) -> Action {
+    #[cfg(test)]
+    pub(crate) fn to_action(self) -> Action {
         match self {
             ActionRecord::SetPState { node, target } => {
                 Action::SetPState { node, target: PState(target) }
@@ -615,7 +616,7 @@ impl TraceRecorder {
 
     /// Note a node-forget event; it is carried in the next recorded
     /// slot (the first one whose pipeline pass can observe it).
-    pub fn note_forget(&mut self, node: usize, kind: ForgetKind) {
+    pub(crate) fn note_forget(&mut self, node: usize, kind: ForgetKind) {
         self.pending_forgets.push(Forget { node, kind });
     }
 
@@ -719,7 +720,7 @@ impl ControlPipeline {
     }
 
     /// Apply a forget event to every stage that holds per-node state.
-    pub fn forget_node(&mut self, f: Forget) {
+    pub(crate) fn forget_node(&mut self, f: Forget) {
         match f.kind {
             ForgetKind::Full => {
                 self.filter.forget_node(f.node);

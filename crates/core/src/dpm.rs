@@ -61,12 +61,12 @@ impl ThrottlePlan {
 
 /// Worst-case planning floor for utilization: an emergency plan must hold
 /// even if a briefly-idle suspect node refills within the slot.
-pub const PLANNING_MIN_UTIL: f64 = 0.9;
+pub(crate) const PLANNING_MIN_UTIL: f64 = 0.9;
 
 /// Solve Algorithm 1's throttling search.
 ///
 /// `budget_w` is the supply the plan must fit under. Node utilizations
-/// below [`PLANNING_MIN_UTIL`] are planned at that floor for suspect
+/// below `PLANNING_MIN_UTIL` are planned at that floor for suspect
 /// nodes (attack traffic refills them within the slot); innocent nodes
 /// are planned at their observed utilization.
 pub fn solve(model: &ServerPowerModel, budget_w: f64, nodes: &[NodeState]) -> ThrottlePlan {

@@ -26,7 +26,7 @@ use staleness::LastGood;
 
 /// Aggregate power estimate built from partially-faulty sensors.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryEstimate {
+pub(crate) struct TelemetryEstimate {
     /// Estimated cluster power, watts.
     pub power_w: f64,
     /// Fraction of alive nodes with a *fresh* reading this slot (1 when
@@ -48,7 +48,7 @@ pub struct TelemetryHealth {
 impl TelemetryHealth {
     /// Estimator over `n_nodes` sensors; held samples expire after
     /// `staleness`.
-    pub fn new(n_nodes: usize, staleness: SimDuration) -> Self {
+    pub(crate) fn new(n_nodes: usize, staleness: SimDuration) -> Self {
         TelemetryHealth {
             last_good: LastGood::new(n_nodes, staleness),
         }
@@ -63,7 +63,7 @@ impl TelemetryHealth {
     /// Coverage counts alive nodes only: a dead node reports a
     /// synthetic zero, and counting that as a fresh sensor would let
     /// crashes mask a telemetry blackout of the survivors.
-    pub fn estimate(
+    pub(crate) fn estimate(
         &mut self,
         now: SimTime,
         readings: &[Option<f64>],
@@ -102,7 +102,7 @@ impl TelemetryHealth {
 
     /// Forget a node's held sample (it crashed; its next reading comes
     /// from fresh hardware).
-    pub fn forget(&mut self, node: usize) {
+    pub(crate) fn forget(&mut self, node: usize) {
         self.last_good.forget(node);
     }
 }
@@ -126,7 +126,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Watchdog engaging below `floor` coverage, releasing after
     /// `recovery_slots` consecutive healthy slots.
-    pub fn new(floor: f64, recovery_slots: u32) -> Self {
+    pub(crate) fn new(floor: f64, recovery_slots: u32) -> Self {
         Watchdog {
             floor,
             recovery_slots: recovery_slots.max(1),
@@ -141,7 +141,7 @@ impl Watchdog {
 
     /// Feed one slot's coverage; returns whether the watchdog is engaged
     /// for this slot.
-    pub fn observe(&mut self, now: SimTime, coverage: f64) -> bool {
+    pub(crate) fn observe(&mut self, now: SimTime, coverage: f64) -> bool {
         if coverage < self.floor {
             self.ok_streak = 0;
             if self.engaged_since.is_none() {
@@ -166,23 +166,24 @@ impl Watchdog {
     }
 
     /// Currently engaged?
-    pub fn engaged(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn engaged(&self) -> bool {
         self.engaged_since.is_some()
     }
 
     /// Slots spent degraded (engaged), including recovery probation.
-    pub fn degraded_slots(&self) -> u64 {
+    pub(crate) fn degraded_slots(&self) -> u64 {
         self.degraded_slots
     }
 
     /// Times the watchdog engaged.
-    pub fn episodes(&self) -> u64 {
+    pub(crate) fn episodes(&self) -> u64 {
         self.episodes
     }
 
     /// Total degraded wall-clock, counting a still-open episode up to
     /// `now`.
-    pub fn time_degraded(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn time_degraded(&self, now: SimTime) -> SimDuration {
         match self.engaged_since {
             Some(since) => self.degraded_time + now.since(since),
             None => self.degraded_time,
@@ -190,7 +191,7 @@ impl Watchdog {
     }
 
     /// Mean time to recovery over completed episodes, seconds.
-    pub fn mttr_s(&self) -> Option<f64> {
+    pub(crate) fn mttr_s(&self) -> Option<f64> {
         if self.completed_episodes == 0 {
             None
         } else {
@@ -201,7 +202,7 @@ impl Watchdog {
 
 /// What a read-back check concluded for one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyOutcome {
+pub(crate) enum VerifyOutcome {
     /// No actuation outstanding.
     Idle,
     /// The hardware reached the commanded target.
@@ -237,7 +238,7 @@ pub struct ActuatorVerify {
 impl ActuatorVerify {
     /// Verifier over `n_nodes`, retrying up to `max_retries` times with
     /// doubling backoff starting at `first_backoff`.
-    pub fn new(n_nodes: usize, max_retries: u8, first_backoff: SimDuration) -> Self {
+    pub(crate) fn new(n_nodes: usize, max_retries: u8, first_backoff: SimDuration) -> Self {
         ActuatorVerify {
             intents: vec![None; n_nodes],
             max_retries,
@@ -249,7 +250,7 @@ impl ActuatorVerify {
     }
 
     /// Record that `target` was commanded on `node` at `now`.
-    pub fn record(&mut self, node: usize, target: PState, now: SimTime) {
+    pub(crate) fn record(&mut self, node: usize, target: PState, now: SimTime) {
         self.intents[node] = Some(Intent {
             target,
             retries_left: self.max_retries,
@@ -262,7 +263,7 @@ impl ActuatorVerify {
     /// intent. `Retry` consumes one retry and doubles the backoff; the
     /// caller must re-issue the command (through the fault layer, which
     /// may lose it again).
-    pub fn check(&mut self, node: usize, actual: PState, now: SimTime) -> VerifyOutcome {
+    pub(crate) fn check(&mut self, node: usize, actual: PState, now: SimTime) -> VerifyOutcome {
         let Some(intent) = &mut self.intents[node] else {
             return VerifyOutcome::Idle;
         };
@@ -288,22 +289,23 @@ impl ActuatorVerify {
     }
 
     /// Drop any outstanding intent (the node crashed or rebooted).
-    pub fn clear(&mut self, node: usize) {
+    pub(crate) fn clear(&mut self, node: usize) {
         self.intents[node] = None;
     }
 
     /// Commands confirmed by read-back.
-    pub fn confirmed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn confirmed(&self) -> u64 {
         self.confirmed
     }
 
     /// Retries issued.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries
     }
 
     /// Commands abandoned after exhausting the retry budget.
-    pub fn giveups(&self) -> u64 {
+    pub(crate) fn giveups(&self) -> u64 {
         self.giveups
     }
 }

@@ -33,18 +33,14 @@ impl<T> LastGood<T> {
         LastGood { held, window }
     }
 
-    /// The staleness window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Number of holds.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.held.len()
     }
 
     /// Whether there are no holds at all.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.held.is_empty()
     }
 
@@ -65,7 +61,7 @@ impl<T> LastGood<T> {
 
     /// Drop hold `i` immediately (the source was replaced; its next
     /// value comes from fresh hardware).
-    pub fn forget(&mut self, i: usize) {
+    pub(crate) fn forget(&mut self, i: usize) {
         self.held[i] = None;
     }
 }

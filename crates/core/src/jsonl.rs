@@ -94,13 +94,13 @@ impl Json {
     }
 
     /// This value as a `u32`.
-    pub fn as_u32(&self) -> Result<u32, String> {
+    pub(crate) fn as_u32(&self) -> Result<u32, String> {
         let v = self.as_u64()?;
         u32::try_from(v).map_err(|_| format!("{v} out of u32 range"))
     }
 
     /// This value as a `u8`.
-    pub fn as_u8(&self) -> Result<u8, String> {
+    pub(crate) fn as_u8(&self) -> Result<u8, String> {
         let v = self.as_u64()?;
         u8::try_from(v).map_err(|_| format!("{v} out of u8 range"))
     }
@@ -148,7 +148,7 @@ impl Json {
     }
 
     /// Optional object field: absent or `null` both read as `None`.
-    pub fn get_opt(&self, key: &str) -> Result<Option<&Json>, String> {
+    pub(crate) fn get_opt(&self, key: &str) -> Result<Option<&Json>, String> {
         for (k, v) in self.as_obj()? {
             if k == key {
                 return Ok(if matches!(v, Json::Null) { None } else { Some(v) });

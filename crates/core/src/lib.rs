@@ -55,22 +55,19 @@ pub mod shard;
 pub mod testutil;
 pub mod topology;
 
-pub use config::{
-    AdmissionConfig, ClusterConfig, ConfigError, ControlPlaneConfig, ExperimentConfig, SchemeKind,
-};
+pub use config::{AdmissionConfig, ClusterConfig, ConfigError, ExperimentConfig, SchemeKind};
 pub use control::plane::{
     ActionRecord, ActuationTransport, BatteryObs, ConditionRecord, ControlClock, ControlTrace,
     DecisionRecord, Forget, ForgetKind, NodeObs, PlaneSample, SamplePlant, SlotRecord, SlotTick,
     TelemetryTransport, TraceFooter, TraceRecorder, TransportError, ViewRecord,
     TRACE_SCHEMA_VERSION,
 };
-pub use control::{ClusterView, ControlPipeline, Plant};
-pub use health::{ActuatorVerify, TelemetryHealth, Watchdog};
-pub use node::ComputeNode;
+pub use control::ControlPipeline;
+pub use health::TelemetryHealth;
+
 pub use results::{FaultReport, RetryReport, SimReport};
 pub use results::TopologyReport;
 pub use runner::{record_experiment, run_experiment, run_matrix};
 pub use shard::ShardedClusterSim;
 pub use topology::{HierarchicalBudget, PowerTopology, TopologyConfig};
-
 

@@ -14,7 +14,7 @@ use simcore::{SimDuration, SimTime};
 
 /// One server: queue, frequency actuator, power model.
 #[derive(Debug, Clone)]
-pub struct ComputeNode {
+pub(crate) struct ComputeNode {
     queue: PsServer,
     dvfs: DvfsController,
     rapl: Rapl,
@@ -23,7 +23,7 @@ pub struct ComputeNode {
 
 impl ComputeNode {
     /// Build a node with the paper's 100 W power model.
-    pub fn new(
+    pub(crate) fn new(
         start: SimTime,
         cores: usize,
         max_inflight: usize,
@@ -41,67 +41,68 @@ impl ComputeNode {
     }
 
     /// The node's power model.
-    pub fn model(&self) -> &ServerPowerModel {
+    pub(crate) fn model(&self) -> &ServerPowerModel {
         &self.model
     }
 
     /// The DVFS ladder.
-    pub fn table(&self) -> &PStateTable {
+    pub(crate) fn table(&self) -> &PStateTable {
         &self.model.table
     }
 
     /// Requests in flight.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.queue.len()
     }
 
     /// Queue epoch (see [`PsServer::epoch`]).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.queue.epoch()
     }
 
     /// Lifetime completions.
-    pub fn completed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn completed(&self) -> u64 {
         self.queue.completed()
     }
 
     /// Lifetime rejections.
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.queue.rejected()
     }
 
     /// The effective P-state as of the last advance.
-    pub fn effective_pstate(&self) -> PState {
+    pub(crate) fn effective_pstate(&self) -> PState {
         self.dvfs.effective()
     }
 
     /// The commanded target P-state.
-    pub fn target_pstate(&self) -> PState {
+    pub(crate) fn target_pstate(&self) -> PState {
         self.dvfs.target()
     }
 
     /// V/F reduction steps below nominal (Fig 6's y-axis).
-    pub fn vf_reduction_steps(&self) -> u8 {
+    pub(crate) fn vf_reduction_steps(&self) -> u8 {
         self.dvfs.vf_reduction_steps()
     }
 
     /// Lifetime DVFS transitions commanded.
-    pub fn dvfs_transitions(&self) -> u64 {
+    pub(crate) fn dvfs_transitions(&self) -> u64 {
         self.dvfs.transitions()
     }
 
     /// Resident load character `(utilization, intensity, gamma)`.
-    pub fn load_character(&self) -> (f64, f64, f64) {
+    pub(crate) fn load_character(&self) -> (f64, f64, f64) {
         self.queue.load_character()
     }
 
     /// Mean CPU-boundedness of the resident mix.
-    pub fn mean_beta(&self) -> f64 {
+    pub(crate) fn mean_beta(&self) -> f64 {
         self.queue.mean_beta()
     }
 
     /// Instantaneous node power, watts.
-    pub fn power_w(&self) -> f64 {
+    pub(crate) fn power_w(&self) -> f64 {
         let (u, i, g) = self.queue.load_character();
         self.model.power(self.dvfs.effective(), u, i, g)
     }
@@ -111,35 +112,40 @@ impl ComputeNode {
     /// A memory-bound mix (low γ) keeps most of its dynamic power here;
     /// the gap between [`ComputeNode::power_w`] and this floor is the
     /// only headroom a capping-style defense can actually reclaim.
-    pub fn unreclaimable_power_w(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn unreclaimable_power_w(&self) -> f64 {
         let (u, i, g) = self.queue.load_character();
         self.model.power(self.table().min_state(), u, i, g)
     }
 
     /// Offer a request to the queue.
-    pub fn push(&mut self, now: SimTime, req: Request) -> PushOutcome {
+    pub(crate) fn push(&mut self, now: SimTime, req: Request) -> PushOutcome {
         self.queue.push(now, req)
     }
 
     /// Predict the next completion (advance first).
-    pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, RequestId)> {
+    pub(crate) fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, RequestId)> {
         self.queue.advance(now);
         self.queue.next_completion()
     }
 
     /// Attempt a completion (see [`PsServer::try_complete`]).
-    pub fn try_complete(&mut self, now: SimTime, id: RequestId) -> Option<(Request, SimDuration)> {
+    pub(crate) fn try_complete(
+        &mut self,
+        now: SimTime,
+        id: RequestId,
+    ) -> Option<(Request, SimDuration)> {
         self.queue.try_complete(now, id)
     }
 
     /// Command a P-state directly; returns the settle instant.
-    pub fn command_pstate(&mut self, now: SimTime, target: PState) -> SimTime {
+    pub(crate) fn command_pstate(&mut self, now: SimTime, target: PState) -> SimTime {
         self.dvfs.command(now, target)
     }
 
     /// [`ComputeNode::command_pstate`] with an extra actuation delay
     /// (fault injection: the command reaches the governor late).
-    pub fn command_pstate_after(
+    pub(crate) fn command_pstate_after(
         &mut self,
         now: SimTime,
         target: PState,
@@ -150,13 +156,17 @@ impl ComputeNode {
 
     /// Command via a RAPL watt limit resolved against the resident load;
     /// returns `(chosen state, settle instant)`.
-    pub fn command_power_limit(&mut self, now: SimTime, limit_w: Option<f64>) -> (PState, SimTime) {
+    pub(crate) fn command_power_limit(
+        &mut self,
+        now: SimTime,
+        limit_w: Option<f64>) -> (PState, SimTime,
+    ) {
         self.command_power_limit_after(now, limit_w, SimDuration::ZERO)
     }
 
     /// [`ComputeNode::command_power_limit`] with an extra actuation delay
     /// (fault injection).
-    pub fn command_power_limit_after(
+    pub(crate) fn command_power_limit_after(
         &mut self,
         now: SimTime,
         limit_w: Option<f64>,
@@ -173,7 +183,7 @@ impl ComputeNode {
     /// The P-state a watt limit would resolve to right now, without
     /// commanding anything — the controller records this as its actuation
     /// intent for read-back verification.
-    pub fn resolve_power_limit(&self, limit_w: Option<f64>) -> PState {
+    pub(crate) fn resolve_power_limit(&self, limit_w: Option<f64>) -> PState {
         let (i, g) = self.limit_mix();
         self.rapl.resolve(limit_w, i, g)
     }
@@ -192,7 +202,7 @@ impl ComputeNode {
 
     /// Apply any matured DVFS transition to the queue speed. Call at the
     /// settle instant (and it is harmless to call at any other time).
-    pub fn apply_dvfs(&mut self, now: SimTime) {
+    pub(crate) fn apply_dvfs(&mut self, now: SimTime) {
         self.dvfs.advance(now);
         let rel = self.dvfs.rel_freq();
         if (self.queue.rel_freq() - rel).abs() > 1e-12 {
@@ -204,19 +214,8 @@ impl ComputeNode {
 
     /// Drain the queue (power loss), delivering each lost request to
     /// `visit`. Allocation-free (see [`PsServer::drain_with`]).
-    pub fn drain_with(&mut self, now: SimTime, visit: impl FnMut(Request)) {
+    pub(crate) fn drain_with(&mut self, now: SimTime, visit: impl FnMut(Request)) {
         self.queue.drain_with(now, visit)
-    }
-
-    /// Drain the queue (power loss) into a fresh `Vec`.
-    pub fn drain(&mut self, now: SimTime) -> Vec<Request> {
-        self.queue.drain(now)
-    }
-
-    /// Visit every overdue in-flight request without allocating (see
-    /// [`PsServer::for_each_overdue`]).
-    pub fn for_each_overdue(&self, now: SimTime, visit: impl FnMut(RequestId, SimDuration)) {
-        self.queue.for_each_overdue(now, visit)
     }
 }
 

@@ -6,7 +6,7 @@
 //!    intensity of every service URL (we profile analytically against the
 //!    server power model — the simulation equivalent of the paper's
 //!    bench runs) and mark URLs above the threshold *suspect*.
-//! 2. **Pool partition + forwarding policy** ([`pdf_policy`]): reserve
+//! 2. **Pool partition + forwarding policy** (`pdf_policy`): reserve
 //!    the last `suspect_pool_size` servers as the isolated suspect pool
 //!    and program the NLB with URL-split forwarding.
 
@@ -37,7 +37,7 @@ pub fn build_suspect_list(threshold: f64) -> Result<SuspectList, ConfigError> {
 /// [`build_suspect_list`] plus caller-supplied oracle profiles — used by
 /// ablations that grant the offline profiler knowledge it could not have
 /// in practice (e.g. the attack's rotation URL range).
-pub fn build_suspect_list_with(
+pub(crate) fn build_suspect_list_with(
     threshold: f64,
     extra: &[(UrlId, f64)],
 ) -> Result<SuspectList, ConfigError> {
@@ -60,7 +60,10 @@ pub fn build_suspect_list_with(
 
 /// Partition `servers` into `(innocent_pool, suspect_pool)` with the last
 /// `suspect_pool_size` indices isolated.
-pub fn partition_pools(servers: usize, suspect_pool_size: usize) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn partition_pools(
+    servers: usize,
+    suspect_pool_size: usize) -> (Vec<usize>, Vec<usize>,
+) {
     assert!(suspect_pool_size >= 1 && suspect_pool_size < servers);
     let suspect = suspect_range(servers, suspect_pool_size);
     ((0..suspect.start).collect(), suspect.collect())
@@ -69,12 +72,12 @@ pub fn partition_pools(servers: usize, suspect_pool_size: usize) -> (Vec<usize>,
 /// The suspect pool as a node-index range: the contiguous tail of
 /// [`partition_pools`], for per-slot membership tests that must not
 /// allocate or scan.
-pub fn suspect_range(servers: usize, suspect_pool_size: usize) -> std::ops::Range<usize> {
+pub(crate) fn suspect_range(servers: usize, suspect_pool_size: usize) -> std::ops::Range<usize> {
     servers - suspect_pool_size..servers
 }
 
 /// The complete PDF forwarding policy for a cluster.
-pub fn pdf_policy(
+pub(crate) fn pdf_policy(
     servers: usize,
     suspect_pool_size: usize,
     threshold: f64,
@@ -84,7 +87,7 @@ pub fn pdf_policy(
 
 /// [`pdf_policy`] with extra oracle profiles (see
 /// [`build_suspect_list_with`]).
-pub fn pdf_policy_with(
+pub(crate) fn pdf_policy_with(
     servers: usize,
     suspect_pool_size: usize,
     threshold: f64,
@@ -102,7 +105,7 @@ pub fn pdf_policy_with(
 /// class map starts empty and is hot-swapped by the online profiler as it
 /// learns. Until the first publication every URL takes the default class
 /// (innocent — the paper's design never blocks unknown traffic).
-pub fn adaptive_pdf_policy(servers: usize, suspect_pool_size: usize) -> ForwardingPolicy {
+pub(crate) fn adaptive_pdf_policy(servers: usize, suspect_pool_size: usize) -> ForwardingPolicy {
     let (innocent_pool, suspect_pool) = partition_pools(servers, suspect_pool_size);
     ForwardingPolicy::AdaptiveSplit {
         classes: FxHashMap::default(),

@@ -27,7 +27,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarize a histogram of response times in **seconds**.
-    pub fn from_histogram(h: &LatencyHistogram) -> Self {
+    pub(crate) fn from_histogram(h: &LatencyHistogram) -> Self {
         if h.is_empty() {
             return LatencySummary::default();
         }

@@ -16,11 +16,11 @@ use crate::config::ClusterConfig;
 use netsim::nlb::ForwardingPolicy;
 
 /// PDF forwarding with no power control at all.
-pub struct PdfOnlyScheme;
+pub(crate) struct PdfOnlyScheme;
 
 impl PdfOnlyScheme {
     /// Build (stateless).
-    pub fn new(config: &ClusterConfig) -> Self {
+    pub(crate) fn new(config: &ClusterConfig) -> Self {
         config
             .validate()
             .expect("PdfOnly requires a valid cluster config");
@@ -46,13 +46,13 @@ impl PowerScheme for PdfOnlyScheme {
 }
 
 /// RPM/DPM control with vanilla round-robin forwarding.
-pub struct RpmOnlyScheme {
+pub(crate) struct RpmOnlyScheme {
     inner: AntiDopeScheme,
 }
 
 impl RpmOnlyScheme {
     /// Build over the full RPM controller.
-    pub fn new(config: &ClusterConfig) -> Self {
+    pub(crate) fn new(config: &ClusterConfig) -> Self {
         RpmOnlyScheme {
             inner: AntiDopeScheme::new(config),
         }

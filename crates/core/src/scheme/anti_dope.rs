@@ -65,14 +65,14 @@ impl AntiDopeScheme {
 
     /// Build with a custom suspicion threshold (ablation studies).
     /// Panics on an invalid config or threshold; use
-    /// [`AntiDopeScheme::try_with_threshold`] to handle errors.
+    /// `AntiDopeScheme::try_with_threshold` to handle errors.
     pub fn with_threshold(config: &ClusterConfig, threshold: f64) -> Self {
         Self::try_with_threshold(config, threshold)
             .expect("with_threshold: invalid cluster config or threshold")
     }
 
     /// Fallible constructor with a custom suspicion threshold.
-    pub fn try_with_threshold(
+    pub(crate) fn try_with_threshold(
         config: &ClusterConfig,
         threshold: f64,
     ) -> Result<Self, crate::config::ConfigError> {

@@ -13,7 +13,7 @@ use powercap::pstate::PState;
 
 /// The uniform-DVFS capping baseline.
 #[derive(Debug)]
-pub struct CappingScheme {
+pub(crate) struct CappingScheme {
     capper: UniformCapper,
     /// Current uniform level commanded to all nodes.
     level: PState,
@@ -30,7 +30,7 @@ impl Default for CappingScheme {
 
 impl CappingScheme {
     /// New capper at nominal frequency.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let model = powercap::server_power::ServerPowerModel::paper_default();
         let top = model.table.max_state();
         CappingScheme {

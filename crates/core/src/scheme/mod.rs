@@ -17,12 +17,12 @@ mod capping;
 mod shaving;
 mod token;
 
-pub use ablation::{PdfOnlyScheme, RpmOnlyScheme};
 pub use anti_dope::AntiDopeScheme;
-pub use capping::CappingScheme;
-pub use shaving::ShavingScheme;
-pub use token::TokenScheme;
 
+use ablation::{PdfOnlyScheme, RpmOnlyScheme};
+use capping::CappingScheme;
+use shaving::ShavingScheme;
+use token::TokenScheme;
 use crate::config::{ClusterConfig, SchemeKind};
 use netsim::nlb::ForwardingPolicy;
 use netsim::request::Request;
@@ -80,12 +80,12 @@ pub struct ControlInput {
 
 impl ControlInput {
     /// Current deficit (0 when under budget).
-    pub fn deficit_w(&self) -> f64 {
+    pub(crate) fn deficit_w(&self) -> f64 {
         (self.demand_w - self.supply_w).max(0.0)
     }
 
     /// Current headroom (0 when over budget).
-    pub fn headroom_w(&self) -> f64 {
+    pub(crate) fn headroom_w(&self) -> f64 {
         (self.supply_w - self.demand_w).max(0.0)
     }
 }
@@ -148,7 +148,7 @@ pub trait PowerScheme: Send {
 
 /// A scheme that does nothing — the unmanaged reference cluster.
 #[derive(Debug, Default)]
-pub struct NoneScheme;
+pub(crate) struct NoneScheme;
 
 impl PowerScheme for NoneScheme {
     fn name(&self) -> &'static str {
@@ -187,7 +187,7 @@ pub(crate) mod testutil {
 
     /// Build a 4-node snapshot (3 innocent + 1 suspect) with the given
     /// demand and supply; the condition is derived from a fresh monitor.
-    pub fn input(demand_w: f64, supply_frac: BudgetLevel, utils: [f64; 4]) -> ControlInput {
+    pub(crate) fn input(demand_w: f64, supply_frac: BudgetLevel, utils: [f64; 4]) -> ControlInput {
         let budget = PowerBudget::for_cluster(400.0, supply_frac);
         let mut monitor = PowerMonitor::new(budget, 5, 1).unwrap();
         let condition = monitor.observe(SimTime::from_secs(1), demand_w);

@@ -17,7 +17,7 @@ use powercap::pstate::PState;
 
 /// UPS-first peak shaving with DVFS fallback.
 #[derive(Debug)]
-pub struct ShavingScheme {
+pub(crate) struct ShavingScheme {
     capper: UniformCapper,
     level: PState,
     calm_slots: u32,
@@ -32,7 +32,7 @@ impl Default for ShavingScheme {
 
 impl ShavingScheme {
     /// New scheme at nominal frequency with an idle battery.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let model = powercap::server_power::ServerPowerModel::paper_default();
         let top = model.table.max_state();
         ShavingScheme {

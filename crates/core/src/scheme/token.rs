@@ -18,7 +18,7 @@ use workloads::floods::{FloodKind, CONN_TABLE_URL, DNS_URL, KERNEL_PATH_URL};
 use workloads::service::ServiceKind;
 
 /// Offline-profiled per-request energy estimates, joules by URL.
-pub fn energy_table(core_ghz: f64, headroom_w: f64) -> FxHashMap<UrlId, f64> {
+pub(crate) fn energy_table(core_ghz: f64, headroom_w: f64) -> FxHashMap<UrlId, f64> {
     let mut t = FxHashMap::default();
     for kind in ServiceKind::ALL {
         t.insert(
@@ -39,7 +39,7 @@ pub fn energy_table(core_ghz: f64, headroom_w: f64) -> FxHashMap<UrlId, f64> {
 }
 
 /// The power token bucket scheme.
-pub struct TokenScheme {
+pub(crate) struct TokenScheme {
     bucket: PowerTokenBucket,
     energy: FxHashMap<UrlId, f64>,
     /// Fallback cost for unprofiled URLs (median service energy).
@@ -56,7 +56,7 @@ pub struct TokenScheme {
 impl TokenScheme {
     /// Build for a cluster: the bucket refills at the dynamic budget
     /// (supply − aggregate idle floor) and can burst 2 seconds.
-    pub fn new(config: &ClusterConfig) -> Self {
+    pub(crate) fn new(config: &ClusterConfig) -> Self {
         let idle_floor = config.servers as f64 * 40.0;
         let dynamic_budget = (config.supply_w() - idle_floor).max(1.0);
         let energy = energy_table(2.4, 60.0);
@@ -73,7 +73,8 @@ impl TokenScheme {
     }
 
     /// The bucket's denial rate so far.
-    pub fn denial_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn denial_rate(&self) -> f64 {
         self.bucket.denial_rate()
     }
 }

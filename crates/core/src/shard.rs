@@ -176,7 +176,7 @@ enum LearnEvt {
 /// One dataplane shard: a contiguous slice of the cluster's nodes, its
 /// own event queues, RNG stream space, metrics, and the data-oriented
 /// (struct-of-arrays) mirror of the hot per-node fields.
-pub struct Shard {
+pub(crate) struct Shard {
     /// Global index of this shard's first node.
     start: usize,
     /// Hot column: per-node power draw, watts (0 for dead nodes).
@@ -217,10 +217,6 @@ pub struct Shard {
     attack_hist: LatencyHistogram,
     normal_sla: SlaTracker,
     attack_sla: SlaTracker,
-    /// Per-shard stream space derived as `master.shard(index)`; reserved
-    /// for stochastic dataplane extensions so adding one never perturbs
-    /// another shard's streams.
-    rng: RngFactory,
     /// Events this shard has processed.
     events: u64,
     /// Completions whose request had already been retried at least once.
@@ -237,10 +233,8 @@ pub struct Shard {
 
 impl Shard {
     fn new(
-        index: usize,
         start: usize,
         nodes: &[ComputeNode],
-        master: &RngFactory,
         learn_enabled: bool,
         track_completions: bool,
     ) -> Self {
@@ -266,7 +260,6 @@ impl Shard {
             attack_hist: LatencyHistogram::for_latency_secs(),
             normal_sla: SlaTracker::new(),
             attack_sla: SlaTracker::new(),
-            rng: master.shard(index as u64),
             events: 0,
             recovered: 0,
             completed: vec![false; nodes.len()],
@@ -275,42 +268,33 @@ impl Shard {
     }
 
     /// Number of nodes this shard owns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.power_w.len()
     }
 
-    /// True for a shard with no nodes (never built by the engine).
-    pub fn is_empty(&self) -> bool {
-        self.power_w.is_empty()
-    }
-
     /// Global index of this shard's first node.
-    pub fn start(&self) -> usize {
+    pub(crate) fn start(&self) -> usize {
         self.start
     }
 
     /// The per-node power column, watts (data-oriented hot state).
-    pub fn power_col(&self) -> &[f64] {
+    pub(crate) fn power_col(&self) -> &[f64] {
         &self.power_w
     }
 
     /// The per-node in-flight column.
-    pub fn inflight_col(&self) -> &[u32] {
+    pub(crate) fn inflight_col(&self) -> &[u32] {
         &self.inflight
     }
 
     /// The per-node V/F reduction column.
-    pub fn vf_col(&self) -> &[u8] {
+    pub(crate) fn vf_col(&self) -> &[u8] {
         &self.vf_steps
     }
 
-    /// The shard's derived RNG stream space.
-    pub fn rng_factory(&self) -> &RngFactory {
-        &self.rng
-    }
-
     /// Events processed by this shard so far.
-    pub fn events_processed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn events_processed(&self) -> u64 {
         self.events
     }
 
@@ -726,7 +710,7 @@ impl ShardedClusterSim {
     }
 
     /// Build with an explicitly-constructed scheme.
-    pub fn with_scheme(
+    pub(crate) fn with_scheme(
         exp: &ExperimentConfig,
         scheme: Box<dyn PowerScheme>,
         sources: Vec<Box<dyn TrafficSource>>,
@@ -803,9 +787,8 @@ impl ShardedClusterSim {
         let learn_enabled = pipeline.learn.is_some();
         let shards: Vec<Shard> = ranges
             .iter()
-            .enumerate()
-            .map(|(i, &(at, len))| {
-                Shard::new(i, at, &nodes[at..at + len], &master, learn_enabled, track_completions)
+            .map(|&(at, len)| {
+                Shard::new(at, &nodes[at..at + len], learn_enabled, track_completions)
             })
             .collect();
 
@@ -842,17 +825,17 @@ impl ShardedClusterSim {
 
     /// Attach a control-plane trace recorder; every subsequent slot is
     /// captured until [`Self::take_recorder`] collects it.
-    pub fn attach_recorder(&mut self, recorder: TraceRecorder) {
+    pub(crate) fn attach_recorder(&mut self, recorder: TraceRecorder) {
         self.recorder = Some(recorder);
     }
 
     /// Detach the trace recorder, if one was attached.
-    pub fn take_recorder(&mut self) -> Option<TraceRecorder> {
+    pub(crate) fn take_recorder(&mut self) -> Option<TraceRecorder> {
         self.recorder.take()
     }
 
     /// Run an experiment to completion and produce the report.
-    pub fn run(exp: &ExperimentConfig, sources: Vec<Box<dyn TrafficSource>>) -> SimReport {
+    pub(crate) fn run(exp: &ExperimentConfig, sources: Vec<Box<dyn TrafficSource>>) -> SimReport {
         let scheme = scheme::build_scheme(exp.scheme, &exp.cluster);
         Self::run_with_scheme(exp, scheme, sources)
     }
@@ -872,7 +855,7 @@ impl ShardedClusterSim {
     /// Run an experiment while recording the control-plane trace: the
     /// per-slot telemetry, decisions, and actions the live replay
     /// backend needs to reproduce the control sequence bit-exactly.
-    pub fn run_recorded(
+    pub(crate) fn run_recorded(
         exp: &ExperimentConfig,
         sources: Vec<Box<dyn TrafficSource>>,
     ) -> (SimReport, ControlTrace) {
@@ -908,7 +891,8 @@ impl ShardedClusterSim {
     }
 
     /// The shards (exposed for tests and probes).
-    pub fn shards(&self) -> &[Shard] {
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[Shard] {
         &self.shards
     }
 
@@ -1458,8 +1442,7 @@ impl ShardedClusterSim {
             let Self { pipeline, flows, .. } = self;
             pipeline.account.sync_power_total(now, total, flows);
         }
-        let n_nodes = self.nodes.len();
-        if self.pipeline.account.breaker_tripped(now, &self.flows, n_nodes) {
+        if self.pipeline.account.breaker_tripped(now, &self.flows) {
             self.begin_outage(now);
         }
         if self.pipeline.account.outage().is_some() {
@@ -1802,10 +1785,6 @@ mod tests {
         assert_eq!(sizes, vec![6, 5, 5]);
         let starts: Vec<usize> = sim.shards().iter().map(|s| s.start()).collect();
         assert_eq!(starts, vec![0, 6, 11]);
-        // Every shard owns a distinct RNG stream space.
-        let a = sim.shards()[0].rng_factory().master_seed();
-        let b = sim.shards()[1].rng_factory().master_seed();
-        assert_ne!(a, b);
     }
 
     #[test]

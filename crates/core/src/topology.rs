@@ -19,8 +19,7 @@
 //!   dataplane shard layout — the property the byte-identity contract
 //!   rests on.
 //!   Each level carries its own oversubscribed budget and a
-//!   sustained-overload breaker ([`powercap::BreakerState`] semantics,
-//!   identical to the cluster feed's).
+//!   [`powercap::Breaker`], the same type as the flat cluster feed's.
 //! * [`HierarchicalBudget`] — the per-slot allocator: parent levels
 //!   split their budget down to children proportional to sensed demand,
 //!   capped at each child's own rating, with the conservation invariant
@@ -37,7 +36,7 @@ use crate::scheme::Action;
 use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
-use powercap::BreakerState;
+use powercap::Breaker;
 use simcore::{SimDuration, SimTime};
 
 /// Validated description of the power-delivery tree.
@@ -156,53 +155,9 @@ pub(crate) fn near_even(n: usize, k: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// One feed's breaker: sustained overload past the trip delay opens it;
-/// short excursions reset; an open breaker is latched.
-#[derive(Debug, Clone)]
-struct LevelBreaker {
-    rating_w: f64,
-    trip_delay: SimDuration,
-    state: BreakerState,
-}
-
-impl LevelBreaker {
-    fn new(rating_w: f64, trip_delay: SimDuration) -> Self {
-        LevelBreaker {
-            rating_w,
-            trip_delay,
-            state: BreakerState::Closed,
-        }
-    }
-
-    /// Evaluate against this slot's load; returns `true` on a fresh
-    /// Overloaded → Tripped transition.
-    fn observe(&mut self, now: SimTime, load_w: f64) -> bool {
-        let mut fresh_trip = false;
-        self.state = match self.state {
-            BreakerState::Tripped { at } => BreakerState::Tripped { at },
-            BreakerState::Closed if load_w > self.rating_w => BreakerState::Overloaded {
-                trips_at: now + self.trip_delay,
-            },
-            BreakerState::Closed => BreakerState::Closed,
-            BreakerState::Overloaded { .. } if load_w <= self.rating_w => BreakerState::Closed,
-            BreakerState::Overloaded { trips_at } if now >= trips_at => {
-                fresh_trip = true;
-                BreakerState::Tripped { at: now }
-            }
-            BreakerState::Overloaded { trips_at } => BreakerState::Overloaded { trips_at },
-        };
-        fresh_trip
-    }
-
-    fn tripped(&self) -> bool {
-        matches!(self.state, BreakerState::Tripped { .. })
-    }
-}
-
 /// The static power-delivery tree with per-level budgets and breakers.
 #[derive(Debug, Clone)]
 pub struct PowerTopology {
-    servers: usize,
     /// Rack `r` owns nodes `rack_ranges[r].0 .. .0 + .1` (contiguous in
     /// global node order).
     rack_ranges: Vec<(usize, usize)>,
@@ -216,10 +171,10 @@ pub struct PowerTopology {
     pdu_budget_w: Vec<f64>,
     row_budget_w: Vec<f64>,
     facility_budget_w: f64,
-    rack_breakers: Vec<LevelBreaker>,
-    pdu_breakers: Vec<LevelBreaker>,
-    row_breakers: Vec<LevelBreaker>,
-    facility_breaker: LevelBreaker,
+    rack_breakers: Vec<Breaker>,
+    pdu_breakers: Vec<Breaker>,
+    row_breakers: Vec<Breaker>,
+    facility_breaker: Breaker,
 }
 
 /// What one slot's observation of the tree produced: per-level breach
@@ -283,15 +238,14 @@ impl PowerTopology {
         let breakers = |budgets: &[f64]| {
             budgets
                 .iter()
-                .map(|&b| LevelBreaker::new(b * cfg.breaker_rating_factor, cfg.breaker_trip_delay))
-                .collect::<Vec<LevelBreaker>>()
+                .map(|&b| Breaker::new(b * cfg.breaker_rating_factor, cfg.breaker_trip_delay))
+                .collect::<Vec<Breaker>>()
         };
         PowerTopology {
-            servers,
             rack_breakers: breakers(&rack_budget_w),
             pdu_breakers: breakers(&pdu_budget_w),
             row_breakers: breakers(&row_budget_w),
-            facility_breaker: LevelBreaker::new(
+            facility_breaker: Breaker::new(
                 facility_budget_w * cfg.breaker_rating_factor,
                 cfg.breaker_trip_delay,
             ),
@@ -306,11 +260,6 @@ impl PowerTopology {
         }
     }
 
-    /// Server count.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Rack count.
     pub fn racks(&self) -> usize {
         self.rack_ranges.len()
@@ -322,17 +271,17 @@ impl PowerTopology {
     }
 
     /// Row count.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.row_ranges.len()
     }
 
     /// Rack `r`'s contiguous node range as `(start, len)`.
-    pub fn rack_range(&self, r: usize) -> (usize, usize) {
+    pub(crate) fn rack_range(&self, r: usize) -> (usize, usize) {
         self.rack_ranges[r]
     }
 
     /// Global node index → owning rack.
-    pub fn rack_of(&self, node: usize) -> usize {
+    pub(crate) fn rack_of(&self, node: usize) -> usize {
         self.owner_rack[node]
     }
 
@@ -347,12 +296,14 @@ impl PowerTopology {
     }
 
     /// PDU `p`'s oversubscribed budget, watts.
-    pub fn pdu_budget_w(&self, p: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pdu_budget_w(&self, p: usize) -> f64 {
         self.pdu_budget_w[p]
     }
 
     /// Row `w`'s oversubscribed budget, watts.
-    pub fn row_budget_w(&self, w: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn row_budget_w(&self, w: usize) -> f64 {
         self.row_budget_w[w]
     }
 
@@ -361,13 +312,8 @@ impl PowerTopology {
         self.facility_budget_w
     }
 
-    /// Rack `r`'s breaker state.
-    pub fn rack_breaker(&self, r: usize) -> BreakerState {
-        self.rack_breakers[r].state
-    }
-
     /// True once rack `r`'s breaker has opened (latched).
-    pub fn rack_tripped(&self, r: usize) -> bool {
+    pub(crate) fn rack_tripped(&self, r: usize) -> bool {
         self.rack_breakers[r].tripped()
     }
 
@@ -376,7 +322,7 @@ impl PowerTopology {
     /// is resized to the rack count. Because rack ranges are contiguous
     /// in global node order, this fold is independent of any dataplane
     /// shard layout.
-    pub fn rack_powers(&self, node_power: &[f64], rack_out: &mut Vec<f64>) {
+    pub(crate) fn rack_powers(&self, node_power: &[f64], rack_out: &mut Vec<f64>) {
         rack_out.clear();
         rack_out.extend(self.rack_ranges.iter().map(|&(start, len)| {
             let mut acc = 0.0;
@@ -391,7 +337,12 @@ impl PowerTopology {
     /// evaluate every level's breaker, and report budget breaches per
     /// level. A rack whose breaker is already open reports zero load
     /// (its nodes are dead), so parents relax as the outage sheds load.
-    pub fn observe(&mut self, now: SimTime, rack_power_w: &[f64], verdict: &mut SlotVerdict) {
+    pub(crate) fn observe(
+        &mut self,
+        now: SimTime,
+        rack_power_w: &[f64],
+        verdict: &mut SlotVerdict,
+    ) {
         assert_eq!(rack_power_w.len(), self.rack_ranges.len());
         verdict.newly_tripped_racks.clear();
         verdict.rack_breach.clear();
@@ -526,7 +477,7 @@ impl HierarchicalBudget {
 
     /// The most recent per-rack allocations (empty before the first
     /// slot).
-    pub fn rack_alloc_w(&self) -> &[f64] {
+    pub(crate) fn rack_alloc_w(&self) -> &[f64] {
         &self.rack_alloc_w
     }
 
@@ -565,7 +516,7 @@ pub struct TopologyAccounts {
 
 impl TopologyAccounts {
     /// Accounting sized for `racks` racks.
-    pub fn new(racks: usize) -> Self {
+    pub(crate) fn new(racks: usize) -> Self {
         TopologyAccounts {
             rack_peak_w: vec![0.0; racks],
             rack_breach_slots: vec![0; racks],
@@ -575,7 +526,12 @@ impl TopologyAccounts {
     }
 
     /// Fold one slot's rack powers and verdict in.
-    pub fn record_slot(&mut self, now: SimTime, rack_power_w: &[f64], verdict: &SlotVerdict) {
+    pub(crate) fn record_slot(
+        &mut self,
+        now: SimTime,
+        rack_power_w: &[f64],
+        verdict: &SlotVerdict,
+    ) {
         self.slots += 1;
         for (r, &w) in rack_power_w.iter().enumerate() {
             if w > self.rack_peak_w[r] {
@@ -597,7 +553,7 @@ impl TopologyAccounts {
 
     /// The rack with the highest recorded peak — the hierarchical
     /// attribution verdict ("where is the flood concentrating?").
-    pub fn hottest_rack(&self) -> usize {
+    pub(crate) fn hottest_rack(&self) -> usize {
         self.rack_peak_w
             .iter()
             .enumerate()
@@ -754,7 +710,7 @@ impl TopologyState {
     /// it arms the rack blackout watchdog, which engages after the
     /// telemetry staleness window and recovers with the watchdog's
     /// hysteresis.
-    pub fn new(
+    pub(crate) fn new(
         servers: usize,
         facility_budget_w: f64,
         cfg: &TopologyConfig,
@@ -818,7 +774,7 @@ impl TopologyState {
     /// (`None` = no fresh reading), counting fresh and alive sensors
     /// over each rack's contiguous node range; dead nodes count in
     /// neither. A no-op unless the pipeline is hardened.
-    pub fn observe_blackout(&mut self, node_dead: &[bool], readings: &[Option<f64>]) {
+    pub(crate) fn observe_blackout(&mut self, node_dead: &[bool], readings: &[Option<f64>]) {
         let Some(b) = self.blackout.as_mut() else {
             return;
         };
@@ -854,7 +810,7 @@ impl TopologyState {
     /// their alive nodes pinned to the safe P-state; every other rack's
     /// plan is left untouched. `target_of(g)` is node `g`'s
     /// currently-commanded P-state.
-    pub fn apply_rack_guard(
+    pub(crate) fn apply_rack_guard(
         &mut self,
         actions: &mut Vec<Action>,
         node_dead: &[bool],
@@ -914,7 +870,7 @@ impl TopologyState {
     /// Finalize into the report, taking per-rack delivered energy from
     /// the caller (engines fold per-node joules by rack range so the
     /// sum is exactly the cluster total).
-    pub fn into_report(self, rack_energy_j: Vec<f64>) -> crate::results::TopologyReport {
+    pub(crate) fn into_report(self, rack_energy_j: Vec<f64>) -> crate::results::TopologyReport {
         crate::results::TopologyReport {
             racks: self.topo.racks(),
             pdus: self.topo.pdus(),

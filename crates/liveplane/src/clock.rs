@@ -24,11 +24,6 @@ impl ReplayClock {
             at: 0,
         }
     }
-
-    /// Ticks remaining.
-    pub fn remaining(&self) -> usize {
-        self.ticks.len() - self.at
-    }
 }
 
 impl ControlClock for ReplayClock {

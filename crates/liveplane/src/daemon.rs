@@ -169,11 +169,6 @@ where
         &self.actuation
     }
 
-    /// Outcomes processed so far.
-    pub fn journal(&self) -> &[SlotOutcome] {
-        &self.journal
-    }
-
     /// Process one tick. `Ok(None)` means the run is over: the clock's
     /// schedule is exhausted, the telemetry source ended
     /// ([`TransportError::Exhausted`]), or shutdown was requested.

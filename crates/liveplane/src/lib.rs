@@ -33,6 +33,6 @@ pub mod replay;
 pub mod sysfs;
 
 pub use clock::{ManualClock, ReplayClock, WallClock};
-pub use daemon::{LiveDaemon, LiveSummary, SlotDisposition, SlotOutcome};
+pub use daemon::{LiveDaemon, LiveSummary, SlotDisposition};
 pub use replay::{NullActuation, RecordingActuation, ReplayTelemetry};
 pub use sysfs::{render_decision, MockSysfsWriter, SysfsActuation, SysfsTelemetry};

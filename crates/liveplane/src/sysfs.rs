@@ -384,7 +384,7 @@ impl SysfsActuation {
     }
 
     /// Path of the append-only command journal.
-    pub fn log_path(&self) -> PathBuf {
+    pub(crate) fn log_path(&self) -> PathBuf {
         self.root.join("actuate/commands.log")
     }
 

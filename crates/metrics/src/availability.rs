@@ -70,13 +70,9 @@ impl SlaTracker {
     }
 
     /// Requests dropped before service.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Requests that timed out waiting.
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out
     }
 
     /// Availability = on-time completions / total (1.0 when no traffic:

@@ -18,17 +18,9 @@ pub struct Ecdf {
 
 impl Ecdf {
     /// Empty CDF.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ecdf {
             samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Empty CDF with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Ecdf {
-            samples: Vec::with_capacity(cap),
             sorted: true,
         }
     }
@@ -43,19 +35,15 @@ impl Ecdf {
     }
 
     /// Add a sample. Panics on non-finite input.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         assert!(x.is_finite(), "non-finite sample: {x}");
         self.samples.push(x);
         self.sorted = false;
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
     /// True when empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 
@@ -68,7 +56,7 @@ impl Ecdf {
     }
 
     /// `P(X <= x)`: fraction of samples at or below `x`.
-    pub fn cdf(&mut self, x: f64) -> f64 {
+    pub(crate) fn cdf(&mut self, x: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -76,27 +64,6 @@ impl Ecdf {
         // partition_point gives the count of samples <= x.
         let cnt = self.samples.partition_point(|&s| s <= x);
         cnt as f64 / self.samples.len() as f64
-    }
-
-    /// Inverse CDF: the smallest sample `v` with `P(X <= v) >= q`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.samples[rank - 1])
-    }
-
-    /// Mean of the samples.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
     }
 
     /// Evaluate the CDF on `points` evenly spaced values across
@@ -111,17 +78,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// The full sorted-sample staircase as `(value, cumulative_fraction)`.
-    pub fn staircase(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let n = self.samples.len();
-        self.samples
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, (i + 1) as f64 / n as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +89,6 @@ mod tests {
     fn empty_cdf_is_zero() {
         let mut e = Ecdf::new();
         assert_eq!(e.cdf(10.0), 0.0);
-        assert_eq!(e.quantile(0.5), None);
         assert!(e.is_empty());
     }
 
@@ -148,21 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_nearest_rank() {
-        let mut e = Ecdf::from_samples([10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert_eq!(e.quantile(0.0), Some(10.0));
-        assert_eq!(e.quantile(0.2), Some(10.0));
-        assert_eq!(e.quantile(0.21), Some(20.0));
-        assert_eq!(e.quantile(0.5), Some(30.0));
-        assert_eq!(e.quantile(1.0), Some(50.0));
-    }
-
-    #[test]
     fn duplicates_handled() {
         let mut e = Ecdf::from_samples([5.0, 5.0, 5.0]);
         assert_eq!(e.cdf(4.9), 0.0);
         assert_eq!(e.cdf(5.0), 1.0);
-        assert_eq!(e.quantile(0.5), Some(5.0));
     }
 
     #[test]
@@ -190,19 +134,6 @@ mod tests {
         assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
-    #[test]
-    fn staircase_ends_at_one() {
-        let mut e = Ecdf::from_samples([3.0, 1.0, 2.0]);
-        let st = e.staircase();
-        assert_eq!(st, vec![(1.0, 1.0 / 3.0), (2.0, 2.0 / 3.0), (3.0, 1.0)]);
-    }
-
-    #[test]
-    fn mean_matches() {
-        let e = Ecdf::from_samples([1.0, 2.0, 3.0]);
-        assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
     proptest! {
         #[test]
         fn prop_cdf_monotone(xs in proptest::collection::vec(-100f64..100.0, 1..200),
@@ -217,15 +148,6 @@ mod tests {
                 prop_assert!((0.0..=1.0).contains(&v));
                 prev = v;
             }
-        }
-
-        #[test]
-        fn prop_quantile_cdf_inverse(xs in proptest::collection::vec(-100f64..100.0, 1..200),
-                                     q in 0.01f64..1.0) {
-            let mut e = Ecdf::from_samples(xs);
-            let v = e.quantile(q).unwrap();
-            // CDF at the q-quantile must reach at least q.
-            prop_assert!(e.cdf(v) >= q - 1e-9);
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Fig 19 of the paper reports *normalized* energy per power-management
 //! scheme, split between utility supply and battery. [`EnergyMeter`]
-//! integrates one or more step-power channels exactly and reports joules
-//! and watt-hours per channel and in total.
+//! integrates its step-power channels exactly and reports the joules
+//! delivered to the load.
 
 use crate::timeseries::TimeWeighted;
 use simcore::SimTime;
@@ -27,16 +27,13 @@ pub struct EnergyMeter {
     charge: TimeWeighted,
 }
 
-/// Joules per watt-hour.
-pub const JOULES_PER_WH: f64 = 3600.0;
-
 impl EnergyMeter {
     /// New meter with all channels at zero from `start`.
     pub fn new(start: SimTime) -> Self {
         EnergyMeter {
-            utility: TimeWeighted::new(start, 0.0).without_history(),
-            battery: TimeWeighted::new(start, 0.0).without_history(),
-            charge: TimeWeighted::new(start, 0.0).without_history(),
+            utility: TimeWeighted::new(start, 0.0),
+            battery: TimeWeighted::new(start, 0.0),
+            charge: TimeWeighted::new(start, 0.0),
         }
     }
 
@@ -50,27 +47,14 @@ impl EnergyMeter {
         }
     }
 
-    /// Current power on a channel.
-    pub fn power(&self, source: EnergySource) -> f64 {
-        match source {
-            EnergySource::Utility => self.utility.value(),
-            EnergySource::Battery => self.battery.value(),
-            EnergySource::BatteryCharge => self.charge.value(),
-        }
-    }
-
     /// Energy drawn on a channel through time `t`, in joules.
-    pub fn joules(&self, t: SimTime, source: EnergySource) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn joules(&self, t: SimTime, source: EnergySource) -> f64 {
         match source {
             EnergySource::Utility => self.utility.integral_until(t),
             EnergySource::Battery => self.battery.integral_until(t),
             EnergySource::BatteryCharge => self.charge.integral_until(t),
         }
-    }
-
-    /// Energy on a channel through `t`, in watt-hours.
-    pub fn watt_hours(&self, t: SimTime, source: EnergySource) -> f64 {
-        self.joules(t, source) / JOULES_PER_WH
     }
 
     /// Total energy delivered to the load through `t`: utility (net of
@@ -79,17 +63,6 @@ impl EnergyMeter {
     pub fn load_joules(&self, t: SimTime) -> f64 {
         self.utility.integral_until(t) - self.charge.integral_until(t)
             + self.battery.integral_until(t)
-    }
-
-    /// Total energy billed at the utility meter through `t`, in joules
-    /// (includes recharge losses because charging draws from utility).
-    pub fn billed_joules(&self, t: SimTime) -> f64 {
-        self.utility.integral_until(t)
-    }
-
-    /// Peak utility power seen so far.
-    pub fn utility_peak(&self) -> f64 {
-        self.utility.peak()
     }
 }
 
@@ -107,8 +80,6 @@ mod tests {
         m.set_power(s(0), EnergySource::Utility, 100.0);
         m.set_power(s(3600), EnergySource::Utility, 0.0);
         assert!((m.joules(s(3600), EnergySource::Utility) - 360_000.0).abs() < 1e-6);
-        assert!((m.watt_hours(s(3600), EnergySource::Utility) - 100.0).abs() < 1e-9);
-        assert_eq!(m.utility_peak(), 100.0);
     }
 
     #[test]
@@ -118,7 +89,7 @@ mod tests {
         m.set_power(s(0), EnergySource::Battery, 20.0);
         let t = s(100);
         assert!((m.load_joules(t) - 10_000.0).abs() < 1e-6);
-        assert!((m.billed_joules(t) - 8_000.0).abs() < 1e-6);
+        assert!((m.joules(t, EnergySource::Utility) - 8_000.0).abs() < 1e-6);
     }
 
     #[test]
@@ -129,15 +100,14 @@ mod tests {
         let t = s(10);
         // Load receives 100 - 10 = 90 W.
         assert!((m.load_joules(t) - 900.0).abs() < 1e-6);
-        assert!((m.billed_joules(t) - 1000.0).abs() < 1e-6);
+        assert!((m.joules(t, EnergySource::Utility) - 1000.0).abs() < 1e-6);
     }
 
     #[test]
     fn channels_independent() {
         let mut m = EnergyMeter::new(s(0));
         m.set_power(s(0), EnergySource::Battery, 50.0);
-        assert_eq!(m.power(EnergySource::Utility), 0.0);
-        assert_eq!(m.power(EnergySource::Battery), 50.0);
+        assert!((m.joules(s(10), EnergySource::Battery) - 500.0).abs() < 1e-6);
         assert_eq!(m.joules(s(10), EnergySource::Utility), 0.0);
     }
 
@@ -154,6 +124,5 @@ mod tests {
         m.set_power(s(10), EnergySource::Utility, 300.0);
         m.set_power(s(20), EnergySource::Utility, 50.0);
         assert!((m.joules(s(30), EnergySource::Utility) - (1000.0 + 3000.0 + 500.0)).abs() < 1e-6);
-        assert_eq!(m.utility_peak(), 300.0);
     }
 }

@@ -58,7 +58,8 @@ impl Table {
     }
 
     /// Append a row of displayable cells.
-    pub fn row<D: std::fmt::Display>(&mut self, cells: &[D]) {
+    #[cfg(test)]
+    pub(crate) fn row<D: std::fmt::Display>(&mut self, cells: &[D]) {
         self.push_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
@@ -78,7 +79,7 @@ impl Table {
 
     /// Render as CSV (RFC-4180 quoting for cells containing commas or
     /// quotes).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         fn quote(cell: &str) -> String {
             if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
                 format!("\"{}\"", cell.replace('"', "\"\""))

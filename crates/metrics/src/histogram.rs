@@ -25,7 +25,7 @@ impl LatencyHistogram {
     /// `bins_per_decade` buckets per decade. Values below `min_value`
     /// count in a dedicated underflow bucket (reported as `min_value`);
     /// values above `max_value` clamp to the last bucket.
-    pub fn new(min_value: f64, max_value: f64, bins_per_decade: u32) -> Self {
+    pub(crate) fn new(min_value: f64, max_value: f64, bins_per_decade: u32) -> Self {
         assert!(min_value > 0.0 && max_value > min_value);
         assert!(bins_per_decade > 0);
         let decades = (max_value / min_value).log10();
@@ -121,17 +121,12 @@ impl LatencyHistogram {
         self.summary.max()
     }
 
-    /// Exact standard deviation of recorded samples.
-    pub fn std_dev(&self) -> f64 {
-        self.summary.std_dev()
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`), approximated to the bucket's
     /// relative error. Returns `None` when empty.
     ///
     /// Quantiles are clamped to the exact observed `[min, max]` so that
     /// e.g. `quantile(1.0)` never exceeds the true maximum.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         let n = self.count();
         if n == 0 {
@@ -176,7 +171,8 @@ impl LatencyHistogram {
     }
 
     /// Iterate non-empty buckets as `(representative_value, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let under = (self.underflow > 0).then_some((self.min_value, self.underflow));
         under.into_iter().chain(
             self.counts

@@ -7,13 +7,11 @@
 //! * [`OnlineSummary`] — Welford mean/variance plus min/max, O(1) memory.
 //! * [`LatencyHistogram`] — log-binned histogram with bounded relative
 //!   error, for tail-latency percentiles over millions of samples.
-//! * [`P2Quantile`] — the P² streaming quantile estimator for
-//!   single-quantile probes with O(1) memory.
 //! * [`Ecdf`] — exact empirical CDFs (the paper plots many power CDFs).
-//! * [`TimeSeries`] / [`TimeWeighted`] — step-function recorders with
-//!   time-weighted averages and resampling, for power and battery traces.
+//! * [`TimeSeries`] — sample recorder with downsampling, for power and
+//!   battery traces.
 //! * [`EnergyMeter`] — exact integration of step power signals into
-//!   joules / watt-hours.
+//!   joules.
 //! * [`SlaTracker`] — availability bookkeeping (completions, deadline
 //!   misses, drops).
 //! * [`export`] — CSV and aligned-markdown rendering used by the
@@ -27,7 +25,6 @@ pub mod cdf;
 pub mod energy;
 pub mod export;
 pub mod histogram;
-pub mod quantile;
 pub mod summary;
 pub mod timeseries;
 
@@ -36,6 +33,5 @@ pub use export::Table;
 pub use cdf::Ecdf;
 pub use energy::EnergyMeter;
 pub use histogram::LatencyHistogram;
-pub use quantile::P2Quantile;
 pub use summary::OnlineSummary;
-pub use timeseries::{TimeSeries, TimeWeighted};
+pub use timeseries::TimeSeries;

@@ -70,11 +70,6 @@ impl OnlineSummary {
         self.count
     }
 
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Arithmetic mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -85,25 +80,17 @@ impl OnlineSummary {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Population variance (0.0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
             self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -113,12 +100,12 @@ impl OnlineSummary {
     }
 
     /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -148,7 +135,7 @@ mod tests {
     #[test]
     fn empty_defaults() {
         let s = OnlineSummary::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
@@ -189,16 +176,6 @@ mod tests {
             s.record(x);
         }
         assert!((s.variance() - 22.5).abs() < 1e-6, "var={}", s.variance());
-    }
-
-    #[test]
-    fn bessel_correction() {
-        let mut s = OnlineSummary::new();
-        for x in [2.0, 4.0] {
-            s.record(x);
-        }
-        assert!((s.variance() - 1.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //!
 //! * [`TimeSeries`] — plain `(t, value)` samples, for plotting traces
 //!   (Fig 3 power profiles, Fig 18 battery capacity).
-//! * [`TimeWeighted`] — a right-continuous step function with exact
-//!   time-weighted integrals and averages. Server power is a step
+//! * `TimeWeighted` — a right-continuous step function with exact
+//!   time-weighted integrals. Server power is a step
 //!   function of simulation events (arrivals, completions, DVFS
 //!   transitions), so integrating it exactly — rather than sampling —
 //!   makes energy accounting immune to the sampling interval.
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 /// A plain time-stamped sample series (append-only, non-decreasing time).
 #[derive(Debug, Clone, Default)]
@@ -33,19 +33,10 @@ impl TimeSeries {
         self.points.push((t, value));
     }
 
-    /// All samples, in time order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Largest sample value.
@@ -62,15 +53,6 @@ impl TimeSeries {
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// Arithmetic mean of sample values (unweighted).
-    pub fn mean_value(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
     }
 
     /// Downsample to at most `max_points` by keeping every k-th sample
@@ -95,118 +77,38 @@ impl TimeSeries {
 /// `set(t, v)` declares that the signal holds value `v` from `t` until the
 /// next `set`. Integrals are exact sums of `value × dwell-time`.
 #[derive(Debug, Clone)]
-pub struct TimeWeighted {
+pub(crate) struct TimeWeighted {
     current: f64,
     since: SimTime,
     /// Running integral of value·dt in (value-unit × seconds).
     integral: f64,
-    start: SimTime,
-    /// Time-weighted peak (the largest value ever held).
-    peak: f64,
-    /// Complete step history (t, new_value), for trace export.
-    history: Vec<(SimTime, f64)>,
-    keep_history: bool,
 }
 
 impl TimeWeighted {
     /// Start a step function holding `initial` from time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
+    pub(crate) fn new(start: SimTime, initial: f64) -> Self {
         assert!(initial.is_finite());
         TimeWeighted {
             current: initial,
             since: start,
             integral: 0.0,
-            start,
-            peak: initial,
-            history: vec![(start, initial)],
-            keep_history: true,
         }
-    }
-
-    /// Disable history retention (hot loops that only need integrals).
-    pub fn without_history(mut self) -> Self {
-        self.keep_history = false;
-        self.history.clear();
-        self.history.shrink_to_fit();
-        self
-    }
-
-    /// Current held value.
-    pub fn value(&self) -> f64 {
-        self.current
     }
 
     /// Change the held value at time `t`. Panics if `t` precedes the last
     /// change.
-    pub fn set(&mut self, t: SimTime, value: f64) {
+    pub(crate) fn set(&mut self, t: SimTime, value: f64) {
         assert!(value.is_finite(), "non-finite value: {value}");
         let dwell = t.since(self.since); // panics if time went backwards
         self.integral += self.current * dwell.as_secs_f64();
         self.current = value;
         self.since = t;
-        self.peak = self.peak.max(value);
-        if self.keep_history {
-            self.history.push((t, value));
-        }
-    }
-
-    /// Add `delta` to the held value at time `t`.
-    pub fn add(&mut self, t: SimTime, delta: f64) {
-        let v = self.current + delta;
-        self.set(t, v);
     }
 
     /// Integral of the signal from `start` through `t` (value-unit × s).
-    pub fn integral_until(&self, t: SimTime) -> f64 {
+    pub(crate) fn integral_until(&self, t: SimTime) -> f64 {
         let dwell = t.since(self.since);
         self.integral + self.current * dwell.as_secs_f64()
-    }
-
-    /// Time-weighted average over `[start, t]`.
-    pub fn average_until(&self, t: SimTime) -> f64 {
-        let span = t.since(self.start).as_secs_f64();
-        if span == 0.0 {
-            self.current
-        } else {
-            self.integral_until(t) / span
-        }
-    }
-
-    /// Largest value ever held.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Step history, if retained.
-    pub fn history(&self) -> &[(SimTime, f64)] {
-        &self.history
-    }
-
-    /// Sample the step function at fixed intervals over `[start, end]`,
-    /// returning `(t, value)` pairs — what the figure harness plots.
-    pub fn sample(&self, end: SimTime, interval: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(self.keep_history, "sampling requires history");
-        assert!(!interval.is_zero());
-        let mut out = Vec::new();
-        let mut t = self.start;
-        let mut idx = 0;
-        let mut held = self
-            .history
-            .first()
-            .map(|&(_, v)| v)
-            .unwrap_or(self.current);
-        while t <= end {
-            while idx < self.history.len() && self.history[idx].0 <= t {
-                held = self.history[idx].1;
-                idx += 1;
-            }
-            out.push((t, held));
-            t = t.saturating_add(interval);
-            if t == SimTime::MAX {
-                break;
-            }
-        }
-        out
     }
 }
 
@@ -227,7 +129,6 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.max_value(), Some(3.0));
         assert_eq!(ts.min_value(), Some(1.0));
-        assert!((ts.mean_value() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -264,42 +165,6 @@ mod tests {
         tw.set(s(30), 200.0); // 50 W for 20 s = 1000 J
         // 200 W for 5 s = 1000 J
         assert!((tw.integral_until(s(35)) - 3000.0).abs() < 1e-9);
-        assert!((tw.average_until(s(35)) - 3000.0 / 35.0).abs() < 1e-9);
-        assert_eq!(tw.peak(), 200.0);
-    }
-
-    #[test]
-    fn average_at_start_is_current() {
-        let tw = TimeWeighted::new(s(5), 42.0);
-        assert_eq!(tw.average_until(s(5)), 42.0);
-    }
-
-    #[test]
-    fn add_accumulates() {
-        let mut tw = TimeWeighted::new(s(0), 10.0);
-        tw.add(s(1), 5.0);
-        assert_eq!(tw.value(), 15.0);
-        tw.add(s(2), -15.0);
-        assert_eq!(tw.value(), 0.0);
-        assert!((tw.integral_until(s(2)) - (10.0 + 15.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_reconstructs_steps() {
-        let mut tw = TimeWeighted::new(s(0), 1.0);
-        tw.set(s(2), 2.0);
-        tw.set(s(4), 3.0);
-        let samples = tw.sample(s(5), SimDuration::from_secs(1));
-        let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn without_history_still_integrates() {
-        let mut tw = TimeWeighted::new(s(0), 10.0).without_history();
-        tw.set(s(10), 20.0);
-        assert!((tw.integral_until(s(20)) - (100.0 + 200.0)).abs() < 1e-9);
-        assert!(tw.history().is_empty());
     }
 
     #[test]

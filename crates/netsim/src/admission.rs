@@ -18,7 +18,7 @@
 use crate::error::ConfigError;
 use crate::firewall::{Firewall, FirewallVerdict};
 use crate::request::Request;
-use crate::token_bucket::{PowerTokenBucket, TokenBucket};
+use crate::token_bucket::TokenBucket;
 use simcore::SimTime;
 
 /// Which class of admission stage produced a verdict.
@@ -28,17 +28,14 @@ pub enum StageKind {
     Firewall,
     /// Cost-to-serve pricing: admission budget drains by request cost.
     CostToServe,
-    /// Power-denominated token bucket.
-    TokenBucket,
 }
 
 impl StageKind {
     /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StageKind::Firewall => "firewall",
             StageKind::CostToServe => "cost-to-serve",
-            StageKind::TokenBucket => "token-bucket",
         }
     }
 }
@@ -127,7 +124,7 @@ impl CostToServe {
 
     /// The price charged for admitting `req`: compute volume × power
     /// intensity, surcharged for the DVFS-insensitive demand fraction.
-    pub fn price(&self, req: &Request) -> f64 {
+    pub(crate) fn price(&self, req: &Request) -> f64 {
         req.work_gcycles * req.intensity * (1.0 + self.mem_surcharge * (1.0 - req.gamma))
     }
 }
@@ -151,64 +148,10 @@ impl AdmissionStage for CostToServe {
     }
 }
 
-/// A power-denominated token bucket behind the [`AdmissionStage`] trait:
-/// each admission drains the request's estimated dynamic energy at
-/// `j_per_gcycle` joules per gigacycle of compute, scaled by intensity.
-///
-/// This wraps the same [`PowerTokenBucket`] the `Token` *scheme* uses,
-/// but as a composable perimeter stage; the scheme's own wiring (budget
-/// retuned by the control plane each slot) is untouched.
-#[derive(Debug, Clone)]
-pub struct PowerBucketStage {
-    inner: PowerTokenBucket,
-    j_per_gcycle: f64,
-}
-
-impl PowerBucketStage {
-    /// Build the stage; rejects non-positive parameters.
-    pub fn try_new(
-        start: SimTime,
-        dynamic_budget_w: f64,
-        burst_seconds: f64,
-        j_per_gcycle: f64,
-    ) -> Result<Self, ConfigError> {
-        if j_per_gcycle <= 0.0 || !j_per_gcycle.is_finite() {
-            return Err(ConfigError::Parameter {
-                component: "PowerBucketStage",
-                field: "j_per_gcycle",
-                value: j_per_gcycle,
-            });
-        }
-        Ok(PowerBucketStage {
-            inner: PowerTokenBucket::try_new(start, dynamic_budget_w, burst_seconds)?,
-            j_per_gcycle,
-        })
-    }
-}
-
-impl AdmissionStage for PowerBucketStage {
-    fn kind(&self) -> StageKind {
-        StageKind::TokenBucket
-    }
-
-    fn decide(&mut self, now: SimTime, req: &Request) -> bool {
-        let energy = req.work_gcycles * req.intensity * self.j_per_gcycle;
-        self.inner.admit(now, energy)
-    }
-
-    fn passed(&self) -> u64 {
-        self.inner.admitted()
-    }
-
-    fn denied(&self) -> u64 {
-        self.inner.denied()
-    }
-}
-
 /// Per-stage verdict counters for the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageReport {
-    /// Stage name ([`StageKind::name`]).
+    /// Stage name (`StageKind::name`).
     pub stage: String,
     /// Requests the stage admitted.
     pub passed: u64,
@@ -269,11 +212,6 @@ impl AdmissionPipeline {
         self
     }
 
-    /// Whether any stage is configured.
-    pub fn is_empty(&self) -> bool {
-        self.firewall.is_none() && self.stages.is_empty()
-    }
-
     /// Run one request through every stage; first denial wins.
     pub fn decide(&mut self, now: SimTime, req: &Request) -> AdmissionDecision {
         self.offered += 1;
@@ -289,11 +227,6 @@ impl AdmissionPipeline {
         }
         self.admitted += 1;
         AdmissionDecision::Admit
-    }
-
-    /// The front firewall, if configured.
-    pub fn firewall(&self) -> Option<&Firewall> {
-        self.firewall.as_ref()
     }
 
     /// Requests the front firewall blocked (0 without a firewall).
@@ -488,7 +421,6 @@ mod tests {
             }
         )
         .is_err());
-        assert!(PowerBucketStage::try_new(SimTime::ZERO, 100.0, 1.0, 0.0).is_err());
     }
 
     proptest::proptest! {
@@ -497,7 +429,7 @@ mod tests {
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// Verdict accounting closes for any three-stage stack and any
+        /// Verdict accounting closes for any two-stage stack and any
         /// traffic shape: counters telescope stage to stage, and every
         /// arrival is exactly one of firewall-blocked, stage-denied, or
         /// admitted.
@@ -530,12 +462,9 @@ mod tests {
                 },
             )
             .expect("valid cost config");
-            let power = PowerBucketStage::try_new(SimTime::ZERO, budget * 2.0, 1.0, 0.5)
-                .expect("valid bucket config");
             let mut p = AdmissionPipeline::new()
                 .with_firewall(fw)
-                .with_stage(Box::new(cost))
-                .with_stage(Box::new(power));
+                .with_stage(Box::new(cost));
             let mut b = RequestBuilder::starting_at(0);
             for i in 0..n {
                 let at = SimTime::from_millis(i as u64 * gap_ms);
@@ -553,7 +482,7 @@ mod tests {
             }
             let rep = p.report();
             prop_assert_eq!(rep.offered, n as u64);
-            prop_assert_eq!(rep.stages.len(), 3);
+            prop_assert_eq!(rep.stages.len(), 2);
             prop_assert_eq!(rep.stages[0].passed + rep.stages[0].denied, rep.offered);
             for k in 1..rep.stages.len() {
                 prop_assert_eq!(
@@ -567,23 +496,5 @@ mod tests {
                 rep.offered
             );
         }
-    }
-
-    #[test]
-    fn power_bucket_stage_counts_verdicts() {
-        let stage = PowerBucketStage::try_new(SimTime::ZERO, 10.0, 1.0, 1.0).unwrap();
-        let mut p = AdmissionPipeline::new().with_stage(Box::new(stage));
-        let mut b = RequestBuilder::starting_at(0);
-        let mut admitted = 0;
-        for i in 0..50 {
-            let at = SimTime::from_millis(i * 10);
-            let r = req(&mut b, at, 4.0, 0.9);
-            if p.decide(at, &r) == AdmissionDecision::Admit {
-                admitted += 1;
-            }
-        }
-        assert!(admitted >= 1);
-        assert!(p.stage_denied() > 0);
-        assert_eq!(p.report().admitted, admitted);
     }
 }

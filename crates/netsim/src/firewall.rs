@@ -101,7 +101,7 @@ pub struct Firewall {
 
 impl Firewall {
     /// New firewall; the first poll happens `poll_interval` after `start`.
-    /// Panics on an out-of-range config; use [`Firewall::try_new`] to
+    /// Panics on an out-of-range config; use `Firewall::try_new` to
     /// handle it as an error.
     pub fn new(start: SimTime, config: FirewallConfig) -> Self {
         Self::try_new(start, config).expect("invalid Firewall config")
@@ -109,7 +109,7 @@ impl Firewall {
 
     /// Fallible constructor: rejects a non-positive rate threshold or a
     /// zero polling interval with a typed [`ConfigError`].
-    pub fn try_new(start: SimTime, config: FirewallConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn try_new(start: SimTime, config: FirewallConfig) -> Result<Self, ConfigError> {
         if config.threshold_rps <= 0.0 || !config.threshold_rps.is_finite() {
             return Err(ConfigError::Parameter {
                 component: "Firewall",
@@ -133,11 +133,6 @@ impl Firewall {
             passed_requests: 0,
             bans_issued: 0,
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FirewallConfig {
-        &self.config
     }
 
     /// Run any due polls up to `now` (called lazily from `inspect`, or
@@ -208,7 +203,8 @@ impl Firewall {
     }
 
     /// Whether `source` is currently banned (matured bans only).
-    pub fn is_banned(&self, source: SourceId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_banned(&self, source: SourceId) -> bool {
         self.sources
             .get(&source)
             .map(|s| s.banned_until.is_some())
@@ -221,7 +217,7 @@ impl Firewall {
     }
 
     /// Total requests passed.
-    pub fn passed_requests(&self) -> u64 {
+    pub(crate) fn passed_requests(&self) -> u64 {
         self.passed_requests
     }
 
@@ -248,7 +244,7 @@ mod reference {
     use std::collections::HashMap;
 
     #[derive(Debug, Clone)]
-    pub struct ReferenceFirewall {
+    pub(crate) struct ReferenceFirewall {
         config: FirewallConfig,
         sources: HashMap<SourceId, SourceState>,
         last_poll: SimTime,
@@ -258,7 +254,7 @@ mod reference {
     }
 
     impl ReferenceFirewall {
-        pub fn new(start: SimTime, config: FirewallConfig) -> Self {
+        pub(crate) fn new(start: SimTime, config: FirewallConfig) -> Self {
             ReferenceFirewall {
                 config,
                 sources: HashMap::new(),
@@ -290,7 +286,7 @@ mod reference {
             }
         }
 
-        pub fn inspect(&mut self, now: SimTime, source: SourceId) -> FirewallVerdict {
+        pub(crate) fn inspect(&mut self, now: SimTime, source: SourceId) -> FirewallVerdict {
             self.poll(now);
             let config_ban = self.config.ban_duration;
             let state = self.sources.entry(source).or_default();
@@ -319,14 +315,14 @@ mod reference {
             }
         }
 
-        pub fn is_banned(&self, source: SourceId) -> bool {
+        pub(crate) fn is_banned(&self, source: SourceId) -> bool {
             self.sources
                 .get(&source)
                 .map(|s| s.banned_until.is_some())
                 .unwrap_or(false)
         }
 
-        pub fn counters(&self) -> (u64, u64, u64) {
+        pub(crate) fn counters(&self) -> (u64, u64, u64) {
             (self.blocked_requests, self.passed_requests, self.bans_issued)
         }
     }

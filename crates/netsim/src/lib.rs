@@ -10,8 +10,8 @@
 //!   where throttling turns into queueing delay and tail latency. It is
 //!   implemented in virtual time (O(1) advance, O(log n) completion), so
 //!   flood-scale occupancy costs nothing per event; see [`queueing`].
-//! * [`TokenBucket`] / [`PowerTokenBucket`] — classic rate limiting and
-//!   the paper's `Token` baseline (a token bucket denominated in watts).
+//! * [`PowerTokenBucket`] — the paper's `Token` baseline: a token
+//!   bucket denominated in watts.
 //! * [`Firewall`] — a DDoS-deflate-style per-source rate-threshold
 //!   blocker with polling delay and per-class detection lag; its
 //!   threshold defines the DOPE evasion region (Fig 11).
@@ -19,14 +19,14 @@
 //!   round-robin, least-loaded, and URL-split (the mechanism Anti-DOPE's
 //!   PDF programs to segregate suspect flows).
 //! * [`SuspectList`] — the URL → power-intensity map PDF consults.
-//! * [`RetryConfig`] / [`CircuitBreaker`] / [`PoolBreakers`] — the
+//! * [`RetryConfig`] / `CircuitBreaker` / [`PoolBreakers`] — the
 //!   end-to-end resilience dataplane: bounded retry with exponential
 //!   backoff + jitter, and per-pool circuit breakers that steer traffic
 //!   away from a tripped rack.
 //! * [`AdmissionPipeline`] — the staged perimeter the NLB runs before
-//!   routing: firewall, CAPoW-style [`CostToServe`] pricing, and
-//!   power-bucket stages behind one [`AdmissionStage`] trait with
-//!   per-stage verdict accounting.
+//!   routing: the firewall, then CAPoW-style [`CostToServe`] pricing
+//!   behind one `admission::AdmissionStage` trait, with per-stage
+//!   verdict accounting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,14 +42,13 @@ pub mod suspect;
 pub mod token_bucket;
 
 pub use admission::{
-    AdmissionDecision, AdmissionPipeline, AdmissionReport, AdmissionStage, CostToServe,
-    CostToServeConfig, PowerBucketStage, StageKind, StageReport,
+    AdmissionDecision, AdmissionPipeline, AdmissionReport, CostToServe, CostToServeConfig, StageKind,
 };
 pub use error::ConfigError;
 pub use firewall::{Firewall, FirewallConfig, FirewallVerdict};
 pub use nlb::{ForwardingPolicy, Nlb, RackPlacement};
 pub use queueing::{PsServer, PushOutcome};
 pub use request::{Request, RequestId, SourceId, UrlId};
-pub use resilience::{CircuitBreaker, CircuitState, PoolBreakers, RetryConfig};
+pub use resilience::{PoolBreakers, RetryConfig};
 pub use suspect::SuspectList;
-pub use token_bucket::{PowerTokenBucket, TokenBucket};
+pub use token_bucket::PowerTokenBucket;

@@ -79,20 +79,10 @@ impl RackPlacement {
         Ok(RackPlacement { racks, rack_of })
     }
 
-    /// Number of racks.
-    pub fn racks(&self) -> usize {
-        self.racks
-    }
-
-    /// The rack owning `backend`.
-    pub fn rack_of(&self, backend: usize) -> usize {
-        self.rack_of[backend]
-    }
-
     /// The home rack of a URL: `url mod racks`. Deterministic, so the
     /// same service always concentrates on the same rack — which is
     /// exactly the affinity a concentrating flood exploits.
-    pub fn home_rack(&self, url: UrlId) -> usize {
+    pub(crate) fn home_rack(&self, url: UrlId) -> usize {
         url.0 as usize % self.racks
     }
 }
@@ -273,11 +263,6 @@ impl Nlb {
         })
     }
 
-    /// Number of backends.
-    pub fn backends(&self) -> usize {
-        self.backends
-    }
-
     /// Attach a backend → rack placement; routing becomes rack-affine
     /// (see [`RackPlacement`]). The placement must cover every backend.
     /// Indexes each pool the policy routes through by rack, so a
@@ -313,11 +298,6 @@ impl Nlb {
         Ok(())
     }
 
-    /// The attached rack placement, if any.
-    pub fn placement(&self) -> Option<&RackPlacement> {
-        self.rack.as_ref().map(|r| &r.placement)
-    }
-
     /// Feed back a backend's current in-flight count (LeastLoaded input).
     pub fn report_load(&mut self, backend: usize, inflight: usize) {
         self.loads[backend] = inflight;
@@ -343,28 +323,26 @@ impl Nlb {
     }
 
     /// Whether a backend currently passes health checks.
-    pub fn is_healthy(&self, backend: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_healthy(&self, backend: usize) -> bool {
         self.healthy[backend]
     }
 
     /// Number of backends currently passing health checks.
-    pub fn healthy_backends(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn healthy_backends(&self) -> usize {
         self.healthy.iter().filter(|&&h| h).count()
     }
 
     /// Total requests forwarded.
-    pub fn forwarded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn forwarded(&self) -> u64 {
         self.forwarded
     }
 
     /// Requests sent to the suspect pool (UrlSplit only).
     pub fn to_suspect_pool(&self) -> u64 {
         self.to_suspect_pool
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &ForwardingPolicy {
-        &self.policy
     }
 
     /// Publish the online profiler's URL classes into an `AdaptiveSplit`

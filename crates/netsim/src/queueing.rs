@@ -190,14 +190,14 @@ pub struct PsServer {
 impl PsServer {
     /// A server with `cores` cores at `core_ghz` nominal, admitting at
     /// most `max_inflight` concurrent requests. Panics on out-of-range
-    /// parameters; use [`PsServer::try_new`] to handle them as errors.
+    /// parameters; use `PsServer::try_new` to handle them as errors.
     pub fn new(start: SimTime, cores: usize, core_ghz: f64, max_inflight: usize) -> Self {
         Self::try_new(start, cores, core_ghz, max_inflight).expect("invalid PsServer parameters")
     }
 
     /// Fallible constructor: rejects zero cores, a non-positive clock, or
     /// a zero admission limit with a typed [`ConfigError`].
-    pub fn try_new(
+    pub(crate) fn try_new(
         start: SimTime,
         cores: usize,
         core_ghz: f64,
@@ -219,11 +219,6 @@ impl PsServer {
             completed: 0,
             rejected: 0,
         })
-    }
-
-    /// Core count.
-    pub fn cores(&self) -> usize {
-        self.cores
     }
 
     /// Requests currently in flight (queued + in service — PS does not
@@ -258,7 +253,7 @@ impl PsServer {
     }
 
     /// Busy-core fraction in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         (self.inflight.len().min(self.cores)) as f64 / self.cores as f64
     }
 
@@ -417,7 +412,6 @@ impl PsServer {
 
     /// Drain every in-flight request (used when a breaker trips and the
     /// node loses power), delivering each to `visit` in queue order.
-    /// Allocation-free alternative to [`PsServer::drain`].
     pub fn drain_with(&mut self, now: SimTime, mut visit: impl FnMut(Request)) {
         self.advance(now);
         self.epoch += 1;
@@ -430,7 +424,8 @@ impl PsServer {
 
     /// Drain every in-flight request into a fresh `Vec`. Convenience
     /// wrapper over [`PsServer::drain_with`] for tests and cold paths.
-    pub fn drain(&mut self, now: SimTime) -> Vec<Request> {
+    #[cfg(test)]
+    pub(crate) fn drain(&mut self, now: SimTime) -> Vec<Request> {
         let mut out = Vec::with_capacity(self.inflight.len());
         self.drain_with(now, |req| out.push(req));
         out
@@ -439,8 +434,12 @@ impl PsServer {
     /// Visit the id and sojourn of every in-flight request older than its
     /// client timeout (diagnostic; the simulation lets the server finish
     /// them — the work still burns power — but clients have abandoned).
-    /// Allocation-free alternative to [`PsServer::overdue`].
-    pub fn for_each_overdue(&self, now: SimTime, mut visit: impl FnMut(RequestId, SimDuration)) {
+    #[cfg(test)]
+    pub(crate) fn for_each_overdue(
+        &self,
+        now: SimTime,
+        mut visit: impl FnMut(RequestId, SimDuration),
+    ) {
         for f in &self.inflight {
             if let Some(sojourn) = now.checked_since(f.req.arrival) {
                 if f.req.abandoned(sojourn) {
@@ -453,7 +452,8 @@ impl PsServer {
     /// Ids and sojourns of overdue in-flight requests, collected into a
     /// fresh `Vec`. Convenience wrapper over
     /// [`PsServer::for_each_overdue`] for tests and cold paths.
-    pub fn overdue(&self, now: SimTime) -> Vec<(RequestId, SimDuration)> {
+    #[cfg(test)]
+    pub(crate) fn overdue(&self, now: SimTime) -> Vec<(RequestId, SimDuration)> {
         let mut out = Vec::new();
         self.for_each_overdue(now, |id, sojourn| out.push((id, sojourn)));
         out
@@ -487,7 +487,7 @@ mod reference {
     /// Direct-integration processor-sharing queue (the pre-virtual-time
     /// implementation, verbatim).
     #[derive(Debug, Clone)]
-    pub struct ReferencePsServer {
+    pub(crate) struct ReferencePsServer {
         cores: usize,
         core_ghz: f64,
         rel_freq: f64,
@@ -503,13 +503,18 @@ mod reference {
         /// A server with `cores` cores at `core_ghz` nominal, admitting
         /// at most `max_inflight` concurrent requests. Panics on
         /// out-of-range parameters; use [`ReferencePsServer::try_new`].
-        pub fn new(start: SimTime, cores: usize, core_ghz: f64, max_inflight: usize) -> Self {
+        pub(crate) fn new(
+            start: SimTime,
+            cores: usize,
+            core_ghz: f64,
+            max_inflight: usize,
+        ) -> Self {
             Self::try_new(start, cores, core_ghz, max_inflight)
                 .expect("invalid ReferencePsServer parameters")
         }
 
         /// Fallible constructor mirroring [`super::PsServer::try_new`].
-        pub fn try_new(
+        pub(crate) fn try_new(
             start: SimTime,
             cores: usize,
             core_ghz: f64,
@@ -530,27 +535,27 @@ mod reference {
         }
 
         /// Requests currently in flight.
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.inflight.len()
         }
 
         /// State-change epoch.
-        pub fn epoch(&self) -> u64 {
+        pub(crate) fn epoch(&self) -> u64 {
             self.epoch
         }
 
         /// Lifetime completions.
-        pub fn completed(&self) -> u64 {
+        pub(crate) fn completed(&self) -> u64 {
             self.completed
         }
 
         /// Lifetime rejections.
-        pub fn rejected(&self) -> u64 {
+        pub(crate) fn rejected(&self) -> u64 {
             self.rejected
         }
 
         /// Power character of the resident mix.
-        pub fn load_character(&self) -> (f64, f64, f64) {
+        pub(crate) fn load_character(&self) -> (f64, f64, f64) {
             if self.inflight.is_empty() {
                 return (0.0, 0.0, 0.0);
             }
@@ -562,7 +567,7 @@ mod reference {
         }
 
         /// Mean CPU-boundedness of the resident mix.
-        pub fn mean_beta(&self) -> f64 {
+        pub(crate) fn mean_beta(&self) -> f64 {
             if self.inflight.is_empty() {
                 return 0.0;
             }
@@ -584,7 +589,7 @@ mod reference {
         }
 
         /// Integrate all in-flight work up to `now`. O(n).
-        pub fn advance(&mut self, now: SimTime) {
+        pub(crate) fn advance(&mut self, now: SimTime) {
             let dt = now.since(self.last_advance).as_secs_f64();
             self.last_advance = now;
             if dt == 0.0 || self.inflight.is_empty() {
@@ -599,7 +604,7 @@ mod reference {
         }
 
         /// Change the DVFS relative frequency at `now`.
-        pub fn set_rel_freq(&mut self, now: SimTime, rel_f: f64) {
+        pub(crate) fn set_rel_freq(&mut self, now: SimTime, rel_f: f64) {
             assert!(rel_f > 0.0 && rel_f <= 1.0 + 1e-9, "rel_f={rel_f}");
             self.advance(now);
             if (rel_f - self.rel_freq).abs() > 1e-12 {
@@ -609,7 +614,7 @@ mod reference {
         }
 
         /// Offer a request at `now`.
-        pub fn push(&mut self, now: SimTime, req: Request) -> PushOutcome {
+        pub(crate) fn push(&mut self, now: SimTime, req: Request) -> PushOutcome {
             self.advance(now);
             if self.inflight.len() >= self.max_inflight {
                 self.rejected += 1;
@@ -625,7 +630,7 @@ mod reference {
 
         /// Predict the next completion by scanning every in-flight
         /// request. O(n).
-        pub fn next_completion(&self) -> Option<(SimTime, RequestId)> {
+        pub(crate) fn next_completion(&self) -> Option<(SimTime, RequestId)> {
             let mut best: Option<(f64, RequestId)> = None;
             for f in &self.inflight {
                 let rate = self.rate_of(f);
@@ -642,7 +647,7 @@ mod reference {
         }
 
         /// Attempt to complete request `id` at `now`. O(n) position scan.
-        pub fn try_complete(
+        pub(crate) fn try_complete(
             &mut self,
             now: SimTime,
             id: RequestId,
@@ -661,7 +666,7 @@ mod reference {
         }
 
         /// Drain every in-flight request.
-        pub fn drain(&mut self, now: SimTime) -> Vec<Request> {
+        pub(crate) fn drain(&mut self, now: SimTime) -> Vec<Request> {
             self.advance(now);
             self.epoch += 1;
             self.inflight.drain(..).map(|f| f.req).collect()

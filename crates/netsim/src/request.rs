@@ -64,15 +64,9 @@ impl Request {
     /// CPU-bound requests slow proportionally; memory/disk-bound ones
     /// barely notice.
     #[inline]
-    pub fn rate_factor(&self, rel_f: f64) -> f64 {
+    pub(crate) fn rate_factor(&self, rel_f: f64) -> f64 {
         debug_assert!(rel_f > 0.0 && rel_f <= 1.0 + 1e-9);
         (1.0 - self.beta) + self.beta * rel_f
-    }
-
-    /// Nominal service time on one core at `core_ghz` gigahertz and full
-    /// frequency.
-    pub fn nominal_service_time(&self, core_ghz: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.work_gcycles / core_ghz)
     }
 
     /// Whether a response completed after `sojourn` met the deadline.
@@ -111,7 +105,8 @@ impl RequestBuilder {
     }
 
     /// Number of requests issued so far.
-    pub fn issued(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn issued(&self) -> u64 {
         self.next_id
     }
 
@@ -189,12 +184,6 @@ mod tests {
         // Halfway.
         let mid = req(0.5);
         assert!((mid.rate_factor(0.5) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nominal_service_time() {
-        let r = req(1.0); // 2.4 G-cycles at 2.4 GHz = 1 s
-        assert_eq!(r.nominal_service_time(2.4), SimDuration::from_secs(1));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   timeout (failure-detection delay for silently lost requests),
 //!   exponential backoff base/cap, jitter fraction, and the circuit
 //!   breaker's failure threshold + cooldown.
-//! * [`CircuitBreaker`] — the classic closed → open → half-open state
+//! * `CircuitBreaker` — the classic closed → open → half-open state
 //!   machine. Open short-circuits dispatch into a failing pool; after
 //!   the cooldown a half-open probe decides between re-close and
 //!   re-open.
@@ -138,7 +138,7 @@ impl RetryConfig {
 
 /// Circuit breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitState {
+pub(crate) enum CircuitState {
     /// Healthy: requests flow, consecutive failures are counted.
     Closed,
     /// Tripped: dispatch into the pool is blocked until the instant.
@@ -154,7 +154,7 @@ pub enum CircuitState {
 /// One pool's circuit breaker: closed → open on consecutive failures,
 /// half-open probe after the cooldown, re-close on probe success.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: CircuitState,
     cooldown: SimDuration,
     threshold: u32,
@@ -165,7 +165,7 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// Breaker opening after `threshold` consecutive failures, blocking
     /// for `cooldown` before probing.
-    pub fn new(threshold: u32, cooldown: SimDuration) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown: SimDuration) -> Self {
         assert!(threshold >= 1, "breaker threshold must be >= 1");
         CircuitBreaker {
             state: CircuitState::Closed,
@@ -178,17 +178,18 @@ impl CircuitBreaker {
 
     /// Current state (the open → half-open edge is taken lazily by
     /// [`Self::allows`]).
-    pub fn state(&self) -> CircuitState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> CircuitState {
         self.state
     }
 
     /// Times this breaker opened.
-    pub fn trips(&self) -> u64 {
+    pub(crate) fn trips(&self) -> u64 {
         self.trips
     }
 
     /// Record a dispatch failure against the pool.
-    pub fn on_failure(&mut self, now: SimTime) {
+    pub(crate) fn on_failure(&mut self, now: SimTime) {
         match self.state {
             CircuitState::Closed => {
                 self.consecutive_failures += 1;
@@ -202,7 +203,7 @@ impl CircuitBreaker {
     }
 
     /// Record a successful completion from the pool.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.consecutive_failures = 0;
         if self.state == CircuitState::HalfOpen {
             self.state = CircuitState::Closed;
@@ -212,7 +213,7 @@ impl CircuitBreaker {
     /// Whether dispatch into the pool is allowed at `now`. An open
     /// breaker past its cooldown transitions to half-open and allows
     /// the probe through.
-    pub fn allows(&mut self, now: SimTime) -> bool {
+    pub(crate) fn allows(&mut self, now: SimTime) -> bool {
         match self.state {
             CircuitState::Closed | CircuitState::HalfOpen => true,
             CircuitState::Open { until } => {
@@ -228,7 +229,7 @@ impl CircuitBreaker {
 
     /// Non-mutating peek used when scanning for an alternate pool: true
     /// when [`Self::allows`] would return false.
-    pub fn blocked(&self, now: SimTime) -> bool {
+    pub(crate) fn blocked(&self, now: SimTime) -> bool {
         matches!(self.state, CircuitState::Open { until } if now < until)
     }
 
@@ -258,13 +259,9 @@ impl PoolBreakers {
     }
 
     /// Number of pools.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.breakers.len()
-    }
-
-    /// True when there are no pools.
-    pub fn is_empty(&self) -> bool {
-        self.breakers.is_empty()
     }
 
     /// Record a dispatch failure against `pool`.
@@ -289,7 +286,8 @@ impl PoolBreakers {
     }
 
     /// A pool's breaker, for inspection.
-    pub fn breaker(&self, pool: usize) -> &CircuitBreaker {
+    #[cfg(test)]
+    pub(crate) fn breaker(&self, pool: usize) -> &CircuitBreaker {
         &self.breakers[pool]
     }
 

@@ -43,11 +43,6 @@ impl SuspectList {
         })
     }
 
-    /// The suspicion threshold on profiled intensity.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Record (or update) a profiled intensity for `url`. Rejects
     /// intensities outside the normalized `[0, 1]` range.
     pub fn set_profile(&mut self, url: UrlId, intensity: f64) -> Result<(), ConfigError> {
@@ -59,12 +54,13 @@ impl SuspectList {
     }
 
     /// Profiled intensity of `url`, if known.
-    pub fn intensity(&self, url: UrlId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn intensity(&self, url: UrlId) -> Option<f64> {
         self.intensities.get(&url).copied()
     }
 
     /// Classify a URL.
-    pub fn classify(&self, url: UrlId) -> FlowClass {
+    pub(crate) fn classify(&self, url: UrlId) -> FlowClass {
         match self.intensities.get(&url) {
             Some(&i) if i > self.threshold => FlowClass::Suspect,
             Some(_) => FlowClass::Innocent,
@@ -83,7 +79,8 @@ impl SuspectList {
     }
 
     /// All suspect URLs, sorted by id for deterministic iteration.
-    pub fn suspects(&self) -> Vec<UrlId> {
+    #[cfg(test)]
+    pub(crate) fn suspects(&self) -> Vec<UrlId> {
         let mut v: Vec<UrlId> = self
             .intensities
             .iter()

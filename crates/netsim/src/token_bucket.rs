@@ -13,7 +13,7 @@ use simcore::SimTime;
 
 /// Classic token bucket: `rate` tokens/s refill, capacity `burst`.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate: f64,
     burst: f64,
     tokens: f64,
@@ -26,13 +26,14 @@ impl TokenBucket {
     /// A bucket refilling at `rate` tokens/s with capacity `burst`,
     /// starting full. Panics on out-of-range parameters; use
     /// [`TokenBucket::try_new`] to handle them as errors.
-    pub fn new(start: SimTime, rate: f64, burst: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(start: SimTime, rate: f64, burst: f64) -> Self {
         Self::try_new(start, rate, burst).expect("invalid TokenBucket parameters")
     }
 
     /// Fallible constructor: rejects non-positive or non-finite rate and
     /// burst with a typed [`ConfigError`].
-    pub fn try_new(start: SimTime, rate: f64, burst: f64) -> Result<Self, ConfigError> {
+    pub(crate) fn try_new(start: SimTime, rate: f64, burst: f64) -> Result<Self, ConfigError> {
         for (field, value) in [("rate", rate), ("burst", burst)] {
             if value <= 0.0 || !value.is_finite() {
                 return Err(ConfigError::Parameter {
@@ -59,7 +60,7 @@ impl TokenBucket {
     }
 
     /// Try to take `cost` tokens at `now`.
-    pub fn try_consume(&mut self, now: SimTime, cost: f64) -> bool {
+    pub(crate) fn try_consume(&mut self, now: SimTime, cost: f64) -> bool {
         assert!(cost >= 0.0);
         self.refill(now);
         if self.tokens >= cost {
@@ -73,36 +74,29 @@ impl TokenBucket {
     }
 
     /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
+    pub(crate) fn available(&mut self, now: SimTime) -> f64 {
         self.refill(now);
         self.tokens
     }
 
     /// Requests admitted so far.
-    pub fn admitted(&self) -> u64 {
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted
     }
 
     /// Requests denied so far.
-    pub fn denied(&self) -> u64 {
+    pub(crate) fn denied(&self) -> u64 {
         self.denied
     }
 
     /// Fraction of offered requests denied.
-    pub fn denial_rate(&self) -> f64 {
+    pub(crate) fn denial_rate(&self) -> f64 {
         let total = self.admitted + self.denied;
         if total == 0 {
             0.0
         } else {
             self.denied as f64 / total as f64
         }
-    }
-
-    /// Update the refill rate (e.g. when the power budget changes).
-    pub fn set_rate(&mut self, now: SimTime, rate: f64) {
-        assert!(rate > 0.0);
-        self.refill(now);
-        self.rate = rate;
     }
 }
 
@@ -119,14 +113,14 @@ pub struct PowerTokenBucket {
 impl PowerTokenBucket {
     /// Bucket refilling at `dynamic_budget_w` joules/s, able to burst one
     /// `burst_seconds`-worth of budget. Panics on out-of-range
-    /// parameters; use [`PowerTokenBucket::try_new`] to handle them.
+    /// parameters; use `PowerTokenBucket::try_new` to handle them.
     pub fn new(start: SimTime, dynamic_budget_w: f64, burst_seconds: f64) -> Self {
         Self::try_new(start, dynamic_budget_w, burst_seconds)
             .expect("invalid PowerTokenBucket parameters")
     }
 
     /// Fallible constructor: rejects non-positive budget or burst window.
-    pub fn try_new(
+    pub(crate) fn try_new(
         start: SimTime,
         dynamic_budget_w: f64,
         burst_seconds: f64,
@@ -149,11 +143,6 @@ impl PowerTokenBucket {
         self.inner.try_consume(now, energy_estimate_j)
     }
 
-    /// Retarget the refill to a new dynamic budget.
-    pub fn set_budget(&mut self, now: SimTime, dynamic_budget_w: f64) {
-        self.inner.set_rate(now, dynamic_budget_w);
-    }
-
     /// Fraction of offered requests denied — the paper's ">60 % of
     /// packages abandoned" metric for the Token baseline.
     pub fn denial_rate(&self) -> f64 {
@@ -163,11 +152,6 @@ impl PowerTokenBucket {
     /// Joules currently banked.
     pub fn available_j(&mut self, now: SimTime) -> f64 {
         self.inner.available(now)
-    }
-
-    /// Requests admitted.
-    pub fn admitted(&self) -> u64 {
-        self.inner.admitted()
     }
 
     /// Requests denied.
@@ -250,14 +234,6 @@ mod tests {
         tb.try_consume(ms(0), 1.0);
         tb.try_consume(ms(0), 1.0);
         assert!((tb.denial_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_change_applies_forward() {
-        let mut tb = TokenBucket::new(ms(0), 10.0, 100.0);
-        tb.try_consume(ms(0), 100.0); // empty it
-        tb.set_rate(ms(0), 100.0);
-        assert!((tb.available(ms(500)) - 50.0).abs() < 1e-9);
     }
 
     #[test]

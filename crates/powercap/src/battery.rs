@@ -59,7 +59,7 @@ pub struct Battery {
 
 impl Battery {
     /// Build a battery with `capacity_j` joules usable, starting full.
-    pub fn new(
+    pub(crate) fn new(
         start: SimTime,
         capacity_j: f64,
         max_discharge_w: f64,
@@ -134,12 +134,12 @@ impl Battery {
     }
 
     /// True when effectively empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.stored_j <= 1e-9
     }
 
     /// True when effectively full.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.stored_j >= self.capacity_j - 1e-9
     }
 
@@ -165,9 +165,7 @@ impl Battery {
 
     /// Integrate the current mode forward to `now`, clamping at the
     /// capacity bounds. Returns the watts actually flowing *after* the
-    /// update (0 if the battery hit a bound mid-interval — callers that
-    /// need the exact bound-hit instant should consult
-    /// [`Battery::time_to_bound`] and schedule an event there).
+    /// update (0 if the battery hit a bound mid-interval).
     pub fn advance(&mut self, now: SimTime) -> f64 {
         let dt = now.since(self.last_update).as_secs_f64();
         self.last_update = now;
@@ -201,7 +199,7 @@ impl Battery {
 
     /// The watts currently flowing (positive for either direction's
     /// magnitude; direction given by [`Battery::mode`]).
-    pub fn flow_w(&self) -> f64 {
+    pub(crate) fn flow_w(&self) -> f64 {
         match self.mode {
             BatteryMode::Idle => 0.0,
             BatteryMode::Discharging(w) | BatteryMode::Charging(w) => w,
@@ -252,7 +250,8 @@ impl Battery {
     /// How long until the current mode hits a capacity bound (empty when
     /// discharging, full when charging). `None` when idle or the flow is
     /// zero.
-    pub fn time_to_bound(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn time_to_bound(&self) -> Option<SimDuration> {
         match self.mode {
             BatteryMode::Idle => None,
             BatteryMode::Discharging(w) if w > 0.0 => {

@@ -78,13 +78,8 @@ impl PowerBudget {
         }
     }
 
-    /// Headroom (positive) or deficit (negative) for a demand, watts.
-    pub fn margin_w(&self, demand_w: f64) -> f64 {
-        self.supply_w - demand_w
-    }
-
     /// True when `demand_w` violates the budget.
-    pub fn violated_by(&self, demand_w: f64) -> bool {
+    pub(crate) fn violated_by(&self, demand_w: f64) -> bool {
         demand_w > self.supply_w + 1e-9
     }
 }
@@ -114,8 +109,6 @@ mod tests {
         assert!((b.supply_w - 340.0).abs() < 1e-9);
         assert!(b.violated_by(341.0));
         assert!(!b.violated_by(340.0));
-        assert!((b.margin_w(300.0) - 40.0).abs() < 1e-9);
-        assert!((b.margin_w(350.0) + 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl UniformCapper {
         }
         table.min_state()
     }
-
-    /// Watts saved by moving all servers from `from` to `to`.
-    pub fn savings_w(&self, from: PState, to: PState, loads: &[ServerLoad]) -> f64 {
-        self.aggregate_power(from, loads) - self.aggregate_power(to, loads)
-    }
 }
 
 #[cfg(test)]
@@ -128,32 +123,6 @@ mod tests {
         let top = c.model.table.max_state();
         assert!((c.aggregate_power(top, &loads) - 160.0).abs() < 1e-6);
         assert_eq!(c.state_for_budget(200.0, &loads), top);
-    }
-
-    #[test]
-    fn savings_positive_downward() {
-        let c = capper();
-        let loads = busy(4);
-        let s = c.savings_w(PState(12), PState(6), &loads);
-        assert!(s > 0.0);
-        assert_eq!(c.savings_w(PState(6), PState(6), &loads), 0.0);
-    }
-
-    #[test]
-    fn memory_bound_cluster_saves_less() {
-        let c = capper();
-        let cpu = busy(4);
-        let mem = vec![
-            ServerLoad {
-                utilization: 1.0,
-                intensity: 1.0,
-                gamma: 0.3,
-            };
-            4
-        ];
-        let s_cpu = c.savings_w(PState(12), PState(0), &cpu);
-        let s_mem = c.savings_w(PState(12), PState(0), &mem);
-        assert!(s_cpu > 2.0 * s_mem);
     }
 
     proptest! {

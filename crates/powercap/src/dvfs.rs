@@ -40,11 +40,6 @@ impl DvfsController {
         }
     }
 
-    /// The ladder this controller drives.
-    pub fn table(&self) -> &PStateTable {
-        &self.table
-    }
-
     /// Apply any transition that has settled by `now`. Call before
     /// reading [`DvfsController::effective`] at a new timestamp.
     pub fn advance(&mut self, now: SimTime) {
@@ -101,7 +96,8 @@ impl DvfsController {
     }
 
     /// Effective frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn freq_ghz(&self) -> f64 {
         self.table.freq_ghz(self.effective)
     }
 

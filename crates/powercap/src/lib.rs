@@ -17,8 +17,8 @@
 //!   charge rate limits, round-trip efficiency, exact depletion times.
 //! * [`PowerBudget`] / [`BudgetLevel`] — the paper's Normal/High/Medium/
 //!   Low-PB provisioning levels (100 / 90 / 85 / 80 %).
-//! * [`PowerHierarchy`] — server → rack → cluster aggregation with a
-//!   thermal breaker model.
+//! * [`Breaker`] — the sustained-overload breaker on a power feed, one
+//!   type for the flat cluster feed and every level of a power tree.
 //! * [`PowerMonitor`] — sliding-window budget-violation detector feeding
 //!   the control loop.
 //! * [`UniformCapper`] — the search primitive behind the paper's
@@ -31,24 +31,24 @@
 #![forbid(unsafe_code)]
 
 pub mod battery;
+pub mod breaker;
 pub mod budget;
 pub mod capper;
 pub mod dvfs;
 pub mod error;
 pub mod monitor;
-pub mod pdu;
 pub mod pstate;
 pub mod rapl;
 pub mod server_power;
 pub mod thermal;
 
 pub use battery::Battery;
+pub use breaker::{Breaker, BreakerState};
 pub use budget::{BudgetLevel, PowerBudget};
 pub use capper::UniformCapper;
 pub use dvfs::DvfsController;
 pub use error::ConfigError;
 pub use monitor::PowerMonitor;
-pub use pdu::{BreakerState, PowerHierarchy};
 pub use pstate::{PState, PStateTable};
 pub use rapl::Rapl;
 pub use server_power::ServerPowerModel;

@@ -2,15 +2,14 @@
 //!
 //! The paper's RPM keeps "a feedback link between server power monitor
 //! and server health checker" (Section 5.1). The monitor ingests one
-//! aggregate power sample per control slot, maintains a sliding window,
-//! and reports: the moving average, the window peak, and whether the
+//! aggregate power sample per control slot and reports whether the
 //! budget is currently violated (with a configurable number of
 //! consecutive over-budget samples required, to filter single-sample
 //! noise from true emergencies).
 
 use crate::budget::PowerBudget;
 use crate::error::ConfigError;
-use dcmetrics::{OnlineSummary, P2Quantile};
+use dcmetrics::OnlineSummary;
 use simcore::SimTime;
 use std::collections::VecDeque;
 
@@ -48,8 +47,6 @@ pub struct PowerMonitor {
     latched: bool,
     /// Lifetime stats over all samples.
     lifetime: OnlineSummary,
-    /// Streaming p90 of observed power (P² estimator — O(1) memory).
-    p90: P2Quantile,
     violations: u64,
 }
 
@@ -80,7 +77,6 @@ impl PowerMonitor {
             consecutive_under: 0,
             latched: false,
             lifetime: OnlineSummary::new(),
-            p90: P2Quantile::new(0.9),
             violations: 0,
         })
     }
@@ -91,7 +87,8 @@ impl PowerMonitor {
     /// first under-budget sample (no hysteresis). This is the
     /// anti-flapping guard for controllers whose own intervention pulls
     /// the next sample just under the budget.
-    pub fn with_release_after(mut self, release_after: usize) -> Result<Self, ConfigError> {
+    #[cfg(test)]
+    pub(crate) fn with_release_after(mut self, release_after: usize) -> Result<Self, ConfigError> {
         if release_after < 1 {
             return Err(ConfigError::ZeroCount {
                 what: "release_after",
@@ -99,11 +96,6 @@ impl PowerMonitor {
         }
         self.release_after = release_after;
         Ok(self)
-    }
-
-    /// Replace the budget (e.g. when a scheme reallocates supply).
-    pub fn set_budget(&mut self, budget: PowerBudget) {
-        self.budget = budget;
     }
 
     /// The active budget.
@@ -119,7 +111,6 @@ impl PowerMonitor {
         }
         self.window.push_back((t, watts));
         self.lifetime.record(watts);
-        self.p90.record(watts);
 
         if self.budget.violated_by(watts) {
             self.consecutive_over += 1;
@@ -154,33 +145,20 @@ impl PowerMonitor {
     }
 
     /// True while an Emergency verdict awaits its hysteretic release.
-    pub fn is_latched(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_latched(&self) -> bool {
         self.latched
     }
 
-    /// Moving average over the window (0 when empty).
-    pub fn moving_average(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        self.window.iter().map(|&(_, w)| w).sum::<f64>() / self.window.len() as f64
-    }
-
-    /// Peak within the window.
-    pub fn window_peak(&self) -> Option<f64> {
-        self.window
-            .iter()
-            .map(|&(_, w)| w)
-            .fold(None, |acc, w| Some(acc.map_or(w, |a: f64| a.max(w))))
-    }
-
     /// Most recent sample.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
+    #[cfg(test)]
+    pub(crate) fn last(&self) -> Option<(SimTime, f64)> {
         self.window.back().copied()
     }
 
     /// Deficit of the latest sample vs the budget (0 when under).
-    pub fn deficit_w(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn deficit_w(&self) -> f64 {
         self.last()
             .map(|(_, w)| (w - self.budget.supply_w).max(0.0))
             .unwrap_or(0.0)
@@ -194,12 +172,6 @@ impl PowerMonitor {
     /// Lifetime sample statistics.
     pub fn lifetime(&self) -> &OnlineSummary {
         &self.lifetime
-    }
-
-    /// Streaming estimate of the 90th-percentile power sample — the
-    /// health checker's "how close do peaks run to the budget" signal.
-    pub fn p90_power(&self) -> Option<f64> {
-        self.p90.estimate()
     }
 }
 
@@ -272,48 +244,6 @@ mod tests {
         m.observe(s(1), 350.0);
         assert_eq!(m.observe(s(2), 300.0), PowerCondition::Nominal);
         assert_eq!(m.observe(s(3), 350.0), PowerCondition::Transient);
-    }
-
-    #[test]
-    fn window_statistics() {
-        let mut m = mon();
-        for (i, w) in [100.0, 200.0, 300.0].iter().enumerate() {
-            m.observe(s(i as u64), *w);
-        }
-        assert!((m.moving_average() - 200.0).abs() < 1e-9);
-        assert_eq!(m.window_peak(), Some(300.0));
-        assert_eq!(m.last(), Some((s(2), 300.0)));
-    }
-
-    #[test]
-    fn window_evicts_oldest() {
-        let mut m = mon();
-        for i in 0..7 {
-            m.observe(s(i), i as f64 * 10.0);
-        }
-        // Window holds samples 2..=6 → average 40.
-        assert!((m.moving_average() - 40.0).abs() < 1e-9);
-        assert_eq!(m.window_peak(), Some(60.0));
-    }
-
-    #[test]
-    fn budget_swap() {
-        let mut m = mon();
-        m.set_budget(PowerBudget::for_cluster(400.0, BudgetLevel::Low)); // 320 W
-        assert_eq!(m.observe(s(0), 330.0), PowerCondition::Transient);
-    }
-
-    #[test]
-    fn p90_estimate_tracks_peaks() {
-        let mut m = mon();
-        // 90 samples at 200 W, 10 at 380 W → p90 sits near the peak band.
-        for i in 0..100 {
-            let w = if i % 10 == 9 { 380.0 } else { 200.0 };
-            m.observe(s(i), w);
-        }
-        let p90 = m.p90_power().unwrap();
-        assert!((200.0..=380.0).contains(&p90), "p90={p90}");
-        assert!(p90 >= 199.0);
     }
 
     #[test]

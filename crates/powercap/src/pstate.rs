@@ -20,12 +20,6 @@ impl PState {
     pub fn lower(self) -> PState {
         PState(self.0.saturating_sub(1))
     }
-
-    /// Step one state up (faster), saturating at `u8::MAX`; the caller
-    /// clamps to the table max.
-    pub fn raise(self) -> PState {
-        PState(self.0.saturating_add(1))
-    }
 }
 
 /// An immutable DVFS ladder.
@@ -33,8 +27,6 @@ impl PState {
 pub struct PStateTable {
     /// Frequencies in GHz, ascending.
     freqs_ghz: Vec<f64>,
-    /// Core voltage at each state, ascending.
-    volts: Vec<f64>,
     /// `f·V²` at each state, normalized to 1.0 at the top state.
     rel_dyn_power: Vec<f64>,
 }
@@ -42,7 +34,13 @@ pub struct PStateTable {
 impl PStateTable {
     /// Build a ladder over `[f_min_ghz, f_max_ghz]` with `steps` states
     /// and voltage ramping affinely from `v_min` to `v_max`.
-    pub fn new(f_min_ghz: f64, f_max_ghz: f64, steps: usize, v_min: f64, v_max: f64) -> Self {
+    pub(crate) fn new(
+        f_min_ghz: f64,
+        f_max_ghz: f64,
+        steps: usize,
+        v_min: f64,
+        v_max: f64,
+    ) -> Self {
         assert!(steps >= 2, "need at least two P-states");
         assert!(f_max_ghz > f_min_ghz && f_min_ghz > 0.0);
         assert!(v_max >= v_min && v_min > 0.0);
@@ -61,7 +59,6 @@ impl PStateTable {
             .collect();
         PStateTable {
             freqs_ghz,
-            volts,
             rel_dyn_power,
         }
     }
@@ -96,18 +93,13 @@ impl PStateTable {
     }
 
     /// Clamp an arbitrary index into the valid range.
-    pub fn clamp(&self, p: PState) -> PState {
+    pub(crate) fn clamp(&self, p: PState) -> PState {
         PState(p.0.min((self.len() - 1) as u8))
     }
 
     /// Frequency of state `p` in GHz.
-    pub fn freq_ghz(&self, p: PState) -> f64 {
+    pub(crate) fn freq_ghz(&self, p: PState) -> f64 {
         self.freqs_ghz[p.0 as usize]
-    }
-
-    /// Core voltage of state `p`.
-    pub fn voltage(&self, p: PState) -> f64 {
-        self.volts[p.0 as usize]
     }
 
     /// Nominal (top-state) frequency in GHz.
@@ -123,19 +115,6 @@ impl PStateTable {
     /// Dynamic power of `p` relative to nominal, in `(0, 1]`.
     pub fn rel_dyn_power(&self, p: PState) -> f64 {
         self.rel_dyn_power[p.0 as usize]
-    }
-
-    /// The slowest state whose relative dynamic power is at least `rel`,
-    /// i.e. the state a RAPL-style governor picks to meet a power cap:
-    /// the *fastest* state with `rel_dyn_power <= rel`. Falls back to the
-    /// slowest state when even that exceeds `rel`.
-    pub fn fastest_below(&self, rel: f64) -> PState {
-        for i in (0..self.len()).rev() {
-            if self.rel_dyn_power[i] <= rel + 1e-12 {
-                return PState(i as u8);
-            }
-        }
-        self.min_state()
     }
 
     /// Iterate all states, slowest first.
@@ -156,8 +135,6 @@ mod tests {
         assert!((t.freq_ghz(PState(0)) - 1.2).abs() < 1e-12);
         assert!((t.freq_ghz(t.max_state()) - 2.4).abs() < 1e-12);
         assert!((t.freq_ghz(PState(1)) - 1.3).abs() < 1e-12);
-        assert!((t.voltage(PState(0)) - 0.8).abs() < 1e-12);
-        assert!((t.voltage(t.max_state()) - 1.2).abs() < 1e-12);
     }
 
     #[test]
@@ -182,24 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn fastest_below_picks_correct_state() {
-        let t = PStateTable::paper_default();
-        // rel=1.0 → top state.
-        assert_eq!(t.fastest_below(1.0), t.max_state());
-        // rel just under the top state's power → one below.
-        let second = t.rel_dyn_power(PState(11));
-        assert_eq!(t.fastest_below(second), PState(11));
-        // rel below everything → slowest state.
-        assert_eq!(t.fastest_below(0.0), PState(0));
-    }
-
-    #[test]
     fn lower_raise_saturate() {
         let t = PStateTable::paper_default();
         assert_eq!(PState(0).lower(), PState(0));
         assert_eq!(PState(3).lower(), PState(2));
-        assert_eq!(PState(3).raise(), PState(4));
-        assert_eq!(PState(255).raise(), PState(255));
         assert_eq!(t.clamp(PState(200)), t.max_state());
         assert_eq!(t.clamp(PState(5)), PState(5));
     }
@@ -212,26 +175,10 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_fastest_below_satisfies_cap(rel in 0.0f64..1.5) {
-            let t = PStateTable::paper_default();
-            let p = t.fastest_below(rel);
-            // Either the chosen state satisfies the cap...
-            let ok = t.rel_dyn_power(p) <= rel + 1e-9;
-            // ...or the cap is infeasible and we returned the floor.
-            let infeasible = p == t.min_state() && t.rel_dyn_power(p) > rel;
-            prop_assert!(ok || infeasible);
-            // And no faster state would also satisfy it.
-            if p != t.max_state() && ok {
-                prop_assert!(t.rel_dyn_power(PState(p.0 + 1)) > rel + 1e-12);
-            }
-        }
-
-        #[test]
         fn prop_freq_monotone_in_state(i in 0u8..12, j in 0u8..12) {
             let t = PStateTable::paper_default();
             if i < j {
                 prop_assert!(t.freq_ghz(PState(i)) < t.freq_ghz(PState(j)));
-                prop_assert!(t.voltage(PState(i)) <= t.voltage(PState(j)));
             }
         }
     }

@@ -31,13 +31,9 @@ impl Rapl {
         }
     }
 
-    /// The power model this interface resolves limits against.
-    pub fn model(&self) -> &ServerPowerModel {
-        &self.model
-    }
-
     /// The active limit, if any.
-    pub fn limit_w(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn limit_w(&self) -> Option<f64> {
         self.limit_w
     }
 
@@ -45,7 +41,8 @@ impl Rapl {
     /// resolving it to a P-state for the workload character currently on
     /// the node (`intensity`, `gamma`) and commanding the DVFS
     /// controller. Returns the commanded state.
-    pub fn set_limit(
+    #[cfg(test)]
+    pub(crate) fn set_limit(
         &mut self,
         now: SimTime,
         dvfs: &mut DvfsController,
@@ -56,8 +53,8 @@ impl Rapl {
         self.set_limit_delayed(now, dvfs, limit_w, intensity, gamma, SimDuration::ZERO)
     }
 
-    /// [`Rapl::set_limit`] with an extra actuation delay (fault
-    /// injection: the MSR write reaches the governor late).
+    /// Set a watt limit that takes effect after an actuation delay
+    /// (fault injection: the MSR write reaches the governor late).
     pub fn set_limit_delayed(
         &mut self,
         now: SimTime,
@@ -84,7 +81,13 @@ impl Rapl {
 
     /// Worst-case power at the currently-enforced target state for the
     /// given workload character — what the governor believes it holds.
-    pub fn enforced_power_w(&self, dvfs: &DvfsController, intensity: f64, gamma: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn enforced_power_w(
+        &self,
+        dvfs: &DvfsController,
+        intensity: f64,
+        gamma: f64,
+    ) -> f64 {
         self.model.full_load_power(dvfs.target(), intensity, gamma)
     }
 }

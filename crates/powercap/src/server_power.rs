@@ -63,7 +63,7 @@ impl ServerPowerModel {
     }
 
     /// Dynamic power headroom at nominal frequency: nameplate − idle.
-    pub fn dynamic_headroom_w(&self) -> f64 {
+    pub(crate) fn dynamic_headroom_w(&self) -> f64 {
         self.nameplate_w - self.idle_w
     }
 

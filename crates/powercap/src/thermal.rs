@@ -39,11 +39,10 @@ pub enum ThermalState {
 /// use simcore::SimTime;
 ///
 /// let mut node = ThermalNode::paper_default(SimTime::ZERO);
-/// assert_eq!(node.temp_c(), 25.0); // starts at ambient
+/// assert_eq!(node.state(), ThermalState::Nominal); // starts at ambient
 /// // Five minutes at nameplate power soaks past the PROCHOT threshold.
 /// let state = node.advance(SimTime::from_secs(300), 100.0);
 /// assert_eq!(state, ThermalState::Prochot);
-/// assert!(node.temp_c() > 75.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThermalNode {
@@ -102,7 +101,8 @@ impl ThermalNode {
     }
 
     /// Junction temperature as of the last update, °C.
-    pub fn temp_c(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn temp_c(&self) -> f64 {
         self.temp_c
     }
 
@@ -122,7 +122,7 @@ impl ThermalNode {
     }
 
     /// Steady-state temperature at a constant power draw.
-    pub fn steady_state_c(&self, power_w: f64) -> f64 {
+    pub(crate) fn steady_state_c(&self, power_w: f64) -> f64 {
         self.ambient_c + self.r_th_c_per_w * power_w
     }
 
@@ -163,21 +163,6 @@ impl ThermalNode {
             }
         };
         self.state
-    }
-
-    /// Time until the temperature reaches `target_c` at constant
-    /// `power_w`, or `None` if it never will (steady state below target).
-    pub fn time_to_reach(&self, target_c: f64, power_w: f64) -> Option<SimDuration> {
-        let t_ss = self.steady_state_c(power_w);
-        if t_ss <= target_c || self.temp_c >= target_c {
-            if self.temp_c >= target_c {
-                return Some(SimDuration::ZERO);
-            }
-            return None;
-        }
-        // target = t_ss + (T − t_ss)·e^(−t/τ)  ⇒  t = τ·ln((T−t_ss)/(target−t_ss))
-        let ratio = (self.temp_c - t_ss) / (target_c - t_ss);
-        Some(self.tau.mul_f64(ratio.ln().max(0.0)))
     }
 }
 
@@ -274,21 +259,6 @@ mod tests {
         // Cooling does not un-trip.
         n.advance(s(900), 0.0);
         assert_eq!(n.state(), ThermalState::Tripped);
-    }
-
-    #[test]
-    fn time_to_reach_matches_simulation() {
-        let n = node();
-        let eta = n.time_to_reach(75.0, 100.0).expect("reachable");
-        let mut sim = node();
-        sim.advance(SimTime::ZERO + eta, 100.0);
-        assert!((sim.temp_c() - 75.0).abs() < 0.01, "T={}", sim.temp_c());
-        // Unreachable at idle.
-        assert_eq!(n.time_to_reach(75.0, 40.0), None);
-        // Already there.
-        let mut hot = node();
-        hot.advance(s(600), 100.0);
-        assert_eq!(hot.time_to_reach(50.0, 100.0), Some(SimDuration::ZERO));
     }
 
     proptest! {

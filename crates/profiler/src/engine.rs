@@ -91,7 +91,7 @@ pub struct AdaptiveSuspectList {
 
 impl AdaptiveSuspectList {
     /// Empty list classifying everything `default_class` until learned.
-    pub fn new(cfg: &ProfilerConfig, default_class: FlowClass) -> Self {
+    pub(crate) fn new(cfg: &ProfilerConfig, default_class: FlowClass) -> Self {
         AdaptiveSuspectList {
             classes: FxHashMap::default(),
             threshold: cfg.threshold,
@@ -117,12 +117,13 @@ impl AdaptiveSuspectList {
     }
 
     /// URLs currently classified, for reports.
-    pub fn classified(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn classified(&self) -> usize {
         self.classes.len()
     }
 
     /// URLs currently suspect, sorted for deterministic iteration.
-    pub fn suspects(&self) -> Vec<UrlId> {
+    pub(crate) fn suspects(&self) -> Vec<UrlId> {
         let mut v: Vec<UrlId> = self
             .classes
             .iter()
@@ -246,7 +247,8 @@ impl PowerProfiler {
     }
 
     /// URLs currently tracked by the estimator.
-    pub fn tracked(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked(&self) -> usize {
         self.index.len()
     }
 

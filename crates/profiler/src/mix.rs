@@ -46,7 +46,8 @@ impl MixTracker {
     }
 
     /// Total in-flight requests tracked on `node`.
-    pub fn inflight(&self, node: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn inflight(&self, node: usize) -> u32 {
         self.nodes[node].values().sum()
     }
 

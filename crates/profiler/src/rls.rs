@@ -15,7 +15,7 @@
 //! # Live and frozen coordinates
 //!
 //! The estimator keeps a sorted set of *live* coordinates. [`EwRls::new`]
-//! starts with every coordinate live, [`EwRls::reset_coord`] makes one
+//! starts with every coordinate live, `EwRls::reset_coord` makes one
 //! live and [`EwRls::release`] freezes one until its next reset. A frozen
 //! coordinate's coefficient, row and column are left untouched by
 //! [`EwRls::observe`], which runs over the live block only: with `L` live
@@ -93,18 +93,14 @@ impl EwRls {
         self.variance_cap = cap;
     }
 
-    /// Number of coordinates.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Current estimate of coordinate `i`.
-    pub fn theta(&self, i: usize) -> f64 {
+    pub(crate) fn theta(&self, i: usize) -> f64 {
         self.theta[i]
     }
 
     /// Current variance of coordinate `i` (diagonal of `P`).
-    pub fn variance(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn variance(&self, i: usize) -> f64 {
         self.p[i * self.dim + i]
     }
 
@@ -115,7 +111,7 @@ impl EwRls {
     }
 
     /// Predicted target for a sparse feature vector.
-    pub fn predict(&self, x: &[(usize, f64)]) -> f64 {
+    pub(crate) fn predict(&self, x: &[(usize, f64)]) -> f64 {
         x.iter().map(|&(i, v)| self.theta[i] * v).sum()
     }
 
@@ -123,7 +119,7 @@ impl EwRls {
     /// covariance row/column, restore the prior variance, and re-seed the
     /// coefficient. Used on eviction (coordinate recycled for a new URL)
     /// and on detected drift (old evidence no longer valid).
-    pub fn reset_coord(&mut self, i: usize, prior_mean: f64, prior_var: f64) {
+    pub(crate) fn reset_coord(&mut self, i: usize, prior_mean: f64, prior_var: f64) {
         for j in 0..self.dim {
             self.p[i * self.dim + j] = 0.0;
             self.p[j * self.dim + i] = 0.0;
@@ -135,7 +131,7 @@ impl EwRls {
         }
     }
 
-    /// Freeze coordinate `i` until its next [`EwRls::reset_coord`]:
+    /// Freeze coordinate `i` until its next `EwRls::reset_coord`:
     /// [`EwRls::observe`] leaves its coefficient, row and column as they
     /// are. Releasing a frozen coordinate does nothing.
     pub fn release(&mut self, i: usize) {

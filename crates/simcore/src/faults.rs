@@ -97,22 +97,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// True when the config can never inject anything.
-    pub fn is_noop(&self) -> bool {
-        self.sensor_dropout_p == 0.0
-            && self.sensor_noise_w == 0.0
-            && self.sensor_stuck_p == 0.0
-            && self.sensor_stale_p == 0.0
-            && self.blackouts.is_empty()
-            && self.actuator_loss_p == 0.0
-            && self.actuator_delay_p == 0.0
-            && self.actuator_stuck_p == 0.0
-            && self.crashes.is_empty()
-            && self.crash_p == 0.0
-            && self.battery_fade == 0.0
-            && self.charger_fails_at.is_none()
-    }
-
     /// Check the config against the number of nodes it will drive.
     pub fn validate(&self, n_nodes: usize) -> Result<(), FaultError> {
         let probs = [
@@ -242,9 +226,9 @@ pub struct FaultCounts {
 
 impl FaultCounts {
     /// Fold another counter set into this one (all fields are `u64`
-    /// sums, so merging is associative and layout-independent — the
-    /// sharded engine merges per-shard counters in shard order).
-    pub fn merge(&mut self, other: &FaultCounts) {
+    /// sums, so merging is associative and layout-independent).
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &FaultCounts) {
         self.sensor_dropouts += other.sensor_dropouts;
         self.sensor_stuck += other.sensor_stuck;
         self.sensor_stale += other.sensor_stale;
@@ -365,7 +349,7 @@ fn actuate_node(
 /// with `start = 0, len = n` covers a whole `n`-node cluster.
 ///
 /// Each node owns its own PRNG stream derived from its *global* index
-/// ([`RngFactory::stream_n`] with [`streams::FAULTS`]). Draw order
+/// (`RngFactory::stream_n` with `streams::FAULTS`). Draw order
 /// between nodes is therefore irrelevant and no draw ever crosses a
 /// shard boundary, so the same seed produces byte-identical fault
 /// sequences at any shard count.
@@ -424,18 +408,15 @@ impl ShardFaultPlan {
     }
 
     /// First global node index covered.
-    pub fn start(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn start(&self) -> usize {
         self.start
     }
 
     /// Number of nodes covered.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when the plan covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Read global node `node`'s power sensor through the fault process.
@@ -521,9 +502,7 @@ mod tests {
 
     #[test]
     fn default_config_is_noop() {
-        let cfg = FaultConfig::default();
-        assert!(cfg.is_noop());
-        let mut p = plan(cfg);
+        let mut p = plan(FaultConfig::default());
         for t in 0..100 {
             for n in 0..4 {
                 assert_eq!(p.sense(s(t), n, 123.0), Some(123.0));
@@ -833,25 +812,5 @@ mod tests {
         assert!(!right.crash_due(s(4), 5));
         assert_eq!(left.counts().crashes, 0);
         assert_eq!(right.counts().crashes, 1);
-    }
-
-    #[test]
-    fn fault_counts_merge_sums_fields() {
-        let a = FaultCounts {
-            sensor_dropouts: 1,
-            crashes: 2,
-            reboots: 3,
-            ..FaultCounts::default()
-        };
-        let mut b = FaultCounts {
-            sensor_dropouts: 10,
-            actuator_lost: 5,
-            ..FaultCounts::default()
-        };
-        b.merge(&a);
-        assert_eq!(b.sensor_dropouts, 11);
-        assert_eq!(b.crashes, 2);
-        assert_eq!(b.reboots, 3);
-        assert_eq!(b.actuator_lost, 5);
     }
 }

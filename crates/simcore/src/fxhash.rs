@@ -9,10 +9,10 @@
 //! which is a few instructions per 8-byte key and produces the same table
 //! iteration-independent behavior on every run.
 //!
-//! Use [`FxHashMap`] / [`FxHashSet`] anywhere the keys are internal ids.
+//! Use [`FxHashMap`] anywhere the keys are internal ids.
 //! Do **not** use it for untrusted external input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A deterministic word-at-a-time hasher (SplitMix64-finalizer rounds).
@@ -79,13 +79,10 @@ impl Hasher for DetHasher {
 }
 
 /// `BuildHasher` for [`DetHasher`]; zero-sized, no per-map seed.
-pub type DetBuildHasher = BuildHasherDefault<DetHasher>;
+pub(crate) type DetBuildHasher = BuildHasherDefault<DetHasher>;
 
 /// A `HashMap` with deterministic FxHash-style hashing.
 pub type FxHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
-
-/// A `HashSet` with deterministic FxHash-style hashing.
-pub type FxHashSet<T> = HashSet<T, DetBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -107,7 +104,7 @@ mod tests {
         // Sequential ids (incl. ids based at 1 << 40) must not collide in
         // low bits — that's what the table indexes on.
         let base = 1u64 << 40;
-        let mut low7 = FxHashSet::default();
+        let mut low7 = std::collections::HashSet::new();
         for i in 0..128u64 {
             low7.insert(hash_of(&(base + i)) & 0x7f);
         }

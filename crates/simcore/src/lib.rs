@@ -43,6 +43,6 @@ pub mod rng;
 pub mod time;
 
 pub use faults::{ActuationFault, CrashEvent, FaultConfig, FaultCounts, FaultError};
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::FxHashMap;
 pub use rng::{RngFactory, SimRng};
 pub use time::{SimDuration, SimTime};

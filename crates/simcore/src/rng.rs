@@ -66,7 +66,7 @@ impl SimRng {
 
     /// The next raw 64-bit output of the generator.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1]
             .wrapping_mul(5)
             .rotate_left(7)
@@ -168,28 +168,15 @@ impl RngFactory {
         RngFactory { master }
     }
 
-    /// The master seed this factory was built with.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derive the stream named `label`.
     pub fn stream(&self, label: &str) -> SimRng {
         SimRng::new(self.master ^ fnv1a(label))
     }
 
     /// Derive an indexed stream, e.g. one per server: `stream_n("server", 7)`.
-    pub fn stream_n(&self, label: &str, index: u64) -> SimRng {
+    pub(crate) fn stream_n(&self, label: &str, index: u64) -> SimRng {
         let mut s = index.wrapping_add(0xA076_1D64_78BD_642F);
         SimRng::new(self.master ^ fnv1a(label) ^ splitmix64(&mut s))
-    }
-
-    /// Derive a sub-factory (for components that themselves own multiple
-    /// streams).
-    pub fn subfactory(&self, label: &str) -> RngFactory {
-        RngFactory {
-            master: self.master ^ fnv1a(label).rotate_left(17),
-        }
     }
 
     /// Derive the per-shard factory for dataplane shard `index`.
@@ -199,7 +186,8 @@ impl RngFactory {
     /// another shard regardless of event interleaving. The derivation is
     /// a pure function of `(master, index)`, so the same seed and shard
     /// layout always reproduce the same streams.
-    pub fn shard(&self, index: u64) -> RngFactory {
+    #[cfg(test)]
+    pub(crate) fn shard(&self, index: u64) -> RngFactory {
         let mut s = index.wrapping_add(0x9E37_79B9_7F4A_7C15);
         RngFactory {
             master: self.master ^ splitmix64(&mut s).rotate_left(23),
@@ -216,7 +204,7 @@ impl RngFactory {
 /// to reproduce.
 pub mod streams {
     /// Fault-injection draws (sensor dropout, actuator stalls, crashes).
-    pub const FAULTS: &str = "faults";
+    pub(crate) const FAULTS: &str = "faults";
     /// URL-rotation schedule of the adaptive attacker (kept separate
     /// from its arrival/jitter stream so rotating more or less often
     /// never perturbs the arrival process).
@@ -352,13 +340,6 @@ mod tests {
         let x = f.stream_n("server", 0).next_u64();
         let y = f.stream_n("server", 1).next_u64();
         assert_ne!(x, y);
-    }
-
-    #[test]
-    fn subfactory_differs_from_parent() {
-        let f = RngFactory::new(5);
-        let sub = f.subfactory("child");
-        assert_ne!(f.stream("x").next_u64(), sub.stream("x").next_u64());
     }
 
     #[test]

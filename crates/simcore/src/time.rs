@@ -10,9 +10,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
 /// Microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 /// Microseconds in one millisecond.
-pub const MICROS_PER_MILLI: u64 = 1_000;
+pub(crate) const MICROS_PER_MILLI: u64 = 1_000;
 
 /// An instant on the simulated clock, in microseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -48,8 +48,9 @@ impl SimTime {
 
     /// Construct from fractional seconds. Panics on negative or
     /// non-finite input — simulated time never runs backwards.
+    #[cfg(test)]
     #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid SimTime seconds: {s}");
         SimTime((s * MICROS_PER_SEC as f64).round() as u64)
     }
@@ -61,8 +62,9 @@ impl SimTime {
     }
 
     /// Whole milliseconds (truncating).
+    #[cfg(test)]
     #[inline]
-    pub const fn as_millis(self) -> u64 {
+    pub(crate) const fn as_millis(self) -> u64 {
         self.0 / MICROS_PER_MILLI
     }
 
@@ -96,37 +98,16 @@ impl SimTime {
     }
 
     /// Saturating addition of a duration.
+    #[cfg(test)]
     #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+    pub(crate) fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
-    }
-
-    /// Round down to the start of the enclosing slot of length `slot`.
-    /// Used by slotted power-management controllers.
-    #[inline]
-    pub fn align_down(self, slot: SimDuration) -> SimTime {
-        assert!(slot.0 > 0, "slot length must be positive");
-        SimTime(self.0 - self.0 % slot.0)
-    }
-
-    /// Round up to the next slot boundary (identity if already aligned).
-    #[inline]
-    pub fn align_up(self, slot: SimDuration) -> SimTime {
-        assert!(slot.0 > 0, "slot length must be positive");
-        let rem = self.0 % slot.0;
-        if rem == 0 {
-            self
-        } else {
-            SimTime(self.0 + (slot.0 - rem))
-        }
     }
 }
 
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw microseconds.
     #[inline]
@@ -190,29 +171,12 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Scale by a non-negative factor, rounding to the nearest microsecond.
+    #[cfg(test)]
     #[inline]
-    pub fn mul_f64(self, k: f64) -> SimDuration {
+    pub(crate) fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid duration scale: {k}");
         SimDuration((self.0 as f64 * k).round() as u64)
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -364,16 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn alignment() {
-        let slot = SimDuration::from_secs(1);
-        let t = SimTime::from_micros(2_700_000);
-        assert_eq!(t.align_down(slot), SimTime::from_secs(2));
-        assert_eq!(t.align_up(slot), SimTime::from_secs(3));
-        assert_eq!(SimTime::from_secs(2).align_up(slot), SimTime::from_secs(2));
-        assert_eq!(SimTime::ZERO.align_down(slot), SimTime::ZERO);
-    }
-
-    #[test]
     fn float_conversions() {
         let t = SimTime::from_secs_f64(1.234567);
         assert!((t.as_secs_f64() - 1.234567).abs() < 1e-9);
@@ -384,18 +338,6 @@ mod tests {
     #[test]
     fn saturating_ops() {
         assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_secs(1)), SimTime::MAX);
-        assert_eq!(
-            SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn min_max() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
     }
 
     #[test]

@@ -5,16 +5,13 @@
 //! utilization). The trace is not redistributable inside this repository,
 //! so we provide two equivalent inputs (DESIGN.md, substitution table):
 //!
-//! 1. [`UtilizationTrace::synthesize`] — a generator matched to the
-//!    published statistics of the trace: mean CPU utilization in the
-//!    30–40 % band, a mild intra-day (half-diurnal) swing across the 12 h
-//!    window, AR(1)-correlated noise, heavy-tailed per-machine baselines,
-//!    and occasional correlated bursts.
-//! 2. [`UtilizationTrace::from_csv`] — a loader for the real
-//!    `server_usage.csv` schema (`timestamp,machine_id,cpu_percent`), if
-//!    the user drops the actual trace next to the binary.
+//! [`UtilizationTrace::synthesize`] is a generator matched to the
+//! published statistics of the trace: mean CPU utilization in the
+//! 30–40 % band, a mild intra-day (half-diurnal) swing across the 12 h
+//! window, AR(1)-correlated noise, heavy-tailed per-machine baselines,
+//! and occasional correlated bursts.
 //!
-//! Either way the output is the same object: the cluster-aggregate
+//! The output is the cluster-aggregate
 //! utilization as a step function of time, which the normal-user model
 //! turns into a request arrival rate.
 
@@ -48,7 +45,8 @@ pub struct AlibabaTraceConfig {
 
 impl AlibabaTraceConfig {
     /// The paper's setting: 1.3 k machines over 12 hours, 30 s samples.
-    pub fn paper_default() -> Self {
+    #[cfg(test)]
+    pub(crate) fn paper_default() -> Self {
         AlibabaTraceConfig {
             machines: 1300,
             duration: SimDuration::from_secs(12 * 3600),
@@ -90,7 +88,8 @@ pub struct UtilizationTrace {
 
 impl UtilizationTrace {
     /// Wrap raw interval values (each clamped into `[0, 1]`).
-    pub fn from_values(interval: SimDuration, values: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_values(interval: SimDuration, values: Vec<f64>) -> Self {
         assert!(!interval.is_zero() && !values.is_empty());
         UtilizationTrace {
             interval,
@@ -142,88 +141,40 @@ impl UtilizationTrace {
         }
     }
 
-    /// Load the real trace from `server_usage.csv`-style content:
-    /// `timestamp_seconds,machine_id,cpu_percent` per line (header rows
-    /// and blank lines skipped). Utilization is averaged over machines
-    /// per `interval` bucket.
-    pub fn from_csv(content: &str, interval: SimDuration) -> Result<Self, String> {
-        let mut buckets: Vec<(f64, u64)> = Vec::new();
-        for (lineno, line) in content.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split(',');
-            let (Some(ts), Some(_mid), Some(cpu)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(format!("line {}: expected 3+ columns", lineno + 1));
-            };
-            let Ok(ts) = ts.trim().parse::<f64>() else {
-                if lineno == 0 {
-                    continue; // header
-                }
-                return Err(format!("line {}: bad timestamp {ts:?}", lineno + 1));
-            };
-            let cpu: f64 = cpu
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: bad cpu {cpu:?}", lineno + 1))?;
-            let bucket = (ts / interval.as_secs_f64()) as usize;
-            if buckets.len() <= bucket {
-                buckets.resize(bucket + 1, (0.0, 0));
-            }
-            buckets[bucket].0 += cpu / 100.0;
-            buckets[bucket].1 += 1;
-        }
-        if buckets.is_empty() {
-            return Err("no data rows".to_string());
-        }
-        let values: Vec<f64> = buckets
-            .iter()
-            .map(|&(sum, n)| if n == 0 { 0.0 } else { sum / n as f64 })
-            .collect();
-        Ok(UtilizationTrace::from_values(interval, values))
-    }
-
-    /// Sampling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Number of intervals.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// Always false by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Total span covered.
-    pub fn duration(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn duration(&self) -> SimDuration {
         self.interval * self.values.len() as u64
     }
 
     /// Utilization at time `t` (wraps around for simulations longer than
     /// the trace — a 12 h trace tiles a multi-day run).
-    pub fn value_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
         let idx = (t.as_micros() / self.interval.as_micros()) as usize % self.values.len();
         self.values[idx]
     }
 
     /// Trace mean.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
     /// Trace peak.
-    pub fn peak(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak(&self) -> f64 {
         self.values.iter().cloned().fold(0.0, f64::max)
     }
 
     /// Raw values (read-only).
-    pub fn values(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 }
@@ -312,42 +263,5 @@ mod tests {
     fn from_values_clamps() {
         let tr = UtilizationTrace::from_values(SimDuration::from_secs(1), vec![-0.5, 1.5]);
         assert_eq!(tr.values(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let csv = "\
-timestamp,machine_id,cpu
-0,m1,40
-0,m2,60
-30,m1,20
-30,m2,40
-60,m1,10
-";
-        let tr = UtilizationTrace::from_csv(csv, SimDuration::from_secs(30)).unwrap();
-        assert_eq!(tr.len(), 3);
-        assert!((tr.values()[0] - 0.5).abs() < 1e-12);
-        assert!((tr.values()[1] - 0.3).abs() < 1e-12);
-        assert!((tr.values()[2] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        assert!(UtilizationTrace::from_csv("", SimDuration::from_secs(1)).is_err());
-        assert!(
-            UtilizationTrace::from_csv("1,2\n", SimDuration::from_secs(1)).is_err()
-        );
-        assert!(UtilizationTrace::from_csv(
-            "0,m1,notanumber\n",
-            SimDuration::from_secs(1)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn csv_skips_comments_and_blanks() {
-        let csv = "# comment\n\n0,m1,50\n";
-        let tr = UtilizationTrace::from_csv(csv, SimDuration::from_secs(1)).unwrap();
-        assert!((tr.values()[0] - 0.5).abs() < 1e-12);
     }
 }

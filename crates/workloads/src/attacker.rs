@@ -11,7 +11,7 @@
 //!
 //! Every flood is an [`AttackVector`](crate::vector::AttackVector):
 //! [`AttackVector::against_service`](crate::vector::AttackVector::against_service)
-//! and [`AttackVector::flood`](crate::vector::AttackVector::flood) build
+//! and `AttackVector::flood` build
 //! the fixed-target shapes, and
 //! [`AttackVector::with_rotation`](crate::vector::AttackVector::with_rotation)
 //! / [`AttackVector::with_concentration`](crate::vector::AttackVector::with_concentration)

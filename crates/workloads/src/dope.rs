@@ -64,15 +64,6 @@ impl Default for DopeConfig {
 }
 
 impl DopeConfig {
-    /// Run the offline-profiling step and target the top-ranked kernel —
-    /// the paper's full attack recipe in one call.
-    pub fn auto(core_ghz: f64, headroom_w: f64) -> Self {
-        let victim = DopeAttacker::offline_rank(core_ghz, headroom_w)[0].0;
-        DopeConfig {
-            victim,
-            ..DopeConfig::default()
-        }
-    }
 }
 
 /// One entry of the attack's self-recorded rate history (Fig 12 trace).
@@ -287,12 +278,6 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
-    }
-
-    #[test]
-    fn auto_config_targets_top_ranked_kernel() {
-        let cfg = DopeConfig::auto(2.4, 60.0);
-        assert_eq!(cfg.victim, ServiceKind::KMeans);
     }
 
     #[test]

@@ -41,13 +41,9 @@ impl MergedSources {
     }
 
     /// Number of wrapped sources.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.sources.len()
-    }
-
-    /// True when no sources were supplied.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
     }
 
     /// Execute any armed pulls, filling `peeked` where possible.

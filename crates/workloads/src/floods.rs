@@ -160,15 +160,6 @@ impl FloodKind {
             FloodKind::IcmpFlood => 80_000.0,
         }
     }
-
-    /// Steady-state power-injection estimate against one 100 W node:
-    /// `rate × work/2.4GHz × intensity × headroom`, capped at headroom.
-    /// Orders the Fig 3 curves without running a simulation.
-    pub fn power_injection_estimate_w(self, rate: f64, headroom_w: f64) -> f64 {
-        let p = self.params();
-        let busy = (rate * p.work_gcycles / 2.4).min(1.0);
-        busy * p.intensity * headroom_w
-    }
 }
 
 impl std::fmt::Display for FloodKind {
@@ -191,26 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn fig3_ordering_app_layer_hotter() {
-        // At each tool's own max rate, app-layer floods inject more power
-        // than network-layer floods (the central Fig 3 observation).
-        let headroom = 60.0;
-        let power = |k: FloodKind| k.power_injection_estimate_w(k.typical_max_rate(), headroom);
-        let http = power(FloodKind::HttpFlood);
-        let dns = power(FloodKind::DnsFlood);
-        for net in [FloodKind::SynFlood, FloodKind::UdpFlood, FloodKind::IcmpFlood] {
-            assert!(
-                http > 1.5 * power(net),
-                "HTTP {http} vs {net} {}",
-                power(net)
-            );
-            assert!(dns > 1.5 * power(net));
-        }
-        // HTTP and DNS saturate the service: close to full headroom.
-        assert!(http > 0.7 * headroom);
-    }
-
-    #[test]
     fn network_floods_touch_kernel_path() {
         for k in [FloodKind::SynFlood, FloodKind::UdpFlood, FloodKind::IcmpFlood] {
             assert_eq!(k.params().url, KERNEL_PATH_URL);
@@ -222,17 +193,6 @@ mod tests {
     fn http_flood_targets_real_service() {
         let p = FloodKind::HttpFlood.params();
         assert_eq!(p.url, crate::service::ServiceKind::WordCount.url());
-    }
-
-    #[test]
-    fn power_estimate_monotone_in_rate() {
-        let k = FloodKind::HttpFlood;
-        let lo = k.power_injection_estimate_w(10.0, 60.0);
-        let hi = k.power_injection_estimate_w(100.0, 60.0);
-        assert!(hi > lo);
-        // And saturates at busy=1.
-        let cap = k.power_injection_estimate_w(1e9, 60.0);
-        assert!((cap - 0.78 * 60.0).abs() < 1e-9);
     }
 
     #[test]

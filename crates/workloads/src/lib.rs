@@ -53,8 +53,8 @@ pub use attacker::AttackTool;
 pub use vector::{AttackVector, AttackVectorSpec, Envelope, ResourceProfile, SourcePlan, TargetPlan};
 pub use dope::{DopeAttacker, DopeConfig, DopePhase};
 pub use fanout::MergedSources;
-pub use floods::{FloodKind, FloodLayer};
+pub use floods::FloodKind;
 pub use normal::NormalUsers;
 pub use scenario::{ScenarioBuilder, SeedPin};
-pub use service::{ServiceKind, ServiceMix, ServiceProfile};
+pub use service::{ServiceKind, ServiceMix};
 pub use source::{SourceEvent, TrafficSource};

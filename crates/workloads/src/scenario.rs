@@ -206,12 +206,14 @@ impl ScenarioBuilder {
     }
 
     /// Number of ingredients added so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ingredients.len()
     }
 
     /// True when nothing has been added.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.ingredients.is_empty()
     }
 

@@ -137,7 +137,7 @@ impl ServiceProfile {
     }
 
     /// Sample a per-request work demand (log-normal around the mean).
-    pub fn sample_work(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_work(&self, rng: &mut SimRng) -> f64 {
         // For LogNormal with mean m and cv c: sigma² = ln(1 + c²),
         // mu = ln(m) − sigma²/2.
         let sigma2 = (1.0 + self.work_cv * self.work_cv).ln();
@@ -162,7 +162,7 @@ pub struct ServiceMix {
 
 impl ServiceMix {
     /// Build from `(kind, weight)` pairs; weights are normalized.
-    pub fn new(entries: &[(ServiceKind, f64)]) -> Self {
+    pub(crate) fn new(entries: &[(ServiceKind, f64)]) -> Self {
         assert!(!entries.is_empty());
         let total: f64 = entries.iter().map(|(_, w)| w).sum();
         assert!(total > 0.0, "mix weights must sum positive");
@@ -172,11 +172,6 @@ impl ServiceMix {
                 .map(|&(k, w)| (k, w / total))
                 .collect(),
         }
-    }
-
-    /// A single-kernel mix.
-    pub fn pure(kind: ServiceKind) -> Self {
-        ServiceMix::new(&[(kind, 1.0)])
     }
 
     /// The AliOS normal-user mix: overwhelmingly light page/text traffic
@@ -195,7 +190,8 @@ impl ServiceMix {
     }
 
     /// The normalized weight of `kind` in this mix.
-    pub fn weight(&self, kind: ServiceKind) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn weight(&self, kind: ServiceKind) -> f64 {
         self.entries
             .iter()
             .find(|(k, _)| *k == kind)
@@ -204,7 +200,7 @@ impl ServiceMix {
     }
 
     /// Draw a kernel.
-    pub fn sample(&self, rng: &mut SimRng) -> ServiceKind {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> ServiceKind {
         let mut u = rng.unit_f64();
         for &(k, w) in &self.entries {
             if u < w {
@@ -305,14 +301,5 @@ mod tests {
         assert!(mix.weight(ServiceKind::TextCont) >= 0.75);
         let total: f64 = ServiceKind::ALL.iter().map(|&k| mix.weight(k)).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pure_mix_always_samples_kind() {
-        let mix = ServiceMix::pure(ServiceKind::KMeans);
-        let mut rng = SimRng::new(5);
-        for _ in 0..100 {
-            assert_eq!(mix.sample(&mut rng), ServiceKind::KMeans);
-        }
     }
 }

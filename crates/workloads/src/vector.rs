@@ -105,7 +105,7 @@ impl Envelope {
 
     /// Peak rate multiplier (what a per-poll-window rate check sees at
     /// the worst moment).
-    pub fn peak_factor(&self) -> f64 {
+    pub(crate) fn peak_factor(&self) -> f64 {
         match self {
             Envelope::Constant => 1.0,
             Envelope::OnOffBurst { duty, .. } => 1.0 / duty,
@@ -144,7 +144,8 @@ impl Envelope {
     /// seconds at base rate `rate` — the volume-conservation invariant:
     /// equal to `rate · window` whenever the window closes an integer
     /// number of burst periods (and always, for the other shapes).
-    pub fn expected_volume(&self, rate: f64, window: SimDuration) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expected_volume(&self, rate: f64, window: SimDuration) -> f64 {
         let w = window.as_secs_f64();
         match *self {
             Envelope::Constant | Envelope::LowAndSlow => rate * w,
@@ -183,7 +184,7 @@ pub enum SourcePlan {
 impl SourcePlan {
     /// Resolve to a concrete bot count for an open-loop rate under an
     /// envelope (closed-loop tools pass their concurrency as `rate`).
-    pub fn bots(&self, rate: f64, envelope: Envelope) -> u32 {
+    pub(crate) fn bots(&self, rate: f64, envelope: Envelope) -> u32 {
         match *self {
             SourcePlan::Single => 1,
             SourcePlan::Botnet { bots } => {
@@ -367,7 +368,7 @@ impl AttackVector {
 
     /// Launch one of the Fig 3 flood kinds.
     #[allow(clippy::too_many_arguments)]
-    pub fn flood(
+    pub(crate) fn flood(
         kind: FloodKind,
         rate: f64,
         source_base: u32,
@@ -507,26 +508,27 @@ impl AttackVector {
     /// legacy clock; other envelopes thin a unit-rate exponential across
     /// the piecewise-constant rate segments (one draw per arrival either
     /// way, same stream).
-    pub fn with_envelope(mut self, envelope: Envelope) -> Self {
+    pub(crate) fn with_envelope(mut self, envelope: Envelope) -> Self {
         envelope.validate();
         self.envelope = envelope;
         self
     }
 
     /// Override the per-request demand character.
-    pub fn with_resources(mut self, profile: ResourceProfile) -> Self {
+    pub(crate) fn with_resources(mut self, profile: ResourceProfile) -> Self {
         profile.apply(&mut self.demand);
         self
     }
 
     /// Replace the report label.
-    pub fn with_label(mut self, label: String) -> Self {
+    pub(crate) fn with_label(mut self, label: String) -> Self {
         self.label = label;
         self
     }
 
     /// Aggregate rate for open-loop tools.
-    pub fn rate(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn rate(&self) -> Option<f64> {
         match self.tool {
             AttackTool::HttpLoad { rate } => Some(rate),
             AttackTool::ApacheBench { .. } => None,
@@ -534,38 +536,38 @@ impl AttackVector {
     }
 
     /// Per-bot *average* rate for open-loop tools.
-    pub fn per_bot_rate(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn per_bot_rate(&self) -> Option<f64> {
         self.rate().map(|r| r / self.bots as f64)
     }
 
     /// Per-bot **peak** rate: what a per-poll-window rate check sees at
     /// the envelope's worst moment.
-    pub fn per_bot_peak_rate(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn per_bot_peak_rate(&self) -> Option<f64> {
         self.per_bot_rate().map(|r| r * self.envelope.peak_factor())
     }
 
     /// Number of bot addresses.
-    pub fn bots(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn bots(&self) -> u32 {
         self.bots
     }
 
     /// Blocked events observed so far.
-    pub fn blocked_seen(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn blocked_seen(&self) -> u64 {
         self.blocked_seen
     }
 
-    /// The attack window `[start, stop)`.
-    pub fn window(&self) -> (SimTime, SimTime) {
-        (self.start, self.stop)
-    }
-
     /// The URL currently being flooded.
-    pub fn current_url(&self) -> UrlId {
+    pub(crate) fn current_url(&self) -> UrlId {
         self.demand.url
     }
 
     /// Completed target moves (rotations / retargets) so far.
-    pub fn moves(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn moves(&self) -> u64 {
         match &self.moves {
             MoveState::Fixed => 0,
             MoveState::Rotating { moves, .. } | MoveState::Concentrating { moves, .. } => *moves,
@@ -573,7 +575,8 @@ impl AttackVector {
     }
 
     /// The URL range a rotating plan hops over (`None` otherwise).
-    pub fn url_range(&self) -> Option<std::ops::Range<u16>> {
+    #[cfg(test)]
+    pub(crate) fn url_range(&self) -> Option<std::ops::Range<u16>> {
         match &self.moves {
             MoveState::Rotating {
                 url_base,
@@ -594,7 +597,8 @@ impl AttackVector {
 
     /// The one URL of `rack`'s congruence class within a concentrating
     /// plan's range (`None` otherwise).
-    pub fn url_for(&self, rack: usize) -> Option<UrlId> {
+    #[cfg(test)]
+    pub(crate) fn url_for(&self, rack: usize) -> Option<UrlId> {
         match &self.moves {
             MoveState::Concentrating {
                 racks, url_base, ..
@@ -909,7 +913,7 @@ impl AttackVectorSpec {
 
     /// Materialize the vector over the id/address/seed placement the
     /// caller owns (see `ScenarioBuilder` for the automatic bookkeeping).
-    pub fn build(
+    pub(crate) fn build(
         &self,
         source_base: u32,
         id_base: u64,

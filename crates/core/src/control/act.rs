@@ -204,7 +204,7 @@ mod tests {
 
     /// A fault layer over a one-node cluster.
     fn fault_layer(cfg: FaultConfig) -> FaultLayer {
-        FaultLayer::new(ShardFaultPlan::new(cfg, 1, 0, 1, &RngFactory::new(7)).unwrap())
+        FaultLayer::new(ShardFaultPlan::new(cfg, 1, &RngFactory::new(7)).unwrap())
     }
 
     fn lossy_fault_layer() -> FaultLayer {

@@ -49,14 +49,14 @@ impl FilterStage {
                 let est = h.telemetry.estimate(now, readings, node_dead, per_node_nameplate_w);
                 let engaged = h.watchdog.observe(now, est.coverage);
                 ClusterView {
-                    condition: self.monitor.observe(now, est.power_w),
+                    condition: self.monitor.observe(est.power_w),
                     observed_w: est.power_w,
                     coverage: est.coverage,
                     watchdog_engaged: engaged,
                 }
             }
             _ => ClusterView {
-                condition: self.monitor.observe(now, true_power_w),
+                condition: self.monitor.observe(true_power_w),
                 observed_w: true_power_w,
                 coverage: 1.0,
                 watchdog_engaged: false,
@@ -82,7 +82,7 @@ mod tests {
     fn stage(n_nodes: usize) -> FilterStage {
         let budget = PowerBudget::for_cluster(400.0, BudgetLevel::Normal);
         FilterStage {
-            monitor: PowerMonitor::new(budget, 10, 1).unwrap(),
+            monitor: PowerMonitor::new(budget, 1).unwrap(),
             hardening: Some(Hardening {
                 telemetry: TelemetryHealth::new(n_nodes, SimDuration::from_secs(5)),
                 watchdog: Watchdog::new(0.5, 3),
@@ -148,7 +148,7 @@ mod tests {
     fn unhardened_stage_passes_truth_through() {
         let budget = PowerBudget::for_cluster(400.0, BudgetLevel::Normal);
         let mut f = FilterStage {
-            monitor: PowerMonitor::new(budget, 10, 1).unwrap(),
+            monitor: PowerMonitor::new(budget, 1).unwrap(),
             hardening: None,
         };
         let v = f.run(SimTime::from_secs(1), 160.0, None, ALIVE, 100.0);

@@ -319,7 +319,7 @@ impl ControlPipeline {
     ) -> Self {
         let budget = PowerBudget::for_cluster(cfg.aggregate_nameplate_w(), cfg.budget);
         let monitor =
-            PowerMonitor::new(budget, 10, 1).expect("hard-coded monitor parameters are valid");
+            PowerMonitor::new(budget, 1).expect("hard-coded monitor parameters are valid");
         let hardening = hardened.then(|| filter::Hardening {
             telemetry: TelemetryHealth::new(
                 cfg.servers,

@@ -89,7 +89,7 @@ mod tests {
             .collect();
         let node_dead = vec![false; n];
         let mut plan = FaultLayer::new(
-            ShardFaultPlan::new(FaultConfig::default(), n, 0, n, &RngFactory::new(3)).unwrap(),
+            ShardFaultPlan::new(FaultConfig::default(), n, &RngFactory::new(3)).unwrap(),
         );
         let mut stage = SenseStage::default();
         let readings = stage.run(SimTime::from_secs(1), &nodes, &node_dead, Some(&mut plan));

@@ -189,8 +189,8 @@ pub(crate) mod testutil {
     /// demand and supply; the condition is derived from a fresh monitor.
     pub(crate) fn input(demand_w: f64, supply_frac: BudgetLevel, utils: [f64; 4]) -> ControlInput {
         let budget = PowerBudget::for_cluster(400.0, supply_frac);
-        let mut monitor = PowerMonitor::new(budget, 5, 1).unwrap();
-        let condition = monitor.observe(SimTime::from_secs(1), demand_w);
+        let mut monitor = PowerMonitor::new(budget, 1).unwrap();
+        let condition = monitor.observe(demand_w);
         ControlInput {
             now: SimTime::from_secs(1),
             supply_w: budget.supply_w,

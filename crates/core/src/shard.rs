@@ -18,9 +18,11 @@
 //! One slot cycle:
 //!
 //! ```text
-//! phase A (seq): merged sources ─► admission ─► scheme admit ─► NLB route
-//!                          └──► per-shard arrival inboxes
-//! phase B (par): shard event loops (arrive/complete/settle) + SoA
+//! phase A (coordinator): merged sources ─► admission ─► scheme admit ─► NLB route
+//!                        └──► one batch per shard, handed to its owner
+//!                             every INBOX_BOUND routed arrivals
+//! phase B (shard owners, overlapping A): replay each batch up to its
+//!                        routing instant; after the last, close at t1
 //! phase C (seq): outbox drain ─► physics ─► Sense ─► run_slot ─► Act
 //!                ─► Account
 //! ```
@@ -29,20 +31,29 @@
 //! daemon runs on its samples (Filter → Learn → watchdogs → read-back
 //! sweep → Decide → rack guard).
 //!
-//! # Bounded slot buffers
+//! # Pipelined window, bounded slot buffers
 //!
-//! At one shard the arrival inbox holds at most `INBOX_BOUND` entries:
-//! when routing fills it, the coordinator advances the shard inline to
-//! the current routing instant (events only; energy integration still
-//! closes at the slot boundary) and drains its Learn hooks. This moves
-//! no event: routing reads no shard state between boundaries (feedback,
-//! NLB load sync and dead masks are all applied at the boundary),
-//! arrivals are routed in nondecreasing time, and the shard loop is a
-//! merge in which the heap wins ties — so interrupting it at `now` and
-//! resuming later yields the same event order. With more shards the
-//! inboxes drain in the parallel phase B: a mid-slot advance there
-//! would add a parallel region per inbox-full, while a lone shard has
-//! no parallelism to lose.
+//! Phases A and B overlap. The coordinator routes arrivals into one
+//! batch per shard and, every `INBOX_BOUND` routed arrivals, hands each
+//! non-empty batch to the shard's owner together with the current
+//! routing instant; the owner replays the shard's events up to that
+//! instant (events only: energy integration still closes at the slot
+//! boundary). The coordinator owns shard 0 and advances it inline.
+//! Shards 1.. belong to the worker threads [`simcore::par::helpers`]
+//! grants — none inside a sweep's parallel chunk, and with none the
+//! coordinator owns every shard — which receive batches over a bounded
+//! channel and send the emptied buffers back for reuse. After the last
+//! batch each owner advances its shards to the boundary and the window
+//! joins. Every batch, and so every shard's pending arrivals, holds at
+//! most `INBOX_BOUND` entries whatever the arrival rate.
+//!
+//! This moves no event: routing reads no shard state between
+//! boundaries (feedback, NLB load sync and dead masks are all applied
+//! at the boundary, and the shards and nodes are moved out of the
+//! coordinator for the window), arrivals are routed in nondecreasing
+//! time, so none routed later precedes a hand-off's instant, and the
+//! shard loop is a merge in which the heap wins ties — so interrupting
+//! it at that instant and resuming later yields the same event order.
 //!
 //! # Semantics fixed by the slot-aligned design
 //!
@@ -59,8 +70,9 @@
 //! # Determinism contract
 //!
 //! * Same seed + same shard layout ⇒ identical [`SimReport`]s: nothing
-//!   in the cycle depends on thread scheduling — phase B shards touch
-//!   disjoint state and phase C drains them in a fixed order.
+//!   in the cycle depends on thread scheduling — each shard has one
+//!   owner per window, which replays its batches in routing order, and
+//!   phase C drains the shards in a fixed order.
 //! * Same seed at *any* shard count ⇒ **byte-identical** reports, with
 //!   or without fault injection. Three mechanisms carry the guarantee:
 //!   the slot-boundary power aggregate is one flat scan in global node
@@ -104,7 +116,9 @@ use simcore::faults::ShardFaultPlan;
 use simcore::fxhash::FxHashMap;
 use simcore::rng::{streams, RngFactory, SimRng};
 use simcore::{par, SimTime};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use workloads::fanout::MergedSources;
 use workloads::source::{SourceEvent, TrafficSource};
 
@@ -147,11 +161,26 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Arrivals a lone shard's inbox may hold before the coordinator
-/// advances it mid-slot (see `ShardedClusterSim::flush_single_shard`).
-/// Bounds the per-slot buffers under a flood instead of letting them
-/// grow with the arrival rate.
+/// Routed arrivals between two hand-offs to the shard owners (see the
+/// module doc), so no shard's pending batch exceeds it. Bounds the
+/// per-slot buffers under a flood instead of letting them grow with the
+/// arrival rate.
 const INBOX_BOUND: usize = 1024;
+
+/// Batches a worker's channel holds before the coordinator waits for
+/// it to catch up.
+const BATCHES_IN_FLIGHT: usize = 2;
+
+/// A routed arrival: `(time, source, global node, request)`.
+type Arrival = (SimTime, usize, usize, Request);
+
+/// One hand-off to a worker: shard `shard`'s routed arrivals, all at or
+/// before `until`, the instant the worker may advance the shard to.
+struct Batch {
+    shard: usize,
+    arrivals: Vec<Arrival>,
+    until: SimTime,
+}
 
 /// Total delivery order of source feedback: `(time, source, kind,
 /// client)`. Two entries with equal keys are identical.
@@ -164,9 +193,9 @@ fn feedback_key(&(t, src, ev): &(SimTime, usize, SourceEvent)) -> (SimTime, usiz
     (t, src, rank, id.0)
 }
 
-/// Learn-stage hook replay, drained when a lone shard is advanced
-/// mid-slot and at the slot boundary (node indices are global). The hooks are
-/// counters, so replay order is irrelevant.
+/// Learn-stage hook replay, drained after each batch the coordinator
+/// advances inline and at the slot boundary (node indices are global).
+/// The hooks are counters, so replay order is irrelevant.
 #[derive(Debug, Clone, Copy)]
 enum LearnEvt {
     Dispatch { node: usize, url: UrlId },
@@ -197,9 +226,6 @@ pub(crate) struct Shard {
     /// global node order at finalize for layout-invariant means.
     normal_sum: Vec<OnlineSummary>,
     attack_sum: Vec<OnlineSummary>,
-    /// Arrivals for the current slot, in delivery order
-    /// (`(time, source, local node, request)`).
-    inbox: VecDeque<(SimTime, usize, usize, Request)>,
     /// Completion predictions and DVFS settles.
     heap: BinaryHeap<HeapEntry>,
     /// Monotonic tiebreaker for heap entries.
@@ -249,7 +275,6 @@ impl Shard {
             last_t: vec![SimTime::ZERO; nodes.len()],
             normal_sum: vec![OnlineSummary::new(); nodes.len()],
             attack_sum: vec![OnlineSummary::new(); nodes.len()],
-            inbox: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             owner: FxHashMap::default(),
@@ -328,11 +353,6 @@ impl Shard {
         }
     }
 
-    /// Queue an arrival routed to local node `j` (phase A, coordinator).
-    fn enqueue_arrival(&mut self, t: SimTime, src: usize, j: usize, req: Request) {
-        self.inbox.push_back((t, src, j, req));
-    }
-
     /// Queue a DVFS settle staged by the boundary control plane.
     fn push_settle(&mut self, time: SimTime, j: usize) {
         self.seq += 1;
@@ -367,22 +387,29 @@ impl Shard {
         }
     }
 
-    /// Phase B: replay this shard's events up to and including `t1`,
-    /// then close the slot — integrate every node's energy to `t1`.
-    fn advance(&mut self, nodes: &mut [ComputeNode], t1: SimTime) {
-        self.run_until(nodes, t1);
+    /// Phase B's close: replay this shard's events, `arrivals`
+    /// included, up to and including `t1`, then integrate every node's
+    /// energy to `t1`.
+    fn advance(&mut self, nodes: &mut [ComputeNode], arrivals: &mut Vec<Arrival>, t1: SimTime) {
+        self.run_until(nodes, arrivals, t1);
         self.integrate_all(t1);
     }
 
     /// Replay this shard's events up to and including `t`: a merge of
-    /// the arrival inbox and the event heap in which the heap wins ties.
-    /// Stopping at `t` and resuming later yields the same event order as
-    /// one uninterrupted call, provided every arrival queued afterwards
-    /// is no earlier than `t`.
-    fn run_until(&mut self, nodes: &mut [ComputeNode], t: SimTime) {
+    /// `arrivals` (in routing order, none later than `t`; drained) and
+    /// the event heap in which the heap wins ties. Stopping at `t` and
+    /// resuming later yields the same event order as one uninterrupted
+    /// call, provided every arrival routed afterwards is no earlier than
+    /// `t`.
+    fn run_until(&mut self, nodes: &mut [ComputeNode], arrivals: &mut Vec<Arrival>, t: SimTime) {
+        assert!(
+            arrivals.last().is_none_or(|a| a.0 <= t),
+            "a batch holds an arrival after its instant"
+        );
+        let mut arrivals = arrivals.drain(..).peekable();
         loop {
             let th = self.heap.peek().map(|e| e.time);
-            let ta = self.inbox.front().map(|a| a.0);
+            let ta = arrivals.peek().map(|a| a.0);
             // Earliest of the two queues; heap wins ties so completions
             // at an instant precede arrivals at the same instant.
             let take_heap = match (th, ta) {
@@ -420,8 +447,8 @@ impl Shard {
                     }
                 }
             } else {
-                let (at, src, j, req) = self.inbox.pop_front().expect("peeked arrival vanished");
-                self.handle_arrival(at, src, j, req, nodes);
+                let (at, src, g, req) = arrivals.next().expect("peeked arrival vanished");
+                self.handle_arrival(at, src, g - self.start, req, nodes);
             }
         }
     }
@@ -602,7 +629,6 @@ impl Shard {
             self.inflight[j] = 0;
         }
         self.heap.clear();
-        self.inbox.clear();
     }
 }
 
@@ -649,9 +675,106 @@ struct Resilience {
     rerouted: u64,
 }
 
+/// The shard owners of one window: the coordinator advances `mine`
+/// inline, and each worker a contiguous run of the other shards from
+/// the batches it receives.
+struct Owners<'w> {
+    /// The coordinator's shards, from shard 0, and their nodes.
+    mine: &'w mut [Shard],
+    my_nodes: &'w mut [ComputeNode],
+    /// Per worker: the shards it owns and its batch channel.
+    workers: Vec<(Range<usize>, SyncSender<Batch>)>,
+    /// Emptied batch buffers the workers send back.
+    back: Receiver<Vec<Arrival>>,
+}
+
+impl Owners<'_> {
+    /// Hand every non-empty batch to its shard's owner with the routing
+    /// instant `until`: workers' batches go first, so they run while the
+    /// coordinator advances its own shards and drains their Learn hooks.
+    fn hand_off(
+        &mut self,
+        batches: &mut [Vec<Arrival>],
+        spare: &mut Vec<Vec<Arrival>>,
+        mut learn: Option<&mut LearnStage>,
+        until: SimTime,
+    ) {
+        self.send(batches, spare, until);
+        for (sh, batch) in self.mine.iter_mut().zip(batches) {
+            if !batch.is_empty() {
+                let nodes = &mut self.my_nodes[sh.start()..sh.start() + sh.len()];
+                sh.run_until(nodes, batch, until);
+                sh.drain_learn(learn.as_deref_mut());
+            }
+        }
+    }
+
+    /// The window's last hand-off: every batch runs to `t1`, the
+    /// workers are told no batch follows, and every shard closes the
+    /// slot at `t1`.
+    fn close(&mut self, batches: &mut [Vec<Arrival>], spare: &mut Vec<Vec<Arrival>>, t1: SimTime) {
+        self.send(batches, spare, t1);
+        self.workers.clear();
+        for (sh, batch) in self.mine.iter_mut().zip(batches) {
+            let nodes = &mut self.my_nodes[sh.start()..sh.start() + sh.len()];
+            sh.advance(nodes, batch, t1);
+        }
+    }
+
+    /// Send the workers' non-empty batches, replacing each with a
+    /// returned buffer.
+    fn send(
+        &mut self,
+        batches: &mut [Vec<Arrival>],
+        spare: &mut Vec<Vec<Arrival>>,
+        until: SimTime,
+    ) {
+        spare.extend(self.back.try_iter());
+        for (owned, tx) in &self.workers {
+            for shard in owned.clone() {
+                if batches[shard].is_empty() {
+                    continue;
+                }
+                let fresh = spare.pop().unwrap_or_default();
+                let arrivals = std::mem::replace(&mut batches[shard], fresh);
+                // Fails only if the worker panicked, and the window's
+                // join resumes that panic.
+                let _ = tx.send(Batch { shard, arrivals, until });
+            }
+        }
+    }
+}
+
+/// A worker's window over `shards` (the first is shard `first`) and
+/// their `nodes`: replay each batch up to its instant and send the
+/// emptied buffer back; once the coordinator hangs up, close every
+/// shard at `t1`.
+fn work(
+    shards: &mut [Shard],
+    nodes: &mut [ComputeNode],
+    first: usize,
+    batches: Receiver<Batch>,
+    back: Sender<Vec<Arrival>>,
+    t1: SimTime,
+) {
+    let base = shards[0].start();
+    let span = |sh: &Shard| sh.start() - base..sh.start() - base + sh.len();
+    for Batch { shard, mut arrivals, until } in batches {
+        let sh = &mut shards[shard - first];
+        let own = span(sh);
+        sh.run_until(&mut nodes[own], &mut arrivals, until);
+        // The coordinator may have stopped listening only if it panicked.
+        let _ = back.send(arrivals);
+    }
+    for sh in shards {
+        let own = span(sh);
+        sh.advance(&mut nodes[own], &mut Vec::new(), t1);
+    }
+}
+
 /// The sharded cluster engine: a sequential coordinator (sources,
-/// perimeter, NLB, control plane, physics) driving parallel dataplane
-/// shards with slot-aligned conservative synchronization.
+/// perimeter, NLB, control plane, physics) driving dataplane shards
+/// with slot-aligned conservative synchronization.
 pub struct ShardedClusterSim {
     config: ClusterConfig,
     horizon: SimTime,
@@ -665,6 +788,12 @@ pub struct ShardedClusterSim {
     pipeline: ControlPipeline,
     sources: MergedSources,
     shards: Vec<Shard>,
+    /// Routed arrivals per shard since the last hand-off to its owner.
+    batches: Vec<Vec<Arrival>>,
+    /// Arrivals routed since the last hand-off.
+    batched: usize,
+    /// Emptied batch buffers the workers sent back, for reuse.
+    spare: Vec<Vec<Arrival>>,
     /// Global node index → owning shard index.
     owner_shard: Vec<usize>,
     /// Global node index → circuit-breaker pool: the owning rack when a
@@ -740,7 +869,7 @@ impl ShardedClusterSim {
         // from its own stream, so the fault schedule is independent of
         // the partition.
         let fault = cfg.faults.as_ref().map(|fc| {
-            let plan = ShardFaultPlan::new(fc.clone(), cfg.servers, 0, cfg.servers, &master)
+            let plan = ShardFaultPlan::new(fc.clone(), cfg.servers, &master)
                 .expect("fault plan checked by ClusterConfig::validate");
             let keep = plan.battery_capacity_factor();
             if keep < 1.0 {
@@ -802,6 +931,9 @@ impl ShardedClusterSim {
             flows: BatteryFlows::default(),
             pipeline,
             sources: MergedSources::new(sources),
+            batches: (0..shards.len()).map(|_| Vec::new()).collect(),
+            batched: 0,
+            spare: Vec::new(),
             shards,
             owner_shard,
             breaker_pool,
@@ -871,23 +1003,44 @@ impl ShardedClusterSim {
         (sim.finalize(exp, horizon), trace)
     }
 
-    /// The slot loop: advance window, boundary, repeat to the horizon.
+    /// The slot loop to the horizon, with as many workers beside the
+    /// coordinator as [`par::helpers`] grants for the shards past the
+    /// first.
     fn drive_to(&mut self, horizon: SimTime) {
+        self.drive(horizon, par::helpers(self.shards.len() - 1));
+    }
+
+    /// The slot loop: advance window, boundary, repeat to the horizon.
+    fn drive(&mut self, horizon: SimTime, workers: usize) {
         let slot = self.config.control_slot;
         let mut t0 = SimTime::ZERO;
         loop {
             let t1 = t0 + slot;
             if t1 <= horizon {
-                self.advance_window(t1);
+                self.advance_window(t1, workers);
                 self.boundary(t1);
                 t0 = t1;
             } else {
                 if t0 < horizon {
-                    self.advance_window(horizon);
+                    self.advance_window(horizon, workers);
                 }
                 break;
             }
         }
+    }
+
+    /// Run an experiment with `workers` shard workers, whatever the
+    /// host's parallelism.
+    #[cfg(test)]
+    pub(crate) fn run_with_workers(
+        exp: &ExperimentConfig,
+        sources: Vec<Box<dyn TrafficSource>>,
+        workers: usize,
+    ) -> SimReport {
+        let mut sim = Self::new(exp, sources);
+        let horizon = sim.horizon;
+        sim.drive(horizon, workers);
+        sim.finalize(exp, horizon)
     }
 
     /// The shards (exposed for tests and probes).
@@ -896,10 +1049,12 @@ impl ShardedClusterSim {
         &self.shards
     }
 
-    /// Phase A + phase B: route this window's arrivals (interleaved
-    /// with due retries in time order), then advance every shard to
-    /// `t1` in parallel.
-    fn advance_window(&mut self, t1: SimTime) {
+    /// Phase A + phase B, pipelined: route this window's arrivals
+    /// (interleaved with due retries in time order) while the shard
+    /// owners advance the batches already handed off, then close every
+    /// shard at `t1`. The coordinator owns shard 0 — every shard when
+    /// `workers` is 0 — and each worker a near-even run of the rest.
+    fn advance_window(&mut self, t1: SimTime, workers: usize) {
         if self.pipeline.account.outage().is_some() {
             // Dark data center: the feed is open; nothing is served.
             // (`begin_outage` already drained any pending retries.)
@@ -911,6 +1066,52 @@ impl ShardedClusterSim {
             }
             return;
         }
+        // Routing reads no shard state, and holding the shards and nodes
+        // elsewhere for the window makes that structural.
+        let mut shards = std::mem::take(&mut self.shards);
+        let mut nodes = std::mem::take(&mut self.nodes);
+        let workers = workers.min(shards.len() - 1);
+        let first = if workers == 0 { shards.len() } else { 1 };
+        let (mine, theirs) = shards.split_at_mut(first);
+        let split = theirs.first().map_or(nodes.len(), Shard::start);
+        let (my_nodes, their_nodes) = nodes.split_at_mut(split);
+        std::thread::scope(|scope| {
+            let (back_tx, back) = mpsc::channel();
+            let mut handles = Vec::with_capacity(workers);
+            let mut senders = Vec::with_capacity(workers);
+            let (mut shards, mut nodes) = (theirs, their_nodes);
+            let runs = if workers == 0 {
+                Vec::new()
+            } else {
+                near_even(shards.len(), workers)
+            };
+            for (at, len) in runs {
+                let (own, rest) = std::mem::take(&mut shards).split_at_mut(len);
+                let span = own.iter().map(Shard::len).sum();
+                let (own_nodes, rest_nodes) = std::mem::take(&mut nodes).split_at_mut(span);
+                (shards, nodes) = (rest, rest_nodes);
+                let (tx, rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
+                let back_tx = back_tx.clone();
+                let owned = first + at..first + at + len;
+                handles
+                    .push(scope.spawn(move || work(own, own_nodes, owned.start, rx, back_tx, t1)));
+                senders.push((owned, tx));
+            }
+            let mut owners = Owners { mine, my_nodes, workers: senders, back };
+            self.route_window(t1, &mut owners);
+            for h in handles {
+                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            }
+            self.spare.extend(owners.back.try_iter());
+        });
+        self.shards = shards;
+        self.nodes = nodes;
+    }
+
+    /// Phase A's loop: route every arrival and due retry up to `t1` in
+    /// time order, handing the batches to `owners` every
+    /// `INBOX_BOUND` routed arrivals and closing the window at `t1`.
+    fn route_window(&mut self, t1: SimTime, owners: &mut Owners<'_>) {
         // Merge the source feed with the retry queue. `next_arrival_up_to`
         // consumes its arrival, so one is buffered while the retry heap
         // is consulted; ties deliver the retry first (it failed earlier,
@@ -932,7 +1133,8 @@ impl ShardedClusterSim {
                 (Some(_), None) => true,
                 (Some(ra), Some(&(_, ta, _))) => ra <= ta,
             };
-            if take_retry {
+            self.events += 1;
+            let now = if take_retry {
                 let e = self
                     .resilience
                     .as_mut()
@@ -940,25 +1142,21 @@ impl ShardedClusterSim {
                     .pending
                     .pop()
                     .expect("peeked retry entry vanished");
-                self.events += 1;
                 self.dispatch(e.at, e.src, e.req);
+                e.at
             } else {
                 let (i, t, req) = buffered.take().expect("checked above");
-                self.events += 1;
                 self.route_arrival(t, i, req);
+                t
+            };
+            if self.batched >= INBOX_BOUND {
+                self.batched = 0;
+                let Self { batches, spare, pipeline, .. } = self;
+                owners.hand_off(batches, spare, pipeline.learn.as_mut(), now);
             }
         }
-        let Self { shards, nodes, .. } = self;
-        let mut slices: Vec<&mut [ComputeNode]> = Vec::with_capacity(shards.len());
-        let mut rest: &mut [ComputeNode] = nodes;
-        for sh in shards.iter() {
-            let (head, tail) = rest.split_at_mut(sh.len());
-            slices.push(head);
-            rest = tail;
-        }
-        par::map(shards.iter_mut().zip(slices).collect(), |(sh, slice)| {
-            sh.advance(slice, t1)
-        });
+        self.batched = 0;
+        owners.close(&mut self.batches, &mut self.spare, t1);
     }
 
     /// Phase A per arrival: perimeter, admission, routing — in global
@@ -995,12 +1193,12 @@ impl ShardedClusterSim {
             return;
         }
 
-        // 3. Forward into the owning shard's inbox.
+        // 3. Forward into the owning shard's batch.
         self.dispatch(now, src_idx, req);
     }
 
-    /// Route a request (fresh or retried) through the NLB into a shard
-    /// inbox. With a resilience policy, a dispatch aimed at a breaker-
+    /// Route a request (fresh or retried) through the NLB into its
+    /// shard's batch. With a resilience policy, a dispatch aimed at a breaker-
     /// blocked pool is re-routed to a surviving pool, and a dispatch
     /// landing on a dead node becomes a failed attempt (retried after
     /// timeout + backoff) instead of a silent drop.
@@ -1030,23 +1228,8 @@ impl ShardedClusterSim {
             }
             return;
         }
-        let s = self.owner_shard[target];
-        let local = target - self.shards[s].start();
-        self.shards[s].enqueue_arrival(now, src_idx, local, req);
-        if self.shards.len() == 1 && self.shards[0].inbox.len() >= INBOX_BOUND {
-            self.flush_single_shard(now);
-        }
-    }
-
-    /// Advance the only shard to `now` so its inbox stays bounded:
-    /// events only — energy integration still closes at the slot
-    /// boundary — then drain its queued Learn hooks. Routing reads no
-    /// shard state between boundaries and arrivals are routed in
-    /// nondecreasing time, so this changes no event order.
-    fn flush_single_shard(&mut self, now: SimTime) {
-        let Self { shards, nodes, pipeline, .. } = self;
-        shards[0].run_until(nodes, now);
-        shards[0].drain_learn(pipeline.learn.as_mut());
+        self.batches[self.owner_shard[target]].push((now, src_idx, target, req));
+        self.batched += 1;
     }
 
     /// First alive node in an unblocked pool, scanning from node 0 —
@@ -1054,7 +1237,7 @@ impl ShardedClusterSim {
     /// every request, which the per-slot NLB load sync then corrects.
     fn pick_alternate(&self, now: SimTime) -> Option<usize> {
         let r = self.resilience.as_ref()?;
-        (0..self.nodes.len())
+        (0..self.node_dead.len())
             .find(|&g| !self.node_dead[g] && !r.breakers.blocked(self.breaker_pool[g], now))
     }
 
@@ -1787,28 +1970,64 @@ mod tests {
         assert_eq!(starts, vec![0, 6, 11]);
     }
 
+    fn flood(rate: f64) -> ScenarioBuilder {
+        ScenarioBuilder::new()
+            .with_attack(AttackTool::HttpLoad { rate }, ServiceKind::CollaFilt, 40, 0)
+            .pinned(50_000, 1 << 40, SeedPin::Raw)
+    }
+
     #[test]
     fn flooded_inbox_stays_within_its_bound() {
-        // 10,000 req/s on one shard: several inbox-fulls per slot, so
-        // only the mid-slot advance keeps the inbox small.
-        let e = exp(1, SchemeKind::AntiDope, 10);
+        // 10,000 req/s: several hand-offs per slot, so only the
+        // pipelined window keeps each shard's pending batch small.
+        for shards in [1, 2, 4] {
+            let e = exp(shards, SchemeKind::AntiDope, 10);
+            let horizon = SimTime::ZERO + e.duration;
+            let mut sim = ShardedClusterSim::new(&e, flood(10_000.0).build(e.seed, horizon));
+            sim.drive(horizon, shards - 1);
+            let events: u64 = sim.shards().iter().map(Shard::events_processed).sum();
+            assert!(
+                events > 10 * 2 * INBOX_BOUND as u64,
+                "flood too thin to fill a batch: {events} events"
+            );
+            for batch in sim.batches.iter().chain(&sim.spare) {
+                assert!(
+                    batch.capacity() <= INBOX_BOUND.next_power_of_two(),
+                    "{shards} shards: a batch grew to {} entries",
+                    batch.capacity()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reports_are_byte_identical_at_any_worker_count() {
+        // Flooded (several hand-offs per slot), retrying and chaotic at
+        // 4 shards: the coordinator alone, one worker owning shards
+        // 1..4, and one worker per shard.
+        let mut e = chaotic_exp(4, 12);
+        e.cluster.retry = Some(RetryConfig::default());
         let horizon = SimTime::ZERO + e.duration;
-        let flood = ScenarioBuilder::new()
-            .with_attack(AttackTool::HttpLoad { rate: 10_000.0 }, ServiceKind::CollaFilt, 40, 0)
-            .pinned(50_000, 1 << 40, SeedPin::Raw);
-        let mut sim = ShardedClusterSim::new(&e, flood.build(e.seed, horizon));
-        sim.drive_to(horizon);
-        let sh = &sim.shards()[0];
+        let run = |workers| {
+            let sources = testutil::users(120.0)
+                .with_attack(AttackTool::HttpLoad { rate: 4_000.0 }, ServiceKind::CollaFilt, 40, 0)
+                .pinned(50_000, 1 << 40, SeedPin::Raw)
+                .build(e.seed, horizon);
+            ShardedClusterSim::run_with_workers(&e, sources, workers)
+        };
+        let base = run(0);
+        let retry = base.retry.as_ref().expect("retry policy configured");
+        assert!(retry.attempts > 0, "retries fired: {retry:?}");
         assert!(
-            sh.events_processed() > 10 * 2 * INBOX_BOUND as u64,
-            "flood too thin to fill the inbox: {} events",
-            sh.events_processed()
+            base.traffic.offered > 12 * 2 * INBOX_BOUND as u64,
+            "flood too thin to hand off mid-slot: {}",
+            base.traffic.offered
         );
-        assert!(
-            sh.inbox.capacity() <= INBOX_BOUND.next_power_of_two(),
-            "inbox grew to {} entries",
-            sh.inbox.capacity()
-        );
+        let base = format!("{base:?}");
+        for workers in [1, 3] {
+            let other = format!("{:?}", run(workers));
+            assert_eq!(base, other, "report drifted with {workers} workers");
+        }
     }
 
     #[test]

@@ -2,41 +2,39 @@
 //! [`ControlTrace`], actuation captured in memory for comparison.
 
 use antidope::{
-    ActuationTransport, ControlTrace, DecisionRecord, PlaneSample, SlotTick, TelemetryTransport,
-    TransportError,
+    ActuationTransport, ControlTrace, DecisionRecord, PlaneSample, SlotRecord, SlotTick,
+    TelemetryTransport, TransportError,
 };
 use simcore::SimTime;
 
 /// Feeds the recorded per-slot [`PlaneSample`]s of a trace back to the
-/// pipeline, one per tick, in recorded order. Each sample is moved out
-/// to the pipeline, not cloned.
+/// pipeline, one per tick, in recorded order. The trace is borrowed;
+/// each `sample` call clones the one sample it returns.
 #[derive(Debug, Clone)]
-pub struct ReplayTelemetry {
-    slots: std::vec::IntoIter<(u64, PlaneSample)>,
+pub struct ReplayTelemetry<'a> {
+    slots: std::slice::Iter<'a, SlotRecord>,
 }
 
-impl ReplayTelemetry {
+impl<'a> ReplayTelemetry<'a> {
     /// Telemetry over the samples of `trace`.
-    pub fn from_trace(trace: &ControlTrace) -> Self {
-        let mut slots = Vec::with_capacity(trace.slots.len());
-        slots.extend(trace.slots.iter().map(|s| (s.slot, s.sample.clone())));
-        ReplayTelemetry { slots: slots.into_iter() }
+    pub fn from_trace(trace: &'a ControlTrace) -> Self {
+        ReplayTelemetry { slots: trace.slots.iter() }
     }
 }
 
-impl TelemetryTransport for ReplayTelemetry {
+impl TelemetryTransport for ReplayTelemetry<'_> {
     fn sample(&mut self, tick: &SlotTick) -> Result<PlaneSample, TransportError> {
-        let (slot, _) = self.slots.as_slice().first().ok_or(TransportError::Exhausted)?;
-        if *slot != tick.slot {
+        let record = self.slots.as_slice().first().ok_or(TransportError::Exhausted)?;
+        if record.slot != tick.slot {
             // The trace has no record for this tick — the clock and the
             // telemetry were built from different traces.
             return Err(TransportError::Malformed(format!(
-                "trace slot {slot} does not match clock tick {}",
-                tick.slot
+                "trace slot {} does not match clock tick {}",
+                record.slot, tick.slot
             )));
         }
-        let (_, sample) = self.slots.next().ok_or(TransportError::Exhausted)?;
-        Ok(sample)
+        self.slots.next();
+        Ok(record.sample.clone())
     }
 }
 

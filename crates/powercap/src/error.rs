@@ -66,8 +66,8 @@ mod tests {
             value: -1.0,
         };
         assert!(format!("{e}").contains("capacity_j"));
-        let e = ConfigError::ZeroCount { what: "window_len" };
-        assert!(format!("{e}").contains("window_len"));
+        let e = ConfigError::ZeroCount { what: "emergency_after" };
+        assert!(format!("{e}").contains("emergency_after"));
         let e = ConfigError::OutOfRange {
             what: "charge_efficiency",
             value: 2.0,

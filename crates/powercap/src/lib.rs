@@ -19,7 +19,7 @@
 //!   Low-PB provisioning levels (100 / 90 / 85 / 80 %).
 //! * [`Breaker`] — the sustained-overload breaker on a power feed, one
 //!   type for the flat cluster feed and every level of a power tree.
-//! * [`PowerMonitor`] — sliding-window budget-violation detector feeding
+//! * [`PowerMonitor`] — consecutive-sample budget-violation detector feeding
 //!   the control loop.
 //! * [`UniformCapper`] — the search primitive behind the paper's
 //!   `Capping` baseline: the highest uniform P-state that satisfies the

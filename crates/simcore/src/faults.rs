@@ -224,23 +224,6 @@ pub struct FaultCounts {
     pub reboots: u64,
 }
 
-impl FaultCounts {
-    /// Fold another counter set into this one (all fields are `u64`
-    /// sums, so merging is associative and layout-independent).
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &FaultCounts) {
-        self.sensor_dropouts += other.sensor_dropouts;
-        self.sensor_stuck += other.sensor_stuck;
-        self.sensor_stale += other.sensor_stale;
-        self.blackout_samples += other.blackout_samples;
-        self.actuator_lost += other.actuator_lost;
-        self.actuator_delayed += other.actuator_delayed;
-        self.actuator_stuck += other.actuator_stuck;
-        self.crashes += other.crashes;
-        self.reboots += other.reboots;
-    }
-}
-
 /// Per-node runtime fault state.
 #[derive(Debug, Clone)]
 struct NodeFaultState {
@@ -343,12 +326,10 @@ fn actuate_node(
     ActuationFault::Clean
 }
 
-/// The runtime fault process for one dataplane shard of the cluster
-/// engine: a validated [`FaultConfig`] plus per-node state, covering the
-/// contiguous global node range `[start, start + len)`. A plan built
-/// with `start = 0, len = n` covers a whole `n`-node cluster.
+/// The runtime fault process of a cluster: a validated [`FaultConfig`]
+/// plus per-node state for every node.
 ///
-/// Each node owns its own PRNG stream derived from its *global* index
+/// Each node owns its own PRNG stream derived from its index
 /// (`RngFactory::stream_n` with `streams::FAULTS`). Draw order
 /// between nodes is therefore irrelevant and no draw ever crosses a
 /// shard boundary, so the same seed produces byte-identical fault
@@ -356,42 +337,29 @@ fn actuate_node(
 #[derive(Debug, Clone)]
 pub struct ShardFaultPlan {
     cfg: FaultConfig,
-    /// First global node index this plan covers.
-    start: usize,
-    /// One dedicated stream per covered node, indexed by local offset.
+    /// One dedicated stream per node.
     rngs: Vec<SimRng>,
     nodes: Vec<NodeFaultState>,
-    /// Which scheduled crashes already fired (full `cfg.crashes` length;
-    /// entries naming out-of-range nodes simply never fire here).
+    /// Which scheduled crashes already fired.
     fired: Vec<bool>,
     counts: FaultCounts,
 }
 
 impl ShardFaultPlan {
-    /// Build the plan for the shard owning global nodes
-    /// `[start, start + len)` of a `n_nodes_total`-node cluster. All
-    /// public methods take *global* node indices.
+    /// Build the plan for an `n_nodes`-node cluster.
     pub fn new(
         cfg: FaultConfig,
-        n_nodes_total: usize,
-        start: usize,
-        len: usize,
+        n_nodes: usize,
         factory: &RngFactory,
     ) -> Result<Self, FaultError> {
-        cfg.validate(n_nodes_total)?;
-        assert!(
-            start + len <= n_nodes_total,
-            "shard range [{start}, {}) exceeds cluster size {n_nodes_total}",
-            start + len
-        );
+        cfg.validate(n_nodes)?;
         let fired = vec![false; cfg.crashes.len()];
         Ok(ShardFaultPlan {
             cfg,
-            start,
-            rngs: (start..start + len)
+            rngs: (0..n_nodes)
                 .map(|g| factory.stream_n(streams::FAULTS, g as u64))
                 .collect(),
-            nodes: (0..len).map(|_| NodeFaultState::new()).collect(),
+            nodes: (0..n_nodes).map(|_| NodeFaultState::new()).collect(),
             fired,
             counts: FaultCounts::default(),
         })
@@ -402,59 +370,44 @@ impl ShardFaultPlan {
         &self.cfg
     }
 
-    /// Lifetime fault counters for this shard's nodes.
+    /// Lifetime fault counters.
     pub fn counts(&self) -> FaultCounts {
         self.counts
     }
 
-    /// First global node index covered.
-    #[cfg(test)]
-    pub(crate) fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of nodes covered.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read global node `node`'s power sensor through the fault process.
+    /// Read node `node`'s power sensor through the fault process.
     pub fn sense(&mut self, now: SimTime, node: usize, true_w: f64) -> Option<f64> {
         if blackout_covers(&self.cfg, now) {
             self.counts.blackout_samples += 1;
             return None;
         }
-        let local = node - self.start;
         sense_node(
             &self.cfg,
-            &mut self.rngs[local],
-            &mut self.nodes[local],
+            &mut self.rngs[node],
+            &mut self.nodes[node],
             &mut self.counts,
             now,
             true_w,
         )
     }
 
-    /// Filter one actuator command to global node `node`.
+    /// Filter one actuator command to node `node`.
     pub fn actuate(&mut self, now: SimTime, node: usize) -> ActuationFault {
-        let local = node - self.start;
         actuate_node(
             &self.cfg,
-            &mut self.rngs[local],
-            &mut self.nodes[local],
+            &mut self.rngs[node],
+            &mut self.nodes[node],
             &mut self.counts,
             now,
         )
     }
 
-    /// Whether global node `node` crashes at this slot. Call exactly once
+    /// Whether node `node` crashes at this slot. Call exactly once
     /// per (alive) node per slot; scheduled crashes fire the first slot at
     /// or after their instant, stochastic crashes draw `crash_p` per call
     /// from the node's own stream, so query order across nodes is
     /// irrelevant.
     pub fn crash_due(&mut self, now: SimTime, node: usize) -> bool {
-        let local = node - self.start;
         let mut crash = false;
         for (i, ev) in self.cfg.crashes.iter().enumerate() {
             if !self.fired[i] && ev.node == node && ev.at <= now {
@@ -462,7 +415,7 @@ impl ShardFaultPlan {
                 crash = true;
             }
         }
-        if !crash && self.cfg.crash_p > 0.0 && self.rngs[local].chance(self.cfg.crash_p) {
+        if !crash && self.cfg.crash_p > 0.0 && self.rngs[node].chance(self.cfg.crash_p) {
             crash = true;
         }
         if crash {
@@ -497,7 +450,7 @@ mod tests {
 
     /// A plan covering all four nodes of a 4-node cluster.
     fn plan(cfg: FaultConfig) -> ShardFaultPlan {
-        ShardFaultPlan::new(cfg, 4, 0, 4, &RngFactory::new(42)).unwrap()
+        ShardFaultPlan::new(cfg, 4, &RngFactory::new(42)).unwrap()
     }
 
     #[test]
@@ -652,7 +605,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = |seed: u64| {
-            let mut p = ShardFaultPlan::new(cfg.clone(), 4, 0, 4, &RngFactory::new(seed)).unwrap();
+            let mut p = ShardFaultPlan::new(cfg.clone(), 4, &RngFactory::new(seed)).unwrap();
             let mut log = Vec::new();
             for t in 0..200 {
                 for n in 0..4 {
@@ -703,68 +656,6 @@ mod tests {
         assert!(msg.contains("sensor_dropout_p"));
     }
 
-    fn chaos_cfg() -> FaultConfig {
-        FaultConfig {
-            sensor_dropout_p: 0.2,
-            sensor_stuck_p: 0.05,
-            sensor_stuck_for: SimDuration::from_secs(3),
-            sensor_stale_p: 0.1,
-            sensor_noise_w: 5.0,
-            actuator_loss_p: 0.1,
-            actuator_delay_p: 0.05,
-            actuator_stuck_p: 0.02,
-            crash_p: 0.002,
-            crashes: vec![CrashEvent { node: 1, at: s(40) }],
-            blackouts: vec![(s(50), s(60))],
-            ..FaultConfig::default()
-        }
-    }
-
-    /// Drive every node of a sharding through the same query schedule
-    /// and log each outcome keyed by global node index.
-    fn drive_sharded(ranges: &[(usize, usize)], n_total: usize) -> (String, FaultCounts) {
-        let factory = RngFactory::new(2019);
-        let mut plans: Vec<ShardFaultPlan> = ranges
-            .iter()
-            .map(|&(start, len)| {
-                ShardFaultPlan::new(chaos_cfg(), n_total, start, len, &factory).unwrap()
-            })
-            .collect();
-        let mut log = vec![String::new(); n_total];
-        for t in 0..100u64 {
-            for p in plans.iter_mut() {
-                let (start, len) = (p.start(), p.len());
-                for (g, entry) in log.iter_mut().enumerate().skip(start).take(len) {
-                    entry.push_str(&format!(
-                        "{:?}/{:?}/{} ",
-                        p.sense(s(t), g, 100.0 + t as f64),
-                        p.actuate(s(t), g),
-                        p.crash_due(s(t), g),
-                    ));
-                }
-            }
-        }
-        let mut counts = FaultCounts::default();
-        for p in &plans {
-            counts.merge(&p.counts());
-        }
-        (log.join("\n"), counts)
-    }
-
-    #[test]
-    fn shard_plan_is_layout_independent() {
-        let n = 8;
-        let whole = drive_sharded(&[(0, 8)], n);
-        let halves = drive_sharded(&[(0, 4), (4, 4)], n);
-        let uneven = drive_sharded(&[(0, 3), (3, 3), (6, 2)], n);
-        assert_eq!(whole, halves);
-        assert_eq!(whole, uneven);
-        // The chaos config really fires: counters are non-trivial.
-        assert!(whole.1.sensor_dropouts > 0);
-        assert!(whole.1.blackout_samples > 0);
-        assert!(whole.1.crashes >= 1);
-    }
-
     #[test]
     fn shard_plan_query_order_between_nodes_is_irrelevant() {
         let factory = RngFactory::new(7);
@@ -773,8 +664,8 @@ mod tests {
             sensor_noise_w: 2.0,
             ..FaultConfig::default()
         };
-        let mut fwd = ShardFaultPlan::new(cfg.clone(), 4, 0, 4, &factory).unwrap();
-        let mut rev = ShardFaultPlan::new(cfg, 4, 0, 4, &factory).unwrap();
+        let mut fwd = ShardFaultPlan::new(cfg.clone(), 4, &factory).unwrap();
+        let mut rev = ShardFaultPlan::new(cfg, 4, &factory).unwrap();
         let mut a = Vec::new();
         let mut b = vec![Vec::new(); 4];
         for t in 0..50u64 {
@@ -794,23 +685,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_scheduled_crash_fires_only_in_owner_range() {
-        let factory = RngFactory::new(1);
+    fn scheduled_crash_fires_once_for_its_node() {
         let cfg = FaultConfig {
             crashes: vec![CrashEvent { node: 5, at: s(3) }],
             ..FaultConfig::default()
         };
-        let mut left = ShardFaultPlan::new(cfg.clone(), 8, 0, 4, &factory).unwrap();
-        let mut right = ShardFaultPlan::new(cfg, 8, 4, 4, &factory).unwrap();
+        let mut plan = ShardFaultPlan::new(cfg, 8, &RngFactory::new(1)).unwrap();
         for t in 0..10u64 {
-            for g in 0..4 {
-                assert!(!left.crash_due(s(t), g));
+            for g in (0..8).filter(|&g| g != 5) {
+                assert!(!plan.crash_due(s(t), g));
             }
         }
-        assert!(!right.crash_due(s(2), 5));
-        assert!(right.crash_due(s(3), 5));
-        assert!(!right.crash_due(s(4), 5));
-        assert_eq!(left.counts().crashes, 0);
-        assert_eq!(right.counts().crashes, 1);
+        assert!(!plan.crash_due(s(2), 5));
+        assert!(plan.crash_due(s(3), 5));
+        assert!(!plan.crash_due(s(4), 5));
+        assert_eq!(plan.counts().crashes, 1);
     }
 }

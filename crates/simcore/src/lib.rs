@@ -17,8 +17,9 @@
 //! * [`fxhash`] — deterministic FxHash-style hashing
 //!   ([`fxhash::FxHashMap`]) for hot simulator-internal maps, replacing
 //!   `RandomState`'s SipHash + per-process random seeding.
-//! * [`par`] — the workspace's one parallel primitive
-//!   ([`par::map`]), an order-preserving map on scoped std threads.
+//! * [`par`] — the workspace's parallelism budget: [`par::map`], an
+//!   order-preserving map on scoped std threads, and [`par::helpers`],
+//!   the worker count the sharded engine runs beside its coordinator.
 //!
 //! ## Example
 //!

@@ -1,13 +1,17 @@
-//! Order-preserving parallel map on scoped std threads, the workspace's
-//! one parallel primitive (sweep cells, the sharded engine's shards).
+//! The workspace's parallelism budget: an order-preserving parallel
+//! map on scoped std threads for independent items (sweep cells), and
+//! the count of helper threads a long-running caller (the sharded
+//! engine's shard workers) may run beside itself.
 //!
-//! [`map`] uses up to the host's available parallelism (read once per
-//! process), never more threads than items. Items are split into one
+//! Both read the host's available parallelism once per process. [`map`]
+//! never uses more threads than items: items are split into one
 //! contiguous chunk per thread, the calling thread runs the first, and
 //! results are concatenated in chunk order; a worker's panic is resumed
-//! on the caller. A call with at most one item, or from inside another
-//! `map` chunk, runs inline: one level of parallelism at a time, so a
-//! sweep on N cores whose cells run S shards uses N threads, not N×S.
+//! on the caller. [`helpers`] grants the available parallelism less the
+//! calling thread. One level runs in parallel at a time: a `map` call
+//! with at most one item or from inside another `map` chunk runs
+//! inline, and [`helpers`] grants none inside a chunk, so a sweep on N
+//! cores whose cells run S shards uses N threads, not N×S.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -45,6 +49,17 @@ where
 {
     let threads = if IN_MAP.with(Cell::get) { 1 } else { threads() };
     map_on(threads, items, f)
+}
+
+/// Helper threads a caller may run beside itself for up to `wanted`
+/// lanes of work: the host's available parallelism less the calling
+/// thread, at most `wanted`, and none inside a [`map`] chunk.
+pub fn helpers(wanted: usize) -> usize {
+    if IN_MAP.with(Cell::get) {
+        0
+    } else {
+        (threads() - 1).min(wanted)
+    }
 }
 
 /// [`map`] on at most `threads` threads.
@@ -134,6 +149,13 @@ mod tests {
         let payload = caught.expect_err("the worker's panic must propagate");
         let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
         assert!(msg.contains("second chunk fails"), "{msg}");
+    }
+
+    #[test]
+    fn helpers_leave_the_caller_its_core_and_none_inside_a_chunk() {
+        assert_eq!(helpers(usize::MAX), threads() - 1);
+        assert_eq!(helpers(0), 0);
+        assert_eq!(map_on(2, vec![0u32, 1], |_| helpers(usize::MAX)), vec![0, 0]);
     }
 
     #[test]

@@ -22,14 +22,14 @@ use antidope::dpm::{self, NodeState};
 use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
 use antidope::{
-    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ConditionRecord, DecisionRecord,
-    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder, ViewRecord,
+    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, DecisionRecord,
+    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder,
 };
 use netsim::request::{SourceId, UrlId};
 use netsim::{Firewall, FirewallConfig};
 use powercap::budget::BudgetLevel;
+use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
-use powercap::server_power::ServerPowerModel;
 use profiler::rls::EwRls;
 use profiler::{PowerProfiler, ProfilerConfig};
 use simcore::rng::SimRng;
@@ -86,7 +86,7 @@ fn request_classes() -> Vec<RequestClass> {
             let i = f64::from(i);
             class_from_profile(
                 5.0 + i,
-                &table,
+                table,
                 60.0,
                 0.5 + 0.05 * i,
                 0.3 + 0.08 * i,
@@ -178,8 +178,8 @@ fn slot_line(bytes: usize) -> String {
             slot: 42,
             now: SimTime::ZERO + SimDuration::from_secs(42),
             sample,
-            view: ViewRecord {
-                condition: ConditionRecord::NearBudget,
+            view: ClusterView {
+                condition: PowerCondition::NearBudget,
                 observed_w: 91.2 * n as f64,
                 coverage: 0.98,
                 watchdog_engaged: false,
@@ -244,13 +244,12 @@ fn main() -> ExitCode {
         println!();
     };
 
-    let model = ServerPowerModel::paper_default();
     for n in [4usize, 16, 64, 256] {
         let nodes = dpm_nodes(n);
         // 70 W a node is below the fleet's draw: the search must throttle.
         let budget = n as f64 * 70.0;
         report(&format!("dpm_solve/{n}"), &mut || {
-            black_box(dpm::solve(&model, black_box(budget), &nodes));
+            black_box(dpm::solve(black_box(budget), &nodes));
         });
     }
     for live in [4usize, 32] {

@@ -406,9 +406,9 @@ impl ClusterConfig {
         }
     }
 
-    /// Aggregate nameplate of the cluster in watts (100 W nodes).
+    /// Aggregate nameplate of the cluster in watts.
     pub(crate) fn aggregate_nameplate_w(&self) -> f64 {
-        self.servers as f64 * 100.0
+        self.servers as f64 * powercap::ServerPowerModel::paper_default().nameplate_w
     }
 
     /// The wattage budget at this config's provisioning level.
@@ -499,7 +499,7 @@ impl ClusterConfig {
     /// Build the staged admission pipeline this config describes: the
     /// flat firewall knobs fill the front slot (with the admission
     /// config's ban-duration override applied), and the configured
-    /// stages follow. The engine constructs its perimeter through this
+    /// cost-to-serve stage follows. The engine constructs its perimeter through this
     /// one method so a given config admits identically everywhere.
     pub fn build_admission(&self, start: simcore::SimTime) -> netsim::AdmissionPipeline {
         let mut pipeline = netsim::AdmissionPipeline::new();
@@ -522,7 +522,7 @@ impl ClusterConfig {
         if let Some(cost) = self.admission.as_ref().and_then(|a| a.cost_to_serve) {
             let stage = netsim::CostToServe::try_new(start, cost)
                 .expect("admission config checked by ClusterConfig::validate");
-            pipeline = pipeline.with_stage(Box::new(stage));
+            pipeline = pipeline.with_cost(stage);
         }
         pipeline
     }

@@ -15,7 +15,7 @@ use crate::node::ComputeNode;
 use dcmetrics::energy::EnergySource;
 use dcmetrics::{EnergyMeter, OnlineSummary, TimeSeries};
 use powercap::Breaker;
-use powercap::pstate::PState;
+use powercap::pstate::{PState, PStateTable};
 use powercap::thermal::{ThermalNode, ThermalState};
 use simcore::SimTime;
 
@@ -144,7 +144,7 @@ impl AccountStage {
                 ThermalState::Nominal if was == ThermalState::Prochot => {
                     // Clamp released; schemes re-throttle next slot
                     // if they need to.
-                    let top = nodes[i].table().max_state();
+                    let top = PStateTable::paper_default().max_state();
                     let settle = nodes[i].command_pstate(now, top);
                     settles.push((settle, i));
                 }

@@ -198,6 +198,7 @@ mod tests {
     use super::*;
     use crate::control::plane::BatteryObs;
     use crate::control::NodePlant;
+    use powercap::pstate::PStateTable;
     use simcore::faults::{FaultConfig, ShardFaultPlan};
     use simcore::rng::RngFactory;
     use simcore::SimDuration;
@@ -281,7 +282,7 @@ mod tests {
         };
         let mut nodes = vec![node()];
         let mut fault = lossy_fault_layer();
-        let top = nodes[0].table().max_state();
+        let top = PStateTable::paper_default().max_state();
 
         // Command a throttle; the fault layer loses it.
         let mut settles = Vec::new();

@@ -11,6 +11,7 @@
 use super::{Plant, UrlMix};
 use crate::node::ComputeNode;
 use netsim::request::UrlId;
+use powercap::server_power::ServerPowerModel;
 use profiler::{MixTracker, PowerProfiler, ProfilerConfig, ProfilerReport};
 
 /// Normalize a throttled node's reading to its nominal-equivalent by
@@ -26,8 +27,8 @@ use profiler::{MixTracker, PowerProfiler, ProfilerConfig, ProfilerReport};
 pub(crate) fn normalized_power(node: &ComputeNode, power_w: Option<f64>) -> Option<f64> {
     let (_, _, gamma) = node.load_character();
     let state = node.effective_pstate();
-    let model = node.model();
-    if state == node.table().max_state() {
+    let model = ServerPowerModel::paper_default();
+    if state == model.table.max_state() {
         power_w
     } else {
         let s = model.dvfs_factor(state, gamma);

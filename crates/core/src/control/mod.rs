@@ -53,20 +53,31 @@ use crate::node::ComputeNode;
 use crate::scheme::{Action, NodeSnapshot, PowerScheme};
 use netsim::request::UrlId;
 use powercap::budget::PowerBudget;
-use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::monitor::PowerCondition;
 use powercap::monitor::PowerMonitor;
 use powercap::Breaker;
 use powercap::pstate::PState;
-use powercap::server_power::ServerPowerModel;
+use powercap::server_power::{ServerLoad, ServerPowerModel};
 use powercap::thermal::ThermalNode;
 use profiler::MixTracker;
 use simcore::faults::{ActuationFault, FaultConfig, FaultCounts, ShardFaultPlan};
 use simcore::SimTime;
 
+/// The worst-case uniform cap: the highest P-state at which full-load
+/// CPU-bound occupancy on each of `servers` nodes fits `budget_w`.
+pub(crate) fn safe_pstate(budget_w: f64, servers: usize) -> PState {
+    let worst = ServerLoad {
+        utilization: 1.0,
+        intensity: 1.0,
+        gamma: 0.9,
+    };
+    ServerPowerModel::paper_default().state_for_budget(budget_w, &vec![worst; servers])
+}
+
 /// What [`filter::FilterStage`] produces: the trusted view of the
-/// cluster that [`decide::DecideStage`] is allowed to act on.
-#[derive(Debug, Clone, Copy)]
+/// cluster that [`decide::DecideStage`] is allowed to act on. Control
+/// traces record it as is (the parity harness byte-compares these).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterView {
     /// The monitor's verdict on the filtered power estimate.
     pub condition: PowerCondition,
@@ -330,21 +341,7 @@ impl ControlPipeline {
                 cfg.control.watchdog_recovery_slots,
             ),
         });
-        // Worst-case uniform cap: full-load CPU-bound occupancy on
-        // every server must fit the supplied budget.
-        let safe_pstate = hardened.then(|| {
-            UniformCapper::new(ServerPowerModel::paper_default()).state_for_budget(
-                budget.supply_w,
-                &vec![
-                    ServerLoad {
-                        utilization: 1.0,
-                        intensity: 1.0,
-                        gamma: 0.9,
-                    };
-                    cfg.servers
-                ],
-            )
-        });
+        let safe_pstate = hardened.then(|| safe_pstate(budget.supply_w, cfg.servers));
         let verify = hardened.then(|| {
             ActuatorVerify::new(cfg.servers, cfg.control.actuator_max_retries, cfg.control_slot)
         });

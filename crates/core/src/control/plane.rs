@@ -29,12 +29,12 @@
 
 use super::{ClusterView, ControlPipeline, Plant, UrlMix};
 use crate::config::{ClusterConfig, ConfigError, ExperimentConfig};
-use crate::node::ComputeNode;
 use crate::scheme::{Action, NodeSnapshot};
 use crate::jsonl::Json;
 use netsim::request::UrlId;
 use powercap::monitor::PowerCondition;
 use powercap::pstate::{PState, PStateTable};
+use powercap::server_power::ServerPowerModel;
 use profiler::MixTracker;
 use simcore::{SimDuration, SimTime};
 use std::fmt;
@@ -44,7 +44,7 @@ use std::path::Path;
 /// Version stamped into every trace header. Bump on any breaking change
 /// to the record types below; [`ControlTrace::from_jsonl_str`] rejects
 /// mismatches with a typed [`ConfigError::TraceSchema`].
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Clock and transport abstractions
@@ -269,55 +269,6 @@ fn check_pstate(what: fmt::Arguments<'_>, p: u8) -> Result<(), String> {
     }
 }
 
-/// The trusted view the Filter stage produced for one slot, in
-/// serializable form (the parity harness byte-compares these).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViewRecord {
-    /// Monitor verdict.
-    pub condition: ConditionRecord,
-    /// Power estimate the monitor judged, watts.
-    pub observed_w: f64,
-    /// Fresh-sensor coverage.
-    pub coverage: f64,
-    /// Whether the coverage watchdog forced the uniform safe cap.
-    pub watchdog_engaged: bool,
-}
-
-/// Serializable mirror of [`PowerCondition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConditionRecord {
-    /// Comfortably under budget.
-    Nominal,
-    /// Within the guard band.
-    NearBudget,
-    /// Over budget, not yet sustained.
-    Transient,
-    /// Sustained violation.
-    Emergency,
-}
-
-impl From<PowerCondition> for ConditionRecord {
-    fn from(c: PowerCondition) -> Self {
-        match c {
-            PowerCondition::Nominal => ConditionRecord::Nominal,
-            PowerCondition::NearBudget => ConditionRecord::NearBudget,
-            PowerCondition::Transient => ConditionRecord::Transient,
-            PowerCondition::Emergency => ConditionRecord::Emergency,
-        }
-    }
-}
-
-impl From<&ClusterView> for ViewRecord {
-    fn from(v: &ClusterView) -> Self {
-        ViewRecord {
-            condition: v.condition.into(),
-            observed_w: v.observed_w,
-            coverage: v.coverage,
-            watchdog_engaged: v.watchdog_engaged,
-        }
-    }
-}
-
 /// Serializable mirror of [`Action`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActionRecord {
@@ -401,7 +352,7 @@ pub struct SlotRecord {
     /// Pipeline input.
     pub sample: PlaneSample,
     /// Filter-stage output (for parity comparison).
-    pub view: ViewRecord,
+    pub view: ClusterView,
     /// Sweep + Decide output (for parity comparison).
     pub decisions: DecisionRecord,
 }
@@ -669,7 +620,7 @@ impl TraceRecorder {
                 forgets: std::mem::take(&mut self.pending_forgets),
                 rack_power_w: topology.map_or(Vec::new(), |t| t.rack_power_w.clone()),
             },
-            view: view.into(),
+            view: *view,
             decisions: DecisionRecord {
                 retries: pipeline.act.retry_scratch.iter().map(|&(n, p)| (n, p.0)).collect(),
                 actions: pipeline.actions.iter().map(ActionRecord::from).collect(),
@@ -684,7 +635,7 @@ impl TraceRecorder {
         for s in &self.slots {
             footer.actions += s.decisions.actions.len() as u64;
             footer.retries += s.decisions.retries.len() as u64;
-            if s.view.condition == ConditionRecord::Emergency {
+            if s.view.condition == PowerCondition::Emergency {
                 footer.emergency_slots += 1;
             }
             if s.view.watchdog_engaged {
@@ -712,10 +663,9 @@ impl ControlPipeline {
         let start = SimTime::ZERO;
         let scheme = crate::scheme::build_scheme(exp.scheme, cfg);
         // Seed the accountant at the same t=0 idle draw the engine
-        // computes from freshly-built nodes.
-        let idle_total = ComputeNode::new(start, cfg.cores_per_server, cfg.max_inflight, cfg.dvfs_latency)
-            .power_w()
-            * cfg.servers as f64;
+        // computes from freshly-built nodes: idle, at nominal.
+        let model = ServerPowerModel::paper_default();
+        let idle_total = model.idle_power(model.table.max_state()) * cfg.servers as f64;
         ControlPipeline::new(cfg, scheme, start, cfg.faults.is_some(), idle_total)
     }
 
@@ -975,9 +925,6 @@ mod codec {
 
     fn profiler_j(p: &ProfilerConfig) -> Json {
         Json::Obj(vec![
-            ("idle_w".into(), Json::f64(p.idle_w)),
-            ("dynamic_scale_w".into(), Json::f64(p.dynamic_scale_w)),
-            ("util_exponent".into(), Json::f64(p.util_exponent)),
             ("forgetting".into(), Json::f64(p.forgetting)),
             ("prior_intensity".into(), Json::f64(p.prior_intensity)),
             ("prior_variance".into(), Json::f64(p.prior_variance)),
@@ -996,9 +943,6 @@ mod codec {
 
     fn profiler_f(v: &Json) -> R<ProfilerConfig> {
         Ok(ProfilerConfig {
-            idle_w: v.get("idle_w")?.as_f64()?,
-            dynamic_scale_w: v.get("dynamic_scale_w")?.as_f64()?,
-            util_exponent: v.get("util_exponent")?.as_f64()?,
             forgetting: v.get("forgetting")?.as_f64()?,
             prior_intensity: v.get("prior_intensity")?.as_f64()?,
             prior_variance: v.get("prior_variance")?.as_f64()?,
@@ -1011,12 +955,7 @@ mod codec {
             cusum_slack: v.get("cusum_slack")?.as_f64()?,
             cusum_threshold: v.get("cusum_threshold")?.as_f64()?,
             cusum_warmup: v.get("cusum_warmup")?.as_u32()?,
-            // Absent in pre-convergence-tracking traces: defaults off.
-            track_convergence: v
-                .get_opt("track_convergence")?
-                .map(|b| b.as_bool())
-                .transpose()?
-                .unwrap_or(false),
+            track_convergence: v.get("track_convergence")?.as_bool()?,
         })
     }
 
@@ -1445,10 +1384,10 @@ mod codec {
                     (
                         "condition".into(),
                         Json::str(match s.view.condition {
-                            ConditionRecord::Nominal => "Nominal",
-                            ConditionRecord::NearBudget => "NearBudget",
-                            ConditionRecord::Transient => "Transient",
-                            ConditionRecord::Emergency => "Emergency",
+                            PowerCondition::Nominal => "Nominal",
+                            PowerCondition::NearBudget => "NearBudget",
+                            PowerCondition::Transient => "Transient",
+                            PowerCondition::Emergency => "Emergency",
                         }),
                     ),
                     ("observed_w".into(), Json::f64(s.view.observed_w)),
@@ -1487,12 +1426,12 @@ mod codec {
             slot: v.get("slot")?.as_u64()?,
             now: time_f(v.get("now")?)?,
             sample: sample_f(v.get("sample")?)?,
-            view: ViewRecord {
+            view: ClusterView {
                 condition: match view.get("condition")?.as_str()? {
-                    "Nominal" => ConditionRecord::Nominal,
-                    "NearBudget" => ConditionRecord::NearBudget,
-                    "Transient" => ConditionRecord::Transient,
-                    "Emergency" => ConditionRecord::Emergency,
+                    "Nominal" => PowerCondition::Nominal,
+                    "NearBudget" => PowerCondition::NearBudget,
+                    "Transient" => PowerCondition::Transient,
+                    "Emergency" => PowerCondition::Emergency,
                     other => return Err(format!("unknown condition {other:?}")),
                 },
                 observed_w: view.get("observed_w")?.as_f64()?,
@@ -1580,6 +1519,33 @@ mod tests {
             ConfigError::TraceSchema { found, supported }
                 if found == TRACE_SCHEMA_VERSION + 1 && supported == TRACE_SCHEMA_VERSION
         ));
+    }
+
+    #[test]
+    fn schema_1_header_is_a_typed_error() {
+        // Schema 1 headers carried the profiler's power-law keys, and
+        // `track_convergence` was optional; schema 2 dropped the keys and
+        // requires the flag, so a v1 trace must fail on its version.
+        let mut exp = tiny_exp();
+        exp.cluster.profiler = Some(profiler::ProfilerConfig::default());
+        let text = TraceRecorder::new(&exp).finish().to_jsonl();
+        let v2 = format!("\"schema\":{TRACE_SCHEMA_VERSION},");
+        assert!(text.contains(&v2) && text.contains(",\"track_convergence\":false"));
+        let v1 = text.replacen(&v2, "\"schema\":1,", 1).replacen(
+            "\"profiler\":{",
+            "\"profiler\":{\"idle_w\":40.0,\"dynamic_scale_w\":60.0,\"util_exponent\":0.5,",
+            1,
+        );
+        let v1 = v1.replacen(",\"track_convergence\":false", "", 1);
+        let err = ControlTrace::from_jsonl_str(&v1).expect_err("must reject");
+        assert!(matches!(
+            err,
+            ConfigError::TraceSchema { found: 1, supported } if supported == TRACE_SCHEMA_VERSION
+        ));
+        // A v2 header without the flag is malformed, not defaulted.
+        let missing = text.replacen(",\"track_convergence\":false", "", 1);
+        let err = ControlTrace::from_jsonl_str(&missing).expect_err("must reject");
+        assert!(matches!(err, ConfigError::TraceFormat { .. }), "{err:?}");
     }
 
     #[test]

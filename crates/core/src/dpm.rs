@@ -50,7 +50,8 @@ pub struct ThrottlePlan {
 }
 
 impl ThrottlePlan {
-    fn predicted(model: &ServerPowerModel, nodes: &[NodeState], states: &[PState]) -> f64 {
+    fn predicted(nodes: &[NodeState], states: &[PState]) -> f64 {
+        let model = ServerPowerModel::paper_default();
         nodes
             .iter()
             .zip(states)
@@ -69,8 +70,9 @@ pub(crate) const PLANNING_MIN_UTIL: f64 = 0.9;
 /// below `PLANNING_MIN_UTIL` are planned at that floor for suspect
 /// nodes (attack traffic refills them within the slot); innocent nodes
 /// are planned at their observed utilization.
-pub fn solve(model: &ServerPowerModel, budget_w: f64, nodes: &[NodeState]) -> ThrottlePlan {
+pub fn solve(budget_w: f64, nodes: &[NodeState]) -> ThrottlePlan {
     assert!(budget_w >= 0.0);
+    let model = ServerPowerModel::paper_default();
     // Planning copies with the utilization floor applied to suspects.
     let planned: Vec<NodeState> = nodes
         .iter()
@@ -88,7 +90,7 @@ pub fn solve(model: &ServerPowerModel, budget_w: f64, nodes: &[NodeState]) -> Th
     // stops).
     let top = model.table.max_state();
     let mut states = vec![top; planned.len()];
-    let mut total = ThrottlePlan::predicted(model, &planned, &states);
+    let mut total = ThrottlePlan::predicted(&planned, &states);
     let mut spilled = false;
 
     // Pass 1: suspect nodes only; Pass 2: everyone.
@@ -139,7 +141,7 @@ pub fn solve(model: &ServerPowerModel, budget_w: f64, nodes: &[NodeState]) -> Th
     }
 
     // Recompute exactly (greedy tracked deltas).
-    let predicted = ThrottlePlan::predicted(model, &planned, &states);
+    let predicted = ThrottlePlan::predicted(&planned, &states);
     ThrottlePlan {
         battery_bridge_w: (predicted - budget_w).max(0.0),
         spilled_to_innocent: spilled && states
@@ -155,10 +157,6 @@ pub fn solve(model: &ServerPowerModel, budget_w: f64, nodes: &[NodeState]) -> Th
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn model() -> ServerPowerModel {
-        ServerPowerModel::paper_default()
-    }
 
     fn node(util: f64, suspect: bool) -> NodeState {
         NodeState {
@@ -183,7 +181,7 @@ mod tests {
 
     #[test]
     fn no_emergency_keeps_everyone_nominal() {
-        let plan = solve(&model(), 1000.0, &rack());
+        let plan = solve(1000.0, &rack());
         assert!(plan.states.iter().all(|&s| s == PState(12)));
         assert_eq!(plan.battery_bridge_w, 0.0);
         assert!(!plan.spilled_to_innocent);
@@ -191,10 +189,8 @@ mod tests {
 
     #[test]
     fn moderate_emergency_throttles_only_suspects() {
-        let m = model();
         let nodes = rack();
         let full = ThrottlePlan::predicted(
-            &m,
             &nodes
                 .iter()
                 .map(|n| {
@@ -208,7 +204,7 @@ mod tests {
             &[PState(12); 4],
         );
         // Shave 20 W: well within what one suspect node can give up.
-        let plan = solve(&m, full - 20.0, &nodes);
+        let plan = solve(full - 20.0, &nodes);
         assert!(plan.predicted_w <= full - 20.0 + 1e-9);
         assert!(!plan.spilled_to_innocent);
         for (i, s) in plan.states.iter().enumerate() {
@@ -223,10 +219,9 @@ mod tests {
 
     #[test]
     fn deep_emergency_spills_to_innocents() {
-        let m = model();
         let nodes = rack();
         // A budget below what flooring the single suspect can reach.
-        let plan = solve(&m, 250.0, &nodes);
+        let plan = solve(250.0, &nodes);
         assert!(plan.spilled_to_innocent);
         assert_eq!(plan.states[3], PState(0), "suspect should be floored");
         assert!(plan.states[..3].iter().any(|&s| s < PState(12)));
@@ -235,8 +230,7 @@ mod tests {
 
     #[test]
     fn impossible_budget_reports_battery_bridge() {
-        let m = model();
-        let plan = solve(&m, 50.0, &rack());
+        let plan = solve(50.0, &rack());
         // Even all-floor exceeds 50 W (idle alone is ≥ 4 × ~30 W).
         assert!(plan.states.iter().all(|&s| s == PState(0)));
         assert!(plan.battery_bridge_w > 0.0);
@@ -247,7 +241,6 @@ mod tests {
     fn memory_bound_suspect_forced_deeper() {
         // Same deficit; the K-means-like suspect (low γ) must drop more
         // states than a Colla-Filt-like one to save the same watts.
-        let m = model();
         let mk = |gamma: f64, beta: f64| {
             vec![
                 node(0.5, false),
@@ -263,10 +256,10 @@ mod tests {
         };
         let cpu_nodes = mk(0.9, 0.95);
         let mem_nodes = mk(0.35, 0.4);
-        let full_cpu = ThrottlePlan::predicted(&m, &cpu_nodes, &[PState(12), PState(12)]);
-        let full_mem = ThrottlePlan::predicted(&m, &mem_nodes, &[PState(12), PState(12)]);
-        let plan_cpu = solve(&m, full_cpu - 15.0, &cpu_nodes);
-        let plan_mem = solve(&m, full_mem - 15.0, &mem_nodes);
+        let full_cpu = ThrottlePlan::predicted(&cpu_nodes, &[PState(12), PState(12)]);
+        let full_mem = ThrottlePlan::predicted(&mem_nodes, &[PState(12), PState(12)]);
+        let plan_cpu = solve(full_cpu - 15.0, &cpu_nodes);
+        let plan_mem = solve(full_mem - 15.0, &mem_nodes);
         assert!(
             plan_mem.states[1] < plan_cpu.states[1],
             "mem {:?} vs cpu {:?}",
@@ -279,9 +272,8 @@ mod tests {
     fn idle_suspect_planned_at_util_floor() {
         // A suspect node that drained between slots still gets a binding
         // plan — attack traffic will refill it within the slot.
-        let m = model();
         let nodes = vec![node(0.9, false), node(0.0, true)];
-        let plan = solve(&m, 150.0, &nodes);
+        let plan = solve(150.0, &nodes);
         // Suspect throttled despite being (momentarily) idle.
         assert!(plan.states[1] < PState(12));
     }
@@ -294,7 +286,7 @@ mod tests {
     #[test]
     fn dpm_agrees_with_request_control_on_one_node() {
         use crate::request_control::{class_from_profile, solve as rc_solve};
-        let m = model();
+        let m = ServerPowerModel::paper_default();
         let (intensity, gamma, beta) = (0.95, 0.85, 0.9);
         for budget in [95.0, 88.0, 80.0, 72.0, 60.0] {
             let nodes = vec![NodeState {
@@ -305,10 +297,10 @@ mod tests {
                 current: PState(12),
                 suspect: true,
             }];
-            let plan = solve(&m, budget, &nodes);
+            let plan = solve(budget, &nodes);
             // Equivalent Eq-1 instance: one class of one full-node
             // request bundle whose power includes the node's idle floor.
-            let mut class = class_from_profile(1.0, &m.table, 60.0, intensity, gamma, beta);
+            let mut class = class_from_profile(1.0, m.table, 60.0, intensity, gamma, beta);
             for (i, p) in m.table.states().enumerate() {
                 class.power_per_level_w[i] += m.idle_power(p);
             }
@@ -329,13 +321,12 @@ mod tests {
             budget in 100.0f64..450.0,
             utils in proptest::collection::vec(0.0f64..1.0, 4),
         ) {
-            let m = model();
             let nodes: Vec<NodeState> = utils
                 .iter()
                 .enumerate()
                 .map(|(i, &u)| node(u, i == 3))
                 .collect();
-            let plan = solve(&m, budget, &nodes);
+            let plan = solve(budget, &nodes);
             prop_assert!(plan.predicted_w <= budget + plan.battery_bridge_w + 1e-6);
             if plan.battery_bridge_w > 0.0 {
                 prop_assert!(plan.states.iter().all(|&s| s == PState(0)));
@@ -346,7 +337,6 @@ mod tests {
         /// satisfies the budget.
         #[test]
         fn prop_suspect_first(budget_frac in 0.8f64..1.0) {
-            let m = model();
             let nodes = rack();
             let planning_full = {
                 let planned: Vec<NodeState> = nodes.iter().map(|n| {
@@ -354,9 +344,9 @@ mod tests {
                     if c.suspect { c.utilization = c.utilization.max(0.9); }
                     c
                 }).collect();
-                ThrottlePlan::predicted(&m, &planned, &[PState(12); 4])
+                ThrottlePlan::predicted(&planned, &[PState(12); 4])
             };
-            let plan = solve(&m, planning_full * budget_frac, &nodes);
+            let plan = solve(planning_full * budget_frac, &nodes);
             if !plan.spilled_to_innocent {
                 for (i, s) in plan.states.iter().enumerate() {
                     if !nodes[i].suspect {

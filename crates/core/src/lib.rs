@@ -57,12 +57,11 @@ pub mod topology;
 
 pub use config::{AdmissionConfig, ClusterConfig, ConfigError, ExperimentConfig, SchemeKind};
 pub use control::plane::{
-    ActionRecord, ActuationTransport, BatteryObs, ConditionRecord, ControlClock, ControlTrace,
-    DecisionRecord, Forget, ForgetKind, NodeObs, PlaneSample, SamplePlant, SlotRecord, SlotTick,
-    TelemetryTransport, TraceFooter, TraceRecorder, TransportError, ViewRecord,
-    TRACE_SCHEMA_VERSION,
+    ActionRecord, ActuationTransport, BatteryObs, ControlClock, ControlTrace, DecisionRecord,
+    Forget, ForgetKind, NodeObs, PlaneSample, SamplePlant, SlotRecord, SlotTick,
+    TelemetryTransport, TraceFooter, TraceRecorder, TransportError, TRACE_SCHEMA_VERSION,
 };
-pub use control::ControlPipeline;
+pub use control::{ClusterView, ControlPipeline};
 pub use health::TelemetryHealth;
 
 pub use results::{FaultReport, RetryReport, SimReport};

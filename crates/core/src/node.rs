@@ -1,4 +1,5 @@
-//! A compute node: processor-sharing queue + DVFS + RAPL + power model.
+//! A compute node: processor-sharing queue + DVFS, drawing power by the
+//! paper's one server power model.
 //!
 //! Couples the substrates: the queue's speed follows the DVFS effective
 //! state, and the node's instantaneous power follows the queue's resident
@@ -7,18 +8,16 @@
 use netsim::queueing::{PsServer, PushOutcome};
 use netsim::request::{Request, RequestId};
 use powercap::dvfs::DvfsController;
-use powercap::pstate::{PState, PStateTable};
-use powercap::rapl::Rapl;
+use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
 use simcore::{SimDuration, SimTime};
 
-/// One server: queue, frequency actuator, power model.
+/// One server: queue and frequency actuator. Its power follows
+/// [`ServerPowerModel::paper_default`], which every node shares.
 #[derive(Debug, Clone)]
 pub(crate) struct ComputeNode {
     queue: PsServer,
     dvfs: DvfsController,
-    rapl: Rapl,
-    model: ServerPowerModel,
 }
 
 impl ComputeNode {
@@ -29,25 +28,11 @@ impl ComputeNode {
         max_inflight: usize,
         dvfs_latency: SimDuration,
     ) -> Self {
-        let model = ServerPowerModel::paper_default();
-        let table = model.table.clone();
-        let core_ghz = table.max_freq_ghz();
+        let core_ghz = ServerPowerModel::paper_default().table.max_freq_ghz();
         ComputeNode {
             queue: PsServer::new(start, cores, core_ghz, max_inflight),
-            dvfs: DvfsController::new(table, dvfs_latency),
-            rapl: Rapl::new(model.clone()),
-            model,
+            dvfs: DvfsController::new(dvfs_latency),
         }
-    }
-
-    /// The node's power model.
-    pub(crate) fn model(&self) -> &ServerPowerModel {
-        &self.model
-    }
-
-    /// The DVFS ladder.
-    pub(crate) fn table(&self) -> &PStateTable {
-        &self.model.table
     }
 
     /// Requests in flight.
@@ -104,7 +89,7 @@ impl ComputeNode {
     /// Instantaneous node power, watts.
     pub(crate) fn power_w(&self) -> f64 {
         let (u, i, g) = self.queue.load_character();
-        self.model.power(self.dvfs.effective(), u, i, g)
+        ServerPowerModel::paper_default().power(self.dvfs.effective(), u, i, g)
     }
 
     /// The power this node would still draw at the deepest P-state with
@@ -115,7 +100,8 @@ impl ComputeNode {
     #[cfg(test)]
     pub(crate) fn unreclaimable_power_w(&self) -> f64 {
         let (u, i, g) = self.queue.load_character();
-        self.model.power(self.table().min_state(), u, i, g)
+        let model = ServerPowerModel::paper_default();
+        model.power(model.table.min_state(), u, i, g)
     }
 
     /// Offer a request to the queue.
@@ -172,12 +158,8 @@ impl ComputeNode {
         limit_w: Option<f64>,
         extra: SimDuration,
     ) -> (PState, SimTime) {
-        let (i, g) = self.limit_mix();
-        let state = self
-            .rapl
-            .set_limit_delayed(now, &mut self.dvfs, limit_w, i, g, extra);
-        let settle = self.dvfs.pending_settle().unwrap_or(now);
-        (state, settle)
+        let state = self.resolve_power_limit(limit_w);
+        (state, self.dvfs.command_delayed(now, state, extra))
     }
 
     /// The P-state a watt limit would resolve to right now, without
@@ -185,7 +167,7 @@ impl ComputeNode {
     /// intent for read-back verification.
     pub(crate) fn resolve_power_limit(&self, limit_w: Option<f64>) -> PState {
         let (i, g) = self.limit_mix();
-        self.rapl.resolve(limit_w, i, g)
+        ServerPowerModel::paper_default().resolve(limit_w, i, g)
     }
 
     /// The `(intensity, gamma)` mix limits resolve against. An idle node

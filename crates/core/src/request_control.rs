@@ -157,7 +157,7 @@ mod tests {
     fn cls(count: f64, intensity: f64, gamma: f64, beta: f64) -> RequestClass {
         class_from_profile(
             count,
-            &PStateTable::paper_default(),
+            PStateTable::paper_default(),
             60.0,
             intensity,
             gamma,

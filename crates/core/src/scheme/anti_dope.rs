@@ -21,7 +21,6 @@ use powercap::server_power::ServerPowerModel;
 
 /// The Anti-DOPE scheme (PDF forwarding + RPM/DPM control).
 pub struct AntiDopeScheme {
-    model: ServerPowerModel,
     /// Suspicion threshold used when building the forwarding policy.
     threshold: f64,
     /// Use the adaptive (online-profiled) forwarding policy instead of
@@ -81,7 +80,6 @@ impl AntiDopeScheme {
             return Err(crate::config::ConfigError::Threshold { value: threshold });
         }
         Ok(AntiDopeScheme {
-            model: ServerPowerModel::paper_default(),
             threshold,
             adaptive: config.profiler.is_some(),
             oracle_profiles: Vec::new(),
@@ -125,6 +123,7 @@ impl PowerScheme for AntiDopeScheme {
     }
 
     fn control(&mut self, input: &ControlInput, actions: &mut Vec<Action>) {
+        let model = ServerPowerModel::paper_default();
         let deficit = input.deficit_w();
         if deficit > 0.0 {
             self.calm_slots = 0;
@@ -138,13 +137,12 @@ impl PowerScheme for AntiDopeScheme {
             let predicted_current: f64 = nodes
                 .iter()
                 .map(|n| {
-                    self.model
-                        .power(n.current, n.utilization, n.intensity, n.gamma)
+                    model.power(n.current, n.utilization, n.intensity, n.gamma)
                 })
                 .sum();
             let correction = (input.demand_w - predicted_current).max(0.0);
             let effective_budget = (input.supply_w - correction).max(0.0);
-            let plan = dpm::solve(&self.model, effective_budget, &nodes);
+            let plan = dpm::solve(effective_budget, &nodes);
             for (i, (&target, node)) in plan.states.iter().zip(&input.nodes).enumerate() {
                 if node.target != target {
                     actions.push(Action::SetPState { node: i, target });
@@ -176,7 +174,7 @@ impl PowerScheme for AntiDopeScheme {
                 self.calm_slots += 1;
                 if self.calm_slots >= RECOVERY_SLOTS {
                     self.calm_slots = 0;
-                    let top = self.model.table.max_state();
+                    let top = model.table.max_state();
                     let lowest = input
                         .nodes
                         .iter()
@@ -188,11 +186,11 @@ impl PowerScheme for AntiDopeScheme {
                             let next = PState(n.target.0 + 1);
                             // Margin check: stepping up costs at most the
                             // node's worst-case power delta.
-                            let delta = self.model.full_load_power(
+                            let delta = model.full_load_power(
                                 next,
                                 n.intensity.max(0.9),
                                 n.gamma.max(0.5),
-                            ) - self.model.full_load_power(
+                            ) - model.full_load_power(
                                 n.target,
                                 n.intensity.max(0.9),
                                 n.gamma.max(0.5),

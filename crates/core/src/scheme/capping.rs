@@ -7,14 +7,13 @@
 //! step at a time after a hysteresis window.
 
 use super::{Action, ControlInput, PowerScheme, RECOVERY_GUARD, RECOVERY_SLOTS};
-use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
+use powercap::server_power::{ServerLoad, ServerPowerModel};
 
 /// The uniform-DVFS capping baseline.
 #[derive(Debug)]
 pub(crate) struct CappingScheme {
-    capper: UniformCapper,
     /// Current uniform level commanded to all nodes.
     level: PState,
     /// Consecutive comfortable slots (for recovery hysteresis).
@@ -31,10 +30,8 @@ impl Default for CappingScheme {
 impl CappingScheme {
     /// New capper at nominal frequency.
     pub(crate) fn new() -> Self {
-        let model = powercap::server_power::ServerPowerModel::paper_default();
-        let top = model.table.max_state();
+        let top = ServerPowerModel::paper_default().table.max_state();
         CappingScheme {
-            capper: UniformCapper::new(model),
             level: top,
             calm_slots: 0,
             top,
@@ -77,7 +74,8 @@ impl PowerScheme for CappingScheme {
             PowerCondition::Emergency | PowerCondition::Transient => {
                 self.calm_slots = 0;
                 let loads = Self::loads(input);
-                let target = self.capper.state_for_budget(input.supply_w, &loads);
+                let target =
+                    ServerPowerModel::paper_default().state_for_budget(input.supply_w, &loads);
                 // Only ever move down in an emergency.
                 if target < self.level {
                     self.level = target;
@@ -95,8 +93,8 @@ impl PowerScheme for CappingScheme {
                         // Step up one level if the predicted power at the
                         // next level keeps a guard margin.
                         let next = powercap::pstate::PState(self.level.0 + 1);
-                        let predicted =
-                            self.capper.aggregate_power(next, &Self::loads(input));
+                        let predicted = ServerPowerModel::paper_default()
+                            .aggregate_power(next, &Self::loads(input));
                         if predicted <= input.supply_w * (1.0 - RECOVERY_GUARD) {
                             self.level = next;
                             self.calm_slots = 0;

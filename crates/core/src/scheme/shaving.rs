@@ -11,14 +11,13 @@
 //! recharges from headroom.
 
 use super::{Action, ControlInput, PowerScheme, RECOVERY_GUARD, RECOVERY_SLOTS};
-use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
+use powercap::server_power::{ServerLoad, ServerPowerModel};
 
 /// UPS-first peak shaving with DVFS fallback.
 #[derive(Debug)]
 pub(crate) struct ShavingScheme {
-    capper: UniformCapper,
     level: PState,
     calm_slots: u32,
     top: PState,
@@ -33,10 +32,8 @@ impl Default for ShavingScheme {
 impl ShavingScheme {
     /// New scheme at nominal frequency with an idle battery.
     pub(crate) fn new() -> Self {
-        let model = powercap::server_power::ServerPowerModel::paper_default();
-        let top = model.table.max_state();
+        let top = ServerPowerModel::paper_default().table.max_state();
         ShavingScheme {
-            capper: UniformCapper::new(model),
             level: top,
             calm_slots: 0,
             top,
@@ -88,8 +85,7 @@ impl PowerScheme for ShavingScheme {
             };
             actions.push(Action::BatteryDischarge { watts: residual });
             let effective_budget = input.supply_w + residual;
-            let target = self
-                .capper
+            let target = ServerPowerModel::paper_default()
                 .state_for_budget(effective_budget, &Self::loads(input));
             if target < self.level {
                 self.level = target;
@@ -118,7 +114,8 @@ impl PowerScheme for ShavingScheme {
                 self.calm_slots += 1;
                 if self.calm_slots >= RECOVERY_SLOTS {
                     let next = PState(self.level.0 + 1);
-                    let predicted = self.capper.aggregate_power(next, &Self::loads(input));
+                    let predicted = ServerPowerModel::paper_default()
+                        .aggregate_power(next, &Self::loads(input));
                     if predicted <= input.supply_w * (1.0 - RECOVERY_GUARD) {
                         self.level = next;
                         self.calm_slots = 0;

@@ -13,6 +13,7 @@ use super::{Action, ControlInput, PowerScheme};
 use crate::config::ClusterConfig;
 use netsim::request::{Request, UrlId};
 use netsim::token_bucket::PowerTokenBucket;
+use powercap::server_power::ServerPowerModel;
 use simcore::{FxHashMap, SimTime};
 use workloads::floods::{FloodKind, CONN_TABLE_URL, DNS_URL, KERNEL_PATH_URL};
 use workloads::service::ServiceKind;
@@ -57,9 +58,10 @@ impl TokenScheme {
     /// Build for a cluster: the bucket refills at the dynamic budget
     /// (supply − aggregate idle floor) and can burst 2 seconds.
     pub(crate) fn new(config: &ClusterConfig) -> Self {
-        let idle_floor = config.servers as f64 * 40.0;
+        let model = ServerPowerModel::paper_default();
+        let idle_floor = config.servers as f64 * model.idle_w;
         let dynamic_budget = (config.supply_w() - idle_floor).max(1.0);
-        let energy = energy_table(2.4, 60.0);
+        let energy = energy_table(model.table.max_freq_ghz(), model.dynamic_headroom_w());
         let mut costs: Vec<f64> = energy.values().copied().collect();
         costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let default_cost_j = costs[costs.len() / 2];

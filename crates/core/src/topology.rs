@@ -33,9 +33,7 @@
 
 use crate::config::{ConfigError, ControlPlaneConfig};
 use crate::scheme::Action;
-use powercap::capper::{ServerLoad, UniformCapper};
 use powercap::pstate::PState;
-use powercap::server_power::ServerPowerModel;
 use powercap::Breaker;
 use simcore::{SimDuration, SimTime};
 
@@ -718,17 +716,7 @@ impl TopologyState {
         hardening: Option<&ControlPlaneConfig>,
     ) -> Self {
         let topo = PowerTopology::build(servers, facility_budget_w, cfg);
-        let safe_pstate = UniformCapper::new(ServerPowerModel::paper_default()).state_for_budget(
-            facility_budget_w,
-            &vec![
-                ServerLoad {
-                    utilization: 1.0,
-                    intensity: 1.0,
-                    gamma: 0.9,
-                };
-                servers
-            ],
-        );
+        let safe_pstate = crate::control::safe_pstate(facility_budget_w, servers);
         let guard_hold_slots = (cfg.breaker_trip_delay.as_micros()
             / control_slot.as_micros().max(1))
         .max(1);

@@ -5,10 +5,11 @@
 
 use antidope::health::staleness::LastGood;
 use antidope::{
-    ActuationTransport, ClusterConfig, ConditionRecord, ControlClock, ControlPipeline,
+    ActuationTransport, ClusterConfig, ClusterView, ControlClock, ControlPipeline,
     DecisionRecord, ExperimentConfig, PlaneSample, SamplePlant, SlotTick, TelemetryTransport,
-    TraceFooter, TransportError, ViewRecord,
+    TraceFooter, TransportError,
 };
+use powercap::monitor::PowerCondition;
 use profiler::ProfilerReport;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +37,7 @@ pub struct SlotOutcome {
     /// How the slot was fed.
     pub disposition: SlotDisposition,
     /// Filter-stage output, when the pass ran.
-    pub view: Option<ViewRecord>,
+    pub view: Option<ClusterView>,
     /// Sweep + Decide output, when the pass ran.
     pub decisions: Option<DecisionRecord>,
 }
@@ -214,7 +215,6 @@ where
         }
         let mut plant = SamplePlant::new(sample);
         let (view, _) = self.pipeline.run_slot(tick.now, &self.cfg, &mut plant);
-        let view = ViewRecord::from(&view);
         let decisions = plant.decisions(&mut self.pipeline.actions);
         let (energy_j, true_power_w) = (sample.energy_j, sample.true_power_w);
         if let Some(mut held) = fresh {
@@ -230,7 +230,7 @@ where
         }
         self.actions += decisions.actions.len() as u64;
         self.retries += decisions.retries.len() as u64;
-        if view.condition == ConditionRecord::Emergency {
+        if view.condition == PowerCondition::Emergency {
             self.emergency_slots += 1;
         }
         if view.watchdog_engaged {

@@ -16,7 +16,7 @@
 //! The headline guarantee is **sim/live parity**: record a trace from a
 //! fixed-seed DES run ([`antidope::record_experiment`]), replay it
 //! through [`LiveDaemon`], and every emitted
-//! [`antidope::ViewRecord`]/[`antidope::DecisionRecord`] — plus the
+//! [`antidope::ClusterView`]/[`antidope::DecisionRecord`] — plus the
 //! accounting footer — is byte-identical to what the simulator's
 //! control plane produced. The `tests/parity.rs` harness enforces this
 //! in debug and release.

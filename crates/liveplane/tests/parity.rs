@@ -220,7 +220,8 @@ fn schema_mismatch_is_a_typed_error() {
     let exp = quick_exp(SchemeKind::Capping, BudgetLevel::Medium, 10, 2019);
     let (_, trace) = record_experiment(&exp, &sources());
     let jsonl = trace.to_jsonl();
-    let bumped = jsonl.replacen("\"schema\":1", "\"schema\":99", 1);
+    let current = format!("\"schema\":{TRACE_SCHEMA_VERSION},");
+    let bumped = jsonl.replacen(&current, "\"schema\":99,", 1);
     assert_ne!(bumped, jsonl, "header must carry the schema field");
     match ControlTrace::from_jsonl_str(&bumped) {
         Err(ConfigError::TraceSchema { found, supported }) => {

@@ -4,16 +4,15 @@
 //! firewall, context-aware cost-to-serve pricing (CAPoW-style: the more
 //! a request costs the datacenter, the more "budget" its admission
 //! burns), power-denominated token buckets — and a request must clear
-//! every stage before routing. This module unifies them behind one
-//! [`AdmissionStage`] trait and a declarative [`AdmissionPipeline`] the
-//! engines run between the outage check and the scheme's own admission
-//! decision, with per-stage verdict accounting surfaced in the report.
+//! every stage before routing. Here the perimeter is an
+//! [`AdmissionPipeline`] of two typed slots, the firewall and then the
+//! [`CostToServe`] pricing stage, which the engine runs between the
+//! outage check and the scheme's own admission decision, with per-stage
+//! verdict accounting surfaced in the report.
 //!
-//! Stage order is the declaration order; the first denial wins and later
-//! stages never see (or charge for) the request. The firewall keeps its
-//! dedicated slot at the front of the pipeline so a firewall-only
-//! pipeline is byte-identical — counter for counter — to the historical
-//! hard-wired `Option<Firewall>` path.
+//! The first denial wins and later stages never see (or charge for) the
+//! request. A firewall-only pipeline is byte-identical — counter for
+//! counter — to the historical hard-wired `Option<Firewall>` path.
 
 use crate::error::ConfigError;
 use crate::firewall::{Firewall, FirewallVerdict};
@@ -38,18 +37,6 @@ impl StageKind {
             StageKind::CostToServe => "cost-to-serve",
         }
     }
-}
-
-/// One verdict-issuing admission check.
-pub trait AdmissionStage {
-    /// The stage's class (used to map denials onto source feedback).
-    fn kind(&self) -> StageKind;
-    /// Admit (`true`) or deny (`false`) one request.
-    fn decide(&mut self, now: SimTime, req: &Request) -> bool;
-    /// Requests this stage admitted.
-    fn passed(&self) -> u64;
-    /// Requests this stage denied.
-    fn denied(&self) -> u64;
 }
 
 /// Outcome of running a request through the full pipeline.
@@ -127,24 +114,11 @@ impl CostToServe {
     pub(crate) fn price(&self, req: &Request) -> f64 {
         req.work_gcycles * req.intensity * (1.0 + self.mem_surcharge * (1.0 - req.gamma))
     }
-}
 
-impl AdmissionStage for CostToServe {
-    fn kind(&self) -> StageKind {
-        StageKind::CostToServe
-    }
-
+    /// Admit (`true`) or deny (`false`) one request, charging its price.
     fn decide(&mut self, now: SimTime, req: &Request) -> bool {
         let price = self.price(req);
         self.bucket.try_consume(now, price)
-    }
-
-    fn passed(&self) -> u64 {
-        self.bucket.admitted()
-    }
-
-    fn denied(&self) -> u64 {
-        self.bucket.denied()
     }
 }
 
@@ -175,15 +149,13 @@ pub struct AdmissionReport {
     pub stages: Vec<StageReport>,
 }
 
-/// The staged admission pipeline the NLB runs before routing.
-///
-/// The firewall occupies a dedicated typed slot at the front (its
-/// counters feed the report's historical `firewall_blocked` field);
-/// arbitrary [`AdmissionStage`] implementations follow in declaration
-/// order.
+/// The staged admission pipeline the NLB runs before routing: the
+/// firewall (its counters feed the report's historical
+/// `firewall_blocked` field), then cost-to-serve pricing. Either slot
+/// may be empty.
 pub struct AdmissionPipeline {
     firewall: Option<Firewall>,
-    stages: Vec<Box<dyn AdmissionStage>>,
+    cost: Option<CostToServe>,
     offered: u64,
     admitted: u64,
 }
@@ -193,7 +165,7 @@ impl AdmissionPipeline {
     pub fn new() -> Self {
         AdmissionPipeline {
             firewall: None,
-            stages: Vec::new(),
+            cost: None,
             offered: 0,
             admitted: 0,
         }
@@ -205,10 +177,9 @@ impl AdmissionPipeline {
         self
     }
 
-    /// Append a stage after the firewall (declaration order is run
-    /// order).
-    pub fn with_stage(mut self, stage: Box<dyn AdmissionStage>) -> Self {
-        self.stages.push(stage);
+    /// Put `cost` in the slot after the firewall.
+    pub fn with_cost(mut self, cost: CostToServe) -> Self {
+        self.cost = Some(cost);
         self
     }
 
@@ -220,9 +191,9 @@ impl AdmissionPipeline {
                 return AdmissionDecision::Deny(StageKind::Firewall);
             }
         }
-        for stage in &mut self.stages {
-            if !stage.decide(now, req) {
-                return AdmissionDecision::Deny(stage.kind());
+        if let Some(cost) = &mut self.cost {
+            if !cost.decide(now, req) {
+                return AdmissionDecision::Deny(StageKind::CostToServe);
             }
         }
         self.admitted += 1;
@@ -236,12 +207,12 @@ impl AdmissionPipeline {
 
     /// Requests denied by post-firewall stages.
     pub fn stage_denied(&self) -> u64 {
-        self.stages.iter().map(|s| s.denied()).sum()
+        self.cost.as_ref().map_or(0, |c| c.bucket.denied())
     }
 
     /// Verdict accounting for the report.
     pub fn report(&self) -> AdmissionReport {
-        let mut stages = Vec::with_capacity(self.stages.len() + 1);
+        let mut stages = Vec::with_capacity(2);
         if let Some(fw) = &self.firewall {
             stages.push(StageReport {
                 stage: StageKind::Firewall.name().to_string(),
@@ -249,11 +220,11 @@ impl AdmissionPipeline {
                 denied: fw.blocked_requests(),
             });
         }
-        for s in &self.stages {
+        if let Some(c) = &self.cost {
             stages.push(StageReport {
-                stage: s.kind().name().to_string(),
-                passed: s.passed(),
-                denied: s.denied(),
+                stage: StageKind::CostToServe.name().to_string(),
+                passed: c.bucket.admitted(),
+                denied: c.bucket.denied(),
             });
         }
         AdmissionReport {
@@ -334,7 +305,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut p = AdmissionPipeline::new().with_stage(Box::new(stage));
+        let mut p = AdmissionPipeline::new().with_cost(stage);
         let mut b = RequestBuilder::starting_at(0);
         // 100 requests of cost 5 offered in one second against a budget
         // of 10/s with a 10-unit burst: only a handful clear.
@@ -377,9 +348,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut p = AdmissionPipeline::new()
-            .with_firewall(fw)
-            .with_stage(Box::new(cost));
+        let mut p = AdmissionPipeline::new().with_firewall(fw).with_cost(cost);
         let mut b = RequestBuilder::starting_at(0);
         for i in 0..2000 {
             let at = SimTime::from_millis(i * 10);
@@ -462,9 +431,7 @@ mod tests {
                 },
             )
             .expect("valid cost config");
-            let mut p = AdmissionPipeline::new()
-                .with_firewall(fw)
-                .with_stage(Box::new(cost));
+            let mut p = AdmissionPipeline::new().with_firewall(fw).with_cost(cost);
             let mut b = RequestBuilder::starting_at(0);
             for i in 0..n {
                 let at = SimTime::from_millis(i as u64 * gap_ms);

@@ -24,9 +24,8 @@
 //!   backoff + jitter, and per-pool circuit breakers that steer traffic
 //!   away from a tripped rack.
 //! * [`AdmissionPipeline`] — the staged perimeter the NLB runs before
-//!   routing: the firewall, then CAPoW-style [`CostToServe`] pricing
-//!   behind one `admission::AdmissionStage` trait, with per-stage
-//!   verdict accounting.
+//!   routing: a typed slot for the firewall, then one for CAPoW-style
+//!   [`CostToServe`] pricing, with per-stage verdict accounting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,10 +11,10 @@
 use crate::pstate::{PState, PStateTable};
 use simcore::{SimDuration, SimTime};
 
-/// DVFS state machine for one server.
+/// DVFS state machine for one server on the paper's ladder
+/// ([`PStateTable::paper_default`]).
 #[derive(Debug, Clone)]
 pub struct DvfsController {
-    table: PStateTable,
     /// State the hardware is actually running.
     effective: PState,
     /// State most recently commanded.
@@ -28,10 +28,9 @@ pub struct DvfsController {
 
 impl DvfsController {
     /// New controller at nominal frequency.
-    pub fn new(table: PStateTable, transition_latency: SimDuration) -> Self {
-        let top = table.max_state();
+    pub fn new(transition_latency: SimDuration) -> Self {
+        let top = PStateTable::paper_default().max_state();
         DvfsController {
-            table,
             effective: top,
             target: top,
             settles_at: None,
@@ -62,7 +61,7 @@ impl DvfsController {
     /// of the baseline transition latency — used by fault injection to
     /// model a command that reaches the governor late.
     pub fn command_delayed(&mut self, now: SimTime, target: PState, extra: SimDuration) -> SimTime {
-        let target = self.table.clamp(target);
+        let target = PStateTable::paper_default().clamp(target);
         self.advance(now);
         if target == self.effective && self.settles_at.is_none() && extra.is_zero() {
             self.target = target;
@@ -98,18 +97,18 @@ impl DvfsController {
     /// Effective frequency in GHz.
     #[cfg(test)]
     pub(crate) fn freq_ghz(&self) -> f64 {
-        self.table.freq_ghz(self.effective)
+        PStateTable::paper_default().freq_ghz(self.effective)
     }
 
     /// Effective frequency relative to nominal.
     pub fn rel_freq(&self) -> f64 {
-        self.table.rel_freq(self.effective)
+        PStateTable::paper_default().rel_freq(self.effective)
     }
 
     /// How many states below nominal the *effective* state sits — the
     /// paper's "V/F reduction" y-axis in Fig 6.
     pub fn vf_reduction_steps(&self) -> u8 {
-        self.table.max_state().0 - self.effective.0
+        PStateTable::paper_default().max_state().0 - self.effective.0
     }
 }
 
@@ -118,7 +117,7 @@ mod tests {
     use super::*;
 
     fn ctl() -> DvfsController {
-        DvfsController::new(PStateTable::paper_default(), SimDuration::from_millis(10))
+        DvfsController::new(SimDuration::from_millis(10))
     }
 
     fn ms(x: u64) -> SimTime {

@@ -9,10 +9,16 @@
 //!   *power intensity* and *frequency sensitivity* knobs (the γ of
 //!   DESIGN.md) — the two parameters that make Colla-Filt trip power
 //!   capping at low request rates while K-means resists DVFS savings.
+//!   It also resolves a RAPL-style watt limit to a P-state, and searches
+//!   the highest uniform P-state under a cluster budget (the paper's
+//!   `Capping` baseline).
+//!
+//!   The testbed has one kind of server, so the ladder and the model
+//!   are each one `static`: [`PStateTable::paper_default`] and
+//!   [`ServerPowerModel::paper_default`] hand out `&'static` references,
+//!   and no node, actuator or scheme keeps a copy.
 //! * [`DvfsController`] — per-server frequency actuator with transition
 //!   latency.
-//! * [`Rapl`] — RAPL-style "set a watt limit, hardware picks the
-//!   P-state" interface with enforcement delay.
 //! * [`Battery`] — rack UPS used for peak shaving: capacity, discharge /
 //!   charge rate limits, round-trip efficiency, exact depletion times.
 //! * [`PowerBudget`] / [`BudgetLevel`] — the paper's Normal/High/Medium/
@@ -21,9 +27,6 @@
 //!   type for the flat cluster feed and every level of a power tree.
 //! * [`PowerMonitor`] — consecutive-sample budget-violation detector feeding
 //!   the control loop.
-//! * [`UniformCapper`] — the search primitive behind the paper's
-//!   `Capping` baseline: the highest uniform P-state that satisfies the
-//!   budget.
 //! * [`ThermalNode`] — the cooling layer DOPE also targets: first-order
 //!   thermal model with PROCHOT clamping and critical trip.
 
@@ -33,23 +36,19 @@
 pub mod battery;
 pub mod breaker;
 pub mod budget;
-pub mod capper;
 pub mod dvfs;
 pub mod error;
 pub mod monitor;
 pub mod pstate;
-pub mod rapl;
 pub mod server_power;
 pub mod thermal;
 
 pub use battery::Battery;
 pub use breaker::{Breaker, BreakerState};
 pub use budget::{BudgetLevel, PowerBudget};
-pub use capper::UniformCapper;
 pub use dvfs::DvfsController;
 pub use error::ConfigError;
 pub use monitor::PowerMonitor;
 pub use pstate::{PState, PStateTable};
-pub use rapl::Rapl;
-pub use server_power::ServerPowerModel;
+pub use server_power::{ServerLoad, ServerPowerModel};
 pub use thermal::{ThermalNode, ThermalState};

@@ -22,41 +22,42 @@ impl PState {
     }
 }
 
-/// An immutable DVFS ladder.
-#[derive(Debug, Clone)]
+/// States on the paper's ladder.
+const STATES: usize = 13;
+
+/// An immutable DVFS ladder. The paper's testbed has one, held once in
+/// a `static` ([`PStateTable::paper_default`]).
+#[derive(Debug)]
 pub struct PStateTable {
     /// Frequencies in GHz, ascending.
-    freqs_ghz: Vec<f64>,
+    freqs_ghz: [f64; STATES],
     /// `f·V²` at each state, normalized to 1.0 at the top state.
-    rel_dyn_power: Vec<f64>,
+    rel_dyn_power: [f64; STATES],
 }
 
+/// The paper's ladder: 1.2–2.4 GHz in 0.1 GHz steps, 0.8–1.2 V.
+static PAPER_LADDER: PStateTable = PStateTable::ladder(1.2, 2.4, 0.8, 1.2);
+
 impl PStateTable {
-    /// Build a ladder over `[f_min_ghz, f_max_ghz]` with `steps` states
-    /// and voltage ramping affinely from `v_min` to `v_max`.
-    pub(crate) fn new(
-        f_min_ghz: f64,
-        f_max_ghz: f64,
-        steps: usize,
-        v_min: f64,
-        v_max: f64,
-    ) -> Self {
-        assert!(steps >= 2, "need at least two P-states");
-        assert!(f_max_ghz > f_min_ghz && f_min_ghz > 0.0);
-        assert!(v_max >= v_min && v_min > 0.0);
-        let mut freqs_ghz = Vec::with_capacity(steps);
-        let mut volts = Vec::with_capacity(steps);
-        for i in 0..steps {
-            let a = i as f64 / (steps - 1) as f64;
-            freqs_ghz.push(f_min_ghz + a * (f_max_ghz - f_min_ghz));
-            volts.push(v_min + a * (v_max - v_min));
+    /// The ladder over `[f_min_ghz, f_max_ghz]` with voltage ramping
+    /// affinely from `v_min` to `v_max`, evaluated at compile time.
+    const fn ladder(f_min_ghz: f64, f_max_ghz: f64, v_min: f64, v_max: f64) -> Self {
+        let mut freqs_ghz = [0.0; STATES];
+        let mut volts = [0.0; STATES];
+        let mut i = 0;
+        while i < STATES {
+            let a = i as f64 / (STATES - 1) as f64;
+            freqs_ghz[i] = f_min_ghz + a * (f_max_ghz - f_min_ghz);
+            volts[i] = v_min + a * (v_max - v_min);
+            i += 1;
         }
-        let top = freqs_ghz[steps - 1] * volts[steps - 1] * volts[steps - 1];
-        let rel_dyn_power = freqs_ghz
-            .iter()
-            .zip(&volts)
-            .map(|(f, v)| f * v * v / top)
-            .collect();
+        let top = freqs_ghz[STATES - 1] * volts[STATES - 1] * volts[STATES - 1];
+        let mut rel_dyn_power = [0.0; STATES];
+        let mut i = 0;
+        while i < STATES {
+            rel_dyn_power[i] = freqs_ghz[i] * volts[i] * volts[i] / top;
+            i += 1;
+        }
         PStateTable {
             freqs_ghz,
             rel_dyn_power,
@@ -64,27 +65,27 @@ impl PStateTable {
     }
 
     /// States in [`PStateTable::paper_default`].
-    pub const PAPER_STATES: usize = 13;
+    pub const PAPER_STATES: usize = STATES;
 
     /// The paper's ladder: 1.2–2.4 GHz in 0.1 GHz steps (13 states),
     /// 0.8–1.2 V.
-    pub fn paper_default() -> Self {
-        PStateTable::new(1.2, 2.4, Self::PAPER_STATES, 0.8, 1.2)
+    pub const fn paper_default() -> &'static PStateTable {
+        &PAPER_LADDER
     }
 
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.freqs_ghz.len()
+        STATES
     }
 
-    /// Always false (a table has ≥ 2 states by construction).
+    /// Always false (the ladder has 13 states).
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// The fastest (nominal) state.
     pub fn max_state(&self) -> PState {
-        PState((self.len() - 1) as u8)
+        PState((STATES - 1) as u8)
     }
 
     /// The slowest state.
@@ -94,7 +95,7 @@ impl PStateTable {
 
     /// Clamp an arbitrary index into the valid range.
     pub(crate) fn clamp(&self, p: PState) -> PState {
-        PState(p.0.min((self.len() - 1) as u8))
+        PState(p.0.min((STATES - 1) as u8))
     }
 
     /// Frequency of state `p` in GHz.
@@ -104,7 +105,7 @@ impl PStateTable {
 
     /// Nominal (top-state) frequency in GHz.
     pub fn max_freq_ghz(&self) -> f64 {
-        *self.freqs_ghz.last().expect("non-empty")
+        self.freqs_ghz[STATES - 1]
     }
 
     /// Frequency of `p` relative to nominal, in `(0, 1]`.
@@ -168,9 +169,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
-    fn rejects_single_state() {
-        let _ = PStateTable::new(1.0, 2.0, 1, 0.8, 1.2);
+    fn const_ladder_matches_the_runtime_law_bit_for_bit() {
+        // The same f·V²/top law evaluated at run time.
+        let t = PStateTable::paper_default();
+        let (f_min, f_max, v_min, v_max) = std::hint::black_box((1.2, 2.4, 0.8, 1.2));
+        let at = |i: usize| {
+            let a = i as f64 / (STATES - 1) as f64;
+            (f_min + a * (f_max - f_min), v_min + a * (v_max - v_min))
+        };
+        let (ft, vt) = at(STATES - 1);
+        let top = ft * vt * vt;
+        for p in t.states() {
+            let (f, v) = at(p.0 as usize);
+            assert_eq!(t.freq_ghz(p).to_bits(), f.to_bits(), "{p:?}");
+            assert_eq!(
+                t.rel_dyn_power(p).to_bits(),
+                (f * v * v / top).to_bits(),
+                "{p:?}"
+            );
+        }
     }
 
     proptest! {

@@ -26,8 +26,10 @@
 
 use crate::pstate::{PState, PStateTable};
 
-/// Per-server power model parameters.
-#[derive(Debug, Clone)]
+/// Per-server power model parameters. Every server of the paper's
+/// testbed is the same, so the model is held once, in a `static`
+/// ([`ServerPowerModel::paper_default`]).
+#[derive(Debug)]
 pub struct ServerPowerModel {
     /// Nameplate (max) power at full frequency and full load, watts.
     pub nameplate_w: f64,
@@ -39,20 +41,35 @@ pub struct ServerPowerModel {
     /// Concavity of the power-vs-utilization curve (`u^e`), `0 < e ≤ 1`.
     pub util_exponent: f64,
     /// The DVFS ladder this server runs.
-    pub table: PStateTable,
+    pub table: &'static PStateTable,
+}
+
+/// The paper's leaf node.
+static PAPER_SERVER: ServerPowerModel = ServerPowerModel {
+    nameplate_w: 100.0,
+    idle_w: 40.0,
+    idle_freq_fraction: 0.3,
+    util_exponent: 0.5,
+    table: PStateTable::paper_default(),
+};
+
+/// Per-server inputs to the uniform capping search
+/// ([`ServerPowerModel::state_for_budget`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ServerLoad {
+    /// Busy-core fraction in `[0, 1]`.
+    pub utilization: f64,
+    /// Aggregate power intensity of the resident workload in `[0, 1]`.
+    pub intensity: f64,
+    /// Aggregate DVFS power sensitivity of the resident workload.
+    pub gamma: f64,
 }
 
 impl ServerPowerModel {
     /// The paper's leaf node: 100 W nameplate, 40 W idle, the 13-step
     /// 1.2–2.4 GHz ladder.
-    pub fn paper_default() -> Self {
-        ServerPowerModel {
-            nameplate_w: 100.0,
-            idle_w: 40.0,
-            idle_freq_fraction: 0.3,
-            util_exponent: 0.5,
-            table: PStateTable::paper_default(),
-        }
+    pub fn paper_default() -> &'static ServerPowerModel {
+        &PAPER_SERVER
     }
 
     /// Idle power at P-state `p`, watts.
@@ -63,7 +80,7 @@ impl ServerPowerModel {
     }
 
     /// Dynamic power headroom at nominal frequency: nameplate − idle.
-    pub(crate) fn dynamic_headroom_w(&self) -> f64 {
+    pub fn dynamic_headroom_w(&self) -> f64 {
         self.nameplate_w - self.idle_w
     }
 
@@ -101,9 +118,48 @@ impl ServerPowerModel {
         self.table.min_state()
     }
 
+    /// The P-state a RAPL-style package limit resolves to for the
+    /// workload character on the node: nominal when uncapped, else the
+    /// highest state whose worst-case power meets the limit.
+    ///
+    /// The paper's RPM writes watt limits through Intel's RAPL
+    /// interface (Section 5.2); after an enforcement delay the package
+    /// governor clamps the P-state to hold the limit. The node commands
+    /// the resolved state through its DVFS controller, whose settle
+    /// latency is that enforcement delay.
+    pub fn resolve(&self, limit_w: Option<f64>, intensity: f64, gamma: f64) -> PState {
+        match limit_w {
+            None => self.table.max_state(),
+            Some(w) => self.state_for_cap(w, intensity, gamma),
+        }
+    }
+
     /// Power at full utilization for a workload, at state `p`.
     pub fn full_load_power(&self, p: PState, intensity: f64, gamma: f64) -> f64 {
         self.power(p, 1.0, intensity, gamma)
+    }
+
+    /// Predicted aggregate power if every server ran at state `p`.
+    pub fn aggregate_power(&self, p: PState, loads: &[ServerLoad]) -> f64 {
+        loads
+            .iter()
+            .map(|l| self.power(p, l.utilization, l.intensity, l.gamma))
+            .sum()
+    }
+
+    /// The highest *uniform* state whose aggregate power meets
+    /// `budget_w`, or the floor state if none does (the caller must then
+    /// shed load or use batteries). The search primitive behind the
+    /// paper's `Capping` baseline, which "blindly decreases the
+    /// executing V/F of all the requests" (Section 6.5).
+    pub fn state_for_budget(&self, budget_w: f64, loads: &[ServerLoad]) -> PState {
+        for i in (0..self.table.len()).rev() {
+            let p = PState(i as u8);
+            if self.aggregate_power(p, loads) <= budget_w + 1e-9 {
+                return p;
+            }
+        }
+        self.table.min_state()
     }
 }
 
@@ -205,7 +261,161 @@ mod tests {
         );
     }
 
+    fn busy(n: usize) -> Vec<ServerLoad> {
+        vec![
+            ServerLoad {
+                utilization: 1.0,
+                intensity: 1.0,
+                gamma: 0.9,
+            };
+            n
+        ]
+    }
+
+    #[test]
+    fn full_cluster_at_nameplate() {
+        let m = ServerPowerModel::paper_default();
+        let top = m.table.max_state();
+        assert!((m.aggregate_power(top, &busy(4)) - 400.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn generous_budget_keeps_nominal() {
+        let m = ServerPowerModel::paper_default();
+        assert_eq!(m.state_for_budget(400.0, &busy(4)), PState(12));
+    }
+
+    #[test]
+    fn tight_budget_steps_down_minimally() {
+        let m = ServerPowerModel::paper_default();
+        let loads = busy(4);
+        let p = m.state_for_budget(340.0, &loads); // Medium-PB on 4×100 W
+        assert!(p < PState(12));
+        assert!(m.aggregate_power(p, &loads) <= 340.0 + 1e-9);
+        // Minimality: one step up violates.
+        assert!(m.aggregate_power(PState(p.0 + 1), &loads) > 340.0);
+    }
+
+    #[test]
+    fn infeasible_budget_floors() {
+        let m = ServerPowerModel::paper_default();
+        let loads = busy(4);
+        let p = m.state_for_budget(50.0, &loads);
+        assert_eq!(p, PState(0));
+        assert!(m.aggregate_power(p, &loads) > 50.0);
+    }
+
+    #[test]
+    fn idle_servers_cost_only_idle_power() {
+        let m = ServerPowerModel::paper_default();
+        let loads = vec![
+            ServerLoad {
+                utilization: 0.0,
+                intensity: 1.0,
+                gamma: 0.9,
+            };
+            4
+        ];
+        let top = m.table.max_state();
+        assert!((m.aggregate_power(top, &loads) - 160.0).abs() < 1e-6);
+        assert_eq!(m.state_for_budget(200.0, &loads), top);
+    }
+
+    /// A watt limit resolved by [`ServerPowerModel::resolve`] and
+    /// commanded through the node's DVFS controller, the way the
+    /// cluster's nodes enact `SetPowerLimit`.
+    mod power_limit {
+        use super::*;
+        use crate::dvfs::DvfsController;
+        use simcore::{SimDuration, SimTime};
+
+        fn rig() -> (&'static ServerPowerModel, DvfsController) {
+            let dvfs = DvfsController::new(SimDuration::from_millis(10));
+            (ServerPowerModel::paper_default(), dvfs)
+        }
+
+        #[test]
+        fn uncapped_runs_nominal() {
+            let (m, mut dvfs) = rig();
+            let p = m.resolve(None, 1.0, 1.0);
+            dvfs.command(SimTime::ZERO, p);
+            assert_eq!(p, PState(12));
+            assert_eq!(dvfs.target(), PState(12));
+        }
+
+        #[test]
+        fn limit_resolves_to_satisfying_state() {
+            let (m, mut dvfs) = rig();
+            let p = m.resolve(Some(75.0), 1.0, 1.0);
+            dvfs.command(SimTime::ZERO, p);
+            assert!(p < PState(12));
+            assert!(m.full_load_power(dvfs.target(), 1.0, 1.0) <= 75.0 + 1e-9);
+            // Takes effect only after the DVFS transition latency.
+            dvfs.advance(SimTime::from_millis(5));
+            assert_eq!(dvfs.effective(), PState(12));
+            dvfs.advance(SimTime::from_millis(10));
+            assert_eq!(dvfs.effective(), p);
+        }
+
+        #[test]
+        fn memory_bound_workload_needs_lower_state() {
+            let (m, mut dvfs) = rig();
+            let p_cpu = m.resolve(Some(80.0), 1.0, 0.95);
+            dvfs.command(SimTime::ZERO, p_cpu);
+            let p_mem = m.resolve(Some(80.0), 0.95, 0.45);
+            dvfs.command(SimTime::from_millis(20), p_mem);
+            assert!(p_mem < p_cpu, "{p_mem:?} vs {p_cpu:?}");
+        }
+
+        #[test]
+        fn clearing_limit_restores_nominal() {
+            let (m, mut dvfs) = rig();
+            dvfs.command(SimTime::ZERO, m.resolve(Some(60.0), 1.0, 1.0));
+            let p = m.resolve(None, 1.0, 1.0);
+            dvfs.command(SimTime::from_secs(1), p);
+            assert_eq!(p, PState(12));
+            dvfs.advance(SimTime::from_secs(2));
+            assert_eq!(dvfs.effective(), PState(12));
+        }
+
+        #[test]
+        fn delayed_limit_defers_enforcement() {
+            let (m, mut dvfs) = rig();
+            let p = m.resolve(Some(75.0), 1.0, 1.0);
+            dvfs.command_delayed(SimTime::ZERO, p, SimDuration::from_millis(90));
+            dvfs.advance(SimTime::from_millis(99));
+            assert_eq!(dvfs.effective(), PState(12));
+            dvfs.advance(SimTime::from_millis(100));
+            assert_eq!(dvfs.effective(), p);
+        }
+
+        #[test]
+        fn infeasible_limit_floors() {
+            let (m, mut dvfs) = rig();
+            let p = m.resolve(Some(5.0), 1.0, 1.0);
+            dvfs.command(SimTime::ZERO, p);
+            assert_eq!(p, PState(0));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_chosen_state_is_maximal_feasible(
+            budget in 100.0f64..500.0,
+            utils in proptest::collection::vec(0.0f64..1.0, 4),
+        ) {
+            let m = ServerPowerModel::paper_default();
+            let loads: Vec<ServerLoad> = utils
+                .iter()
+                .map(|&u| ServerLoad { utilization: u, intensity: 0.9, gamma: 0.8 })
+                .collect();
+            let p = m.state_for_budget(budget, &loads);
+            let power = m.aggregate_power(p, &loads);
+            if power <= budget + 1e-9 && p != m.table.max_state() {
+                prop_assert!(m.aggregate_power(PState(p.0 + 1), &loads) > budget - 1e-6);
+            }
+        }
+
         #[test]
         fn prop_power_within_envelope(
             state in 0u8..13,

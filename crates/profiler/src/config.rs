@@ -2,21 +2,12 @@
 
 use std::fmt;
 
-/// Configuration of the online power-attribution profiler.
-///
-/// The first three fields calibrate the attribution model to the server
-/// power law `P = idle + u^e · Ī · scale` (the paper's fitted AC model at
-/// the nominal V/F point, where the DVFS factor is 1); the rest tune the
-/// estimator and the classification hysteresis.
+/// Configuration of the online power-attribution profiler: the
+/// estimator and the classification hysteresis. The power law it
+/// inverts is the plant's own, [`powercap::ServerPowerModel`], so it has
+/// no knobs here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerConfig {
-    /// Idle power of one server at the nominal P-state, watts.
-    pub idle_w: f64,
-    /// Dynamic power scale, watts: full-utilization power swing of a
-    /// unit-intensity mix at the nominal P-state.
-    pub dynamic_scale_w: f64,
-    /// Utilization exponent of the power law.
-    pub util_exponent: f64,
     /// EW-RLS forgetting factor λ ∈ (0, 1]; smaller forgets faster.
     pub forgetting: f64,
     /// Prior intensity assumed for a never-observed URL.
@@ -61,9 +52,6 @@ pub struct ProfilerConfig {
 impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {
-            idle_w: 40.0,
-            dynamic_scale_w: 60.0,
-            util_exponent: 0.5,
             forgetting: 0.98,
             prior_intensity: 0.5,
             prior_variance: 25.0,
@@ -84,8 +72,7 @@ impl Default for ProfilerConfig {
 impl ProfilerConfig {
     /// Validate every field, reporting the first violation.
     pub fn validate(&self) -> Result<(), ProfilerConfigError> {
-        let positive: [(&'static str, f64); 4] = [
-            ("dynamic_scale_w", self.dynamic_scale_w),
+        let positive: [(&'static str, f64); 3] = [
             ("prior_variance", self.prior_variance),
             ("variance_cap", self.variance_cap),
             ("cusum_threshold", self.cusum_threshold),
@@ -94,18 +81,6 @@ impl ProfilerConfig {
             if value <= 0.0 || !value.is_finite() {
                 return Err(ProfilerConfigError::Value { field, value });
             }
-        }
-        if self.idle_w < 0.0 || !self.idle_w.is_finite() {
-            return Err(ProfilerConfigError::Value {
-                field: "idle_w",
-                value: self.idle_w,
-            });
-        }
-        if !(self.util_exponent > 0.0 && self.util_exponent <= 1.0) {
-            return Err(ProfilerConfigError::Value {
-                field: "util_exponent",
-                value: self.util_exponent,
-            });
         }
         if !(self.forgetting > 0.0 && self.forgetting <= 1.0) {
             return Err(ProfilerConfigError::Forgetting {
@@ -243,7 +218,7 @@ mod tests {
             Err(ProfilerConfigError::MaxUrls { .. })
         ));
         let c = ProfilerConfig {
-            dynamic_scale_w: -1.0,
+            prior_variance: -1.0,
             ..ProfilerConfig::default()
         };
         assert!(matches!(c.validate(), Err(ProfilerConfigError::Value { .. })));
@@ -252,10 +227,10 @@ mod tests {
     #[test]
     fn errors_render_the_offending_field() {
         let e = ProfilerConfigError::Value {
-            field: "idle_w",
+            field: "prior_variance",
             value: -3.0,
         };
-        assert!(format!("{e}").contains("idle_w"));
+        assert!(format!("{e}").contains("prior_variance"));
         let e = ProfilerConfigError::Threshold { value: 2.0 };
         assert!(format!("{e}").contains('2'));
     }

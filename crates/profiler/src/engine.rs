@@ -3,15 +3,17 @@
 //! Each monitor tick the cluster feeds one observation per live node:
 //! the node's measured power (possibly fault-degraded), its utilization,
 //! whether it is running at the nominal V/F point, and its in-flight URL
-//! mix. At the nominal point the server power law is linear in the
-//! per-URL intensities:
+//! mix. At the nominal point the server power law
+//! ([`ServerPowerModel::power`], where the DVFS factor is 1 for any γ)
+//! is linear in the per-URL intensities:
 //!
 //! ```text
-//! P = idle + u^e · Ī · scale,   Ī = Σ_url share_url · I_url
-//! ⇒ y = (P − idle) / (scale · u^e) = Σ_url share_url · I_url
+//! P = idle + u^e · Ī · H,   Ī = Σ_url share_url · I_url
+//! ⇒ y = (P − idle) / (H · u^e) = Σ_url share_url · I_url
 //! ```
 //!
-//! so `(shares, y)` is one EW-RLS observation. Off-nominal nodes are
+//! with `H` the model's dynamic headroom (nameplate − idle), so
+//! `(shares, y)` is one EW-RLS observation. Off-nominal nodes are
 //! skipped (the DVFS factor re-couples intensity and γ there), which
 //! costs nothing: a throttled cluster still has nominal nodes every
 //! rotation onset, and the forgetting factor keeps stale evidence from
@@ -22,6 +24,7 @@ use crate::rls::EwRls;
 use dcmetrics::OnlineSummary;
 use netsim::request::UrlId;
 use netsim::suspect::FlowClass;
+use powercap::ServerPowerModel;
 use simcore::FxHashMap;
 
 /// Accounting of one run of the online profiler, for reports.
@@ -345,10 +348,9 @@ impl PowerProfiler {
             return; // idle node: nothing to attribute or refresh
         }
         let usable = at_nominal && utilization > 0.0;
-        let y = power_w.filter(|p| p.is_finite() && usable).map(|p| {
-            (p - self.cfg.idle_w)
-                / (self.cfg.dynamic_scale_w * utilization.powf(self.cfg.util_exponent))
-        });
+        let y = power_w
+            .filter(|p| p.is_finite() && usable)
+            .map(|p| mix_intensity(p, utilization));
         // Any appearance refreshes staleness, learned from or not. Mix
         // URLs are never eviction victims, so refreshing them as they are
         // tracked picks the same victims as refreshing them all first.
@@ -454,16 +456,48 @@ impl PowerProfiler {
     }
 }
 
+/// One observation's regression target: the mix intensity `Ī` that
+/// explains `power_w` at `utilization` on a node at the nominal P-state,
+/// by inverting the plant's power law.
+fn mix_intensity(power_w: f64, utilization: f64) -> f64 {
+    let m = ServerPowerModel::paper_default();
+    (power_w - m.idle_w) / (m.dynamic_headroom_w() * utilization.powf(m.util_exponent))
+}
+
+/// The plant's power at the nominal P-state, for synthetic observations
+/// (a mix's mean intensity can round one ulp past 1).
+#[cfg(test)]
+fn plant_power(utilization: f64, intensity: f64, gamma: f64) -> f64 {
+    let m = ServerPowerModel::paper_default();
+    m.power(m.table.max_state(), utilization, intensity.min(1.0), gamma)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> ProfilerConfig {
         ProfilerConfig::default()
     }
 
+    proptest! {
+        /// The profiler's target inverts the plant: for any load and any
+        /// γ, the power a nominal node draws maps back to the intensity
+        /// that drew it.
+        #[test]
+        fn prop_target_inverts_the_plant_power_law(
+            u in (0.0f64..1.0).prop_map(|x| 1.0 - x),
+            intensity in (0.0f64..1.0).prop_map(|x| 1.0 - x),
+            gamma in 0.0f64..=1.0,
+        ) {
+            let y = mix_intensity(plant_power(u, intensity, gamma), u);
+            prop_assert!((y - intensity).abs() < 1e-12, "y={} intensity={}", y, intensity);
+        }
+    }
+
     /// Synthetic node power at nominal V/F for a mix of true intensities.
-    fn power_of(c: &ProfilerConfig, u: f64, mix: &[(UrlId, u32)], truth: &[(UrlId, f64)]) -> f64 {
+    fn power_of(u: f64, mix: &[(UrlId, u32)], truth: &[(UrlId, f64)]) -> f64 {
         let total: u32 = mix.iter().map(|&(_, n)| n).sum();
         let mean_i: f64 = mix
             .iter()
@@ -476,7 +510,7 @@ mod tests {
                 i * n as f64 / total as f64
             })
             .sum();
-        c.idle_w + u.powf(c.util_exponent) * mean_i * c.dynamic_scale_w
+        plant_power(u, mean_i, 0.9)
     }
 
     #[test]
@@ -488,8 +522,8 @@ mod tests {
             // Two nodes with different mixes each tick.
             let m1 = [(UrlId(0), 3 + round % 2), (UrlId(3), 1)];
             let m2 = [(UrlId(0), 1), (UrlId(3), 4)];
-            p.observe_node(Some(power_of(&c, 0.8, &m1, &truth)), 0.8, true, &m1);
-            p.observe_node(Some(power_of(&c, 0.5, &m2, &truth)), 0.5, true, &m2);
+            p.observe_node(Some(power_of(0.8, &m1, &truth)), 0.8, true, &m1);
+            p.observe_node(Some(power_of(0.5, &m2, &truth)), 0.5, true, &m2);
             p.end_tick();
         }
         assert!(p.list().is_suspect(UrlId(0)));
@@ -523,11 +557,11 @@ mod tests {
         let m = [(UrlId(7), 4)];
         // Two observations < min_samples (3): no class yet.
         for _ in 0..2 {
-            p.observe_node(Some(power_of(&c, 0.9, &m, &truth)), 0.9, true, &m);
+            p.observe_node(Some(power_of(0.9, &m, &truth)), 0.9, true, &m);
         }
         p.end_tick();
         assert!(!p.list().is_suspect(UrlId(7)));
-        p.observe_node(Some(power_of(&c, 0.9, &m, &truth)), 0.9, true, &m);
+        p.observe_node(Some(power_of(0.9, &m, &truth)), 0.9, true, &m);
         p.end_tick();
         assert!(p.list().is_suspect(UrlId(7)));
     }
@@ -544,7 +578,7 @@ mod tests {
         // classified, never flaps.
         let truth = [(UrlId(1), 0.72)];
         for _ in 0..10 {
-            p.observe_node(Some(power_of(&c, 0.8, &m, &truth)), 0.8, true, &m);
+            p.observe_node(Some(power_of(0.8, &m, &truth)), 0.8, true, &m);
             p.end_tick();
         }
         assert_eq!(p.list().classified(), 0);
@@ -561,7 +595,7 @@ mod tests {
         let mut p = PowerProfiler::new(c.clone());
         let m = [(UrlId(9), 3)];
         for _ in 0..5 {
-            p.observe_node(Some(power_of(&c, 0.8, &m, &truth)), 0.8, true, &m);
+            p.observe_node(Some(power_of(0.8, &m, &truth)), 0.8, true, &m);
             p.end_tick();
         }
         assert!(p.list().is_suspect(UrlId(9)));
@@ -585,15 +619,15 @@ mod tests {
         let truth = [(UrlId(1), 0.9), (UrlId(2), 0.9), (UrlId(3), 0.9)];
         let mut p = PowerProfiler::new(c.clone());
         let m1 = [(UrlId(1), 2)];
-        p.observe_node(Some(power_of(&c, 0.8, &m1, &truth)), 0.8, true, &m1);
+        p.observe_node(Some(power_of(0.8, &m1, &truth)), 0.8, true, &m1);
         p.end_tick();
         let m2 = [(UrlId(2), 2)];
-        p.observe_node(Some(power_of(&c, 0.8, &m2, &truth)), 0.8, true, &m2);
+        p.observe_node(Some(power_of(0.8, &m2, &truth)), 0.8, true, &m2);
         p.end_tick();
         assert_eq!(p.tracked(), 2);
         // A third URL arrives: URL 1 (stalest) is evicted.
         let m3 = [(UrlId(3), 2)];
-        p.observe_node(Some(power_of(&c, 0.8, &m3, &truth)), 0.8, true, &m3);
+        p.observe_node(Some(power_of(0.8, &m3, &truth)), 0.8, true, &m3);
         p.end_tick();
         assert_eq!(p.tracked(), 2);
         assert!(p.estimate(UrlId(1)).is_none());
@@ -612,7 +646,7 @@ mod tests {
         let hot = [(UrlId(4), 0.95)];
         let cold = [(UrlId(4), 0.20)];
         for _ in 0..20 {
-            p.observe_node(Some(power_of(&c, 0.8, &m, &hot)), 0.8, true, &m);
+            p.observe_node(Some(power_of(0.8, &m, &hot)), 0.8, true, &m);
             p.end_tick();
         }
         assert!(p.list().is_suspect(UrlId(4)));
@@ -620,7 +654,7 @@ mod tests {
         // on one side until CUSUM trips, the entry re-learns, and the
         // classification follows the new truth.
         for _ in 0..60 {
-            p.observe_node(Some(power_of(&c, 0.8, &m, &cold)), 0.8, true, &m);
+            p.observe_node(Some(power_of(0.8, &m, &cold)), 0.8, true, &m);
             p.end_tick();
         }
         assert!(p.report().drift_events >= 1, "{:?}", p.report());
@@ -637,8 +671,8 @@ mod tests {
             for round in 0..12u32 {
                 let m1 = [(UrlId(0), 1 + round % 3), (UrlId(3), 2)];
                 let m2 = [(UrlId(2), 2), (UrlId(3), 1 + round % 2)];
-                p.observe_node(Some(power_of(&c, 0.7, &m1, &truth)), 0.7, true, &m1);
-                p.observe_node(Some(power_of(&c, 0.6, &m2, &truth)), 0.6, true, &m2);
+                p.observe_node(Some(power_of(0.7, &m1, &truth)), 0.7, true, &m1);
+                p.observe_node(Some(power_of(0.6, &m2, &truth)), 0.6, true, &m2);
                 p.end_tick();
             }
             (
@@ -764,10 +798,7 @@ mod differential {
                 } else {
                     0.1 + 0.9 * unit(&mut rng)
                 };
-                let power = cfg.idle_w
-                    + util.powf(cfg.util_exponent) * mean_i * cfg.dynamic_scale_w
-                    + unit(&mut rng)
-                    - 0.5;
+                let power = plant_power(util, mean_i, 0.9) + unit(&mut rng) - 0.5;
                 let power_w = match below(&mut rng, 10) {
                     0 => None,
                     1 => Some(f64::NAN),

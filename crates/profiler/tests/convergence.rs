@@ -3,17 +3,21 @@
 //! and mixes.
 
 use netsim::request::UrlId;
+use powercap::ServerPowerModel;
 use profiler::{PowerProfiler, ProfilerConfig};
 use proptest::prelude::*;
 
-/// Synthetic nominal-V/F node power for a mix under true intensities.
-fn power_of(c: &ProfilerConfig, u: f64, mix: &[(UrlId, u32)], truth: &[f64]) -> f64 {
+/// Synthetic nominal-V/F node power for a mix under true intensities,
+/// drawn by the plant's power model.
+fn power_of(u: f64, mix: &[(UrlId, u32)], truth: &[f64]) -> f64 {
     let total: u32 = mix.iter().map(|&(_, n)| n).sum();
     let mean_i: f64 = mix
         .iter()
         .map(|&(url, n)| truth[url.0 as usize] * n as f64 / total as f64)
         .sum();
-    c.idle_w + u.powf(c.util_exponent) * mean_i * c.dynamic_scale_w
+    let m = ServerPowerModel::paper_default();
+    // A mix's mean intensity can round one ulp past 1.
+    m.power(m.table.max_state(), u, mean_i.min(1.0), 0.9)
 }
 
 proptest! {
@@ -54,7 +58,7 @@ proptest! {
                 if mix.is_empty() {
                     continue;
                 }
-                let y = power_of(&cfg, u, &mix, &intensities);
+                let y = power_of(u, &mix, &intensities);
                 p.observe_node(Some(y), u, true, &mix);
             }
             p.end_tick();
@@ -92,9 +96,9 @@ proptest! {
             let b = (tick as usize + 1) % n;
             let solo = [(UrlId(a as u16), 2)];
             let pair = [(UrlId(a.min(b) as u16), 1), (UrlId(a.max(b) as u16), 2)];
-            p.observe_node(Some(power_of(&cfg, u, &solo, &intensities)), u, true, &solo);
+            p.observe_node(Some(power_of(u, &solo, &intensities)), u, true, &solo);
             if a != b {
-                p.observe_node(Some(power_of(&cfg, u, &pair, &intensities)), u, true, &pair);
+                p.observe_node(Some(power_of(u, &pair, &intensities)), u, true, &pair);
             }
             p.end_tick();
         }

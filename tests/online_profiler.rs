@@ -7,6 +7,7 @@ use antidope_repro::antidope::pdf::{build_suspect_list, DEFAULT_SUSPECT_THRESHOL
 use antidope_repro::antidope::scheme::{AntiDopeScheme, PowerScheme};
 use antidope_repro::netsim::request::UrlId;
 use antidope_repro::netsim::suspect::FlowClass;
+use antidope_repro::powercap::ServerPowerModel;
 use antidope_repro::prelude::*;
 use antidope_repro::simcore::rng::SimRng;
 use dope_bench::scenarios::{rotating, ROTATION_URL_SPACE};
@@ -129,8 +130,7 @@ mod convergence {
     /// profiler inverts (exactly — this isolates estimator convergence
     /// from simulator noise).
     fn drive_stationary(seed: u64, ticks: u32) -> PowerProfiler {
-        let cfg = ProfilerConfig::default();
-        let mut engine = PowerProfiler::new(cfg.clone());
+        let mut engine = PowerProfiler::new(ProfilerConfig::default());
         let mut rng = SimRng::new(seed);
         for _ in 0..ticks {
             for _node in 0..4 {
@@ -154,8 +154,8 @@ mod convergence {
                     })
                     .sum();
                 let utilization = 0.25 + 0.75 * rng.unit_f64();
-                let power = cfg.idle_w
-                    + cfg.dynamic_scale_w * utilization.powf(cfg.util_exponent) * mixed_intensity;
+                let model = ServerPowerModel::paper_default();
+                let power = model.power(model.table.max_state(), utilization, mixed_intensity, 0.9);
                 engine.observe_node(Some(power), utilization, true, &mix);
             }
             engine.end_tick();

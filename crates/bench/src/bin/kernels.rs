@@ -9,7 +9,10 @@
 //! a control trace (those lines also give MB/s); and one firewall
 //! `inspect` from flood-flat's population (200k uniform clients at
 //! 8,000 req/s plus 400 bots at 4,000 req/s), the perimeter's
-//! per-request cost. Each kernel is warmed up while a batch is sized to
+//! per-request cost; and one request's churn through a processor-sharing
+//! server queue held at depth 1 and at depth 128 (its admission bound):
+//! a push, a completion prediction and the completion, the dataplane's
+//! per-request queue cost. Each kernel is warmed up while a batch is sized to
 //! about one target interval, then timed over several batches; each line
 //! is the median time per call with the batches' first and third
 //! quartiles, the spread within one process (a difference between two
@@ -25,11 +28,13 @@ use antidope::{
     record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, DecisionRecord,
     ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder,
 };
-use netsim::request::{SourceId, UrlId};
+use netsim::queueing::PsServer;
+use netsim::request::{Request, RequestBuilder, SourceId, UrlId};
 use netsim::{Firewall, FirewallConfig};
 use powercap::budget::BudgetLevel;
 use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
+use powercap::server_power::ServerPowerModel;
 use profiler::rls::EwRls;
 use profiler::{PowerProfiler, ProfilerConfig};
 use simcore::rng::SimRng;
@@ -222,6 +227,21 @@ fn firewall_stream() -> Vec<(u64, SourceId)> {
     .collect()
 }
 
+/// 4,096 requests of 10–500 ms of nominal work and mixed
+/// CPU-boundedness, for the PS-queue churn kernel.
+fn churn_requests() -> Vec<Request> {
+    let ghz = ServerPowerModel::paper_default().table.max_freq_ghz();
+    let mut ids = RequestBuilder::new();
+    let mut rng = SimRng::new(29);
+    (0..4096)
+        .map(|_| {
+            let work = ghz * rng.range_f64(0.01, 0.5);
+            let beta = rng.unit_f64();
+            ids.build(UrlId(0), SourceId(0), SimTime::ZERO, work, beta, 0.8, 0.9, false)
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
     let (target, samples) = match std::env::args().nth(1).as_deref() {
         None => (Duration::from_millis(20), 21),
@@ -288,6 +308,26 @@ fn main() -> ExitCode {
             black_box(Json::parse(black_box(&line)).is_ok());
         });
         println!("  {:.1} MB/s over {} bytes", line.len() as f64 / ns * 1e3, line.len());
+    }
+    let requests = churn_requests();
+    for depth in [1usize, 128] {
+        // A paper server (4 cores at nominal) admitting `depth` requests,
+        // filled to one below its bound: each call pushes one request
+        // and completes the one due first.
+        let ghz = ServerPowerModel::paper_default().table.max_freq_ghz();
+        let mut ps = PsServer::new(SimTime::ZERO, 4, ghz, depth);
+        let mut feed = requests.iter().cycle();
+        let mut next = |at: SimTime| Request { arrival: at, ..feed.next().expect("cycled").clone() };
+        for _ in 1..depth {
+            ps.push(SimTime::ZERO, next(SimTime::ZERO));
+        }
+        let mut now = SimTime::ZERO;
+        report(&format!("ps_churn/{depth}"), &mut || {
+            ps.push(now, next(now));
+            let (eta, due) = ps.next_completion().expect("a busy server has a completion");
+            now = eta;
+            black_box(ps.try_complete(now, due));
+        });
     }
     let stream = firewall_stream();
     let mut firewall = Firewall::new(SimTime::ZERO, FirewallConfig::default());

@@ -3,11 +3,15 @@
 
 use crate::RunMode;
 use dcmetrics::export::Table;
+use powercap::server_power::ServerPowerModel;
 use workloads::floods::FloodKind;
 use workloads::service::ServiceKind;
 
-/// Render the workload catalog.
+/// Render the workload catalog. Service times and energies are priced
+/// on the paper's server model: nominal frequency and dynamic headroom.
 pub(crate) fn run(_mode: RunMode) -> Vec<Table> {
+    let model = ServerPowerModel::paper_default();
+    let (ghz, headroom_w) = (model.table.max_freq_ghz(), model.dynamic_headroom_w());
     let mut victims = Table::new(
         "Table 1 (victims): EC service kernels and calibrated parameters",
         &[
@@ -31,11 +35,11 @@ pub(crate) fn run(_mode: RunMode) -> Vec<Table> {
         victims.push_row(vec![
             kind.name().to_string(),
             character.to_string(),
-            format!("{:.1}", p.mean_service_time(2.4).as_secs_f64() * 1e3),
+            format!("{:.1}", p.mean_service_time(ghz).as_secs_f64() * 1e3),
             format!("{:.2}", p.beta),
             format!("{:.2}", p.intensity),
             format!("{:.2}", p.gamma),
-            format!("{:.3}", p.energy_estimate_j(2.4, 60.0)),
+            format!("{:.3}", p.energy_estimate_j(ghz, headroom_w)),
         ]);
     }
 
@@ -65,7 +69,7 @@ pub(crate) fn run(_mode: RunMode) -> Vec<Table> {
             format!(
                 "typical max rate {:.0}/s, {:.1} µs CPU per packet/query",
                 kind.typical_max_rate(),
-                kind.params().work_gcycles / 2.4 * 1e6
+                kind.params().work_gcycles / ghz * 1e6
             ),
         ]);
     }

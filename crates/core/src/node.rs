@@ -5,8 +5,8 @@
 //! state, and the node's instantaneous power follows the queue's resident
 //! load character through the server power model.
 
-use netsim::queueing::{PsServer, PushOutcome};
-use netsim::request::{Request, RequestId};
+use netsim::queueing::{Completion, PsServer, PushOutcome};
+use netsim::request::Request;
 use powercap::dvfs::DvfsController;
 use powercap::pstate::PState;
 use powercap::server_power::ServerPowerModel;
@@ -110,7 +110,7 @@ impl ComputeNode {
     }
 
     /// Predict the next completion (advance first).
-    pub(crate) fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, RequestId)> {
+    pub(crate) fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, Completion)> {
         self.queue.advance(now);
         self.queue.next_completion()
     }
@@ -119,9 +119,9 @@ impl ComputeNode {
     pub(crate) fn try_complete(
         &mut self,
         now: SimTime,
-        id: RequestId,
+        due: Completion,
     ) -> Option<(Request, SimDuration)> {
-        self.queue.try_complete(now, id)
+        self.queue.try_complete(now, due)
     }
 
     /// Command a P-state directly; returns the settle instant.
@@ -341,9 +341,8 @@ mod tests {
         let r = req(&mut b, 2.4, 1.0, 0.8);
         let id = r.id;
         n.push(SimTime::ZERO, r);
-        let (eta, got) = n.next_completion(SimTime::ZERO).unwrap();
-        assert_eq!(got, id);
-        let (done, sojourn) = n.try_complete(eta, id).unwrap();
+        let (eta, due) = n.next_completion(SimTime::ZERO).unwrap();
+        let (done, sojourn) = n.try_complete(eta, due).unwrap();
         assert_eq!(done.id, id);
         assert_eq!(sojourn.as_secs(), 1);
         assert_eq!(n.completed(), 1);

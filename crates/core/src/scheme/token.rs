@@ -18,8 +18,11 @@ use simcore::{FxHashMap, SimTime};
 use workloads::floods::{FloodKind, CONN_TABLE_URL, DNS_URL, KERNEL_PATH_URL};
 use workloads::service::ServiceKind;
 
-/// Offline-profiled per-request energy estimates, joules by URL.
-pub(crate) fn energy_table(core_ghz: f64, headroom_w: f64) -> FxHashMap<UrlId, f64> {
+/// Offline-profiled per-request energy estimates, joules by URL, priced
+/// on the paper's server: nominal frequency and dynamic headroom.
+pub(crate) fn energy_table() -> FxHashMap<UrlId, f64> {
+    let model = ServerPowerModel::paper_default();
+    let (core_ghz, headroom_w) = (model.table.max_freq_ghz(), model.dynamic_headroom_w());
     let mut t = FxHashMap::default();
     for kind in ServiceKind::ALL {
         t.insert(
@@ -61,7 +64,7 @@ impl TokenScheme {
         let model = ServerPowerModel::paper_default();
         let idle_floor = config.servers as f64 * model.idle_w;
         let dynamic_budget = (config.supply_w() - idle_floor).max(1.0);
-        let energy = energy_table(model.table.max_freq_ghz(), model.dynamic_headroom_w());
+        let energy = energy_table();
         let mut costs: Vec<f64> = energy.values().copied().collect();
         costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let default_cost_j = costs[costs.len() / 2];
@@ -139,7 +142,7 @@ mod tests {
 
     #[test]
     fn energy_table_orders_kernels() {
-        let t = energy_table(2.4, 60.0);
+        let t = energy_table();
         let km = t[&ServiceKind::KMeans.url()];
         let tc = t[&ServiceKind::TextCont.url()];
         assert!(km > 3.0 * tc, "K-means {km} vs Text-Cont {tc}");
@@ -197,7 +200,7 @@ mod tests {
         let mut s = TokenScheme::new(&cfg);
         gate(&mut s, 380.0, BudgetLevel::Medium);
         let mut b = RequestBuilder::new();
-        let table = energy_table(2.4, 60.0);
+        let table = energy_table();
         let mut admitted_j = 0.0;
         let horizon_s = 20.0;
         let mut i = 0u64;

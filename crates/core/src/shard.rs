@@ -14,6 +14,19 @@
 //!   boundary aggregates power and V/F statistics with tight flat scans
 //!   over the columns, and each node's energy is integrated exactly,
 //!   per event, from its own column entry.
+//! * **One pending completion per node** — every arrival, completion
+//!   and frequency-changing settle re-predicts its node's next
+//!   completion, moving the node's one entry in an indexed min-heap on
+//!   `(time, seq)` (`shard::pending`); the fixed cost is one `u32` position
+//!   per node. DVFS settles keep their own heap, stamped by the same
+//!   `seq` counter, and the shard loop merges the two. No prediction is
+//!   discarded unrun, so [`SimReport::events`] counts only events that
+//!   run.
+//! * **No request-keyed maps** — the PS queue addresses in-flight
+//!   requests by slot, and a request carries the index of the source
+//!   that emitted it ([`Request::emitter`], set once at routing and kept
+//!   through retries), so completion feedback finds its source without
+//!   a lookup.
 //!
 //! One slot cycle:
 //!
@@ -52,7 +65,7 @@
 //! at the boundary, and the shards and nodes are moved out of the
 //! coordinator for the window), arrivals are routed in nondecreasing
 //! time, so none routed later precedes a hand-off's instant, and the
-//! shard loop is a merge in which the heap wins ties — so interrupting
+//! shard loop is a merge in which the heaps win ties — so interrupting
 //! it at that instant and resuming later yields the same event order.
 //!
 //! # Semantics fixed by the slot-aligned design
@@ -108,57 +121,33 @@ use dcmetrics::availability::RequestOutcome;
 use dcmetrics::{LatencyHistogram, OnlineSummary, SlaTracker, TimeSeries};
 use netsim::admission::{AdmissionDecision, AdmissionPipeline, StageKind};
 use netsim::nlb::Nlb;
-use netsim::queueing::PushOutcome;
-use netsim::request::{Request, RequestId, UrlId};
+use netsim::queueing::{Completion, PushOutcome};
+use netsim::request::{Request, UrlId};
 use netsim::resilience::{PoolBreakers, RetryConfig};
 use powercap::battery::{Battery, BatteryMode};
 use simcore::faults::ShardFaultPlan;
-use simcore::fxhash::FxHashMap;
 use simcore::rng::{streams, RngFactory, SimRng};
 use simcore::{par, SimTime};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use workloads::fanout::MergedSources;
 use workloads::source::{SourceEvent, TrafficSource};
 
-/// Shard-local events (node indices are shard-local).
-#[derive(Debug)]
-enum ShardEv {
-    /// Predicted completion (valid only at the stamped queue epoch).
-    Complete {
-        node: usize,
-        epoch: u64,
-        id: RequestId,
-    },
-    /// A DVFS transition settles.
-    DvfsSettle { node: usize },
-}
+mod pending;
 
-/// Heap entry ordered by `(time, seq)`; `seq` makes the order total and
-/// insertion-stable, so shard replay is deterministic.
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    ev: ShardEv,
-}
+use pending::{Pending, PerNodeHeap};
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
+/// A DVFS settle `(time, seq, shard-local node)`; `seq` makes the order
+/// total and insertion-stable, so shard replay is deterministic.
+type Settle = Reverse<(SimTime, u64, usize)>;
+
+/// The event heap that holds a shard's earliest event.
+#[derive(Debug, Clone, Copy)]
+enum HeapEvent {
+    Completion,
+    Settle,
 }
 
 /// Routed arrivals between two hand-offs to the shard owners (see the
@@ -171,8 +160,9 @@ const INBOX_BOUND: usize = 1024;
 /// it to catch up.
 const BATCHES_IN_FLIGHT: usize = 2;
 
-/// A routed arrival: `(time, source, global node, request)`.
-type Arrival = (SimTime, usize, usize, Request);
+/// A routed arrival: `(time, global node, request)`. The request names
+/// the source that emitted it ([`Request::emitter`]).
+type Arrival = (SimTime, usize, Request);
 
 /// One hand-off to a worker: shard `shard`'s routed arrivals, all at or
 /// before `until`, the instant the worker may advance the shard to.
@@ -226,12 +216,12 @@ pub(crate) struct Shard {
     /// global node order at finalize for layout-invariant means.
     normal_sum: Vec<OnlineSummary>,
     attack_sum: Vec<OnlineSummary>,
-    /// Completion predictions and DVFS settles.
-    heap: BinaryHeap<HeapEntry>,
-    /// Monotonic tiebreaker for heap entries.
+    /// Each busy node's one pending completion.
+    completions: PerNodeHeap<Completion>,
+    /// DVFS settles staged by the control plane.
+    settles: BinaryHeap<Settle>,
+    /// Monotonic tiebreaker shared by completions and settles.
     seq: u64,
-    /// Accepted request → owning source index.
-    owner: FxHashMap<RequestId, usize>,
     /// Source feedback produced this slot, drained at the boundary.
     outbox: Vec<(SimTime, usize, SourceEvent)>,
     /// Learn-stage hook replays produced this slot.
@@ -243,7 +233,7 @@ pub(crate) struct Shard {
     attack_hist: LatencyHistogram,
     normal_sla: SlaTracker,
     attack_sla: SlaTracker,
-    /// Events this shard has processed.
+    /// Events this shard has run: arrivals, completions and settles.
     events: u64,
     /// Completions whose request had already been retried at least once.
     recovered: u64,
@@ -275,9 +265,9 @@ impl Shard {
             last_t: vec![SimTime::ZERO; nodes.len()],
             normal_sum: vec![OnlineSummary::new(); nodes.len()],
             attack_sum: vec![OnlineSummary::new(); nodes.len()],
-            heap: BinaryHeap::new(),
+            completions: PerNodeHeap::new(nodes.len()),
+            settles: BinaryHeap::new(),
             seq: 0,
-            owner: FxHashMap::default(),
             outbox: Vec::new(),
             learn_out: Vec::new(),
             learn_enabled,
@@ -356,26 +346,41 @@ impl Shard {
     /// Queue a DVFS settle staged by the boundary control plane.
     fn push_settle(&mut self, time: SimTime, j: usize) {
         self.seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            ev: ShardEv::DvfsSettle { node: j },
-        });
+        self.settles.push(Reverse((time, self.seq, j)));
     }
 
-    /// (Re)schedule the completion prediction for local node `j`.
-    fn refresh_completion(&mut self, now: SimTime, j: usize, node: &mut ComputeNode) {
-        if let Some((eta, id)) = node.next_completion(now) {
-            self.seq += 1;
-            self.heap.push(HeapEntry {
-                time: eta.max(now),
-                seq: self.seq,
-                ev: ShardEv::Complete {
-                    node: j,
-                    epoch: node.epoch(),
-                    id,
-                },
-            });
+    /// Re-predict local node `j`'s next completion, moving its pending
+    /// entry. With `changed` false the queue did not change since the
+    /// pending prediction (a settle that kept the frequency), and the
+    /// earlier of the two predictions stands.
+    fn predict(&mut self, now: SimTime, j: usize, node: &mut ComputeNode, changed: bool) {
+        let Some((eta, due)) = node.next_completion(now) else {
+            self.completions.remove(j);
+            return;
+        };
+        self.seq += 1;
+        let next = Pending {
+            time: eta.max(now),
+            seq: self.seq,
+            node: j as u32,
+            payload: due,
+        };
+        if changed || self.completions.get(j).is_none_or(|p| next.key() < p.key()) {
+            self.completions.set(next);
+        }
+    }
+
+    /// The time of the earliest event in the two heaps by `(time, seq)`,
+    /// and which heap holds it.
+    fn next_event(&self) -> Option<(SimTime, HeapEvent)> {
+        let completion = self.completions.peek().map(Pending::key);
+        let settle = self.settles.peek().map(|&Reverse((t, seq, _))| (t, seq));
+        match (completion, settle) {
+            (None, None) => None,
+            (Some((t, _)), None) => Some((t, HeapEvent::Completion)),
+            (None, Some((t, _))) => Some((t, HeapEvent::Settle)),
+            (Some(c), Some(s)) if s < c => Some((s.0, HeapEvent::Settle)),
+            (Some(c), Some(_)) => Some((c.0, HeapEvent::Completion)),
         }
     }
 
@@ -397,10 +402,11 @@ impl Shard {
 
     /// Replay this shard's events up to and including `t`: a merge of
     /// `arrivals` (in routing order, none later than `t`; drained) and
-    /// the event heap in which the heap wins ties. Stopping at `t` and
-    /// resuming later yields the same event order as one uninterrupted
-    /// call, provided every arrival routed afterwards is no earlier than
-    /// `t`.
+    /// the two event heaps — pending completions and DVFS settles, in
+    /// `(time, seq)` order — in which the heaps win ties. Stopping at `t`
+    /// and resuming later yields the same event order as one
+    /// uninterrupted call, provided every arrival routed afterwards is
+    /// no earlier than `t`.
     fn run_until(&mut self, nodes: &mut [ComputeNode], arrivals: &mut Vec<Arrival>, t: SimTime) {
         assert!(
             arrivals.last().is_none_or(|a| a.0 <= t),
@@ -408,10 +414,12 @@ impl Shard {
         );
         let mut arrivals = arrivals.drain(..).peekable();
         loop {
-            let th = self.heap.peek().map(|e| e.time);
+            let next = self.next_event();
+            let th = next.map(|(time, _)| time);
             let ta = arrivals.peek().map(|a| a.0);
-            // Earliest of the two queues; heap wins ties so completions
-            // at an instant precede arrivals at the same instant.
+            // Earliest of the heaps and the batch; the heaps win ties so
+            // completions and settles at an instant precede arrivals at
+            // the same instant.
             let take_heap = match (th, ta) {
                 (None, None) => break,
                 (Some(h), None) => {
@@ -434,21 +442,23 @@ impl Shard {
                 }
             };
             self.events += 1;
-            if take_heap {
-                let e = self.heap.pop().expect("peeked heap entry vanished");
-                match e.ev {
-                    ShardEv::Complete { node, epoch, id } => {
-                        self.handle_completion(e.time, node, epoch, id, nodes);
-                    }
-                    ShardEv::DvfsSettle { node } => {
-                        nodes[node].apply_dvfs(e.time);
-                        self.refresh_completion(e.time, node, &mut nodes[node]);
-                        self.touch(e.time, node, &nodes[node]);
-                    }
+            match next {
+                Some((_, HeapEvent::Settle)) if take_heap => {
+                    let Reverse((time, _, j)) = self.settles.pop().expect("peeked settle vanished");
+                    let epoch = nodes[j].epoch();
+                    nodes[j].apply_dvfs(time);
+                    let changed = nodes[j].epoch() != epoch;
+                    self.predict(time, j, &mut nodes[j], changed);
+                    self.touch(time, j, &nodes[j]);
                 }
-            } else {
-                let (at, src, g, req) = arrivals.next().expect("peeked arrival vanished");
-                self.handle_arrival(at, src, g - self.start, req, nodes);
+                Some((_, HeapEvent::Completion)) if take_heap => {
+                    let due = *self.completions.peek().expect("peeked completion vanished");
+                    self.handle_completion(due, nodes);
+                }
+                _ => {
+                    let (at, g, req) = arrivals.next().expect("peeked arrival vanished");
+                    self.handle_arrival(at, g - self.start, req, nodes);
+                }
             }
         }
     }
@@ -469,17 +479,10 @@ impl Shard {
         }
     }
 
-    fn handle_arrival(
-        &mut self,
-        now: SimTime,
-        src: usize,
-        j: usize,
-        req: Request,
-        nodes: &mut [ComputeNode],
-    ) {
+    fn handle_arrival(&mut self, now: SimTime, j: usize, req: Request, nodes: &mut [ComputeNode]) {
         let is_attack = req.is_attack;
         let source_id = req.source;
-        let id = req.id;
+        let src = req.emitter as usize;
         let url = req.url;
         match nodes[j].push(now, req) {
             PushOutcome::Rejected => {
@@ -487,31 +490,24 @@ impl Shard {
                 self.outbox.push((now, src, SourceEvent::Rejected(source_id)));
             }
             PushOutcome::Accepted => {
-                self.owner.insert(id, src);
                 if self.learn_enabled {
                     self.learn_out.push(LearnEvt::Dispatch {
                         node: self.start + j,
                         url,
                     });
                 }
-                self.refresh_completion(now, j, &mut nodes[j]);
+                self.predict(now, j, &mut nodes[j], true);
                 self.touch(now, j, &nodes[j]);
             }
         }
     }
 
-    fn handle_completion(
-        &mut self,
-        now: SimTime,
-        j: usize,
-        epoch: u64,
-        id: RequestId,
-        nodes: &mut [ComputeNode],
-    ) {
-        if nodes[j].epoch() != epoch {
-            return; // stale prediction; a fresher event exists
-        }
-        match nodes[j].try_complete(now, id) {
+    /// Run the earliest pending completion, `due`. The entry stays in
+    /// place until the node's next prediction replaces it (or, with the
+    /// queue empty, removes it): one sift instead of a pop and a push.
+    fn handle_completion(&mut self, due: Pending<Completion>, nodes: &mut [ComputeNode]) {
+        let (now, j) = (due.time, due.node as usize);
+        match nodes[j].try_complete(now, due.payload) {
             Some((req, sojourn)) => {
                 let secs = sojourn.as_secs_f64();
                 let outcome = if req.abandoned(sojourn) {
@@ -541,18 +537,19 @@ impl Shard {
                         url: req.url,
                     });
                 }
-                if let Some(owner) = self.owner.remove(&id) {
-                    self.outbox
-                        .push((now, owner, SourceEvent::Completed(req.source)));
-                }
-                self.refresh_completion(now, j, &mut nodes[j]);
+                self.outbox.push((
+                    now,
+                    req.emitter as usize,
+                    SourceEvent::Completed(req.source),
+                ));
+                self.predict(now, j, &mut nodes[j], true);
                 self.touch(now, j, &nodes[j]);
             }
             None => {
-                // Same epoch but residual work above tolerance — only
-                // possible through float pathology; self-heal by
-                // rescheduling from current state.
-                self.refresh_completion(now, j, &mut nodes[j]);
+                // The prediction is current, so residual work above
+                // tolerance is float pathology; self-heal by predicting
+                // again from current state.
+                self.predict(now, j, &mut nodes[j], true);
             }
         }
     }
@@ -562,42 +559,32 @@ impl Shard {
     /// masked out of the power column. Returns the number of in-flight
     /// requests lost.
     fn kill_node(&mut self, j: usize, node: &mut ComputeNode, now: SimTime) -> u64 {
-        let Shard {
-            owner,
-            normal_sla,
-            attack_sla,
-            ..
-        } = self;
+        let Shard { normal_sla, attack_sla, .. } = self;
         let mut lost = 0u64;
         node.drain_with(now, |req| {
             let sla = if req.is_attack { &mut *attack_sla } else { &mut *normal_sla };
             sla.record(RequestOutcome::Dropped);
-            owner.remove(&req.id);
             lost += 1;
         });
+        self.completions.remove(j);
         self.dead[j] = true;
         self.touch(now, j, node);
         lost
     }
 
     /// Kill local node `j` but hand its in-flight requests back to the
-    /// coordinator as `(source, request, global node)` tuples instead of
-    /// dropping them — the resilience dataplane decides their fate.
+    /// coordinator as `(request, global node)` pairs instead of dropping
+    /// them — the resilience dataplane decides their fate.
     fn kill_node_collect(
         &mut self,
         j: usize,
         node: &mut ComputeNode,
         now: SimTime,
         global: usize,
-        out: &mut Vec<(usize, Request, usize)>,
+        out: &mut Vec<(Request, usize)>,
     ) {
-        let Shard { owner, .. } = self;
-        node.drain_with(now, |req| {
-            let src = owner
-                .remove(&req.id)
-                .expect("every in-flight request has a recorded owner");
-            out.push((src, req, global));
-        });
+        node.drain_with(now, |req| out.push((req, global)));
+        self.completions.remove(j);
         self.dead[j] = true;
         self.touch(now, j, node);
     }
@@ -614,21 +601,16 @@ impl Shard {
     fn blackout(&mut self, nodes: &mut [ComputeNode], now: SimTime) {
         for (j, node) in nodes.iter_mut().enumerate() {
             self.integrate_node(now, j);
-            let Shard {
-                owner,
-                normal_sla,
-                attack_sla,
-                ..
-            } = self;
+            let Shard { normal_sla, attack_sla, .. } = self;
             node.drain_with(now, |req| {
                 let sla = if req.is_attack { &mut *attack_sla } else { &mut *normal_sla };
                 sla.record(RequestOutcome::Dropped);
-                owner.remove(&req.id);
             });
             self.power_w[j] = 0.0;
             self.inflight[j] = 0;
         }
-        self.heap.clear();
+        self.completions.clear();
+        self.settles.clear();
     }
 }
 
@@ -636,7 +618,6 @@ impl Shard {
 /// `(at, request id)` so the replay order is total and deterministic.
 struct RetryEntry {
     at: SimTime,
-    src: usize,
     req: Request,
 }
 
@@ -1142,7 +1123,7 @@ impl ShardedClusterSim {
                     .pending
                     .pop()
                     .expect("peeked retry entry vanished");
-                self.dispatch(e.at, e.src, e.req);
+                self.dispatch(e.at, e.req);
                 e.at
             } else {
                 let (i, t, req) = buffered.take().expect("checked above");
@@ -1161,9 +1142,11 @@ impl ShardedClusterSim {
 
     /// Phase A per arrival: perimeter, admission, routing — in global
     /// arrival order, so the counts it produces are independent of the
-    /// shard layout.
-    fn route_arrival(&mut self, now: SimTime, src_idx: usize, req: Request) {
+    /// shard layout. The request takes its source's index here, once, and
+    /// carries it through every dispatch and retry.
+    fn route_arrival(&mut self, now: SimTime, src_idx: usize, mut req: Request) {
         self.offered += 1;
+        req.emitter = u32::try_from(src_idx).expect("source indices fit in u32");
         let is_attack = req.is_attack;
         let source_id = req.source;
 
@@ -1194,7 +1177,7 @@ impl ShardedClusterSim {
         }
 
         // 3. Forward into the owning shard's batch.
-        self.dispatch(now, src_idx, req);
+        self.dispatch(now, req);
     }
 
     /// Route a request (fresh or retried) through the NLB into its
@@ -1202,7 +1185,7 @@ impl ShardedClusterSim {
     /// blocked pool is re-routed to a surviving pool, and a dispatch
     /// landing on a dead node becomes a failed attempt (retried after
     /// timeout + backoff) instead of a silent drop.
-    fn dispatch(&mut self, now: SimTime, src_idx: usize, req: Request) {
+    fn dispatch(&mut self, now: SimTime, req: Request) {
         let mut target = self.nlb.route(&req);
         let pool = self.breaker_pool[target];
         let blocked = match self.resilience.as_mut() {
@@ -1220,15 +1203,15 @@ impl ShardedClusterSim {
         }
         if self.node_dead[target] {
             if self.resilience.is_some() {
-                self.attempt_failed(now, src_idx, req, target);
+                self.attempt_failed(now, req, target);
             } else {
                 self.record_outcome(req.is_attack, RequestOutcome::Dropped);
                 self.sources
-                    .feedback(now, src_idx, SourceEvent::Rejected(req.source));
+                    .feedback(now, req.emitter as usize, SourceEvent::Rejected(req.source));
             }
             return;
         }
-        self.batches[self.owner_shard[target]].push((now, src_idx, target, req));
+        self.batches[self.owner_shard[target]].push((now, target, req));
         self.batched += 1;
     }
 
@@ -1245,7 +1228,7 @@ impl ShardedClusterSim {
     /// request). Charge the target's pool breaker, then either schedule
     /// a retry after timeout + jittered exponential backoff or — with
     /// the attempt budget exhausted — record the final drop.
-    fn attempt_failed(&mut self, now: SimTime, src_idx: usize, req: Request, target: usize) {
+    fn attempt_failed(&mut self, now: SimTime, req: Request, target: usize) {
         let pool = self.breaker_pool[target];
         let exhausted = {
             let r = self
@@ -1262,7 +1245,6 @@ impl ShardedClusterSim {
                 r.attempts += 1;
                 r.pending.push(RetryEntry {
                     at: now + r.policy.timeout + backoff,
-                    src: src_idx,
                     req,
                 });
                 None
@@ -1274,7 +1256,7 @@ impl ShardedClusterSim {
         if let Some(req) = exhausted {
             self.record_outcome(req.is_attack, RequestOutcome::Dropped);
             self.sources
-                .feedback(now, src_idx, SourceEvent::Rejected(req.source));
+                .feedback(now, req.emitter as usize, SourceEvent::Rejected(req.source));
         }
     }
 
@@ -1369,8 +1351,8 @@ impl ShardedClusterSim {
             if self.resilience.is_some() {
                 let mut lost = Vec::new();
                 self.shards[s].kill_node_collect(local, &mut self.nodes[i], now, i, &mut lost);
-                for (src, req, node) in lost {
-                    self.attempt_failed(now, src, req, node);
+                for (req, node) in lost {
+                    self.attempt_failed(now, req, node);
                 }
             } else {
                 self.shards[s].kill_node(local, &mut self.nodes[i], now);
@@ -1433,7 +1415,7 @@ impl ShardedClusterSim {
     /// breakers); without one they are dropped and the oracle detector
     /// routes around the corpse.
     fn process_crashes(&mut self, now: SimTime) {
-        let mut lost_reqs: Vec<(usize, Request, usize)> = Vec::new();
+        let mut lost_reqs: Vec<(Request, usize)> = Vec::new();
         for g in 0..self.nodes.len() {
             if self.node_dead[g] {
                 continue;
@@ -1467,8 +1449,8 @@ impl ShardedClusterSim {
                 self.pending_reboots.push((now + reboot_after, g));
             }
         }
-        for (src, req, node) in lost_reqs {
-            self.attempt_failed(now, src, req, node);
+        for (req, node) in lost_reqs {
+            self.attempt_failed(now, req, node);
         }
     }
 
@@ -1512,7 +1494,7 @@ impl ShardedClusterSim {
             .expect("rack trips come from the topology pass")
             .topo
             .rack_range(rack);
-        let mut lost_reqs: Vec<(usize, Request, usize)> = Vec::new();
+        let mut lost_reqs: Vec<(Request, usize)> = Vec::new();
         for g in start..start + len {
             if self.node_dead[g] {
                 continue;
@@ -1531,8 +1513,8 @@ impl ShardedClusterSim {
                 self.nlb.report_load(g, 0);
             }
         }
-        for (src, req, node) in lost_reqs {
-            self.attempt_failed(now, src, req, node);
+        for (req, node) in lost_reqs {
+            self.attempt_failed(now, req, node);
         }
     }
 
@@ -1559,7 +1541,7 @@ impl ShardedClusterSim {
         for e in orphans {
             self.record_outcome(e.req.is_attack, RequestOutcome::Dropped);
             self.sources
-                .feedback(now, e.src, SourceEvent::Rejected(e.req.source));
+                .feedback(now, e.req.emitter as usize, SourceEvent::Rejected(e.req.source));
         }
         {
             let Self { shards, nodes, .. } = self;
@@ -1996,6 +1978,163 @@ mod tests {
                     "{shards} shards: a batch grew to {} entries",
                     batch.capacity()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn each_busy_node_holds_exactly_one_pending_completion() {
+        // Every arrival, completion and settle re-predicts its node's
+        // completion in place: after each window, a node has a pending
+        // entry exactly when its queue holds work, and none has two.
+        let e = exp(2, SchemeKind::AntiDope, 10);
+        let horizon = SimTime::ZERO + e.duration;
+        let mut sim = ShardedClusterSim::new(&e, flood(10_000.0).build(e.seed, horizon));
+        let mut t = SimTime::ZERO;
+        let mut busy_seen = 0;
+        while t < horizon {
+            t += e.cluster.control_slot;
+            sim.advance_window(t, 1);
+            for sh in &sim.shards {
+                sh.completions.assert_consistent();
+                for j in 0..sh.len() {
+                    let busy = sim.nodes[sh.start() + j].inflight() > 0;
+                    busy_seen += busy as usize;
+                    assert_eq!(
+                        sh.completions.get(j).is_some(),
+                        busy,
+                        "node {} at {t:?}",
+                        sh.start() + j
+                    );
+                }
+            }
+            sim.boundary(t);
+        }
+        assert!(busy_seen > 0, "the flood kept no node busy");
+    }
+
+    #[test]
+    fn a_settle_that_keeps_the_frequency_keeps_the_pending_completion() {
+        let mut nodes = vec![ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_millis(10))];
+        let mut shard = Shard::new(0, &nodes, false, false);
+        let req = netsim::request::RequestBuilder::new().build(
+            UrlId(0),
+            netsim::request::SourceId(0),
+            SimTime::ZERO,
+            2.4,
+            1.0,
+            0.8,
+            0.9,
+            false,
+        );
+        shard.run_until(&mut nodes, &mut vec![(SimTime::ZERO, 0, req)], SimTime::ZERO);
+        let before = *shard.completions.get(0).expect("a busy node has a prediction");
+        assert_eq!(before.time, SimTime::from_secs(1));
+        // At nominal already: the settle changes nothing, and the
+        // earlier prediction stands.
+        let ms = SimTime::from_millis;
+        shard.push_settle(ms(10), 0);
+        shard.run_until(&mut nodes, &mut Vec::new(), ms(10));
+        assert_eq!(shard.completions.get(0), Some(&before));
+        // A settle that throttles re-predicts: later, and stamped anew.
+        let settle = nodes[0].command_pstate(ms(10), powercap::pstate::PState(0));
+        shard.push_settle(settle, 0);
+        shard.run_until(&mut nodes, &mut Vec::new(), settle);
+        let after = *shard.completions.get(0).expect("still busy");
+        assert!(after.time > before.time && after.seq > before.seq, "{after:?}");
+        assert_eq!(shard.events_processed(), 3);
+    }
+
+    /// A burst of `count` requests, one per client address from `base`,
+    /// at 1 ms spacing from t = 0; remembers every feedback event.
+    struct Burst {
+        base: u32,
+        count: u32,
+        next: u32,
+        ids: netsim::request::RequestBuilder,
+        heard: std::sync::Arc<std::sync::Mutex<Vec<SourceEvent>>>,
+    }
+
+    impl TrafficSource for Burst {
+        fn next_request(&mut self, _now: SimTime) -> Option<Request> {
+            let k = self.next;
+            (k < self.count).then(|| {
+                self.next += 1;
+                self.ids.build(
+                    UrlId(0),
+                    netsim::request::SourceId(self.base + k),
+                    SimTime::from_millis(k.into()),
+                    2.4,
+                    1.0,
+                    0.8,
+                    0.9,
+                    false,
+                )
+            })
+        }
+
+        fn label(&self) -> &str {
+            "burst"
+        }
+
+        fn feedback(&mut self, _now: SimTime, event: SourceEvent) {
+            self.heard.lock().expect("test lock").push(event);
+        }
+    }
+
+    #[test]
+    fn retried_requests_report_to_the_source_that_emitted_them() {
+        // Two sources fill the cluster with 1-second requests in the
+        // first 120 ms; node 5 crashes at t = 2 s with work in flight,
+        // which `kill_node_collect` hands back for re-dispatch. No
+        // request arrives after the crash, so every completion of a
+        // retried request is one of those. Each request must end in
+        // exactly one terminal event, delivered to its own source.
+        use simcore::faults::{CrashEvent, FaultConfig};
+        for shards in [1, 3] {
+            // Round-robin routing (no power scheme) spreads the burst
+            // over every node, the crashed one included.
+            let mut e = exp(shards, SchemeKind::None, 30);
+            e.cluster.retry = Some(RetryConfig::default());
+            e.cluster.faults = Some(FaultConfig {
+                crashes: vec![CrashEvent {
+                    node: 5,
+                    at: SimTime::from_secs(2),
+                }],
+                ..FaultConfig::default()
+            });
+            let logs: Vec<_> = (0..2).map(|_| std::sync::Arc::default()).collect();
+            let bases = [10_000u32, 20_000];
+            let sources: Vec<Box<dyn TrafficSource>> = bases
+                .iter()
+                .zip(&logs)
+                .map(|(&base, heard)| {
+                    Box::new(Burst {
+                        base,
+                        count: 120,
+                        next: 0,
+                        ids: netsim::request::RequestBuilder::starting_at(base as u64),
+                        heard: std::sync::Arc::clone(heard),
+                    }) as Box<dyn TrafficSource>
+                })
+                .collect();
+            let report = ShardedClusterSim::run(&e, sources);
+            let faults = report.faults.as_ref().expect("faults configured");
+            let retry = report.retry.as_ref().expect("retry policy configured");
+            assert!(faults.lost_to_crash > 0, "{shards} shards: the crash stranded no request");
+            assert!(retry.recovered > 0, "{shards} shards: no retried request completed");
+            for (&base, heard) in bases.iter().zip(&logs) {
+                let mut clients: Vec<u32> = heard
+                    .lock()
+                    .expect("test lock")
+                    .iter()
+                    .map(|ev| match *ev {
+                        SourceEvent::Blocked(c) | SourceEvent::Rejected(c) | SourceEvent::Completed(c) => c.0,
+                    })
+                    .collect();
+                clients.sort_unstable();
+                let want: Vec<u32> = (base..base + 120).collect();
+                assert_eq!(clients, want, "{shards} shards: source {base}'s feedback");
             }
         }
     }

@@ -39,12 +39,22 @@
 //!
 //! * [`PsServer::advance`] is O(1) — bump `S`;
 //! * [`PsServer::next_completion`] is a heap peek (amortizing out lazily
-//!   deleted entries of completed requests);
-//! * [`PsServer::try_complete`] is an O(1) id lookup plus an O(log n)
-//!   lazy heap deletion;
+//!   deleted entries of completed requests) and returns a [`Completion`]
+//!   handle naming the request's slot;
+//! * [`PsServer::try_complete`] is an O(1) slot-table lookup — no
+//!   hashing — plus an O(log n) lazy heap deletion;
 //! * only [`PsServer::set_rel_freq`] changes the per-request slopes, and
 //!   it rescales every finish point and rebuilds the heap in O(n) — DVFS
 //!   transitions are control-slot-rate events, not per-request ones.
+//!
+//! ## Slots
+//!
+//! Every admitted request occupies a *slot* until it departs. The slot
+//! table maps a slot to the request's admission seq and its position in
+//! the in-flight list; heap keys and [`Completion`] handles carry
+//! `(slot, seq)`, and are live exactly while the slot still holds that
+//! seq. Seqs never repeat, so a handle or heap key outliving its request
+//! — completed, drained, or its slot reused — is recognized as stale.
 //!
 //! The previous direct-integration implementation is preserved verbatim
 //! as the test-only `reference::ReferencePsServer`, and the two are
@@ -57,13 +67,14 @@
 //! shared-cycle accumulator over the elapsed time. Completion times
 //! depend on occupancy, so any state change invalidates
 //! previously-predicted ETAs; the queue exposes an [`PsServer::epoch`]
-//! counter that bumps on every state change. The owning simulation
-//! schedules one completion event per server carrying the epoch, and
-//! discards stale events on delivery.
+//! counter that bumps on every state change. The owning simulation keeps
+//! one pending completion per server and re-predicts it after every
+//! state change it makes.
 
 use crate::error::ConfigError;
-use crate::request::{Request, RequestId};
-use simcore::fxhash::FxHashMap;
+use crate::request::Request;
+#[cfg(test)]
+use crate::request::RequestId;
 use simcore::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -89,7 +100,8 @@ fn check_server_params(
             value: core_ghz,
         });
     }
-    if max_inflight < 1 {
+    // Slots and positions are `u32`, with `u32::MAX` kept as a sentinel.
+    if max_inflight < 1 || max_inflight >= u32::MAX as usize {
         return Err(ConfigError::Parameter {
             component,
             field: "max_inflight",
@@ -105,14 +117,21 @@ fn check_server_params(
 /// following tick (the reference integrator would say the earlier one).
 /// The 1 ns snap window is ~6 orders above ulp noise and ~3 below the
 /// queue's 2 µs completion tolerance.
+///
+/// Snapping to the nearest tick and otherwise rounding up reduce to one
+/// test on the fractional part: within 1e-3 above a tick, that tick;
+/// anywhere else, the next one. The cast truncates (saturating, NaN to
+/// 0), and below 2^52 the fractional part is exact, so this matches the
+/// `round`/`ceil` formulation bit for bit without calling either.
 #[inline]
 pub(crate) fn eta_to_micros(eta_s: f64) -> u64 {
     let eta_us = eta_s * 1e6;
-    let nearest = eta_us.round();
-    if (eta_us - nearest).abs() < 1e-3 {
-        nearest as u64
+    let whole = eta_us as u64;
+    let frac = eta_us - whole as f64;
+    if frac >= 1e-3 {
+        whole.saturating_add(1)
     } else {
-        eta_us.ceil() as u64
+        whole
     }
 }
 
@@ -125,24 +144,49 @@ pub enum PushOutcome {
     Rejected,
 }
 
+/// A predicted completion, as [`PsServer::next_completion`] returns it
+/// and [`PsServer::try_complete`] takes it back: the slot of the request
+/// due first and the admission seq it held. A handle whose request has
+/// since departed is stale, and `try_complete` refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    slot: u32,
+    seq: u64,
+}
+
 #[derive(Debug, Clone)]
 struct InFlight {
     req: Request,
     /// Value of the shared-cycle accumulator at which this request's
     /// work is exhausted. Fixed between frequency changes.
     finish_cycles: f64,
-    /// Admission sequence number — deterministic tie-break for equal
-    /// finish points.
-    seq: u64,
+    /// The slot this request occupies.
+    slot: u32,
 }
 
+/// One slot-table row. An occupied slot holds its request's admission
+/// seq and position in `inflight`; a vacant one holds [`VACANT`] and, in
+/// `pos`, the next vacant slot ([`NO_SLOT`] ends the free list).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    pos: u32,
+}
+
+/// The seq of a vacant slot; admission seqs never reach it.
+const VACANT: u64 = u64::MAX;
+
+/// End of the vacant-slot list.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Completion-heap key: finish point first, admission order second so
-/// exactly-tied finish points resolve deterministically.
+/// exactly-tied finish points resolve deterministically. The key is live
+/// while `slot` still holds `seq`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FinishKey {
     finish_cycles: f64,
     seq: u64,
-    id: RequestId,
+    slot: u32,
 }
 
 impl Eq for FinishKey {}
@@ -173,8 +217,10 @@ pub struct PsServer {
     /// aggregate like [`PsServer::load_character`]) matches the
     /// reference implementation exactly.
     inflight: Vec<InFlight>,
-    /// Request id → position in `inflight`.
-    index: FxHashMap<RequestId, usize>,
+    /// Slot → (admission seq, position in `inflight`); see [`Slot`].
+    slots: Vec<Slot>,
+    /// First vacant slot, or [`NO_SLOT`].
+    free: u32,
     /// Min-heap of finish points. Entries for departed requests are
     /// deleted lazily when they surface at the top.
     completions: BinaryHeap<Reverse<FinishKey>>,
@@ -210,7 +256,8 @@ impl PsServer {
             rel_freq: 1.0,
             max_inflight,
             inflight: Vec::new(),
-            index: FxHashMap::default(),
+            slots: Vec::new(),
+            free: NO_SLOT,
             completions: BinaryHeap::new(),
             shared_cycles: 0.0,
             next_seq: 0,
@@ -262,13 +309,19 @@ impl PsServer {
     /// actually occupying core share (equal shares under PS). An idle
     /// server reports zeros.
     pub fn load_character(&self) -> (f64, f64, f64) {
-        if self.inflight.is_empty() {
+        let Some((first, rest)) = self.inflight.split_first() else {
             return (0.0, 0.0, 0.0);
+        };
+        // Both sums in one pass, each in `inflight` order and seeded with
+        // its first term: bit for bit what `Iterator::sum` returns, since
+        // its `-0.0` seed is an exact identity.
+        let (mut intensity, mut gamma) = (first.req.intensity, first.req.gamma);
+        for f in rest {
+            intensity += f.req.intensity;
+            gamma += f.req.gamma;
         }
         let n = self.inflight.len() as f64;
-        let intensity = self.inflight.iter().map(|f| f.req.intensity).sum::<f64>() / n;
-        let gamma = self.inflight.iter().map(|f| f.req.gamma).sum::<f64>() / n;
-        (self.utilization(), intensity, gamma)
+        (self.utilization(), intensity / n, gamma / n)
     }
 
     /// Mean CPU-boundedness of the resident mix (0 when idle) — what a
@@ -321,17 +374,19 @@ impl PsServer {
         let old = self.rel_freq;
         self.rel_freq = rel_f;
         self.epoch += 1;
-        self.completions.clear();
+        let shared = self.shared_cycles;
         for f in &mut self.inflight {
-            let remaining =
-                ((f.finish_cycles - self.shared_cycles) * f.req.rate_factor(old)).max(0.0);
-            f.finish_cycles = self.shared_cycles + remaining / f.req.rate_factor(rel_f);
-            self.completions.push(Reverse(FinishKey {
-                finish_cycles: f.finish_cycles,
-                seq: f.seq,
-                id: f.req.id,
-            }));
+            let remaining = ((f.finish_cycles - shared) * f.req.rate_factor(old)).max(0.0);
+            f.finish_cycles = shared + remaining / f.req.rate_factor(rel_f);
         }
+        self.completions.clear();
+        self.completions.extend(self.inflight.iter().map(|f| {
+            Reverse(FinishKey {
+                finish_cycles: f.finish_cycles,
+                seq: self.slots[f.slot as usize].seq,
+                slot: f.slot,
+            })
+        }));
     }
 
     /// Offer a request at `now`. O(log n): the finish point is fixed here
@@ -345,52 +400,83 @@ impl PsServer {
         let finish_cycles = self.shared_cycles + req.work_gcycles / req.rate_factor(self.rel_freq);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let row = Slot {
+            seq,
+            pos: self.inflight.len() as u32,
+        };
+        let slot = if self.free == NO_SLOT {
+            self.slots.push(row);
+            (self.slots.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.slots[slot as usize].pos;
+            self.slots[slot as usize] = row;
+            slot
+        };
         self.completions.push(Reverse(FinishKey {
             finish_cycles,
             seq,
-            id: req.id,
+            slot,
         }));
-        self.index.insert(req.id, self.inflight.len());
         self.inflight.push(InFlight {
             req,
             finish_cycles,
-            seq,
+            slot,
         });
         self.epoch += 1;
         PushOutcome::Accepted
     }
 
-    /// Predict the next completion as `(eta, request_id)` given current
-    /// state. Call [`PsServer::advance`] first. The ETA is rounded up to
-    /// the next microsecond so the completion event never fires early.
+    /// Predict the next completion given current state. Call
+    /// [`PsServer::advance`] first. The ETA is rounded up to the next
+    /// microsecond so the completion event never fires early.
     ///
     /// Takes `&mut self` to lazily discard heap entries of requests that
     /// already departed; amortized O(log n).
-    pub fn next_completion(&mut self) -> Option<(SimTime, RequestId)> {
-        let head = loop {
+    pub fn next_completion(&mut self) -> Option<(SimTime, Completion)> {
+        let (head, pos) = loop {
             let Reverse(key) = *self.completions.peek()?;
-            if self.index.contains_key(&key.id) {
-                break key;
+            let row = self.slots[key.slot as usize];
+            if row.seq == key.seq {
+                break (key, row.pos);
             }
             self.completions.pop();
         };
-        let idx = self.index[&head.id];
-        let f = &self.inflight[idx];
+        let f = &self.inflight[pos as usize];
         let rate = self.core_ghz * f.req.rate_factor(self.rel_freq) * self.share();
         debug_assert!(rate > 0.0);
         let eta_s = self.remaining_of(f) / rate;
         let micros = eta_to_micros(eta_s);
-        Some((self.last_advance + SimDuration::from_micros(micros), head.id))
+        let due = Completion {
+            slot: head.slot,
+            seq: head.seq,
+        };
+        Some((self.last_advance + SimDuration::from_micros(micros), due))
     }
 
-    /// Attempt to complete request `id` at `now`. Returns the request and
-    /// its sojourn time if its work is (within integration tolerance)
-    /// done; `None` if the ETA was stale and work remains. O(1) lookup;
-    /// the heap entry is removed lazily by a later
-    /// [`PsServer::next_completion`].
-    pub fn try_complete(&mut self, now: SimTime, id: RequestId) -> Option<(Request, SimDuration)> {
+    /// The id of the request a live handle names (`None` once stale).
+    #[cfg(test)]
+    pub(crate) fn id_of(&self, due: Completion) -> Option<RequestId> {
+        let row = self.slots.get(due.slot as usize)?;
+        (row.seq == due.seq).then(|| self.inflight[row.pos as usize].req.id)
+    }
+
+    /// Attempt the completion `due` names at `now`. Returns the request
+    /// and its sojourn time if its work is (within integration tolerance)
+    /// done; `None` if the ETA was stale and work remains, or if the
+    /// request already departed. O(1) slot lookup; the heap entry is
+    /// removed lazily by a later [`PsServer::next_completion`].
+    pub fn try_complete(
+        &mut self,
+        now: SimTime,
+        due: Completion,
+    ) -> Option<(Request, SimDuration)> {
         self.advance(now);
-        let &idx = self.index.get(&id)?;
+        let row = *self.slots.get(due.slot as usize)?;
+        if row.seq != due.seq {
+            return None;
+        }
+        let idx = row.pos as usize;
         let f = &self.inflight[idx];
         // Forgive up to 2 µs of residual work: completion events are
         // scheduled at µs granularity rounded up, so residuals below one
@@ -400,10 +486,14 @@ impl PsServer {
             return None;
         }
         let f = self.inflight.swap_remove(idx);
-        self.index.remove(&id);
-        if idx < self.inflight.len() {
-            self.index.insert(self.inflight[idx].req.id, idx);
+        if let Some(moved) = self.inflight.get(idx) {
+            self.slots[moved.slot as usize].pos = row.pos;
         }
+        self.slots[due.slot as usize] = Slot {
+            seq: VACANT,
+            pos: self.free,
+        };
+        self.free = due.slot;
         self.epoch += 1;
         self.completed += 1;
         let sojourn = now.since(f.req.arrival);
@@ -412,11 +502,13 @@ impl PsServer {
 
     /// Drain every in-flight request (used when a breaker trips and the
     /// node loses power), delivering each to `visit` in queue order.
+    /// Every slot is vacated; seqs run on, so no earlier handle revives.
     pub fn drain_with(&mut self, now: SimTime, mut visit: impl FnMut(Request)) {
         self.advance(now);
         self.epoch += 1;
         self.completions.clear();
-        self.index.clear();
+        self.slots.clear();
+        self.free = NO_SLOT;
         for f in self.inflight.drain(..) {
             visit(f.req);
         }
@@ -698,10 +790,12 @@ mod tests {
         let mut srv = server();
         let mut b = RequestBuilder::new();
         let r = mk(&mut b, SimTime::ZERO, 2.4, 1.0); // 1 s of work
+        let id = r.id;
         assert_eq!(srv.push(SimTime::ZERO, r), PushOutcome::Accepted);
-        let (eta, id) = srv.next_completion().unwrap();
+        let (eta, due) = srv.next_completion().unwrap();
         assert_eq!(eta, s(1));
-        let (req, sojourn) = srv.try_complete(eta, id).unwrap();
+        assert_eq!(srv.id_of(due), Some(id));
+        let (req, sojourn) = srv.try_complete(eta, due).unwrap();
         assert_eq!(req.id, id);
         assert_eq!(sojourn, SimDuration::from_secs(1));
         assert!(srv.is_empty());
@@ -793,16 +887,17 @@ mod tests {
             srv.push(SimTime::ZERO, r);
             id
         };
-        let (eta, _) = srv.next_completion().unwrap();
+        let (eta, due) = srv.next_completion().unwrap();
         assert_eq!(eta, s(1));
         srv.push(SimTime::from_millis(500), mk(&mut b, SimTime::from_millis(500), 2.4, 1.0));
         // Old ETA is now stale: at t=1 s the first job has 0.25 s·2.4GHz of
         // work left (it ran shared 0.5..1.0).
-        assert!(srv.try_complete(s(1), id).is_none());
-        let (eta2, next_id) = srv.next_completion().unwrap();
-        assert_eq!(next_id, id);
+        assert!(srv.try_complete(s(1), due).is_none());
+        let (eta2, next) = srv.next_completion().unwrap();
+        assert_eq!(next, due, "the same request is still due first");
+        assert_eq!(srv.id_of(next), Some(id));
         assert_eq!(eta2, SimTime::from_millis(1500));
-        assert!(srv.try_complete(eta2, id).is_some());
+        assert!(srv.try_complete(eta2, next).is_some());
     }
 
     #[test]
@@ -904,16 +999,89 @@ mod tests {
         let light_id = light.id;
         srv.push(SimTime::from_millis(100), light);
         // Light: 0.1 s of work at half share → done at 0.1 + 0.2 = 0.3 s.
-        let (eta, id) = srv.next_completion().unwrap();
-        assert_eq!(id, light_id);
+        let (eta, due) = srv.next_completion().unwrap();
+        assert_eq!(srv.id_of(due), Some(light_id));
         assert_eq!(eta, SimTime::from_millis(300));
-        assert!(srv.try_complete(eta, light_id).is_some());
+        assert!(srv.try_complete(eta, due).is_some());
         // Heavy ran 0..0.1 alone and 0.1..0.3 shared: 0.8 s of its 1 s
         // remains, full share again → done at 1.1 s.
-        let (eta, id) = srv.next_completion().unwrap();
-        assert_eq!(id, heavy_id);
+        let (eta, due) = srv.next_completion().unwrap();
+        assert_eq!(srv.id_of(due), Some(heavy_id));
         assert_eq!(eta, SimTime::from_millis(1100));
-        assert!(srv.try_complete(eta, heavy_id).is_some());
+        assert!(srv.try_complete(eta, due).is_some());
+    }
+
+    #[test]
+    fn eta_rounding_matches_round_then_ceil() {
+        // The formulation `eta_to_micros` replaced.
+        fn snap_or_ceil(eta_s: f64) -> u64 {
+            let eta_us = eta_s * 1e6;
+            let nearest = eta_us.round();
+            if (eta_us - nearest).abs() < 1e-3 {
+                nearest as u64
+            } else {
+                eta_us.ceil() as u64
+            }
+        }
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            -1.5e-6,
+            f64::NAN,
+            f64::INFINITY,
+            1e30,
+            0.5e-6,
+            4.0 * (1u64 << 52) as f64 * 1e-6,
+        ];
+        for tick in [0u64, 1, 2, 7, 999_999, 1_000_000, 123_456_789, 1 << 40] {
+            for off in [-0.5, -1e-3, -0.999e-3, -1e-9, 0.0, 1e-9, 0.999e-3, 1e-3, 1.001e-3, 0.5] {
+                cases.push((tick as f64 + off) * 1e-6);
+            }
+        }
+        // Random ETAs over 12 orders of magnitude.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mantissa = (x >> 11) as f64 / (1u64 << 53) as f64;
+            cases.push(mantissa * 10f64.powi((x % 12) as i32 - 6));
+        }
+        for eta_s in cases {
+            assert_eq!(eta_to_micros(eta_s), snap_or_ceil(eta_s), "eta {eta_s:e} s");
+        }
+    }
+
+    #[test]
+    fn stale_handles_are_refused() {
+        let mut srv = PsServer::new(SimTime::ZERO, 1, 2.4, 64);
+        let mut b = RequestBuilder::new();
+        // A completed request's handle: refused, also once a new request
+        // reuses its slot.
+        srv.push(s(0), mk(&mut b, s(0), 2.4, 1.0));
+        let (eta, done) = srv.next_completion().unwrap();
+        assert!(srv.try_complete(eta, done).is_some());
+        assert!(srv.try_complete(eta, done).is_none());
+        let fresh = mk(&mut b, eta, 2.4, 1.0);
+        let fresh_id = fresh.id;
+        srv.push(eta, fresh);
+        let (_, live) = srv.next_completion().unwrap();
+        assert_ne!(live, done, "the reused slot carries a new seq");
+        assert_eq!(srv.id_of(done), None);
+        assert_eq!(srv.id_of(live), Some(fresh_id));
+        assert!(srv.try_complete(s(3), done).is_none());
+        assert_eq!(srv.len(), 1, "a stale handle completes nothing");
+        // A drained request's handle: refused, also once a new request
+        // takes the drained slot.
+        srv.drain_with(s(3), |_| {});
+        assert!(srv.try_complete(s(3), live).is_none());
+        srv.push(s(3), mk(&mut b, s(3), 2.4, 1.0));
+        assert!(srv.try_complete(s(3), live).is_none());
+        assert_eq!(srv.len(), 1);
+        let (eta, due) = srv.next_completion().unwrap();
+        assert_eq!(eta, s(4));
+        assert!(srv.try_complete(eta, due).is_some());
+        assert_eq!(srv.completed(), 2);
     }
 
     // ---- differential tests against the reference implementation ----
@@ -925,15 +1093,89 @@ mod tests {
         Push { gap_us: u64, work: f64, beta: f64 },
         /// Change frequency after a µs gap.
         SetFreq { gap_us: u64, rel_f: f64 },
+        /// Drain the queue (power loss) after a µs gap.
+        Drain { gap_us: u64 },
+    }
+
+    impl Op {
+        fn gap_us(&self) -> u64 {
+            match *self {
+                Op::Push { gap_us, .. } | Op::SetFreq { gap_us, .. } | Op::Drain { gap_us } => gap_us,
+            }
+        }
+    }
+
+    fn push_op() -> impl Strategy<Value = Op> {
+        (0u64..200_000, 0.001f64..5.0, 0.0f64..1.0)
+            .prop_map(|(gap_us, work, beta)| Op::Push { gap_us, work, beta })
+    }
+
+    fn freq_op() -> impl Strategy<Value = Op> {
+        (0u64..500_000, prop::sample::select(vec![1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]))
+            .prop_map(|(gap_us, rel_f)| Op::SetFreq { gap_us, rel_f })
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![4 => push_op(), 1 => freq_op()]
+    }
+
+    /// [`op_strategy`] plus drains, for the slot-reuse property.
+    fn churn_op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            4 => (0u64..200_000, 0.001f64..5.0, 0.0f64..1.0)
-                .prop_map(|(gap_us, work, beta)| Op::Push { gap_us, work, beta }),
-            1 => (0u64..500_000, prop::sample::select(vec![1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]))
-                .prop_map(|(gap_us, rel_f)| Op::SetFreq { gap_us, rel_f }),
+            6 => push_op(),
+            1 => freq_op(),
+            1 => (0u64..300_000).prop_map(|gap_us| Op::Drain { gap_us }),
         ]
+    }
+
+    /// A load character's bit patterns: `==` would let `-0.0` pass for
+    /// `0.0`.
+    fn bits((u, i, g): (f64, f64, f64)) -> [u64; 3] {
+        [u.to_bits(), i.to_bits(), g.to_bits()]
+    }
+
+    /// Fire what is due before `op`, apply it to both queues, and check
+    /// they still agree. A drain's handle of the request due next joins
+    /// `retired`, as do the handles of completed requests.
+    fn apply_lockstep(
+        vt: &mut PsServer,
+        rf: &mut ReferencePsServer,
+        b: &mut RequestBuilder,
+        now: &mut SimTime,
+        op: &Op,
+        retired: &mut Vec<(Completion, RequestId)>,
+    ) -> Result<(), TestCaseError> {
+        let at = *now + SimDuration::from_micros(op.gap_us());
+        drain_due_lockstep(vt, rf, now, at, retired)?;
+        *now = at.max(*now);
+        match *op {
+            Op::Push { work, beta, .. } => {
+                let r = mk(b, *now, work, beta);
+                prop_assert_eq!(vt.push(*now, r.clone()), rf.push(*now, r));
+            }
+            Op::SetFreq { rel_f, .. } => {
+                vt.set_rel_freq(*now, rel_f);
+                rf.set_rel_freq(*now, rel_f);
+            }
+            Op::Drain { .. } => {
+                vt.advance(*now);
+                if let Some((_, due)) = vt.next_completion() {
+                    let id = vt.id_of(due).expect("a fresh handle is live");
+                    retired.push((due, id));
+                }
+                let mut dv = Vec::new();
+                vt.drain_with(*now, |req| dv.push(req.id));
+                let dr: Vec<_> = rf.drain(*now).into_iter().map(|r| r.id).collect();
+                prop_assert_eq!(dv, dr, "drain order mismatch");
+            }
+        }
+        prop_assert_eq!(vt.epoch(), rf.epoch(), "epoch divergence");
+        prop_assert_eq!(vt.len(), rf.len());
+        prop_assert_eq!(vt.completed(), rf.completed());
+        prop_assert_eq!(vt.rejected(), rf.rejected());
+        prop_assert_eq!(bits(vt.load_character()), bits(rf.load_character()));
+        prop_assert_eq!(vt.mean_beta().to_bits(), rf.mean_beta().to_bits());
+        Ok(())
     }
 
     /// Fire every completion predicted at or before `horizon` on both
@@ -941,11 +1183,14 @@ mod tests {
     /// event discipline: completion events are delivered in time order,
     /// so a request never sits past its finish point while external
     /// events stream in.
+    ///
+    /// Each completed request's handle is appended to `retired`.
     fn drain_due_lockstep(
         vt: &mut PsServer,
         rf: &mut ReferencePsServer,
         now: &mut SimTime,
         horizon: SimTime,
+        retired: &mut Vec<(Completion, RequestId)>,
     ) -> Result<(), TestCaseError> {
         loop {
             vt.advance(*now);
@@ -956,7 +1201,12 @@ mod tests {
                 (None, None) => return Ok(()),
                 (Some((tv, iv)), Some((tr, ir))) => {
                     prop_assert_eq!(tv, tr, "ETA mismatch at n={}", vt.len());
-                    prop_assert_eq!(iv, ir, "completion-order mismatch at n={}", vt.len());
+                    prop_assert_eq!(
+                        vt.id_of(iv),
+                        Some(ir),
+                        "completion-order mismatch at n={}",
+                        vt.len()
+                    );
                     let t = tv.max(*now);
                     if t > horizon {
                         return Ok(());
@@ -967,6 +1217,7 @@ mod tests {
                     if let (Some((qv, sv)), Some((qr, sr))) = (&cv, &cr) {
                         prop_assert_eq!(qv.id, qr.id);
                         prop_assert_eq!(*sv, *sr, "sojourn mismatch");
+                        retired.push((iv, ir));
                     }
                     *now = t;
                     if cv.is_none() {
@@ -999,34 +1250,49 @@ mod tests {
             let mut b = RequestBuilder::new();
             let mut now = SimTime::ZERO;
             for op in &ops {
-                let gap = match *op {
-                    Op::Push { gap_us, .. } => gap_us,
-                    Op::SetFreq { gap_us, .. } => gap_us,
-                };
-                let at = now + SimDuration::from_micros(gap);
-                drain_due_lockstep(&mut vt, &mut rf, &mut now, at)?;
-                now = at.max(now);
-                match *op {
-                    Op::Push { work, beta, .. } => {
-                        let r = mk(&mut b, now, work, beta);
-                        prop_assert_eq!(vt.push(now, r.clone()), rf.push(now, r));
-                    }
-                    Op::SetFreq { rel_f, .. } => {
-                        vt.set_rel_freq(now, rel_f);
-                        rf.set_rel_freq(now, rel_f);
-                    }
-                }
-                prop_assert_eq!(vt.epoch(), rf.epoch(), "epoch divergence");
-                prop_assert_eq!(vt.len(), rf.len());
-                prop_assert_eq!(vt.completed(), rf.completed());
-                prop_assert_eq!(vt.rejected(), rf.rejected());
-                prop_assert_eq!(vt.load_character(), rf.load_character());
-                prop_assert_eq!(vt.mean_beta(), rf.mean_beta());
+                apply_lockstep(&mut vt, &mut rf, &mut b, &mut now, op, &mut Vec::new())?;
             }
             // Run both to empty, then compare drains of nothing…
-            drain_due_lockstep(&mut vt, &mut rf, &mut now, SimTime::MAX)?;
+            drain_due_lockstep(&mut vt, &mut rf, &mut now, SimTime::MAX, &mut Vec::new())?;
             prop_assert_eq!(vt.len(), rf.len());
             prop_assert_eq!(vt.completed(), rf.completed());
+        }
+
+        /// Slot reuse: small admission bounds, drains and frequency
+        /// changes recycle slots constantly (a re-push after a
+        /// completion takes the freed slot, one after a drain restarts
+        /// the table), and the queue still matches the reference. Every
+        /// retired handle — of a completed request, or of the request
+        /// due next when a drain struck — stays refused, whatever now
+        /// holds its slot.
+        #[test]
+        fn prop_slot_reuse_matches_reference(
+            cores in 1usize..5,
+            cap in 1usize..10,
+            ops in proptest::collection::vec(churn_op_strategy(), 1..160),
+        ) {
+            let mut vt = PsServer::new(SimTime::ZERO, cores, 2.4, cap);
+            let mut rf = ReferencePsServer::new(SimTime::ZERO, cores, 2.4, cap);
+            let mut b = RequestBuilder::new();
+            let mut now = SimTime::ZERO;
+            let mut retired = Vec::new();
+            for op in &ops {
+                apply_lockstep(&mut vt, &mut rf, &mut b, &mut now, op, &mut retired)?;
+                // The latest retirees are the ones whose slots are
+                // most likely reused right now.
+                let recent = retired.len().saturating_sub(12);
+                for &(due, id) in &retired[recent..] {
+                    prop_assert_eq!(vt.id_of(due), None);
+                    prop_assert!(vt.try_complete(now, due).is_none(), "stale handle accepted");
+                    prop_assert!(rf.try_complete(now, id).is_none());
+                }
+                prop_assert_eq!(vt.len(), rf.len());
+                prop_assert_eq!(vt.completed(), rf.completed());
+            }
+            drain_due_lockstep(&mut vt, &mut rf, &mut now, SimTime::MAX, &mut retired)?;
+            prop_assert_eq!(vt.len(), 0);
+            prop_assert_eq!(vt.completed(), rf.completed());
+            prop_assert!(vt.slots.len() <= cap, "slot table outgrew the admission bound");
         }
 
         /// Mid-schedule drains leave both queues in equivalent states —
@@ -1044,14 +1310,14 @@ mod tests {
             let mut now = SimTime::ZERO;
             for (i, &w) in works.iter().enumerate() {
                 let at = now + SimDuration::from_micros(10_000 * i as u64);
-                drain_due_lockstep(&mut vt, &mut rf, &mut now, at)?;
+                drain_due_lockstep(&mut vt, &mut rf, &mut now, at, &mut Vec::new())?;
                 now = at.max(now);
                 let r = mk(&mut b, now, w, betas[i]);
                 vt.push(now, r.clone());
                 rf.push(now, r);
             }
             let t = now + SimDuration::from_micros(drain_after_us);
-            drain_due_lockstep(&mut vt, &mut rf, &mut now, t)?;
+            drain_due_lockstep(&mut vt, &mut rf, &mut now, t, &mut Vec::new())?;
             now = t.max(now);
             let mut dv = Vec::new();
             vt.drain_with(now, |req| dv.push(req.id));

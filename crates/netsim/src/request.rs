@@ -57,6 +57,10 @@ pub struct Request {
     /// on each re-dispatch of the *same* request (same id), bounded by
     /// the retry policy's attempt budget.
     pub attempt: u8,
+    /// Index of the traffic source that emitted this request among the
+    /// simulation's sources, 0 until the cluster routes it. Completion
+    /// and rejection feedback goes back to this source, retries included.
+    pub emitter: u32,
 }
 
 impl Request {
@@ -142,6 +146,7 @@ impl RequestBuilder {
             timeout: SimDuration::from_secs(4),
             is_attack,
             attempt: 0,
+            emitter: 0,
         }
     }
 }

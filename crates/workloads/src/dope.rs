@@ -268,7 +268,9 @@ mod tests {
 
     #[test]
     fn offline_rank_prefers_heavy_kernels() {
-        let ranked = DopeAttacker::offline_rank(2.4, 60.0);
+        let model = powercap::server_power::ServerPowerModel::paper_default();
+        let ranked =
+            DopeAttacker::offline_rank(model.table.max_freq_ghz(), model.dynamic_headroom_w());
         assert_eq!(ranked.len(), 4);
         // K-means tops the energy-per-request ranking (Fig 5-b); the
         // lightweight Text-Cont is last.

@@ -94,7 +94,9 @@ fn antidope_contains_stealthy_dope() {
 /// per request on the victim.
 #[test]
 fn offline_profiling_matches_online_power() {
-    let ranked = DopeAttacker::offline_rank(2.4, 60.0);
+    let model = antidope_repro::powercap::server_power::ServerPowerModel::paper_default();
+    let ranked =
+        DopeAttacker::offline_rank(model.table.max_freq_ghz(), model.dynamic_headroom_w());
     assert_eq!(ranked[0].0, ServiceKind::KMeans);
     // Verify online: flood with the top-ranked vs bottom-ranked kernel at
     // the same rate; the top-ranked one burns more energy.

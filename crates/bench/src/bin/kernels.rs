@@ -12,7 +12,10 @@
 //! per-request cost; and one request's churn through a processor-sharing
 //! server queue held at depth 1 and at depth 128 (its admission bound):
 //! a push, a completion prediction and the completion, the dataplane's
-//! per-request queue cost. Each kernel is warmed up while a batch is sized to
+//! per-request queue cost; and one `next_request` of each of
+//! flood-flat's two sources (AliOS users at 8,000 req/s peak over 200k
+//! clients, and the 4,000 req/s Colla-Filt botnet of 400 bots), the
+//! per-request generation cost. Each kernel is warmed up while a batch is sized to
 //! about one target interval, then timed over several batches; each line
 //! is the median time per call with the batches' first and third
 //! quartiles, the spread within one process (a difference between two
@@ -116,6 +119,16 @@ fn rls_stream(live: usize) -> Vec<(Vec<(usize, f64)>, f64)> {
         .collect()
 }
 
+/// flood-flat's population: 8,000 req/s of users over 200k clients and
+/// a 4,000 req/s Colla-Filt botnet flood of 400 bots from 2 s.
+fn flood_flat_population() -> ScenarioBuilder {
+    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, 4_000.0)
+        .sources(SourcePlan::Botnet { bots: 400 });
+    ScenarioBuilder::new()
+        .with_normal_users(8_000.0, 200_000)
+        .with_vector(flood, 2)
+}
+
 /// A 1,000-node slot recorded from the trace-replay workload's cluster:
 /// the profiler on, 8,000 req/s of users and a 4,000 req/s botnet flood
 /// from 2 s; the busiest of its first 4 simulated seconds.
@@ -126,11 +139,7 @@ fn recorded_learn_slot() -> PlaneSample {
     cluster.profiler = Some(ProfilerConfig::default());
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 1);
     exp.duration = SimDuration::from_secs(4);
-    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, 4_000.0)
-        .sources(SourcePlan::Botnet { bots: 400 });
-    let builder = ScenarioBuilder::new()
-        .with_normal_users(8_000.0, 200_000)
-        .with_vector(flood, 2);
+    let builder = flood_flat_population();
     let (_, trace) = record_experiment(&exp, &|e: &ExperimentConfig| {
         builder.build(e.seed, SimTime::ZERO + e.duration)
     });
@@ -226,6 +235,7 @@ fn firewall_stream() -> Vec<(u64, SourceId)> {
     .take_while(|&(us, _)| us < FIREWALL_STREAM_S * 1_000_000)
     .collect()
 }
+
 
 /// 4,096 requests of 10–500 ms of nominal work and mixed
 /// CPU-boundedness, for the PS-queue churn kernel.
@@ -327,6 +337,22 @@ fn main() -> ExitCode {
             let (eta, due) = ps.next_completion().expect("a busy server has a completion");
             now = eta;
             black_box(ps.try_complete(now, due));
+        });
+    }
+    // Users then botnet, over a horizon no kernel run reaches.
+    let sources = flood_flat_population().build(1, SimTime::from_secs(10_000_000));
+    for (name, mut source) in ["source/normal_users", "source/botnet"]
+        .into_iter()
+        .zip(sources)
+    {
+        // Pulled as the engine pulls: each call at the last arrival.
+        let mut at = SimTime::ZERO;
+        report(name, &mut || {
+            let req = source
+                .next_request(at)
+                .expect("the horizon is out of reach");
+            at = req.arrival;
+            black_box(req);
         });
     }
     let stream = firewall_stream();

@@ -72,10 +72,16 @@
 //!
 //! * NLB load estimates refresh once per slot (plus LeastLoaded's
 //!   optimistic increments).
-//! * Perimeter feedback (firewall blocks, admission denials) is
-//!   delivered inline during phase A; completion/queue-rejection
-//!   feedback is delivered at the closing slot boundary, in the total
-//!   order `(time, source, kind, client)`.
+//! * Feedback decided in phase A (firewall blocks, admission and scheme
+//!   denials, dispatches to a dead node, exhausted retries) is delivered
+//!   inline, during phase A; completion and queue-rejection feedback is
+//!   delivered at the closing slot boundary, in the total order
+//!   `(time, source, kind, client)`.
+//! * `Blocked` reaches every source. `Completed` and `Rejected` reach
+//!   only sources that observe outcomes
+//!   ([`TrafficSource::observes_outcomes`]; among the built-in sources,
+//!   only ApacheBench's concurrency window): shards queue none for the
+//!   others, so open-loop floods cost the boundary nothing.
 //! * The battery integrates at slot boundaries; [`Battery::advance`]
 //!   clamps at empty/full itself, so no mid-slot bound event exists.
 //! * Crash reboots settle at the next slot boundary.
@@ -223,12 +229,18 @@ pub(crate) struct Shard {
     /// Monotonic tiebreaker shared by completions and settles.
     seq: u64,
     /// Source feedback produced this slot, drained at the boundary.
+    /// Holds only events for sources in `observes`.
     outbox: Vec<(SimTime, usize, SourceEvent)>,
+    /// Per source index: whether it observes outcome events
+    /// ([`MergedSources::observers`]).
+    observes: Vec<bool>,
     /// Learn-stage hook replays produced this slot.
     learn_out: Vec<LearnEvt>,
     /// Whether to collect learn replays at all (profiler configured).
     learn_enabled: bool,
-    /// Shard-local latency/SLA metrics, merged at finalize.
+    /// Shard-local latency/SLA metrics, merged at finalize. The
+    /// histograms hold bins only; their summaries are `normal_sum` and
+    /// `attack_sum`, folded at finalize.
     normal_hist: LatencyHistogram,
     attack_hist: LatencyHistogram,
     normal_sla: SlaTracker,
@@ -251,6 +263,7 @@ impl Shard {
     fn new(
         start: usize,
         nodes: &[ComputeNode],
+        observes: &[bool],
         learn_enabled: bool,
         track_completions: bool,
     ) -> Self {
@@ -269,6 +282,7 @@ impl Shard {
             settles: BinaryHeap::new(),
             seq: 0,
             outbox: Vec::new(),
+            observes: observes.to_vec(),
             learn_out: Vec::new(),
             learn_enabled,
             normal_hist: LatencyHistogram::for_latency_secs(),
@@ -487,7 +501,10 @@ impl Shard {
         match nodes[j].push(now, req) {
             PushOutcome::Rejected => {
                 self.record_outcome(is_attack, RequestOutcome::Dropped);
-                self.outbox.push((now, src, SourceEvent::Rejected(source_id)));
+                if self.observes[src] {
+                    self.outbox
+                        .push((now, src, SourceEvent::Rejected(source_id)));
+                }
             }
             PushOutcome::Accepted => {
                 if self.learn_enabled {
@@ -518,10 +535,10 @@ impl Shard {
                     RequestOutcome::Late
                 };
                 if req.is_attack {
-                    self.attack_hist.record(secs);
+                    self.attack_hist.record_bin(secs);
                     self.attack_sum[j].record(secs);
                 } else {
-                    self.normal_hist.record(secs);
+                    self.normal_hist.record_bin(secs);
                     self.normal_sum[j].record(secs);
                 }
                 if self.track_completions {
@@ -537,11 +554,11 @@ impl Shard {
                         url: req.url,
                     });
                 }
-                self.outbox.push((
-                    now,
-                    req.emitter as usize,
-                    SourceEvent::Completed(req.source),
-                ));
+                let src = req.emitter as usize;
+                if self.observes[src] {
+                    self.outbox
+                        .push((now, src, SourceEvent::Completed(req.source)));
+                }
                 self.predict(now, j, &mut nodes[j], true);
                 self.touch(now, j, &nodes[j]);
             }
@@ -895,10 +912,17 @@ impl ShardedClusterSim {
         let track_completions = cfg.retry.as_ref().is_some_and(RetryConfig::breaker_enabled);
 
         let learn_enabled = pipeline.learn.is_some();
+        let sources = MergedSources::new(sources);
         let shards: Vec<Shard> = ranges
             .iter()
             .map(|&(at, len)| {
-                Shard::new(at, &nodes[at..at + len], learn_enabled, track_completions)
+                Shard::new(
+                    at,
+                    &nodes[at..at + len],
+                    sources.observers(),
+                    learn_enabled,
+                    track_completions,
+                )
             })
             .collect();
 
@@ -911,7 +935,7 @@ impl ShardedClusterSim {
             battery,
             flows: BatteryFlows::default(),
             pipeline,
-            sources: MergedSources::new(sources),
+            sources,
             batches: (0..shards.len()).map(|_| Vec::new()).collect(),
             batched: 0,
             spare: Vec::new(),
@@ -1299,7 +1323,8 @@ impl ShardedClusterSim {
     }
 
     /// Drain shard outboxes: learn-hook replays (count increments,
-    /// order-insensitive) and source feedback. Each outbox is sorted in
+    /// order-insensitive) and the outcome feedback of observing sources
+    /// (the only ones the shards queue it for). Each outbox is sorted in
     /// place, descending, on the total key [`feedback_key`]; the shards
     /// are then merged by popping the least tail. Equal keys are
     /// identical elements, so delivery order is independent of the
@@ -2016,7 +2041,7 @@ mod tests {
     #[test]
     fn a_settle_that_keeps_the_frequency_keeps_the_pending_completion() {
         let mut nodes = vec![ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_millis(10))];
-        let mut shard = Shard::new(0, &nodes, false, false);
+        let mut shard = Shard::new(0, &nodes, &[true], false, false);
         let req = netsim::request::RequestBuilder::new().build(
             UrlId(0),
             netsim::request::SourceId(0),
@@ -2136,6 +2161,47 @@ mod tests {
                 let want: Vec<u32> = (base..base + 120).collect();
                 assert_eq!(clients, want, "{shards} shards: source {base}'s feedback");
             }
+        }
+    }
+
+    #[test]
+    fn an_apachebench_vector_closes_its_loop_at_one_and_two_shards() {
+        // ApacheBench keeps `concurrency` requests outstanding and sends
+        // the next only when one ends. Completions reach it at each slot
+        // boundary, so it refills its window once per 1 s slot: 9 windows
+        // from t = 1 s to the 10 s horizon. Without its outcomes it would
+        // stop after the first. The users beside it observe nothing.
+        const CONCURRENCY: u32 = 8;
+        let e = |shards| exp(shards, SchemeKind::AntiDope, 10);
+        let horizon = SimTime::ZERO + e(1).duration;
+        let users = testutil::users(120.0);
+        let with_ab = users.clone().with_attack(
+            AttackTool::ApacheBench {
+                concurrency: CONCURRENCY,
+            },
+            ServiceKind::CollaFilt,
+            40,
+            1,
+        );
+        let observers = MergedSources::new(with_ab.build(2019, horizon))
+            .observers()
+            .to_vec();
+        assert_eq!(observers, [false, true]);
+        let run = |shards, workers| {
+            ShardedClusterSim::run_with_workers(&e(shards), with_ab.build(2019, horizon), workers)
+        };
+        let one = run(1, 0);
+        let users_only = ShardedClusterSim::run(&e(1), users.build(2019, horizon));
+        let sent = one.traffic.offered - users_only.traffic.offered;
+        assert_eq!(e(1).cluster.control_slot, SimDuration::from_secs(1));
+        assert_eq!(sent, 9 * u64::from(CONCURRENCY), "ApacheBench windows");
+        let one = format!("{one:?}");
+        for workers in [0, 1] {
+            assert_eq!(
+                one,
+                format!("{:?}", run(2, workers)),
+                "2 shards, {workers} workers"
+            );
         }
     }
 

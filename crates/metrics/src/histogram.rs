@@ -61,8 +61,16 @@ impl LatencyHistogram {
 
     /// Record one sample. Panics on non-finite or negative values.
     pub fn record(&mut self, x: f64) {
-        assert!(x.is_finite() && x >= 0.0, "invalid histogram sample: {x}");
+        self.record_bin(x);
         self.summary.record(x);
+    }
+
+    /// Record one sample in the bins only, for a caller that keeps the
+    /// exact-moments summary itself and installs it with
+    /// [`Self::set_summary`] before reading anything but the bins.
+    /// Panics on non-finite or negative values.
+    pub fn record_bin(&mut self, x: f64) {
+        assert!(x.is_finite() && x >= 0.0, "invalid histogram sample: {x}");
         match self.bin_of(x) {
             Some(i) => self.counts[i] += 1,
             None => self.underflow += 1,

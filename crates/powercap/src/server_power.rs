@@ -100,7 +100,15 @@ impl ServerPowerModel {
     pub fn power(&self, p: PState, utilization: f64, intensity: f64, gamma: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&utilization), "util={utilization}");
         debug_assert!((0.0..=1.0).contains(&intensity), "intensity={intensity}");
-        let u_eff = utilization.powf(self.util_exponent);
+        // An idle and a saturated node are the common cases, and there
+        // `u^e` is exactly 0 and 1: skip the libm call.
+        let u_eff = if utilization == 0.0 {
+            0.0
+        } else if utilization == 1.0 {
+            1.0
+        } else {
+            utilization.powf(self.util_exponent)
+        };
         self.idle_power(p)
             + u_eff * intensity * self.dvfs_factor(p, gamma) * self.dynamic_headroom_w()
     }
@@ -199,6 +207,44 @@ mod tests {
         assert!((half - expected).abs() < 1e-9, "half-load power {half}");
         // Strictly above the linear interpolation between idle and full.
         assert!(half > 40.0 + 0.5 * 60.0 + 1.0);
+    }
+
+    #[test]
+    fn skipping_powf_at_idle_and_saturation_changes_no_bit() {
+        // What a node reads: busy/cores for every core count up to 64,
+        // at every ladder state, over a spread of load characters.
+        let m = ServerPowerModel::paper_default();
+        let reference = |p: PState, u: f64, i: f64, g: f64| {
+            m.idle_power(p)
+                + u.powf(m.util_exponent) * i * m.dvfs_factor(p, g) * m.dynamic_headroom_w()
+        };
+        let chars = [
+            (1.0, 1.0),
+            (0.98, 0.9),
+            (0.35, 0.55),
+            (0.5, 0.0),
+            (0.01, 1.0),
+        ];
+        for s in 0..m.table.len() {
+            let p = PState(s as u8);
+            for cores in 1..=64u32 {
+                for k in 0..=cores {
+                    let u = f64::from(k) / f64::from(cores);
+                    for (i, g) in chars {
+                        let (got, want) = (m.power(p, u, i, g), reference(p, u, i, g));
+                        assert_eq!(got.to_bits(), want.to_bits(), "{p:?} u={k}/{cores}");
+                    }
+                }
+            }
+            for (i, g) in chars {
+                for u in [0.0, 1.0] {
+                    assert_eq!(
+                        m.power(p, u, i, g).to_bits(),
+                        reference(p, u, i, g).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,18 @@ pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 /// Microseconds in one millisecond.
 pub(crate) const MICROS_PER_MILLI: u64 = 1_000;
 
+/// `x.round() as u64` for a finite `x >= 0` (ties away from zero,
+/// saturating at `u64::MAX`), in integer arithmetic instead of a libm
+/// call. Below 2^52 the fraction `x - trunc(x)` is exact (Sterbenz);
+/// from 2^52 up every `f64` is an integer and the fraction is 0. The
+/// carry is added, not branched on: the fraction of a random gap is a
+/// coin flip no predictor learns.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
 /// An instant on the simulated clock, in microseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -52,7 +64,7 @@ impl SimTime {
     #[inline]
     pub(crate) fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid SimTime seconds: {s}");
-        SimTime((s * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// Raw microsecond count.
@@ -138,7 +150,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid SimDuration seconds: {s}");
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// Raw microsecond count.
@@ -333,6 +345,65 @@ mod tests {
         assert!((t.as_secs_f64() - 1.234567).abs() < 1e-9);
         let d = SimDuration::from_secs(10).mul_f64(0.5);
         assert_eq!(d.as_secs(), 5);
+    }
+
+    /// `f64::round`, the rounding `from_secs_f64` must reproduce.
+    fn libm_micros(s: f64) -> u64 {
+        (s * MICROS_PER_SEC as f64).round() as u64
+    }
+
+    #[test]
+    fn integer_rounding_matches_libm_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            two52,
+            two52 * 2.0,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52 + 1.0,
+            u64::MAX as f64,
+            1e300,
+        ];
+        // Ties, and the 64 floats either side of 2^52 (spacing 0.5 below,
+        // 1 above).
+        for k in 0..64u32 {
+            edges.push(f64::from(k) + 0.5);
+            edges.push(f64::from_bits(two52.to_bits() - u64::from(k)));
+            edges.push(f64::from_bits(two52.to_bits() + u64::from(k)));
+        }
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        for s in [0.0, -0.0, 0.5e-6, 1.5e-6, 2.5e-6, 0.5e-6f64.next_down()] {
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                libm_micros(s),
+                "{s:e} s"
+            );
+            assert_eq!(
+                SimTime::from_secs_f64(s).as_micros(),
+                libm_micros(s),
+                "{s:e} s"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_rounding_matches_libm_round_across_twelve_decades() {
+        let mut rng = crate::rng::SimRng::new(52);
+        for _ in 0..200_000 {
+            // 1e-7 s to 1e5 s, log-uniform.
+            let s = 10f64.powf(rng.unit_f64() * 12.0 - 7.0);
+            let got = SimDuration::from_secs_f64(s).as_micros();
+            assert_eq!(got, libm_micros(s), "{s:e} s");
+        }
     }
 
     #[test]

@@ -84,6 +84,9 @@ impl AlibabaTraceConfig {
 pub struct UtilizationTrace {
     interval: SimDuration,
     values: Vec<f64>,
+    /// The interval read last, as `[from, to)` µs, and its value: a
+    /// forward-moving clock reads one interval many times in a row.
+    current: (u64, u64, f64),
 }
 
 impl UtilizationTrace {
@@ -91,9 +94,17 @@ impl UtilizationTrace {
     #[cfg(test)]
     pub(crate) fn from_values(interval: SimDuration, values: Vec<f64>) -> Self {
         assert!(!interval.is_zero() && !values.is_empty());
+        Self::new(
+            interval,
+            values.into_iter().map(|v| v.clamp(0.0, 1.0)).collect(),
+        )
+    }
+
+    fn new(interval: SimDuration, values: Vec<f64>) -> Self {
         UtilizationTrace {
             interval,
-            values: values.into_iter().map(|v| v.clamp(0.0, 1.0)).collect(),
+            current: (0, interval.as_micros(), values[0]),
+            values,
         }
     }
 
@@ -135,10 +146,7 @@ impl UtilizationTrace {
             let util = mean_machine * diurnal * (1.0 + noise + burst);
             values.push(util.clamp(0.0, 1.0));
         }
-        UtilizationTrace {
-            interval: config.interval,
-            values,
-        }
+        Self::new(config.interval, values)
     }
 
     /// Number of intervals.
@@ -154,10 +162,21 @@ impl UtilizationTrace {
     }
 
     /// Utilization at time `t` (wraps around for simulations longer than
-    /// the trace — a 12 h trace tiles a multi-day run).
-    pub(crate) fn value_at(&self, t: SimTime) -> f64 {
-        let idx = (t.as_micros() / self.interval.as_micros()) as usize % self.values.len();
-        self.values[idx]
+    /// the trace — a 12 h trace tiles a multi-day run). A time inside the
+    /// interval read last costs two comparisons; any other time, two
+    /// divisions.
+    pub(crate) fn value_at(&mut self, t: SimTime) -> f64 {
+        let us = t.as_micros();
+        let (from, to, value) = self.current;
+        if from <= us && us < to {
+            return value;
+        }
+        let step = self.interval.as_micros();
+        let k = us / step;
+        let from = k * step;
+        let value = self.values[k as usize % self.values.len()];
+        self.current = (from, from.saturating_add(step), value);
+        value
     }
 
     /// Trace mean.
@@ -248,7 +267,7 @@ mod tests {
 
     #[test]
     fn value_at_wraps() {
-        let tr = UtilizationTrace::from_values(
+        let mut tr = UtilizationTrace::from_values(
             SimDuration::from_secs(10),
             vec![0.1, 0.2, 0.3],
         );
@@ -257,6 +276,31 @@ mod tests {
         assert_eq!(tr.value_at(SimTime::from_secs(29)), 0.3);
         assert_eq!(tr.value_at(SimTime::from_secs(30)), 0.1); // wrap
         assert_eq!(tr.duration(), SimDuration::from_secs(30));
+    }
+
+    #[test]
+    fn cached_interval_matches_a_fresh_lookup() {
+        // Forward runs inside one interval, jumps forward and back, wraps
+        // and the last representable instant: every read equals the
+        // division formula.
+        let mut tr = UtilizationTrace::from_values(
+            SimDuration::from_millis(7),
+            (0..13).map(|i| f64::from(i) / 13.0).collect(),
+        );
+        let step = 7_000u64;
+        let fresh = |us: u64| (us / step) as usize % 13;
+        let mut rng = SimRng::new(3);
+        let mut us = 0u64;
+        for k in 0..20_000u64 {
+            us = match k % 100 {
+                0 => rng.below(1 << 40),
+                1 => us.saturating_sub(rng.below(3 * step)),
+                2 => u64::MAX - rng.below(2 * step),
+                _ => us.saturating_add(rng.below(step / 3)),
+            };
+            let want = tr.values()[fresh(us)];
+            assert_eq!(tr.value_at(SimTime::from_micros(us)), want, "at {us} µs");
+        }
     }
 
     #[test]

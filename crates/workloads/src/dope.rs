@@ -249,6 +249,11 @@ impl TrafficSource for DopeAttacker {
         }
     }
 
+    /// DOPE backs off on perimeter blocks only; outcomes are ignored.
+    fn observes_outcomes(&self) -> bool {
+        false
+    }
+
     fn is_attacker(&self) -> bool {
         true
     }

@@ -12,6 +12,11 @@
 //! clamped to never run backwards. A source that returns `None` goes
 //! dormant until feedback wakes it, exactly like the `pending_pull`
 //! guard in the event-driven engine.
+//!
+//! It also holds each source's [`TrafficSource::observes_outcomes`]
+//! answer, read once at construction: outcome events for a source that
+//! does not observe them are dropped here, and the engine reads the
+//! same mask ([`MergedSources::observers`]) to skip queueing them.
 
 use crate::source::{SourceEvent, TrafficSource};
 use netsim::request::Request;
@@ -27,17 +32,28 @@ pub struct MergedSources {
     /// `None` means dormant: the source returned `None` and only
     /// feedback can re-arm it.
     wake: Vec<Option<SimTime>>,
+    /// Per source: whether it observes `Completed`/`Rejected` events.
+    observes: Vec<bool>,
 }
 
 impl MergedSources {
     /// Wrap `sources`; every source is armed for a pull at time zero.
     pub fn new(sources: Vec<Box<dyn TrafficSource>>) -> Self {
         let n = sources.len();
+        let observes = sources.iter().map(|s| s.observes_outcomes()).collect();
         MergedSources {
             sources,
             peeked: (0..n).map(|_| None).collect(),
             wake: vec![Some(SimTime::ZERO); n],
+            observes,
         }
+    }
+
+    /// Per source index: whether the source observes outcome events
+    /// (`Completed`, `Rejected`). Outcome events for any other source
+    /// need not be produced at all.
+    pub fn observers(&self) -> &[bool] {
+        &self.observes
     }
 
     /// Number of wrapped sources.
@@ -86,8 +102,13 @@ impl MergedSources {
     }
 
     /// Deliver perimeter/completion feedback to source `i` at `now`,
-    /// waking it if it was dormant.
+    /// waking it if it was dormant. An outcome event for a source that
+    /// does not observe outcomes is dropped: it would neither change the
+    /// source nor re-arm it.
     pub fn feedback(&mut self, now: SimTime, i: usize, event: SourceEvent) {
+        if !self.observes[i] && !matches!(event, SourceEvent::Blocked(_)) {
+            return;
+        }
         self.sources[i].feedback(now, event);
         if self.peeked[i].is_none() && self.wake[i].is_none() {
             self.wake[i] = Some(now);
@@ -100,6 +121,8 @@ mod tests {
     use super::*;
     use netsim::request::{RequestBuilder, SourceId, UrlId};
     use simcore::time::SimDuration;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// Emits `count` requests spaced `gap` apart starting at `start`.
     struct Ticker {
@@ -187,5 +210,75 @@ mod tests {
         );
         let (_, t1, _) = m.next_arrival_up_to(SimTime::from_secs(100)).unwrap();
         assert!(t1 >= SimTime::from_secs(5), "re-pull happens at wake time");
+    }
+
+    /// Sends nothing; counts its pulls and records what it hears.
+    struct Listener {
+        observes: bool,
+        pulls: Rc<Cell<u32>>,
+        heard: Rc<RefCell<Vec<SourceEvent>>>,
+    }
+
+    impl TrafficSource for Listener {
+        fn next_request(&mut self, _now: SimTime) -> Option<Request> {
+            self.pulls.set(self.pulls.get() + 1);
+            None
+        }
+
+        fn label(&self) -> &str {
+            "listener"
+        }
+
+        fn feedback(&mut self, _now: SimTime, event: SourceEvent) {
+            self.heard.borrow_mut().push(event);
+        }
+
+        fn observes_outcomes(&self) -> bool {
+            self.observes
+        }
+    }
+
+    #[test]
+    fn outcomes_reach_only_observers_and_blocks_reach_everyone() {
+        let pulls: Vec<Rc<Cell<u32>>> = (0..2).map(|_| Rc::default()).collect();
+        let heard: Vec<Rc<RefCell<Vec<SourceEvent>>>> = (0..2).map(|_| Rc::default()).collect();
+        let mut m = MergedSources::new(
+            [false, true]
+                .into_iter()
+                .enumerate()
+                .map(|(i, observes)| {
+                    Box::new(Listener {
+                        observes,
+                        pulls: Rc::clone(&pulls[i]),
+                        heard: Rc::clone(&heard[i]),
+                    }) as Box<dyn TrafficSource>
+                })
+                .collect(),
+        );
+        assert_eq!(m.observers(), [false, true]);
+        let pulled = || pulls.iter().map(|p| p.get()).collect::<Vec<_>>();
+        let limit = SimTime::from_secs(100);
+        assert!(m.next_arrival_up_to(limit).is_none());
+        assert_eq!(pulled(), [1, 1], "both pulled once, both dormant");
+        let (t, id) = (SimTime::from_secs(1), SourceId(7));
+        for i in 0..2 {
+            m.feedback(t, i, SourceEvent::Completed(id));
+            m.feedback(t, i, SourceEvent::Rejected(id));
+        }
+        assert!(m.next_arrival_up_to(limit).is_none());
+        assert_eq!(pulled(), [1, 2], "an outcome wakes only its observer");
+        for i in 0..2 {
+            m.feedback(t, i, SourceEvent::Blocked(id));
+        }
+        assert!(m.next_arrival_up_to(limit).is_none());
+        assert_eq!(pulled(), [2, 3], "a block wakes everyone");
+        let blocked = SourceEvent::Blocked(id);
+        assert_eq!(*heard[0].borrow(), [blocked]);
+        let all = [
+            SourceEvent::Completed(id),
+            SourceEvent::Rejected(id),
+            blocked,
+        ];
+        assert_eq!(*heard[1].borrow(), all);
     }
 }

@@ -102,6 +102,11 @@ impl TrafficSource for NormalUsers {
     fn label(&self) -> &str {
         &self.label
     }
+
+    /// Open loop: users arrive at the trace's rate whatever the outcome.
+    fn observes_outcomes(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

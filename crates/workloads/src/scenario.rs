@@ -359,12 +359,17 @@ impl TrafficSource for Inert {
     fn is_attacker(&self) -> bool {
         true
     }
+
+    fn observes_outcomes(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::SourceEvent;
+    use netsim::request::SourceId;
     use simcore::SimDuration;
     use std::collections::HashSet;
 
@@ -659,6 +664,133 @@ mod tests {
             assert!(r.arrival < SimTime::from_secs(10));
             last = r.arrival;
         }
+    }
+
+    /// Pull `src` the way `MergedSources` does (each pull at the last
+    /// delivery instant), telling it of every 50th request's perimeter
+    /// block and, when `outcomes`, of every request's `Completed` or
+    /// (every 7th) `Rejected`. A source that runs dry is re-pulled after
+    /// each of a few more outcome events, as a wake-up would do. At most
+    /// `n` requests.
+    fn stream(src: &mut dyn TrafficSource, outcomes: bool, n: usize) -> Vec<Request> {
+        let mut out = Vec::new();
+        let mut at = SimTime::ZERO;
+        let mut wakes = 0;
+        while out.len() < n {
+            let Some(r) = src.next_request(at) else {
+                if !outcomes || wakes == 3 {
+                    break;
+                }
+                wakes += 1;
+                at += SimDuration::from_millis(250);
+                src.feedback(at, SourceEvent::Completed(SourceId(wakes)));
+                src.feedback(at, SourceEvent::Rejected(SourceId(wakes)));
+                continue;
+            };
+            at = r.arrival.max(at);
+            if out.len() % 50 == 49 {
+                src.feedback(at, SourceEvent::Blocked(r.source));
+            }
+            if outcomes {
+                let later = at + SimDuration::from_micros(out.len() as u64 % 900);
+                let event = if out.len() % 7 == 0 {
+                    SourceEvent::Rejected(r.source)
+                } else {
+                    SourceEvent::Completed(r.source)
+                };
+                src.feedback(later, event);
+            }
+            out.push(r);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// A source that says it does not observe outcomes emits the
+        /// same request stream whether or not it hears every
+        /// `Completed`/`Rejected`: users, DOPE, every envelope, source
+        /// plan and target plan of an http-load vector, windowed and
+        /// tool floods, and an inert attack.
+        #[test]
+        fn prop_outcomes_do_not_move_a_non_observing_source(
+            seed in 0u64..1 << 40,
+            kind in 0usize..6,
+            env in 0usize..3,
+            plan in 0usize..3,
+            target in 0usize..3,
+            rate in 20.0f64..600.0,
+            start_s in 0u64..4,
+        ) {
+            use proptest::prelude::prop_assert;
+            let horizon = SimTime::from_secs(6);
+            let spec = AttackVectorSpec::open_loop(ServiceKind::KMeans, rate)
+                .envelope(match env {
+                    0 => Envelope::Constant,
+                    1 => Envelope::OnOffBurst { period: SimDuration::from_secs(2), duty: 0.3 },
+                    _ => Envelope::LowAndSlow,
+                })
+                .sources(match plan {
+                    0 => SourcePlan::Single,
+                    1 => SourcePlan::Botnet { bots: 30 },
+                    _ => SourcePlan::EvadingBotnet { threshold_rps: 40.0 },
+                })
+                .target(match target {
+                    0 => TargetPlan::Fixed,
+                    1 => TargetPlan::Rotating {
+                        url_base: 700,
+                        url_space: 5,
+                        period: SimDuration::from_secs(1),
+                    },
+                    _ => TargetPlan::Concentrating {
+                        racks: 3,
+                        url_base: 900,
+                        period: SimDuration::from_millis(1_500),
+                    },
+                });
+            let http = AttackTool::HttpLoad { rate };
+            let builder = match kind {
+                0 => ScenarioBuilder::new().with_normal_users(rate, 50),
+                1 => ScenarioBuilder::new().with_dope(
+                    DopeConfig {
+                        initial_rate: rate,
+                        adjust_period: SimDuration::from_secs(1),
+                        ..DopeConfig::default()
+                    },
+                    start_s,
+                ),
+                2 => ScenarioBuilder::new().with_vector(spec, start_s),
+                3 => ScenarioBuilder::new()
+                    .with_attack_window(http, ServiceKind::WordCount, 20, start_s, start_s + 1),
+                4 => ScenarioBuilder::new().with_flood(FloodKind::UdpFlood, rate, 20, start_s),
+                _ => ScenarioBuilder::new().with_vector(spec, 6),
+            };
+            let (mut told, mut untold) = (builder.build(seed, horizon), builder.build(seed, horizon));
+            prop_assert!(!told[0].observes_outcomes(), "{} observes outcomes", told[0].label());
+            let want = stream(untold[0].as_mut(), false, 5_000);
+            prop_assert!(want == stream(told[0].as_mut(), true, 5_000), "{} moved", told[0].label());
+        }
+    }
+
+    #[test]
+    fn only_closed_loop_tools_observe_outcomes() {
+        let ab = AttackTool::ApacheBench { concurrency: 4 };
+        let sources = ScenarioBuilder::new()
+            .with_attack(ab, ServiceKind::CollaFilt, 10, 1)
+            .with_attack(
+                AttackTool::HttpLoad { rate: 10.0 },
+                ServiceKind::CollaFilt,
+                10,
+                1,
+            )
+            .with_normal_users(10.0, 10)
+            .build(1, horizon());
+        let observes: Vec<bool> = sources.iter().map(|s| s.observes_outcomes()).collect();
+        assert_eq!(observes, [true, false, false]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use netsim::request::UrlId;
 use simcore::rng::SimRng;
 use simcore::SimDuration;
+use std::sync::OnceLock;
 
 /// The four victim service kernels of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,13 +137,23 @@ impl ServiceProfile {
         SimDuration::from_secs_f64(self.mean_work_gcycles / core_ghz)
     }
 
-    /// Sample a per-request work demand (log-normal around the mean).
-    pub(crate) fn sample_work(&self, rng: &mut SimRng) -> f64 {
-        // For LogNormal with mean m and cv c: sigma² = ln(1 + c²),
-        // mu = ln(m) − sigma²/2.
+    /// The log-normal `(mu, sigma)` of the per-request work: for mean
+    /// m and cv c, sigma² = ln(1 + c²) and mu = ln(m) − sigma²/2.
+    fn lognormal(&self) -> (f64, f64) {
         let sigma2 = (1.0 + self.work_cv * self.work_cv).ln();
         let mu = self.mean_work_gcycles.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * rng.standard_normal()).exp().max(1e-6)
+        (mu, sigma2.sqrt())
+    }
+
+    /// Sample a per-request work demand (log-normal around the mean).
+    /// `self` must be its kind's calibrated profile: the `(mu, sigma)`
+    /// pair comes from a per-kind table built once.
+    pub(crate) fn sample_work(&self, rng: &mut SimRng) -> f64 {
+        static LOGNORMAL: OnceLock<[(f64, f64); 4]> = OnceLock::new();
+        debug_assert_eq!(*self, self.kind.profile(), "not a calibrated profile");
+        let table = LOGNORMAL.get_or_init(|| ServiceKind::ALL.map(|k| k.profile().lognormal()));
+        let (mu, sigma) = table[self.kind as usize];
+        (mu + sigma * rng.standard_normal()).exp().max(1e-6)
     }
 
     /// Rough per-request dynamic energy at nominal frequency on the
@@ -273,6 +284,21 @@ mod tests {
         let mean: f64 = (0..n).map(|_| p.sample_work(&mut rng)).sum::<f64>() / n as f64;
         let rel = (mean - p.mean_work_gcycles).abs() / p.mean_work_gcycles;
         assert!(rel < 0.02, "sampled mean {mean} vs {}", p.mean_work_gcycles);
+    }
+
+    #[test]
+    fn sample_work_table_matches_the_formula_bit_for_bit() {
+        for (i, k) in ServiceKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "the table is indexed by declaration order");
+            let p = k.profile();
+            let (mut a, mut b) = (SimRng::new(5), SimRng::new(5));
+            for _ in 0..1000 {
+                let sigma2 = (1.0 + p.work_cv * p.work_cv).ln();
+                let mu = p.mean_work_gcycles.ln() - sigma2 / 2.0;
+                let want = (mu + sigma2.sqrt() * b.standard_normal()).exp().max(1e-6);
+                assert_eq!(p.sample_work(&mut a).to_bits(), want.to_bits(), "{k}");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A traffic source is a pull-based generator of timestamped requests.
 //! The cluster simulator asks each source for its next request, schedules
-//! an arrival event at the returned timestamp, and — for adaptive sources
-//! like the DOPE attacker — feeds back what the perimeter defenses did.
+//! an arrival event at the returned timestamp, and feeds back what the
+//! perimeter did (every source) and how each admitted request ended (only
+//! sources that [observe outcomes](TrafficSource::observes_outcomes)).
 
 use netsim::request::{Request, SourceId};
 use simcore::SimTime;
@@ -33,6 +34,19 @@ pub trait TrafficSource {
 
     /// Observe perimeter/completion feedback. Default: ignore.
     fn feedback(&mut self, _now: SimTime, _event: SourceEvent) {}
+
+    /// Whether this source reads [`SourceEvent::Completed`] and
+    /// [`SourceEvent::Rejected`]. Default: `true`, so a source that does
+    /// not override it hears every outcome.
+    ///
+    /// Returning `false` promises that neither event changes the
+    /// source's state or re-arms it (a source that has returned `None`
+    /// stays finished), so the engine may skip queueing and delivering
+    /// them: an open-loop flood fires at its own rate whatever happens
+    /// to its requests. [`SourceEvent::Blocked`] reaches every source.
+    fn observes_outcomes(&self) -> bool {
+        true
+    }
 
     /// True if this source models an attacker (ground truth for metrics).
     fn is_attacker(&self) -> bool {
@@ -78,6 +92,7 @@ mod tests {
     fn default_trait_methods() {
         let mut s = OneShot { fired: false };
         assert!(!s.is_attacker());
+        assert!(s.observes_outcomes());
         s.feedback(SimTime::ZERO, SourceEvent::Blocked(SourceId(1))); // no-op
         assert!(s.next_request(SimTime::ZERO).is_some());
         assert!(s.next_request(SimTime::ZERO).is_none());

@@ -734,7 +734,12 @@ impl AttackVector {
         // Thin one unit-rate exponential across the piecewise-constant
         // rate segments: within a segment of factor f the residual `e`
         // is consumed at `rate · f` per second; sleep segments (f = 0)
-        // cost nothing and the clock jumps over them.
+        // cost nothing and the clock jumps over them. Leaving a segment
+        // moves the clock by at least 1 µs: a float remainder can put a
+        // segment's end within half a microsecond of the clock, and a
+        // step that rounds to 0 µs would read the same segment forever.
+        let past =
+            |span: f64| SimDuration::from_secs_f64(span.max(0.0)).max(SimDuration::from_micros(1));
         let window = self.stop.since(self.start).as_secs_f64();
         let mut e = self.pending_exp.take().unwrap_or_else(|| self.rng.exp(1.0));
         loop {
@@ -748,7 +753,7 @@ impl AttackVector {
             let elapsed = self.clock.since(self.start).as_secs_f64();
             let (factor, span) = self.envelope.segment(elapsed, window);
             if factor <= 0.0 {
-                self.clock += SimDuration::from_secs_f64(span.max(1e-9));
+                self.clock += past(span);
                 continue;
             }
             let lambda = rate * factor;
@@ -758,7 +763,7 @@ impl AttackVector {
                 return self.clock < self.stop;
             }
             e -= span * lambda;
-            self.clock += SimDuration::from_secs_f64(span.max(1e-9));
+            self.clock += past(span);
         }
     }
 }
@@ -821,6 +826,12 @@ impl TrafficSource for AttackVector {
                 }
             }
         }
+    }
+
+    /// Only ApacheBench's concurrency window waits for responses;
+    /// http-load fires open-loop.
+    fn observes_outcomes(&self) -> bool {
+        matches!(self.tool, AttackTool::ApacheBench { .. })
     }
 
     fn is_attacker(&self) -> bool {
@@ -971,6 +982,35 @@ mod tests {
             count += 1;
         }
         count
+    }
+
+    #[test]
+    fn a_burst_ending_within_a_microsecond_of_the_clock_is_left_behind() {
+        // 4.6 s % 2 s is 0.5999999999999996, 3e-16 s short of the 0.6 s
+        // ON phase: the clock must step past that sliver into the sleep
+        // and fire again in the next ON phase, at 6 s.
+        let mut v = AttackVector::against_service(
+            AttackTool::HttpLoad { rate: 100.0 },
+            ServiceKind::CollaFilt,
+            5000,
+            20,
+            1 << 40,
+            s(0),
+            s(60),
+            1,
+        )
+        .with_envelope(Envelope::OnOffBurst {
+            period: SimDuration::from_secs(2),
+            duty: 0.3,
+        });
+        let at = SimTime::from_millis(4_600);
+        v.clock = at;
+        v.pending_exp = Some(1.0);
+        let r = v.next_request(at).expect("the window is open");
+        assert!(
+            r.arrival >= s(6) && r.arrival < SimTime::from_millis(6_600),
+            "{r:?}"
+        );
     }
 
     #[test]

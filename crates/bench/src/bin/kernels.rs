@@ -15,12 +15,18 @@
 //! per-request queue cost; and one `next_request` of each of
 //! flood-flat's two sources (AliOS users at 8,000 req/s peak over 200k
 //! clients, and the 4,000 req/s Colla-Filt botnet of 400 bots), the
-//! per-request generation cost. Each kernel is warmed up while a batch is sized to
-//! about one target interval, then timed over several batches; each line
-//! is the median time per call with the batches' first and third
-//! quartiles, the spread within one process (a difference between two
-//! builds also has to clear the spread between processes). `--quick` is
-//! a smoke run, not a measurement.
+//! per-request generation cost; and one `ShardedClusterSim::new` in
+//! rack-guard's shape (ten nodes a rack, a 5 % suspect pool, the rack
+//! guard and retries on) at 10k and 100k nodes, the engine's set-up
+//! cost, whose growth from 10k to 100k shows whether it stays linear in
+//! node count. Each kernel is warmed up while a batch is sized to about
+//! one target interval, then timed over several batches; each line is the
+//! median time per call with the batches' first and third quartiles, the
+//! spread within one process (a difference between two builds also has
+//! to clear the spread between processes). An engine build is timed one
+//! call at a time, its sources built before the clock starts and the
+//! engine dropped after it stops. `--quick` is a smoke run, not a
+//! measurement.
 //!
 //! `cargo run --release -p dope-bench --bin kernels [-- --quick]`
 
@@ -29,11 +35,12 @@ use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
 use antidope::{
     record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, DecisionRecord,
-    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, SlotRecord, TraceRecorder,
+    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim, SlotRecord,
+    TopologyConfig, TraceRecorder,
 };
 use netsim::queueing::PsServer;
 use netsim::request::{Request, RequestBuilder, SourceId, UrlId};
-use netsim::{Firewall, FirewallConfig};
+use netsim::{Firewall, FirewallConfig, RetryConfig};
 use powercap::budget::BudgetLevel;
 use powercap::monitor::PowerCondition;
 use powercap::pstate::PState;
@@ -47,7 +54,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workloads::scenario::ScenarioBuilder;
 use workloads::service::ServiceKind;
-use workloads::vector::{AttackVectorSpec, SourcePlan};
+use workloads::vector::{AttackVectorSpec, SourcePlan, TargetPlan};
 
 /// Nanoseconds per call of `f` over `samples` batches, each sized to
 /// last about `target`: the batches' first quartile, median and third
@@ -62,13 +69,73 @@ fn quartiles_ns(target: Duration, samples: usize, mut f: impl FnMut()) -> ([f64;
     while timed(batch) < target && batch < 1 << 24 {
         batch *= 2;
     }
-    let mut per_call: Vec<f64> = (0..samples)
+    let per_call = (0..samples)
         .map(|_| timed(batch).as_nanos() as f64 / f64::from(batch))
         .collect();
-    per_call.sort_by(f64::total_cmp);
-    let q1 = per_call[(samples - 1) / 4];
-    let q3 = per_call[(3 * (samples - 1)).div_ceil(4)];
-    ([q1, per_call[samples / 2], q3], batch)
+    (quartiles(per_call), batch)
+}
+
+/// Nanoseconds per call of `f` over `samples` calls, each timed alone
+/// around `f`'s timed section (see [`engine_build`]): the first
+/// quartile, median and third quartile.
+fn quartiles_each_ns(samples: usize, mut f: impl FnMut() -> Duration) -> [f64; 3] {
+    f();
+    quartiles((0..samples).map(|_| f().as_nanos() as f64).collect())
+}
+
+/// The first quartile, median and third quartile of `xs`.
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    [xs[(n - 1) / 4], xs[n / 2], xs[(3 * (n - 1)).div_ceil(4)]]
+}
+
+/// rack-guard's experiment and population at `servers` nodes: ten nodes
+/// a rack, ten racks a PDU, ten PDUs a row, a 5 % suspect pool, two
+/// shards, the rack guard and retries on; 2,000 req/s of users over
+/// 100k clients and a 1,100 req/s botnet flood re-aimed at one rack
+/// every 30 s from t = 5 s.
+fn rack_guard_cell(servers: usize) -> (ExperimentConfig, ScenarioBuilder) {
+    let racks = servers / 10;
+    let mut cluster = ClusterConfig::scaled(BudgetLevel::Low);
+    cluster.servers = servers;
+    cluster.suspect_pool_size = servers / 20;
+    cluster.shards = 2;
+    cluster.topology = Some(TopologyConfig {
+        racks,
+        pdus: racks / 10,
+        rows: racks / 100,
+        rack_oversub: 1.0,
+        pdu_oversub: 1.0,
+        row_oversub: 1.0,
+        defend: true,
+        ..TopologyConfig::default()
+    });
+    cluster.retry = Some(RetryConfig::default());
+    let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 1);
+    exp.duration = SimDuration::from_secs(60);
+    let flood = AttackVectorSpec::open_loop(ServiceKind::CollaFilt, 1_100.0)
+        .sources(SourcePlan::Botnet { bots: 100 })
+        .target(TargetPlan::Concentrating {
+            racks,
+            url_base: 1_000,
+            period: SimDuration::from_secs(30),
+        });
+    let builder = ScenarioBuilder::new()
+        .with_normal_users(2_000.0, 100_000)
+        .with_vector(flood, 5);
+    (exp, builder)
+}
+
+/// One timed engine build of `exp`: its sources are built before the
+/// clock starts, and the engine is dropped after it stops.
+fn engine_build(exp: &ExperimentConfig, builder: &ScenarioBuilder) -> Duration {
+    let sources = builder.build(exp.seed, SimTime::ZERO + exp.duration);
+    let t = Instant::now();
+    let sim = ShardedClusterSim::new(exp, sources);
+    let took = t.elapsed();
+    drop(black_box(sim));
+    took
 }
 
 /// `n` nodes spanning 30–90 % utilization, alternating CPU- and
@@ -354,6 +421,13 @@ fn main() -> ExitCode {
             at = req.arrival;
             black_box(req);
         });
+    }
+    for (name, servers) in [("engine_build/10k", 10_000), ("engine_build/100k", 100_000)] {
+        let (exp, builder) = rack_guard_cell(servers);
+        let [q1, ns, q3] = quartiles_each_ns(samples, || engine_build(&exp, &builder));
+        println!(
+            "{name:<24} {ns:>12.1} ns/call  [q1 {q1:.1}, q3 {q3:.1}]  (median of {samples} builds)"
+        );
     }
     let stream = firewall_stream();
     let mut firewall = Firewall::new(SimTime::ZERO, FirewallConfig::default());

@@ -57,7 +57,7 @@ use powercap::monitor::PowerCondition;
 use powercap::monitor::PowerMonitor;
 use powercap::Breaker;
 use powercap::pstate::PState;
-use powercap::server_power::{ServerLoad, ServerPowerModel};
+use powercap::server_power::ServerPowerModel;
 use powercap::thermal::ThermalNode;
 use profiler::MixTracker;
 use simcore::faults::{ActuationFault, FaultConfig, FaultCounts, ShardFaultPlan};
@@ -65,13 +65,36 @@ use simcore::SimTime;
 
 /// The worst-case uniform cap: the highest P-state at which full-load
 /// CPU-bound occupancy on each of `servers` nodes fits `budget_w`.
+///
+/// It is what [`ServerPowerModel::state_for_budget`] picks for
+/// `servers` copies of that load, bit for bit, without building them:
+/// the model is evaluated once per state, and the copies are summed
+/// node by node only when the sum's rounding could decide the verdict.
 pub(crate) fn safe_pstate(budget_w: f64, servers: usize) -> PState {
-    let worst = ServerLoad {
-        utilization: 1.0,
-        intensity: 1.0,
-        gamma: 0.9,
+    let model = ServerPowerModel::paper_default();
+    let cap = budget_w + 1e-9;
+    let n = servers as f64;
+    let fits = |node_w: f64| {
+        // `n` equal positive terms summed one at a time land within
+        // (n - 1)·2^-53 of `n · node_w`, relatively (Higham, *Accuracy
+        // and Stability of Numerical Algorithms*, eq. 4.4); the product
+        // itself is off by at most 2^-53. Outside a band four times as
+        // wide the product decides.
+        let approx = n * node_w;
+        let band = 2.0 * n * f64::EPSILON * approx;
+        if approx - band > cap {
+            false
+        } else if approx + band <= cap {
+            true
+        } else {
+            std::iter::repeat_n(node_w, servers).sum::<f64>() <= cap
+        }
     };
-    ServerPowerModel::paper_default().state_for_budget(budget_w, &vec![worst; servers])
+    (0..model.table.len())
+        .rev()
+        .map(|i| PState(i as u8))
+        .find(|&p| fits(model.full_load_power(p, 1.0, 0.9)))
+        .unwrap_or(model.table.min_state())
 }
 
 /// What [`filter::FilterStage`] produces: the trusted view of the
@@ -435,5 +458,51 @@ impl ControlPipeline {
         }
         self.act.record_intents(now, &self.actions, &*plant);
         (view, classes_changed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use powercap::budget::BudgetLevel;
+    use powercap::server_power::ServerLoad;
+
+    const WORST: ServerLoad = ServerLoad {
+        utilization: 1.0,
+        intensity: 1.0,
+        gamma: 0.9,
+    };
+
+    #[test]
+    fn safe_pstate_matches_the_search_over_built_loads() {
+        let model = ServerPowerModel::paper_default();
+        for servers in [2, 3, 7, 16, 1_000, 10_000, 12_345] {
+            let loads = vec![WORST; servers];
+            let reference = |budget_w: f64| model.state_for_budget(budget_w, &loads);
+            // Every provisioning level's budget, where the product
+            // decides.
+            for level in BudgetLevel::ALL {
+                let budget_w = servers as f64 * model.nameplate_w * level.fraction();
+                assert_eq!(
+                    safe_pstate(budget_w, servers),
+                    reference(budget_w),
+                    "{level:?}"
+                );
+            }
+            // Each state's own edge, the budget whose cap is its
+            // node-by-node sum, and a few ulps either way: there only
+            // the sum's rounding decides.
+            for p in model.table.states() {
+                let edge = model.aggregate_power(p, &loads) - 1e-9;
+                for ulps in -3i64..=3 {
+                    let budget_w = f64::from_bits(edge.to_bits().wrapping_add_signed(ulps));
+                    assert_eq!(
+                        safe_pstate(budget_w, servers),
+                        reference(budget_w),
+                        "{servers} servers, {p:?} edge {ulps:+} ulps"
+                    );
+                }
+            }
+        }
     }
 }

@@ -122,7 +122,7 @@ use crate::results::{
     ThermalReport, TrafficReport, VfReport,
 };
 use crate::scheme::{self, PowerScheme};
-use crate::topology::near_even;
+use crate::topology::{near_even, TopologyState};
 use dcmetrics::availability::RequestOutcome;
 use dcmetrics::{LatencyHistogram, OnlineSummary, SlaTracker, TimeSeries};
 use netsim::admission::{AdmissionDecision, AdmissionPipeline, StageKind};
@@ -249,10 +249,10 @@ pub(crate) struct Shard {
     events: u64,
     /// Completions whose request had already been retried at least once.
     recovered: u64,
-    /// Per-node completion flags for the current slot, set only when
-    /// `track_completions` is on: the circuit breakers' success signal,
-    /// folded in global node order at the boundary (so it is
-    /// shard-layout-invariant), then cleared.
+    /// Per-node completion flags for the current slot, held (and set)
+    /// only when `track_completions` is on: the circuit breakers'
+    /// success signal, folded in global node order at the boundary (so
+    /// it is shard-layout-invariant), then cleared.
     completed: Vec<bool>,
     /// Whether completions are tracked per node (runs with circuit
     /// breakers enabled).
@@ -260,25 +260,27 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// A shard of `len` fresh nodes from global index `start`, each
+    /// drawing the idle power `idle_w`.
     fn new(
         start: usize,
-        nodes: &[ComputeNode],
+        len: usize,
+        idle_w: f64,
         observes: &[bool],
         learn_enabled: bool,
         track_completions: bool,
     ) -> Self {
-        let power_w: Vec<f64> = nodes.iter().map(|n| n.power_w()).collect();
         Shard {
             start,
-            power_w,
-            inflight: vec![0; nodes.len()],
-            vf_steps: vec![0; nodes.len()],
-            dead: vec![false; nodes.len()],
-            joules: vec![0.0; nodes.len()],
-            last_t: vec![SimTime::ZERO; nodes.len()],
-            normal_sum: vec![OnlineSummary::new(); nodes.len()],
-            attack_sum: vec![OnlineSummary::new(); nodes.len()],
-            completions: PerNodeHeap::new(nodes.len()),
+            power_w: vec![idle_w; len],
+            inflight: vec![0; len],
+            vf_steps: vec![0; len],
+            dead: vec![false; len],
+            joules: vec![0.0; len],
+            last_t: vec![SimTime::ZERO; len],
+            normal_sum: vec![OnlineSummary::new(); len],
+            attack_sum: vec![OnlineSummary::new(); len],
+            completions: PerNodeHeap::new(len),
             settles: BinaryHeap::new(),
             seq: 0,
             outbox: Vec::new(),
@@ -291,7 +293,11 @@ impl Shard {
             attack_sla: SlaTracker::new(),
             events: 0,
             recovered: 0,
-            completed: vec![false; nodes.len()],
+            completed: if track_completions {
+                vec![false; len]
+            } else {
+                Vec::new()
+            },
             track_completions,
         }
     }
@@ -794,10 +800,6 @@ pub struct ShardedClusterSim {
     spare: Vec<Vec<Arrival>>,
     /// Global node index → owning shard index.
     owner_shard: Vec<usize>,
-    /// Global node index → circuit-breaker pool: the owning rack when a
-    /// power topology is configured (a trip isolates the physical
-    /// rack), the node itself otherwise.
-    breaker_pool: Vec<usize>,
     offered: u64,
     scheme_denied_drops: u64,
     normal_hist: LatencyHistogram,
@@ -828,6 +830,13 @@ pub struct ShardedClusterSim {
     resilience: Option<Resilience>,
 }
 
+/// Global node `g`'s circuit-breaker pool. Pools are physical: the
+/// owning rack under a power topology (a trip isolates the rack), the
+/// node itself otherwise.
+fn breaker_pool(topology: Option<&TopologyState>, g: usize) -> usize {
+    topology.map_or(g, |t| t.topo.rack_of(g))
+}
+
 impl ShardedClusterSim {
     /// Build the engine for an experiment over the given traffic
     /// sources. Panics if `exp.cluster` fails validation.
@@ -847,9 +856,16 @@ impl ShardedClusterSim {
         let start = SimTime::ZERO;
         let mut nlb = Nlb::new(cfg.servers, scheme.forwarding_policy(&cfg))
             .expect("forwarding pools checked by ClusterConfig::validate");
-        let nodes: Vec<ComputeNode> = (0..cfg.servers)
-            .map(|_| ComputeNode::new(start, cfg.cores_per_server, cfg.max_inflight, cfg.dvfs_latency))
-            .collect();
+        // Every node starts alike, idle at nominal: build one, copy it,
+        // and evaluate the idle draw once.
+        let fresh = ComputeNode::new(
+            start,
+            cfg.cores_per_server,
+            cfg.max_inflight,
+            cfg.dvfs_latency,
+        );
+        let idle_w = fresh.power_w();
+        let nodes = vec![fresh; cfg.servers];
         let admission = cfg.build_admission(start);
         let mut battery =
             Battery::sized_for(start, cfg.aggregate_nameplate_w(), cfg.battery_sustain);
@@ -875,16 +891,16 @@ impl ShardedClusterSim {
             }
             FaultLayer::new(plan)
         });
-        let idle_total: f64 = nodes.iter().map(|n| n.power_w()).sum();
+        // One addition per node, in node order: the bits of summing each
+        // node's own draw.
+        let idle_total: f64 = std::iter::repeat_n(idle_w, cfg.servers).sum();
         let pipeline =
             ControlPipeline::new(&cfg, scheme, start, fault.is_some(), idle_total);
 
-        // Circuit-breaker pools are physical: a rack under a power
-        // topology (a trip isolates the rack), a node otherwise.
-        let (pool_count, breaker_pool) = match pipeline.topology.as_ref() {
-            Some(t) => (t.topo.racks(), t.topo.owner_rack().to_vec()),
-            None => (cfg.servers, (0..cfg.servers).collect()),
-        };
+        let pool_count = pipeline
+            .topology
+            .as_ref()
+            .map_or(cfg.servers, |t| t.topo.racks());
         // The NLB learns the same placement: routing prefers a URL's
         // home rack, so a rack trip only displaces the flows homed
         // there instead of reshuffling the whole cluster. A single rack
@@ -918,7 +934,8 @@ impl ShardedClusterSim {
             .map(|&(at, len)| {
                 Shard::new(
                     at,
-                    &nodes[at..at + len],
+                    len,
+                    idle_w,
                     sources.observers(),
                     learn_enabled,
                     track_completions,
@@ -941,7 +958,6 @@ impl ShardedClusterSim {
             spare: Vec::new(),
             shards,
             owner_shard,
-            breaker_pool,
             offered: 0,
             scheme_denied_drops: 0,
             normal_hist: LatencyHistogram::for_latency_secs(),
@@ -1211,7 +1227,7 @@ impl ShardedClusterSim {
     /// timeout + backoff) instead of a silent drop.
     fn dispatch(&mut self, now: SimTime, req: Request) {
         let mut target = self.nlb.route(&req);
-        let pool = self.breaker_pool[target];
+        let pool = breaker_pool(self.pipeline.topology.as_ref(), target);
         let blocked = match self.resilience.as_mut() {
             Some(r) if r.policy.breaker_enabled() => !r.breakers.allows(pool, now),
             _ => false,
@@ -1244,8 +1260,9 @@ impl ShardedClusterSim {
     /// every request, which the per-slot NLB load sync then corrects.
     fn pick_alternate(&self, now: SimTime) -> Option<usize> {
         let r = self.resilience.as_ref()?;
+        let topology = self.pipeline.topology.as_ref();
         (0..self.node_dead.len())
-            .find(|&g| !self.node_dead[g] && !r.breakers.blocked(self.breaker_pool[g], now))
+            .find(|&g| !self.node_dead[g] && !r.breakers.blocked(breaker_pool(topology, g), now))
     }
 
     /// A dispatch attempt failed (dead node or crash-drained in-flight
@@ -1253,7 +1270,7 @@ impl ShardedClusterSim {
     /// a retry after timeout + jittered exponential backoff or — with
     /// the attempt budget exhausted — record the final drop.
     fn attempt_failed(&mut self, now: SimTime, req: Request, target: usize) {
-        let pool = self.breaker_pool[target];
+        let pool = breaker_pool(self.pipeline.topology.as_ref(), target);
         let exhausted = {
             let r = self
                 .resilience
@@ -1598,11 +1615,12 @@ impl ShardedClusterSim {
         // shard-layout-invariant. Flags are set only with the breaker
         // armed.
         if let Some(r) = self.resilience.as_mut() {
+            let topology = self.pipeline.topology.as_ref();
             for sh in &mut self.shards {
                 let at = sh.start;
                 for (j, done) in sh.completed.iter_mut().enumerate() {
                     if std::mem::take(done) {
-                        r.breakers.on_success(self.breaker_pool[at + j]);
+                        r.breakers.on_success(breaker_pool(topology, at + j));
                     }
                 }
             }
@@ -2041,7 +2059,7 @@ mod tests {
     #[test]
     fn a_settle_that_keeps_the_frequency_keeps_the_pending_completion() {
         let mut nodes = vec![ComputeNode::new(SimTime::ZERO, 4, 32, SimDuration::from_millis(10))];
-        let mut shard = Shard::new(0, &nodes, &[true], false, false);
+        let mut shard = Shard::new(0, nodes.len(), nodes[0].power_w(), &[true], false, false);
         let req = netsim::request::RequestBuilder::new().build(
             UrlId(0),
             netsim::request::SourceId(0),

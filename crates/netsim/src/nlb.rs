@@ -203,7 +203,8 @@ pub struct Nlb {
     /// Dedicated cursor for rack-affine picks, so enabling a placement
     /// never perturbs the placement-blind cursors.
     rack_cursor: usize,
-    /// Last reported per-backend load (in-flight counts).
+    /// Last reported per-backend load (in-flight counts). Only
+    /// `LeastLoaded` reads loads, so the other policies keep none.
     loads: Vec<usize>,
     /// Health-check verdict per backend; routing skips unhealthy ones.
     healthy: Vec<bool>,
@@ -244,10 +245,20 @@ impl Nlb {
             {
                 return Err(ConfigError::PoolIndexOutOfRange { index, backends });
             }
-            if let Some(&index) = suspect_pool.iter().find(|i| innocent_pool.contains(i)) {
+            // One membership pass over the innocent pool, then the first
+            // suspect index it holds: O(suspect + innocent + backends).
+            let mut innocent = vec![false; backends];
+            for &i in innocent_pool {
+                innocent[i] = true;
+            }
+            if let Some(&index) = suspect_pool.iter().find(|&&i| innocent[i]) {
                 return Err(ConfigError::OverlappingPools { index });
             }
         }
+        let loads = match policy {
+            ForwardingPolicy::LeastLoaded => vec![0; backends],
+            _ => Vec::new(),
+        };
         Ok(Nlb {
             backends,
             policy,
@@ -255,7 +266,7 @@ impl Nlb {
             suspect_cursor: 0,
             innocent_cursor: 0,
             rack_cursor: 0,
-            loads: vec![0; backends],
+            loads,
             healthy: vec![true; backends],
             rack: None,
             forwarded: 0,
@@ -298,9 +309,12 @@ impl Nlb {
         Ok(())
     }
 
-    /// Feed back a backend's current in-flight count (LeastLoaded input).
+    /// Feed back a backend's current in-flight count (LeastLoaded input;
+    /// the other policies ignore it).
     pub fn report_load(&mut self, backend: usize, inflight: usize) {
-        self.loads[backend] = inflight;
+        if !self.loads.is_empty() {
+            self.loads[backend] = inflight;
+        }
     }
 
     /// Bulk load refresh for slot-batched engines: overwrite the load
@@ -308,8 +322,11 @@ impl Nlb {
     /// in-flight column. The sharded cluster engine calls this once per
     /// shard at each slot boundary instead of `report_load` per event,
     /// which also discards the optimistic increments LeastLoaded routing
-    /// accumulated during the slot.
+    /// accumulated during the slot. The other policies ignore it.
     pub fn sync_loads(&mut self, first: usize, inflight: &[u32]) {
+        if self.loads.is_empty() {
+            return;
+        }
         let dst = &mut self.loads[first..first + inflight.len()];
         for (l, &c) in dst.iter_mut().zip(inflight) {
             *l = c as usize;
@@ -1199,6 +1216,89 @@ mod tests {
                 assert_eq!(nlb.rack_cursor, reference.rack_cursor, "step {step}");
             }
             assert_eq!(routing_state(&nlb), routing_state(&reference));
+        }
+    }
+
+    /// The pool checks of [`Nlb::new`] as they were first written: the
+    /// overlap check scans the innocent pool once per suspect index,
+    /// O(suspect × innocent).
+    fn reference_pool_check(backends: usize, policy: &ForwardingPolicy) -> Result<(), ConfigError> {
+        if backends < 1 {
+            return Err(ConfigError::NoBackends);
+        }
+        if let ForwardingPolicy::UrlSplit {
+            suspect_pool,
+            innocent_pool,
+            ..
+        }
+        | ForwardingPolicy::AdaptiveSplit {
+            suspect_pool,
+            innocent_pool,
+            ..
+        } = policy
+        {
+            if suspect_pool.is_empty() {
+                return Err(ConfigError::EmptyPool { pool: "suspect" });
+            }
+            if innocent_pool.is_empty() {
+                return Err(ConfigError::EmptyPool { pool: "innocent" });
+            }
+            if let Some(&index) = suspect_pool
+                .iter()
+                .chain(innocent_pool)
+                .find(|&&i| i >= backends)
+            {
+                return Err(ConfigError::PoolIndexOutOfRange { index, backends });
+            }
+            if let Some(&index) = suspect_pool.iter().find(|i| innocent_pool.contains(i)) {
+                return Err(ConfigError::OverlappingPools { index });
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// `Nlb::new` returns exactly the reference's verdict — same
+        /// variant, same `index`, range errors before overlap errors —
+        /// over random pools on 1–64 backends with overlaps, duplicates
+        /// and out-of-range indices (and empty pools), under both split
+        /// policies and the pool-free ones.
+        #[test]
+        fn prop_pool_check_matches_quadratic_reference(
+            kind in 0u8..4,
+            backends in 1usize..65,
+            // Raw draws cut to `0..backends + 2`: two values in every
+            // `backends + 2` are out of range, and small pools collide.
+            suspect in proptest::collection::vec(0usize..1000, 0..24),
+            innocent in proptest::collection::vec(0usize..1000, 0..48),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let cut = |pool: &[usize]| -> Vec<usize> {
+                pool.iter().map(|&i| i % (backends + 2)).collect()
+            };
+            let (suspect_pool, innocent_pool) = (cut(&suspect), cut(&innocent));
+            let policy = match kind {
+                0 => ForwardingPolicy::RoundRobin,
+                1 => ForwardingPolicy::LeastLoaded,
+                2 => ForwardingPolicy::UrlSplit {
+                    list: SuspectList::new(0.7, FlowClass::Innocent).unwrap(),
+                    suspect_pool,
+                    innocent_pool,
+                },
+                _ => ForwardingPolicy::AdaptiveSplit {
+                    classes: FxHashMap::default(),
+                    default_class: FlowClass::Innocent,
+                    suspect_pool,
+                    innocent_pool,
+                },
+            };
+            let want = reference_pool_check(backends, &policy);
+            prop_assert_eq!(Nlb::new(backends, policy).map(|_| ()), want);
         }
     }
 }

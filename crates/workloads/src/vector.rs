@@ -216,15 +216,6 @@ pub enum ResourceProfile {
     /// capping defense that drops to the floor P-state still eats ~86 %
     /// of the heat. The Memory-DoS lever.
     MemoryBound,
-    /// Explicit demand character.
-    Custom {
-        /// CPU-boundedness of the service rate, `[0, 1]`.
-        beta: f64,
-        /// Power intensity while in service, `[0, 1]`.
-        intensity: f64,
-        /// DVFS sensitivity of the dynamic power, `[0, 1]`.
-        gamma: f64,
-    },
 }
 
 impl ResourceProfile {
@@ -236,15 +227,6 @@ impl ResourceProfile {
                 demand.intensity = 1.0;
                 demand.gamma = 0.2;
             }
-            ResourceProfile::Custom {
-                beta,
-                intensity,
-                gamma,
-            } => {
-                demand.beta = beta;
-                demand.intensity = intensity;
-                demand.gamma = gamma;
-            }
         }
     }
 
@@ -252,7 +234,6 @@ impl ResourceProfile {
         match self {
             ResourceProfile::Cpu => "",
             ResourceProfile::MemoryBound => "mem-",
-            ResourceProfile::Custom { .. } => "custom-",
         }
     }
 }

@@ -19,14 +19,18 @@
 //! rack-guard's shape (ten nodes a rack, a 5 % suspect pool, the rack
 //! guard and retries on) at 10k and 100k nodes, the engine's set-up
 //! cost, whose growth from 10k to 100k shows whether it stays linear in
-//! node count. Each kernel is warmed up while a batch is sized to about
+//! node count; and one 60 s Rotating × Stacked cell of the CI smoke
+//! grid on the 4-node paper rack, end to end, the per-cell cost of the
+//! scenario grid, whose wall time also depends on how many cores run its
+//! cells. Each kernel is warmed up while a batch is sized to about
 //! one target interval, then timed over several batches; each line is the
 //! median time per call with the batches' first and third quartiles, the
 //! spread within one process (a difference between two builds also has
 //! to clear the spread between processes). An engine build is timed one
 //! call at a time, its sources built before the clock starts and the
-//! engine dropped after it stops. `--quick` is a smoke run, not a
-//! measurement.
+//! engine dropped after it stops; a grid cell is timed one call at a
+//! time too, its result dropped after the clock stops. `--quick` is a
+//! smoke run, not a measurement.
 //!
 //! `cargo run --release -p dope-bench --bin kernels [-- --quick]`
 
@@ -38,6 +42,7 @@ use antidope::{
     ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim, SlotRecord,
     TopologyConfig, TraceRecorder,
 };
+use dope_bench::grid::{run_cell, AttackRow, DefenseStack, GridConfig};
 use netsim::queueing::PsServer;
 use netsim::request::{Request, RequestBuilder, SourceId, UrlId};
 use netsim::{Firewall, FirewallConfig, RetryConfig};
@@ -429,6 +434,18 @@ fn main() -> ExitCode {
             "{name:<24} {ns:>12.1} ns/call  [q1 {q1:.1}, q3 {q3:.1}]  (median of {samples} builds)"
         );
     }
+    let cell = GridConfig::smoke(2019);
+    let [q1, ns, q3] = quartiles_each_ns(samples, || {
+        let t = Instant::now();
+        let done = run_cell(&cell, AttackRow::Rotating, DefenseStack::Stacked);
+        let took = t.elapsed();
+        drop(black_box(done));
+        took
+    });
+    println!(
+        "{:<24} {ns:>12.1} ns/call  [q1 {q1:.1}, q3 {q3:.1}]  (median of {samples} cells)",
+        "grid_cell"
+    );
     let stream = firewall_stream();
     let mut firewall = Firewall::new(SimTime::ZERO, FirewallConfig::default());
     let mut k = 0;

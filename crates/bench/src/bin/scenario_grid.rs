@@ -7,18 +7,29 @@
 //!               with hard assertions on the expected physics
 //!   --out       output directory for the CSV [default: target/experiments]
 //!   --seed      master seed                  [default: 2019]
-//!   --duration  seconds per cell, above the 5 s attack start
+//!   --duration  seconds per cell, long enough to score every row
+//!               (the rotating row first re-aims at 25 s)
 //!                                            [default: 120, smoke: 60]
-//!   --shards    dataplane shards per cell    [default: 1]
+//!   --shards    dataplane shards per cell, 1 to the rack's 4 nodes
+//!                                            [default: 1]
 //! ```
+//!
+//! A duration or shard count the grid cannot run or score
+//! ([`GridConfig::check`]) is a usage error (exit 2), reported before
+//! any cell runs. The cells run in parallel, one per core at a time,
+//! and a cell's shards advance inline on the thread that runs it.
 //!
 //! Prints the matrix figure (markdown) and writes `scenario_grid.csv`.
 
 use dope_bench::grid::{
-    cells_table, matrix_markdown, run_grid, AttackRow, DefenseStack, GridConfig, ATTACK_START_S,
+    cells_table, matrix_markdown, run_grid, AttackRow, DefenseStack, GridConfig,
 };
+use simcore::par;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: scenario_grid [--smoke] [--out DIR] [--seed N] [--duration S] [--shards N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,15 +65,6 @@ fn main() -> ExitCode {
                     eprintln!("--duration needs seconds");
                     return ExitCode::FAILURE;
                 };
-                if v <= ATTACK_START_S {
-                    // Every attack starts at ATTACK_START_S: a shorter
-                    // window would show no attack at all.
-                    eprintln!(
-                        "--duration must exceed the attack start ({ATTACK_START_S} s), got {v}\n\
-                         usage: scenario_grid [--smoke] [--out DIR] [--seed N] [--duration S] [--shards N]"
-                    );
-                    return ExitCode::from(2);
-                }
                 duration = Some(v);
             }
             "--shards" => {
@@ -74,9 +76,7 @@ fn main() -> ExitCode {
                 shards = v;
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: scenario_grid [--smoke] [--out DIR] [--seed N] [--duration S] [--shards N]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -102,6 +102,10 @@ fn main() -> ExitCode {
     } else {
         (&AttackRow::ALL, &DefenseStack::ALL)
     };
+    if let Err(e) = cfg.check(rows) {
+        eprintln!("{e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
 
     let started = std::time::Instant::now();
     let cells = run_grid(&cfg, rows, cols);
@@ -115,10 +119,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("[csv] {}", path.display());
+    let threads = par::helpers(usize::MAX) + 1;
     eprintln!(
-        "{} cells in {:.1}s",
+        "{} cells in {:.1}s on {threads} thread{}",
         cells.len(),
-        started.elapsed().as_secs_f64()
+        started.elapsed().as_secs_f64(),
+        if threads == 1 { "" } else { "s" }
     );
 
     if smoke && !smoke_assertions(&cells) {

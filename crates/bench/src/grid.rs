@@ -12,15 +12,23 @@
 //! perturbs another row's bytes, and the same cell is byte-identical at
 //! any shard count (the engines already guarantee shard-invariance; the
 //! grid guarantees the inputs).
+//!
+//! [`run_grid`] runs its cells in parallel through [`simcore::par::map`]
+//! and returns them in row-major order, byte-identical to running them
+//! one after another: a cell is a pure function of the config and its
+//! `(row, column)`. Inside a parallel chunk `par::helpers` grants no
+//! thread, so a cell with `shards > 1` advances all its shards inline
+//! on the thread that runs it, and a sweep on N cores uses N threads.
 
 use antidope::testutil::users;
 use antidope::{
-    run_experiment, AdmissionConfig, ClusterConfig, ExperimentConfig, SchemeKind, SimReport,
+    run_experiment, AdmissionConfig, ClusterConfig, ConfigError, ExperimentConfig, SchemeKind,
+    SimReport,
 };
 use dcmetrics::export::Table;
 use powercap::BudgetLevel;
 use profiler::ProfilerConfig;
-use simcore::{SimDuration, SimTime};
+use simcore::{par, SimDuration, SimTime};
 use workloads::scenario::ScenarioBuilder;
 use workloads::service::ServiceKind;
 use workloads::vector::{AttackVectorSpec, Envelope, ResourceProfile, SourcePlan, TargetPlan};
@@ -65,7 +73,61 @@ impl GridConfig {
             ..GridConfig::smoke(seed)
         }
     }
+
+    /// Check that the cells of `rows` can run and be scored: the paper
+    /// rack accepts `shards`, and the window outlasts every row's
+    /// scoring instant — the attack start, and for a moving target its
+    /// first re-aim. [`run_grid`] does not call this — a benchmark may
+    /// run windows too short to score — so a front end calls it before
+    /// the first cell runs.
+    pub fn check(&self, rows: &[AttackRow]) -> Result<(), GridConfigError> {
+        let mut rack = ClusterConfig::paper_rack(self.budget);
+        rack.shards = self.shards;
+        rack.validate().map_err(GridConfigError::Cluster)?;
+        let last = rows
+            .iter()
+            .map(|row| row.scored_after(self.attack_rate))
+            .fold(SimTime::from_secs(ATTACK_START_S), SimTime::max);
+        let min_s = last.as_micros() / 1_000_000 + 1;
+        if self.duration_s < min_s {
+            return Err(GridConfigError::TooShort {
+                duration_s: self.duration_s,
+                min_s,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// Why [`GridConfig::check`] rejected a grid.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GridConfigError {
+    /// The paper rack rejects the configured cluster (e.g. a shard
+    /// count outside `1..=servers`).
+    Cluster(ConfigError),
+    /// The window ends before some row's scores exist.
+    TooShort {
+        /// Configured seconds per cell.
+        duration_s: u64,
+        /// The shortest window that scores every row.
+        min_s: u64,
+    },
+}
+
+impl std::fmt::Display for GridConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridConfigError::Cluster(e) => write!(f, "invalid paper rack: {e}"),
+            GridConfigError::TooShort { duration_s, min_s } => write!(
+                f,
+                "a {duration_s} s window is too short to score every row: \
+                 it needs at least {min_s} s"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GridConfigError {}
 
 /// One attacker archetype — a named point in the vector algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +156,20 @@ impl AttackRow {
 
     /// The CI smoke rows (ISSUE acceptance: burst / memory / rotating).
     pub const SMOKE: [AttackRow; 3] = [AttackRow::Burst, AttackRow::Memory, AttackRow::Rotating];
+
+    /// The instant a cell's window must outlast for every score of this
+    /// row to exist: the attack start, and for a moving target the
+    /// first re-aim one period later — a window with a single aim holds
+    /// no move to regret.
+    fn scored_after(self, rate: f64) -> SimTime {
+        let start = SimTime::from_secs(ATTACK_START_S);
+        match self.spec(rate).target {
+            TargetPlan::Fixed => start,
+            TargetPlan::Rotating { period, .. } | TargetPlan::Concentrating { period, .. } => {
+                start + period
+            }
+        }
+    }
 
     /// The composed vector spec for this row at `rate` req/s.
     pub fn spec(self, rate: f64) -> AttackVectorSpec {
@@ -304,15 +380,14 @@ fn regret(builder: &ScenarioBuilder, exp: &ExperimentConfig, report: &SimReport)
     Some(total / plan.len() as f64)
 }
 
-/// Run a whole grid (row-major order).
+/// Run a whole grid, its cells in parallel (see the module doc), and
+/// return them in row-major order.
 pub fn run_grid(cfg: &GridConfig, rows: &[AttackRow], cols: &[DefenseStack]) -> Vec<GridCell> {
-    let mut cells = Vec::with_capacity(rows.len() * cols.len());
-    for &row in rows {
-        for &col in cols {
-            cells.push(run_cell(cfg, row, col));
-        }
-    }
-    cells
+    let cells = rows
+        .iter()
+        .flat_map(|&row| cols.iter().map(move |&col| (row, col)))
+        .collect();
+    par::map(cells, |(row, col)| run_cell(cfg, row, col))
 }
 
 /// Flatten completed cells into the harness CSV table.
@@ -429,6 +504,63 @@ mod tests {
         assert_eq!(adm.firewall_ban_s, Some(30.0));
         assert!(stacked.profiler.as_ref().expect("profiler on").track_convergence);
         stacked.validate().expect("stacked config validates");
+    }
+
+    #[test]
+    fn check_accepts_exactly_the_shard_counts_the_rack_holds() {
+        let with = |shards| {
+            GridConfig {
+                shards,
+                ..GridConfig::smoke(1)
+            }
+            .check(&AttackRow::SMOKE)
+        };
+        for shards in 1..=4 {
+            assert_eq!(with(shards), Ok(()), "{shards} shards");
+        }
+        for shards in [0, 5] {
+            assert_eq!(
+                with(shards),
+                Err(GridConfigError::Cluster(ConfigError::Shards {
+                    shards,
+                    servers: 4
+                })),
+                "{shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn check_needs_a_window_past_the_rotating_rows_first_move() {
+        // The rotating row re-aims 20 s after the 5 s attack start: a
+        // 25 s window holds one aim, a 26 s window two.
+        let TargetPlan::Rotating { period, .. } = AttackRow::Rotating.spec(390.0).target else {
+            panic!("the rotating row rotates");
+        };
+        let edge = ATTACK_START_S + period.as_secs();
+        let cfg = |duration_s| GridConfig {
+            duration_s,
+            ..GridConfig::smoke(1)
+        };
+        assert_eq!(
+            cfg(edge).check(&AttackRow::SMOKE),
+            Err(GridConfigError::TooShort {
+                duration_s: edge,
+                min_s: edge + 1
+            })
+        );
+        assert_eq!(cfg(edge + 1).check(&AttackRow::SMOKE), Ok(()));
+        // Without a moving row the window only has to outlast the start.
+        let fixed = [AttackRow::Burst, AttackRow::Memory];
+        let start = ATTACK_START_S;
+        assert_eq!(
+            cfg(start).check(&fixed),
+            Err(GridConfigError::TooShort {
+                duration_s: start,
+                min_s: start + 1
+            })
+        );
+        assert_eq!(cfg(start + 1).check(&fixed), Ok(()));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! ```text
 //! phase A (coordinator): merged sources ─► admission ─► scheme admit ─► NLB route
 //!                        └──► one batch per shard, handed to its owner
-//!                             every INBOX_BOUND routed arrivals
+//!                             every hand-off bound of routed arrivals
 //! phase B (shard owners, overlapping A): replay each batch up to its
 //!                        routing instant; after the last, close at t1
 //! phase C (seq): outbox drain ─► physics ─► Sense ─► run_slot ─► Act
@@ -47,18 +47,26 @@
 //! # Pipelined window, bounded slot buffers
 //!
 //! Phases A and B overlap. The coordinator routes arrivals into one
-//! batch per shard and, every `INBOX_BOUND` routed arrivals, hands each
-//! non-empty batch to the shard's owner together with the current
-//! routing instant; the owner replays the shard's events up to that
-//! instant (events only: energy integration still closes at the slot
-//! boundary). The coordinator owns shard 0 and advances it inline.
+//! batch per shard and, every *hand-off bound* of routed arrivals,
+//! hands each non-empty batch to the shard's owner together with the
+//! current routing instant; the owner replays the shard's events up to
+//! that instant (events only: energy integration still closes at the
+//! slot boundary). The coordinator owns shard 0 and advances it inline.
 //! Shards 1.. belong to the worker threads [`simcore::par::helpers`]
 //! grants — none inside a sweep's parallel chunk, and with none the
 //! coordinator owns every shard — which receive batches over a bounded
 //! channel and send the emptied buffers back for reuse. After the last
 //! batch each owner advances its shards to the boundary and the window
 //! joins. Every batch, and so every shard's pending arrivals, holds at
-//! most `INBOX_BOUND` entries whatever the arrival rate.
+//! most the hand-off bound whatever the arrival rate.
+//!
+//! The hand-off bound is `min(INBOX_BOUND, servers × max_inflight)`:
+//! 1,024 arrivals, but never more than the whole cluster can hold in
+//! flight. Large shards keep their 1,024-arrival batches for cache
+//! locality (every cluster of 32 default-sized servers or more), while
+//! a small cluster keeps small buffers: the 4-node paper rack hands off
+//! every 128 arrivals, so a sweep that runs many such cells at once
+//! does not grow each cell's batches to 1,024 entries.
 //!
 //! This moves no event: routing reads no shard state between
 //! boundaries (feedback, NLB load sync and dead masks are all applied
@@ -156,11 +164,18 @@ enum HeapEvent {
     Settle,
 }
 
-/// Routed arrivals between two hand-offs to the shard owners (see the
-/// module doc), so no shard's pending batch exceeds it. Bounds the
+/// Most routed arrivals between two hand-offs to the shard owners (see
+/// the module doc), so no shard's pending batch exceeds it. Bounds the
 /// per-slot buffers under a flood instead of letting them grow with the
-/// arrival rate.
+/// arrival rate; a small cluster hands off sooner ([`handoff_bound`]).
 const INBOX_BOUND: usize = 1024;
+
+/// Routed arrivals between two hand-offs on a cluster of `servers`
+/// nodes that each admit `max_inflight` requests: [`INBOX_BOUND`], or
+/// fewer when the whole cluster holds fewer in flight.
+fn handoff_bound(servers: usize, max_inflight: usize) -> usize {
+    INBOX_BOUND.min(servers.saturating_mul(max_inflight))
+}
 
 /// Batches a worker's channel holds before the coordinator waits for
 /// it to catch up.
@@ -796,6 +811,8 @@ pub struct ShardedClusterSim {
     batches: Vec<Vec<Arrival>>,
     /// Arrivals routed since the last hand-off.
     batched: usize,
+    /// Routed arrivals that trigger a hand-off ([`handoff_bound`]).
+    handoff: usize,
     /// Emptied batch buffers the workers sent back, for reuse.
     spare: Vec<Vec<Arrival>>,
     /// Global node index → owning shard index.
@@ -955,6 +972,7 @@ impl ShardedClusterSim {
             sources,
             batches: (0..shards.len()).map(|_| Vec::new()).collect(),
             batched: 0,
+            handoff: handoff_bound(cfg.servers, cfg.max_inflight),
             spare: Vec::new(),
             shards,
             owner_shard,
@@ -1131,7 +1149,7 @@ impl ShardedClusterSim {
 
     /// Phase A's loop: route every arrival and due retry up to `t1` in
     /// time order, handing the batches to `owners` every
-    /// `INBOX_BOUND` routed arrivals and closing the window at `t1`.
+    /// [`handoff_bound`] routed arrivals and closing the window at `t1`.
     fn route_window(&mut self, t1: SimTime, owners: &mut Owners<'_>) {
         // Merge the source feed with the retry queue. `next_arrival_up_to`
         // consumes its arrival, so one is buffered while the retry heap
@@ -1170,7 +1188,7 @@ impl ShardedClusterSim {
                 self.route_arrival(t, i, req);
                 t
             };
-            if self.batched >= INBOX_BOUND {
+            if self.batched >= self.handoff {
                 self.batched = 0;
                 let Self { batches, spare, pipeline, .. } = self;
                 owners.hand_off(batches, spare, pipeline.learn.as_mut(), now);
@@ -2004,25 +2022,48 @@ mod tests {
     #[test]
     fn flooded_inbox_stays_within_its_bound() {
         // 10,000 req/s: several hand-offs per slot, so only the
-        // pipelined window keeps each shard's pending batch small.
-        for shards in [1, 2, 4] {
-            let e = exp(shards, SchemeKind::AntiDope, 10);
-            let horizon = SimTime::ZERO + e.duration;
-            let mut sim = ShardedClusterSim::new(&e, flood(10_000.0).build(e.seed, horizon));
-            sim.drive(horizon, shards - 1);
-            let events: u64 = sim.shards().iter().map(Shard::events_processed).sum();
-            assert!(
-                events > 10 * 2 * INBOX_BOUND as u64,
-                "flood too thin to fill a batch: {events} events"
-            );
-            for batch in sim.batches.iter().chain(&sim.spare) {
+        // pipelined window keeps each shard's pending batch small. The
+        // 4-node paper rack holds 128 requests in flight, so it hands
+        // off every 128 arrivals.
+        let rack = ClusterConfig::paper_rack(BudgetLevel::Medium);
+        let rack_bound = rack.servers * rack.max_inflight;
+        for (cluster, bound) in [
+            (ClusterConfig::scaled(BudgetLevel::Medium), INBOX_BOUND),
+            (rack, rack_bound),
+        ] {
+            for shards in [1, 2, 4] {
+                let mut e = exp(shards, SchemeKind::AntiDope, 10);
+                e.cluster = ClusterConfig {
+                    shards,
+                    ..cluster.clone()
+                };
+                let horizon = SimTime::ZERO + e.duration;
+                let mut sim = ShardedClusterSim::new(&e, flood(10_000.0).build(e.seed, horizon));
+                sim.drive(horizon, shards - 1);
+                let events: u64 = sim.shards().iter().map(Shard::events_processed).sum();
                 assert!(
-                    batch.capacity() <= INBOX_BOUND.next_power_of_two(),
-                    "{shards} shards: a batch grew to {} entries",
-                    batch.capacity()
+                    events > 10 * 2 * bound as u64,
+                    "flood too thin to fill a batch: {events} events"
                 );
+                for batch in sim.batches.iter().chain(&sim.spare) {
+                    assert!(
+                        batch.capacity() <= bound.next_power_of_two(),
+                        "{} nodes, {shards} shards: a batch grew to {} entries",
+                        cluster.servers,
+                        batch.capacity()
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn the_handoff_bound_follows_the_clusters_inflight_capacity() {
+        assert_eq!(handoff_bound(4, 32), 128);
+        assert_eq!(handoff_bound(16, 32), 512);
+        assert_eq!(handoff_bound(32, 32), INBOX_BOUND);
+        assert_eq!(handoff_bound(10_000, 32), INBOX_BOUND);
+        assert_eq!(handoff_bound(usize::MAX, 2), INBOX_BOUND);
     }
 
     #[test]

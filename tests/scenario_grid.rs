@@ -6,11 +6,13 @@
 //!   the detection lag, sleeps that outlive a finite ban;
 //! * a memory-resource flood defeats the DVFS-only arm but not the
 //!   stacked CAPoW + Anti-DOPE arm;
-//! * same-seed grid cells are byte-identical at shards 1/2/4/8.
+//! * same-seed grid cells are byte-identical at shards 1/2/4/8;
+//! * the parallel grid returns exactly the cells a sequential loop
+//!   produces, in row-major order.
 
 use antidope::AdmissionConfig;
 use antidope_repro::prelude::*;
-use dope_bench::grid::{run_cell, run_cell_on, AttackRow, DefenseStack, GridConfig};
+use dope_bench::grid::{run_cell, run_cell_on, run_grid, AttackRow, DefenseStack, GridConfig};
 use workloads::scenario::{ScenarioBuilder, SeedPin};
 use workloads::service::ServiceKind;
 use workloads::vector::{AttackVectorSpec, Envelope, SourcePlan};
@@ -128,5 +130,33 @@ fn grid_cells_byte_identical_at_shards_1_2_4_8() {
     let base = run(1);
     for shards in [2usize, 4, 8] {
         assert_eq!(base, run(shards), "report drifted at {shards} shards");
+    }
+}
+
+/// `run_grid` maps its cells over the host's cores; the result must be
+/// what a plain loop of `run_cell` gives, cell by cell, in row-major
+/// order — on a one-core host the map runs inline and this still holds.
+#[test]
+fn parallel_grid_equals_the_sequential_loop() {
+    let mut cfg = GridConfig::smoke(7);
+    cfg.duration_s = 30;
+    let (rows, cols) = (&AttackRow::SMOKE, &DefenseStack::SMOKE);
+    let parallel = run_grid(&cfg, rows, cols);
+    let mut sequential = Vec::new();
+    for &row in rows {
+        for &col in cols {
+            sequential.push(run_cell(&cfg, row, col));
+        }
+    }
+    assert_eq!(parallel.len(), sequential.len());
+    for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
+        assert_eq!(p.vector, s.vector, "cell {i}");
+        assert_eq!(p.defense, s.defense, "cell {i}");
+        assert_eq!(p.regret_slots, s.regret_slots, "cell {i}");
+        assert_eq!(
+            format!("{:?}", p.report),
+            format!("{:?}", s.report),
+            "cell {i}"
+        );
     }
 }

@@ -4,9 +4,12 @@
 //! isolates; one EW-RLS observation of a 1–3-URL mix with 4 and with 32
 //! live coordinates (a tracker using a few of its 32 coordinates, and a
 //! full one), and one Learn pass (`observe_node` per live node, then
-//! `end_tick`) over a recorded 1,000-node slot; and `Json::parse` of one
-//! recorded-slot line of 64 KiB and 1 MiB, the per-slot cost of decoding
-//! a control trace (those lines also give MB/s); and one firewall
+//! `end_tick`) over a recorded 1,000-node slot; and the streaming trace
+//! codec over that slot as a header + slot + footer trace, `to_jsonl`
+//! and `from_jsonl_str`, the per-slot cost of writing and reading a
+//! control trace (both lines also give MB/s); and `Json::parse` of one
+//! recorded-slot line of 64 KiB and 1 MiB, the tree decoder that shares
+//! the trace codec's lexer; and one firewall
 //! `inspect` from flood-flat's population (200k uniform clients at
 //! 8,000 req/s plus 400 bots at 4,000 req/s), the perimeter's
 //! per-request cost; and one request's churn through a processor-sharing
@@ -38,9 +41,9 @@ use antidope::dpm::{self, NodeState};
 use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
 use antidope::{
-    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, DecisionRecord,
-    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim, SlotRecord,
-    TopologyConfig, TraceRecorder,
+    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, ControlTrace,
+    DecisionRecord, ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim,
+    SlotRecord, TopologyConfig, TraceRecorder,
 };
 use dope_bench::grid::{run_cell, AttackRow, DefenseStack, GridConfig};
 use netsim::queueing::PsServer;
@@ -201,10 +204,11 @@ fn flood_flat_population() -> ScenarioBuilder {
         .with_vector(flood, 2)
 }
 
-/// A 1,000-node slot recorded from the trace-replay workload's cluster:
-/// the profiler on, 8,000 req/s of users and a 4,000 req/s botnet flood
-/// from 2 s; the busiest of its first 4 simulated seconds.
-fn recorded_learn_slot() -> PlaneSample {
+/// A control trace recorded from the trace-replay workload's cluster
+/// (1,000 nodes, the profiler on, 8,000 req/s of users and a 4,000 req/s
+/// botnet flood from 2 s), cut to its header, the busiest of its first
+/// 4 simulated seconds' slots, and its footer.
+fn recorded_busiest_slot() -> ControlTrace {
     let mut cluster = ClusterConfig::scaled(BudgetLevel::Medium);
     cluster.servers = 1_000;
     cluster.suspect_pool_size = 50;
@@ -212,16 +216,16 @@ fn recorded_learn_slot() -> PlaneSample {
     let mut exp = ExperimentConfig::paper_window(cluster, SchemeKind::AntiDope, 1);
     exp.duration = SimDuration::from_secs(4);
     let builder = flood_flat_population();
-    let (_, trace) = record_experiment(&exp, &|e: &ExperimentConfig| {
+    let (_, mut trace) = record_experiment(&exp, &|e: &ExperimentConfig| {
         builder.build(e.seed, SimTime::ZERO + e.duration)
     });
     let busy = |s: &SlotRecord| s.sample.nodes.iter().filter(|o| !o.mix.is_empty()).count();
-    trace
-        .slots
+    let busiest = std::mem::take(&mut trace.slots)
         .into_iter()
         .max_by_key(busy)
-        .expect("a recorded trace has slots")
-        .sample
+        .expect("a recorded trace has slots");
+    trace.slots.push(busiest);
+    trace
 }
 
 /// One `Slot` line of a recorded control trace, as
@@ -366,7 +370,8 @@ fn main() -> ExitCode {
             black_box(rls.observe(black_box(x), *y));
         });
     }
-    let slot = recorded_learn_slot();
+    let trace = recorded_busiest_slot();
+    let slot = &trace.slots[0].sample;
     let mut engine = PowerProfiler::new(ProfilerConfig::default());
     let mut mix = Vec::new();
     report(&format!("learn_pass/{}", slot.nodes.len()), &mut || {
@@ -380,6 +385,20 @@ fn main() -> ExitCode {
         }
         black_box(engine.end_tick());
     });
+    let text = trace.to_jsonl();
+    let mb_per_s = |ns: f64| {
+        println!(
+            "  {:.1} MB/s over {} bytes",
+            text.len() as f64 / ns * 1e3,
+            text.len()
+        );
+    };
+    mb_per_s(timed("trace_codec/encode", &mut || {
+        black_box(black_box(&trace).to_jsonl());
+    }));
+    mb_per_s(timed("trace_codec/decode", &mut || {
+        black_box(ControlTrace::from_jsonl_str(black_box(&text)).is_ok());
+    }));
     let classes = request_classes();
     report("request_control_solve/8", &mut || {
         black_box(solve(black_box(180.0), &classes));

@@ -75,9 +75,9 @@ impl GridConfig {
     }
 
     /// Check that the cells of `rows` can run and be scored: the paper
-    /// rack accepts `shards`, and the window outlasts every row's
-    /// scoring instant — the attack start, and for a moving target its
-    /// first re-aim. [`run_grid`] does not call this — a benchmark may
+    /// rack accepts `shards`, the window outlasts every row's scoring
+    /// instant — the attack start, and for a moving target its first
+    /// re-aim — and its horizon fits the simulator's clock. [`run_grid`] does not call this — a benchmark may
     /// run windows too short to score — so a front end calls it before
     /// the first cell runs.
     pub fn check(&self, rows: &[AttackRow]) -> Result<(), GridConfigError> {
@@ -93,6 +93,13 @@ impl GridConfig {
             return Err(GridConfigError::TooShort {
                 duration_s: self.duration_s,
                 min_s,
+            });
+        }
+        let max_s = SimTime::MAX.as_secs();
+        if self.duration_s > max_s {
+            return Err(GridConfigError::TooLong {
+                duration_s: self.duration_s,
+                max_s,
             });
         }
         Ok(())
@@ -112,6 +119,14 @@ pub enum GridConfigError {
         /// The shortest window that scores every row.
         min_s: u64,
     },
+    /// The window ends past the last second the simulator's
+    /// microsecond clock can represent.
+    TooLong {
+        /// Configured seconds per cell.
+        duration_s: u64,
+        /// The longest window the clock holds.
+        max_s: u64,
+    },
 }
 
 impl std::fmt::Display for GridConfigError {
@@ -122,6 +137,11 @@ impl std::fmt::Display for GridConfigError {
                 f,
                 "a {duration_s} s window is too short to score every row: \
                  it needs at least {min_s} s"
+            ),
+            GridConfigError::TooLong { duration_s, max_s } => write!(
+                f,
+                "a {duration_s} s window ends past the simulator's clock: \
+                 it holds at most {max_s} s"
             ),
         }
     }
@@ -561,6 +581,27 @@ mod tests {
             })
         );
         assert_eq!(cfg(start + 1).check(&fixed), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_a_window_past_the_clocks_last_second() {
+        // u64::MAX µs is 18,446,744,073,709.55 s: the last whole second
+        // fits, the next one would overflow `SimDuration::from_secs`.
+        let max_s = SimTime::MAX.as_secs();
+        assert_eq!(max_s, 18_446_744_073_709);
+        assert_eq!(SimDuration::from_secs(max_s).as_micros(), max_s * 1_000_000);
+        let cfg = |duration_s| GridConfig {
+            duration_s,
+            ..GridConfig::smoke(1)
+        };
+        assert_eq!(cfg(max_s).check(&AttackRow::SMOKE), Ok(()));
+        for duration_s in [max_s + 1, u64::MAX] {
+            assert_eq!(
+                cfg(duration_s).check(&AttackRow::SMOKE),
+                Err(GridConfigError::TooLong { duration_s, max_s }),
+                "{duration_s} s"
+            );
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use powercap::pstate::{PState, PStateTable};
 use powercap::server_power::ServerPowerModel;
 use profiler::MixTracker;
 use simcore::{SimDuration, SimTime};
+use std::convert::Infallible;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -434,39 +435,57 @@ impl ControlTrace {
     /// footer line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let push = |out: &mut String, tag: &str, body: Json| {
-            out.push_str(&Json::Obj(vec![(tag.to_string(), body)]).render());
-            out.push('\n');
-        };
-        push(&mut out, "Header", codec::header_to_json(&self.header));
-        for s in &self.slots {
-            push(&mut out, "Slot", codec::slot_to_json(s));
-        }
-        push(&mut out, "Footer", codec::footer_to_json(&self.footer));
+        let Ok(()) = self.encode::<Infallible>(&mut out, |_| Ok(()));
         out
     }
 
-    /// Write the JSONL form to `path`.
+    /// Write the JSONL form to `path`, one line at a time.
     pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
         let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        f.write_all(self.to_jsonl().as_bytes())
+        self.encode(&mut String::new(), |line| -> std::io::Result<()> {
+            f.write_all(line.as_bytes())?;
+            line.clear();
+            Ok(())
+        })?;
+        f.flush()
+    }
+
+    /// Append the JSONL lines to `buf` one at a time, handing `buf` to
+    /// `flush` after each; `flush` may drain it. The header and footer
+    /// lines are rendered from trees, each slot line is streamed.
+    fn encode<E>(
+        &self,
+        buf: &mut String,
+        mut flush: impl FnMut(&mut String) -> Result<(), E>,
+    ) -> Result<(), E> {
+        codec::write_tagged("Header", &codec::header_to_json(&self.header), buf);
+        flush(buf)?;
+        for s in &self.slots {
+            codec::write_slot(s, buf);
+            flush(buf)?;
+        }
+        codec::write_tagged("Footer", &codec::footer_to_json(&self.footer), buf);
+        flush(buf)
     }
 
     /// Parse a JSONL trace, rejecting unknown schema versions and
     /// malformed streams with typed errors instead of panicking.
     pub fn from_jsonl_str(s: &str) -> Result<Self, ConfigError> {
-        Self::from_lines(s.lines().map(Ok))
+        Self::from_lines(s.lines().map(Ok), codec::slot_line)
     }
 
     /// Read and parse a JSONL trace file.
     pub fn read_jsonl(path: &Path) -> Result<Self, ConfigError> {
         let f = std::fs::File::open(path)
             .map_err(|e| ConfigError::TraceFormat { what: format!("open {}: {e}", path.display()) })?;
-        Self::from_lines(std::io::BufReader::new(f).lines())
+        Self::from_lines(std::io::BufReader::new(f).lines(), codec::slot_line)
     }
 
+    /// Decode `lines`: `slot_line` decodes each `Slot` record and
+    /// declines any other line, which is parsed as a tree.
     fn from_lines<L: AsRef<str>>(
         lines: impl Iterator<Item = std::io::Result<L>>,
+        slot_line: fn(&str) -> Option<Result<SlotRecord, String>>,
     ) -> Result<Self, ConfigError> {
         let mut header: Option<TraceHeader> = None;
         let mut slots = Vec::new();
@@ -479,6 +498,13 @@ impl ControlTrace {
                 continue;
             }
             let bad = |e: String| ConfigError::TraceFormat { what: format!("line {}: {e}", i + 1) };
+            if let Some(slot) = slot_line(line) {
+                if header.is_none() {
+                    return Err(bad("slot record before header".to_string()));
+                }
+                slots.push(slot.map_err(bad)?);
+                continue;
+            }
             let value = Json::parse(line).map_err(bad)?;
             let [(tag, body)] = value.as_obj().map_err(bad)? else {
                 return Err(bad("expected a single-key tagged object".to_string()));
@@ -502,12 +528,6 @@ impl ControlTrace {
                     if header.replace(h).is_some() {
                         return Err(bad("duplicate header".to_string()));
                     }
-                }
-                "Slot" => {
-                    if header.is_none() {
-                        return Err(bad("slot record before header".to_string()));
-                    }
-                    slots.push(codec::slot_from_json(body).map_err(bad)?);
                 }
                 "Footer" => {
                     let f = codec::footer_from_json(body).map_err(bad)?;
@@ -770,9 +790,13 @@ impl Plant for SamplePlant<'_> {
 /// Hand-rolled, exact JSON codec for the trace schema (see
 /// [`crate::jsonl`] for why: floats round-trip bit-exactly via
 /// shortest-roundtrip formatting, integers never pass through `f64`).
+/// The header and footer, one line each, go through a `Json` tree; a
+/// `Slot` line, one per recorded slot, is streamed through the
+/// `jsonl` writer and cursor without one.
 mod codec {
     use super::*;
     use crate::config::{ControlPlaneConfig, SchemeKind};
+    use crate::jsonl::{missing, Cursor, Writer};
     use netsim::RetryConfig;
     use powercap::budget::BudgetLevel;
     use profiler::ProfilerConfig;
@@ -1123,6 +1147,16 @@ mod codec {
         })
     }
 
+    /// Append `{"<tag>":<body>}` and a newline to `out`.
+    pub(super) fn write_tagged(tag: &str, body: &Json, out: &mut String) {
+        let mut w = Writer::new(out);
+        w.open_obj();
+        w.key(tag);
+        body.write(&mut w);
+        w.close_obj();
+        out.push('\n');
+    }
+
     pub(super) fn header_to_json(h: &TraceHeader) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::u64(u64::from(h.schema))),
@@ -1153,309 +1187,427 @@ mod codec {
         })
     }
 
-    fn node_obs_j(o: &NodeObs) -> Json {
-        Json::Obj(vec![
-            ("utilization".into(), Json::f64(o.utilization)),
-            ("intensity".into(), Json::f64(o.intensity)),
-            ("gamma".into(), Json::f64(o.gamma)),
-            ("beta".into(), Json::f64(o.beta)),
-            ("target".into(), Json::u64(u64::from(o.target))),
-            ("inflight".into(), Json::u64(u64::from(o.inflight))),
-            ("learn_power_w".into(), Json::opt(&o.learn_power_w, |&w| Json::f64(w))),
-            (
-                "mix".into(),
-                Json::Arr(
-                    o.mix
-                        .iter()
-                        .map(|&(u, c)| {
-                            Json::Arr(vec![Json::u64(u64::from(u)), Json::u64(u64::from(c))])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    // -- the `Slot` line, streamed: no `Json` tree per slot --
+
+    /// Append the `{"Slot":…}` line of `s` and its newline to `out`,
+    /// through the same emitter [`Json::render`] uses.
+    pub(super) fn write_slot(s: &SlotRecord, out: &mut String) {
+        let mut w = Writer::new(out);
+        w.open_obj();
+        w.key("Slot").open_obj();
+        w.key("slot").u64(s.slot);
+        w.key("now").u64(s.now.as_micros());
+        w.key("sample");
+        write_sample(&mut w, &s.sample);
+        w.key("view").open_obj();
+        w.key("condition").str(condition_name(s.view.condition));
+        w.key("observed_w").f64(s.view.observed_w);
+        w.key("coverage").f64(s.view.coverage);
+        w.key("watchdog_engaged").bool(s.view.watchdog_engaged);
+        w.close_obj();
+        w.key("decisions").open_obj();
+        w.key("retries").open_arr();
+        for &(node, p) in &s.decisions.retries {
+            w.open_arr();
+            w.u64(node as u64);
+            w.u64(u64::from(p));
+            w.close_arr();
+        }
+        w.close_arr();
+        w.key("actions").open_arr();
+        for a in &s.decisions.actions {
+            write_action(&mut w, a);
+        }
+        w.close_arr();
+        w.close_obj();
+        w.close_obj();
+        w.close_obj();
+        out.push('\n');
     }
 
-    fn node_obs_f(v: &Json) -> R<NodeObs> {
-        Ok(NodeObs {
-            utilization: v.get("utilization")?.as_f64()?,
-            intensity: v.get("intensity")?.as_f64()?,
-            gamma: v.get("gamma")?.as_f64()?,
-            beta: v.get("beta")?.as_f64()?,
-            target: v.get("target")?.as_u8()?,
-            inflight: v.get("inflight")?.as_u32()?,
-            learn_power_w: v.get_opt("learn_power_w")?.map(Json::as_f64).transpose()?,
-            mix: v
-                .get("mix")?
-                .as_arr()?
-                .iter()
-                .map(|pair| {
-                    let [u, c] = pair.as_arr()? else {
-                        return Err("mix entry must be a [url, count] pair".to_string());
-                    };
-                    Ok((
-                        u16::try_from(u.as_u64()?).map_err(|_| "url out of u16 range")?,
-                        c.as_u32()?,
-                    ))
-                })
-                .collect::<R<_>>()?,
-        })
-    }
-
-    fn sample_j(s: &PlaneSample) -> Json {
-        let mut fields = vec![
-            ("true_power_w".into(), Json::f64(s.true_power_w)),
-            (
-                "readings".into(),
-                Json::opt(&s.readings, |r| {
-                    Json::Arr(r.iter().map(|x| Json::opt(x, |&w| Json::f64(w))).collect())
-                }),
-            ),
-            ("nodes".into(), Json::Arr(s.nodes.iter().map(node_obs_j).collect())),
-            (
-                "readback".into(),
-                Json::opt(&s.readback, |r| {
-                    Json::Arr(r.iter().map(|&p| Json::u64(u64::from(p))).collect())
-                }),
-            ),
-            (
-                "node_dead".into(),
-                Json::Arr(s.node_dead.iter().map(|&d| Json::Bool(d)).collect()),
-            ),
-            (
-                "battery".into(),
-                Json::Obj(vec![
-                    ("soc".into(), Json::f64(s.battery.soc)),
-                    ("stored_j".into(), Json::f64(s.battery.stored_j)),
-                    ("discharge_w".into(), Json::f64(s.battery.discharge_w)),
-                    ("charge_w".into(), Json::f64(s.battery.charge_w)),
-                ]),
-            ),
-            ("energy_j".into(), Json::f64(s.energy_j)),
-            (
-                "forgets".into(),
-                Json::Arr(
-                    s.forgets
-                        .iter()
-                        .map(|f| {
-                            Json::Obj(vec![
-                                ("node".into(), Json::u64(f.node as u64)),
-                                (
-                                    "kind".into(),
-                                    Json::str(match f.kind {
-                                        ForgetKind::Full => "Full",
-                                        ForgetKind::Learn => "Learn",
-                                    }),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
+    fn write_sample(w: &mut Writer<'_>, s: &PlaneSample) {
+        w.open_obj();
+        w.key("true_power_w").f64(s.true_power_w);
+        w.key("readings");
+        match &s.readings {
+            Some(r) => {
+                w.open_arr();
+                r.iter().for_each(|&x| w.opt_f64(x));
+                w.close_arr();
+            }
+            None => w.null(),
+        }
+        w.key("nodes").open_arr();
+        for o in &s.nodes {
+            write_node(w, o);
+        }
+        w.close_arr();
+        w.key("readback");
+        match &s.readback {
+            Some(r) => {
+                w.open_arr();
+                r.iter().for_each(|&p| w.u64(u64::from(p)));
+                w.close_arr();
+            }
+            None => w.null(),
+        }
+        w.key("node_dead").open_arr();
+        s.node_dead.iter().for_each(|&d| w.bool(d));
+        w.close_arr();
+        w.key("battery").open_obj();
+        w.key("soc").f64(s.battery.soc);
+        w.key("stored_j").f64(s.battery.stored_j);
+        w.key("discharge_w").f64(s.battery.discharge_w);
+        w.key("charge_w").f64(s.battery.charge_w);
+        w.close_obj();
+        w.key("energy_j").f64(s.energy_j);
+        w.key("forgets").open_arr();
+        for f in &s.forgets {
+            w.open_obj();
+            w.key("node").u64(f.node as u64);
+            w.key("kind").str(forget_name(f.kind));
+            w.close_obj();
+        }
+        w.close_arr();
         // Key elided entirely for flat (no-topology) runs so their
         // traces stay byte-identical to pre-topology recordings.
         if !s.rack_power_w.is_empty() {
-            fields.push((
-                "rack_power_w".into(),
-                Json::Arr(s.rack_power_w.iter().map(|&w| Json::f64(w)).collect()),
-            ));
+            w.key("rack_power_w").open_arr();
+            s.rack_power_w.iter().for_each(|&p| w.f64(p));
+            w.close_arr();
         }
-        Json::Obj(fields)
+        w.close_obj();
     }
 
-    fn sample_f(v: &Json) -> R<PlaneSample> {
-        Ok(PlaneSample {
-            true_power_w: v.get("true_power_w")?.as_f64()?,
-            readings: v
-                .get_opt("readings")?
-                .map(|r| {
-                    r.as_arr()?
-                        .iter()
-                        .map(|x| match x {
-                            Json::Null => Ok(None),
-                            other => other.as_f64().map(Some),
-                        })
-                        .collect::<R<Vec<Option<f64>>>>()
-                })
-                .transpose()?,
-            nodes: v.get("nodes")?.as_arr()?.iter().map(node_obs_f).collect::<R<_>>()?,
-            readback: v
-                .get_opt("readback")?
-                .map(|r| r.as_arr()?.iter().map(Json::as_u8).collect::<R<Vec<u8>>>())
-                .transpose()?,
-            node_dead: v
-                .get("node_dead")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_bool)
-                .collect::<R<_>>()?,
-            battery: {
-                let b = v.get("battery")?;
-                BatteryObs {
-                    soc: b.get("soc")?.as_f64()?,
-                    stored_j: b.get("stored_j")?.as_f64()?,
-                    discharge_w: b.get("discharge_w")?.as_f64()?,
-                    charge_w: b.get("charge_w")?.as_f64()?,
-                }
-            },
-            energy_j: v.get("energy_j")?.as_f64()?,
-            forgets: v
-                .get("forgets")?
-                .as_arr()?
-                .iter()
-                .map(|f| {
-                    Ok(Forget {
-                        node: f.get("node")?.as_usize()?,
-                        kind: match f.get("kind")?.as_str()? {
-                            "Full" => ForgetKind::Full,
-                            "Learn" => ForgetKind::Learn,
-                            other => return Err(format!("unknown forget kind {other:?}")),
-                        },
-                    })
-                })
-                .collect::<R<_>>()?,
-            rack_power_w: v
-                .get_opt("rack_power_w")?
-                .map(|r| r.as_arr()?.iter().map(Json::as_f64).collect::<R<Vec<f64>>>())
-                .transpose()?
-                .unwrap_or_default(),
+    fn write_node(w: &mut Writer<'_>, o: &NodeObs) {
+        w.open_obj();
+        w.key("utilization").f64(o.utilization);
+        w.key("intensity").f64(o.intensity);
+        w.key("gamma").f64(o.gamma);
+        w.key("beta").f64(o.beta);
+        w.key("target").u64(u64::from(o.target));
+        w.key("inflight").u64(u64::from(o.inflight));
+        w.key("learn_power_w").opt_f64(o.learn_power_w);
+        w.key("mix").open_arr();
+        for &(url, count) in &o.mix {
+            w.open_arr();
+            w.u64(u64::from(url));
+            w.u64(u64::from(count));
+            w.close_arr();
+        }
+        w.close_arr();
+        w.close_obj();
+    }
+
+    fn write_action(w: &mut Writer<'_>, a: &ActionRecord) {
+        w.open_obj();
+        match *a {
+            ActionRecord::SetPState { node, target } => {
+                w.key("SetPState").open_obj();
+                w.key("node").u64(node as u64);
+                w.key("target").u64(u64::from(target));
+            }
+            ActionRecord::SetPowerLimit { node, limit_w } => {
+                w.key("SetPowerLimit").open_obj();
+                w.key("node").u64(node as u64);
+                w.key("limit_w").opt_f64(limit_w);
+            }
+            ActionRecord::BatteryDischarge { watts } => {
+                w.key("BatteryDischarge").open_obj();
+                w.key("watts").f64(watts);
+            }
+            ActionRecord::BatteryCharge { watts } => {
+                w.key("BatteryCharge").open_obj();
+                w.key("watts").f64(watts);
+            }
+        }
+        w.close_obj();
+        w.close_obj();
+    }
+
+    fn condition_name(c: PowerCondition) -> &'static str {
+        match c {
+            PowerCondition::Nominal => "Nominal",
+            PowerCondition::NearBudget => "NearBudget",
+            PowerCondition::Transient => "Transient",
+            PowerCondition::Emergency => "Emergency",
+        }
+    }
+
+    fn forget_name(k: ForgetKind) -> &'static str {
+        match k {
+            ForgetKind::Full => "Full",
+            ForgetKind::Learn => "Learn",
+        }
+    }
+
+    /// Decode `line` if it is a `Slot` record: `None` when it does not
+    /// open with the `Slot` tag, which leaves the line to the tree
+    /// decoder and its errors. Decoding keeps the tree decoder's
+    /// rules: fields in any order, unknown keys skipped (and checked as
+    /// JSON), the first of duplicate keys read and the rest skipped,
+    /// an absent or `null` optional read as `None`, and a missing
+    /// required field reported by name.
+    pub(super) fn slot_line(line: &str) -> Option<R<SlotRecord>> {
+        let mut c = Cursor::new(line);
+        c.open_obj().ok()?;
+        if !matches!(c.key(), Ok(Some(tag)) if tag == "Slot") {
+            return None;
+        }
+        Some(read_slot(&mut c).and_then(|s| {
+            if c.key()?.is_some() {
+                return Err("expected a single-key tagged object".to_string());
+            }
+            c.finish()?;
+            Ok(s)
+        }))
+    }
+
+    /// Read a field's value into `slot` unless an earlier duplicate of
+    /// its key already did: the first one wins, as with [`Json::get`],
+    /// and a later one is only skipped.
+    fn first<'a, T>(
+        c: &mut Cursor<'a>,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Cursor<'a>) -> R<T>,
+    ) -> R<()> {
+        if slot.is_some() {
+            c.skip()
+        } else {
+            *slot = Some(read(c)?);
+            Ok(())
+        }
+    }
+
+    /// A required field's value.
+    fn need<T>(v: Option<T>, key: &str) -> R<T> {
+        v.ok_or_else(|| missing(key))
+    }
+
+    /// The array `[a, b]`; any other length is the error `what`.
+    fn pair<'a, A, B>(
+        c: &mut Cursor<'a>,
+        what: &str,
+        a: impl FnOnce(&mut Cursor<'a>) -> R<A>,
+        b: impl FnOnce(&mut Cursor<'a>) -> R<B>,
+    ) -> R<(A, B)> {
+        c.open_arr()?;
+        if !c.item()? {
+            return Err(what.to_string());
+        }
+        let x = a(c)?;
+        if !c.item()? {
+            return Err(what.to_string());
+        }
+        let y = b(c)?;
+        if c.item()? {
+            return Err(what.to_string());
+        }
+        Ok((x, y))
+    }
+
+    fn read_slot(c: &mut Cursor<'_>) -> R<SlotRecord> {
+        let (mut slot, mut now, mut sample, mut view, mut decisions) =
+            (None, None, None, None, None);
+        c.object(|c, key| match key {
+            "slot" => first(c, &mut slot, Cursor::u64),
+            "now" => first(c, &mut now, Cursor::u64),
+            "sample" => first(c, &mut sample, read_sample),
+            "view" => first(c, &mut view, read_view),
+            "decisions" => first(c, &mut decisions, read_decisions),
+            _ => c.skip(),
+        })?;
+        Ok(SlotRecord {
+            slot: need(slot, "slot")?,
+            now: SimTime::from_micros(need(now, "now")?),
+            sample: need(sample, "sample")?,
+            view: need(view, "view")?,
+            decisions: need(decisions, "decisions")?,
         })
     }
 
-    fn action_j(a: &ActionRecord) -> Json {
-        match *a {
-            ActionRecord::SetPState { node, target } => Json::Obj(vec![(
-                "SetPState".into(),
-                Json::Obj(vec![
-                    ("node".into(), Json::u64(node as u64)),
-                    ("target".into(), Json::u64(u64::from(target))),
-                ]),
-            )]),
-            ActionRecord::SetPowerLimit { node, limit_w } => Json::Obj(vec![(
-                "SetPowerLimit".into(),
-                Json::Obj(vec![
-                    ("node".into(), Json::u64(node as u64)),
-                    ("limit_w".into(), Json::opt(&limit_w, |&w| Json::f64(w))),
-                ]),
-            )]),
-            ActionRecord::BatteryDischarge { watts } => Json::Obj(vec![(
-                "BatteryDischarge".into(),
-                Json::Obj(vec![("watts".into(), Json::f64(watts))]),
-            )]),
-            ActionRecord::BatteryCharge { watts } => Json::Obj(vec![(
-                "BatteryCharge".into(),
-                Json::Obj(vec![("watts".into(), Json::f64(watts))]),
-            )]),
-        }
+    fn read_sample(c: &mut Cursor<'_>) -> R<PlaneSample> {
+        let (mut true_power_w, mut readings, mut nodes, mut readback) = (None, None, None, None);
+        let (mut node_dead, mut battery, mut energy_j) = (None, None, None);
+        let (mut forgets, mut rack_power_w) = (None, None);
+        c.object(|c, key| match key {
+            "true_power_w" => first(c, &mut true_power_w, Cursor::f64),
+            "readings" => first(c, &mut readings, |c| {
+                c.opt(|c| c.array(|c| c.opt(Cursor::f64)))
+            }),
+            "nodes" => first(c, &mut nodes, |c| c.array(read_node)),
+            "readback" => first(c, &mut readback, |c| c.opt(|c| c.array(Cursor::u8))),
+            "node_dead" => first(c, &mut node_dead, |c| c.array(Cursor::bool)),
+            "battery" => first(c, &mut battery, read_battery),
+            "energy_j" => first(c, &mut energy_j, Cursor::f64),
+            "forgets" => first(c, &mut forgets, |c| c.array(read_forget)),
+            "rack_power_w" => first(c, &mut rack_power_w, |c| c.opt(|c| c.array(Cursor::f64))),
+            _ => c.skip(),
+        })?;
+        Ok(PlaneSample {
+            true_power_w: need(true_power_w, "true_power_w")?,
+            readings: readings.flatten(),
+            nodes: need(nodes, "nodes")?,
+            readback: readback.flatten(),
+            node_dead: need(node_dead, "node_dead")?,
+            battery: need(battery, "battery")?,
+            energy_j: need(energy_j, "energy_j")?,
+            forgets: need(forgets, "forgets")?,
+            rack_power_w: rack_power_w.flatten().unwrap_or_default(),
+        })
     }
 
-    fn action_f(v: &Json) -> R<ActionRecord> {
-        let [(tag, body)] = v.as_obj()? else {
-            return Err("action must be a single-key tagged object".to_string());
+    fn read_node(c: &mut Cursor<'_>) -> R<NodeObs> {
+        let (mut utilization, mut intensity, mut gamma, mut beta) = (None, None, None, None);
+        let (mut target, mut inflight, mut learn_power_w, mut mix) = (None, None, None, None);
+        c.object(|c, key| match key {
+            "utilization" => first(c, &mut utilization, Cursor::f64),
+            "intensity" => first(c, &mut intensity, Cursor::f64),
+            "gamma" => first(c, &mut gamma, Cursor::f64),
+            "beta" => first(c, &mut beta, Cursor::f64),
+            "target" => first(c, &mut target, Cursor::u8),
+            "inflight" => first(c, &mut inflight, Cursor::u32),
+            "learn_power_w" => first(c, &mut learn_power_w, |c| c.opt(Cursor::f64)),
+            "mix" => first(c, &mut mix, |c| {
+                c.array(|c| {
+                    pair(
+                        c,
+                        "mix entry must be a [url, count] pair",
+                        Cursor::u16,
+                        Cursor::u32,
+                    )
+                })
+            }),
+            _ => c.skip(),
+        })?;
+        Ok(NodeObs {
+            utilization: need(utilization, "utilization")?,
+            intensity: need(intensity, "intensity")?,
+            gamma: need(gamma, "gamma")?,
+            beta: need(beta, "beta")?,
+            target: need(target, "target")?,
+            inflight: need(inflight, "inflight")?,
+            learn_power_w: learn_power_w.flatten(),
+            mix: need(mix, "mix")?,
+        })
+    }
+
+    fn read_battery(c: &mut Cursor<'_>) -> R<BatteryObs> {
+        let (mut soc, mut stored_j, mut discharge_w, mut charge_w) = (None, None, None, None);
+        c.object(|c, key| match key {
+            "soc" => first(c, &mut soc, Cursor::f64),
+            "stored_j" => first(c, &mut stored_j, Cursor::f64),
+            "discharge_w" => first(c, &mut discharge_w, Cursor::f64),
+            "charge_w" => first(c, &mut charge_w, Cursor::f64),
+            _ => c.skip(),
+        })?;
+        Ok(BatteryObs {
+            soc: need(soc, "soc")?,
+            stored_j: need(stored_j, "stored_j")?,
+            discharge_w: need(discharge_w, "discharge_w")?,
+            charge_w: need(charge_w, "charge_w")?,
+        })
+    }
+
+    fn read_forget(c: &mut Cursor<'_>) -> R<Forget> {
+        let (mut node, mut kind) = (None, None);
+        c.object(|c, key| match key {
+            "node" => first(c, &mut node, Cursor::usize),
+            "kind" => first(c, &mut kind, |c| match &*c.str()? {
+                "Full" => Ok(ForgetKind::Full),
+                "Learn" => Ok(ForgetKind::Learn),
+                other => Err(format!("unknown forget kind {other:?}")),
+            }),
+            _ => c.skip(),
+        })?;
+        Ok(Forget {
+            node: need(node, "node")?,
+            kind: need(kind, "kind")?,
+        })
+    }
+
+    fn read_view(c: &mut Cursor<'_>) -> R<ClusterView> {
+        let (mut condition, mut observed_w, mut coverage, mut watchdog) = (None, None, None, None);
+        c.object(|c, key| match key {
+            "condition" => first(c, &mut condition, |c| match &*c.str()? {
+                "Nominal" => Ok(PowerCondition::Nominal),
+                "NearBudget" => Ok(PowerCondition::NearBudget),
+                "Transient" => Ok(PowerCondition::Transient),
+                "Emergency" => Ok(PowerCondition::Emergency),
+                other => Err(format!("unknown condition {other:?}")),
+            }),
+            "observed_w" => first(c, &mut observed_w, Cursor::f64),
+            "coverage" => first(c, &mut coverage, Cursor::f64),
+            "watchdog_engaged" => first(c, &mut watchdog, Cursor::bool),
+            _ => c.skip(),
+        })?;
+        Ok(ClusterView {
+            condition: need(condition, "condition")?,
+            observed_w: need(observed_w, "observed_w")?,
+            coverage: need(coverage, "coverage")?,
+            watchdog_engaged: need(watchdog, "watchdog_engaged")?,
+        })
+    }
+
+    fn read_decisions(c: &mut Cursor<'_>) -> R<DecisionRecord> {
+        let (mut retries, mut actions) = (None, None);
+        c.object(|c, key| match key {
+            "retries" => first(c, &mut retries, |c| {
+                c.array(|c| {
+                    pair(
+                        c,
+                        "retry must be a [node, pstate] pair",
+                        Cursor::usize,
+                        Cursor::u8,
+                    )
+                })
+            }),
+            "actions" => first(c, &mut actions, |c| c.array(read_action)),
+            _ => c.skip(),
+        })?;
+        Ok(DecisionRecord {
+            retries: need(retries, "retries")?,
+            actions: need(actions, "actions")?,
+        })
+    }
+
+    /// One `{"<kind>":{…}}` action. Only the fields of its kind are
+    /// read; the rest are skipped like unknown keys.
+    fn read_action(c: &mut Cursor<'_>) -> R<ActionRecord> {
+        const TAGGED: &str = "action must be a single-key tagged object";
+        c.open_obj()?;
+        let tag = c.key()?.ok_or(TAGGED)?;
+        let (node_at, target_at, limit_at, watts_at) = match &*tag {
+            "SetPState" => (true, true, false, false),
+            "SetPowerLimit" => (true, false, true, false),
+            "BatteryDischarge" | "BatteryCharge" => (false, false, false, true),
+            other => return Err(format!("unknown action {other:?}")),
         };
-        Ok(match tag.as_str() {
+        let (mut node, mut target, mut limit_w, mut watts) = (None, None, None, None);
+        c.object(|c, key| match key {
+            "node" if node_at => first(c, &mut node, Cursor::usize),
+            "target" if target_at => first(c, &mut target, Cursor::u8),
+            "limit_w" if limit_at => first(c, &mut limit_w, |c| c.opt(Cursor::f64)),
+            "watts" if watts_at => first(c, &mut watts, Cursor::f64),
+            _ => c.skip(),
+        })?;
+        if c.key()?.is_some() {
+            return Err(TAGGED.to_string());
+        }
+        Ok(match &*tag {
             "SetPState" => ActionRecord::SetPState {
-                node: body.get("node")?.as_usize()?,
-                target: body.get("target")?.as_u8()?,
+                node: need(node, "node")?,
+                target: need(target, "target")?,
             },
             "SetPowerLimit" => ActionRecord::SetPowerLimit {
-                node: body.get("node")?.as_usize()?,
-                limit_w: body.get_opt("limit_w")?.map(Json::as_f64).transpose()?,
+                node: need(node, "node")?,
+                limit_w: limit_w.flatten(),
             },
-            "BatteryDischarge" => {
-                ActionRecord::BatteryDischarge { watts: body.get("watts")?.as_f64()? }
-            }
-            "BatteryCharge" => {
-                ActionRecord::BatteryCharge { watts: body.get("watts")?.as_f64()? }
-            }
-            other => return Err(format!("unknown action {other:?}")),
-        })
-    }
-
-    pub(super) fn slot_to_json(s: &SlotRecord) -> Json {
-        Json::Obj(vec![
-            ("slot".into(), Json::u64(s.slot)),
-            ("now".into(), time_j(s.now)),
-            ("sample".into(), sample_j(&s.sample)),
-            (
-                "view".into(),
-                Json::Obj(vec![
-                    (
-                        "condition".into(),
-                        Json::str(match s.view.condition {
-                            PowerCondition::Nominal => "Nominal",
-                            PowerCondition::NearBudget => "NearBudget",
-                            PowerCondition::Transient => "Transient",
-                            PowerCondition::Emergency => "Emergency",
-                        }),
-                    ),
-                    ("observed_w".into(), Json::f64(s.view.observed_w)),
-                    ("coverage".into(), Json::f64(s.view.coverage)),
-                    ("watchdog_engaged".into(), Json::Bool(s.view.watchdog_engaged)),
-                ]),
-            ),
-            (
-                "decisions".into(),
-                Json::Obj(vec![
-                    (
-                        "retries".into(),
-                        Json::Arr(
-                            s.decisions
-                                .retries
-                                .iter()
-                                .map(|&(n, p)| {
-                                    Json::Arr(vec![Json::u64(n as u64), Json::u64(u64::from(p))])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "actions".into(),
-                        Json::Arr(s.decisions.actions.iter().map(action_j).collect()),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    pub(super) fn slot_from_json(v: &Json) -> R<SlotRecord> {
-        let view = v.get("view")?;
-        let decisions = v.get("decisions")?;
-        Ok(SlotRecord {
-            slot: v.get("slot")?.as_u64()?,
-            now: time_f(v.get("now")?)?,
-            sample: sample_f(v.get("sample")?)?,
-            view: ClusterView {
-                condition: match view.get("condition")?.as_str()? {
-                    "Nominal" => PowerCondition::Nominal,
-                    "NearBudget" => PowerCondition::NearBudget,
-                    "Transient" => PowerCondition::Transient,
-                    "Emergency" => PowerCondition::Emergency,
-                    other => return Err(format!("unknown condition {other:?}")),
-                },
-                observed_w: view.get("observed_w")?.as_f64()?,
-                coverage: view.get("coverage")?.as_f64()?,
-                watchdog_engaged: view.get("watchdog_engaged")?.as_bool()?,
+            "BatteryDischarge" => ActionRecord::BatteryDischarge {
+                watts: need(watts, "watts")?,
             },
-            decisions: DecisionRecord {
-                retries: decisions
-                    .get("retries")?
-                    .as_arr()?
-                    .iter()
-                    .map(|pair| {
-                        let [n, p] = pair.as_arr()? else {
-                            return Err("retry must be a [node, pstate] pair".to_string());
-                        };
-                        Ok((n.as_usize()?, p.as_u8()?))
-                    })
-                    .collect::<R<_>>()?,
-                actions: decisions
-                    .get("actions")?
-                    .as_arr()?
-                    .iter()
-                    .map(action_f)
-                    .collect::<R<_>>()?,
+            _ => ActionRecord::BatteryCharge {
+                watts: need(watts, "watts")?,
             },
         })
     }
@@ -1483,13 +1635,377 @@ mod codec {
             peak_true_w: v.get("peak_true_w")?.as_f64()?,
         })
     }
+
+    /// The tree codec of `Slot` lines, which the streaming one replaced:
+    /// kept as the reference the differential properties compare with.
+    #[cfg(test)]
+    pub(super) mod reference {
+        use super::*;
+
+        /// [`ControlTrace::to_jsonl`] with every line rendered from a tree.
+        pub(crate) fn to_jsonl(t: &ControlTrace) -> String {
+            let mut out = String::new();
+            let push = |out: &mut String, tag: &str, body: Json| {
+                out.push_str(&Json::Obj(vec![(tag.to_string(), body)]).render());
+                out.push('\n');
+            };
+            push(&mut out, "Header", header_to_json(&t.header));
+            for s in &t.slots {
+                push(&mut out, "Slot", slot_to_json(s));
+            }
+            push(&mut out, "Footer", footer_to_json(&t.footer));
+            out
+        }
+
+        /// [`codec::slot_line`] through a tree.
+        pub(crate) fn slot_line(line: &str) -> Option<R<SlotRecord>> {
+            let v = Json::parse(line).ok()?;
+            match v.as_obj() {
+                Ok([(tag, body)]) if tag == "Slot" => Some(slot_from_json(body)),
+                _ => None,
+            }
+        }
+
+        fn node_obs_j(o: &NodeObs) -> Json {
+            Json::Obj(vec![
+                ("utilization".into(), Json::f64(o.utilization)),
+                ("intensity".into(), Json::f64(o.intensity)),
+                ("gamma".into(), Json::f64(o.gamma)),
+                ("beta".into(), Json::f64(o.beta)),
+                ("target".into(), Json::u64(u64::from(o.target))),
+                ("inflight".into(), Json::u64(u64::from(o.inflight))),
+                (
+                    "learn_power_w".into(),
+                    Json::opt(&o.learn_power_w, |&w| Json::f64(w)),
+                ),
+                (
+                    "mix".into(),
+                    Json::Arr(
+                        o.mix
+                            .iter()
+                            .map(|&(u, c)| {
+                                Json::Arr(vec![Json::u64(u64::from(u)), Json::u64(u64::from(c))])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        }
+
+        fn node_obs_f(v: &Json) -> R<NodeObs> {
+            Ok(NodeObs {
+                utilization: v.get("utilization")?.as_f64()?,
+                intensity: v.get("intensity")?.as_f64()?,
+                gamma: v.get("gamma")?.as_f64()?,
+                beta: v.get("beta")?.as_f64()?,
+                target: v.get("target")?.as_u8()?,
+                inflight: v.get("inflight")?.as_u32()?,
+                learn_power_w: v.get_opt("learn_power_w")?.map(Json::as_f64).transpose()?,
+                mix: v
+                    .get("mix")?
+                    .as_arr()?
+                    .iter()
+                    .map(|pair| {
+                        let [u, c] = pair.as_arr()? else {
+                            return Err("mix entry must be a [url, count] pair".to_string());
+                        };
+                        Ok((
+                            u16::try_from(u.as_u64()?).map_err(|_| "url out of u16 range")?,
+                            c.as_u32()?,
+                        ))
+                    })
+                    .collect::<R<_>>()?,
+            })
+        }
+
+        fn sample_j(s: &PlaneSample) -> Json {
+            let mut fields = vec![
+                ("true_power_w".into(), Json::f64(s.true_power_w)),
+                (
+                    "readings".into(),
+                    Json::opt(&s.readings, |r| {
+                        Json::Arr(r.iter().map(|x| Json::opt(x, |&w| Json::f64(w))).collect())
+                    }),
+                ),
+                (
+                    "nodes".into(),
+                    Json::Arr(s.nodes.iter().map(node_obs_j).collect()),
+                ),
+                (
+                    "readback".into(),
+                    Json::opt(&s.readback, |r| {
+                        Json::Arr(r.iter().map(|&p| Json::u64(u64::from(p))).collect())
+                    }),
+                ),
+                (
+                    "node_dead".into(),
+                    Json::Arr(s.node_dead.iter().map(|&d| Json::Bool(d)).collect()),
+                ),
+                (
+                    "battery".into(),
+                    Json::Obj(vec![
+                        ("soc".into(), Json::f64(s.battery.soc)),
+                        ("stored_j".into(), Json::f64(s.battery.stored_j)),
+                        ("discharge_w".into(), Json::f64(s.battery.discharge_w)),
+                        ("charge_w".into(), Json::f64(s.battery.charge_w)),
+                    ]),
+                ),
+                ("energy_j".into(), Json::f64(s.energy_j)),
+                (
+                    "forgets".into(),
+                    Json::Arr(
+                        s.forgets
+                            .iter()
+                            .map(|f| {
+                                Json::Obj(vec![
+                                    ("node".into(), Json::u64(f.node as u64)),
+                                    (
+                                        "kind".into(),
+                                        Json::str(match f.kind {
+                                            ForgetKind::Full => "Full",
+                                            ForgetKind::Learn => "Learn",
+                                        }),
+                                    ),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ];
+            // Key elided entirely for flat (no-topology) runs so their
+            // traces stay byte-identical to pre-topology recordings.
+            if !s.rack_power_w.is_empty() {
+                fields.push((
+                    "rack_power_w".into(),
+                    Json::Arr(s.rack_power_w.iter().map(|&w| Json::f64(w)).collect()),
+                ));
+            }
+            Json::Obj(fields)
+        }
+
+        fn sample_f(v: &Json) -> R<PlaneSample> {
+            Ok(PlaneSample {
+                true_power_w: v.get("true_power_w")?.as_f64()?,
+                readings: v
+                    .get_opt("readings")?
+                    .map(|r| {
+                        r.as_arr()?
+                            .iter()
+                            .map(|x| match x {
+                                Json::Null => Ok(None),
+                                other => other.as_f64().map(Some),
+                            })
+                            .collect::<R<Vec<Option<f64>>>>()
+                    })
+                    .transpose()?,
+                nodes: v
+                    .get("nodes")?
+                    .as_arr()?
+                    .iter()
+                    .map(node_obs_f)
+                    .collect::<R<_>>()?,
+                readback: v
+                    .get_opt("readback")?
+                    .map(|r| r.as_arr()?.iter().map(Json::as_u8).collect::<R<Vec<u8>>>())
+                    .transpose()?,
+                node_dead: v
+                    .get("node_dead")?
+                    .as_arr()?
+                    .iter()
+                    .map(Json::as_bool)
+                    .collect::<R<_>>()?,
+                battery: {
+                    let b = v.get("battery")?;
+                    BatteryObs {
+                        soc: b.get("soc")?.as_f64()?,
+                        stored_j: b.get("stored_j")?.as_f64()?,
+                        discharge_w: b.get("discharge_w")?.as_f64()?,
+                        charge_w: b.get("charge_w")?.as_f64()?,
+                    }
+                },
+                energy_j: v.get("energy_j")?.as_f64()?,
+                forgets: v
+                    .get("forgets")?
+                    .as_arr()?
+                    .iter()
+                    .map(|f| {
+                        Ok(Forget {
+                            node: f.get("node")?.as_usize()?,
+                            kind: match f.get("kind")?.as_str()? {
+                                "Full" => ForgetKind::Full,
+                                "Learn" => ForgetKind::Learn,
+                                other => return Err(format!("unknown forget kind {other:?}")),
+                            },
+                        })
+                    })
+                    .collect::<R<_>>()?,
+                rack_power_w: v
+                    .get_opt("rack_power_w")?
+                    .map(|r| {
+                        r.as_arr()?
+                            .iter()
+                            .map(Json::as_f64)
+                            .collect::<R<Vec<f64>>>()
+                    })
+                    .transpose()?
+                    .unwrap_or_default(),
+            })
+        }
+
+        fn action_j(a: &ActionRecord) -> Json {
+            match *a {
+                ActionRecord::SetPState { node, target } => Json::Obj(vec![(
+                    "SetPState".into(),
+                    Json::Obj(vec![
+                        ("node".into(), Json::u64(node as u64)),
+                        ("target".into(), Json::u64(u64::from(target))),
+                    ]),
+                )]),
+                ActionRecord::SetPowerLimit { node, limit_w } => Json::Obj(vec![(
+                    "SetPowerLimit".into(),
+                    Json::Obj(vec![
+                        ("node".into(), Json::u64(node as u64)),
+                        ("limit_w".into(), Json::opt(&limit_w, |&w| Json::f64(w))),
+                    ]),
+                )]),
+                ActionRecord::BatteryDischarge { watts } => Json::Obj(vec![(
+                    "BatteryDischarge".into(),
+                    Json::Obj(vec![("watts".into(), Json::f64(watts))]),
+                )]),
+                ActionRecord::BatteryCharge { watts } => Json::Obj(vec![(
+                    "BatteryCharge".into(),
+                    Json::Obj(vec![("watts".into(), Json::f64(watts))]),
+                )]),
+            }
+        }
+
+        fn action_f(v: &Json) -> R<ActionRecord> {
+            let [(tag, body)] = v.as_obj()? else {
+                return Err("action must be a single-key tagged object".to_string());
+            };
+            Ok(match tag.as_str() {
+                "SetPState" => ActionRecord::SetPState {
+                    node: body.get("node")?.as_usize()?,
+                    target: body.get("target")?.as_u8()?,
+                },
+                "SetPowerLimit" => ActionRecord::SetPowerLimit {
+                    node: body.get("node")?.as_usize()?,
+                    limit_w: body.get_opt("limit_w")?.map(Json::as_f64).transpose()?,
+                },
+                "BatteryDischarge" => ActionRecord::BatteryDischarge {
+                    watts: body.get("watts")?.as_f64()?,
+                },
+                "BatteryCharge" => ActionRecord::BatteryCharge {
+                    watts: body.get("watts")?.as_f64()?,
+                },
+                other => return Err(format!("unknown action {other:?}")),
+            })
+        }
+
+        fn slot_to_json(s: &SlotRecord) -> Json {
+            Json::Obj(vec![
+                ("slot".into(), Json::u64(s.slot)),
+                ("now".into(), time_j(s.now)),
+                ("sample".into(), sample_j(&s.sample)),
+                (
+                    "view".into(),
+                    Json::Obj(vec![
+                        (
+                            "condition".into(),
+                            Json::str(match s.view.condition {
+                                PowerCondition::Nominal => "Nominal",
+                                PowerCondition::NearBudget => "NearBudget",
+                                PowerCondition::Transient => "Transient",
+                                PowerCondition::Emergency => "Emergency",
+                            }),
+                        ),
+                        ("observed_w".into(), Json::f64(s.view.observed_w)),
+                        ("coverage".into(), Json::f64(s.view.coverage)),
+                        (
+                            "watchdog_engaged".into(),
+                            Json::Bool(s.view.watchdog_engaged),
+                        ),
+                    ]),
+                ),
+                (
+                    "decisions".into(),
+                    Json::Obj(vec![
+                        (
+                            "retries".into(),
+                            Json::Arr(
+                                s.decisions
+                                    .retries
+                                    .iter()
+                                    .map(|&(n, p)| {
+                                        Json::Arr(vec![
+                                            Json::u64(n as u64),
+                                            Json::u64(u64::from(p)),
+                                        ])
+                                    })
+                                    .collect(),
+                            ),
+                        ),
+                        (
+                            "actions".into(),
+                            Json::Arr(s.decisions.actions.iter().map(action_j).collect()),
+                        ),
+                    ]),
+                ),
+            ])
+        }
+
+        fn slot_from_json(v: &Json) -> R<SlotRecord> {
+            let view = v.get("view")?;
+            let decisions = v.get("decisions")?;
+            Ok(SlotRecord {
+                slot: v.get("slot")?.as_u64()?,
+                now: time_f(v.get("now")?)?,
+                sample: sample_f(v.get("sample")?)?,
+                view: ClusterView {
+                    condition: match view.get("condition")?.as_str()? {
+                        "Nominal" => PowerCondition::Nominal,
+                        "NearBudget" => PowerCondition::NearBudget,
+                        "Transient" => PowerCondition::Transient,
+                        "Emergency" => PowerCondition::Emergency,
+                        other => return Err(format!("unknown condition {other:?}")),
+                    },
+                    observed_w: view.get("observed_w")?.as_f64()?,
+                    coverage: view.get("coverage")?.as_f64()?,
+                    watchdog_engaged: view.get("watchdog_engaged")?.as_bool()?,
+                },
+                decisions: DecisionRecord {
+                    retries: decisions
+                        .get("retries")?
+                        .as_arr()?
+                        .iter()
+                        .map(|pair| {
+                            let [n, p] = pair.as_arr()? else {
+                                return Err("retry must be a [node, pstate] pair".to_string());
+                            };
+                            Ok((n.as_usize()?, p.as_u8()?))
+                        })
+                        .collect::<R<_>>()?,
+                    actions: decisions
+                        .get("actions")?
+                        .as_arr()?
+                        .iter()
+                        .map(action_f)
+                        .collect::<R<_>>()?,
+                },
+            })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SchemeKind;
+    use crate::topology::TopologyConfig;
     use powercap::budget::BudgetLevel;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use workloads::service::ServiceKind;
 
     fn tiny_exp() -> ExperimentConfig {
         crate::testutil::quick_exp(SchemeKind::AntiDope, BudgetLevel::Medium, 10, 7)
@@ -1669,6 +2185,448 @@ mod tests {
                 "mutation {i}: {err:?}"
             );
         }
+    }
+
+    /// Traces recorded from four configurations of the paper rack under
+    /// a flood: flat; two racks; faults with read-back and sensor
+    /// dropout; the profiler on.
+    /// Recorded once per test binary.
+    fn recorded() -> &'static [(&'static str, ControlTrace)] {
+        static TRACES: std::sync::OnceLock<Vec<(&str, ControlTrace)>> = std::sync::OnceLock::new();
+        TRACES.get_or_init(|| {
+            let record = |mutate: fn(&mut ClusterConfig)| {
+                let mut exp =
+                    crate::testutil::quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 12, 7);
+                mutate(&mut exp.cluster);
+                let population = crate::testutil::population(ServiceKind::CollaFilt, 1_500.0);
+                crate::runner::record_experiment(&exp, &population).1
+            };
+            vec![
+                ("flat", record(|_| {})),
+                (
+                    "two racks",
+                    record(|c| c.topology = Some(TopologyConfig::with_racks(2, 1))),
+                ),
+                (
+                    "faults",
+                    record(|c| {
+                        c.faults = Some(simcore::FaultConfig {
+                            sensor_dropout_p: 0.3,
+                            ..Default::default()
+                        })
+                    }),
+                ),
+                (
+                    "profiler",
+                    record(|c| c.profiler = Some(profiler::ProfilerConfig::default())),
+                ),
+            ]
+        })
+    }
+
+    #[test]
+    fn recorded_traces_cover_every_optional_field() {
+        let slots = |name: &str| &recorded().iter().find(|(n, _)| *n == name).unwrap().1.slots;
+        let any = |name: &str, f: fn(&SlotRecord) -> bool| slots(name).iter().any(f);
+        assert!(recorded().iter().all(|(_, t)| t.slots.len() >= 10));
+        assert!(any("profiler", |s| !s.decisions.actions.is_empty()));
+        assert!(any("two racks", |s| s.sample.rack_power_w.len() == 2));
+        assert!(any("faults", |s| s.sample.readback.is_some()));
+        assert!(any("faults", |s| s
+            .sample
+            .readings
+            .iter()
+            .flatten()
+            .any(Option::is_none)));
+        assert!(any("profiler", |s| s
+            .sample
+            .nodes
+            .iter()
+            .any(|o| !o.mix.is_empty())));
+        assert!(any("profiler", |s| s
+            .sample
+            .nodes
+            .iter()
+            .any(|o| o.learn_power_w.is_some())));
+    }
+
+    /// `trace` with a retry, one action of each kind and a forget of
+    /// each kind added to every slot, all valid for the paper rack.
+    fn with_every_command(trace: &ControlTrace) -> ControlTrace {
+        let mut trace = trace.clone();
+        for (i, s) in trace.slots.iter_mut().enumerate() {
+            s.decisions.retries.push((3, 2));
+            s.decisions.actions.extend([
+                ActionRecord::SetPState {
+                    node: 1,
+                    target: 12,
+                },
+                ActionRecord::SetPowerLimit {
+                    node: 2,
+                    limit_w: (i % 2 == 0).then_some(80.5),
+                },
+                ActionRecord::BatteryDischarge { watts: 120.0 },
+                ActionRecord::BatteryCharge { watts: 0.25 },
+            ]);
+            s.sample.forgets.push(Forget {
+                node: 0,
+                kind: ForgetKind::Full,
+            });
+            s.sample.forgets.push(Forget {
+                node: 3,
+                kind: ForgetKind::Learn,
+            });
+        }
+        trace
+    }
+
+    /// The streaming and the tree decoder read `text` alike: the same
+    /// trace, or both a `TraceFormat` error on the same line (or, past
+    /// the line decoders, the same error).
+    fn decoders_agree(text: &str) -> Result<(), TestCaseError> {
+        let line = |e: &ConfigError| match e {
+            ConfigError::TraceFormat { what } if what.starts_with("line ") => {
+                what.split(':').next().unwrap_or_default().to_string()
+            }
+            other => format!("{other:?}"),
+        };
+        match (
+            ControlTrace::from_jsonl_str(text),
+            from_jsonl_str_reference(text),
+        ) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+            (Err(a), Err(b)) => prop_assert_eq!(line(&a), line(&b)),
+            (a, b) => {
+                let (a, b) = (a.map(|_| "decoded"), b.map(|_| "decoded"));
+                return Err(TestCaseError::fail(format!(
+                    "streaming {a:?}, reference {b:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    fn from_jsonl_str_reference(s: &str) -> Result<ControlTrace, ConfigError> {
+        ControlTrace::from_lines(s.lines().map(Ok), codec::reference::slot_line)
+    }
+
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    /// An object's fields, as a mutation edits them.
+    type Fields = Vec<(String, Json)>;
+
+    /// Call `f` on the `k`-th object of `v`, depth first.
+    fn nth_object(v: &mut Json, k: &mut usize, f: &mut dyn FnMut(&mut Fields)) -> bool {
+        match v {
+            Json::Obj(fields) if *k == 0 => {
+                f(fields);
+                true
+            }
+            Json::Obj(fields) => {
+                *k -= 1;
+                fields.iter_mut().any(|(_, v)| nth_object(v, k, f))
+            }
+            Json::Arr(items) => items.iter_mut().any(|v| nth_object(v, k, f)),
+            _ => false,
+        }
+    }
+
+    fn count_objects(v: &Json) -> usize {
+        match v {
+            Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
+            Json::Arr(items) => items.iter().map(count_objects).sum(),
+            _ => 0,
+        }
+    }
+
+    fn shuffle_every_object(v: &mut Json, rng: &mut TestRng) {
+        match v {
+            Json::Obj(fields) => {
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, below(rng, i + 1));
+                }
+                fields
+                    .iter_mut()
+                    .for_each(|(_, v)| shuffle_every_object(v, rng));
+            }
+            Json::Arr(items) => items.iter_mut().for_each(|v| shuffle_every_object(v, rng)),
+            _ => {}
+        }
+    }
+
+    /// A value to plant under a key: a scalar, a small document, or
+    /// arrays nested around the depth limit (a record's objects sit 1–6
+    /// levels deep).
+    fn junk(rng: &mut TestRng) -> Json {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let text = match below(rng, 6) {
+            0 => "7".to_string(),
+            1 => "null".to_string(),
+            2 => "\"Full\"".to_string(),
+            3 => r#"{"a":[1,2.5e-3,null,true,"x\n"],"node":{"kind":[]}}"#.to_string(),
+            4 => "-inf".to_string(),
+            // Past the limit under some objects, within it under others.
+            _ => nested(122 + below(rng, 6)),
+        };
+        Json::parse(&text).expect("well-formed")
+    }
+
+    /// Byte offsets in `line` right after a structural character.
+    fn structural(line: &str) -> Vec<usize> {
+        line.bytes()
+            .enumerate()
+            .filter(|&(_, b)| b",:[]{}".contains(&b))
+            .flat_map(|(i, _)| [i, i + 1])
+            .collect()
+    }
+
+    /// `line` (a `Slot` record) mutated by `kind`, with choices from `rng`.
+    fn mutate(line: &str, kind: usize, rng: &mut TestRng) -> String {
+        let mut tree = Json::parse(line).expect("recorded lines parse");
+        let mut k = below(rng, count_objects(&tree));
+        let (from, to) = (rng.next_u64() as usize, rng.next_u64() as usize);
+        let (replace, value) = (rng.next_u64().is_multiple_of(2), junk(rng));
+        // Unknown here, or a key of another record type.
+        let planted = [
+            "unknown", "watts", "node", "target", "limit_w", "kind", "mix", "Slot",
+        ][below(rng, 8)]
+        .to_string();
+        let mut in_object = |tree: &mut Json, f: &mut dyn FnMut(&mut Fields)| {
+            nth_object(tree, &mut k, f);
+        };
+        match kind {
+            0 => shuffle_every_object(&mut tree, rng),
+            1 => in_object(&mut tree, &mut |f| {
+                f.insert(to % (f.len() + 1), (planted.clone(), value.clone()));
+            }),
+            2 => in_object(&mut tree, &mut |f| {
+                if !f.is_empty() {
+                    f.remove(from % f.len());
+                }
+            }),
+            3 => in_object(&mut tree, &mut |f| {
+                let n = f.len().max(1);
+                if let Some((_, v)) = f.get_mut(from % n) {
+                    *v = Json::Null;
+                }
+            }),
+            4 => in_object(&mut tree, &mut |f| {
+                if let Some((k, v)) = f.get(from % f.len().max(1)).cloned() {
+                    let v = if replace { value.clone() } else { v };
+                    f.insert(to % (f.len() + 1), (k, v));
+                }
+            }),
+            5 => {
+                let mut text = tree.render();
+                let cuts = structural(&text);
+                for _ in 0..1 + below(rng, 4) {
+                    let at = cuts[below(rng, cuts.len())];
+                    text.insert_str(at, [" ", "\t", "\r", "  \t "][below(rng, 4)]);
+                }
+                return text;
+            }
+            6 => {
+                // One character of a key as a `\u` escape.
+                let ends: Vec<usize> = line.match_indices("\":").map(|(i, _)| i).collect();
+                let end = ends[below(rng, ends.len())];
+                let start = line[..end].rfind('"').expect("a key opens") + 1;
+                let at = start + below(rng, end - start);
+                let escaped = format!("\\u{:04x}", line.as_bytes()[at]);
+                return format!("{}{escaped}{}", &line[..at], &line[at + 1..]);
+            }
+            7 => {
+                const TOKENS: [&str; 14] = [
+                    "300",
+                    "256",
+                    "1e999",
+                    "-1",
+                    "18446744073709551616",
+                    "4294967296",
+                    "65536",
+                    "1.5",
+                    "NaN",
+                    "-inf",
+                    "1e",
+                    "-0",
+                    "+7",
+                    "007",
+                ];
+                let numbers: Vec<(usize, usize)> = line
+                    .match_indices([':', ',', '['])
+                    .map(|(i, _)| i + 1)
+                    .map(|start| {
+                        let len = line[start..]
+                            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                            .unwrap_or(line.len() - start);
+                        (start, start + len)
+                    })
+                    .filter(|&(a, b)| a < b)
+                    .collect();
+                let (a, b) = numbers[below(rng, numbers.len())];
+                return format!(
+                    "{}{}{}",
+                    &line[..a],
+                    TOKENS[below(rng, TOKENS.len())],
+                    &line[b..]
+                );
+            }
+            _ => return line[..below(rng, line.len())].to_string(),
+        }
+        tree.render()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512 })]
+
+        /// A mutated `Slot` line decodes as the tree decoder decodes it:
+        /// permuted keys, an unknown key, a dropped key, a `null`, a
+        /// duplicate key, whitespace, an escaped key, an out-of-range or
+        /// malformed number, a truncation.
+        #[test]
+        fn prop_streaming_slot_decoder_matches_the_tree_decoder(
+            pick in (0usize..4, 0usize..9, 0u64..u64::MAX)
+        ) {
+            let (trace, kind, seed) = pick;
+            let mut rng = TestRng::from_seed(seed);
+            let text = with_every_command(&recorded()[trace].1).to_jsonl();
+            let mut lines: Vec<&str> = text.lines().collect();
+            let at = 1 + below(&mut rng, lines.len() - 2);
+            let mutated = mutate(lines[at], kind, &mut rng);
+            lines[at] = &mutated;
+            decoders_agree(&lines.join("\n"))?;
+        }
+
+        /// Slot records with edge-case floats and toggled options encode
+        /// byte for byte as the tree codec renders them, and decode back
+        /// to the same record.
+        #[test]
+        fn prop_streaming_slot_encoder_matches_the_tree_encoder(
+            pick in (0usize..4, 0u64..u64::MAX)
+        ) {
+            let (trace, seed) = pick;
+            let mut rng = TestRng::from_seed(seed);
+            let mut trace = recorded()[trace].1.clone();
+            const EDGES: [f64; 9] =
+                [0.0, -0.0, 1e-310, f64::MAX, f64::MIN_POSITIVE, 0.1, -2.5e17, f64::INFINITY, f64::NAN];
+            let mut edge = || {
+                let x = rng.next_u64();
+                if x.is_multiple_of(2) {
+                    EDGES[(x >> 1) as usize % EDGES.len()]
+                } else {
+                    f64::from_bits(x >> 1)
+                }
+            };
+            for s in &mut trace.slots {
+                s.sample.true_power_w = edge();
+                s.view.coverage = edge();
+                for o in &mut s.sample.nodes {
+                    o.utilization = edge();
+                    o.learn_power_w = (o.utilization.to_bits() % 3 != 0).then(&mut edge);
+                    o.target = u8::MAX;
+                    o.inflight = u32::MAX;
+                    o.mix.push((u16::MAX, u32::MAX));
+                }
+                if s.slot % 2 == 0 {
+                    s.sample.readings = Some(s.sample.nodes.iter().map(|o| o.learn_power_w).collect());
+                    s.sample.readback = Some(vec![u8::MAX; s.sample.nodes.len()]);
+                }
+                s.decisions.retries.push((usize::MAX, u8::MAX));
+                s.decisions.actions.push(ActionRecord::SetPowerLimit { node: 1, limit_w: Some(edge()) });
+                s.decisions.actions.push(ActionRecord::BatteryCharge { watts: edge() });
+            }
+            let text = trace.to_jsonl();
+            prop_assert_eq!(&text, &codec::reference::to_jsonl(&trace));
+            for line in text.lines().skip(1).take(trace.slots.len()) {
+                let fast = codec::slot_line(line).expect("a slot line").map_err(TestCaseError::fail)?;
+                let tree = codec::reference::slot_line(line).expect("a slot line");
+                prop_assert_eq!(format!("{fast:?}"), format!("{:?}", tree.map_err(TestCaseError::fail)?));
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_traces_encode_as_the_tree_codec_renders_them() {
+        for (name, trace) in recorded() {
+            let text = trace.to_jsonl();
+            assert_eq!(text, codec::reference::to_jsonl(trace), "{name}");
+            let back = ControlTrace::from_jsonl_str(&text).expect("the recorded trace is valid");
+            assert_eq!(format!("{back:?}"), format!("{trace:?}"), "{name}");
+        }
+    }
+
+    #[test]
+    fn write_jsonl_writes_the_bytes_of_to_jsonl() {
+        let dir = std::env::temp_dir().join(format!("antidope-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (name, trace)) in recorded().iter().enumerate() {
+            let path = dir.join(format!("{i}.jsonl"));
+            trace.write_jsonl(&path).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                trace.to_jsonl(),
+                "{name}"
+            );
+            let back = ControlTrace::read_jsonl(&path).expect("the written trace reads back");
+            assert_eq!(format!("{back:?}"), format!("{trace:?}"), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn slot_decoding_keeps_the_tree_decoders_rules() {
+        let trace = &recorded()[0].1;
+        let text = trace.to_jsonl();
+        let slot = text.lines().nth(1).unwrap();
+        let decode = |line: &str| codec::slot_line(line).expect("a slot line");
+        let want = format!("{:?}", trace.slots[0]);
+        // Whitespace, an escaped key, an unknown key and a later
+        // duplicate of a key change nothing.
+        let spaced = slot.replace(':', " : ").replace(',', "\t,\r ");
+        let escaped = slot.replacen("\"utilization\"", "\"utiliz\\u0061tion\"", 1);
+        let unknown = slot.replacen("{\"slot\"", "{\"extra\":[{\"slot\":\"no\"}],\"slot\"", 1);
+        let duplicate = slot.replacen(",\"now\"", ",\"slot\":\"no\",\"now\"", 1);
+        for line in [&spaced, &escaped, &unknown, &duplicate] {
+            assert_eq!(format!("{:?}", decode(line).unwrap()), want, "{line}");
+        }
+        // An action reads only its own kind's fields.
+        let commands = with_every_command(trace);
+        let line = commands.to_jsonl().lines().nth(1).unwrap().to_string();
+        let foreign = line
+            .replacen(
+                "{\"SetPState\":{",
+                "{\"SetPState\":{\"watts\":\"no\",\"limit_w\":[],",
+                1,
+            )
+            .replacen(
+                "{\"BatteryCharge\":{",
+                "{\"BatteryCharge\":{\"node\":\"no\",\"target\":-1,",
+                1,
+            );
+        assert_ne!(foreign, line);
+        assert_eq!(
+            format!("{:?}", decode(&foreign).unwrap()),
+            format!("{:?}", commands.slots[0])
+        );
+        // An earlier duplicate wins.
+        let first = slot.replacen("{\"slot\"", "{\"slot\":99,\"slot\"", 1);
+        assert_eq!(decode(&first).unwrap().slot, 99);
+        // A missing field is named; an out-of-range integer is an error.
+        let dropped = slot.replacen("\"coverage\"", "\"coverag\"", 1);
+        assert_eq!(decode(&dropped).unwrap_err(), "missing field \"coverage\"");
+        let wide =
+            slot.replacen("\"target\":", "\"target\":300", 1)
+                .replacen("300", "300,\"x\":", 1);
+        assert!(decode(&wide).is_err());
+        // Other records are left to the tree decoder.
+        assert!(codec::slot_line(text.lines().next().unwrap()).is_none());
+        assert!(codec::slot_line("[1]").is_none());
+        let err = ControlTrace::from_jsonl_str(&text.replacen(slot, &slot[..slot.len() / 2], 1));
+        assert!(
+            matches!(&err, Err(ConfigError::TraceFormat { what }) if what.starts_with("line 2:")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A minimal, exact JSON value model with an emitter and a parser.
+//! A minimal, exact JSON codec: one emitter, one lexer, and a value
+//! model built on both.
 //!
 //! The control-plane trace (see [`crate::control::plane`]) must round-
 //! trip **bit-exactly**: a replayed slot has to feed the pipeline the
@@ -9,22 +10,39 @@
 //!   (`{:?}`), which `str::parse::<f64>` inverts exactly;
 //! * integers are emitted as decimal `u64`/`i64` and re-parsed with the
 //!   integer parsers, never through an `f64` (no 2^53 cliff);
-//! * [`Json::Num`] stores the raw token, so a number is only committed
-//!   to a width/signedness when the schema asks for one.
+//! * a number travels as its raw token ([`Json::Num`] stores it), so it
+//!   is committed to a width and signedness only when the schema asks.
 //!
-//! It is deliberately small: objects are ordered `Vec`s and there is no
-//! zero-copy path. Decode is on a measured path all the same: a replay
-//! parses one line of O(nodes) bytes per recorded slot, so
-//! [`Json::parse`] is linear in the line length. The invariant that
-//! makes it so: the input is a `&str`, already valid UTF-8, and the
-//! parser walks its bytes. A string's plain characters run up to the
-//! next `"` or `\`, both ASCII bytes, which never occur inside a
-//! multi-byte sequence; so every run starts and ends on a char boundary
-//! and is copied in one step, without re-validating anything.
+//! Two streaming halves do all the work:
+//!
+//! * `Writer` appends keys, floats, integers, bools, `null` and
+//!   escaped strings straight into a `String`, placing the commas
+//!   itself;
+//! * `Cursor` borrows a `&str` and yields object keys, number tokens,
+//!   strings, `null`, and array and object boundaries, enforcing the
+//!   nesting limit (128 levels) as it opens containers. A key or string
+//!   with no `\` comes back borrowed from the input; only one holding an
+//!   escape is unescaped into an owned copy.
+//!
+//! [`Json::render`] walks a tree into a `Writer`, and [`Json::parse`]
+//! builds one from a `Cursor`, so the tree and a schema codec that
+//! streams (the trace's per-slot records, which never build a tree)
+//! share the same whitespace rules, number-token grammar (with `NaN`
+//! and `inf`), string escapes and depth limit. A tree is the convenient
+//! form for one-off lines such as the trace header; a record written
+//! once per slot goes through the halves directly.
+//!
+//! Decoding is linear in the line length. The invariant that makes it
+//! so: the input is a `&str`, already valid UTF-8, and the lexer walks
+//! its bytes. A string's plain characters run up to the next `"` or
+//! `\`, both ASCII bytes, which never occur inside a multi-byte
+//! sequence; so every run starts and ends on a char boundary and is
+//! borrowed or copied in one step, without re-validating anything.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// Deepest array/object nesting a [`Cursor`] accepts. [`Json::parse`]
 /// recurses once per level, so an unbounded depth lets a hostile line
 /// overflow the stack; the trace schema nests far less than this.
 const MAX_DEPTH: usize = 128;
@@ -83,7 +101,7 @@ impl Json {
     /// This value as a `u64` (exact integer parse).
     pub fn as_u64(&self) -> Result<u64, String> {
         match self {
-            Json::Num(raw) => raw.parse::<u64>().map_err(|e| format!("bad u64 {raw:?}: {e}")),
+            Json::Num(raw) => parse_u64(raw),
             other => Err(format!("expected number, got {other:?}")),
         }
     }
@@ -95,20 +113,18 @@ impl Json {
 
     /// This value as a `u32`.
     pub(crate) fn as_u32(&self) -> Result<u32, String> {
-        let v = self.as_u64()?;
-        u32::try_from(v).map_err(|_| format!("{v} out of u32 range"))
+        narrow(self.as_u64()?)
     }
 
     /// This value as a `u8`.
     pub(crate) fn as_u8(&self) -> Result<u8, String> {
-        let v = self.as_u64()?;
-        u8::try_from(v).map_err(|_| format!("{v} out of u8 range"))
+        narrow(self.as_u64()?)
     }
 
     /// This value as an `f64` (exact shortest-roundtrip inverse).
     pub fn as_f64(&self) -> Result<f64, String> {
         match self {
-            Json::Num(raw) => raw.parse::<f64>().map_err(|e| format!("bad f64 {raw:?}: {e}")),
+            Json::Num(raw) => parse_f64(raw),
             other => Err(format!("expected number, got {other:?}")),
         }
     }
@@ -144,7 +160,7 @@ impl Json {
                 return Ok(v);
             }
         }
-        Err(format!("missing field {key:?}"))
+        Err(missing(key))
     }
 
     /// Optional object field: absent or `null` both read as `None`.
@@ -162,38 +178,31 @@ impl Json {
     /// Render to a compact single-line JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut Writer::new(&mut out));
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Emit this value through `w`.
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(raw) => out.push_str(raw),
-            Json::Str(s) => render_str(s, out),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(raw) => w.raw(raw),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
+                w.open_arr();
+                for item in items {
+                    item.write(w);
                 }
-                out.push(']');
+                w.close_arr();
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                w.open_obj();
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push('}');
+                w.close_obj();
             }
         }
     }
@@ -201,48 +210,174 @@ impl Json {
     /// Parse one JSON document from `src` (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(src: &str) -> Result<Json, String> {
-        Parser::new(src).document()
+        Cursor::new(src).document()
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+/// The "missing field" error of a required object field.
+pub(crate) fn missing(key: &str) -> String {
+    format!("missing field {key:?}")
+}
+
+fn parse_u64(raw: &str) -> Result<u64, String> {
+    raw.parse::<u64>()
+        .map_err(|e| format!("bad u64 {raw:?}: {e}"))
+}
+
+fn parse_f64(raw: &str) -> Result<f64, String> {
+    raw.parse::<f64>()
+        .map_err(|e| format!("bad f64 {raw:?}: {e}"))
+}
+
+/// `v` as a narrower unsigned integer.
+fn narrow<T: TryFrom<u64>>(v: u64) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{v} out of {} range", std::any::type_name::<T>()))
+}
+
+/// Streaming JSON emitter: appends compact JSON to a `String`, placing
+/// the commas between keys and items itself. Open and close containers
+/// and name keys in document order; the caller owns the nesting.
+pub(crate) struct Writer<'a> {
+    out: &'a mut String,
+    /// A value was just completed, so the next key or item at this
+    /// level needs a comma first.
+    sep: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// An emitter appending to `out`.
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        Writer { out, sep: false }
+    }
+
+    /// Start a value: a comma if one precedes it at this level.
+    fn value(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.sep, true) {
+            self.out.push(',');
+        }
+        &mut *self.out
+    }
+
+    /// An object key; its value comes next.
+    pub(crate) fn key(&mut self, k: &str) -> &mut Self {
+        self.value();
+        push_str_escaped(k, self.out);
+        self.out.push(':');
+        self.sep = false;
+        self
+    }
+
+    pub(crate) fn open_obj(&mut self) {
+        self.value().push('{');
+        self.sep = false;
+    }
+
+    pub(crate) fn close_obj(&mut self) {
+        self.out.push('}');
+        self.sep = true;
+    }
+
+    pub(crate) fn open_arr(&mut self) {
+        self.value().push('[');
+        self.sep = false;
+    }
+
+    pub(crate) fn close_arr(&mut self) {
+        self.out.push(']');
+        self.sep = true;
+    }
+
+    pub(crate) fn null(&mut self) {
+        self.value().push_str("null");
+    }
+
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.value().push_str(if b { "true" } else { "false" });
+    }
+
+    /// A decimal integer.
+    pub(crate) fn u64(&mut self, v: u64) {
+        let _ = write!(self.value(), "{v}");
+    }
+
+    /// A float, shortest-roundtrip formatted.
+    pub(crate) fn f64(&mut self, v: f64) {
+        let _ = write!(self.value(), "{v:?}");
+    }
+
+    /// `Some(v)` as a float, `None` as `null`.
+    pub(crate) fn opt_f64(&mut self, v: Option<f64>) {
+        match v {
+            Some(v) => self.f64(v),
+            None => self.null(),
+        }
+    }
+
+    /// A number, as its raw token.
+    fn raw(&mut self, token: &str) {
+        self.value().push_str(token);
+    }
+
+    /// A string, escaped.
+    pub(crate) fn str(&mut self, s: &str) {
+        push_str_escaped(s, self.value());
+    }
+}
+
+fn push_str_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
 }
 
-struct Parser<'a> {
-    /// The input, which plain string runs are copied from.
+/// Streaming JSON lexer over a borrowed line. Each call skips the
+/// whitespace before its token. Containers are walked with
+/// [`Cursor::open_obj`] + [`Cursor::key`] and [`Cursor::open_arr`] +
+/// [`Cursor::item`], which check the commas and the closing bracket;
+/// scalars with the typed readers; and anything a schema does not
+/// know with [`Cursor::skip`], which validates it as [`Json::parse`]
+/// would. Errors name the byte offset where the input went wrong.
+pub(crate) struct Cursor<'a> {
+    /// The input, which keys, strings and number tokens borrow from.
     text: &'a str,
     /// `text`'s bytes, which every scan walks.
     src: &'a [u8],
     at: usize,
     /// Arrays and objects currently open.
     depth: usize,
-    /// Decode strings with [`Parser::reference_string`] instead.
+    /// A container was just opened: its first key or item comes without
+    /// a comma, and it may close at once.
+    fresh: bool,
+    /// Decode strings with [`Cursor::reference_string`] instead.
     #[cfg(test)]
     reference: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Cursor {
             text,
             src: text.as_bytes(),
             at: 0,
             depth: 0,
+            fresh: false,
             #[cfg(test)]
             reference: false,
         }
@@ -250,27 +385,29 @@ impl<'a> Parser<'a> {
 
     /// One value, surrounded by optional whitespace, and nothing else.
     fn document(mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let v = self.value()?;
-        self.skip_ws();
-        if self.at != self.src.len() {
-            return Err(format!("trailing data at byte {}", self.at));
-        }
+        let v = self.tree()?;
+        self.finish()?;
         Ok(v)
     }
 
-    fn skip_ws(&mut self) {
+    /// Only whitespace may follow.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing data at byte {}", self.at)),
+        }
+    }
+
+    /// The next byte after whitespace, not consumed.
+    fn peek(&mut self) -> Option<u8> {
         while let Some(&b) = self.src.get(self.at) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.at += 1;
             } else {
-                break;
+                return Some(b);
             }
         }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.at).copied()
+        None
     }
 
     fn eat(&mut self, token: &str) -> bool {
@@ -282,75 +419,279 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn expected(&self, what: &str) -> String {
+        format!("expected {what} at byte {}", self.at)
+    }
+
+    /// Enter the array or object whose bracket is next, rejecting it
+    /// past [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        self.at += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.at += 1;
+    }
+
+    /// Open the object that must come next.
+    pub(crate) fn open_obj(&mut self) -> Result<(), String> {
         match self.peek() {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'n') if self.eat("null") => Ok(Json::Null),
-            Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            // `inf`/`NaN` appear only if someone recorded a non-finite
-            // float; accept them so the error surfaces at the schema
-            // layer ("power was NaN") instead of as a parse failure.
-            Some(b'N') if self.eat("NaN") => Ok(Json::Num("NaN".to_string())),
-            Some(b'i') if self.eat("inf") => Ok(Json::Num("inf".to_string())),
-            Some(_) => self.number(),
+            Some(b'{') => self.open(),
+            _ => Err(self.expected("object")),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-            if self.eat("inf") {
-                return Ok(Json::Num("-inf".to_string()));
+    /// Open the array that must come next.
+    pub(crate) fn open_arr(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'[') => self.open(),
+            _ => Err(self.expected("array")),
+        }
+    }
+
+    /// The open object's next key, its `:` consumed so the value comes
+    /// next; `None` once the object closes.
+    pub(crate) fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            Some(b',') if !fresh => self.at += 1,
+            _ if !fresh => return Err(self.expected("',' or '}'")),
+            _ => {}
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.expected("object key"));
+        }
+        let key = self.string()?;
+        if self.peek() != Some(b':') {
+            return Err(self.expected("':'"));
+        }
+        self.at += 1;
+        Ok(Some(key))
+    }
+
+    /// Whether the open array has another item, which comes next;
+    /// `false` once the array closes.
+    pub(crate) fn item(&mut self) -> Result<bool, String> {
+        let fresh = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            Some(b',') if !fresh => {
+                self.at += 1;
+                Ok(true)
+            }
+            _ if !fresh => Err(self.expected("',' or ']'")),
+            _ => Ok(true),
+        }
+    }
+
+    /// Consume a `null` if one comes next.
+    fn null(&mut self) -> bool {
+        self.peek() == Some(b'n') && self.eat("null")
+    }
+
+    /// The bool that must come next.
+    pub(crate) fn bool(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b't') if self.eat("true") => Ok(true),
+            Some(b'f') if self.eat("false") => Ok(false),
+            _ => Err(self.expected("bool")),
+        }
+    }
+
+    /// The string that must come next, borrowed unless it holds an
+    /// escape.
+    pub(crate) fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        match self.peek() {
+            Some(b'"') => self.string(),
+            _ => Err(self.expected("string")),
+        }
+    }
+
+    /// The number token that must come next, not yet validated: sign,
+    /// digits, `.` and exponent characters, or `NaN`, `inf`, `-inf`.
+    /// (Non-finite tokens appear only if someone recorded a non-finite
+    /// float; they are accepted so that the error surfaces at the schema
+    /// layer, "power was NaN", instead of as a parse failure.)
+    fn number_token(&mut self) -> Result<&'a str, String> {
+        let start = match self.peek() {
+            None => return Err("unexpected end of input".to_string()),
+            Some(_) => self.at,
+        };
+        let special = match self.src[start] {
+            b'N' => self.eat("NaN"),
+            b'i' => self.eat("inf"),
+            b'-' => {
+                self.at += 1;
+                self.eat("inf")
+            }
+            _ => false,
+        };
+        if !special {
+            while let Some(&b) = self.src.get(self.at) {
+                match b {
+                    b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-' => self.at += 1,
+                    _ => break,
+                }
+            }
+            if self.at == start {
+                return Err(format!("expected a value at byte {start}"));
             }
         }
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-' => self.at += 1,
-                _ => break,
-            }
-        }
-        if self.at == start {
-            return Err(format!("expected a value at byte {start}"));
-        }
-        let raw = std::str::from_utf8(&self.src[start..self.at])
-            .map_err(|_| "non-utf8 number token".to_string())?;
-        // Validate now so extraction errors can't hide a parse error.
+        // Every byte of the token is ASCII: a char boundary either side.
+        Ok(&self.text[start..self.at])
+    }
+
+    /// The number token that must come next, validated as a float.
+    fn number(&mut self) -> Result<&'a str, String> {
+        let raw = self.number_token()?;
         raw.parse::<f64>().map_err(|e| format!("bad number {raw:?}: {e}"))?;
-        Ok(Json::Num(raw.to_string()))
+        Ok(raw)
     }
 
-    /// A string, copying each run of plain characters in one step, so
-    /// the scan is linear in the string's length.
-    fn string(&mut self) -> Result<String, String> {
+    /// The float that must come next (exact shortest-roundtrip inverse).
+    pub(crate) fn f64(&mut self) -> Result<f64, String> {
+        let raw = self.number_token()?;
+        parse_f64(raw)
+    }
+
+    /// The unsigned integer that must come next, parsed exactly.
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        let raw = self.number_token()?;
+        parse_u64(raw)
+    }
+
+    pub(crate) fn usize(&mut self) -> Result<usize, String> {
+        self.u64().map(|v| v as usize)
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+        narrow(self.u64()?)
+    }
+
+    pub(crate) fn u16(&mut self) -> Result<u16, String> {
+        narrow(self.u64()?)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
+        narrow(self.u64()?)
+    }
+
+    /// `null` as `None`, anything else through `read`.
+    pub(crate) fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.null() {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// The array that must come next, each item read by `read`.
+    pub(crate) fn array<T>(
+        &mut self,
+        mut read: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.open_arr()?;
+        let mut items = Vec::new();
+        while self.item()? {
+            items.push(read(self)?);
+        }
+        Ok(items)
+    }
+
+    /// The object that must come next: `field` is handed each key with
+    /// the cursor at its value, which it must read or [`Cursor::skip`].
+    pub(crate) fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open_obj()?;
+        while let Some(key) = self.key()? {
+            field(self, &key)?;
+        }
+        Ok(())
+    }
+
+    /// Pass over the next value, validating it as [`Json::parse`] does.
+    pub(crate) fn skip(&mut self) -> Result<(), String> {
+        self.tree().map(drop)
+    }
+
+    /// The next value as a tree.
+    fn tree(&mut self) -> Result<Json, String> {
+        Ok(match self.peek() {
+            None => return Err("unexpected end of input".to_string()),
+            Some(b'n') if self.eat("null") => Json::Null,
+            Some(b't') if self.eat("true") => Json::Bool(true),
+            Some(b'f') if self.eat("false") => Json::Bool(false),
+            Some(b'"') => Json::Str(self.string()?.into_owned()),
+            Some(b'[') => Json::Arr(self.array(Self::tree)?),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|c, key| {
+                    fields.push((key.to_string(), c.tree()?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+            Some(_) => Json::Num(self.number()?.to_string()),
+        })
+    }
+
+    /// The string whose opening quote is next. Plain characters run up
+    /// to the next quote or backslash, or to the end of input, which is
+    /// reported as unterminated; both bytes are ASCII, which never
+    /// occurs inside a multi-byte sequence, so a run starts and ends on
+    /// char boundaries. A string with no escape is borrowed whole; one
+    /// with an escape is copied run by run, so the scan is linear in the
+    /// string's length either way.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         #[cfg(test)]
         if self.reference {
-            return self.reference_string();
+            return self.reference_string().map(Cow::Owned);
         }
         self.at += 1; // opening quote
-        let mut out = String::new();
+        let start = self.at;
+        let run = self.run_end();
+        match self.src.get(run) {
+            Some(b'"') => {
+                self.at = run + 1;
+                return Ok(Cow::Borrowed(&self.text[start..run]));
+            }
+            Some(_) => {}
+            None => return Err("unterminated string".to_string()),
+        }
+        let mut out = String::from(&self.text[start..run]);
+        self.at = run;
         loop {
-            match self.peek() {
+            match self.src.get(self.at) {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => self.escape(&mut out)?,
                 Some(_) => {
-                    // Plain characters up to the next quote or backslash,
-                    // or to the end of input, which the next turn reports
-                    // as unterminated. Both bytes are ASCII, which never
-                    // occurs inside a multi-byte sequence, so the run
-                    // starts and ends on char boundaries.
-                    let run = self.src[self.at..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(self.src.len(), |n| self.at + n);
+                    let run = self.run_end();
                     out.push_str(&self.text[self.at..run]);
                     self.at = run;
                 }
@@ -358,10 +699,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Where the run of plain string characters from here ends: the
+    /// next `"` or `\`, or the end of input.
+    fn run_end(&self) -> usize {
+        self.src[self.at..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.src.len(), |n| self.at + n)
+    }
+
     /// One backslash escape, appended to `out`.
     fn escape(&mut self, out: &mut String) -> Result<(), String> {
         self.at += 1; // backslash
-        let Some(esc) = self.peek() else {
+        let Some(&esc) = self.src.get(self.at) else {
             return Err("unterminated escape".to_string());
         };
         self.at += 1;
@@ -406,78 +756,6 @@ impl<'a> Parser<'a> {
         self.at = end;
         Ok(v)
     }
-
-    /// Parse an array or object one level deeper, rejecting it past
-    /// [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
-        if self.depth == MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.at
-            ));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.at += 1; // '['
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.at += 1; // '{'
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(format!("expected object key at byte {}", self.at));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(format!("expected ':' at byte {}", self.at));
-            }
-            self.at += 1;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -486,7 +764,7 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestRng;
 
-    impl Parser<'_> {
+    impl Cursor<'_> {
         /// The char-at-a-time decoder the linear scan replaced, kept as
         /// the property's reference: it re-validates the rest of the
         /// input for every plain character, so it is quadratic.
@@ -494,7 +772,7 @@ mod tests {
             self.at += 1; // opening quote
             let mut out = String::new();
             loop {
-                let Some(b) = self.peek() else {
+                let Some(&b) = self.src.get(self.at) else {
                     return Err("unterminated string".to_string());
                 };
                 match b {
@@ -518,7 +796,11 @@ mod tests {
 
     /// [`Json::parse`] with the reference string decoder.
     fn reference_parse(src: &str) -> Result<Json, String> {
-        Parser { reference: true, ..Parser::new(src) }.document()
+        Cursor {
+            reference: true,
+            ..Cursor::new(src)
+        }
+        .document()
     }
 
     /// String contents: plain ASCII, multi-byte UTF-8, every escape the

@@ -51,7 +51,7 @@ use netsim::request::{Request, RequestBuilder, SourceId, UrlId};
 use netsim::{Firewall, FirewallConfig, RetryConfig};
 use powercap::budget::BudgetLevel;
 use powercap::monitor::PowerCondition;
-use powercap::pstate::PState;
+use powercap::pstate::PStateTable;
 use powercap::server_power::ServerPowerModel;
 use profiler::rls::EwRls;
 use profiler::{PowerProfiler, ProfilerConfig};
@@ -149,13 +149,14 @@ fn engine_build(exp: &ExperimentConfig, builder: &ScenarioBuilder) -> Duration {
 /// `n` nodes spanning 30–90 % utilization, alternating CPU- and
 /// memory-bound mixes, the top quarter suspect.
 fn dpm_nodes(n: usize) -> Vec<NodeState> {
+    let nominal = PStateTable::paper_default().max_state();
     (0..n)
         .map(|i| NodeState {
             utilization: 0.3 + 0.6 * (i as f64 / n as f64),
             intensity: 0.9,
             gamma: if i % 2 == 0 { 0.85 } else { 0.4 },
             beta: if i % 2 == 0 { 0.9 } else { 0.4 },
-            current: PState(12),
+            current: nominal,
             suspect: i >= n - n / 4 - 1,
         })
         .collect()
@@ -163,7 +164,7 @@ fn dpm_nodes(n: usize) -> Vec<NodeState> {
 
 /// Eight request classes of rising count and power character.
 fn request_classes() -> Vec<RequestClass> {
-    let table = powercap::PStateTable::paper_default();
+    let table = PStateTable::paper_default();
     (0..8)
         .map(|i| {
             let i = f64::from(i);

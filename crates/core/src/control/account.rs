@@ -15,7 +15,7 @@ use crate::node::ComputeNode;
 use dcmetrics::energy::EnergySource;
 use dcmetrics::{EnergyMeter, OnlineSummary, TimeSeries};
 use powercap::Breaker;
-use powercap::pstate::{PState, PStateTable};
+use powercap::pstate::PStateTable;
 use powercap::thermal::{ThermalNode, ThermalState};
 use simcore::SimTime;
 
@@ -138,7 +138,8 @@ impl AccountStage {
                 ThermalState::Prochot if was != ThermalState::Prochot => {
                     // Hardware clamp: 1.6 GHz region regardless of
                     // what any scheme commanded.
-                    let settle = nodes[i].command_pstate(now, PState(4));
+                    let clamp = PStateTable::paper_default().fastest_at_most(1.6);
+                    let settle = nodes[i].command_pstate(now, clamp);
                     settles.push((settle, i));
                 }
                 ThermalState::Nominal if was == ThermalState::Prochot => {

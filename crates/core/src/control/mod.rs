@@ -10,8 +10,8 @@
 //! ```text
 //! engine:  physics ─► Sense ─┐                        ┌─► Act ─► Account
 //!                            ▼                        │
-//! run_slot: forgets ─► Filter ─► Learn ─► rack blackout ─► read-back sweep
-//!           ─► Decide ─► rack guard ─► record intents
+//! run_slot: forgets ─► Filter ─► Learn ─► read-back sweep ─► Decide
+//!           ─► rack guard (holds, blackout pins) ─► record intents
 //!                            ▲                        │
 //! daemon:  transport ─► hold ┘                        └─► transport
 //! ```
@@ -334,7 +334,7 @@ pub struct ControlPipeline {
     pub tripped: Vec<usize>,
     /// The hierarchical power topology, when configured: per-level
     /// budgets/breakers, the top-down allocator, and the rack guard
-    /// (with its blackout watchdog when hardened).
+    /// (with blackout pins when hardened).
     pub topology: Option<crate::topology::TopologyState>,
 }
 
@@ -408,11 +408,10 @@ impl ControlPipeline {
     }
 
     /// One control slot, the same for the engine and the live daemon:
-    /// apply forgets → Filter → Learn → rack blackout watchdog →
-    /// read-back sweep → Decide → rack guard → record intents. The
-    /// final plan is left in `self.actions` for the caller to enact or
-    /// transmit. Returns the trusted view and whether Learn changed the
-    /// suspect classes.
+    /// apply forgets → Filter → Learn → read-back sweep → Decide →
+    /// rack guard → record intents. The final plan is left in
+    /// `self.actions` for the caller to enact or transmit. Returns the
+    /// trusted view and whether Learn changed the suspect classes.
     ///
     /// A configured topology must already have observed this slot's
     /// rack feeds (`TopologyState::observe_racks`): the engine does so
@@ -435,23 +434,20 @@ impl ControlPipeline {
             per_node_nameplate,
         );
         let classes_changed = self.learn.as_mut().is_some_and(|l| l.run(&*plant));
-        // Rack blackout watchdog: a whole rack going silent is a
-        // telemetry outage the per-reading staleness filter cannot see
-        // as such, and one dark rack barely moves cluster coverage.
-        if let (Some(topo), Some(readings)) = (self.topology.as_mut(), plant.readings()) {
-            topo.observe_blackout(plant.node_dead(), readings);
-        }
         self.act.sweep(now, plant);
         let supply_w = self.filter.monitor.budget().supply_w;
         self.decide.run(now, &view, supply_w, cfg, &*plant, &mut self.actions);
         // Rack guard: racks over their hierarchical allocation, and
         // blacked-out racks, get the scheme's plan overridden with a
         // safe pin — localized defense where the global watchdog would
-        // cap everything.
+        // cap everything. A whole rack going silent is a telemetry
+        // outage the per-reading staleness filter cannot see as such,
+        // and one dark rack barely moves cluster coverage.
         if let Some(topo) = self.topology.as_mut() {
             topo.apply_rack_guard(
                 &mut self.actions,
                 plant.node_dead(),
+                plant.readings(),
                 |g| plant.target(g),
                 view.watchdog_engaged,
             );

@@ -25,17 +25,22 @@
 //!   capped at each child's own rating, with the conservation invariant
 //!   that the children of any parent never receive more than the parent
 //!   was allocated.
-//! * [`TopologyAccounts`] — per-level breach/trip/peak accounting that
+//! * `TopologyAccounts` — per-level breach/trip/peak accounting that
 //!   finalizes into [`crate::results::TopologyReport`].
+//! * [`TopologyState`] — what the engines carry per run: the tree, the
+//!   allocator, the accounts, and the rack guard's per-rack state
+//!   machine (over-allocation holds that release to nominal, and
+//!   blackout pins under a fault plan).
 //!
 //! The degenerate single-rack topology (`racks = 1`, the default) is
 //! arithmetically identical to the flat cluster sum.
 
 use crate::config::{ConfigError, ControlPlaneConfig};
 use crate::scheme::Action;
-use powercap::pstate::PState;
+use powercap::pstate::{PState, PStateTable};
 use powercap::Breaker;
 use simcore::{SimDuration, SimTime};
+use std::cmp::Ordering;
 
 /// Validated description of the power-delivery tree.
 ///
@@ -66,9 +71,10 @@ pub struct TopologyConfig {
     /// Sustained-overload time before a level breaker opens.
     pub breaker_trip_delay: SimDuration,
     /// Run the hierarchical defense: when a rack's sensed power exceeds
-    /// its slot allocation, the control plane pins that rack's nodes to
-    /// the safe P-state (suspect nodes first). `false` keeps the
-    /// hierarchy observe-only — budgets and breakers are modeled but no
+    /// its slot allocation, the control plane holds every alive node of
+    /// the rack at the safe P-state for one breaker trip delay, then
+    /// releases them to nominal. `false` keeps the hierarchy
+    /// observe-only — budgets and breakers are modeled but no
     /// rack-local actuation happens, which is the "breach detection
     /// without defense" ablation arm.
     pub defend: bool,
@@ -179,7 +185,7 @@ pub struct PowerTopology {
 /// masks (load above the level's *static* budget — the telemetry
 /// signal) and any racks whose breaker freshly tripped this slot.
 #[derive(Debug, Clone, Default)]
-pub struct SlotVerdict {
+pub(crate) struct SlotVerdict {
     /// Racks over their budget this slot.
     pub rack_breach: Vec<bool>,
     /// PDUs over their budget this slot.
@@ -493,7 +499,7 @@ impl HierarchicalBudget {
 /// Per-level accounting accumulated each slot, finalized into
 /// [`crate::results::TopologyReport`] by the engines.
 #[derive(Debug, Clone, Default)]
-pub struct TopologyAccounts {
+pub(crate) struct TopologyAccounts {
     /// Peak sensed power per rack, watts.
     pub rack_peak_w: Vec<f64>,
     /// Slots each rack spent over its budget.
@@ -506,8 +512,12 @@ pub struct TopologyAccounts {
     pub facility_breach_slots: u64,
     /// When each rack's breaker opened, if it did (seconds).
     pub rack_trip_at_s: Vec<Option<f64>>,
-    /// Slots the rack guard pinned at least one rack.
+    /// Slots the rack guard held at least one rack for over-allocation.
     pub guard_slots: u64,
+    /// Slots at least one rack was blackout-pinned.
+    pub blackout_slots: u64,
+    /// Rising edges of "some rack is blackout-pinned".
+    pub blackout_episodes: u64,
     /// Total facility-level slots observed.
     pub slots: u64,
 }
@@ -561,108 +571,88 @@ impl TopologyAccounts {
     }
 }
 
-/// Per-rack state of the [`RackBlackout`] watchdog.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlackoutState {
-    engaged: bool,
-    blind_streak: u32,
-    ok_streak: u32,
+/// The rack guard's timing, in control slots.
+#[derive(Debug, Clone, Copy)]
+struct GuardTiming {
+    /// How long a breach holds its rack: one breaker trip delay, so a
+    /// throttled rack's hidden demand cannot re-trip the breaker the
+    /// moment sensing relaxes.
+    hold: u64,
+    /// Consecutive fully dark slots that engage a blackout pin.
+    engage: u32,
+    /// Consecutive healthy slots that end one.
+    recover: u32,
 }
 
-/// Rack blackout watchdog: detects a *whole-rack* telemetry blackout
-/// (every alive sensor of one rack dark while the rest of the cluster
-/// still reports) so the rack guard can pin just that rack at the safe
-/// P-state until it has reported cleanly for a few consecutive slots.
+/// One rack's guard. An over-allocation hold and a blackout pin are
+/// separate facts, so a rack can be held and blind at once; it is
+/// pinned while either lasts.
 ///
-/// The global coverage watchdog cannot see this failure shape: one dark
-/// rack out of eight only drops cluster coverage to 87.5%, far above
-/// any sane floor, yet the controller knows *nothing* about an eighth
-/// of its load. The rack is the physical domain such an outage takes
-/// down (its feed, its switch), so the fallback is scoped to it and the
-/// rest of the cluster keeps running the scheme's differentiated plan.
-#[derive(Debug, Clone)]
-struct RackBlackout {
-    engage_slots: u32,
-    recovery_slots: u32,
-    states: Vec<BlackoutState>,
-    degraded_slots: u64,
-    episodes: u64,
-    was_any: bool,
+/// The blackout pin covers a failure the global coverage watchdog
+/// cannot see: one dark rack of eight drops cluster coverage only to
+/// 87.5 %, yet the controller knows nothing about an eighth of its
+/// load. The rack is the domain such an outage takes down (its feed,
+/// its switch), so the fallback is scoped to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RackGuard {
+    /// The slot the hold ends on and releases the rack; the rack is
+    /// held while the slot is earlier (0: never held).
+    hold_end: u64,
+    /// Whether the blackout pin is engaged.
+    blind: bool,
+    /// Consecutive observed slots that argue against `blind`: fully
+    /// dark ones while it is off, healthy ones while it is on.
+    streak: u32,
 }
 
-impl RackBlackout {
-    /// Watchdog over `racks`, engaging a rack only after `engage_slots`
-    /// consecutive fully-blind slots and releasing it after
-    /// `recovery_slots` consecutive slots with at least one fresh
-    /// reading.
-    ///
-    /// The engagement threshold is deliberately not 1: a gap shorter
-    /// than the telemetry staleness window is already bridged by the
-    /// last-known-good estimator, and on small racks a single slot with
-    /// every sensor dropped is an ordinary random event, not a rack
-    /// blackout. Only an outage that outlasts the staleness window
-    /// leaves the controller truly blind — and only then is the
-    /// conservative cap worth its throughput cost.
-    fn new(racks: usize, engage_slots: u32, recovery_slots: u32) -> Self {
-        RackBlackout {
-            engage_slots: engage_slots.max(1),
-            recovery_slots: recovery_slots.max(1),
-            states: vec![BlackoutState::default(); racks],
-            degraded_slots: 0,
-            episodes: 0,
-            was_any: false,
-        }
-    }
+/// What the guard does to a rack's alive nodes this slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pin {
+    /// Leave them to the scheme.
+    Free,
+    /// Strip the scheme's commands and hold them at the safe P-state.
+    Safe,
+    /// The hold ended: nodes still at the safe P-state go to nominal.
+    Release,
+}
 
-    /// Feed one slot's fresh-reading count for `rack` (out of `alive`
-    /// *alive* nodes it feeds); returns whether the rack is capped this
-    /// slot. Engagement requires a *total* blackout — a rack with even
-    /// one live sensor is left to the staleness estimator and the
-    /// global watchdog. Callers must exclude dead nodes from both
-    /// counts: crashed nodes report a synthetic zero, and letting that
-    /// count as coverage would make engagement depend on where the
-    /// crash landed rather than on sensor health.
-    fn observe(&mut self, rack: usize, fresh: usize, alive: usize) -> bool {
-        let st = &mut self.states[rack];
-        if fresh == 0 && alive > 0 {
-            st.blind_streak += 1;
-            st.ok_streak = 0;
-            st.engaged |= st.blind_streak >= self.engage_slots;
-        } else {
-            st.blind_streak = 0;
-            if st.engaged {
-                st.ok_streak += 1;
-                if st.ok_streak >= self.recovery_slots {
-                    st.engaged = false;
-                    st.ok_streak = 0;
-                }
+impl RackGuard {
+    /// Advance one slot. `over`: the rack drew more than its slot
+    /// allocation; `dark`: whether it had alive nodes and not one fresh
+    /// reading among them (`None` without blackout pins). A breach
+    /// starts or extends the hold; the blackout pin flips once its
+    /// streak reaches `engage` (dark slots) or `recover` (healthy ones).
+    /// A tripped rack has no power to guard: it drops both.
+    fn step(
+        self,
+        slot: u64,
+        over: bool,
+        tripped: bool,
+        dark: Option<bool>,
+        t: GuardTiming,
+    ) -> Self {
+        let hold_end = if over { slot + t.hold } else { self.hold_end };
+        let flip_after = if self.blind { t.recover } else { t.engage };
+        match dark {
+            _ if tripped => RackGuard::default(),
+            None => RackGuard { hold_end, ..self },
+            Some(d) if d == self.blind || self.streak + 1 >= flip_after => {
+                RackGuard { hold_end, blind: d, streak: 0 }
             }
+            Some(_) => RackGuard { hold_end, streak: self.streak + 1, ..self },
         }
-        st.engaged
     }
 
-    /// Finish the slot after every rack has been `observe`d, updating
-    /// the cluster-level counters: slots with at least one capped rack
-    /// (not capped rack-slots), and rising edges of "any rack capped".
-    fn close_slot(&mut self) {
-        let any = self.any_engaged();
-        if any {
-            self.degraded_slots += 1;
-            if !self.was_any {
-                self.episodes += 1;
-            }
+    /// The rack's pin this slot. While the global watchdog caps every
+    /// node, blackout pins and releases are its business, not the
+    /// guard's; a blackout pin never releases to nominal.
+    fn pin(self, slot: u64, watchdog_engaged: bool) -> Pin {
+        match self.hold_end.cmp(&slot) {
+            Ordering::Greater => Pin::Safe,
+            _ if self.blind && !watchdog_engaged => Pin::Safe,
+            Ordering::Equal if !watchdog_engaged => Pin::Release,
+            _ => Pin::Free,
         }
-        self.was_any = any;
-    }
-
-    /// Whether `rack` is currently capped.
-    fn engaged(&self, rack: usize) -> bool {
-        self.states[rack].engaged
-    }
-
-    /// Whether any rack is currently capped.
-    fn any_engaged(&self) -> bool {
-        self.states.iter().any(|s| s.engaged)
     }
 }
 
@@ -672,42 +662,38 @@ impl RackBlackout {
 #[derive(Debug, Clone)]
 pub struct TopologyState {
     /// The static tree.
-    pub topo: PowerTopology,
+    pub(crate) topo: PowerTopology,
     /// The per-slot top-down allocator.
-    pub alloc: HierarchicalBudget,
+    pub(crate) alloc: HierarchicalBudget,
     /// Scratch verdict, refilled every observed slot.
-    pub verdict: SlotVerdict,
+    pub(crate) verdict: SlotVerdict,
     /// Accumulated per-level accounting.
-    pub accounts: TopologyAccounts,
+    pub(crate) accounts: TopologyAccounts,
     /// Per-rack sensed power scratch, refilled every slot.
-    pub rack_power_w: Vec<f64>,
-    /// Whether the rack guard actuates (from [`TopologyConfig::defend`]).
-    pub defend: bool,
+    pub(crate) rack_power_w: Vec<f64>,
+    /// Whether over-allocation holds actuate (from
+    /// [`TopologyConfig::defend`]).
+    defend: bool,
+    /// Whether blackout pins exist (the pipeline is hardened: a fault
+    /// plan is configured).
+    watch_blackouts: bool,
     /// The guard's pin target: the uniform safe P-state that keeps the
     /// whole cluster within the facility budget at worst-case load.
-    pub safe_pstate: PState,
-    /// Slot index each rack stays pinned through (the guard holds a pin
-    /// for one breaker trip-delay so a throttled rack's hidden demand
-    /// cannot re-trip the breaker the moment sensing relaxes).
-    pinned_until: Vec<u64>,
-    /// Pin hold time, slots.
-    guard_hold_slots: u64,
+    safe_pstate: PState,
+    /// Hold and blackout timing.
+    timing: GuardTiming,
+    /// Per-rack guard state.
+    guards: Vec<RackGuard>,
     /// Slots observed so far.
     slot: u64,
-    /// Per-rack blackout watchdog, present only when the pipeline is
-    /// hardened (a fault plan is configured).
-    blackout: Option<RackBlackout>,
-    /// Recycled per-rack "pin this slot" mask of the guard pass.
-    mask: Vec<bool>,
 }
 
 impl TopologyState {
     /// Build the carried state for a validated config. `control_slot`
     /// sizes the guard's hold time from the breaker trip delay.
     /// `hardening` is the control-plane config of a hardened pipeline:
-    /// it arms the rack blackout watchdog, which engages after the
-    /// telemetry staleness window and recovers with the watchdog's
-    /// hysteresis.
+    /// it arms blackout pins, which engage after the telemetry
+    /// staleness window and recover with the watchdog's hysteresis.
     pub(crate) fn new(
         servers: usize,
         facility_budget_w: f64,
@@ -716,11 +702,15 @@ impl TopologyState {
         hardening: Option<&ControlPlaneConfig>,
     ) -> Self {
         let topo = PowerTopology::build(servers, facility_budget_w, cfg);
-        let safe_pstate = crate::control::safe_pstate(facility_budget_w, servers);
-        let guard_hold_slots = (cfg.breaker_trip_delay.as_micros()
-            / control_slot.as_micros().max(1))
-        .max(1);
         let racks = topo.racks();
+        let hold = (cfg.breaker_trip_delay.as_micros() / control_slot.as_micros().max(1)).max(1);
+        // A blind streak shorter than the staleness window is bridged
+        // by the last-known-good estimator, and on small racks one slot
+        // with every sensor dropped is an ordinary random event: only an
+        // outage that outlasts the window leaves the controller blind.
+        let (engage, recover) = hardening.map_or((1, 1), |c| {
+            (c.telemetry_staleness_slots.min(u64::from(u32::MAX)) as u32, c.watchdog_recovery_slots)
+        });
         TopologyState {
             topo,
             alloc: HierarchicalBudget::new(),
@@ -728,18 +718,11 @@ impl TopologyState {
             accounts: TopologyAccounts::new(racks),
             rack_power_w: Vec::with_capacity(racks),
             defend: cfg.defend,
-            safe_pstate,
-            pinned_until: vec![0; racks],
-            guard_hold_slots,
+            watch_blackouts: hardening.is_some(),
+            safe_pstate: crate::control::safe_pstate(facility_budget_w, servers),
+            timing: GuardTiming { hold, engage: engage.max(1), recover: recover.max(1) },
+            guards: vec![RackGuard::default(); racks],
             slot: 0,
-            blackout: hardening.map(|c| {
-                RackBlackout::new(
-                    racks,
-                    c.telemetry_staleness_slots.min(u64::from(u32::MAX)) as u32,
-                    c.watchdog_recovery_slots,
-                )
-            }),
-            mask: vec![false; racks],
         }
     }
 
@@ -758,100 +741,93 @@ impl TopologyState {
         accounts.record_slot(now, rack_power_w, verdict);
     }
 
-    /// Feed the blackout watchdog one slot of per-node readings
-    /// (`None` = no fresh reading), counting fresh and alive sensors
-    /// over each rack's contiguous node range; dead nodes count in
-    /// neither. A no-op unless the pipeline is hardened.
-    pub(crate) fn observe_blackout(&mut self, node_dead: &[bool], readings: &[Option<f64>]) {
-        let Some(b) = self.blackout.as_mut() else {
-            return;
-        };
-        for (r, &(start, len)) in self.topo.rack_ranges.iter().enumerate() {
-            let (mut fresh, mut alive) = (0, 0);
-            let range = start..start + len;
-            for (&dead, reading) in node_dead[range.clone()].iter().zip(&readings[range]) {
-                if !dead {
-                    alive += 1;
-                    fresh += usize::from(reading.is_some());
-                }
-            }
-            b.observe(r, fresh, alive);
-        }
-        b.close_slot();
-    }
-
-    /// Apply the rack guard to this slot's action plan in one
-    /// strip-then-pin pass over two kinds of pinned rack:
+    /// Step every rack's guard one slot and apply it to this slot's
+    /// action plan:
     ///
-    /// * **over-allocation** (with [`TopologyConfig::defend`]): a rack
-    ///   whose sensed power exceeds its slot allocation is pinned for a
-    ///   hold; when a hold expires while another rack is still pinned,
-    ///   the rack's nodes at the safe P-state are handed back to the
-    ///   scheme at full speed;
-    /// * **blackout** (hardened pipelines, whatever `defend` says): a
-    ///   rack the blackout watchdog has engaged is pinned until it
-    ///   recovers, and never released to full speed on the way out.
-    ///   These pins are skipped while `watchdog_engaged` — the global
-    ///   watchdog already caps everything.
+    /// * **held** (with [`TopologyConfig::defend`]): a rack whose
+    ///   sensed power exceeds its slot allocation, and whose breaker
+    ///   has not tripped, is held for `timing.hold` slots; a re-breach
+    ///   extends the hold. The slot a hold ends, the rack's alive nodes
+    ///   still at the safe P-state are released to nominal
+    ///   ([`PStateTable::max_state`]) — the scheme re-caps them if it
+    ///   wants to.
+    /// * **blind** (hardened pipelines, whatever `defend` says): a rack
+    ///   with alive nodes and no fresh reading among them for
+    ///   `telemetry_staleness_slots` slots is pinned until it has
+    ///   reported for `watchdog_recovery_slots` slots, and is never
+    ///   released to nominal. Dead nodes count neither way: a crash
+    ///   reports a synthetic zero, not sensor health.
     ///
-    /// Pinned racks have the scheme's per-node commands stripped and
-    /// their alive nodes pinned to the safe P-state; every other rack's
-    /// plan is left untouched. `target_of(g)` is node `g`'s
-    /// currently-commanded P-state.
+    /// A pinned rack has the scheme's per-node commands stripped and
+    /// every alive node pinned to the safe P-state; the plan of every
+    /// other rack is left untouched. While `watchdog_engaged` the global
+    /// watchdog caps every node, so blackout pins are skipped and a
+    /// hold that ends releases nothing. `readings` are this slot's
+    /// per-node sensor readings (`None` = no fresh reading; absent
+    /// without a fault plan), `target_of(g)` is node `g`'s commanded
+    /// P-state.
     pub(crate) fn apply_rack_guard(
         &mut self,
         actions: &mut Vec<Action>,
         node_dead: &[bool],
+        readings: Option<&[Option<f64>]>,
         target_of: impl Fn(usize) -> PState,
         watchdog_engaged: bool,
     ) {
-        let defend = self.defend && self.rack_power_w.len() == self.topo.racks();
-        if defend {
-            let alloc = self.alloc.rack_alloc_w();
-            for (r, (&power, &a)) in self.rack_power_w.iter().zip(alloc).enumerate() {
-                if power > a && !self.topo.rack_tripped(r) {
-                    self.pinned_until[r] = self.slot + self.guard_hold_slots;
-                }
-            }
+        let TopologyState {
+            topo, alloc, accounts, rack_power_w, defend, watch_blackouts, safe_pstate, timing,
+            guards, slot, ..
+        } = self;
+        let (slot, safe, wd) = (*slot, *safe_pstate, watchdog_engaged);
+        let sensed = *defend && rack_power_w.len() == topo.racks();
+        let readings = readings.filter(|_| *watch_blackouts);
+        let (mut was_blind, mut blind, mut held, mut acts) = (false, false, false, false);
+        for (r, (guard, &(start, len))) in guards.iter_mut().zip(&topo.rack_ranges).enumerate() {
+            let over = sensed && rack_power_w[r] > alloc.rack_alloc_w()[r];
+            let dark = readings.map(|readings| {
+                let range = start..start + len;
+                let sensors = node_dead[range.clone()].iter().zip(&readings[range]);
+                let mut alive = sensors.filter(|(&dead, _)| !dead).peekable();
+                alive.peek().is_some() && alive.all(|(_, reading)| reading.is_none())
+            });
+            was_blind |= guard.blind;
+            *guard = guard.step(slot, over, topo.rack_tripped(r), dark, *timing);
+            blind |= guard.blind;
+            held |= guard.hold_end > slot;
+            acts |= guard.pin(slot, wd) != Pin::Free;
         }
-        let blind = self.blackout.as_ref().filter(|_| !watchdog_engaged);
-        let mut any_held = false;
-        for (r, m) in self.mask.iter_mut().enumerate() {
-            let held = defend && self.pinned_until[r] > self.slot;
-            any_held |= held;
-            *m = held || blind.is_some_and(|b| b.engaged(r));
+        if readings.is_some() && blind {
+            accounts.blackout_slots += 1;
+            accounts.blackout_episodes += u64::from(!was_blind);
         }
-        if !self.mask.contains(&true) {
+        accounts.guard_slots += u64::from(held);
+        if !acts {
             return;
         }
-        let TopologyState { topo, mask, pinned_until, slot, safe_pstate, .. } = self;
-        let owner = &topo.owner_rack;
         // Scheme actions targeting nodes of pinned racks would fight
         // the guard; released nodes go back to the scheme untouched.
+        let owner = &topo.owner_rack;
         actions.retain(|a| match a {
             Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => {
-                !mask[owner[*node]]
+                guards[owner[*node]].pin(slot, wd) != Pin::Safe
             }
             _ => true,
         });
-        let safe = *safe_pstate;
-        for g in 0..owner.len() {
-            if node_dead[g] {
+        let nominal = PStateTable::paper_default().max_state();
+        for (guard, &(start, len)) in guards.iter().zip(&topo.rack_ranges) {
+            let pin = guard.pin(slot, wd);
+            if pin == Pin::Free {
                 continue;
             }
-            let r = owner[g];
-            if mask[r] {
-                if target_of(g) != safe {
-                    actions.push(Action::SetPState { node: g, target: safe });
+            for g in (start..start + len).filter(|&g| !node_dead[g]) {
+                match (pin, target_of(g) == safe) {
+                    (Pin::Safe, false) => actions.push(Action::SetPState { node: g, target: safe }),
+                    (Pin::Release, true) => {
+                        actions.push(Action::SetPState { node: g, target: nominal });
+                    }
+                    _ => {}
                 }
-            } else if any_held && pinned_until[r] == *slot && target_of(g) == safe {
-                // Hold just expired: release to full speed; the scheme
-                // re-caps next slot if it wants to.
-                actions.push(Action::SetPState { node: g, target: PState(0) });
             }
-        }
-        if any_held {
-            self.accounts.guard_slots += 1;
         }
     }
 
@@ -872,8 +848,8 @@ impl TopologyState {
             facility_breach_slots: self.accounts.facility_breach_slots,
             rack_trip_at_s: self.accounts.rack_trip_at_s,
             guard_slots: self.accounts.guard_slots,
-            blackout_slots: self.blackout.as_ref().map_or(0, |b| b.degraded_slots),
-            blackout_episodes: self.blackout.as_ref().map_or(0, |b| b.episodes),
+            blackout_slots: self.accounts.blackout_slots,
+            blackout_episodes: self.accounts.blackout_episodes,
         }
     }
 }
@@ -881,6 +857,7 @@ impl TopologyState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(x: u64) -> SimTime {
         SimTime::from_secs(x)
@@ -1013,72 +990,132 @@ mod tests {
         assert_eq!(acc.slots, 40);
     }
 
+    /// The ladder's nominal top, where a hold releases its rack to.
+    fn nominal() -> PState {
+        PStateTable::paper_default().max_state()
+    }
+
+    /// A guard bench: `racks` racks of `per_rack` nodes at 80 W of
+    /// facility budget each, one-second control slots and a `hold`-slot
+    /// over-allocation hold (the breaker trip delay). `blackout` hardens
+    /// it with blackout pins engaging after `.0` dark slots and ending
+    /// after `.1` healthy ones. Targets start at nominal; the scheme's
+    /// plan for each slot comes from the caller.
+    struct Rig {
+        state: TopologyState,
+        per_rack: usize,
+        dead: Vec<bool>,
+        readings: Vec<Option<f64>>,
+        targets: Vec<PState>,
+        plan: Vec<Action>,
+    }
+
+    impl Rig {
+        fn new(racks: usize, per_rack: usize, hold: u64, blackout: Option<(u32, u32)>) -> Self {
+            let servers = racks * per_rack;
+            let topo = TopologyConfig {
+                breaker_trip_delay: SimDuration::from_secs(hold),
+                ..cfg(racks, 1, 1)
+            };
+            let control = blackout.map(|(engage, recover)| ControlPlaneConfig {
+                telemetry_staleness_slots: u64::from(engage),
+                watchdog_recovery_slots: recover,
+                ..ControlPlaneConfig::default()
+            });
+            let budget_w = 80.0 * servers as f64;
+            let slot = SimDuration::from_secs(1);
+            Rig {
+                state: TopologyState::new(servers, budget_w, &topo, slot, control.as_ref()),
+                per_rack,
+                dead: vec![false; servers],
+                readings: vec![Some(100.0); servers],
+                targets: vec![nominal(); servers],
+                plan: Vec::new(),
+            }
+        }
+
+        /// Four-node racks with blackout pins and nothing over budget.
+        fn blackouts(racks: usize, engage: u32, recover: u32) -> Self {
+            Rig::new(racks, 4, 1, Some((engage, recover)))
+        }
+
+        /// Run one slot with rack `r` drawing `load[r]` times its budget
+        /// under the scheme's `plan`; returns the plan the guard leaves,
+        /// already applied to `targets`.
+        fn slot(&mut self, load: &[f64], plan: &[Action]) -> &[Action] {
+            let s = &mut self.state;
+            let power: Vec<f64> =
+                load.iter().enumerate().map(|(r, l)| l * s.topo.rack_budget_w(r)).collect();
+            s.observe_racks(SimTime::from_secs(s.slot), &power);
+            self.plan.clear();
+            self.plan.extend_from_slice(plan);
+            let (targets, readings) = (&self.targets, Some(&self.readings[..]));
+            s.apply_rack_guard(&mut self.plan, &self.dead, readings, |g| targets[g], false);
+            for a in &self.plan {
+                if let Action::SetPState { node, target } = *a {
+                    self.targets[node] = target;
+                }
+            }
+            &self.plan
+        }
+
+        /// One idle slot in which rack `r` has `sensed[r].1` alive
+        /// nodes, `sensed[r].0` of them with a fresh reading; returns
+        /// which racks are blackout-pinned afterwards.
+        fn sensed(&mut self, sensed: &[(usize, usize)]) -> Vec<bool> {
+            for (r, &(fresh, alive)) in sensed.iter().enumerate() {
+                for i in 0..self.per_rack {
+                    let g = r * self.per_rack + i;
+                    self.dead[g] = i >= alive;
+                    self.readings[g] = (i < fresh).then_some(100.0);
+                }
+            }
+            self.slot(&vec![0.0; sensed.len()], &[]);
+            self.state.guards.iter().map(|g| g.blind).collect()
+        }
+
+        /// `(blackout_slots, blackout_episodes)` so far.
+        fn blackouts_seen(&self) -> (u64, u64) {
+            (self.state.accounts.blackout_slots, self.state.accounts.blackout_episodes)
+        }
+    }
+
     #[test]
     fn rack_blackout_requires_total_blackout() {
-        let mut w = RackBlackout::new(2, 1, 3);
+        let mut w = Rig::blackouts(2, 1, 3);
         // One live sensor out of four: not a rack blackout.
-        assert!(!w.observe(0, 1, 4));
-        assert!(!w.observe(1, 4, 4));
-        w.close_slot();
-        assert_eq!(w.degraded_slots, 0);
+        assert_eq!(w.sensed(&[(1, 4), (4, 4)]), [false, false]);
+        assert_eq!(w.blackouts_seen(), (0, 0));
         // Zero fresh readings: engage rack 0 only.
-        assert!(w.observe(0, 0, 4));
-        assert!(w.engaged(0));
-        assert!(!w.observe(1, 4, 4));
-        assert!(!w.engaged(1));
-        w.close_slot();
-        assert!(w.any_engaged());
-        assert_eq!(w.degraded_slots, 1);
-        assert_eq!(w.episodes, 1);
+        assert_eq!(w.sensed(&[(0, 4), (4, 4)]), [true, false]);
+        assert_eq!(w.blackouts_seen(), (1, 1));
     }
 
     #[test]
     fn rack_blackout_recovers_with_hysteresis() {
-        let mut w = RackBlackout::new(1, 1, 3);
-        let slot = |w: &mut RackBlackout, fresh: usize| {
-            let capped = w.observe(0, fresh, 4);
-            w.close_slot();
-            capped
+        let mut w = Rig::blackouts(1, 1, 3);
+        let mut run = |fresh: &[usize]| -> Vec<bool> {
+            fresh.iter().map(|&f| w.sensed(&[(f, 4)])[0]).collect()
         };
-        assert!(slot(&mut w, 0));
         // Two healthy slots are probation, the third releases.
-        assert!(slot(&mut w, 4));
-        assert!(slot(&mut w, 4));
-        assert!(!slot(&mut w, 4));
-        assert!(!w.any_engaged());
-        assert_eq!(w.degraded_slots, 3);
+        assert_eq!(run(&[0, 4, 4, 4]), [true, true, true, false]);
         // A relapse during probation restarts the streak.
-        assert!(slot(&mut w, 0));
-        assert!(slot(&mut w, 4));
-        assert!(slot(&mut w, 0));
-        assert!(slot(&mut w, 4));
-        assert!(slot(&mut w, 4));
-        assert!(!slot(&mut w, 4));
-        assert_eq!(w.episodes, 2);
+        assert_eq!(run(&[0, 4, 0, 4, 4, 4]), [true, true, true, true, true, false]);
+        assert_eq!(w.blackouts_seen(), (8, 2));
     }
 
     #[test]
     fn rack_blackout_ignores_gaps_shorter_than_the_engage_threshold() {
-        let mut w = RackBlackout::new(1, 3, 2);
-        // Two blind slots: below the threshold, never engages.
-        for _ in 0..2 {
-            assert!(!w.observe(0, 0, 2));
-            w.close_slot();
-        }
-        // One fresh slot resets the blind streak entirely.
-        assert!(!w.observe(0, 1, 2));
-        w.close_slot();
-        assert!(!w.observe(0, 0, 2));
-        assert!(!w.observe(0, 0, 2));
-        // The third *consecutive* blind slot engages.
-        assert!(w.observe(0, 0, 2));
-        w.close_slot();
-        assert!(w.any_engaged());
-        assert_eq!(w.degraded_slots, 1);
-        assert_eq!(w.episodes, 1);
+        let mut w = Rig::blackouts(1, 3, 2);
+        // Two blind slots: below the threshold, never engages. One fresh
+        // slot resets the blind streak entirely, and the third
+        // *consecutive* blind slot engages.
+        let blind: Vec<bool> = [0, 0, 1, 0, 0, 0].iter().map(|&f| w.sensed(&[(f, 2)])[0]).collect();
+        assert_eq!(blind, [false, false, false, false, false, true]);
+        assert_eq!(w.blackouts_seen(), (1, 1));
     }
 
-    /// Engagement boundary: the engines set `engage_slots` to the
+    /// Engagement boundary: the engines set the engage threshold to the
     /// telemetry staleness window, so a blackout that ends *exactly* at
     /// the window must engage on its final blind slot — and a blackout
     /// one slot shorter must never engage (the last-good estimator is
@@ -1086,45 +1123,181 @@ mod tests {
     #[test]
     fn rack_blackout_ending_exactly_at_the_staleness_window_engages() {
         // Window = 3 slots, one slot shorter: never engages.
-        let mut short = RackBlackout::new(1, 3, 2);
-        for _ in 0..2 {
-            assert!(!short.observe(0, 0, 4));
-            short.close_slot();
-        }
-        assert!(!short.observe(0, 4, 4), "telemetry back before the window");
-        short.close_slot();
-        assert_eq!((short.degraded_slots, short.episodes), (0, 0));
+        let mut short = Rig::blackouts(1, 3, 2);
+        let blind: Vec<bool> = [0, 0, 4].iter().map(|&f| short.sensed(&[(f, 4)])[0]).collect();
+        assert_eq!(blind, [false, false, false], "telemetry back before the window");
+        assert_eq!(short.blackouts_seen(), (0, 0));
 
         // Exactly the window: the third consecutive blind slot engages.
-        let mut exact = RackBlackout::new(1, 3, 2);
-        assert!(!exact.observe(0, 0, 4));
-        exact.close_slot();
-        assert!(!exact.observe(0, 0, 4));
-        exact.close_slot();
-        assert!(exact.observe(0, 0, 4), "blind slot {} = window engages", 3);
-        exact.close_slot();
-        assert_eq!((exact.degraded_slots, exact.episodes), (1, 1));
+        let mut exact = Rig::blackouts(1, 3, 2);
+        let blind: Vec<bool> = [0, 0, 0].iter().map(|&f| exact.sensed(&[(f, 4)])[0]).collect();
+        assert_eq!(blind, [false, false, true], "blind slot 3 = window engages");
+        assert_eq!(exact.blackouts_seen(), (1, 1));
     }
 
-    /// Recovery boundary: with `recovery_slots = r`, the rack stays
-    /// capped through healthy slots `1..r-1` and releases *on* the
-    /// r-th — not one early, not one late.
+    /// Recovery boundary: with a recovery threshold of `r`, the rack
+    /// stays capped through healthy slots `1..r-1` and releases *on* the
+    /// r-th — not one early, not one late — and never to nominal.
     #[test]
     fn rack_blackout_recovery_releases_exactly_at_the_threshold_slot() {
         let r = 3;
-        let mut w = RackBlackout::new(1, 1, r);
-        assert!(w.observe(0, 0, 2), "single blind slot engages at threshold 1");
-        w.close_slot();
-        for t in 1..u64::from(r) {
-            assert!(w.observe(0, 2, 2), "healthy slot {t} is still probation");
-            w.close_slot();
+        let mut w = Rig::blackouts(1, 1, r);
+        assert!(w.sensed(&[(0, 2)])[0], "single blind slot engages at threshold 1");
+        let safe = w.state.safe_pstate;
+        assert!(w.targets[..2].iter().all(|&p| p == safe), "alive nodes pinned");
+        for t in 1..r {
+            assert!(w.sensed(&[(2, 2)])[0], "healthy slot {t} is still probation");
         }
-        assert!(!w.observe(0, 2, 2), "healthy slot {r} must release, not extend probation");
-        w.close_slot();
-        assert!(!w.any_engaged());
+        assert!(!w.sensed(&[(2, 2)])[0], "healthy slot {r} must release, not extend probation");
+        assert!(w.plan.is_empty(), "a blackout pin ends without a release: {:?}", w.plan);
         // Engaged on the blind slot plus r-1 probation slots.
-        assert_eq!(w.degraded_slots, u64::from(r));
-        assert_eq!(w.episodes, 1);
+        assert_eq!(w.blackouts_seen(), (u64::from(r), 1));
+    }
+
+    /// The only held rack's hold ends while no other rack is held: its
+    /// nodes are still released.
+    #[test]
+    fn hold_of_the_only_held_rack_expires_and_releases() {
+        let mut w = Rig::new(2, 4, 3, None);
+        let safe = w.state.safe_pstate;
+        assert_eq!(w.slot(&[1.2, 0.1], &[]).len(), 4, "rack 0 breaches and is pinned");
+        assert!(w.targets[..4].iter().all(|&p| p == safe));
+        for _ in 0..2 {
+            assert!(w.slot(&[0.1, 0.1], &[]).is_empty(), "held: already at the safe state");
+        }
+        let release = w.slot(&[0.1, 0.1], &[]).to_vec();
+        assert_eq!(release.len(), 4, "the hold ended on slot 1 + 3: {release:?}");
+        assert!(w.targets.iter().all(|&p| p == nominal()), "{:?}", w.targets);
+        assert_eq!(w.state.accounts.guard_slots, 3);
+    }
+
+    /// The ladder ascends, so a release commands its top, not index 0
+    /// (1.2 GHz, below the safe pin it replaces).
+    #[test]
+    fn release_commands_max_state_not_min_state() {
+        let mut w = Rig::new(2, 4, 3, None);
+        w.slot(&[1.2, 0.1], &[]);
+        w.slot(&[0.1, 1.2], &[]);
+        w.slot(&[0.1, 0.1], &[]);
+        // Rack 0's hold ends while rack 1's still runs.
+        let release = w.slot(&[0.1, 0.1], &[]).to_vec();
+        let expect: Vec<Action> =
+            (0..4).map(|node| Action::SetPState { node, target: nominal() }).collect();
+        assert_eq!(release, expect);
+        assert_ne!(nominal(), PStateTable::paper_default().min_state());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48 })]
+
+        /// The guard over random rack power traces (loads of 0.3–0.9 or
+        /// 1.2–1.8 × the rack budget), holds of 1–5 slots, re-breaches
+        /// while held, full and half rack blackouts overlapping holds,
+        /// dead nodes, and a scheme commanding nodes of every rack:
+        ///
+        /// * a node held for over-allocation is released at the latest
+        ///   `hold` slots after its rack's last breach, the
+        ///   `guard_hold_slots + 1`-th slot counting the breach, unless
+        ///   a blackout pin then holds it;
+        /// * a release only ends a hold on its last slot, never while
+        ///   blackout-pinned: blackout pins never release to nominal;
+        /// * a tripped rack is never pinned;
+        /// * no rack above its allocation, and no blind rack, goes a
+        ///   slot with an alive node off the safe P-state.
+        #[test]
+        fn prop_rack_guard_lets_go_and_keeps_safety(
+            shape in (2usize..5, 1usize..4, 1u64..6),
+            thresholds in (1u32..4, 1u32..4),
+            slots in proptest::collection::vec(
+                proptest::collection::vec((0u8..10, 0u8..10, 0u8..10), 4),
+                40,
+            ),
+            deaths in proptest::collection::vec(1u64..120, 12),
+        ) {
+            let ((racks, per_rack, hold), (engage, recover)) = (shape, thresholds);
+            let mut w = Rig::new(racks, per_rack, hold, Some((engage, recover)));
+            let safe = w.state.safe_pstate;
+            // The scheme's command: neither the safe state nor nominal,
+            // so every command to either comes from the guard.
+            let scheme = PState(if safe.0 == 1 { 2 } else { 1 });
+            // The reference: each rack's last breach, its dark and lit
+            // runs and blackout pin, and the breach each node still
+            // owes a release for.
+            let mut last_breach: Vec<Option<u64>> = vec![None; racks];
+            let (mut dark_run, mut lit_run) = (vec![0u32; racks], vec![0u32; racks]);
+            let mut blind = vec![false; racks];
+            let mut owed: Vec<Option<u64>> = vec![None; racks * per_rack];
+            for (t, draws) in (1u64..).zip(&slots) {
+                let (mut load, mut plan) = (Vec::new(), Vec::new());
+                for (r, &(power, sight, command)) in draws.iter().take(racks).enumerate() {
+                    let power = f64::from(power);
+                    load.push(if power < 3.0 { 1.2 + 0.2 * power } else { 0.1 * power });
+                    for i in 0..per_rack {
+                        let g = r * per_rack + i;
+                        w.dead[g] = deaths[g] <= t;
+                        let silent = sight < 2 || (sight < 4 && i % 2 == 0);
+                        w.readings[g] = (w.dead[g] || !silent).then_some(100.0);
+                    }
+                    if command < 3 {
+                        let node = r * per_rack + usize::from(command) % per_rack;
+                        plan.push(Action::SetPState { node, target: scheme });
+                    }
+                }
+                let plan = w.slot(&load, &plan).to_vec();
+                let alloc = w.state.alloc.rack_alloc_w().to_vec();
+                for r in 0..racks {
+                    let nodes = r * per_rack..(r + 1) * per_rack;
+                    let tripped = w.state.topo.rack_tripped(r);
+                    let over = !tripped && w.state.rack_power_w[r] > alloc[r];
+                    let mut alive = nodes.clone().filter(|&g| !w.dead[g]).peekable();
+                    let dark = alive.peek().is_some() && alive.all(|g| w.readings[g].is_none());
+                    dark_run[r] = if dark { dark_run[r] + 1 } else { 0 };
+                    lit_run[r] = if dark { 0 } else { lit_run[r] + 1 };
+                    blind[r] = !tripped
+                        && if blind[r] { lit_run[r] < recover } else { dark_run[r] >= engage };
+                    if tripped {
+                        last_breach[r] = None;
+                    } else if over {
+                        last_breach[r] = Some(t);
+                    }
+                    for g in nodes {
+                        let guard = plan.iter().rev().find_map(|a| match *a {
+                            Action::SetPState { node, target } if node == g && target != scheme => {
+                                Some(target)
+                            }
+                            _ => None,
+                        });
+                        if tripped {
+                            prop_assert!(guard.is_none(), "slot {}: tripped rack {} pinned", t, r);
+                        }
+                        if tripped || w.dead[g] {
+                            owed[g] = None;
+                            continue;
+                        }
+                        if over || blind[r] {
+                            prop_assert_eq!(w.targets[g], safe);
+                        }
+                        if guard == Some(nominal()) {
+                            let ends_hold = last_breach[r].is_some_and(|b| b + hold == t);
+                            prop_assert!(
+                                ends_hold && !blind[r],
+                                "slot {}: node {} released off a hold's end",
+                                t,
+                                g
+                            );
+                            owed[g] = None;
+                        }
+                        if over {
+                            owed[g] = Some(t);
+                        }
+                        if let Some(b) = owed[g].filter(|&b| t >= b + hold) {
+                            prop_assert!(blind[r], "slot {}: node {} pinned since {}", t, g, b);
+                            owed[g] = None;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

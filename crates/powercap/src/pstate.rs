@@ -93,6 +93,13 @@ impl PStateTable {
         PState(0)
     }
 
+    /// The fastest state clocked at most `ghz` (within 1 Hz of
+    /// rounding), or the slowest state if none is.
+    pub fn fastest_at_most(&self, ghz: f64) -> PState {
+        let at_most = self.freqs_ghz.iter().take_while(|&&f| f <= ghz + 1e-9).count();
+        PState(at_most.saturating_sub(1) as u8)
+    }
+
     /// Clamp an arbitrary index into the valid range.
     pub(crate) fn clamp(&self, p: PState) -> PState {
         PState(p.0.min((STATES - 1) as u8))
@@ -157,6 +164,20 @@ mod tests {
         let t = PStateTable::paper_default();
         assert!((t.rel_freq(PState(0)) - 0.5).abs() < 1e-12);
         assert!((t.rel_freq(t.max_state()) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fastest_at_most_looks_states_up_by_frequency() {
+        let t = PStateTable::paper_default();
+        assert_eq!(t.fastest_at_most(1.6), PState(4));
+        assert_eq!(t.fastest_at_most(1.65), PState(4));
+        assert_eq!(t.fastest_at_most(2.4), t.max_state());
+        assert_eq!(t.fastest_at_most(9.0), t.max_state());
+        assert_eq!(t.fastest_at_most(1.2), t.min_state());
+        assert_eq!(t.fastest_at_most(0.5), t.min_state());
+        for p in t.states() {
+            assert_eq!(t.fastest_at_most(t.freq_ghz(p)), p);
+        }
     }
 
     #[test]

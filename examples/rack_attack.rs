@@ -16,7 +16,8 @@
 //! * **undefended** — hierarchy observes but does not act: the target
 //!   rack's breaker trips and takes all of its nodes down latched.
 //! * **defended** — the per-rack guard pins the breaching rack to the
-//!   safe P-state until the hold expires: no trip, goodput restored.
+//!   safe P-state until the hold expires, then releases it to nominal:
+//!   no trip, goodput restored.
 
 use antidope_repro::prelude::*;
 

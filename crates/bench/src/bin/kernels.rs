@@ -40,10 +40,11 @@
 use antidope::dpm::{self, NodeState};
 use antidope::jsonl::Json;
 use antidope::request_control::{class_from_profile, solve, RequestClass};
+use antidope::scheme::Action;
 use antidope::{
-    record_experiment, ActionRecord, BatteryObs, ClusterConfig, ClusterView, ControlTrace,
-    DecisionRecord, ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim,
-    SlotRecord, TopologyConfig, TraceRecorder,
+    record_experiment, BatteryObs, ClusterConfig, ClusterView, ControlTrace, DecisionRecord,
+    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim, SlotRecord,
+    TopologyConfig, TraceRecorder,
 };
 use dope_bench::grid::{run_cell, AttackRow, DefenseStack, GridConfig};
 use netsim::queueing::PsServer;
@@ -51,7 +52,7 @@ use netsim::request::{Request, RequestBuilder, SourceId, UrlId};
 use netsim::{Firewall, FirewallConfig, RetryConfig};
 use powercap::budget::BudgetLevel;
 use powercap::monitor::PowerCondition;
-use powercap::pstate::PStateTable;
+use powercap::pstate::{PState, PStateTable};
 use powercap::server_power::ServerPowerModel;
 use profiler::rls::EwRls;
 use profiler::{PowerProfiler, ProfilerConfig};
@@ -252,7 +253,6 @@ fn slot_line(bytes: usize) -> String {
                     gamma: x(i, 0.9),
                     beta: x(i, 1.3),
                     target: (i % 13) as u8,
-                    inflight: (i % 29) as u32,
                     learn_power_w: Some(55.0 + 50.0 * x(i, 0.5)),
                     mix: vec![(1, 3), ((i % 40) as u16, (i % 7) as u32)],
                 })
@@ -278,7 +278,7 @@ fn slot_line(bytes: usize) -> String {
             decisions: DecisionRecord {
                 retries: vec![(0, 12)],
                 actions: (0..n / 8)
-                    .map(|i| ActionRecord::SetPState { node: 8 * i, target: (i % 13) as u8 })
+                    .map(|i| Action::SetPState { node: 8 * i, target: PState((i % 13) as u8) })
                     .collect(),
             },
         });

@@ -2,14 +2,13 @@
 //! transition, Fig. 12).
 //!
 //! Routes the decision stage's [`Action`] plan to hardware: DVFS
-//! P-state commands, RAPL-style power limits, and battery
-//! discharge/charge transitions. Under fault injection every command
-//! passes through the fault layer (which may lose, delay, or wedge it),
-//! and commanded P-states are recorded for read-back verification: a
-//! command that never took is re-issued with bounded doubling backoff
-//! and abandoned after the configured retry budget. Verification runs
-//! inside the shared slot function, on any [`Plant`]; enacting is the
-//! engine's own.
+//! P-state commands and battery discharge/charge transitions. Under
+//! fault injection every command passes through the fault layer (which
+//! may lose, delay, or wedge it), and commanded P-states are recorded
+//! for read-back verification: a command that never took is re-issued
+//! with bounded doubling backoff and abandoned after the configured
+//! retry budget. Verification runs inside the shared slot function, on
+//! any [`Plant`]; enacting is the engine's own.
 //!
 //! Every command that lands pushes its `(settle time, node)` into a
 //! caller-owned buffer; the engine drains it into its event queues.
@@ -26,7 +25,7 @@ use simcore::SimTime;
 /// Everything actuation touches, borrowed from the simulator for the
 /// duration of one enact pass.
 pub(crate) struct ActCtx<'a> {
-    /// The compute nodes (DVFS / RAPL targets).
+    /// The compute nodes (DVFS targets).
     pub nodes: &'a mut [ComputeNode],
     /// Dead-node mask: crashed nodes are not actuated.
     pub node_dead: &'a [bool],
@@ -74,20 +73,15 @@ impl ActStage {
 
     /// Record the plan's per-node commands as the intents next slot's
     /// read-back checks, skipping dead nodes (they are not actuated).
-    pub(crate) fn record_intents(&mut self, now: SimTime, actions: &[Action], plant: &impl Plant) {
+    pub(crate) fn record_intents(&mut self, now: SimTime, actions: &[Action], node_dead: &[bool]) {
         let Some(verify) = self.verify.as_mut() else {
             return;
         };
         for a in actions {
-            let (node, intent) = match *a {
-                Action::SetPState { node, target } => (node, Some(target)),
-                Action::SetPowerLimit { node, limit_w } => {
-                    (node, plant.limit_intent(node, limit_w))
+            if let Action::SetPState { node, target } = *a {
+                if !node_dead[node] {
+                    verify.record(node, target, now);
                 }
-                _ => continue,
-            };
-            if let (false, Some(intent)) = (plant.node_dead()[node], intent) {
-                verify.record(node, intent, now);
             }
         }
     }
@@ -116,12 +110,6 @@ pub(crate) fn enact(
                     continue; // don't actuate a crashed node
                 }
                 issue_pstate(now, node, target, ctx.nodes, ctx.fault.as_deref_mut(), settles);
-            }
-            Action::SetPowerLimit { node, limit_w } => {
-                if ctx.fault.is_some() && ctx.node_dead[node] {
-                    continue;
-                }
-                issue_power_limit(now, node, limit_w, ctx.nodes, ctx.fault.as_deref_mut(), settles);
             }
             Action::BatteryDischarge { watts } => {
                 let grant = ctx.battery.start_discharge(now, watts);
@@ -171,28 +159,6 @@ pub(crate) fn issue_pstate(
     }
 }
 
-/// Power-limit analog of [`issue_pstate`].
-pub(crate) fn issue_power_limit(
-    now: SimTime,
-    node: usize,
-    limit_w: Option<f64>,
-    nodes: &mut [ComputeNode],
-    fault: Option<&mut FaultLayer>,
-    settles: &mut Vec<(SimTime, usize)>,
-) {
-    match fault.map(|f| f.actuate(now, node)) {
-        None | Some(ActuationFault::Clean) => {
-            let (_, settle) = nodes[node].command_power_limit(now, limit_w);
-            settles.push((settle, node));
-        }
-        Some(ActuationFault::Delayed(extra)) => {
-            let (_, settle) = nodes[node].command_power_limit_after(now, limit_w, extra);
-            settles.push((settle, node));
-        }
-        Some(ActuationFault::Lost | ActuationFault::Stuck) => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,16 +198,7 @@ mod tests {
         settles: &mut Vec<(SimTime, usize)>,
     ) {
         let node_dead = [false];
-        let plant = NodePlant {
-            nodes: &mut *nodes,
-            node_dead: &node_dead,
-            true_power_w: 0.0,
-            readings: None,
-            battery: BATTERY,
-            fault: None,
-            settles: &mut Vec::new(),
-        };
-        stage.record_intents(SimTime::ZERO, &plan, &plant);
+        stage.record_intents(SimTime::ZERO, &plan, &node_dead);
         let mut battery = Battery::sized_for(SimTime::ZERO, 400.0, SimDuration::from_secs(60));
         let ctx = ActCtx {
             nodes,

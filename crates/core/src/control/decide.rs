@@ -63,7 +63,6 @@ impl DecideStage {
             battery_max_discharge_w: cfg.aggregate_nameplate_w(),
             battery_max_charge_w: cfg.aggregate_nameplate_w() * 0.25,
             battery_discharging_w: battery.discharge_w,
-            telemetry_coverage: view.coverage,
         };
         if view.watchdog_engaged {
             // Degraded mode: apply the uniform worst-case-safe cap and

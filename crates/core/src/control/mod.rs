@@ -4,8 +4,8 @@
 //! checker → battery transition → DPM throttling (Fig. 12 /
 //! Algorithm 1). This module makes that decomposition structural: each
 //! box is a stage struct with typed dataflow between them, and one
-//! function, [`ControlPipeline::run_slot`], drives the decision half of
-//! them once per control slot for every backend:
+//! crate-private slot function, `ControlPipeline::run_slot`, drives the
+//! decision half of them once per control slot for every backend:
 //!
 //! ```text
 //! engine:  physics ─► Sense ─┐                        ┌─► Act ─► Account
@@ -16,36 +16,37 @@
 //! daemon:  transport ─► hold ┘                        └─► transport
 //! ```
 //!
-//! `run_slot` reads the plant through the [`Plant`] trait: the engine's
-//! `NodePlant` or a sample's [`plane::SamplePlant`].
+//! `run_slot` reads the plant through a crate-private `Plant` trait:
+//! the engine's nodes, or one [`plane::PlaneSample`], which the live
+//! daemon hands to [`ControlPipeline::run_sample`].
 //!
-//! * [`sense::SenseStage`] — read per-node power, through the fault
-//!   layer when one is configured (the paper's power monitor inputs).
-//! * [`filter::FilterStage`] — staleness-aware telemetry estimation +
-//!   coverage watchdog + the [`PowerMonitor`] itself (the paper's power
-//!   monitor + health checker).
-//! * [`learn::LearnStage`] — the online power-attribution profiler; the
-//!   engine hot-swaps its suspect classes into the NLB (the
-//!   offline-profiling half of PDF, made online).
-//! * [`decide::DecideStage`] — the [`PowerScheme`] control call (RPM
-//!   Algorithm 1 / the baselines of Table 2).
-//! * [`act::ActStage`] — read-back verification, and on the engine
-//!   DVFS / RAPL / battery actuation (the paper's DPM throttling +
-//!   battery transition).
-//! * [`account::AccountStage`] — exact energy metering, thermal RC
-//!   integration, and the breaker model (the oversubscription physics of
-//!   Figs. 1 and 19).
+//! * `SenseStage` — read per-node power, through the fault layer when
+//!   one is configured (the paper's power monitor inputs).
+//! * `FilterStage` — staleness-aware telemetry estimation + coverage
+//!   watchdog + the [`PowerMonitor`] itself (the paper's power monitor +
+//!   health checker).
+//! * `LearnStage` — the online power-attribution profiler; the engine
+//!   hot-swaps its suspect classes into the NLB (the offline-profiling
+//!   half of PDF, made online).
+//! * `DecideStage` — the [`PowerScheme`] control call (RPM Algorithm 1
+//!   / the baselines of Table 2).
+//! * `ActStage` — read-back verification, and on the engine DVFS /
+//!   battery actuation (the paper's DPM throttling + battery
+//!   transition).
+//! * `AccountStage` — exact energy metering, thermal RC integration,
+//!   and the breaker model (the oversubscription physics of Figs. 1 and
+//!   19).
 //!
 //! Adding a scheme, a telemetry filter, or an actuation path is now a
 //! single-stage change instead of an edit to one interleaved function.
 
-pub mod account;
-pub mod act;
-pub mod decide;
-pub mod filter;
-pub mod learn;
+pub(crate) mod account;
+pub(crate) mod act;
+pub(crate) mod decide;
+pub(crate) mod filter;
+pub(crate) mod learn;
 pub mod plane;
-pub mod sense;
+pub(crate) mod sense;
 
 use crate::config::ClusterConfig;
 use crate::health::{ActuatorVerify, TelemetryHealth, Watchdog};
@@ -97,9 +98,9 @@ pub(crate) fn safe_pstate(budget_w: f64, servers: usize) -> PState {
         .unwrap_or(model.table.min_state())
 }
 
-/// What [`filter::FilterStage`] produces: the trusted view of the
-/// cluster that [`decide::DecideStage`] is allowed to act on. Control
-/// traces record it as is (the parity harness byte-compares these).
+/// What the filter stage produces: the trusted view of the cluster that
+/// the decision stage is allowed to act on. Control traces record it as
+/// is (the parity harness byte-compares these).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterView {
     /// The monitor's verdict on the filtered power estimate.
@@ -203,7 +204,7 @@ pub(crate) type UrlMix = Vec<(UrlId, u32)>;
 
 /// What one control slot reads of the plant it controls, plus the one
 /// command it issues before deciding: the read-back retry.
-pub trait Plant {
+pub(crate) trait Plant {
     /// Forget events that became visible since the previous slot. The
     /// engine applies its own as they happen and reports none.
     fn forgets(&self) -> &[plane::Forget] {
@@ -232,12 +233,6 @@ pub trait Plant {
     fn target(&self, i: usize) -> PState;
     /// The battery as observed this slot.
     fn battery(&self) -> plane::BatteryObs;
-    /// The P-state a watt limit resolves to on `node`, when the plant
-    /// holds the hardware model that resolves it (a live deployment's
-    /// sensor side does, not the control plane).
-    fn limit_intent(&self, _node: usize, _limit_w: Option<f64>) -> Option<PState> {
-        None
-    }
 }
 
 /// The engine's [`Plant`]: reads the simulator's nodes in place, with
@@ -295,7 +290,6 @@ impl Plant for NodePlant<'_> {
             beta: n.mean_beta(),
             target: n.target_pstate(),
             suspect,
-            inflight: n.inflight(),
         }
     }
 
@@ -306,36 +300,32 @@ impl Plant for NodePlant<'_> {
     fn battery(&self) -> plane::BatteryObs {
         self.battery
     }
-
-    fn limit_intent(&self, node: usize, limit_w: Option<f64>) -> Option<PState> {
-        Some(self.nodes[node].resolve_power_limit(limit_w))
-    }
 }
 
-/// The assembled control plane: one struct per stage, driven by
-/// [`Self::run_slot`] at every slot boundary of the cluster engine and
-/// at every tick of the live daemon.
+/// The assembled control plane: one struct per stage, driven by one
+/// slot function at every slot boundary of the cluster engine and, via
+/// [`Self::run_sample`], at every tick of the live daemon.
 pub struct ControlPipeline {
     /// Telemetry acquisition.
-    pub sense: sense::SenseStage,
+    pub(crate) sense: sense::SenseStage,
     /// Telemetry trust: estimation, watchdog, monitor.
-    pub filter: filter::FilterStage,
+    pub(crate) filter: filter::FilterStage,
     /// Online power attribution, when configured.
-    pub learn: Option<learn::LearnStage>,
+    pub(crate) learn: Option<learn::LearnStage>,
     /// The power scheme.
-    pub decide: decide::DecideStage,
+    pub(crate) decide: decide::DecideStage,
     /// Actuation with read-back verification.
-    pub act: act::ActStage,
+    pub(crate) act: act::ActStage,
     /// Energy / thermal / breaker integration.
-    pub account: account::AccountStage,
+    pub(crate) account: account::AccountStage,
     /// Recycled per-slot action plan: filled by Decide, drained by Act.
-    pub actions: Vec<Action>,
+    pub(crate) actions: Vec<Action>,
     /// Recycled thermal-trip list for the accountant's slot pass.
-    pub tripped: Vec<usize>,
+    pub(crate) tripped: Vec<usize>,
     /// The hierarchical power topology, when configured: per-level
     /// budgets/breakers, the top-down allocator, and the rack guard
     /// (with blackout pins when hardened).
-    pub topology: Option<crate::topology::TopologyState>,
+    pub(crate) topology: Option<crate::topology::TopologyState>,
 }
 
 impl ControlPipeline {
@@ -415,8 +405,8 @@ impl ControlPipeline {
     ///
     /// A configured topology must already have observed this slot's
     /// rack feeds (`TopologyState::observe_racks`): the engine does so
-    /// at its physical boundary, the daemon from its sample.
-    pub fn run_slot(
+    /// at its physical boundary, [`Self::run_sample`] from its sample.
+    pub(crate) fn run_slot(
         &mut self,
         now: SimTime,
         cfg: &ClusterConfig,
@@ -452,7 +442,7 @@ impl ControlPipeline {
                 view.watchdog_engaged,
             );
         }
-        self.act.record_intents(now, &self.actions, &*plant);
+        self.act.record_intents(now, &self.actions, plant.node_dead());
         (view, classes_changed)
     }
 }

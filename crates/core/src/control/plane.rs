@@ -1,7 +1,7 @@
 //! The control plane lifted out of the simulator.
 //!
-//! Everything in [`ControlPipeline`] consumes typed values — a
-//! [`Plant`] in, [`Action`]s out — and nothing in the stages is
+//! Everything in [`ControlPipeline`] consumes typed values — a plant's
+//! observations in, [`Action`]s out — and nothing in the stages is
 //! intrinsically tied to simulated time. This module makes that
 //! portability structural:
 //!
@@ -10,16 +10,16 @@
 //! * [`TelemetryTransport`] / [`ActuationTransport`] — where a slot's
 //!   [`PlaneSample`] is read from and where the decided [`Action`] plan
 //!   is written to (the simulator's node array, a JSONL trace, or
-//!   RAPL/ACPI-shaped files);
+//!   sysfs-shaped files);
 //! * the **trace schema** ([`TraceHeader`] / [`SlotRecord`] /
 //!   [`TraceFooter`], versioned by [`TRACE_SCHEMA_VERSION`]) — a
 //!   recorded stream of per-slot pipeline inputs *and* the decisions the
 //!   sim took on them, so any scenario can be replayed through the live
 //!   pipeline and compared byte-for-byte;
 //! * [`TraceRecorder`] — the tap the DES engine drives when recording;
-//! * [`SamplePlant`] — the [`Plant`] that feeds a [`PlaneSample`] to
-//!   [`ControlPipeline::run_slot`], the one slot function the engine
-//!   runs too, and collects its read-back retries.
+//! * [`ControlPipeline::run_sample`] — one slot of the engine's own slot
+//!   function over a [`PlaneSample`], returning the view and the
+//!   decisions (read-back retries + plan) for an actuation transport.
 //!
 //! The `liveplane` crate builds the clocks, the trace-replay backend,
 //! the mock-sysfs backend, and the daemon loop on top of these types;
@@ -45,7 +45,7 @@ use std::path::Path;
 /// Version stamped into every trace header. Bump on any breaking change
 /// to the record types below; [`ControlTrace::from_jsonl_str`] rejects
 /// mismatches with a typed [`ConfigError::TraceSchema`].
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+pub const TRACE_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Clock and transport abstractions
@@ -166,8 +166,6 @@ pub struct NodeObs {
     pub beta: f64,
     /// Currently commanded P-state (raw ladder index).
     pub target: u8,
-    /// Requests in flight.
-    pub inflight: u32,
     /// Nominal-equivalent power for the attribution engine: the sensed
     /// reading with DVFS throttling inverted out by the hardware power
     /// model (the sensor side knows its own V/F state; the control
@@ -270,67 +268,6 @@ fn check_pstate(what: fmt::Arguments<'_>, p: u8) -> Result<(), String> {
     }
 }
 
-/// Serializable mirror of [`Action`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ActionRecord {
-    /// Command a node to a P-state.
-    SetPState {
-        /// Node index.
-        node: usize,
-        /// Target ladder index.
-        target: u8,
-    },
-    /// Set (or clear) a RAPL watt limit.
-    SetPowerLimit {
-        /// Node index.
-        node: usize,
-        /// Watt limit; `None` removes the cap.
-        limit_w: Option<f64>,
-    },
-    /// Discharge the battery at the given watts (0 stops).
-    BatteryDischarge {
-        /// Requested watts.
-        watts: f64,
-    },
-    /// Charge the battery from headroom (0 stops).
-    BatteryCharge {
-        /// Offered watts.
-        watts: f64,
-    },
-}
-
-impl From<&Action> for ActionRecord {
-    fn from(a: &Action) -> Self {
-        match *a {
-            Action::SetPState { node, target } => {
-                ActionRecord::SetPState { node, target: target.0 }
-            }
-            Action::SetPowerLimit { node, limit_w } => {
-                ActionRecord::SetPowerLimit { node, limit_w }
-            }
-            Action::BatteryDischarge { watts } => ActionRecord::BatteryDischarge { watts },
-            Action::BatteryCharge { watts } => ActionRecord::BatteryCharge { watts },
-        }
-    }
-}
-
-impl ActionRecord {
-    /// Back to the in-memory action type.
-    #[cfg(test)]
-    pub(crate) fn to_action(self) -> Action {
-        match self {
-            ActionRecord::SetPState { node, target } => {
-                Action::SetPState { node, target: PState(target) }
-            }
-            ActionRecord::SetPowerLimit { node, limit_w } => {
-                Action::SetPowerLimit { node, limit_w }
-            }
-            ActionRecord::BatteryDischarge { watts } => Action::BatteryDischarge { watts },
-            ActionRecord::BatteryCharge { watts } => Action::BatteryCharge { watts },
-        }
-    }
-}
-
 /// Everything the control plane commanded in one slot: the read-back
 /// retry re-issues (before Decide) plus the decided action plan (after
 /// the rack guard, exactly as enacted).
@@ -339,7 +276,7 @@ pub struct DecisionRecord {
     /// Re-issued `(node, pstate)` commands from the verification sweep.
     pub retries: Vec<(usize, u8)>,
     /// The slot's action plan.
-    pub actions: Vec<ActionRecord>,
+    pub actions: Vec<Action>,
 }
 
 /// One fully-recorded control slot: input, trusted view, decisions.
@@ -361,28 +298,25 @@ pub struct SlotRecord {
 impl SlotRecord {
     /// Check the record against the header's cluster: the sample's
     /// shape ([`PlaneSample::check_shape`]), and every retry and
-    /// per-node action names a node that exists and, where it commands
-    /// a P-state, one on the ladder.
+    /// P-state command names a node that exists and a state on the
+    /// ladder.
     fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
         let servers = cluster.servers;
         self.sample.check_shape(cluster).map_err(|e| format!("slot {}: {e}", self.slot))?;
-        let commands = self.decisions.retries.iter().map(|&(node, p)| (node, Some(p))).chain(
+        let commands = self.decisions.retries.iter().copied().chain(
             self.decisions.actions.iter().filter_map(|a| match *a {
-                ActionRecord::SetPState { node, target } => Some((node, Some(target))),
-                ActionRecord::SetPowerLimit { node, .. } => Some((node, None)),
-                ActionRecord::BatteryDischarge { .. } | ActionRecord::BatteryCharge { .. } => None,
+                Action::SetPState { node, target } => Some((node, target.0)),
+                Action::BatteryDischarge { .. } | Action::BatteryCharge { .. } => None,
             }),
         );
-        for (node, pstate) in commands {
+        for (node, p) in commands {
             if node >= servers {
                 return Err(format!(
                     "slot {}: node {node} does not exist in {servers} servers",
                     self.slot
                 ));
             }
-            if let Some(p) = pstate {
-                check_pstate(format_args!("slot {}: node {node} command", self.slot), p)?;
-            }
+            check_pstate(format_args!("slot {}: node {node} command", self.slot), p)?;
         }
         Ok(())
     }
@@ -620,7 +554,6 @@ impl TraceRecorder {
                     gamma: s.gamma,
                     beta: s.beta,
                     target: s.target.0,
-                    inflight: s.inflight as u32,
                     learn_power_w,
                     mix,
                 }
@@ -643,7 +576,7 @@ impl TraceRecorder {
             view: *view,
             decisions: DecisionRecord {
                 retries: pipeline.act.retry_scratch.iter().map(|&(n, p)| (n, p.0)).collect(),
-                actions: pipeline.actions.iter().map(ActionRecord::from).collect(),
+                actions: pipeline.actions.clone(),
             },
         });
     }
@@ -689,6 +622,33 @@ impl ControlPipeline {
         ControlPipeline::new(cfg, scheme, start, cfg.faults.is_some(), idle_total)
     }
 
+    /// One live or replayed slot over `sample`, the engine's own slot
+    /// function fed from a sample: the topology observes the sample's
+    /// rack feeds, then the slot runs. Returns the trusted view and the
+    /// slot's decisions: the read-back retries the sweep found, and the
+    /// final plan, which the pipeline no longer holds.
+    pub fn run_sample(
+        &mut self,
+        now: SimTime,
+        cfg: &ClusterConfig,
+        sample: &PlaneSample,
+    ) -> (ClusterView, DecisionRecord) {
+        if let Some(topo) = self.topology.as_mut() {
+            topo.observe_racks(now, &sample.rack_power_w);
+        }
+        let mut plant = SamplePlant { sample, retries: Vec::new() };
+        let (view, _) = self.run_slot(now, cfg, &mut plant);
+        let actions = self.actions.clone();
+        self.actions.clear();
+        (view, DecisionRecord { retries: plant.retries, actions })
+    }
+
+    /// The online profiler's accounting, when the experiment enables
+    /// EW-RLS attribution.
+    pub fn profiler_report(&self) -> Option<profiler::ProfilerReport> {
+        self.learn.as_ref().map(|l| l.report())
+    }
+
     /// Apply a forget event to every stage that holds per-node state.
     pub(crate) fn forget_node(&mut self, f: Forget) {
         match f.kind {
@@ -711,25 +671,9 @@ impl ControlPipeline {
 /// The [`Plant`] over one [`PlaneSample`]: a recorded or live slot fed
 /// to [`ControlPipeline::run_slot`]. Read-back retries are collected
 /// for the caller's [`ActuationTransport`] instead of issued.
-pub struct SamplePlant<'a> {
+struct SamplePlant<'a> {
     sample: &'a PlaneSample,
     retries: Vec<(usize, u8)>,
-}
-
-impl<'a> SamplePlant<'a> {
-    /// The plant over `sample`.
-    pub fn new(sample: &'a PlaneSample) -> Self {
-        SamplePlant { sample, retries: Vec::new() }
-    }
-
-    /// The slot's decisions: the collected retries plus the plan
-    /// `run_slot` left in `actions`, which this drains.
-    pub fn decisions(self, actions: &mut Vec<Action>) -> DecisionRecord {
-        DecisionRecord {
-            retries: self.retries,
-            actions: actions.drain(..).map(|a| ActionRecord::from(&a)).collect(),
-        }
-    }
 }
 
 impl Plant for SamplePlant<'_> {
@@ -774,7 +718,6 @@ impl Plant for SamplePlant<'_> {
             beta: o.beta,
             target: PState(o.target),
             suspect,
-            inflight: o.inflight as usize,
         }
     }
 
@@ -1286,7 +1229,6 @@ mod codec {
         w.key("gamma").f64(o.gamma);
         w.key("beta").f64(o.beta);
         w.key("target").u64(u64::from(o.target));
-        w.key("inflight").u64(u64::from(o.inflight));
         w.key("learn_power_w").opt_f64(o.learn_power_w);
         w.key("mix").open_arr();
         for &(url, count) in &o.mix {
@@ -1299,24 +1241,19 @@ mod codec {
         w.close_obj();
     }
 
-    fn write_action(w: &mut Writer<'_>, a: &ActionRecord) {
+    fn write_action(w: &mut Writer<'_>, a: &Action) {
         w.open_obj();
         match *a {
-            ActionRecord::SetPState { node, target } => {
+            Action::SetPState { node, target } => {
                 w.key("SetPState").open_obj();
                 w.key("node").u64(node as u64);
-                w.key("target").u64(u64::from(target));
+                w.key("target").u64(u64::from(target.0));
             }
-            ActionRecord::SetPowerLimit { node, limit_w } => {
-                w.key("SetPowerLimit").open_obj();
-                w.key("node").u64(node as u64);
-                w.key("limit_w").opt_f64(limit_w);
-            }
-            ActionRecord::BatteryDischarge { watts } => {
+            Action::BatteryDischarge { watts } => {
                 w.key("BatteryDischarge").open_obj();
                 w.key("watts").f64(watts);
             }
-            ActionRecord::BatteryCharge { watts } => {
+            Action::BatteryCharge { watts } => {
                 w.key("BatteryCharge").open_obj();
                 w.key("watts").f64(watts);
             }
@@ -1459,14 +1396,13 @@ mod codec {
 
     fn read_node(c: &mut Cursor<'_>) -> R<NodeObs> {
         let (mut utilization, mut intensity, mut gamma, mut beta) = (None, None, None, None);
-        let (mut target, mut inflight, mut learn_power_w, mut mix) = (None, None, None, None);
+        let (mut target, mut learn_power_w, mut mix) = (None, None, None);
         c.object(|c, key| match key {
             "utilization" => first(c, &mut utilization, Cursor::f64),
             "intensity" => first(c, &mut intensity, Cursor::f64),
             "gamma" => first(c, &mut gamma, Cursor::f64),
             "beta" => first(c, &mut beta, Cursor::f64),
             "target" => first(c, &mut target, Cursor::u8),
-            "inflight" => first(c, &mut inflight, Cursor::u32),
             "learn_power_w" => first(c, &mut learn_power_w, |c| c.opt(Cursor::f64)),
             "mix" => first(c, &mut mix, |c| {
                 c.array(|c| {
@@ -1486,7 +1422,6 @@ mod codec {
             gamma: need(gamma, "gamma")?,
             beta: need(beta, "beta")?,
             target: need(target, "target")?,
-            inflight: need(inflight, "inflight")?,
             learn_power_w: learn_power_w.flatten(),
             mix: need(mix, "mix")?,
         })
@@ -1572,41 +1507,36 @@ mod codec {
     }
 
     /// One `{"<kind>":{…}}` action. Only the fields of its kind are
-    /// read; the rest are skipped like unknown keys.
-    fn read_action(c: &mut Cursor<'_>) -> R<ActionRecord> {
+    /// read; the rest are skipped like unknown keys. A `target` is any
+    /// byte here; the trace's shape check holds it to the ladder.
+    fn read_action(c: &mut Cursor<'_>) -> R<Action> {
         const TAGGED: &str = "action must be a single-key tagged object";
         c.open_obj()?;
         let tag = c.key()?.ok_or(TAGGED)?;
-        let (node_at, target_at, limit_at, watts_at) = match &*tag {
-            "SetPState" => (true, true, false, false),
-            "SetPowerLimit" => (true, false, true, false),
-            "BatteryDischarge" | "BatteryCharge" => (false, false, false, true),
+        let pstate = match &*tag {
+            "SetPState" => true,
+            "BatteryDischarge" | "BatteryCharge" => false,
             other => return Err(format!("unknown action {other:?}")),
         };
-        let (mut node, mut target, mut limit_w, mut watts) = (None, None, None, None);
+        let (mut node, mut target, mut watts) = (None, None, None);
         c.object(|c, key| match key {
-            "node" if node_at => first(c, &mut node, Cursor::usize),
-            "target" if target_at => first(c, &mut target, Cursor::u8),
-            "limit_w" if limit_at => first(c, &mut limit_w, |c| c.opt(Cursor::f64)),
-            "watts" if watts_at => first(c, &mut watts, Cursor::f64),
+            "node" if pstate => first(c, &mut node, Cursor::usize),
+            "target" if pstate => first(c, &mut target, Cursor::u8),
+            "watts" if !pstate => first(c, &mut watts, Cursor::f64),
             _ => c.skip(),
         })?;
         if c.key()?.is_some() {
             return Err(TAGGED.to_string());
         }
         Ok(match &*tag {
-            "SetPState" => ActionRecord::SetPState {
+            "SetPState" => Action::SetPState {
                 node: need(node, "node")?,
-                target: need(target, "target")?,
+                target: PState(need(target, "target")?),
             },
-            "SetPowerLimit" => ActionRecord::SetPowerLimit {
-                node: need(node, "node")?,
-                limit_w: limit_w.flatten(),
-            },
-            "BatteryDischarge" => ActionRecord::BatteryDischarge {
+            "BatteryDischarge" => Action::BatteryDischarge {
                 watts: need(watts, "watts")?,
             },
-            _ => ActionRecord::BatteryCharge {
+            _ => Action::BatteryCharge {
                 watts: need(watts, "watts")?,
             },
         })
@@ -1673,7 +1603,6 @@ mod codec {
                 ("gamma".into(), Json::f64(o.gamma)),
                 ("beta".into(), Json::f64(o.beta)),
                 ("target".into(), Json::u64(u64::from(o.target))),
-                ("inflight".into(), Json::u64(u64::from(o.inflight))),
                 (
                     "learn_power_w".into(),
                     Json::opt(&o.learn_power_w, |&w| Json::f64(w)),
@@ -1699,7 +1628,6 @@ mod codec {
                 gamma: v.get("gamma")?.as_f64()?,
                 beta: v.get("beta")?.as_f64()?,
                 target: v.get("target")?.as_u8()?,
-                inflight: v.get("inflight")?.as_u32()?,
                 learn_power_w: v.get_opt("learn_power_w")?.map(Json::as_f64).transpose()?,
                 mix: v
                     .get("mix")?
@@ -1852,50 +1780,39 @@ mod codec {
             })
         }
 
-        fn action_j(a: &ActionRecord) -> Json {
+        fn action_j(a: &Action) -> Json {
             match *a {
-                ActionRecord::SetPState { node, target } => Json::Obj(vec![(
+                Action::SetPState { node, target } => Json::Obj(vec![(
                     "SetPState".into(),
                     Json::Obj(vec![
                         ("node".into(), Json::u64(node as u64)),
-                        ("target".into(), Json::u64(u64::from(target))),
+                        ("target".into(), Json::u64(u64::from(target.0))),
                     ]),
                 )]),
-                ActionRecord::SetPowerLimit { node, limit_w } => Json::Obj(vec![(
-                    "SetPowerLimit".into(),
-                    Json::Obj(vec![
-                        ("node".into(), Json::u64(node as u64)),
-                        ("limit_w".into(), Json::opt(&limit_w, |&w| Json::f64(w))),
-                    ]),
-                )]),
-                ActionRecord::BatteryDischarge { watts } => Json::Obj(vec![(
+                Action::BatteryDischarge { watts } => Json::Obj(vec![(
                     "BatteryDischarge".into(),
                     Json::Obj(vec![("watts".into(), Json::f64(watts))]),
                 )]),
-                ActionRecord::BatteryCharge { watts } => Json::Obj(vec![(
+                Action::BatteryCharge { watts } => Json::Obj(vec![(
                     "BatteryCharge".into(),
                     Json::Obj(vec![("watts".into(), Json::f64(watts))]),
                 )]),
             }
         }
 
-        fn action_f(v: &Json) -> R<ActionRecord> {
+        fn action_f(v: &Json) -> R<Action> {
             let [(tag, body)] = v.as_obj()? else {
                 return Err("action must be a single-key tagged object".to_string());
             };
             Ok(match tag.as_str() {
-                "SetPState" => ActionRecord::SetPState {
+                "SetPState" => Action::SetPState {
                     node: body.get("node")?.as_usize()?,
-                    target: body.get("target")?.as_u8()?,
+                    target: PState(body.get("target")?.as_u8()?),
                 },
-                "SetPowerLimit" => ActionRecord::SetPowerLimit {
-                    node: body.get("node")?.as_usize()?,
-                    limit_w: body.get_opt("limit_w")?.map(Json::as_f64).transpose()?,
-                },
-                "BatteryDischarge" => ActionRecord::BatteryDischarge {
+                "BatteryDischarge" => Action::BatteryDischarge {
                     watts: body.get("watts")?.as_f64()?,
                 },
-                "BatteryCharge" => ActionRecord::BatteryCharge {
+                "BatteryCharge" => Action::BatteryCharge {
                     watts: body.get("watts")?.as_f64()?,
                 },
                 other => return Err(format!("unknown action {other:?}")),
@@ -2065,6 +1982,22 @@ mod tests {
     }
 
     #[test]
+    fn schema_2_header_is_a_typed_error() {
+        // Schema 2 slots carried each node's `inflight` count and could
+        // hold a watt-limit action; schema 3 has neither, so a v2 trace
+        // must fail on its version, not decode as v3.
+        let text = TraceRecorder::new(&tiny_exp()).finish().to_jsonl();
+        let v3 = format!("\"schema\":{TRACE_SCHEMA_VERSION},");
+        assert!(text.contains(&v3));
+        let v2 = text.replacen(&v3, "\"schema\":2,", 1);
+        let err = ControlTrace::from_jsonl_str(&v2).expect_err("must reject");
+        assert!(matches!(
+            err,
+            ConfigError::TraceSchema { found: 2, supported } if supported == TRACE_SCHEMA_VERSION
+        ));
+    }
+
+    #[test]
     fn truncated_trace_is_a_typed_error() {
         let exp = tiny_exp();
         let trace = TraceRecorder::new(&exp).finish();
@@ -2114,7 +2047,7 @@ mod tests {
             |s| s.sample.nodes.truncate(1),
             |s| s.sample.forgets.push(Forget { node: 1000, kind: ForgetKind::Full }),
             |s| s.decisions.retries.push((1000, 12)),
-            |s| s.decisions.actions.push(ActionRecord::SetPowerLimit { node: 1000, limit_w: None }),
+            |s| s.decisions.actions.push(Action::SetPState { node: 1000, target: PState(12) }),
         ];
         for (i, mutate) in hostile.iter().enumerate() {
             let mut bad = trace.clone();
@@ -2137,7 +2070,7 @@ mod tests {
         let top = (PStateTable::PAPER_STATES - 1) as u8;
         let mut edge = trace.clone();
         edge.slots[at].sample.nodes[0].target = top;
-        edge.slots[at].decisions.actions.push(ActionRecord::SetPState { node: 0, target: top });
+        edge.slots[at].decisions.actions.push(Action::SetPState { node: 0, target: PState(top) });
         ControlTrace::from_jsonl_str(&edge.to_jsonl()).expect("the top state is on the ladder");
         let hostile: [fn(&mut ControlTrace, usize); 4] = [
             |t, _| {
@@ -2147,7 +2080,7 @@ mod tests {
             },
             |t, at| t.slots[at].sample.readback.as_mut().unwrap()[1] = 13,
             |t, at| {
-                let command = ActionRecord::SetPState { node: 0, target: 13 };
+                let command = Action::SetPState { node: 0, target: PState(13) };
                 t.slots[at].decisions.actions.push(command);
             },
             |t, at| t.slots[at].decisions.retries.push((0, u8::MAX)),
@@ -2257,16 +2190,16 @@ mod tests {
         for (i, s) in trace.slots.iter_mut().enumerate() {
             s.decisions.retries.push((3, 2));
             s.decisions.actions.extend([
-                ActionRecord::SetPState {
+                Action::SetPState {
                     node: 1,
-                    target: 12,
+                    target: PState(12),
                 },
-                ActionRecord::SetPowerLimit {
+                Action::SetPState {
                     node: 2,
-                    limit_w: (i % 2 == 0).then_some(80.5),
+                    target: PState(if i % 2 == 0 { 0 } else { 7 }),
                 },
-                ActionRecord::BatteryDischarge { watts: 120.0 },
-                ActionRecord::BatteryCharge { watts: 0.25 },
+                Action::BatteryDischarge { watts: 120.0 },
+                Action::BatteryCharge { watts: 0.25 },
             ]);
             s.sample.forgets.push(Forget {
                 node: 0,
@@ -2525,7 +2458,6 @@ mod tests {
                     o.utilization = edge();
                     o.learn_power_w = (o.utilization.to_bits() % 3 != 0).then(&mut edge);
                     o.target = u8::MAX;
-                    o.inflight = u32::MAX;
                     o.mix.push((u16::MAX, u32::MAX));
                 }
                 if s.slot % 2 == 0 {
@@ -2533,8 +2465,9 @@ mod tests {
                     s.sample.readback = Some(vec![u8::MAX; s.sample.nodes.len()]);
                 }
                 s.decisions.retries.push((usize::MAX, u8::MAX));
-                s.decisions.actions.push(ActionRecord::SetPowerLimit { node: 1, limit_w: Some(edge()) });
-                s.decisions.actions.push(ActionRecord::BatteryCharge { watts: edge() });
+                s.decisions.actions.push(Action::SetPState { node: 1, target: PState(u8::MAX) });
+                s.decisions.actions.push(Action::BatteryDischarge { watts: edge() });
+                s.decisions.actions.push(Action::BatteryCharge { watts: edge() });
             }
             let text = trace.to_jsonl();
             prop_assert_eq!(&text, &codec::reference::to_jsonl(&trace));
@@ -2629,17 +2562,33 @@ mod tests {
         );
     }
 
+    /// The watt-limit action schema 2 could carry, which schema 3 has
+    /// no variant for.
+    const RETIRED_ACTION: &str = r#"{"SetPowerLimit":{"node":1,"limit_w":80.0}}"#;
+
     #[test]
-    fn action_record_round_trips() {
-        let all = [
-            Action::SetPState { node: 3, target: PState(5) },
-            Action::SetPowerLimit { node: 1, limit_w: Some(80.0) },
-            Action::SetPowerLimit { node: 1, limit_w: None },
-            Action::BatteryDischarge { watts: 120.0 },
-            Action::BatteryCharge { watts: 0.0 },
-        ];
-        for a in all {
-            assert_eq!(ActionRecord::from(&a).to_action(), a);
+    fn retired_action_and_node_keys_decode_as_the_tree_decoder_does() {
+        let trace = with_every_command(&recorded()[0].1);
+        let text = trace.to_jsonl();
+        let pstate = r#"{"SetPState":{"node":1,"target":12}}"#;
+        assert!(text.lines().nth(1).unwrap().contains(pstate));
+        // The retired action is an unknown action, on its line.
+        let limit = text.replacen(pstate, RETIRED_ACTION, 1);
+        for decoded in [ControlTrace::from_jsonl_str(&limit), from_jsonl_str_reference(&limit)] {
+            assert!(
+                matches!(&decoded, Err(ConfigError::TraceFormat { what })
+                    if what.starts_with("line 2:") && what.contains("unknown action")),
+                "{decoded:?}"
+            );
+        }
+        // A node's retired in-flight count is an unknown key, skipped.
+        let target = r#""target":12,"#;
+        assert!(text.lines().nth(1).unwrap().contains(target));
+        let inflight = text.replacen(target, r#""target":12,"inflight":7,"#, 1);
+        assert_ne!(inflight, text);
+        let want = format!("{:?}", ControlTrace::from_jsonl_str(&text).unwrap());
+        for decoded in [ControlTrace::from_jsonl_str(&inflight), from_jsonl_str_reference(&inflight)] {
+            assert_eq!(format!("{:?}", decoded.unwrap()), want);
         }
     }
 }

@@ -224,7 +224,7 @@ struct Intent {
     backoff: SimDuration,
 }
 
-/// Read-back verification of DVFS/RAPL commands with bounded retry.
+/// Read-back verification of DVFS commands with bounded retry.
 #[derive(Debug, Clone)]
 pub struct ActuatorVerify {
     intents: Vec<Option<Intent>>,

@@ -57,9 +57,9 @@ pub mod topology;
 
 pub use config::{AdmissionConfig, ClusterConfig, ConfigError, ExperimentConfig, SchemeKind};
 pub use control::plane::{
-    ActionRecord, ActuationTransport, BatteryObs, ControlClock, ControlTrace, DecisionRecord,
-    Forget, ForgetKind, NodeObs, PlaneSample, SamplePlant, SlotRecord, SlotTick,
-    TelemetryTransport, TraceFooter, TraceRecorder, TransportError, TRACE_SCHEMA_VERSION,
+    ActuationTransport, BatteryObs, ControlClock, ControlTrace, DecisionRecord, Forget,
+    ForgetKind, NodeObs, PlaneSample, SlotRecord, SlotTick, TelemetryTransport, TraceFooter,
+    TraceRecorder, TransportError, TRACE_SCHEMA_VERSION,
 };
 pub use control::{ClusterView, ControlPipeline};
 pub use health::TelemetryHealth;

@@ -140,48 +140,6 @@ impl ComputeNode {
         self.dvfs.command_delayed(now, target, extra)
     }
 
-    /// Command via a RAPL watt limit resolved against the resident load;
-    /// returns `(chosen state, settle instant)`.
-    pub(crate) fn command_power_limit(
-        &mut self,
-        now: SimTime,
-        limit_w: Option<f64>) -> (PState, SimTime,
-    ) {
-        self.command_power_limit_after(now, limit_w, SimDuration::ZERO)
-    }
-
-    /// [`ComputeNode::command_power_limit`] with an extra actuation delay
-    /// (fault injection).
-    pub(crate) fn command_power_limit_after(
-        &mut self,
-        now: SimTime,
-        limit_w: Option<f64>,
-        extra: SimDuration,
-    ) -> (PState, SimTime) {
-        let state = self.resolve_power_limit(limit_w);
-        (state, self.dvfs.command_delayed(now, state, extra))
-    }
-
-    /// The P-state a watt limit would resolve to right now, without
-    /// commanding anything — the controller records this as its actuation
-    /// intent for read-back verification.
-    pub(crate) fn resolve_power_limit(&self, limit_w: Option<f64>) -> PState {
-        let (i, g) = self.limit_mix();
-        ServerPowerModel::paper_default().resolve(limit_w, i, g)
-    }
-
-    /// The `(intensity, gamma)` mix limits resolve against. An idle node
-    /// reports zero intensity; resolve against a worst-case resident mix
-    /// so the cap still binds when load lands mid-slot.
-    fn limit_mix(&self) -> (f64, f64) {
-        let (_, intensity, gamma) = self.queue.load_character();
-        if intensity == 0.0 {
-            (1.0, 0.9)
-        } else {
-            (intensity, gamma)
-        }
-    }
-
     /// Apply any matured DVFS transition to the queue speed. Call at the
     /// settle instant (and it is harmless to call at any other time).
     pub(crate) fn apply_dvfs(&mut self, now: SimTime) {
@@ -297,28 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn power_limit_resolves_against_resident_mix() {
-        let mut n = node();
-        let mut b = RequestBuilder::new();
-        for _ in 0..4 {
-            n.push(SimTime::ZERO, req(&mut b, 2.4, 1.0, 1.0));
-        }
-        let (state, settle) = n.command_power_limit(SimTime::ZERO, Some(70.0));
-        assert!(state < PState(12));
-        n.apply_dvfs(settle);
-        assert!(n.power_w() <= 70.0 + 1e-6, "power={}", n.power_w());
-    }
-
-    #[test]
-    fn power_limit_on_idle_node_uses_worst_case() {
-        let mut n = node();
-        let (state, _) = n.command_power_limit(SimTime::ZERO, Some(70.0));
-        // Same state as a fully-loaded CPU-bound node would get.
-        let m = ServerPowerModel::paper_default();
-        assert_eq!(state, m.state_for_cap(70.0, 1.0, 0.9));
-    }
-
-    #[test]
     fn delayed_commands_settle_late() {
         let mut n = node();
         let settle = n.command_pstate_after(SimTime::ZERO, PState(3), SimDuration::from_secs(2));
@@ -327,11 +263,6 @@ mod tests {
         assert_eq!(n.effective_pstate(), PState(12));
         n.apply_dvfs(settle);
         assert_eq!(n.effective_pstate(), PState(3));
-        // resolve_power_limit matches what the delayed command picks.
-        let want = n.resolve_power_limit(Some(70.0));
-        let (state, _) =
-            n.command_power_limit_after(settle, Some(70.0), SimDuration::from_millis(500));
-        assert_eq!(state, want);
     }
 
     #[test]
@@ -355,7 +286,8 @@ mod tests {
         n.command_pstate(SimTime::ZERO, PState(0));
         n.apply_dvfs(SimTime::from_millis(10));
         assert_eq!(n.vf_reduction_steps(), 12);
-        let (_, settle) = n.command_power_limit(SimTime::from_secs(1), None);
+        let nominal = ServerPowerModel::paper_default().table.max_state();
+        let settle = n.command_pstate(SimTime::from_secs(1), nominal);
         n.apply_dvfs(settle);
         assert_eq!(n.vf_reduction_steps(), 0);
     }

@@ -45,8 +45,6 @@ pub struct NodeSnapshot {
     pub target: PState,
     /// Member of the suspect pool?
     pub suspect: bool,
-    /// Requests in flight.
-    pub inflight: usize,
 }
 
 /// Cluster snapshot for one control slot.
@@ -72,10 +70,6 @@ pub struct ControlInput {
     pub battery_max_charge_w: f64,
     /// Watts the battery is currently discharging.
     pub battery_discharging_w: f64,
-    /// Fraction of nodes whose power telemetry was fresh this slot
-    /// (`1.0` when the fault layer is disabled). Schemes may throttle
-    /// more conservatively when partially blind.
-    pub telemetry_coverage: f64,
 }
 
 impl ControlInput {
@@ -90,7 +84,9 @@ impl ControlInput {
     }
 }
 
-/// An actuation the simulator performs on the scheme's behalf.
+/// An actuation the control plane commands on the scheme's behalf: the
+/// one command type from Decide through the rack guard and the trace to
+/// the engine's nodes and the live actuators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
     /// Command node `node` to P-state `target` (takes DVFS latency).
@@ -99,13 +95,6 @@ pub enum Action {
         node: usize,
         /// Target state.
         target: PState,
-    },
-    /// Set (or clear) a RAPL watt limit on a node.
-    SetPowerLimit {
-        /// Node index.
-        node: usize,
-        /// Watt limit; `None` removes the cap.
-        limit_w: Option<f64>,
     },
     /// Discharge the battery at the given watts (0 stops).
     BatteryDischarge {
@@ -206,7 +195,6 @@ pub(crate) mod testutil {
                     beta: if u > 0.0 { 0.9 } else { 0.0 },
                     target: PState(12),
                     suspect: i == 3,
-                    inflight: (u * 8.0) as usize,
                 })
                 .collect(),
             battery_soc: 1.0,
@@ -214,7 +202,6 @@ pub(crate) mod testutil {
             battery_max_discharge_w: 400.0,
             battery_max_charge_w: 100.0,
             battery_discharging_w: 0.0,
-            telemetry_coverage: 1.0,
         }
     }
 }

@@ -40,9 +40,10 @@
 //!                ─► Account
 //! ```
 //!
-//! `run_slot` is [`ControlPipeline::run_slot`], the function the live
-//! daemon runs on its samples (Filter → Learn → watchdogs → read-back
-//! sweep → Decide → rack guard).
+//! `run_slot` is the control plane's one slot function, the one the
+//! live daemon runs on its samples through
+//! [`ControlPipeline::run_sample`] (Filter → Learn → watchdogs →
+//! read-back sweep → Decide → rack guard).
 //!
 //! # Pipelined window, bounded slot buffers
 //!

@@ -808,9 +808,7 @@ impl TopologyState {
         // the guard; released nodes go back to the scheme untouched.
         let owner = &topo.owner_rack;
         actions.retain(|a| match a {
-            Action::SetPState { node, .. } | Action::SetPowerLimit { node, .. } => {
-                guards[owner[*node]].pin(slot, wd) != Pin::Safe
-            }
+            Action::SetPState { node, .. } => guards[owner[*node]].pin(slot, wd) != Pin::Safe,
             _ => true,
         });
         let nominal = PStateTable::paper_default().max_state();

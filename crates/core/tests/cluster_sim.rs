@@ -3,9 +3,12 @@
 
 use antidope::config::SchemeKind;
 use antidope::results::FaultReport;
+use antidope::scheme::{Action, ControlInput, PowerScheme};
 use antidope::testutil::{quick_exp, users};
 use antidope::{record_experiment, run_experiment, ShardedClusterSim};
 use powercap::budget::BudgetLevel;
+use powercap::pstate::PState;
+use powercap::server_power::ServerPowerModel;
 use simcore::faults::{CrashEvent, FaultConfig};
 use simcore::{SimDuration, SimTime};
 use workloads::attacker::AttackTool;
@@ -161,39 +164,31 @@ fn breaker_disabled_by_default() {
     assert!(report.power.violations > 0);
 }
 
-/// A minimal RAPL-style scheme: per-node watt limits instead of
-/// explicit P-states — exercises `Action::SetPowerLimit` end to end.
-struct RaplCapper {
-    per_node_limit_w: f64,
+/// A minimal per-node capping scheme: every slot it commands every node
+/// to one P-state, the cap the paper's DPM would pick for a per-node
+/// watt budget.
+struct PerNodeCapper {
+    target: PState,
 }
 
-impl antidope::scheme::PowerScheme for RaplCapper {
+impl PowerScheme for PerNodeCapper {
     fn name(&self) -> &'static str {
-        "RaplCapper"
+        "PerNodeCapper"
     }
-    fn control(
-        &mut self,
-        input: &antidope::scheme::ControlInput,
-        actions: &mut Vec<antidope::scheme::Action>,
-    ) {
-        for i in 0..input.nodes.len() {
-            actions.push(antidope::scheme::Action::SetPowerLimit {
-                node: i,
-                limit_w: Some(self.per_node_limit_w),
-            });
-        }
+    fn control(&mut self, input: &ControlInput, actions: &mut Vec<Action>) {
+        let target = self.target;
+        actions.extend((0..input.nodes.len()).map(|node| Action::SetPState { node, target }));
     }
 }
 
 #[test]
-fn rapl_limit_actions_enforce_per_node_caps() {
+fn per_node_cap_states_bound_the_cluster() {
     let exp = quick_exp(SchemeKind::None, BudgetLevel::Medium, 60, 31);
-    let scheme = Box::new(RaplCapper {
-        per_node_limit_w: 80.0,
-    });
+    // The highest state whose full-load CPU-bound draw fits 80 W.
+    let target = ServerPowerModel::paper_default().state_for_cap(80.0, 1.0, 0.9);
     let report = ShardedClusterSim::run_with_scheme(
         &exp,
-        scheme,
+        Box::new(PerNodeCapper { target }),
         flooded(users(80.0), 600.0, 5, 60).build(exp.seed, SimTime::ZERO + exp.duration),
     );
     // 4 nodes capped at 80 W each: the cluster stays at/below 320 W
@@ -204,7 +199,7 @@ fn rapl_limit_actions_enforce_per_node_caps() {
         .iter()
         .filter(|&&(t, w)| t > 10.0 && w > 321.0)
         .count();
-    assert_eq!(over, 0, "per-node RAPL caps must bound the cluster");
+    assert_eq!(over, 0, "per-node cap states must bound the cluster");
     assert!(report.vf.max_reduction_steps > 0);
 }
 

@@ -1,13 +1,13 @@
 //! The live control-plane host: a tick loop that runs the engine's own
-//! slot function, [`ControlPipeline::run_slot`], from a
-//! [`ControlClock`] and a pair of transports, with last-good staleness
-//! bridging and graceful shutdown.
+//! slot function over each sample ([`ControlPipeline::run_sample`]),
+//! from a [`ControlClock`] and a pair of transports, with last-good
+//! staleness bridging and graceful shutdown.
 
 use antidope::health::staleness::LastGood;
 use antidope::{
     ActuationTransport, ClusterConfig, ClusterView, ControlClock, ControlPipeline,
-    DecisionRecord, ExperimentConfig, PlaneSample, SamplePlant, SlotTick, TelemetryTransport,
-    TraceFooter, TransportError,
+    DecisionRecord, ExperimentConfig, PlaneSample, SlotTick, TelemetryTransport, TraceFooter,
+    TransportError,
 };
 use powercap::monitor::PowerCondition;
 use profiler::ProfilerReport;
@@ -210,12 +210,7 @@ where
                 }
             },
         };
-        if let Some(topo) = self.pipeline.topology.as_mut() {
-            topo.observe_racks(tick.now, &sample.rack_power_w);
-        }
-        let mut plant = SamplePlant::new(sample);
-        let (view, _) = self.pipeline.run_slot(tick.now, &self.cfg, &mut plant);
-        let decisions = plant.decisions(&mut self.pipeline.actions);
+        let (view, decisions) = self.pipeline.run_sample(tick.now, &self.cfg, sample);
         let (energy_j, true_power_w) = (sample.energy_j, sample.true_power_w);
         if let Some(mut held) = fresh {
             // A bridged re-run must not re-apply this slot's forget
@@ -268,7 +263,7 @@ where
             watchdog_slots: self.watchdog_slots,
             energy_j: self.energy_j,
             peak_true_w: self.peak_true_w,
-            profiler: self.pipeline.learn.as_ref().map(|l| l.report()),
+            profiler: self.pipeline.profiler_report(),
             journal: std::mem::take(&mut self.journal),
         }
     }

@@ -25,7 +25,7 @@
 //! node<i>/rapl/power_w              per-node sensor, W; empty = dropout
 //! node<i>/cpufreq/scaling_cur_pstate  read-back commanded state
 //! node<i>/obs/{utilization,intensity,gamma,beta}
-//! node<i>/obs/{target,inflight,learn_power_w}
+//! node<i>/obs/{target,learn_power_w}
 //! node<i>/obs/mix                   lines "<url> <count>"
 //! battery/{soc,stored_j,discharge_w,charge_w}
 //! actuate/commands.log              appended by [`SysfsActuation`]
@@ -37,9 +37,10 @@
 //! polls before the writer publishes gets a typed
 //! [`TransportError::Stale`] and lets the staleness machinery bridge.
 
+use antidope::scheme::Action;
 use antidope::{
-    ActionRecord, ActuationTransport, BatteryObs, DecisionRecord, Forget, ForgetKind, NodeObs,
-    PlaneSample, SlotTick, TelemetryTransport, TransportError,
+    ActuationTransport, BatteryObs, DecisionRecord, Forget, ForgetKind, NodeObs, PlaneSample,
+    SlotTick, TelemetryTransport, TransportError,
 };
 use simcore::SimTime;
 use std::fmt::Write as _;
@@ -159,7 +160,6 @@ impl MockSysfsWriter {
             write_f64(&nd.join("obs/gamma"), obs.gamma)?;
             write_f64(&nd.join("obs/beta"), obs.beta)?;
             write_val(&nd.join("obs/target"), obs.target)?;
-            write_val(&nd.join("obs/inflight"), obs.inflight)?;
             write_opt_f64(&nd.join("obs/learn_power_w"), obs.learn_power_w)?;
             let mut mix = String::new();
             for &(url, count) in &obs.mix {
@@ -248,7 +248,6 @@ impl SysfsTelemetry {
             gamma: parse_file(&nd.join("obs/gamma"))?,
             beta: parse_file(&nd.join("obs/beta"))?,
             target: parse_file(&nd.join("obs/target"))?,
-            inflight: parse_file(&nd.join("obs/inflight"))?,
             learn_power_w: parse_opt_f64(&nd.join("obs/learn_power_w"))?,
             mix,
         };
@@ -345,21 +344,13 @@ pub fn render_decision(now: SimTime, decision: &DecisionRecord) -> String {
     }
     for a in &decision.actions {
         match *a {
-            ActionRecord::SetPState { node, target } => {
-                let _ = writeln!(out, "{us} set_pstate {node} {target}");
+            Action::SetPState { node, target } => {
+                let _ = writeln!(out, "{us} set_pstate {node} {}", target.0);
             }
-            ActionRecord::SetPowerLimit { node, limit_w } => match limit_w {
-                Some(w) => {
-                    let _ = writeln!(out, "{us} power_limit {node} {w:?}");
-                }
-                None => {
-                    let _ = writeln!(out, "{us} power_limit {node} -");
-                }
-            },
-            ActionRecord::BatteryDischarge { watts } => {
+            Action::BatteryDischarge { watts } => {
                 let _ = writeln!(out, "{us} battery_discharge {watts:?}");
             }
-            ActionRecord::BatteryCharge { watts } => {
+            Action::BatteryCharge { watts } => {
                 let _ = writeln!(out, "{us} battery_charge {watts:?}");
             }
         }
@@ -412,8 +403,8 @@ impl ActuationTransport for SysfsActuation {
             self.set_speed(node, pstate)?;
         }
         for a in &decision.actions {
-            if let ActionRecord::SetPState { node, target } = *a {
-                self.set_speed(node, target)?;
+            if let Action::SetPState { node, target } = *a {
+                self.set_speed(node, target.0)?;
             }
         }
         Ok(())

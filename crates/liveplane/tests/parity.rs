@@ -19,10 +19,11 @@
 //! decides purely from slot telemetry and replays exactly.
 
 use antidope::runner::SourceFactory;
+use antidope::scheme::Action;
 use antidope::testutil::{quick_exp, users};
 use antidope::{
-    record_experiment, ActionRecord, ClusterConfig, ConfigError, ControlTrace, ExperimentConfig,
-    Forget, ForgetKind, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
+    record_experiment, ClusterConfig, ConfigError, ControlTrace, ExperimentConfig, Forget,
+    ForgetKind, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
     TransportError, TRACE_SCHEMA_VERSION,
 };
 use liveplane::{
@@ -378,7 +379,7 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
     let first = trace
         .slots
         .iter()
-        .find(|s| s.decisions.actions.iter().any(|a| matches!(a, ActionRecord::SetPState { .. })))
+        .find(|s| s.decisions.actions.iter().any(|a| matches!(a, Action::SetPState { .. })))
         .expect("the flood draws a throttle");
     let mut sample = first.sample.clone();
     sample.forgets =

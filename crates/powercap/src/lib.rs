@@ -9,8 +9,8 @@
 //!   *power intensity* and *frequency sensitivity* knobs (the γ of
 //!   DESIGN.md) — the two parameters that make Colla-Filt trip power
 //!   capping at low request rates while K-means resists DVFS savings.
-//!   It also resolves a RAPL-style watt limit to a P-state, and searches
-//!   the highest uniform P-state under a cluster budget (the paper's
+//!   It also finds the highest P-state under a per-node cap, and the
+//!   highest uniform P-state under a cluster budget (the paper's
 //!   `Capping` baseline).
 //!
 //!   The testbed has one kind of server, so the ladder and the model

@@ -126,22 +126,6 @@ impl ServerPowerModel {
         self.table.min_state()
     }
 
-    /// The P-state a RAPL-style package limit resolves to for the
-    /// workload character on the node: nominal when uncapped, else the
-    /// highest state whose worst-case power meets the limit.
-    ///
-    /// The paper's RPM writes watt limits through Intel's RAPL
-    /// interface (Section 5.2); after an enforcement delay the package
-    /// governor clamps the P-state to hold the limit. The node commands
-    /// the resolved state through its DVFS controller, whose settle
-    /// latency is that enforcement delay.
-    pub fn resolve(&self, limit_w: Option<f64>, intensity: f64, gamma: f64) -> PState {
-        match limit_w {
-            None => self.table.max_state(),
-            Some(w) => self.state_for_cap(w, intensity, gamma),
-        }
-    }
-
     /// Power at full utilization for a workload, at state `p`.
     pub fn full_load_power(&self, p: PState, intensity: f64, gamma: f64) -> f64 {
         self.power(p, 1.0, intensity, gamma)
@@ -365,83 +349,6 @@ mod tests {
         let top = m.table.max_state();
         assert!((m.aggregate_power(top, &loads) - 160.0).abs() < 1e-6);
         assert_eq!(m.state_for_budget(200.0, &loads), top);
-    }
-
-    /// A watt limit resolved by [`ServerPowerModel::resolve`] and
-    /// commanded through the node's DVFS controller, the way the
-    /// cluster's nodes enact `SetPowerLimit`.
-    mod power_limit {
-        use super::*;
-        use crate::dvfs::DvfsController;
-        use simcore::{SimDuration, SimTime};
-
-        fn rig() -> (&'static ServerPowerModel, DvfsController) {
-            let dvfs = DvfsController::new(SimDuration::from_millis(10));
-            (ServerPowerModel::paper_default(), dvfs)
-        }
-
-        #[test]
-        fn uncapped_runs_nominal() {
-            let (m, mut dvfs) = rig();
-            let p = m.resolve(None, 1.0, 1.0);
-            dvfs.command(SimTime::ZERO, p);
-            assert_eq!(p, PState(12));
-            assert_eq!(dvfs.target(), PState(12));
-        }
-
-        #[test]
-        fn limit_resolves_to_satisfying_state() {
-            let (m, mut dvfs) = rig();
-            let p = m.resolve(Some(75.0), 1.0, 1.0);
-            dvfs.command(SimTime::ZERO, p);
-            assert!(p < PState(12));
-            assert!(m.full_load_power(dvfs.target(), 1.0, 1.0) <= 75.0 + 1e-9);
-            // Takes effect only after the DVFS transition latency.
-            dvfs.advance(SimTime::from_millis(5));
-            assert_eq!(dvfs.effective(), PState(12));
-            dvfs.advance(SimTime::from_millis(10));
-            assert_eq!(dvfs.effective(), p);
-        }
-
-        #[test]
-        fn memory_bound_workload_needs_lower_state() {
-            let (m, mut dvfs) = rig();
-            let p_cpu = m.resolve(Some(80.0), 1.0, 0.95);
-            dvfs.command(SimTime::ZERO, p_cpu);
-            let p_mem = m.resolve(Some(80.0), 0.95, 0.45);
-            dvfs.command(SimTime::from_millis(20), p_mem);
-            assert!(p_mem < p_cpu, "{p_mem:?} vs {p_cpu:?}");
-        }
-
-        #[test]
-        fn clearing_limit_restores_nominal() {
-            let (m, mut dvfs) = rig();
-            dvfs.command(SimTime::ZERO, m.resolve(Some(60.0), 1.0, 1.0));
-            let p = m.resolve(None, 1.0, 1.0);
-            dvfs.command(SimTime::from_secs(1), p);
-            assert_eq!(p, PState(12));
-            dvfs.advance(SimTime::from_secs(2));
-            assert_eq!(dvfs.effective(), PState(12));
-        }
-
-        #[test]
-        fn delayed_limit_defers_enforcement() {
-            let (m, mut dvfs) = rig();
-            let p = m.resolve(Some(75.0), 1.0, 1.0);
-            dvfs.command_delayed(SimTime::ZERO, p, SimDuration::from_millis(90));
-            dvfs.advance(SimTime::from_millis(99));
-            assert_eq!(dvfs.effective(), PState(12));
-            dvfs.advance(SimTime::from_millis(100));
-            assert_eq!(dvfs.effective(), p);
-        }
-
-        #[test]
-        fn infeasible_limit_floors() {
-            let (m, mut dvfs) = rig();
-            let p = m.resolve(Some(5.0), 1.0, 1.0);
-            dvfs.command(SimTime::ZERO, p);
-            assert_eq!(p, PState(0));
-        }
     }
 
     proptest! {

@@ -14,7 +14,7 @@
 //!
 //! * **Power sensors** — sample dropout, stuck-at readings, stale
 //!   telemetry, additive noise, and scheduled full-telemetry blackouts.
-//! * **DVFS/RAPL actuators** — command loss, delayed apply, and a wedged
+//! * **DVFS actuators** — command loss, delayed apply, and a wedged
 //!   (stuck) actuator that ignores commands for a while.
 //! * **Nodes** — crash (in-flight work lost) with optional reboot.
 //! * **Battery** — capacity fade and a charger that fails permanently at
@@ -51,7 +51,7 @@ pub struct FaultConfig {
     /// Scheduled `[start, end)` windows during which *all* sensors are
     /// dark (a telemetry-network blackout).
     pub blackouts: Vec<(SimTime, SimTime)>,
-    /// Per-command probability a DVFS/RAPL write is silently lost.
+    /// Per-command probability a DVFS write is silently lost.
     pub actuator_loss_p: f64,
     /// Per-command probability a write lands late.
     pub actuator_delay_p: f64,

@@ -6,7 +6,7 @@
 //!
 //! * [`simcore`] — simulated clock, seeded RNG streams, fault plans
 //! * [`dcmetrics`] — histograms, CDFs, energy/SLA accounting
-//! * [`powercap`] — P-states, DVFS, RAPL, batteries, budgets
+//! * [`powercap`] — P-states, DVFS, batteries, budgets
 //! * [`netsim`] — requests, queues, token buckets, firewall, NLB
 //! * [`workloads`] — EC service kernels, traces, attackers, DOPE
 //! * [`profiler`] — online power attribution and adaptive suspect lists

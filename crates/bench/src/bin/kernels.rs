@@ -1,10 +1,11 @@
 //! Control-plane kernel timings: the DPM throttling search (Algorithm 1)
-//! at 4, 16, 64 and 256 nodes and the Eq (1) request-control solve over
-//! eight classes, the per-slot decision costs no benchmark probe
-//! isolates; one EW-RLS observation of a 1–3-URL mix with 4 and with 32
-//! live coordinates (a tracker using a few of its 32 coordinates, and a
-//! full one), and one Learn pass (`observe_node` per live node, then
-//! `end_tick`) over a recorded 1,000-node slot; and the streaming trace
+//! at 4, 16, 64 and 256 nodes, the per-slot decision cost no benchmark
+//! probe isolates; one EW-RLS observation of a 1–3-URL mix with 4 and
+//! with 32 live coordinates (a tracker using a few of its 32
+//! coordinates, and a full one), and one Learn pass (`observe_node` per
+//! live node, then `end_tick`) over a recorded 1,000-node slot; one
+//! whole slot (`ControlPipeline::run_sample`) over that recorded slot's
+//! sample, the live daemon's per-tick control cost; and the streaming trace
 //! codec over that slot as a header + slot + footer trace, `to_jsonl`
 //! and `from_jsonl_str`, the per-slot cost of writing and reading a
 //! control trace (both lines also give MB/s); and `Json::parse` of one
@@ -39,12 +40,11 @@
 
 use antidope::dpm::{self, NodeState};
 use antidope::jsonl::Json;
-use antidope::request_control::{class_from_profile, solve, RequestClass};
 use antidope::scheme::Action;
 use antidope::{
-    record_experiment, BatteryObs, ClusterConfig, ClusterView, ControlTrace, DecisionRecord,
-    ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim, SlotRecord,
-    TopologyConfig, TraceRecorder,
+    record_experiment, BatteryObs, ClusterConfig, ClusterView, ControlPipeline, ControlTrace,
+    DecisionRecord, ExperimentConfig, NodeObs, PlaneSample, SchemeKind, ShardedClusterSim,
+    SlotRecord, TopologyConfig, TraceRecorder,
 };
 use dope_bench::grid::{run_cell, AttackRow, DefenseStack, GridConfig};
 use netsim::queueing::PsServer;
@@ -159,24 +159,6 @@ fn dpm_nodes(n: usize) -> Vec<NodeState> {
             beta: if i % 2 == 0 { 0.9 } else { 0.4 },
             current: nominal,
             suspect: i >= n - n / 4 - 1,
-        })
-        .collect()
-}
-
-/// Eight request classes of rising count and power character.
-fn request_classes() -> Vec<RequestClass> {
-    let table = PStateTable::paper_default();
-    (0..8)
-        .map(|i| {
-            let i = f64::from(i);
-            class_from_profile(
-                5.0 + i,
-                table,
-                60.0,
-                0.5 + 0.05 * i,
-                0.3 + 0.08 * i,
-                0.2 + 0.09 * i,
-            )
         })
         .collect()
 }
@@ -386,6 +368,15 @@ fn main() -> ExitCode {
         }
         black_box(engine.end_tick());
     });
+    // The recorded experiment's pipeline, fed the slot once a control
+    // slot, as the daemon feeds a fresh sample.
+    let exp = &trace.header.experiment;
+    let mut pipeline = ControlPipeline::for_experiment(exp);
+    let mut now = trace.slots[0].now;
+    report(&format!("slot_from_sample/{}", slot.nodes.len()), &mut || {
+        now += exp.cluster.control_slot;
+        black_box(pipeline.run_sample(now, &exp.cluster, black_box(slot), &slot.forgets));
+    });
     let text = trace.to_jsonl();
     let mb_per_s = |ns: f64| {
         println!(
@@ -400,10 +391,6 @@ fn main() -> ExitCode {
     mb_per_s(timed("trace_codec/decode", &mut || {
         black_box(ControlTrace::from_jsonl_str(black_box(&text)).is_ok());
     }));
-    let classes = request_classes();
-    report("request_control_solve/8", &mut || {
-        black_box(solve(black_box(180.0), &classes));
-    });
     for (name, bytes) in [("jsonl_parse/64k", 64 << 10), ("jsonl_parse/1m", 1 << 20)] {
         let line = slot_line(bytes);
         let ns = timed(name, &mut || {

@@ -37,6 +37,7 @@ use powercap::pstate::{PState, PStateTable};
 use powercap::server_power::ServerPowerModel;
 use profiler::MixTracker;
 use simcore::{SimDuration, SimTime};
+use std::borrow::Borrow;
 use std::convert::Infallible;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -115,8 +116,12 @@ impl std::error::Error for TransportError {}
 
 /// Reads one [`PlaneSample`] per slot from some telemetry source.
 pub trait TelemetryTransport {
+    /// What [`Self::sample`] hands out: a [`PlaneSample`] the transport
+    /// built and gives away (a parsed file tree), or one it lends from
+    /// storage that outlives the transport (a recorded trace).
+    type Sample: Borrow<PlaneSample>;
     /// Produce the sample for `tick`.
-    fn sample(&mut self, tick: &SlotTick) -> Result<PlaneSample, TransportError>;
+    fn sample(&mut self, tick: &SlotTick) -> Result<Self::Sample, TransportError>;
 }
 
 /// Applies one slot's decided commands to some actuation sink.
@@ -247,25 +252,26 @@ impl PlaneSample {
         if let Some(f) = self.forgets.iter().find(|f| f.node >= servers) {
             return Err(format!("forget names node {} of {servers} servers", f.node));
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            check_pstate(format_args!("node {i} target"), n.target)?;
+        if let Some(i) = self.nodes.iter().position(|n| off_ladder(n.target)) {
+            return Err(ladder_error(format_args!("node {i} target"), self.nodes[i].target));
         }
-        for (i, &p) in self.readback.iter().flatten().enumerate() {
-            check_pstate(format_args!("node {i} readback"), p)?;
+        if let Some(rb) = &self.readback {
+            if let Some(i) = rb.iter().position(|&p| off_ladder(p)) {
+                return Err(ladder_error(format_args!("node {i} readback"), rb[i]));
+            }
         }
         Ok(())
     }
 }
 
-/// `p` must be a state of the paper's P-state ladder, which every node
-/// runs; `what` names the field in the error.
-fn check_pstate(what: fmt::Arguments<'_>, p: u8) -> Result<(), String> {
-    let states = PStateTable::PAPER_STATES;
-    if usize::from(p) < states {
-        Ok(())
-    } else {
-        Err(format!("{what} P-state {p} is past the {states}-state ladder"))
-    }
+/// Whether `p` is off the paper's P-state ladder, which every node runs.
+fn off_ladder(p: u8) -> bool {
+    usize::from(p) >= PStateTable::PAPER_STATES
+}
+
+/// The error for a P-state `p` off the ladder; `what` names the field.
+fn ladder_error(what: fmt::Arguments<'_>, p: u8) -> String {
+    format!("{what} P-state {p} is past the {}-state ladder", PStateTable::PAPER_STATES)
 }
 
 /// Everything the control plane commanded in one slot: the read-back
@@ -303,22 +309,21 @@ impl SlotRecord {
     fn check_shape(&self, cluster: &ClusterConfig) -> Result<(), String> {
         let servers = cluster.servers;
         self.sample.check_shape(cluster).map_err(|e| format!("slot {}: {e}", self.slot))?;
-        let commands = self.decisions.retries.iter().copied().chain(
+        let mut commands = self.decisions.retries.iter().copied().chain(
             self.decisions.actions.iter().filter_map(|a| match *a {
                 Action::SetPState { node, target } => Some((node, target.0)),
                 Action::BatteryDischarge { .. } | Action::BatteryCharge { .. } => None,
             }),
         );
-        for (node, p) in commands {
-            if node >= servers {
-                return Err(format!(
-                    "slot {}: node {node} does not exist in {servers} servers",
-                    self.slot
-                ));
-            }
-            check_pstate(format_args!("slot {}: node {node} command", self.slot), p)?;
-        }
-        Ok(())
+        let Some((node, p)) = commands.find(|&(node, p)| node >= servers || off_ladder(p)) else {
+            return Ok(());
+        };
+        let slot = self.slot;
+        Err(if node >= servers {
+            format!("slot {slot}: node {node} does not exist in {servers} servers")
+        } else {
+            ladder_error(format_args!("slot {slot}: node {node} command"), p)
+        })
     }
 }
 
@@ -624,19 +629,23 @@ impl ControlPipeline {
 
     /// One live or replayed slot over `sample`, the engine's own slot
     /// function fed from a sample: the topology observes the sample's
-    /// rack feeds, then the slot runs. Returns the trusted view and the
-    /// slot's decisions: the read-back retries the sweep found, and the
-    /// final plan, which the pipeline no longer holds.
+    /// rack feeds, then the slot runs, applying `forgets` first. A fresh
+    /// pass passes the sample's own [`PlaneSample::forgets`]; a pass
+    /// that re-runs a held sample passes none, so a slot's forgets are
+    /// applied once. Returns the trusted view and the slot's decisions:
+    /// the read-back retries the sweep found, and the final plan, which
+    /// the pipeline no longer holds.
     pub fn run_sample(
         &mut self,
         now: SimTime,
         cfg: &ClusterConfig,
         sample: &PlaneSample,
+        forgets: &[Forget],
     ) -> (ClusterView, DecisionRecord) {
         if let Some(topo) = self.topology.as_mut() {
             topo.observe_racks(now, &sample.rack_power_w);
         }
-        let mut plant = SamplePlant { sample, retries: Vec::new() };
+        let mut plant = SamplePlant { sample, forgets, retries: Vec::new() };
         let (view, _) = self.run_slot(now, cfg, &mut plant);
         let actions = self.actions.clone();
         self.actions.clear();
@@ -669,16 +678,18 @@ impl ControlPipeline {
 }
 
 /// The [`Plant`] over one [`PlaneSample`]: a recorded or live slot fed
-/// to [`ControlPipeline::run_slot`]. Read-back retries are collected
-/// for the caller's [`ActuationTransport`] instead of issued.
+/// to [`ControlPipeline::run_slot`], with the forgets the caller applies
+/// this pass. Read-back retries are collected for the caller's
+/// [`ActuationTransport`] instead of issued.
 struct SamplePlant<'a> {
     sample: &'a PlaneSample,
+    forgets: &'a [Forget],
     retries: Vec<(usize, u8)>,
 }
 
 impl Plant for SamplePlant<'_> {
     fn forgets(&self) -> &[Forget] {
-        &self.sample.forgets
+        self.forgets
     }
 
     fn true_power_w(&self) -> f64 {

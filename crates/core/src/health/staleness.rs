@@ -7,9 +7,11 @@
 //! * [`TelemetryHealth`](super::TelemetryHealth) holds one `f64` reading
 //!   per node and charges nameplate power past the window;
 //! * the `liveplane` daemon holds one whole
-//!   [`PlaneSample`](crate::PlaneSample) per telemetry source and
-//!   bridges a missed deadline with it, skipping the control pass once
-//!   the hold expires.
+//!   [`PlaneSample`](crate::PlaneSample) per telemetry source, kept as
+//!   the transport handed it out (a borrow of a recorded sample, or a
+//!   parsed one it owns), and bridges a missed deadline by re-running
+//!   the pass on it with no forget events, skipping the control pass
+//!   once the hold expires.
 //!
 //! Both must expire at exactly the same age — `now - held <= window`
 //! stays usable, one microsecond older does not — or the sim and the

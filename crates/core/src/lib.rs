@@ -13,9 +13,11 @@
 //! * [`dpm`] — **Differentiated Power Management** (Algorithm 1): on a
 //!   budget violation, throttle *suspect* nodes first, choosing per-node
 //!   V/F states by best power-saved-per-performance-lost, spilling to
-//!   innocent nodes only when the suspect pool is exhausted.
-//! * [`request_control`] — the Eq (1) request-control model:
-//!   `Σ qᵢ·Pᵢ(f) ≤ B₀` solved per node for the resident request mix.
+//!   innocent nodes only when the suspect pool is exhausted. The
+//!   Eq (1) request-control model `Σ qᵢ·Pᵢ(f) ≤ B₀`, solved over
+//!   request classes, is compiled for tests only (`request_control`):
+//!   no scheme runs it, and it is the oracle DPM's per-node search is
+//!   checked against on one node.
 //! * [`scheme`] — the four evaluated schemes of Table 2: `Capping`,
 //!   `Shaving`, `Token`, and `AntiDope` (PDF + RPM), behind one
 //!   [`scheme::PowerScheme`] trait.
@@ -47,7 +49,8 @@ pub mod health;
 pub mod jsonl;
 pub mod node;
 pub mod pdf;
-pub mod request_control;
+#[cfg(test)]
+mod request_control;
 pub mod results;
 pub mod runner;
 pub mod scheme;

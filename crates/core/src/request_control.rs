@@ -15,6 +15,11 @@
 //! monotone, diminishing-returns power curves produced by DVFS this is
 //! the classic near-optimal heuristic, and it is exact when classes have
 //! proportional curves.
+//!
+//! No scheme, figure or benchmark runs this solver: DPM (Algorithm 1,
+//! [`crate::dpm`]) decides per node. It is compiled for tests only, as
+//! the oracle `dpm_agrees_with_request_control_on_one_node` holds DPM's
+//! node-level search to on a one-class, one-node problem.
 
 
 /// One power-usage class of the incoming flow.

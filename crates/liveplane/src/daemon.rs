@@ -6,11 +6,12 @@
 use antidope::health::staleness::LastGood;
 use antidope::{
     ActuationTransport, ClusterConfig, ClusterView, ControlClock, ControlPipeline,
-    DecisionRecord, ExperimentConfig, PlaneSample, SlotTick, TelemetryTransport, TraceFooter,
-    TransportError,
+    DecisionRecord, ExperimentConfig, Forget, PlaneSample, SlotTick, TelemetryTransport,
+    TraceFooter, TransportError,
 };
 use powercap::monitor::PowerCondition;
 use profiler::ProfilerReport;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -96,20 +97,21 @@ impl LiveSummary {
 /// not fit the experiment ([`PlaneSample::check_shape`]) is a
 /// [`TransportError::Malformed`], not a panic.
 ///
-/// Staleness handling: every fresh sample is also held in a
-/// [`LastGood`] hold whose window is the experiment's
+/// Staleness handling: every fresh sample is also held, as the
+/// transport handed it out (a sample it lent, or one it gave away), in
+/// a [`LastGood`] hold whose window is the experiment's
 /// `control_slot × telemetry_staleness_slots`. A stale tick within the
-/// window re-runs the pass on the held sample (its forget events
-/// cleared, so they are never applied twice); past the window the tick
-/// is skipped as blind — the same boundary the in-pipeline
-/// [`antidope::TelemetryHealth`] applies per node.
-pub struct LiveDaemon<C, T, A> {
+/// window re-runs the pass on the held sample with no forget events,
+/// so a slot's forgets are applied by its fresh pass and never again;
+/// past the window the tick is skipped as blind — the same boundary the
+/// in-pipeline [`antidope::TelemetryHealth`] applies per node.
+pub struct LiveDaemon<C, T: TelemetryTransport, A> {
     cfg: ClusterConfig,
     clock: C,
     telemetry: T,
     actuation: A,
     pipeline: ControlPipeline,
-    hold: LastGood<PlaneSample>,
+    hold: LastGood<T::Sample>,
     shutdown: Arc<AtomicBool>,
     journal: Vec<SlotOutcome>,
     slots: u64,
@@ -185,18 +187,21 @@ where
             self.missed_deadlines += 1;
         }
         let fresh = match self.telemetry.sample(&tick) {
-            Ok(s) => {
-                s.check_shape(&self.cfg).map_err(TransportError::Malformed)?;
-                Some(s)
-            }
+            Ok(s) => Some(s),
             Err(TransportError::Stale { .. }) => None,
             Err(TransportError::Exhausted) => return Ok(None),
             Err(e) => return Err(e),
         };
-        let (sample, disposition) = match &fresh {
-            Some(s) => (s, SlotDisposition::Fresh),
+        let (sample, forgets, disposition): (&PlaneSample, &[Forget], _) = match &fresh {
+            Some(s) => {
+                let s: &PlaneSample = s.borrow();
+                s.check_shape(&self.cfg).map_err(TransportError::Malformed)?;
+                (s, &s.forgets, SlotDisposition::Fresh)
+            }
+            // A bridged pass re-runs the held sample without its
+            // forgets: the fresh pass consumed them.
             None => match self.hold.get(0, tick.now) {
-                Some(held) => (held, SlotDisposition::Bridged),
+                Some(held) => (held.borrow(), &[], SlotDisposition::Bridged),
                 None => {
                     self.blind_slots += 1;
                     let out = SlotOutcome {
@@ -210,12 +215,9 @@ where
                 }
             },
         };
-        let (view, decisions) = self.pipeline.run_sample(tick.now, &self.cfg, sample);
+        let (view, decisions) = self.pipeline.run_sample(tick.now, &self.cfg, sample, forgets);
         let (energy_j, true_power_w) = (sample.energy_j, sample.true_power_w);
-        if let Some(mut held) = fresh {
-            // A bridged re-run must not re-apply this slot's forget
-            // events: they were consumed by the fresh pass.
-            held.forgets.clear();
+        if let Some(held) = fresh {
             self.hold.update(0, tick.now, held);
         }
         self.actuation.apply(tick.now, &decisions)?;

@@ -8,8 +8,9 @@ use antidope::{
 use simcore::SimTime;
 
 /// Feeds the recorded per-slot [`PlaneSample`]s of a trace back to the
-/// pipeline, one per tick, in recorded order. The trace is borrowed;
-/// each `sample` call clones the one sample it returns.
+/// pipeline, one per tick, in recorded order. The trace is borrowed,
+/// and each `sample` call lends the recorded sample itself: no copy is
+/// made.
 #[derive(Debug, Clone)]
 pub struct ReplayTelemetry<'a> {
     slots: std::slice::Iter<'a, SlotRecord>,
@@ -22,8 +23,10 @@ impl<'a> ReplayTelemetry<'a> {
     }
 }
 
-impl TelemetryTransport for ReplayTelemetry<'_> {
-    fn sample(&mut self, tick: &SlotTick) -> Result<PlaneSample, TransportError> {
+impl<'a> TelemetryTransport for ReplayTelemetry<'a> {
+    type Sample = &'a PlaneSample;
+
+    fn sample(&mut self, tick: &SlotTick) -> Result<&'a PlaneSample, TransportError> {
         let record = self.slots.as_slice().first().ok_or(TransportError::Exhausted)?;
         if record.slot != tick.slot {
             // The trace has no record for this tick — the clock and the
@@ -34,7 +37,7 @@ impl TelemetryTransport for ReplayTelemetry<'_> {
             )));
         }
         self.slots.next();
-        Ok(record.sample.clone())
+        Ok(&record.sample)
     }
 }
 

@@ -256,6 +256,8 @@ impl SysfsTelemetry {
 }
 
 impl TelemetryTransport for SysfsTelemetry {
+    type Sample = PlaneSample;
+
     fn sample(&mut self, tick: &SlotTick) -> Result<PlaneSample, TransportError> {
         let r = &self.root;
         let slot_path = r.join("control/slot");

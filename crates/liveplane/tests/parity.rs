@@ -23,7 +23,7 @@ use antidope::scheme::Action;
 use antidope::testutil::{quick_exp, users};
 use antidope::{
     record_experiment, ClusterConfig, ConfigError, ControlTrace, ExperimentConfig, Forget,
-    ForgetKind, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
+    ForgetKind, PlaneSample, SchemeKind, SimReport, SlotTick, TelemetryTransport, TopologyConfig,
     TransportError, TRACE_SCHEMA_VERSION,
 };
 use liveplane::{
@@ -446,6 +446,98 @@ fn daemon_bridges_stale_slots_then_goes_blind() {
             "slot {k}"
         );
     }
+}
+
+/// Lends one sample, then finds the source lagging on every later tick.
+struct LendOnce<'a>(Option<&'a PlaneSample>);
+
+impl<'a> TelemetryTransport for LendOnce<'a> {
+    type Sample = &'a PlaneSample;
+
+    fn sample(&mut self, tick: &SlotTick) -> Result<&'a PlaneSample, TransportError> {
+        self.0.take().ok_or(TransportError::Stale { have: 0, want: tick.slot })
+    }
+}
+
+#[test]
+fn daemon_bridges_a_lent_sample_like_an_owned_one() {
+    let mut exp = quick_exp(SchemeKind::AntiDope, BudgetLevel::Low, 60, 2019);
+    chaos(&mut exp);
+    exp.cluster.profiler = Some(ProfilerConfig::default());
+    let (_, trace) = record_experiment(&exp, &sources());
+
+    // The staleness cell of `daemon_bridges_stale_slots_then_goes_blind`:
+    // a throttling slot carrying a crash forget of every node, then
+    // lagging telemetry through the window and one tick past it.
+    let first = trace
+        .slots
+        .iter()
+        .find(|s| s.decisions.actions.iter().any(|a| matches!(a, Action::SetPState { .. })))
+        .expect("the flood draws a throttle");
+    let mut sample = first.sample.clone();
+    sample.forgets =
+        (0..exp.cluster.servers).map(|node| Forget { node, kind: ForgetKind::Full }).collect();
+    let window = exp.cluster.control.telemetry_staleness_slots;
+    let ticks: Vec<SlotTick> = (0..=window + 1)
+        .map(|k| SlotTick {
+            slot: k,
+            now: first.now + exp.cluster.control_slot * k,
+            missed_deadline: k > 0,
+        })
+        .collect();
+
+    // The held sample is lent: the daemon keeps the borrow, not a copy.
+    let lent = LiveDaemon::new(
+        &exp,
+        ManualClock::new(ticks.clone()),
+        LendOnce(Some(&sample)),
+        NullActuation,
+    )
+    .run()
+    .expect("stale slots are handled, not errors");
+
+    // The owned sample off a sysfs tree, as the staleness cell runs it.
+    let dir = sysfs_dir("lent");
+    let t0 = SlotTick { slot: first.slot, now: first.now, missed_deadline: false };
+    MockSysfsWriter::new(&dir).publish(&t0, &sample).expect("publish the slot");
+    let owned = LiveDaemon::new(
+        &exp,
+        ManualClock::new(ticks),
+        SysfsTelemetry::new(&dir, exp.cluster.servers),
+        NullActuation,
+    )
+    .run()
+    .expect("stale slots are handled, not errors");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dispositions: Vec<SlotDisposition> = lent.journal.iter().map(|o| o.disposition).collect();
+    let mut want = vec![SlotDisposition::Fresh];
+    want.extend((0..window).map(|_| SlotDisposition::Bridged));
+    want.push(SlotDisposition::Blind);
+    assert_eq!(dispositions, want);
+    assert_eq!((lent.slots, lent.bridged_slots, lent.blind_slots), (window + 1, window, 1));
+    assert_eq!(lent.journal.len(), owned.journal.len());
+    for (k, (lent, owned)) in lent.journal.iter().zip(&owned.journal).enumerate() {
+        assert_eq!(
+            format!("{:?}", (lent.disposition, &lent.view, &lent.decisions)),
+            format!("{:?}", (owned.disposition, &owned.view, &owned.decisions)),
+            "slot {k}"
+        );
+    }
+}
+
+#[test]
+fn replay_telemetry_lends_the_trace_samples() {
+    let exp = quick_exp(SchemeKind::Shaving, BudgetLevel::Medium, 10, 2019);
+    let (_, trace) = record_experiment(&exp, &sources());
+    let mut telemetry = ReplayTelemetry::from_trace(&trace);
+    for (k, rec) in trace.slots.iter().enumerate() {
+        let tick = SlotTick { slot: rec.slot, now: rec.now, missed_deadline: false };
+        let lent = telemetry.sample(&tick).expect("a recorded slot");
+        assert!(std::ptr::eq(lent, &trace.slots[k].sample), "slot {k} is lent, not copied");
+    }
+    let past = SlotTick { slot: 0, now: SimTime::ZERO, missed_deadline: false };
+    assert_eq!(telemetry.sample(&past), Err(TransportError::Exhausted), "the trace is spent");
 }
 
 #[test]
